@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -116,9 +117,10 @@ type Coordinator struct {
 	issued   map[string]experiment.Span // guarded by mu
 	byWorker map[string]string          // worker name -> its latest lease id; guarded by mu
 	cadence  map[string]time.Duration   // worker name -> EWMA renew interval; guarded by mu
-	// throughput is each worker's accepted-shards-per-second EWMA; grant
-	// sizes scale with it, so fast machines get proportionally larger
-	// adaptive chunks. byWorker, cadence and throughput entries are
+	// throughput is each worker's accepted-shards-per-second EWMA,
+	// averaged as per-shard time (see observeProgress); grant sizes scale
+	// with it, so fast machines get proportionally larger adaptive
+	// chunks. byWorker, cadence and throughput entries are
 	// pruned when the worker's last lease is swept, keeping a long-lived
 	// coordinator's maps bounded by the live worker set.
 	throughput map[string]float64 // guarded by mu
@@ -128,16 +130,21 @@ type Coordinator struct {
 	// leases issued speculatively, shards whose first accepted result
 	// arrived under a backup lease, and byte-equal duplicates a backup
 	// streamed after the shard was already done.
-	backupsIssued int      // guarded by mu
-	backupsWon    int      // guarded by mu
-	backupsWasted int      // guarded by mu
-	done          []bool   // per-shard completion; guarded by mu
-	values        []any    // decoded shard values, by index; guarded by mu
-	raw           [][]byte // accepted result bytes, for the byte-equality assertion; guarded by mu
-	remaining     int      // guarded by mu
-	replayed      int      // shards restored from the journal at startup; guarded by mu
-	journal       *journal // guarded by mu
-	fatal         error    // guarded by mu
+	backupsIssued int // guarded by mu
+	backupsWon    int // guarded by mu
+	backupsWasted int // guarded by mu
+	// /results traffic, for the end-of-run summary and /stats: request
+	// bodies received and lines accepted from them. Their ratio is how
+	// well workers coalesce results.
+	resultPosts int      // guarded by mu
+	resultLines int      // guarded by mu
+	done        []bool   // per-shard completion; guarded by mu
+	values      []any    // decoded shard values, by index; guarded by mu
+	raw         [][]byte // accepted result bytes, for the byte-equality assertion; guarded by mu
+	remaining   int      // guarded by mu
+	replayed    int      // shards restored from the journal at startup; guarded by mu
+	journal     *journal // guarded by mu
+	fatal       error    // guarded by mu
 	// finished is closed exactly once (under mu) and waited on without
 	// it; channel close/receive has its own happens-before edge, so the
 	// field is deliberately not annotated.
@@ -486,32 +493,40 @@ func (c *Coordinator) targetChunkFor(worker string) int {
 	return k
 }
 
-// observeProgress folds one accepted shard completion into the adaptive
-// scheduling estimates: the global per-shard cost EWMA and the worker's
-// throughput EWMA. Callers pass only result-to-result intervals — the
-// lease's first accepted result merely anchors lastProgress (see
-// leaseState) — and a result from an already-expired lease carries no
-// usable timing. Callers hold mu.
+// observeProgress folds the k shards a lease completed in one /results
+// body into the adaptive scheduling estimates, as one observation: the
+// interval since the lease's previous body, dt, gives a per-shard cost of
+// dt/k for the global cost EWMA and a rate of k/dt for the worker's
+// throughput EWMA. The observation weighs as k single-line bodies dt/k
+// apart would — k EWMA steps of 1/4 — so a coalesced body's lines, which
+// arrive together, neither read as k-1 free shards nor count as one.
+// Both estimates average per-shard time, not rate: the throughput EWMA
+// is the reciprocal of a per-worker cost EWMA. A body's arrival jitters
+// with its predecessor's — one that lands just after a delayed body
+// carries many lines over a short dt — and averaging rates would let
+// that burst dominate, where averaging times weighs it by the little
+// time it covers. Callers pass only body-to-body intervals — the body
+// that carries a lease's first accepted result merely anchors
+// lastProgress (see leaseState) — and a result from an already-expired
+// lease carries no usable timing. Callers hold mu.
 //
 //speclint:holds mu
-func (c *Coordinator) observeProgress(l *leaseState, now time.Time) {
-	if l == nil {
-		return
-	}
-	dt := now.Sub(l.lastProgress)
+func (c *Coordinator) observeProgress(l *leaseState, k int, now time.Time) {
+	cost := now.Sub(l.lastProgress) / time.Duration(k)
 	l.lastProgress = now
-	if dt < time.Microsecond {
-		dt = time.Microsecond // instantaneous arrivals still mean "cheap"
+	if cost < time.Microsecond {
+		cost = time.Microsecond // instantaneous arrivals still mean "cheap"
 	}
+	keep := math.Pow(0.75, float64(k)) // old estimate's weight after k steps
 	if c.costEWMA <= 0 {
-		c.costEWMA = dt
+		c.costEWMA = cost
 	} else {
-		c.costEWMA = (3*c.costEWMA + dt) / 4
+		c.costEWMA = cost + time.Duration(keep*float64(c.costEWMA-cost))
 	}
 	if l.worker != "" {
-		rate := float64(time.Second) / float64(dt)
+		rate := float64(time.Second) / float64(cost)
 		if old, ok := c.throughput[l.worker]; ok {
-			c.throughput[l.worker] = (3*old + rate) / 4
+			c.throughput[l.worker] = 1 / (1/rate + keep*(1/old-1/rate))
 		} else {
 			c.throughput[l.worker] = rate
 		}
@@ -612,6 +627,8 @@ func (c *Coordinator) Stats() Stats {
 		PendingSpans: len(c.pending), Leases: len(c.leases),
 		BackupsIssued: c.backupsIssued, BackupsWon: c.backupsWon,
 		BackupsWasted:  c.backupsWasted,
+		ResultPosts:    c.resultPosts,
+		ResultLines:    c.resultLines,
 		CostEWMAMicros: c.costEWMA.Microseconds(),
 	}
 	for _, l := range c.leases {
@@ -808,36 +825,91 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 // shard stays pending or leased and will be served again). A duplicate
 // of an already-done shard must be byte-identical to the accepted
 // result: equal bytes are acknowledged idempotently, unequal bytes are a
-// determinism-contract violation that fails the whole run (409).
+// determinism-contract violation that fails the whole run (409). Lines
+// are applied in order up to the first rejection; the ack counts the
+// lines applied.
 func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	// A small initial buffer: the Scanner grows it only for a line that
+	// needs more, up to the 64 MiB line cap.
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
-	accepted := 0
+	sc.Buffer(make([]byte, 0, 4<<10), 1<<26)
+	var progress []bodyProgress
+	accepted, status := 0, http.StatusOK
+	var err error
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		if status, err := c.acceptResult(line); err != nil {
-			writeJSON(w, status, ResultAck{Accepted: accepted, Error: err.Error()})
-			return
+		if status, err = c.acceptResult(line, &progress); err != nil {
+			break
 		}
 		accepted++
 	}
-	if err := sc.Err(); err != nil {
-		writeJSON(w, http.StatusBadRequest, ResultAck{Accepted: accepted, Error: err.Error()})
-		return
+	if err == nil {
+		if err = sc.Err(); err != nil {
+			status = http.StatusBadRequest
+		}
 	}
-	writeJSON(w, http.StatusOK, ResultAck{Accepted: accepted})
+	c.finishBody(progress, accepted)
+	ack := ResultAck{Accepted: accepted}
+	if err != nil {
+		ack.Error = err.Error()
+	}
+	writeJSON(w, status, ack)
+}
+
+// bodyProgress is one lease's share of a /results body: the shard
+// results the body carried under it (new completions and byte-equal
+// duplicates), folded into a single progress observation once the body
+// is read.
+type bodyProgress struct {
+	lease  *leaseState
+	shards int
+	// anchor is set when the lease's first accepted result arrived in
+	// this body: the body only anchors the lease's progress clock.
+	anchor bool
+}
+
+// progressFor returns l's entry in a body's progress list, adding it on
+// first use. A worker's body names one lease, so the list is short.
+func progressFor(progress *[]bodyProgress, l *leaseState) *bodyProgress {
+	for i := range *progress {
+		if (*progress)[i].lease == l {
+			return &(*progress)[i]
+		}
+	}
+	*progress = append(*progress, bodyProgress{lease: l})
+	return &(*progress)[len(*progress)-1]
+}
+
+// finishBody closes one /results body: it counts the post and the lines
+// accepted from it, and folds each lease's completions in the body into
+// one progress observation. A lease dropped while the body was read (a
+// sweep or an abandoned-grant release) is skipped, so a swept worker's
+// estimates are not revived.
+func (c *Coordinator) finishBody(progress []bodyProgress, accepted int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.resultPosts++
+	c.resultLines += accepted
+	now := c.now()
+	for _, bp := range progress {
+		if !bp.anchor && bp.shards > 0 && c.leases[bp.lease.id] == bp.lease {
+			c.observeProgress(bp.lease, bp.shards, now)
+		}
+	}
 }
 
 // acceptResult validates and applies one result line, returning the HTTP
-// status to reject it with when invalid.
-func (c *Coordinator) acceptResult(line []byte) (int, error) {
+// status to reject it with when invalid. A shard result it accepts under
+// a live lease is tallied in progress for the body's progress
+// observation.
+func (c *Coordinator) acceptResult(line []byte, progress *[]bodyProgress) (int, error) {
 	var rl ResultLine
 	if err := json.Unmarshal(line, &rl); err != nil {
 		return http.StatusBadRequest, fmt.Errorf("malformed result line: %w", err)
@@ -863,15 +935,27 @@ func (c *Coordinator) acceptResult(line []byte) (int, error) {
 	// babbling-but-stuck worker's lease alive or defeat the unstarted
 	// re-poll idempotency. The started transition also anchors the
 	// per-shard cost clock: the gap between the grant and the first
-	// accepted result is fetch and idle time, not shard cost.
+	// accepted result is fetch and idle time, not shard cost, and the
+	// rest of the anchoring body arrived with it, so it is not observed
+	// either. ran marks a shard result — new or a byte-equal duplicate,
+	// work the worker did either way — which counts toward the body's
+	// progress observation; a duplicate-only stretch (a primary and its
+	// backup racing) would otherwise read as a worker that stalled.
 	l := c.leases[rl.Lease]
-	beat := func(started bool) {
-		if l != nil {
-			l.lastBeat = now
-			if started && !l.started {
-				l.started = true
-				l.lastProgress = now
-			}
+	beat := func(ran bool) {
+		if l == nil {
+			return
+		}
+		l.lastBeat = now
+		if !ran {
+			return
+		}
+		bp := progressFor(progress, l)
+		bp.shards++
+		if !l.started {
+			l.started = true
+			l.lastProgress = now
+			bp.anchor = true
 		}
 	}
 	if c.done[rl.Shard] {
@@ -919,7 +1003,6 @@ func (c *Coordinator) acceptResult(line []byte) (int, error) {
 			return http.StatusInternalServerError, err
 		}
 	}
-	first := l != nil && !l.started
 	beat(true)
 	c.values[rl.Shard] = v
 	c.raw[rl.Shard] = append([]byte(nil), rl.Value...)
@@ -927,9 +1010,6 @@ func (c *Coordinator) acceptResult(line []byte) (int, error) {
 	c.remaining--
 	if l != nil && l.backup {
 		c.backupsWon++ // the speculative copy landed first
-	}
-	if !first {
-		c.observeProgress(l, now)
 	}
 	if c.onDone != nil {
 		c.onDone()

@@ -85,7 +85,9 @@ func FuzzLeaseRequest(f *testing.F) {
 // protocol status (2xx accept, 400/409/410 reject), and must keep its
 // shard bookkeeping consistent — fuzz bytes may complete shards (the
 // seeds include valid lines) but must never complete more shards than
-// exist or corrupt a completed value.
+// exist or corrupt a completed value. Bodies of many lines are applied
+// in order up to the first rejection: the ack counts exactly the lines
+// applied, and no line after the rejected one completes a shard.
 func FuzzResultLine(f *testing.F) {
 	// The fuzz coordinator's run token is pinned to "RT" (the test owns
 	// the unexported field) so static seeds can exercise the accept path;
@@ -102,6 +104,13 @@ func FuzzResultLine(f *testing.F) {
 	f.Add([]byte("{\"run\":\"RT\",\"lease\":\"L1\",\"shard\":0,\"value\":\"banana\"}\n"))
 	f.Add(bytes.Repeat([]byte("{}\n"), 50))
 	f.Add([]byte("\x00\xff\xfe{\n\n"))
+	// Multi-line bodies, as a coalescing worker posts them: two valid
+	// lines, and a malformed line between two valid ones (the third must
+	// not be applied).
+	valid1, _ := json.Marshal(ResultLine{Run: "RT", Lease: "L1", ShardLine: experiment.ShardLine{Shard: 1, Value: json.RawMessage("7")}})
+	valid2, _ := json.Marshal(ResultLine{Run: "RT", Lease: "L1", ShardLine: experiment.ShardLine{Shard: 2, Value: json.RawMessage("9")}})
+	f.Add([]byte(string(valid) + "\n" + string(valid1) + "\n"))
+	f.Add([]byte(string(valid) + "\n{\"run\":\"RT\",\"lease\":\n" + string(valid2) + "\n"))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		coord, err := NewCoordinator(fuzzSpec(), results.Params{Trials: 3}, 3, Config{Chunk: 3})
@@ -128,6 +137,30 @@ func FuzzResultLine(f *testing.F) {
 		default:
 			t.Errorf("unexpected status %d for body %q", resp.StatusCode, body)
 		}
+		var ack ResultAck
+		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+			t.Fatalf("status %d: undecodable ack: %v", resp.StatusCode, err)
+		}
+		// The lines as the coordinator scans them: newline-split, trimmed,
+		// empty ones skipped.
+		var lines [][]byte
+		for _, line := range bytes.Split(body, []byte("\n")) {
+			if line = bytes.TrimSpace(line); len(line) > 0 {
+				lines = append(lines, line)
+			}
+		}
+		switch {
+		case ack.Accepted < 0 || ack.Accepted > len(lines):
+			t.Errorf("ack counts %d of %d lines", ack.Accepted, len(lines))
+		case resp.StatusCode == http.StatusOK && ack.Accepted != len(lines):
+			t.Errorf("200 ack counts %d lines, body has %d: every line of an accepted body is applied", ack.Accepted, len(lines))
+		case resp.StatusCode != http.StatusOK && ack.Accepted == len(lines):
+			t.Errorf("status %d with all %d lines counted as applied", resp.StatusCode, len(lines))
+		}
+		if st := coord.Stats(); st.ResultPosts != 1 || st.ResultLines != ack.Accepted {
+			t.Errorf("stats result posts/lines = %d/%d, want 1/%d", st.ResultPosts, st.ResultLines, ack.Accepted)
+		}
+		applied := lines[:min(max(ack.Accepted, 0), len(lines))]
 
 		// Bookkeeping invariants survive arbitrary input.
 		coord.mu.Lock()
@@ -141,6 +174,18 @@ func FuzzResultLine(f *testing.F) {
 				var decoded float64
 				if err := json.Unmarshal(coord.raw[i], &decoded); err != nil {
 					t.Errorf("shard %d accepted undecodable bytes %q", i, coord.raw[i])
+				}
+				// Only an applied line — one before the first rejection —
+				// may have completed the shard.
+				byApplied := false
+				for _, line := range applied {
+					var rl ResultLine
+					if json.Unmarshal(line, &rl) == nil && rl.Shard == i && bytes.Equal(rl.Value, coord.raw[i]) {
+						byApplied = true
+					}
+				}
+				if !byApplied {
+					t.Errorf("shard %d completed by a line after the first rejection (ack %d of %d lines)", i, ack.Accepted, len(lines))
 				}
 			}
 		}

@@ -8,12 +8,17 @@
 //	GET  /job      -> Job          the experiment, params and shard count
 //	POST /lease    LeaseRequest -> Lease   claim the next chunk (or wait/done)
 //	POST /renew    RenewRequest -> Renewal  extend a held lease's TTL
-//	POST /results  ResultLine JSON lines -> ResultAck   stream shard results
+//	POST /results  ResultLine JSON lines -> ResultAck   one or more shard results
 //	GET  /stats    -> Stats        progress, backup counters, worker rates
 //
 // Workers are the same binary in a hidden -remote-worker mode; they fetch
 // the job once, then loop lease → run shards (the shared
-// experiment.RunShardLines path) → stream each result as it completes.
+// experiment.RunShardLines path) → stream results with at most one
+// /results POST in flight per chunk: a result that finishes while a POST
+// is in flight waits for its ack and rides in the next POST with every
+// other result buffered meanwhile, so shards cheaper than a round trip
+// share POSTs and slower ones post alone as each finishes. A worker's
+// chunk ends only when its last body is acked.
 // A worker that dies mid-chunk simply stops renewing: the lease expires
 // and the chunk's unfinished shards go back in the queue for someone
 // else. Results are deduplicated by shard index with a byte-equality
@@ -162,7 +167,8 @@ type ResultAck struct {
 type WorkerStats struct {
 	// Worker is the worker's self-reported identity (host-pid-seq).
 	Worker string `json:"worker"`
-	// ThroughputPerSec is the worker's accepted-shards-per-second EWMA;
+	// ThroughputPerSec is the worker's accepted-shards-per-second EWMA,
+	// byte-equal duplicates included and averaged as per-shard time;
 	// adaptive grant sizes scale with it relative to the fleet mean.
 	ThroughputPerSec float64 `json:"throughput_per_sec"`
 	// CadenceMillis is the worker's renew-cadence EWMA (0 = no renewals
@@ -191,6 +197,12 @@ type Stats struct {
 	BackupsIssued int `json:"backups_issued"`
 	BackupsWon    int `json:"backups_won"`
 	BackupsWasted int `json:"backups_wasted"`
+	// ResultPosts counts /results request bodies received, and
+	// ResultLines the result lines accepted from them: workers coalesce
+	// results that finish while a POST is in flight, so lines per post
+	// shows how much.
+	ResultPosts int `json:"result_posts"`
+	ResultLines int `json:"result_lines"`
 	// CostEWMAMicros is the observed per-shard completion cost driving
 	// adaptive chunk sizing, in microseconds (0 = no estimate yet).
 	CostEWMAMicros int64 `json:"cost_ewma_us"`

@@ -147,8 +147,11 @@ func (b Remote) Run(ctx context.Context, spec *experiment.Spec, p results.Params
 }
 
 // runSummary renders the end-of-run scheduling summary: shard count, the
-// speculative-backup counters, and each worker's observed throughput —
-// the tail-latency machinery's speedup made visible instead of vibes.
+// speculative-backup counters, each worker's observed throughput — the
+// tail-latency machinery's speedup made visible instead of vibes — and
+// how many /results posts carried the result lines. The prefix up to
+// "%d won" is parsed by tooling (cmd/specbench), so new fields go at the
+// end.
 func runSummary(st Stats) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "remote: run complete: %d shards; backups: %d issued, %d won, %d wasted",
@@ -161,6 +164,7 @@ func runSummary(st Stats) string {
 		}
 		fmt.Fprintf(&sb, " %s %.1f/s", ws.Worker, ws.ThroughputPerSec)
 	}
+	fmt.Fprintf(&sb, "; results: %d lines in %d posts", st.ResultLines, st.ResultPosts)
 	return sb.String()
 }
 
