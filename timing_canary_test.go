@@ -1,6 +1,11 @@
 package specinterference
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"specinterference/internal/mem"
@@ -29,10 +34,17 @@ func runKernel(t *testing.T, kernel string, policy uarch.SpecPolicy, fastForward
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, setup := w.Build(1000)
+	return runWorkload(t, w, 1000, uarch.DefaultConfig(1), policy, fastForward)
+}
+
+// runWorkload executes w at the given scale to completion on a fresh
+// one-core machine built from cfg and returns the core's counters.
+func runWorkload(t *testing.T, w workload.Workload, iters int, cfg uarch.Config, policy uarch.SpecPolicy, fastForward bool) uarch.CoreStats {
+	t.Helper()
+	prog, setup := w.Build(iters)
 	m := mem.New()
 	setup(m)
-	sys, err := uarch.NewSystem(uarch.DefaultConfig(1), m)
+	sys, err := uarch.NewSystem(cfg, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +99,82 @@ func TestFastForwardEquivalence(t *testing.T) {
 		slow := runKernel(t, "mixed", pol2, false)
 		if ff != slow {
 			t.Errorf("mixed under %s: stats diverge with fast-forward:\n  on:  %+v\n  off: %+v", scheme, ff, slow)
+		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/corestats.golden from the current simulator")
+
+// goldenIters is the kernel scale of the CoreStats golden: every kernel
+// reaches its steady-state loop, yet all runs finish in a few seconds
+// under -race.
+const goldenIters = 40
+
+// issueConfigs are the issue-stage machine variants the golden covers:
+// arbitration order, RS release timing and age-priority preemption all
+// change which candidates the issue stage sees and picks.
+var issueConfigs = []struct {
+	name  string
+	tweak func(*uarch.Config)
+}{
+	{"default", func(*uarch.Config) {}},
+	{"youngest-first", func(c *uarch.Config) { c.YoungestFirstIssue = true }},
+	{"hold-rs", func(c *uarch.Config) { c.HoldRSUntilSafe = true }},
+	{"hold-rs+age-arb", func(c *uarch.Config) { c.HoldRSUntilSafe = true; c.AgePriorityArb = true }},
+}
+
+// TestCoreStatsGolden pins the full CoreStats of every workload kernel
+// under every scheme and issue configuration to testdata/corestats.golden.
+// The canary above pins only the mixed kernel's cycle and retired counts,
+// and no result signature covers IssueGateStalls or CDBConflicts, so this
+// is the byte-for-byte check that a simulator speedup left every counter
+// of every issue path unchanged. Regenerate with -update only when a
+// change is meant to alter simulated behavior.
+func TestCoreStatsGolden(t *testing.T) {
+	var b strings.Builder
+	for _, w := range workload.All() {
+		for _, scheme := range schemes.Names() {
+			for _, ic := range issueConfigs {
+				pol, err := schemes.ByName(scheme)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := uarch.DefaultConfig(1)
+				ic.tweak(&cfg)
+				st := runWorkload(t, w, goldenIters, cfg, pol, true)
+				fmt.Fprintf(&b, "%s %s %s %+v\n", w.Name, scheme, ic.name, st)
+			}
+		}
+	}
+	got := b.String()
+	path := filepath.Join("testdata", "corestats.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Errorf("%s line %d differs:\n  got:  %s\n  want: %s", path, i+1, g, w)
 		}
 	}
 }
