@@ -251,6 +251,36 @@ func BenchmarkTrialSteadyStatePoCBit(b *testing.B) {
 	}
 }
 
+// BenchmarkSystemResetAfterTrial times uarch.System.Reset on the two-core
+// attack machine right after one Figure 7 trial (shard 1 of the trajectory
+// benchmark above), the state every pooled TrialState resets between
+// shards. The trial runs with the timer stopped. Reset restores only the
+// cache sets and memory pages the trial touched, so a reset that rewrote
+// every way of the machine again would be many times slower here.
+func BenchmarkSystemResetAfterTrial(b *testing.B) {
+	ts := core.NewTrialState()
+	spec := core.TrialSpec{
+		Gadget: core.GadgetNPEU, Ordering: core.OrderVDVD,
+		Jitter: 30, Seed: benchSeed + 2, Trace: true,
+	}
+	trial := func() *uarch.System {
+		r, err := ts.Run(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return r.System
+	}
+	trial()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys := trial()
+		b.StartTimer()
+		sys.Reset(benchSeed)
+	}
+}
+
 // --- Ablations (DESIGN.md §5) -----------------------------------------------
 
 // npeuDelay returns the secret-dependent delay on load A for a config

@@ -72,11 +72,12 @@ func DefaultTolerance() Tolerance {
 			"SummarizeBaseline":          true,
 			// The component microbenchmarks isolate the simulator's cycle-
 			// level hot paths; all are allocation-free in steady state.
-			"StepMixedKernel":      true,
-			"StepComputeKernel":    true,
-			"HierarchyAccessL1Hit": true,
-			"HierarchyMissWalk":    true,
-			"MemoryReadWrite":      true,
+			"StepMixedKernel":       true,
+			"StepComputeKernel":     true,
+			"HierarchyAccessL1Hit":  true,
+			"HierarchyMissWalk":     true,
+			"MemoryReadWrite":       true,
+			"SystemResetAfterTrial": true,
 		},
 	}
 }

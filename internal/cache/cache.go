@@ -28,6 +28,13 @@ type Cache struct {
 	lines  [][]int64 // line address per way, or -1 when invalid
 	valid  [][]bool
 	stats  Stats
+	// dirty lists the sets Fill has touched since construction or the last
+	// Reset, and isDirty[s] records membership. A set not on the list has
+	// no valid way and fresh replacement state, so Reset restores only the
+	// listed sets. Only Fill can break that: Touch, Invalidate and
+	// InvalidateAll act on lines already present.
+	dirty   []int
+	isDirty []bool
 }
 
 // NewCache builds a cache. sets must be a power of two; lat is the hit
@@ -46,6 +53,8 @@ func NewCache(name string, sets, ways, lat int, policy PolicyKind, rng *Rand) *C
 	c.state = make([]SetState, sets)
 	c.lines = make([][]int64, sets)
 	c.valid = make([][]bool, sets)
+	c.dirty = make([]int, 0, sets)
+	c.isDirty = make([]bool, sets)
 	for s := 0; s < sets; s++ {
 		c.state[s] = NewSetState(policy, ways, rng)
 		c.lines[s] = make([]int64, ways)
@@ -127,6 +136,10 @@ func (c *Cache) Fill(addr int64) (evicted int64, hasEvict bool) {
 		c.state[set].OnHit(way)
 		return 0, false
 	}
+	if !c.isDirty[set] {
+		c.isDirty[set] = true
+		c.dirty = append(c.dirty, set)
+	}
 	way = c.state[set].Victim(c.valid[set])
 	if c.valid[set][way] {
 		evicted = c.lines[set][way]
@@ -171,16 +184,20 @@ func (c *Cache) InvalidateAll() {
 
 // Reset restores the cache to its just-constructed state — every way
 // invalid, replacement state fresh, statistics zeroed — reusing the
-// existing arrays. Noise wrappers installed by AddReplacementNoise stay
+// existing arrays. It visits only the sets filled since the last reset,
+// so its cost scales with the footprint of the work in between, not with
+// the cache's size. Noise wrappers installed by AddReplacementNoise stay
 // in place (their shared Rand is reseeded by the hierarchy).
 func (c *Cache) Reset() {
-	for s := 0; s < c.sets; s++ {
+	for _, s := range c.dirty {
 		for w := 0; w < c.ways; w++ {
 			c.lines[s][w] = -1
 			c.valid[s][w] = false
 		}
 		c.state[s].Reset()
+		c.isDirty[s] = false
 	}
+	c.dirty = c.dirty[:0]
 	c.stats = Stats{}
 }
 
@@ -196,7 +213,9 @@ func (c *Cache) LinesInSet(set int) []int64 {
 	return out
 }
 
-// SetState exposes the replacement state of a set for white-box tests.
+// SetState exposes the replacement state of a set for white-box tests. It
+// is read-only: mutating it behind the cache's back would bypass the
+// bookkeeping Reset relies on.
 func (c *Cache) SetState(set int) SetState { return c.state[set] }
 
 // DumpSet renders a set for diagnostics.

@@ -47,8 +47,10 @@ func Workers(requested, shards int) int {
 // goroutines and returns the n results in index order, regardless of
 // completion order. The first error cancels the shared context — in-flight
 // shards can observe ctx.Done() and abandon work — and no further shards
-// are dispatched; Map then returns that first-dispatched error. A nil or
-// already-cancelled ctx is honoured before any shard runs.
+// are dispatched; Map then returns that error. With one worker it is the
+// error of the lowest failing index; with several it is whichever error
+// occurred first, which need not belong to the lowest failing index. A nil
+// or already-cancelled ctx is honoured before any shard runs.
 func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("runner: negative shard count %d", n)

@@ -182,10 +182,13 @@ type Core struct {
 	// consumed seqs) and robEntry resolves a rename tag by binary search.
 	rob []*entry
 	rs  []*entry
-	// rsClass partitions the unified RS by execution class (same entries,
-	// same relative order), so issue visits only the candidates a port can
-	// serve instead of scanning the whole RS once per port.
-	rsClass [isa.NumClasses][]*entry
+	// rsReady lists, per execution class, the RS entries whose source
+	// operands are all ready — the only entries issue can pick. An entry
+	// joins at dispatch if its sources are ready, else in broadcast when
+	// its last tag resolves; it leaves with its RS slot (removeFromClass)
+	// or at squash. Readiness never reverts while an entry holds its slot,
+	// so the lists never need rescanning.
+	rsReady [isa.NumClasses][]*entry
 	// memOrder lists in-flight loads and stores in program order.
 	memOrder []*entry
 	// waiting lists, in program order, the entries with at least one
@@ -340,8 +343,8 @@ func (c *Core) clearPipeline() {
 	}
 	c.rob = truncEntries(c.rob)
 	c.rs = truncEntries(c.rs)
-	for cls := range c.rsClass {
-		c.rsClass[cls] = truncEntries(c.rsClass[cls])
+	for cls := range c.rsReady {
+		c.rsReady[cls] = truncEntries(c.rsReady[cls])
 	}
 	c.memOrder = truncEntries(c.memOrder)
 	c.waiting = truncEntries(c.waiting)
@@ -548,11 +551,9 @@ func (c *Core) candidateReady(e *entry, cycle int64) bool {
 	return e.rdyOK
 }
 
-// readyCheck is the uncached body of candidateReady.
+// readyCheck is the uncached body of candidateReady. e's operands are
+// ready: issue only visits the rsReady lists.
 func (c *Core) readyCheck(e *entry) bool {
-	if !e.srcsReady() {
-		return false
-	}
 	// lfence semantics: nothing younger than an unretired fence issues.
 	if c.fenceSet.min() < e.seq {
 		return false
@@ -571,19 +572,20 @@ func (c *Core) readyCheck(e *entry) bool {
 	return true
 }
 
-// issue walks, for each port, the per-class lists of the classes it serves
-// — only real candidates, not the whole RS once per port. The visible
-// behavior of the old (port × full RS) scan is preserved exactly: best
+// issue walks, for each port, the operand-ready lists of the classes it
+// serves — not the whole RS once per port, and never an entry still
+// waiting on a producer. The visible behavior of a (port × full RS) scan is
+// preserved exactly: entries off the lists could not issue anyway, best
 // selection is order-independent (seqs are unique, comparisons strict), and
 // IssueGateStalls still counts once per gated (port, candidate) pair per
-// cycle because every serving port visits the gated entry and candidateReady
-// replays the increment on memoized visits. Port class lists are deduped at
-// construction so no port visits a list twice.
+// cycle because every serving port visits every operand-ready entry and
+// candidateReady replays the increment on memoized visits. Port class lists
+// are deduped at construction so no port visits a list twice.
 func (c *Core) issue(cycle int64) {
 	for p := range c.cfg.Ports {
 		var best *entry
 		for _, cls := range c.portClasses[p] {
-			for _, e := range c.rsClass[cls] {
+			for _, e := range c.rsReady[cls] {
 				if e.issued {
 					continue
 				}
@@ -713,14 +715,16 @@ func (c *Core) removeRS(e *entry) {
 	c.removeFromClass(e)
 }
 
-// removeFromClass drops e from its per-class issue list.
+// removeFromClass drops e, which is releasing its RS slot, from its
+// class's operand-ready list. An entry releases its slot only once issued,
+// so it is always on the list.
 func (c *Core) removeFromClass(e *entry) {
-	l := c.rsClass[e.class]
+	l := c.rsReady[e.class]
 	for i, x := range l {
 		if x == e {
 			copy(l[i:], l[i+1:])
 			l[len(l)-1] = nil
-			c.rsClass[e.class] = l[:len(l)-1]
+			c.rsReady[e.class] = l[:len(l)-1]
 			return
 		}
 	}
@@ -850,8 +854,8 @@ func (c *Core) writeback(cycle int64) {
 // broadcast delivers e's result to every waiting consumer and computes
 // store addresses whose base register just arrived. Only entries with an
 // unresolved source tag can consume a broadcast, so the scan covers the
-// waiting list — compacting out consumers whose last tag just resolved —
-// rather than the whole ROB.
+// waiting list — compacting out consumers whose last tag just resolved,
+// which join their class's operand-ready list — rather than the whole ROB.
 func (c *Core) broadcast(e *entry) {
 	kept := c.waiting[:0]
 	for _, o := range c.waiting {
@@ -871,6 +875,10 @@ func (c *Core) broadcast(e *entry) {
 		}
 		if pending {
 			kept = append(kept, o)
+		} else {
+			// o still holds its RS slot: only RS instructions have
+			// sources, and none issues before they are all ready.
+			c.rsReady[o.class] = append(c.rsReady[o.class], o)
 		}
 	}
 	nilTail(c.waiting, len(kept))
@@ -932,8 +940,8 @@ func (c *Core) squash(br *entry, cycle int64) {
 	}
 	isDoomed := func(e *entry) bool { return e.seq > br.seq }
 	c.rs = filterEntries(c.rs, isDoomed)
-	for cls := range c.rsClass {
-		c.rsClass[cls] = filterEntries(c.rsClass[cls], isDoomed)
+	for cls := range c.rsReady {
+		c.rsReady[cls] = filterEntries(c.rsReady[cls], isDoomed)
 	}
 	c.memOrder = filterEntries(c.memOrder, isDoomed)
 	c.waiting = filterEntries(c.waiting, isDoomed)
@@ -1123,7 +1131,8 @@ func (c *Core) dispatch(cycle int64) {
 				e.srcTag[k] = tag
 			}
 		}
-		if !e.srcsReady() {
+		ready := e.srcsReady()
+		if !ready {
 			c.waiting = append(c.waiting, e)
 		}
 		if f.inst.HasDst() {
@@ -1136,7 +1145,9 @@ func (c *Core) dispatch(cycle int64) {
 		} else {
 			e.inRS = true
 			c.rs = append(c.rs, e)
-			c.rsClass[e.class] = append(c.rsClass[e.class], e)
+			if ready {
+				c.rsReady[e.class] = append(c.rsReady[e.class], e)
+			}
 			c.incomplete.add(e.seq)
 			if e.inst.IsCondBranch() {
 				c.unresolvedCB.add(e.seq)

@@ -302,13 +302,10 @@ func TestMustNewSystemPanics(t *testing.T) {
 	MustNewSystem(bad, mem.New())
 }
 
-func TestPreemptionOnNonPipelinedUnit(t *testing.T) {
-	// With the advanced-defense knobs, an older sqrt preempts a younger
-	// one occupying the non-pipelined unit: the older's issue-to-complete
-	// time stays at one occupancy despite a busy unit.
-	cfg := testConfig(1)
-	cfg.HoldRSUntilSafe = true
-	cfg.AgePriorityArb = true
+// preemptProgram makes an older sqrt wait on a slow load while younger
+// speculative sqrts occupy the non-pipelined unit — the advanced-defense
+// preemption scenario.
+func preemptProgram() *isa.Program {
 	b := asm.NewBuilder()
 	b.MovI(isa.R1, 16384)
 	b.Flush(isa.R1, 0)
@@ -325,7 +322,17 @@ func TestPreemptionOnNonPipelinedUnit(t *testing.T) {
 		b.Sqrt(isa.R5, isa.R4) // younger speculative sqrts keep the unit busy
 	}
 	b.Halt()
-	p := b.MustBuild()
+	return b.MustBuild()
+}
+
+func TestPreemptionOnNonPipelinedUnit(t *testing.T) {
+	// With the advanced-defense knobs, an older sqrt preempts a younger
+	// one occupying the non-pipelined unit: the older's issue-to-complete
+	// time stays at one occupancy despite a busy unit.
+	cfg := testConfig(1)
+	cfg.HoldRSUntilSafe = true
+	cfg.AgePriorityArb = true
+	p := preemptProgram()
 	s := MustNewSystem(cfg, mem.New())
 	warmCode(s, 0, p)
 	rec := &captureHook{}
