@@ -15,12 +15,15 @@
 package specinterference
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"specinterference/internal/cache"
-	"specinterference/internal/channel"
 	"specinterference/internal/core"
+	"specinterference/internal/experiment"
 	"specinterference/internal/mem"
+	"specinterference/internal/results"
 	"specinterference/internal/schemes"
 	"specinterference/internal/stats"
 	"specinterference/internal/uarch"
@@ -32,53 +35,64 @@ import (
 // exercise exactly the artifact-generating paths.
 const benchSeed uint64 = 1
 
-// BenchmarkTable1Matrix regenerates the full vulnerability matrix (Table 1)
-// and reports how many cells agree with the paper. The matrix is seedless,
-// so every iteration produces identical cells; the match metrics come from
-// a setup run and are independent of b.N.
-func BenchmarkTable1Matrix(b *testing.B) {
-	names := schemes.Names()
-	expected := core.ExpectedTable1()
-	cells, err := core.VulnerabilityMatrix(names)
+// benchEngine times one whole experiment through experiment.Run on a
+// single in-process worker — the path the artifact CLIs and resultstore
+// take, record sealing included — and returns the record of an untimed
+// setup run, whose payload carries the shape metrics. The timer stops
+// before the caller derives those metrics.
+//
+// GOMAXPROCS is pinned to 1 for the duration. With more Ps the worker
+// goroutine migrates between them, and the per-P sync.Pool caches it
+// relies on (pooled TrialStates, encoding/json's encoder state) then miss
+// at random: an iteration gains 33 KB, or a whole rebuilt attack machine
+// (about 12k allocs), and the allocs/op and B/op gates flake.
+func benchEngine(b *testing.B, exp string, p results.Params) *results.Record {
+	b.Helper()
+	spec, err := experiment.Lookup(exp)
 	if err != nil {
 		b.Fatal(err)
 	}
-	match, total := 0, 0
-	for _, c := range cells {
-		total++
-		k := c.Gadget.String() + "|" + c.Ordering.String()
-		if expected[k][c.Scheme] == c.Vulnerable {
-			match++
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run := func() *results.Record {
+		rec, err := experiment.Run(context.Background(), spec, p, experiment.InProcess{Workers: 1}, nil)
+		if err != nil {
+			b.Fatal(err)
 		}
+		return rec
 	}
+	rec := run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.VulnerabilityMatrix(names); err != nil {
-			b.Fatal(err)
+		run()
+	}
+	b.StopTimer()
+	return rec
+}
+
+// BenchmarkTable1Matrix regenerates the full vulnerability matrix (Table 1)
+// and reports how many cells agree with the paper. The matrix is seedless,
+// so every iteration produces identical cells.
+func BenchmarkTable1Matrix(b *testing.B) {
+	rec := benchEngine(b, results.ExpTable1, results.Params{Schemes: schemes.Names()})
+	expected := core.ExpectedTable1()
+	match := 0
+	for _, c := range rec.Table1.Cells {
+		if expected[c.Gadget+"|"+c.Ordering][c.Scheme] == c.Vulnerable {
+			match++
 		}
 	}
 	b.ReportMetric(float64(match), "cells-matching-paper")
-	b.ReportMetric(float64(total), "cells-total")
+	b.ReportMetric(float64(len(rec.Table1.Cells)), "cells-total")
 }
 
 // BenchmarkFigure7InterferenceHistogram regenerates the contention
 // histogram and reports the separation (paper: ~80 cycles) and overlap at
 // the fixed experiment seed.
 func BenchmarkFigure7InterferenceHistogram(b *testing.B) {
-	r, err := core.Figure7(40, 30, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Figure7(40, 30, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.Separation, "separation-cycles")
-	b.ReportMetric(r.Overlap, "overlap-coeff")
+	rec := benchEngine(b, results.ExpFigure7, results.Params{Trials: 40, Jitter: 30, Seed: benchSeed})
+	b.ReportMetric(rec.Figure7.Separation, "separation-cycles")
+	b.ReportMetric(rec.Figure7.Overlap, "overlap-coeff")
 }
 
 // pocAccuracy decodes one 0-bit and one 1-bit at fixed seeds and returns
@@ -139,56 +153,33 @@ func BenchmarkFigure10ICachePoCBit(b *testing.B) {
 }
 
 // benchChannel measures one point of the Figure 11 error-versus-rate curve
-// at the fixed experiment seed base.
-func benchChannel(b *testing.B, poc *core.PoC) {
+// of the named PoC at the fixed experiment seed base.
+func benchChannel(b *testing.B, poc string) {
 	b.Helper()
-	cfg := channel.Config{PoC: poc, Reps: 1, Bits: 16, SeedBase: benchSeed}
-	r, err := channel.Measure(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := channel.Measure(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.ErrorRate, "error-rate")
-	b.ReportMetric(r.Bps, "bps-at-3.6GHz")
+	rec := benchEngine(b, results.ExpFigure11, results.Params{
+		PoCs: []string{poc}, Bits: 16, Reps: []int{1}, Seed: benchSeed,
+	})
+	pt := rec.Figure11.Curves[0].Points[0]
+	b.ReportMetric(pt.ErrorRate, "error-rate")
+	b.ReportMetric(pt.Bps, "bps-at-3.6GHz")
 }
 
 // BenchmarkFigure11aDCacheChannel measures one point of the D-Cache
 // error-versus-rate curve at the calibrated noise operating point.
-func BenchmarkFigure11aDCacheChannel(b *testing.B) {
-	benchChannel(b, channel.DCacheFigure11())
-}
+func BenchmarkFigure11aDCacheChannel(b *testing.B) { benchChannel(b, "dcache") }
 
 // BenchmarkFigure11bICacheChannel is the I-Cache counterpart.
-func BenchmarkFigure11bICacheChannel(b *testing.B) {
-	benchChannel(b, channel.ICacheFigure11())
-}
+func BenchmarkFigure11bICacheChannel(b *testing.B) { benchChannel(b, "icache") }
 
 // BenchmarkFigure12DefenseOverhead regenerates the fence-defense slowdown
 // table (paper: 1.58x Spectre, 5.38x Futuristic on SPEC CPU2017). The
-// sweep is seedless and deterministic, so the slowdown metrics come from a
-// setup run.
+// sweep is seedless and deterministic.
 func BenchmarkFigure12DefenseOverhead(b *testing.B) {
-	cfg := workload.DefaultEvalConfig()
-	cfg.Iters = 500
-	res, err := workload.Evaluate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := workload.Evaluate(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Mean["fence-spectre"], "spectre-mean-slowdown")
-	b.ReportMetric(res.Mean["fence-futuristic"], "futuristic-mean-slowdown")
+	rec := benchEngine(b, results.ExpFigure12, results.Params{
+		Iters: 500, Schemes: []string{"fence-spectre", "fence-futuristic"},
+	})
+	b.ReportMetric(rec.Figure12.Mean["fence-spectre"], "spectre-mean-slowdown")
+	b.ReportMetric(rec.Figure12.Mean["fence-futuristic"], "futuristic-mean-slowdown")
 }
 
 // --- Steady-state trial loop (the alloc-free hot path) ----------------------

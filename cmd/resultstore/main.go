@@ -56,6 +56,7 @@ import (
 	"time"
 
 	si "specinterference"
+	"specinterference/internal/experiment"
 )
 
 func main() {
@@ -104,26 +105,6 @@ func usage() {
   resultstore baseline -dir DIR [-parallel N] [-backend inprocess|subprocess|remote] [-procs N] [-listen ADDR] [-lease TTL] [-chunk N] [-journal DIR]
   resultstore bless    -baseline DIR [-store DIR] -reason STR
 `)
-}
-
-// backendFlags registers the shared execution-backend flags and returns
-// a constructor to call after parsing; workers (-parallel) and procs
-// (-procs) are echoed back for run-metadata stamping.
-func backendFlags(fs *flag.FlagSet) func() (b si.ExperimentBackend, workers, procs int, err error) {
-	parallel := fs.Int("parallel", 0, "worker goroutines for the reruns (0 = one per CPU in-process, serial per subprocess/remote worker)")
-	backend := fs.String("backend", "inprocess", "execution backend: inprocess, subprocess or remote")
-	procsFlag := fs.Int("procs", 0, "worker processes: subprocess workers (0 = one per CPU) or local remote workers (0 = wait for external -remote-worker processes)")
-	listen := fs.String("listen", "", "remote backend: coordinator listen address (default 127.0.0.1:0)")
-	lease := fs.Duration("lease", 0, "remote backend: shard-lease TTL before unfinished work is re-issued (0 = 10s)")
-	chunk := fs.Int("chunk", 0, "shards per lease/dispatch chunk for the remote and subprocess schedulers (0 = automatic: subprocess uses about four chunks per worker; remote adapts to observed shard cost)")
-	journal := fs.String("journal", "", "remote backend: shard-result journal directory for resumable coordinator restarts (accepted results append to <dir>/<experiment>.jsonl; a restarted run replays it and serves only the remainder)")
-	return func() (si.ExperimentBackend, int, int, error) {
-		b, err := si.NewExperimentBackendOptions(*backend, si.ExperimentBackendOptions{
-			Procs: *procsFlag, Workers: *parallel,
-			Chunk: *chunk, Listen: *listen, Lease: *lease, Journal: *journal,
-		})
-		return b, *parallel, *procsFlag, err
-	}
 }
 
 // openStore opens dir without creating it for read-only subcommands.
@@ -258,12 +239,12 @@ func runCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
 	baselineDir := fs.String("baseline", "", "committed baseline store to gate against (required)")
 	storeDir := fs.String("store", "", "optional store to append the fresh records to")
-	mkBackend := backendFlags(fs)
+	mkBackend := experiment.BackendFlags(fs)
 	fs.Parse(args)
 	if *baselineDir == "" {
 		return fmt.Errorf("check requires -baseline DIR")
 	}
-	backend, workers, procs, err := mkBackend()
+	backend, opts, err := mkBackend()
 	if err != nil {
 		return err
 	}
@@ -299,10 +280,10 @@ func runCheck(args []string) error {
 		if err != nil {
 			return fmt.Errorf("rerun %s: %w", exp, err)
 		}
-		fresh.Stamp(workers, time.Since(start))
+		fresh.Stamp(opts.Workers, time.Since(start))
 		fresh.Meta.Backend = backend.Name()
 		if backend.Name() != "inprocess" {
-			fresh.Meta.Procs = procs
+			fresh.Meta.Procs = opts.Procs
 		}
 		fresh.Meta.Note = "resultstore check"
 		if sink != nil {
@@ -332,12 +313,12 @@ func runCheck(args []string) error {
 func runBaseline(args []string) error {
 	fs := flag.NewFlagSet("baseline", flag.ExitOnError)
 	dir := fs.String("dir", "", "baseline directory to (re)write (required)")
-	mkBackend := backendFlags(fs)
+	mkBackend := experiment.BackendFlags(fs)
 	fs.Parse(args)
 	if *dir == "" {
 		return fmt.Errorf("baseline requires -dir DIR")
 	}
-	backend, _, _, err := mkBackend()
+	backend, _, err := mkBackend()
 	if err != nil {
 		return err
 	}

@@ -27,7 +27,7 @@ func writeTestBaseline(t *testing.T, dir string, mutate func(*si.RunRecord)) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := si.RegenerateRecord(context.Background(), exp, params, 0)
+		rec, err := si.RunExperiment(context.Background(), exp, params, nil)
 		if err != nil {
 			t.Fatalf("regenerate %s: %v", exp, err)
 		}
@@ -166,7 +166,7 @@ func TestBlessSubcommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := si.RegenerateRecord(context.Background(), si.ExpTable1, blessed.Params, 0)
+	fresh, err := si.RunExperiment(context.Background(), si.ExpTable1, blessed.Params, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

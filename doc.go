@@ -41,11 +41,13 @@
 //
 // # Experiment engine and backends
 //
-// The four repeated-trial harnesses — Figure7, VulnerabilityMatrix,
-// ChannelCurve and DefenseOverhead — are registered experiment specs in
-// internal/experiment. A spec declares a shard plan, a pure per-shard
-// run function, and a serial-order aggregator producing a sealed run
-// record; the engine executes specs over a Backend:
+// Every repeated-trial artifact — the Figure 7 histogram, the Table 1
+// matrix, the Figure 11 channel curves, the Figure 12 defense sweep and
+// the detector concordance grid — is a registered experiment spec in
+// internal/experiment, and experiment.Run is the only code that runs a
+// whole one. A spec declares a shard plan, a pure per-shard run function,
+// and a serial-order aggregator producing a sealed run record; the engine
+// executes specs over a Backend:
 //
 //   - the in-process backend shards trials across the bounded worker
 //     pool of internal/runner (-parallel N goroutines, 0 = one per CPU);
@@ -91,7 +93,7 @@
 //
 // The seed-derivation contract makes the backend a pure wall-clock
 // knob: every shard's seed is an arithmetic function of its index alone
-// (Figure7 trial i of arm s runs at seedBase + 2i + s; channel trial
+// (Figure 7 trial i of arm s runs at seedBase + 2i + s; channel trial
 // (bit b, rep r) at seedBase*1_000_003 + 17 + b*reps + r + 1 — exactly
 // the sequences the old serial loops produced), every shard builds its
 // own System and Memory, and collection is ordered by shard index.
@@ -106,11 +108,12 @@
 // corrupting workers still leave the remote backend's records
 // byte-identical to the committed baselines.
 //
-// The library entry points keep their *Parallel variants (context plus a
-// worker count), now thin wrappers over the same shared per-shard
-// primitives the engine uses. The four experiment CLIs sit on the
-// engine's shared driver and take common flags: -parallel, -backend,
-// -procs, -listen, -lease, -chunk, -journal, -json, -store, -progress (periodic
+// Library callers use RunExperiment (experiment name, parameters,
+// backend), whose sealed record carries the full typed payload; the
+// domain packages keep only the per-shard primitives and aggregators the
+// specs call. The experiment CLIs sit on the engine's shared driver and
+// take common flags: -parallel, -backend, -procs, -listen, -lease,
+// -chunk, -journal, -json, -store, -progress (periodic
 // shard-completion reporting to stderr, off by default) and -scale
 // (multiply trial-style counts — larger Figure 7 arms, more Figure 11
 // bits — for sweeps that span processes and machines).
@@ -151,9 +154,10 @@
 // records committed under internal/results/testdata/baseline, and bless
 // promotes each experiment's newest store record to the committed
 // baseline in one command, stamping a provenance note (date, reason,
-// commit) for review. Golden-file tests in internal/results additionally
-// pin the canonical encodings byte-for-byte (regenerate both with go
-// test ./internal/results -update).
+// commit) for review. Golden-file tests in internal/experiment
+// additionally pin the canonical encodings byte-for-byte, in process, in
+// internal/results/testdata (regenerate them with go test
+// ./internal/experiment -run TestGolden -update).
 //
 // See README.md for a tour. The root package is a facade over the
 // internal packages; the cmd/ tools and examples/ programs show it in

@@ -6,10 +6,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	si "specinterference"
+	"specinterference/internal/results"
 	"specinterference/internal/security"
 	"specinterference/internal/uarch"
 )
@@ -39,11 +41,12 @@ next:
 func main() {
 	fmt.Println("== Figure 12: basic fence defense overhead (normalized to unsafe)")
 	schemesList := []string{"fence-spectre", "fence-futuristic"}
-	res, err := si.DefenseOverhead(1500, schemesList)
+	rec, err := si.RunExperiment(context.Background(), si.ExpFigure12,
+		si.RunParams{Iters: 1500, Schemes: schemesList}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(res.Format(schemesList))
+	fmt.Print(results.Figure12Result(rec).Format(schemesList))
 	fmt.Println("paper (SPEC CPU2017): 1.58x mean Spectre, 5.38x mean Futuristic")
 
 	fmt.Println("\n== §5.1 ideal invisible speculation: C(E) = C(NoSpec(E))")

@@ -6,33 +6,15 @@
 package channel
 
 import (
-	"context"
 	"fmt"
 
 	"specinterference/internal/cache"
 	"specinterference/internal/core"
-	"specinterference/internal/runner"
 )
 
 // NominalGHz converts simulated cycles to wall-clock time for the bps
 // figures, matching the paper's 3.6 GHz Kaby Lake base clock.
 const NominalGHz = 3.6
-
-// Config describes one channel measurement.
-type Config struct {
-	// PoC is the attack transmitting the bits.
-	PoC *core.PoC
-	// Reps is the number of trials per bit (majority decode; odd avoids
-	// ties).
-	Reps int
-	// Bits is the number of random bits transmitted.
-	Bits int
-	// SeedBase derives per-trial seeds (deterministic measurements).
-	SeedBase uint64
-	// Workers bounds trial concurrency (0 = one per CPU). Seeds are a pure
-	// function of the trial index, so results are identical at any value.
-	Workers int
-}
 
 // Result is one point of the error-vs-rate curve.
 type Result struct {
@@ -51,35 +33,6 @@ type Result struct {
 func (r Result) String() string {
 	return fmt.Sprintf("reps=%2d  rate=%8.0f bps  error=%.3f  (%d/%d bits, %.0f cycles/bit)",
 		r.Reps, r.Bps, r.ErrorRate, r.Errors, r.Bits, r.CyclesPerBit)
-}
-
-// Measure transmits Bits random bits through the PoC at Reps trials per
-// bit and reports the achieved error rate and rate. Trials shard across
-// cfg.Workers goroutines: trial (b, rep) always runs with seed
-// seedBase*1_000_003 + 17 + b*Reps + rep + 1 — the exact sequence the
-// serial loop's seed++ produced — so the measurement is bit-identical at
-// any worker count.
-func Measure(cfg Config) (Result, error) {
-	return MeasureContext(context.Background(), cfg)
-}
-
-// MeasureContext is Measure with cancellation.
-func MeasureContext(ctx context.Context, cfg Config) (Result, error) {
-	if cfg.Reps < 1 || cfg.Bits < 1 {
-		return Result{}, fmt.Errorf("channel: reps and bits must be >= 1")
-	}
-	if cfg.PoC == nil {
-		return Result{}, fmt.Errorf("channel: nil PoC")
-	}
-	bits := DrawBits(cfg.SeedBase, cfg.Bits)
-	outs, err := runner.Map(ctx, cfg.Bits*cfg.Reps, cfg.Workers,
-		func(_ context.Context, j int) (core.BitOutcome, error) {
-			return cfg.PoC.RunBit(bits[j/cfg.Reps], TrialSeed(cfg.SeedBase, j))
-		})
-	if err != nil {
-		return Result{}, err
-	}
-	return DecodePoint(cfg.Reps, bits, outs), nil
 }
 
 // DrawBits returns the n transmitted bits of a measurement at seedBase,
@@ -110,8 +63,8 @@ func PointSeedBase(seedBase uint64, point int) uint64 {
 
 // DecodePoint folds the len(bits)*reps trial outcomes of one curve point
 // (flattened bit-major, trial j = bit*reps + rep, in index order) into the
-// majority-decoded Result — the serial-order aggregation shared by
-// MeasureContext and the experiment engine.
+// majority-decoded Result — the serial loop's aggregation order, which the
+// experiment engine's figure11 spec replays per curve point.
 func DecodePoint(reps int, bits []int, outs []core.BitOutcome) Result {
 	res := Result{Reps: reps, Bits: len(bits)}
 	for b := 0; b < len(bits); b++ {
@@ -137,32 +90,6 @@ func DecodePoint(reps int, bits []int, outs []core.BitOutcome) Result {
 	res.CyclesPerBit = float64(res.TotalCycles) / float64(res.Bits)
 	res.Bps = NominalGHz * 1e9 / res.CyclesPerBit
 	return res
-}
-
-// Curve measures one point per repetition count, producing a Figure 11
-// style error-vs-rate curve (higher reps → lower rate → lower error),
-// with one worker per CPU; see CurveParallel for the explicit knob.
-func Curve(poc *core.PoC, repsList []int, bits int, seedBase uint64) ([]Result, error) {
-	return CurveParallel(context.Background(), poc, repsList, bits, seedBase, 0)
-}
-
-// CurveParallel is Curve with bounded per-trial concurrency. Points are
-// measured in order (each point's SeedBase depends only on its position),
-// and the trials inside each point fan out across the pool.
-func CurveParallel(ctx context.Context, poc *core.PoC, repsList []int, bits int, seedBase uint64, workers int) ([]Result, error) {
-	var out []Result
-	for i, reps := range repsList {
-		r, err := MeasureContext(ctx, Config{
-			PoC: poc, Reps: reps, Bits: bits,
-			SeedBase: PointSeedBase(seedBase, i),
-			Workers:  workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // DefaultReps is the repetition sweep used by the Figure 11 harnesses.

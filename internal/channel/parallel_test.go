@@ -1,25 +1,28 @@
 package channel
 
 import (
+	"context"
 	"testing"
 
 	"specinterference/internal/cache"
+	"specinterference/internal/core"
+	"specinterference/internal/runner"
 )
 
-// serialMeasure is the pre-runner serial loop of Measure, kept as the
-// golden reference for the seed contract: trial (bit, rep) runs with seed
-// seedBase*1_000_003 + 17 + bit*Reps + rep + 1.
-func serialMeasure(t *testing.T, cfg Config) Result {
+// serialMeasure is the pre-runner serial loop of one channel measurement,
+// kept as the golden reference for the seed contract: trial (bit, rep)
+// runs with seed seedBase*1_000_003 + 17 + bit*reps + rep + 1.
+func serialMeasure(t *testing.T, poc *core.PoC, reps, bits int, seedBase uint64) Result {
 	t.Helper()
-	rng := cache.NewRand(cfg.SeedBase | 1)
-	res := Result{Reps: cfg.Reps, Bits: cfg.Bits}
-	seed := cfg.SeedBase*1_000_003 + 17
-	for b := 0; b < cfg.Bits; b++ {
+	rng := cache.NewRand(seedBase | 1)
+	res := Result{Reps: reps, Bits: bits}
+	seed := seedBase*1_000_003 + 17
+	for b := 0; b < bits; b++ {
 		bit := rng.Intn(2)
 		votes := [2]int{}
-		for rep := 0; rep < cfg.Reps; rep++ {
+		for rep := 0; rep < reps; rep++ {
 			seed++
-			out, err := cfg.PoC.RunBit(bit, seed)
+			out, err := poc.RunBit(bit, seed)
 			if err != nil {
 				t.Fatalf("serial reference: %v", err)
 			}
@@ -44,44 +47,56 @@ func serialMeasure(t *testing.T, cfg Config) Result {
 	return res
 }
 
+// serialCurve measures one serial point per repetition count, each at its
+// positional seed base.
+func serialCurve(t *testing.T, poc *core.PoC, repsList []int, bits int, seedBase uint64) []Result {
+	t.Helper()
+	var out []Result
+	for i, reps := range repsList {
+		out = append(out, serialMeasure(t, poc, reps, bits, PointSeedBase(seedBase, i)))
+	}
+	return out
+}
+
+// shardMeasure is the figure11 spec's path for one curve point: DrawBits,
+// one RunBit per flattened trial at TrialSeed on a worker pool, then
+// DecodePoint.
+func shardMeasure(t *testing.T, poc *core.PoC, reps, bits int, seedBase uint64, workers int) Result {
+	t.Helper()
+	sent := DrawBits(seedBase, bits)
+	outs, err := runner.Map(context.Background(), bits*reps, workers, func(_ context.Context, j int) (core.BitOutcome, error) {
+		return poc.RunBit(sent[j/reps], TrialSeed(seedBase, j))
+	})
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	return DecodePoint(reps, sent, outs)
+}
+
 // TestMeasureParallelMatchesSerial asserts a noisy D-Cache measurement is
 // bit-identical to the serial loop at worker counts 1 and 4 (every Result
 // field, cycle totals included).
 func TestMeasureParallelMatchesSerial(t *testing.T) {
-	cfg := Config{PoC: DCacheFigure11(), Reps: 3, Bits: 4, SeedBase: 11}
-	want := serialMeasure(t, cfg)
+	poc := DCacheFigure11()
+	want := serialMeasure(t, poc, 3, 4, 11)
 	for _, workers := range []int{1, 4} {
-		cfg.Workers = workers
-		got, err := Measure(cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got != want {
-			t.Errorf("workers=%d: Measure = %+v, serial = %+v", workers, got, want)
+		if got := shardMeasure(t, poc, 3, 4, 11, workers); got != want {
+			t.Errorf("workers=%d: sharded = %+v, serial = %+v", workers, got, want)
 		}
 	}
 }
 
-// TestCurveParallelMatchesSerial asserts whole curves agree between worker
-// counts (each point derives its SeedBase from its position only).
+// TestCurveParallelMatchesSerial asserts whole curves agree with the
+// serial loop at worker counts 1 and 4 (each point derives its seed base
+// from its position only).
 func TestCurveParallelMatchesSerial(t *testing.T) {
 	poc := ICacheFigure11()
 	reps := []int{1, 3}
-	c1, err := Curve(poc, reps, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serialCurve(t, poc, reps, 3, 5)
 	for _, workers := range []int{1, 4} {
-		got, err := CurveParallel(nil, poc, reps, 3, 5, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(got) != len(c1) {
-			t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(c1))
-		}
-		for i := range c1 {
-			if got[i] != c1[i] {
-				t.Errorf("workers=%d: point %d = %+v, want %+v", workers, i, got[i], c1[i])
+		for i, r := range reps {
+			if got := shardMeasure(t, poc, r, 3, PointSeedBase(5, i), workers); got != want[i] {
+				t.Errorf("workers=%d: point %d = %+v, serial = %+v", workers, i, got, want[i])
 			}
 		}
 	}

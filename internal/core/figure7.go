@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"specinterference/internal/isa"
-	"specinterference/internal/runner"
 	"specinterference/internal/stats"
 )
 
@@ -26,36 +24,11 @@ type Figure7Result struct {
 	Overlap float64
 }
 
-// Figure7 measures the §4.2.1 contention histogram: `trials` runs per arm
-// of the GDNPEU sender, the baseline arm with secret 0 (gadget inert) and
-// the interference arm with secret 1. Jitter injects the DRAM latency
-// noise that gives each arm its spread. Trials run across one worker per
-// CPU; see Figure7Parallel for the explicit knob.
-func Figure7(trials, jitter int, seedBase uint64) (*Figure7Result, error) {
-	return Figure7Parallel(context.Background(), trials, jitter, seedBase, 0)
-}
-
-// Figure7Parallel is Figure7 with bounded concurrency: trials shard across
-// Workers(workers, 2*trials) goroutines. Each shard's seed is derived from
-// its (secret, trial) index exactly as the serial loop derived it —
-// seedBase + 2*trial + secret — so results are bit-identical at any worker
-// count.
-func Figure7Parallel(ctx context.Context, trials, jitter int, seedBase uint64, workers int) (*Figure7Result, error) {
-	n, err := Figure7Shards(trials)
-	if err != nil {
-		return nil, err
-	}
-	lats, err := runner.Map(ctx, n, workers, func(_ context.Context, j int) (float64, error) {
-		return Figure7Shard(trials, jitter, seedBase, j)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return BuildFigure7Result(lats[:trials:trials], lats[trials:]), nil
-}
-
 // Figure7Shards returns the Figure 7 shard count for a per-arm trial
-// count: one shard per (secret, trial) pair.
+// count: one shard per (secret, trial) pair. The §4.2.1 measurement runs
+// the GDNPEU sender `trials` times per arm, the baseline arm with secret 0
+// (gadget inert) and the interference arm with secret 1; jitter injects
+// the DRAM latency noise that gives each arm its spread.
 func Figure7Shards(trials int) (int, error) {
 	if trials < 1 {
 		return 0, fmt.Errorf("core: need at least one trial")
@@ -79,9 +52,9 @@ func Figure7Shard(trials, jitter int, seedBase uint64, j int) (float64, error) {
 }
 
 // BuildFigure7Result assembles the Figure 7 histogram result from the two
-// arms' per-trial latencies, in serial-loop order. The full slice
-// expression below (in Figure7Parallel) keeps the arms from aliasing; here
-// the slices are taken as given.
+// arms' per-trial latencies, in serial-loop order. The slices are taken as
+// given; callers splitting one shard slice pass the baseline arm with a
+// full slice expression so the arms cannot alias.
 func BuildFigure7Result(baseline, interference []float64) *Figure7Result {
 	res := &Figure7Result{Baseline: baseline, Interference: interference}
 	lo, hi := rangeOf(append(append([]float64{}, res.Baseline...), res.Interference...))

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
-
-	"specinterference/internal/runner"
 )
 
 // MatrixCell is one entry of the Table 1 vulnerability matrix.
@@ -109,26 +106,6 @@ func Classify(schemeName string, g Gadget, ord Ordering) (MatrixCell, error) {
 	cell.Vulnerable = cell.Sig0 != cell.Sig1
 	cell.RefCycle = refCycle
 	return cell, nil
-}
-
-// VulnerabilityMatrix classifies every scheme in schemeNames against every
-// gadget/ordering combination, one worker per CPU; see
-// VulnerabilityMatrixParallel for the explicit knob.
-func VulnerabilityMatrix(schemeNames []string) ([]MatrixCell, error) {
-	return VulnerabilityMatrixParallel(context.Background(), schemeNames, 0)
-}
-
-// VulnerabilityMatrixParallel shards the matrix one cell per
-// scheme×gadget×ordering combination across a bounded worker pool. Each
-// Classify builds its own deterministic (seedless) machine, so cell order
-// and contents match the serial loop exactly at any worker count.
-func VulnerabilityMatrixParallel(ctx context.Context, schemeNames []string, workers int) ([]MatrixCell, error) {
-	if len(schemeNames) == 0 {
-		return nil, nil
-	}
-	return runner.Map(ctx, MatrixShards(schemeNames), workers, func(_ context.Context, j int) (MatrixCell, error) {
-		return MatrixShard(schemeNames, j)
-	})
 }
 
 // MatrixShards returns the Table 1 shard count: one per

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 // TestVictimCacheIdenticalTrials proves the batch-trial fast path is
 // invisible: a trial that builds its victim program from scratch (cold
@@ -94,19 +91,13 @@ func TestVictimCacheKeysDistinct(t *testing.T) {
 }
 
 // TestVictimCacheParallelHarness: the cache sits under concurrent shards;
-// a parallel Figure 7 run must stay bit-identical to the serial one (the
+// Figure7Shard on four workers must stay bit-identical to one worker (the
 // runner's seed discipline) while sharing one cached victim.
 func TestVictimCacheParallelHarness(t *testing.T) {
 	resetVictimCache()
 	defer resetVictimCache()
-	serial, err := Figure7Parallel(context.Background(), 4, 10, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Figure7Parallel(context.Background(), 4, 10, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := shardFigure7(t, 4, 10, 1, 1)
+	parallel := shardFigure7(t, 4, 10, 1, 4)
 	for i := range serial.Baseline {
 		if serial.Baseline[i] != parallel.Baseline[i] ||
 			serial.Interference[i] != parallel.Interference[i] {

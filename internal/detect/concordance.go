@@ -1,12 +1,10 @@
 package detect
 
 import (
-	"context"
 	"fmt"
 
 	"specinterference/internal/cache"
 	"specinterference/internal/core"
-	"specinterference/internal/runner"
 	"specinterference/internal/schemes"
 	"specinterference/internal/uarch"
 )
@@ -190,18 +188,6 @@ func Shard(schemeNames []string, j int) (Cell, error) {
 	}
 	c.Match = c.Empirical == c.Detector
 	return c, nil
-}
-
-// Matrix computes the full concordance grid in parallel and fails on any
-// mismatch that is not an enumerated exception.
-func Matrix(ctx context.Context, schemeNames []string, workers int) ([]Cell, error) {
-	cells, err := runner.Map(ctx, Shards(schemeNames), workers, func(_ context.Context, j int) (Cell, error) {
-		return Shard(schemeNames, j)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cells, CheckCells(cells)
 }
 
 // CheckCells returns an error naming every unexplained detector/simulator

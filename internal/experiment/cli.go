@@ -40,6 +40,25 @@ type CLIConfig struct {
 	After func(rec *results.Record, jsonMode bool) error
 }
 
+// BackendFlags registers the execution-backend flags (-parallel -backend
+// -procs -listen -lease -chunk -journal) on fs and returns a constructor
+// to call after parsing. The constructor also returns the parsed options,
+// whose Workers and Procs callers stamp into run metadata.
+func BackendFlags(fs *flag.FlagSet) func() (Backend, BackendOptions, error) {
+	var o BackendOptions
+	fs.IntVar(&o.Workers, "parallel", 0, "worker goroutines (0 = one per CPU in-process, serial inside each subprocess/remote worker); results identical at any value")
+	name := fs.String("backend", "inprocess", "execution backend: inprocess (worker goroutines), subprocess (re-exec'd worker processes) or remote (HTTP coordinator leasing shard chunks to workers)")
+	fs.IntVar(&o.Procs, "procs", 0, "worker processes: subprocess workers (0 = one per CPU) or local remote workers spawned next to the coordinator (0 = none, wait for external -remote-worker processes)")
+	fs.StringVar(&o.Listen, "listen", "", "remote backend: coordinator listen address (default 127.0.0.1:0, a loopback ephemeral port)")
+	fs.DurationVar(&o.Lease, "lease", 0, "remote backend: shard-lease time-to-live before unfinished work is re-issued (0 = 10s)")
+	fs.IntVar(&o.Chunk, "chunk", 0, "shards per lease/dispatch chunk for the remote and subprocess schedulers (0 = automatic: subprocess uses about four chunks per worker; remote adapts to observed shard cost)")
+	fs.StringVar(&o.Journal, "journal", "", "remote backend: shard-result journal directory for resumable coordinator restarts (accepted results append to <dir>/<experiment>.jsonl; a restarted run replays it and serves only the remainder)")
+	return func() (Backend, BackendOptions, error) {
+		b, err := NewBackendOptions(*name, o)
+		return b, o, err
+	}
+}
+
 // progressInterval is how often -progress reports to stderr.
 const progressInterval = 2 * time.Second
 
@@ -56,13 +75,7 @@ func Main(cfg CLIConfig) {
 
 	fs := flag.NewFlagSet(cfg.Name, flag.ExitOnError)
 	build := cfg.Flags(fs)
-	parallel := fs.Int("parallel", 0, "worker goroutines (0 = one per CPU in-process, serial inside each subprocess/remote worker); results identical at any value")
-	backendName := fs.String("backend", "inprocess", "execution backend: inprocess (worker goroutines), subprocess (re-exec'd worker processes) or remote (HTTP coordinator leasing shard chunks to workers)")
-	procs := fs.Int("procs", 0, "worker processes: subprocess workers (0 = one per CPU) or local remote workers spawned next to the coordinator (0 = none, wait for external -remote-worker processes)")
-	listen := fs.String("listen", "", "remote backend: coordinator listen address (default 127.0.0.1:0, a loopback ephemeral port)")
-	lease := fs.Duration("lease", 0, "remote backend: shard-lease time-to-live before unfinished work is re-issued (0 = 10s)")
-	chunk := fs.Int("chunk", 0, "shards per lease/dispatch chunk for the remote and subprocess schedulers (0 = automatic: subprocess uses about four chunks per worker; remote adapts to observed shard cost)")
-	journal := fs.String("journal", "", "remote backend: shard-result journal directory for resumable coordinator restarts (accepted results append to <dir>/<experiment>.jsonl; a restarted run replays it and serves only the remainder)")
+	mkBackend := BackendFlags(fs)
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of the text rendering")
 	storeDir := fs.String("store", "", "append a run record to this results-store directory")
 	progress := fs.Bool("progress", false, "report shard completion to stderr (for long sweeps; off by default)")
@@ -130,10 +143,7 @@ func Main(cfg CLIConfig) {
 		}
 		p = spec.Scale(p, *scale)
 	}
-	backend, err := NewBackendOptions(*backendName, BackendOptions{
-		Procs: *procs, Workers: *parallel,
-		Chunk: *chunk, Listen: *listen, Lease: *lease, Journal: *journal,
-	})
+	backend, opts, err := mkBackend()
 	if err != nil {
 		die(err)
 	}
@@ -160,9 +170,9 @@ func Main(cfg CLIConfig) {
 	if *storeDir != "" {
 		rec.Meta.Backend = backend.Name()
 		if backend.Name() != "inprocess" {
-			rec.Meta.Procs = *procs
+			rec.Meta.Procs = opts.Procs
 		}
-		if err := results.RecordRun(*storeDir, rec, *parallel, time.Since(start)); err != nil {
+		if err := results.RecordRun(*storeDir, rec, opts.Workers, time.Since(start)); err != nil {
 			die(err)
 		}
 		fmt.Fprintf(os.Stderr, "recorded %s run %.12s to %s\n", rec.Experiment, rec.Hash, *storeDir)

@@ -33,10 +33,9 @@ func backendsUnderTest() []experiment.Backend {
 	}
 }
 
-// TestBackendEquivalence runs all four experiments at the committed
-// baseline parameters on every backend configuration and requires the
-// canonical signatures to be byte-identical — to each other, to the
-// legacy direct path (results.Regenerate), and to the committed PR 2
+// TestBackendEquivalence runs every experiment at the committed baseline
+// parameters on every backend configuration and requires the canonical
+// signatures to be byte-identical — to each other and to the committed
 // baseline records. This is the engine's core guarantee: the backend is
 // purely a wall-clock knob, whether the shards ran on goroutines, local
 // worker processes, or leased chunks over HTTP.
@@ -52,14 +51,6 @@ func TestBackendEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			committed := committedBaselineHash(t, exp)
-
-			legacy, err := results.Regenerate(context.Background(), exp, params, 2)
-			if err != nil {
-				t.Fatalf("legacy regenerate: %v", err)
-			}
-			if legacy.Hash != committed {
-				t.Fatalf("legacy path hash %.12s != committed baseline %.12s", legacy.Hash, committed)
-			}
 
 			spec, err := experiment.Lookup(exp)
 			if err != nil {
@@ -103,7 +94,7 @@ func (w testWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// committedBaselineHash loads the PR 2 baseline record's signature.
+// committedBaselineHash loads the committed baseline record's signature.
 func committedBaselineHash(t *testing.T, exp string) string {
 	t.Helper()
 	path := filepath.Join("..", "results", "testdata", "baseline", exp+".jsonl")

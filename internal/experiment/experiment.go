@@ -1,7 +1,8 @@
 // Package experiment is the unified experiment engine: a registry of
 // experiment specs — one per paper artifact (the Figure 7 histogram, the
 // Table 1 vulnerability matrix, the Figure 11 channel curves, the
-// Figure 12 defense sweep) — executed over pluggable backends.
+// Figure 12 defense sweep, the detector concordance grid) — executed over
+// pluggable backends.
 //
 // A Spec decomposes its experiment into independent shards. The contract
 // every spec obeys is the repo-wide determinism contract: Run is a pure
@@ -13,9 +14,11 @@
 // goroutine, a worker pool (InProcess), or a fleet of re-exec'd worker
 // processes (Subprocess). The backend is purely a wall-clock knob.
 //
-// The package also provides the shared CLI driver (Main) the four
-// experiment binaries sit on, and Regenerate, the engine-backed
-// replacement for rerunning an experiment at recorded parameters.
+// Run is the only code that executes a whole experiment: the experiment
+// CLIs, resultstore's check and baseline, the facade's RunExperiment and
+// the golden and benchmark suites all go through it. The package also
+// provides the shared CLI driver (Main) the experiment binaries sit on,
+// and BackendFlags, the backend flag set Main and resultstore share.
 package experiment
 
 import (
@@ -119,17 +122,6 @@ func Run(ctx context.Context, spec *Spec, p results.Params, b Backend, done func
 	return spec.Aggregate(p, shards)
 }
 
-// Regenerate reruns one experiment by name at the given parameters — the
-// engine-backed path behind `resultstore check/baseline` and the facade's
-// RegenerateRecord.
-func Regenerate(ctx context.Context, name string, p results.Params, b Backend) (*results.Record, error) {
-	spec, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return Run(ctx, spec, p, b, nil)
-}
-
 // PrepareState runs the spec's Prepare hook, tolerating its absence —
 // the worker-side entry every backend transport uses before serving
 // shard ranges.
@@ -139,6 +131,3 @@ func (s *Spec) PrepareState(p results.Params) (any, error) {
 	}
 	return s.Prepare(p)
 }
-
-// prepare is the internal alias for PrepareState.
-func (s *Spec) prepare(p results.Params) (any, error) { return s.PrepareState(p) }

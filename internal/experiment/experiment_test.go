@@ -76,6 +76,7 @@ func TestPlanCounts(t *testing.T) {
 		{"figure11", results.Params{PoCs: []string{"dcache", "icache"}, Bits: 3, Reps: []int{1, 3}, Seed: 1}, 24},
 		// 6 workloads × (1 baseline + 2 schemes).
 		{"figure12", results.Params{Iters: 10, Schemes: []string{"fence-spectre", "fence-futuristic"}}, 18},
+		{"concordance", results.Params{Schemes: []string{"unsafe", "dom"}}, 14},
 	} {
 		spec, err := Lookup(tc.exp)
 		if err != nil {
@@ -105,6 +106,7 @@ func TestPlanValidation(t *testing.T) {
 		{"figure11", results.Params{PoCs: []string{"l4cache"}, Bits: 2, Reps: []int{1}}},
 		{"figure12", results.Params{Iters: 0, Schemes: []string{"fence-spectre"}}},
 		{"figure12", results.Params{Iters: 5}},
+		{"concordance", results.Params{}},
 	} {
 		spec, err := Lookup(tc.exp)
 		if err != nil {
@@ -173,12 +175,12 @@ func TestShardErrorSubprocess(t *testing.T) {
 // TestNewBackend covers name resolution.
 func TestNewBackend(t *testing.T) {
 	for name, want := range map[string]string{"": "inprocess", "inprocess": "inprocess", "subprocess": "subprocess"} {
-		b, err := NewBackend(name, 0, 0)
+		b, err := NewBackendOptions(name, BackendOptions{})
 		if err != nil || b.Name() != want {
-			t.Errorf("NewBackend(%q) = %v, %v", name, b, err)
+			t.Errorf("NewBackendOptions(%q) = %v, %v", name, b, err)
 		}
 	}
-	if _, err := NewBackend("carrier-pigeon", 0, 0); err == nil {
+	if _, err := NewBackendOptions("carrier-pigeon", BackendOptions{}); err == nil {
 		t.Error("unknown backend accepted")
 	}
 }
@@ -187,13 +189,13 @@ func TestNewBackend(t *testing.T) {
 // shard value must survive Marshal → Unmarshal-into-NewShard losslessly,
 // which is what makes the two backends bit-identical.
 func TestShardJSONRoundTrip(t *testing.T) {
-	for _, exp := range []string{"figure7", "table1", "figure11", "figure12"} {
+	for _, exp := range results.Experiments() {
 		spec, err := Lookup(exp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := smallParams(t, exp)
-		state, err := spec.prepare(p)
+		state, err := spec.PrepareState(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +223,7 @@ func smallParams(t *testing.T, exp string) results.Params {
 	switch exp {
 	case "figure7":
 		return results.Params{Trials: 2, Jitter: 3, Seed: 1}
-	case "table1":
+	case "table1", "concordance":
 		return results.Params{Schemes: []string{"unsafe"}}
 	case "figure11":
 		return results.Params{PoCs: []string{"dcache"}, Bits: 2, Reps: []int{1}, Seed: 1}

@@ -70,7 +70,7 @@ const WorkerArg = "-remote-worker"
 const workerEnvVar = "SPECINTERFERENCE_REMOTE_WORKER"
 
 // Job describes the one experiment a coordinator is serving; workers
-// fetch it once, prepare per-process state, then start leasing.
+// fetch it once, build per-process state, then start leasing.
 type Job struct {
 	Experiment string         `json:"experiment"`
 	Params     results.Params `json:"params"`

@@ -38,7 +38,7 @@ var workerSeq atomic.Int64
 const shardDelayEnv = "SPECINTERFERENCE_REMOTE_SHARD_DELAY"
 
 // RunWorker serves one coordinator until its job completes: fetch the
-// job, prepare per-process state once, then loop — lease a chunk, run
+// job, build per-process state once, then loop — lease a chunk, run
 // its shards through the shared experiment.RunShardLines path (workers
 // goroutines, 0 = serial), stream results to /results through a
 // per-chunk sender that keeps at most one POST in flight (results that

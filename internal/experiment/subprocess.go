@@ -441,7 +441,7 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "shard-worker:", err)
 				return 2
 			}
-			if state, err = s.prepare(req.Params); err != nil {
+			if state, err = s.PrepareState(req.Params); err != nil {
 				fmt.Fprintln(stderr, "shard-worker:", err)
 				return 1
 			}

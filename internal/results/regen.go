@@ -1,14 +1,9 @@
 package results
 
 import (
-	"context"
 	"fmt"
 
-	"specinterference/internal/channel"
-	"specinterference/internal/core"
-	"specinterference/internal/detect"
 	"specinterference/internal/schemes"
-	"specinterference/internal/workload"
 )
 
 // BaselineParams returns the small-trial parameter set the committed
@@ -29,60 +24,5 @@ func BaselineParams(experiment string) (Params, error) {
 		return Params{Schemes: schemes.Names()}, nil
 	default:
 		return Params{}, fmt.Errorf("results: unknown experiment %q", experiment)
-	}
-}
-
-// Regenerate runs one experiment at the given parameters and returns the
-// fresh (unstamped) record. Workers bounds trial concurrency (0 = one per
-// CPU); by the runner's determinism guarantee the record's signature is
-// the same at any value.
-func Regenerate(ctx context.Context, experiment string, p Params, workers int) (*Record, error) {
-	switch experiment {
-	case ExpFigure7:
-		res, err := core.Figure7Parallel(ctx, p.Trials, p.Jitter, p.Seed, workers)
-		if err != nil {
-			return nil, err
-		}
-		return NewFigure7Record(res, p.Trials, p.Jitter, p.Seed)
-	case ExpTable1:
-		cells, err := core.VulnerabilityMatrixParallel(ctx, p.Schemes, workers)
-		if err != nil {
-			return nil, err
-		}
-		return NewTable1Record(cells, p.Schemes)
-	case ExpFigure11:
-		var curves []CurveInput
-		for _, name := range p.PoCs {
-			poc, err := channel.PoCByName(name)
-			if err != nil {
-				return nil, err
-			}
-			pts, err := channel.CurveParallel(ctx, poc, p.Reps, p.Bits, p.Seed, workers)
-			if err != nil {
-				return nil, err
-			}
-			curves = append(curves, CurveInput{PoC: name, Scheme: poc.SchemeName, Points: pts})
-		}
-		return NewFigure11Record(curves, p.Bits, p.Reps, p.Seed)
-	case ExpFigure12:
-		res, err := workload.EvaluateContext(ctx, workload.EvalConfig{
-			Iters:     p.Iters,
-			MaxCycles: workload.DefaultEvalConfig().MaxCycles,
-			Schemes:   p.Schemes,
-			Cores:     1,
-			Workers:   workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return NewFigure12Record(res, p.Iters, p.Schemes)
-	case ExpConcordance:
-		cells, err := detect.Matrix(ctx, p.Schemes, workers)
-		if err != nil {
-			return nil, err
-		}
-		return NewConcordanceRecord(cells, p.Schemes)
-	default:
-		return nil, fmt.Errorf("results: unknown experiment %q", experiment)
 	}
 }

@@ -406,3 +406,16 @@ func NewFigure12Record(res *workload.EvalResult, iters int, schemeNames []string
 	}
 	return r.seal()
 }
+
+// Figure12Result is NewFigure12Record's inverse: it rebuilds the typed
+// sweep result from a Figure 12 record's payload, for the table renderer.
+func Figure12Result(rec *Record) *workload.EvalResult {
+	res := &workload.EvalResult{Mean: rec.Figure12.Mean, Geomean: rec.Figure12.Geomean}
+	for _, row := range rec.Figure12.Rows {
+		res.Rows = append(res.Rows, workload.EvalRow{
+			Workload: row.Workload, BaselineCycles: row.BaselineCycles,
+			BaselineIPC: row.BaselineIPC, Slowdown: row.Slowdown,
+		})
+	}
+	return res
+}

@@ -1,29 +1,42 @@
 package results
 
 import (
-	"context"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"specinterference/internal/core"
 )
 
-// smallTable1Params is a two-scheme matrix: enough to exercise every
-// gadget/ordering combination while keeping unit tests fast.
-func smallTable1Params() Params {
-	return Params{Schemes: []string{"unsafe", "fence-spectre"}}
+// table1Record seals a two-scheme vulnerability matrix built from
+// literal cells: one gadget/ordering column, the unsafe baseline leaking
+// and the fence defense protected.
+func table1Record(t *testing.T) *Record {
+	t.Helper()
+	rec, err := NewTable1Record([]core.MatrixCell{
+		{Scheme: "unsafe", Gadget: core.GadgetNPEU, Ordering: core.OrderVDVD, Vulnerable: true},
+		{Scheme: "fence-spectre", Gadget: core.GadgetNPEU, Ordering: core.OrderVDVD},
+	}, []string{"unsafe", "fence-spectre"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
-func mustRegen(t *testing.T, exp string, p Params, workers int) *Record {
+// figure7Record seals a two-trial Figure 7 measurement built from literal
+// latencies at the given seed.
+func figure7Record(t *testing.T, seed uint64) *Record {
 	t.Helper()
-	rec, err := Regenerate(context.Background(), exp, p, workers)
+	res := core.BuildFigure7Result([]float64{100, 104}, []float64{176, 181})
+	rec, err := NewFigure7Record(res, 2, 10, seed)
 	if err != nil {
-		t.Fatalf("Regenerate(%s): %v", exp, err)
+		t.Fatal(err)
 	}
 	return rec
 }
 
 func TestRecordValidate(t *testing.T) {
-	rec := mustRegen(t, ExpTable1, smallTable1Params(), 0)
+	rec := table1Record(t)
 	if err := rec.Validate(); err != nil {
 		t.Fatalf("fresh record invalid: %v", err)
 	}
@@ -55,12 +68,12 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := mustRegen(t, ExpTable1, smallTable1Params(), 0)
+	rec := table1Record(t)
 	rec.Stamp(2, 5*time.Millisecond)
 	if err := s.Append(rec); err != nil {
 		t.Fatal(err)
 	}
-	second := mustRegen(t, ExpTable1, smallTable1Params(), 0)
+	second := table1Record(t)
 	second.Meta.Note = "second"
 	if err := s.Append(second); err != nil {
 		t.Fatal(err)
@@ -132,13 +145,15 @@ func TestParseRef(t *testing.T) {
 	}
 }
 
-// TestDiffWorkerCountIdentical is the store's core guarantee: the same
-// experiment at the same parameters is bit-identical at any worker count,
-// so records produced serially and in parallel diff as identical.
+// TestDiffWorkerCountIdentical is the store's core guarantee: run
+// metadata stays out of the signature, so equal payloads stamped with
+// different worker counts and wall times diff as identical. (That the
+// payloads themselves are equal at any worker count and on any backend
+// is TestBackendEquivalence's job in internal/experiment.)
 func TestDiffWorkerCountIdentical(t *testing.T) {
-	serial := mustRegen(t, ExpTable1, smallTable1Params(), 1)
+	serial := table1Record(t)
 	serial.Stamp(1, time.Second)
-	parallel := mustRegen(t, ExpTable1, smallTable1Params(), 4)
+	parallel := table1Record(t)
 	parallel.Stamp(4, time.Millisecond)
 
 	if serial.Hash != parallel.Hash {
@@ -149,8 +164,10 @@ func TestDiffWorkerCountIdentical(t *testing.T) {
 		t.Fatalf("diff across worker counts = %s %v, want identical", d.Class, d.Findings)
 	}
 
-	f7a := mustRegen(t, ExpFigure7, Params{Trials: 4, Jitter: 10, Seed: 1}, 1)
-	f7b := mustRegen(t, ExpFigure7, Params{Trials: 4, Jitter: 10, Seed: 1}, 3)
+	f7a := figure7Record(t, 1)
+	f7a.Stamp(1, time.Second)
+	f7b := figure7Record(t, 1)
+	f7b.Stamp(3, time.Millisecond)
 	if d := Diff(f7a, f7b); d.Class != Identical {
 		t.Fatalf("figure7 diff across worker counts = %s %v, want identical", d.Class, d.Findings)
 	}
@@ -159,7 +176,7 @@ func TestDiffWorkerCountIdentical(t *testing.T) {
 // TestDiffMatrixFlipRegression: flipping one (gadget, scheme) cell
 // vulnerable↔protected must classify as a regression.
 func TestDiffMatrixFlipRegression(t *testing.T) {
-	old := mustRegen(t, ExpTable1, smallTable1Params(), 0)
+	old := table1Record(t)
 
 	flipped := *old
 	cells := append([]Table1Cell(nil), old.Table1.Cells...)
@@ -179,13 +196,13 @@ func TestDiffMatrixFlipRegression(t *testing.T) {
 }
 
 func TestDiffIncomparable(t *testing.T) {
-	table := mustRegen(t, ExpTable1, smallTable1Params(), 0)
-	figure := mustRegen(t, ExpFigure7, Params{Trials: 4, Jitter: 10, Seed: 1}, 0)
+	table := table1Record(t)
+	figure := figure7Record(t, 1)
 	if d := Diff(table, figure); d.Class != Incomparable {
 		t.Fatalf("cross-experiment diff = %s, want incomparable", d.Class)
 	}
 
-	otherSeed := mustRegen(t, ExpFigure7, Params{Trials: 4, Jitter: 10, Seed: 2}, 0)
+	otherSeed := figure7Record(t, 2)
 	if d := Diff(figure, otherSeed); d.Class != Incomparable {
 		t.Fatalf("cross-parameter diff = %s, want incomparable", d.Class)
 	}

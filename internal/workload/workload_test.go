@@ -114,10 +114,7 @@ func TestBranchyHasUnpredictableBranches(t *testing.T) {
 func TestEvaluateFigure12Shape(t *testing.T) {
 	cfg := DefaultEvalConfig()
 	cfg.Iters = 300
-	res, err := Evaluate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serialEvaluate(t, cfg)
 	if len(res.Rows) != len(All()) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -149,11 +146,5 @@ func TestEvaluateFigure12Shape(t *testing.T) {
 	}
 	if out := res.Format(cfg.Schemes); out == "" {
 		t.Error("empty format")
-	}
-}
-
-func TestEvaluateValidation(t *testing.T) {
-	if _, err := Evaluate(EvalConfig{Iters: 0}); err == nil {
-		t.Error("zero iters accepted")
 	}
 }

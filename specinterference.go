@@ -147,48 +147,11 @@ func NewDCachePoC(scheme string, jitter int) *PoC { return core.NewDCachePoC(sch
 // receiver).
 func NewICachePoC(scheme string, jitter int) *PoC { return core.NewICachePoC(scheme, jitter) }
 
-// VulnerabilityMatrix classifies schemes against every gadget/ordering
-// combination — Table 1.
-func VulnerabilityMatrix(schemeNames []string) ([]MatrixCell, error) {
-	return core.VulnerabilityMatrix(schemeNames)
-}
-
-// VulnerabilityMatrixParallel is VulnerabilityMatrix with cancellation and
-// an explicit worker count (0 = one per CPU); one shard per
-// scheme×gadget×ordering cell, results identical at any worker count.
-func VulnerabilityMatrixParallel(ctx context.Context, schemeNames []string, workers int) ([]MatrixCell, error) {
-	return core.VulnerabilityMatrixParallel(ctx, schemeNames, workers)
-}
-
 // FormatMatrix renders matrix cells as a Table 1-style text table.
 func FormatMatrix(cells []MatrixCell) string { return core.FormatMatrix(cells) }
 
 // ExpectedTable1 returns the paper's Table 1 for comparison.
 func ExpectedTable1() map[string]map[string]bool { return core.ExpectedTable1() }
-
-// Figure7 measures the §4.2.1 interference-contention histogram.
-func Figure7(trials, jitter int, seed uint64) (*Figure7Result, error) {
-	return core.Figure7(trials, jitter, seed)
-}
-
-// Figure7Parallel is Figure7 with cancellation and an explicit worker
-// count (0 = one per CPU); per-trial seeds depend only on the trial index,
-// so results are bit-identical at any worker count.
-func Figure7Parallel(ctx context.Context, trials, jitter int, seed uint64, workers int) (*Figure7Result, error) {
-	return core.Figure7Parallel(ctx, trials, jitter, seed, workers)
-}
-
-// ChannelCurve measures a Figure 11 error-versus-rate curve for a PoC.
-func ChannelCurve(poc *PoC, repsList []int, bits int, seed uint64) ([]ChannelResult, error) {
-	return channel.Curve(poc, repsList, bits, seed)
-}
-
-// ChannelCurveParallel is ChannelCurve with cancellation and an explicit
-// worker count (0 = one per CPU) fanning out the per-bit trials inside
-// each curve point.
-func ChannelCurveParallel(ctx context.Context, poc *PoC, repsList []int, bits int, seed uint64, workers int) ([]ChannelResult, error) {
-	return channel.CurveParallel(ctx, poc, repsList, bits, seed, workers)
-}
 
 // DCacheFigure11 and ICacheFigure11 return the PoCs at their calibrated
 // Figure 11 noise operating points.
@@ -196,27 +159,6 @@ func DCacheFigure11() *PoC { return channel.DCacheFigure11() }
 
 // ICacheFigure11 returns the Figure 11(b) PoC.
 func ICacheFigure11() *PoC { return channel.ICacheFigure11() }
-
-// DefenseOverhead runs the Figure 12 sweep: every synthetic kernel under
-// the unsafe baseline and the named defenses.
-func DefenseOverhead(iters int, schemeNames []string) (*EvalResult, error) {
-	return DefenseOverheadParallel(context.Background(), iters, schemeNames, 0)
-}
-
-// DefenseOverheadParallel is DefenseOverhead with cancellation and an
-// explicit worker count (0 = one per CPU); one shard per workload×scheme
-// cell, baseline runs included.
-func DefenseOverheadParallel(ctx context.Context, iters int, schemeNames []string, workers int) (*EvalResult, error) {
-	cfg := workload.DefaultEvalConfig()
-	if iters > 0 {
-		cfg.Iters = iters
-	}
-	if len(schemeNames) > 0 {
-		cfg.Schemes = schemeNames
-	}
-	cfg.Workers = workers
-	return workload.EvaluateContext(ctx, cfg)
-}
 
 // Static leak-detector types (see internal/detect): a SPECTECTOR-style
 // abstract analysis that decides leak/no-leak per Table 1 cell without
@@ -247,12 +189,6 @@ func AnalyzeLeak(p *Program, policy SpecPolicy, envs [2]LeakEnv) (*LeakReport, e
 // program and priming state the empirical harness uses.
 func DetectLeak(schemeName string, g Gadget, ord Ordering) (LeakVerdict, error) {
 	return detect.CellVerdict(schemeName, g, ord)
-}
-
-// ConcordanceMatrix runs the full static-versus-empirical agreement grid
-// (workers 0 = one per CPU) and fails on any unexplained mismatch.
-func ConcordanceMatrix(ctx context.Context, schemeNames []string, workers int) ([]ConcordanceCell, error) {
-	return detect.Matrix(ctx, schemeNames, workers)
 }
 
 // NewConcordanceRecord wraps a detector agreement grid as a sealed run
@@ -406,12 +342,6 @@ func RemoteBackend(listen string, procs, workers int) ExperimentBackend {
 	return remote.Remote{Listen: listen, Procs: procs, Workers: workers}
 }
 
-// NewExperimentBackend constructs a backend from its CLI name,
-// "inprocess", "subprocess" or "remote".
-func NewExperimentBackend(name string, procs, workers int) (ExperimentBackend, error) {
-	return experiment.NewBackend(name, procs, workers)
-}
-
 // NewExperimentBackendOptions constructs a backend from its CLI name and
 // the full option set — the constructor behind every -backend flag.
 func NewExperimentBackendOptions(name string, o ExperimentBackendOptions) (ExperimentBackend, error) {
@@ -437,15 +367,15 @@ func LookupExperiment(name string) (*ExperimentSpec, error) { return experiment.
 
 // RunExperiment plans, executes and aggregates one experiment on a
 // backend (nil = in-process, one worker per CPU), returning the sealed
-// record.
+// record. It is the library's one way to run an artifact: the record
+// carries the full payload (Figure 7 arms, Table 1 cells, Figure 11
+// curves, Figure 12 rows, concordance cells).
 func RunExperiment(ctx context.Context, name string, p RunParams, b ExperimentBackend) (*RunRecord, error) {
-	return experiment.Regenerate(ctx, name, p, b)
-}
-
-// RegenerateRecord reruns one experiment at the given parameters through
-// the experiment engine's in-process backend.
-func RegenerateRecord(ctx context.Context, experiment string, p RunParams, workers int) (*RunRecord, error) {
-	return RunExperiment(ctx, experiment, p, InProcessBackend(workers))
+	spec, err := experiment.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return experiment.Run(ctx, spec, p, b, nil)
 }
 
 // BaselineRunParams returns the committed regression baseline's

@@ -82,16 +82,22 @@ func TestFacadeTrialAndMatrix(t *testing.T) {
 	if len(r.Events) == 0 {
 		t.Error("no probe events")
 	}
-	cells, err := si.VulnerabilityMatrix([]string{"dom"})
+	rec, err := si.RunExperiment(context.Background(), si.ExpTable1, si.RunParams{Schemes: []string{"dom"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := si.FormatMatrix(cells)
+	expected := si.ExpectedTable1()
+	if len(rec.Table1.Cells) != 7 {
+		t.Fatalf("dom matrix has %d cells, want 7", len(rec.Table1.Cells))
+	}
+	for _, c := range rec.Table1.Cells {
+		if want := expected[c.Gadget+"|"+c.Ordering][c.Scheme]; c.Vulnerable != want {
+			t.Errorf("%s/%s/%s vulnerable = %v, want %v", c.Scheme, c.Gadget, c.Ordering, c.Vulnerable, want)
+		}
+	}
+	out := si.FormatMatrix([]si.MatrixCell{{Scheme: "dom", Gadget: si.GadgetNPEU, Ordering: si.OrderVDAD, Vulnerable: true}})
 	if !strings.Contains(out, "G_NPEU") {
 		t.Errorf("matrix rendering:\n%s", out)
-	}
-	if len(si.ExpectedTable1()) == 0 {
-		t.Error("expected table empty")
 	}
 }
 
@@ -114,18 +120,20 @@ func TestFacadePoCs(t *testing.T) {
 }
 
 func TestFacadeFigure7AndChannel(t *testing.T) {
-	f7, err := si.Figure7(10, 20, 3)
+	ctx := context.Background()
+	f7, err := si.RunExperiment(ctx, si.ExpFigure7, si.RunParams{Trials: 10, Jitter: 20, Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f7.Separation <= 0 {
+	if f7.Figure7.Separation <= 0 {
 		t.Error("no separation")
 	}
-	curve, err := si.ChannelCurve(si.ICacheFigure11(), []int{1}, 4, 5)
+	f11, err := si.RunExperiment(ctx, si.ExpFigure11,
+		si.RunParams{PoCs: []string{"icache"}, Bits: 4, Reps: []int{1}, Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(curve) != 1 || curve[0].Bps <= 0 {
+	if curve := f11.Figure11.Curves; len(curve) != 1 || len(curve[0].Points) != 1 || curve[0].Points[0].Bps <= 0 {
 		t.Errorf("curve = %+v", curve)
 	}
 	if si.DCacheFigure11() == nil {
@@ -137,12 +145,13 @@ func TestFacadeDefenseOverheadAndWorkloads(t *testing.T) {
 	if len(si.Workloads()) < 6 {
 		t.Error("missing kernels")
 	}
-	res, err := si.DefenseOverhead(100, []string{"fence-spectre"})
+	rec, err := si.RunExperiment(context.Background(), si.ExpFigure12,
+		si.RunParams{Iters: 100, Schemes: []string{"fence-spectre"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mean["fence-spectre"] < 1.0 {
-		t.Errorf("slowdown %f < 1", res.Mean["fence-spectre"])
+	if sd := rec.Figure12.Mean["fence-spectre"]; sd < 1.0 {
+		t.Errorf("slowdown %f < 1", sd)
 	}
 }
 
@@ -167,8 +176,8 @@ func TestFacadeTimeline(t *testing.T) {
 }
 
 // TestFacadeExperimentEngine exercises the engine re-exports: the
-// registry lists the four paper experiments, and RunExperiment on an
-// explicit in-process backend matches RegenerateRecord's signature.
+// registry lists every results-store experiment, and RunExperiment gives
+// the same signature on an explicit backend as on the default one.
 func TestFacadeExperimentEngine(t *testing.T) {
 	names := si.ExperimentNames()
 	for _, exp := range si.ResultExperiments() {
@@ -184,18 +193,18 @@ func TestFacadeExperimentEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := si.RegenerateRecord(context.Background(), si.ExpFigure7, p, 1)
+	b, err := si.RunExperiment(context.Background(), si.ExpFigure7, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Hash != b.Hash {
-		t.Errorf("RunExperiment hash %.12s != RegenerateRecord hash %.12s", a.Hash, b.Hash)
+		t.Errorf("hash on 2 workers %.12s != hash on the default backend %.12s", a.Hash, b.Hash)
 	}
-	if _, err := si.NewExperimentBackend("subprocess", 2, 0); err != nil {
-		t.Errorf("NewExperimentBackend(subprocess): %v", err)
+	if _, err := si.NewExperimentBackendOptions("subprocess", si.ExperimentBackendOptions{Procs: 2}); err != nil {
+		t.Errorf("NewExperimentBackendOptions(subprocess): %v", err)
 	}
-	if _, err := si.NewExperimentBackend("bogus", 0, 0); err == nil {
-		t.Error("NewExperimentBackend accepted a bogus name")
+	if _, err := si.NewExperimentBackendOptions("bogus", si.ExperimentBackendOptions{}); err == nil {
+		t.Error("NewExperimentBackendOptions accepted a bogus name")
 	}
 }
 

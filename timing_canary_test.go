@@ -130,7 +130,7 @@ var issueConfigs = []struct {
 // The canary above pins only the mixed kernel's cycle and retired counts,
 // and no result signature covers IssueGateStalls or CDBConflicts, so this
 // is the byte-for-byte check that a simulator speedup left every counter
-// of every issue path unchanged. Regenerate with -update only when a
+// of every issue path unchanged. Rewrite it with -update only when a
 // change is meant to alter simulated behavior.
 func TestCoreStatsGolden(t *testing.T) {
 	var b strings.Builder
