@@ -442,7 +442,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sys.LoadProgram(0, prog, nil); err != nil {
+		if err := sys.LoadProgram(0, prog, uarch.SpecPolicy{}); err != nil {
 			b.Fatal(err)
 		}
 		if err := sys.Run(10_000_000); err != nil {
@@ -489,7 +489,7 @@ func stepBench(b *testing.B, kernel string) {
 	}
 	sys.Hierarchy().SetLogging(false)
 	load := func() {
-		if err := sys.LoadProgram(0, prog, nil); err != nil {
+		if err := sys.LoadProgram(0, prog, uarch.SpecPolicy{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,5 @@
 // Command speclint runs the repo's contract-enforcement analyzers
-// (internal/lint): nondeterminism, policypurity, allocfree and
-// lockdiscipline. It is the static counterpart of the dynamic gates —
+// (internal/lint): nondeterminism, allocfree and lockdiscipline. It is the static counterpart of the dynamic gates —
 // equivalence sweeps, AllocsPerRun pins, -race — and runs in CI ahead of
 // the test matrix.
 //

@@ -51,15 +51,6 @@ func init() {
 	}})
 }
 
-type policy struct{ calls int }
-
-func (p *policy) Shadow() int { return 0 }
-
-func (p *policy) CanIssue(safe bool) bool {
-	p.calls++
-	return safe
-}
-
 type store struct {
 	mu sync.Mutex
 	n  int // guarded by mu
@@ -77,7 +68,7 @@ func main() {}
 `)
 
 	out := cmdtest.RunFail(t, "", "-C", dir, ".")
-	for _, analyzer := range []string{"nondeterminism", "policypurity", "allocfree", "lockdiscipline"} {
+	for _, analyzer := range []string{"nondeterminism", "allocfree", "lockdiscipline"} {
 		if !strings.Contains(out, analyzer+":") {
 			t.Errorf("seeded violation output missing %s finding:\n%s", analyzer, out)
 		}

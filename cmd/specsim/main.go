@@ -73,7 +73,7 @@ func run(file, schemeName string, showTrace, detectMode bool, maxCycles int64) e
 		return err
 	}
 	st := sys.Core(0).Stats()
-	fmt.Printf("scheme: %s\n", policy.Name())
+	fmt.Printf("scheme: %s\n", policy.Name)
 	fmt.Printf("cycles: %d  retired: %d  IPC: %.2f  squashes: %d\n",
 		st.Cycles, st.Retired, st.IPC(), st.Squashes)
 	fmt.Printf("delayed loads: %d  invisible loads: %d  exposes: %d  MSHR retries: %d\n",
@@ -95,10 +95,9 @@ func runDetect(prog *si.Program, policy si.SpecPolicy) error {
 	if err != nil {
 		return err
 	}
-	f := rep.Facts
-	fmt.Printf("scheme: %s\n", policy.Name())
+	fmt.Printf("scheme: %s\n", policy.Name)
 	fmt.Printf("shadow: %s  ifetch: %s  issue-in-shadow: %v  stall-fetch: %v\n",
-		f.Shadow, f.IFetch, f.IssueInShadow, f.StallFetch)
+		policy.Shadow, policy.IFetch, policy.CanIssue(false), policy.StallFetchInShadow)
 	if len(rep.Pairs) == 0 {
 		fmt.Println("no speculative windows (no conditional branches reached, or fetch stalls in shadow)")
 		return nil

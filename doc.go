@@ -19,7 +19,8 @@
 //   - a cache hierarchy with the QLRU_H11_M1_R0_U0 replacement policy the
 //     paper reverse-engineered from its Kaby Lake target,
 //   - executable models of every invisible-speculation scheme in Table 1
-//     plus the paper's fence defenses,
+//     plus the paper's fence defenses, each a plain uarch.SpecPolicy
+//     value in one table (internal/schemes),
 //   - the three interference gadgets (GDNPEU, GDMSHR, GIRS), the
 //     replacement-state receiver of §4.2.2, and end-to-end cross-core
 //     proof-of-concept attacks,
@@ -35,8 +36,8 @@
 //   - a unified experiment engine (internal/experiment) that runs every
 //     harness as sharded trials over pluggable execution backends, and
 //   - a contract-enforcement lint suite (internal/lint, cmd/speclint)
-//     that statically checks the repo's determinism, policy-purity,
-//     alloc-free and lock-discipline contracts in CI, ahead of the
+//     that statically checks the repo's determinism, alloc-free and
+//     lock-discipline contracts in CI, ahead of the
 //     dynamic gates that check the same properties at run time.
 //
 // # Experiment engine and backends

@@ -13,7 +13,6 @@ import (
 	si "specinterference"
 	"specinterference/internal/results"
 	"specinterference/internal/security"
-	"specinterference/internal/uarch"
 )
 
 const victim = `
@@ -52,16 +51,13 @@ func main() {
 	fmt.Println("\n== §5.1 ideal invisible speculation: C(E) = C(NoSpec(E))")
 	prog := si.MustAssemble(victim)
 	for _, name := range []string{"unsafe", "dom", "fence-spectre-ideal"} {
-		name := name
+		policy, err := si.Scheme(name)
+		if err != nil {
+			log.Fatal(err)
+		}
 		rep, err := si.CheckIdealInvisibleSpeculation(security.RunSpec{
-			Prog: prog,
-			PolicyFactory: func() uarch.SpecPolicy {
-				p, err := si.Scheme(name)
-				if err != nil {
-					log.Fatal(err)
-				}
-				return p
-			},
+			Prog:   prog,
+			Policy: policy,
 			Config: si.DefaultConfig(1),
 		})
 		if err != nil {

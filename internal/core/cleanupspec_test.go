@@ -8,6 +8,16 @@ import (
 	"specinterference/internal/uarch"
 )
 
+// mustScheme returns the named scheme, failing the test on an unknown name.
+func mustScheme(t *testing.T, name string) uarch.SpecPolicy {
+	t.Helper()
+	p, err := schemes.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestCleanupSpecStillReorders verifies the paper's §6 remark: CleanupSpec
 // undoes speculative fills but "does not block speculative interference" —
 // the bound-to-retire loads A and B still reorder with the secret.
@@ -16,7 +26,7 @@ func TestCleanupSpecStillReorders(t *testing.T) {
 	for secret := 0; secret <= 1; secret++ {
 		r, err := RunTrial(TrialSpec{
 			Gadget: GadgetNPEU, Ordering: OrderVDVD,
-			Policy: schemes.CleanupSpec{}, Secret: secret,
+			Policy: mustScheme(t, "cleanupspec"), Secret: secret,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -33,7 +43,7 @@ func TestCleanupSpecStillReorders(t *testing.T) {
 func TestCleanupSpecUndoesTransientFootprint(t *testing.T) {
 	r, err := RunTrial(TrialSpec{
 		Gadget: GadgetNPEU, Ordering: OrderVDVD,
-		Policy: schemes.CleanupSpec{}, Secret: 1,
+		Policy: mustScheme(t, "cleanupspec"), Secret: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,14 +98,14 @@ func TestCleanupSpecBlocksDirectSpectreFootprint(t *testing.T) {
 	// fetched (fence defense), modulo the non-speculative A/B accesses.
 	r1, err := RunTrial(TrialSpec{
 		Gadget: GadgetNPEU, Ordering: OrderVDVD,
-		Policy: schemes.CleanupSpec{}, Secret: 0,
+		Policy: mustScheme(t, "cleanupspec"), Secret: 0,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r2, err := RunTrial(TrialSpec{
 		Gadget: GadgetNPEU, Ordering: OrderVDVD,
-		Policy: schemes.FenceDefense{Model: schemes.FenceSpectre}, Secret: 0,
+		Policy: mustScheme(t, "fence-spectre"), Secret: 0,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -73,9 +73,9 @@ func BuildFigure7Result(baseline, interference []float64) *Figure7Result {
 //
 //speclint:allocfree
 func measureTargetLatency(ts *TrialState, secret, jitter int, seed uint64) (float64, error) {
+	// The zero Policy: measured on the baseline machine, like the PoC.
 	r, err := ts.Run(TrialSpec{
 		Gadget: GadgetNPEU, Ordering: OrderVDVD,
-		Policy: nil, // measured on the baseline machine, like the PoC
 		Secret: secret, Jitter: jitter, Seed: seed, Trace: true,
 	})
 	if err != nil {

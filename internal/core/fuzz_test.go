@@ -11,7 +11,6 @@ import (
 	"specinterference/internal/emu"
 	"specinterference/internal/isa"
 	"specinterference/internal/mem"
-	"specinterference/internal/schemes"
 	"specinterference/internal/uarch"
 )
 
@@ -244,7 +243,7 @@ func FuzzArchEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.LoadProgram(0, p, schemes.Unsafe()); err != nil {
+		if err := sys.LoadProgram(0, p, uarch.SpecPolicy{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := sys.Run(2_000_000); err != nil {

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"strings"
+
+	"specinterference/internal/schemes"
 )
 
 // MatrixCell is one entry of the Table 1 vulnerability matrix.
@@ -42,18 +44,18 @@ func Combos() [][2]interface{} {
 //
 //speclint:allocfree
 func Classify(schemeName string, g Gadget, ord Ordering) (MatrixCell, error) {
+	cell := MatrixCell{Scheme: schemeName, Gadget: g, Ordering: ord}
+	policy, err := schemes.ByName(schemeName)
+	if err != nil {
+		return cell, err
+	}
 	ts := AcquireTrialState()
 	defer ReleaseTrialState(ts)
-	cell := MatrixCell{Scheme: schemeName, Gadget: g, Ordering: ord}
 	// run executes one trial on the shared state and extracts the scalars
 	// Classify needs before the next run reuses the result buffers —
 	// consecutive results from one TrialState alias each other, so the
 	// *TrialResult itself must not outlive the call.
 	run := func(secret int, refCycle int64) (sig string, secretCycle int64, err error) {
-		policy, err := ts.Policy(schemeName)
-		if err != nil {
-			return "", 0, err
-		}
 		r, err := ts.Run(TrialSpec{
 			Gadget: g, Ordering: ord, Policy: policy,
 			Secret: secret, RefCycle: refCycle,

@@ -163,7 +163,7 @@ func runAttackerProgram(sys *uarch.System, p *isa.Program, maxCycles int64) erro
 	for pc := 0; pc < p.Len(); pc++ {
 		sys.Hierarchy().WarmInst(1, p.InstAddr(pc), cache.LevelL1)
 	}
-	if err := sys.LoadProgram(1, p, nil); err != nil {
+	if err := sys.LoadProgram(1, p, uarch.SpecPolicy{}); err != nil {
 		return err
 	}
 	return sys.RunUntilCoreHalts(1, maxCycles)

@@ -27,8 +27,9 @@ const trialMaxCycles = 500_000
 type TrialSpec struct {
 	Gadget   Gadget
 	Ordering Ordering
-	// Policy is the victim core's speculation scheme (nil = unprotected).
-	// Stateful policies must be fresh per trial.
+	// Policy is the victim core's speculation scheme (the zero value is
+	// the unprotected baseline). It is a plain value: one policy may serve
+	// any number of trials.
 	Policy uarch.SpecPolicy
 	// Secret is the bit the mis-speculated access load reads (0 or 1).
 	Secret int
@@ -258,7 +259,7 @@ func injectReference(sys *uarch.System, l Layout) error {
 	for pc := 0; pc < p.Len(); pc++ {
 		sys.Hierarchy().WarmInst(1, p.InstAddr(pc), cache.LevelL1)
 	}
-	if err := sys.LoadProgram(1, p, nil); err != nil {
+	if err := sys.LoadProgram(1, p, uarch.SpecPolicy{}); err != nil {
 		return err
 	}
 	sys.Core(1).SetReg(isa.R1, l.RefAddr)

@@ -6,7 +6,6 @@ import (
 	"specinterference/internal/cache"
 	"specinterference/internal/isa"
 	"specinterference/internal/mem"
-	"specinterference/internal/schemes"
 	"specinterference/internal/uarch"
 )
 
@@ -49,12 +48,6 @@ type TrialState struct {
 
 	victims   []victimMemo
 	victimGen uint64
-
-	// policies memoizes schemes.ByName per state: constructing a scheme
-	// boxes it (and MuonTrap builds a filter cache), which the steady-state
-	// matrix loop would otherwise pay on every trial. Stateful policies are
-	// reset before each reuse — see TrialState.Policy.
-	policies []policyMemo
 
 	// PoC receiver memo: the QLRU receiver and its prime/probe programs
 	// depend only on the layout, geometry and PoC kind — all fixed for a
@@ -127,35 +120,6 @@ func (ts *TrialState) attackSystem(spec TrialSpec) (*uarch.System, Layout, *Vict
 		return nil, Layout{}, nil, err
 	}
 	return ts.sys, ts.layout, v, nil
-}
-
-// policyMemo is one entry of TrialState's policy cache.
-type policyMemo struct {
-	name string
-	p    uarch.SpecPolicy
-}
-
-// Policy returns the named scheme policy, memoized on the state. A policy
-// implementing uarch.ResettablePolicy is reset to its just-constructed
-// state before every handout, so a memoized instance behaves bit-
-// identically to a fresh schemes.ByName build; the remaining schemes are
-// stateless values, safe to reuse as-is.
-func (ts *TrialState) Policy(name string) (uarch.SpecPolicy, error) {
-	for i := range ts.policies {
-		if ts.policies[i].name == name {
-			p := ts.policies[i].p
-			if r, ok := p.(uarch.ResettablePolicy); ok {
-				r.ResetPolicy()
-			}
-			return p, nil
-		}
-	}
-	p, err := schemes.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	ts.policies = append(ts.policies, policyMemo{name: name, p: p})
-	return p, nil
 }
 
 // victim returns the assembled victim program for spec, consulting the

@@ -49,11 +49,11 @@ func CellVerdict(schemeName string, g core.Gadget, ord core.Ordering) (Verdict, 
 // differential-pressure signal, then the ordering-specific visibility
 // conditions that decide whether the pressure reaches a receiver.
 func cellVerdict(rep *Report, g core.Gadget, ord core.Ordering, probes [2]int64) Verdict {
-	f := rep.Facts
-	if f.StallFetch {
+	p := rep.Policy
+	if p.StallFetchInShadow {
 		return Verdict{Leak: false, Mechanism: MechNoSpecFetch}
 	}
-	if !f.IssueInShadow {
+	if !p.CanIssue(false) {
 		return Verdict{Leak: false, Mechanism: MechNoSpecIssue}
 	}
 
@@ -85,8 +85,8 @@ func cellVerdict(rep *Report, g core.Gadget, ord core.Ordering, probes [2]int64)
 		// or under a futuristic shadow with no visibly-executing
 		// speculative loads, visibility is program-ordered regardless of
 		// pressure.
-		if f.Shadow == uarch.ShadowSpectreTSO ||
-			(f.Shadow == uarch.ShadowFuturistic && !rep.AnyVisibleLoad()) {
+		if p.Shadow == uarch.ShadowSpectreTSO ||
+			(p.Shadow == uarch.ShadowFuturistic && !rep.AnyVisibleLoad()) {
 			return Verdict{Leak: false, Mechanism: MechOrdered}
 		}
 		// If the wrong path itself visibly caches the reference line under
@@ -106,7 +106,7 @@ func cellVerdict(rep *Report, g core.Gadget, ord core.Ordering, probes [2]int64)
 			// The G_IRS receiver probes the I-cache line of the
 			// not-yet-fetched target block, so the clog must modulate a
 			// VISIBLE speculative fetch of that line.
-			if f.IFetch != uarch.IFetchVisible {
+			if p.IFetch != uarch.IFetchVisible {
 				return Verdict{Leak: false, Mechanism: MechIFetchProtected}
 			}
 			if !rep.TargetFetchedWhenDrained(probes[0]) {

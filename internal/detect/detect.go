@@ -23,7 +23,7 @@
 //     capacity under exactly one secret (§4.3, G_IRS).
 //
 // A per-ordering rule (see CellVerdict) then combines the pressure
-// signals with the policy's visibility facts — shadow model, load
+// signals with the policy's visibility rules — shadow model, load
 // actions, instruction-fetch mode, issue gating — to produce a leak /
 // no-leak verdict and a mechanism string.
 //
@@ -46,7 +46,6 @@ import (
 	"specinterference/internal/core"
 	"specinterference/internal/isa"
 	"specinterference/internal/mem"
-	"specinterference/internal/uarch"
 )
 
 // Params are the machine capacities the pressure thresholds compare
@@ -68,33 +67,6 @@ type Params struct {
 func DefaultParams() Params {
 	cfg := core.AttackConfig()
 	return Params{ROBSize: cfg.ROBSize, RSSize: cfg.RSSize, DMSHRs: cfg.Cache.DMSHRs}
-}
-
-// Facts are the policy properties the detector consumes, probed once per
-// analysis. Load decisions are not part of Facts: they may depend on the
-// address and hit state, so the executor consults SpecPolicy.DecideLoad
-// per dynamic load (the purity contract makes that exact).
-type Facts struct {
-	// Shadow is the scheme's speculative-shadow model.
-	Shadow uarch.ShadowModel
-	// IFetch is the speculative instruction-fetch mode.
-	IFetch uarch.IFetchMode
-	// IssueInShadow is CanIssue(safe=false): whether any speculative
-	// instruction may issue at all (false for the §5.2 fence defenses).
-	IssueInShadow bool
-	// StallFetch is StallFetchInShadow: the ideal fence variant that
-	// never fetches a wrong path.
-	StallFetch bool
-}
-
-// ProbeFacts extracts the detector-relevant facts from a policy.
-func ProbeFacts(p uarch.SpecPolicy) Facts {
-	return Facts{
-		Shadow:        p.Shadow(),
-		IFetch:        p.IFetch(),
-		IssueInShadow: p.CanIssue(false),
-		StallFetch:    p.StallFetchInShadow(),
-	}
 }
 
 // Env is the initial abstract machine state for one secret value: the

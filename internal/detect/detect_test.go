@@ -9,6 +9,7 @@ import (
 	"specinterference/internal/isa"
 	"specinterference/internal/mem"
 	"specinterference/internal/schemes"
+	"specinterference/internal/uarch"
 )
 
 // Toy-program addresses: the secret word, a cold line table the gadgets
@@ -59,7 +60,7 @@ func analyzeToy(t *testing.T, build func(b *asm.Builder)) *Report {
 	b.Halt()
 	params := DefaultParams()
 	params.RSSize = 8 // toy-sized reservation station
-	rep, err := Analyze(b.MustBuild(), schemes.Unsafe(), toyEnvs(), params)
+	rep, err := Analyze(b.MustBuild(), uarch.SpecPolicy{}, toyEnvs(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestTaintPrimitives(t *testing.T) {
 		}
 		params := DefaultParams()
 		params.RSSize = 8
-		rep, err := Analyze(b.MustBuild(), schemes.Unsafe(), envs, params)
+		rep, err := Analyze(b.MustBuild(), uarch.SpecPolicy{}, envs, params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +260,7 @@ func TestTaintPrimitives(t *testing.T) {
 	})
 }
 
-// TestPolicyGates pins the two policy facts that short-circuit every
+// TestPolicyGates pins the two policy gates that short-circuit every
 // pressure signal: fences keep wrong-path work from issuing, and the
 // ideal fences never even fetch a wrong path.
 func TestPolicyGates(t *testing.T) {
@@ -282,8 +283,8 @@ func TestPolicyGates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Facts.IssueInShadow {
-			t.Error("fence-spectre: IssueInShadow = true")
+		if rep.Policy.CanIssue(false) {
+			t.Error("fence-spectre: CanIssue(false) = true")
 		}
 		for _, p := range rep.Pairs {
 			for s := 0; s < 2; s++ {
@@ -303,8 +304,8 @@ func TestPolicyGates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rep.Facts.StallFetch {
-			t.Error("fence-spectre-ideal: StallFetch = false")
+		if !rep.Policy.StallFetchInShadow {
+			t.Error("fence-spectre-ideal: StallFetchInShadow = false")
 		}
 		if len(rep.Pairs) != 0 {
 			t.Errorf("explored %d windows under stalled fetch", len(rep.Pairs))
@@ -322,7 +323,7 @@ func TestAnalyzeArchDiff(t *testing.T) {
 	b.Add(isa.R6, isa.R6, isa.R1)
 	b.Load(isa.R7, isa.R6, 0) // architectural secret-indexed load
 	b.Halt()
-	rep, err := Analyze(b.MustBuild(), schemes.Unsafe(), toyEnvs(), DefaultParams())
+	rep, err := Analyze(b.MustBuild(), uarch.SpecPolicy{}, toyEnvs(), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestAnalyzeStepLimit(t *testing.T) {
 	b := asm.NewBuilder()
 	b.Label("spin")
 	b.Jmp("spin")
-	_, err := Analyze(b.MustBuild(), schemes.Unsafe(), toyEnvs(), DefaultParams())
+	_, err := Analyze(b.MustBuild(), uarch.SpecPolicy{}, toyEnvs(), DefaultParams())
 	if !errors.Is(err, emu.ErrStepLimit) {
 		t.Errorf("err = %v, want errors.Is(_, emu.ErrStepLimit)", err)
 	}

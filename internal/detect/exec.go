@@ -47,7 +47,9 @@ type WindowPair struct {
 
 // Report is the outcome of one self-composed analysis.
 type Report struct {
-	Facts  Facts
+	// Policy is the analysed scheme: the verdict rules read its shadow
+	// model, its instruction-fetch mode and its issue and fetch gates.
+	Policy uarch.SpecPolicy
 	Params Params
 	// ArchDiff is true when the two architectural (correct-path)
 	// executions themselves diverge — branch outcomes or load addresses
@@ -192,8 +194,7 @@ func Analyze(prog *isa.Program, policy uarch.SpecPolicy, envs [2]Env, params Par
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("detect: %w", err)
 	}
-	facts := ProbeFacts(policy)
-	rep := &Report{Facts: facts, Params: params}
+	rep := &Report{Policy: policy, Params: params}
 
 	var traces [2]archTrace
 	for s := 0; s < 2; s++ {
@@ -213,7 +214,7 @@ func Analyze(prog *isa.Program, policy uarch.SpecPolicy, envs [2]Env, params Par
 
 	rep.ArchDiff = archDiverges(traces[0], traces[1])
 
-	if facts.StallFetch {
+	if policy.StallFetchInShadow {
 		return rep, nil // no wrong path is ever fetched
 	}
 	n := len(traces[0].branches)
@@ -231,8 +232,8 @@ func Analyze(prog *isa.Program, policy uarch.SpecPolicy, envs [2]Env, params Par
 		rep.Pairs = append(rep.Pairs, WindowPair{
 			BranchPC: b0.pc,
 			W: [2]Window{
-				explore(prog, policy, facts, envs[0], b0, params),
-				explore(prog, policy, facts, envs[1], b1, params),
+				explore(prog, policy, envs[0], b0, params),
+				explore(prog, policy, envs[1], b1, params),
 			},
 		})
 	}
@@ -439,7 +440,7 @@ func archDiverges(a, b archTrace) bool {
 // rules. The wrong-path "present" model is deliberately the PLAN's warm
 // L1 lines plus wrong-path refills only: correct-path fills are the
 // in-flight state the window races against, not guaranteed hits.
-func explore(prog *isa.Program, policy uarch.SpecPolicy, facts Facts, env Env, at branchVisit, params Params) Window {
+func explore(prog *isa.Program, policy uarch.SpecPolicy, env Env, at branchVisit, params Params) Window {
 	w := Window{
 		BranchPC:  at.pc,
 		MissLines: map[int64]bool{},
@@ -499,7 +500,7 @@ func explore(prog *isa.Program, policy uarch.SpecPolicy, facts Facts, env Env, a
 		if anyUnavail || anySlow {
 			w.Parked++ // waits in the RS for its operands
 		}
-		issued := facts.IssueInShadow && !anyUnavail
+		issued := policy.CanIssue(false) && !anyUnavail
 
 		switch {
 		case in.IsCondBranch():
@@ -517,7 +518,7 @@ func explore(prog *isa.Program, policy uarch.SpecPolicy, facts Facts, env Env, a
 			addr := regs[in.Src1] + in.Imm
 			line := mem.LineAddr(addr)
 			hit := present[line]
-			act := policy.DecideLoad(uarch.LoadCtx{Core: 0, Addr: addr, Cycle: 0, L1Hit: hit})
+			act := policy.DecideLoad(hit)
 			if act == uarch.ActDelay {
 				unavail[in.Dst] = true
 				break

@@ -7,7 +7,7 @@
 // of Fabian et al. make the case for the paper's own domain: testing
 // samples executions, static analysis covers a bug class. internal/detect
 // applies that philosophy to the simulated programs; this package applies
-// it to the codebase itself. Four analyzers, one contract each:
+// it to the codebase itself. Three analyzers, one contract each:
 //
 //   - nondeterminism: code reachable from registered experiment shard
 //     functions and aggregators must be a pure function of its inputs —
@@ -16,10 +16,6 @@
 //     an output, an unsorted slice, or a hash. This is the determinism
 //     contract behind canonical record signatures and the remote
 //     backend's byte-equality dedup.
-//   - policypurity: SpecPolicy.CanIssue / DecideLoad implementations must
-//     not write receiver state. The uarch issue stage memoizes each
-//     entry's readiness verdict per cycle on the strength of this
-//     contract; an impure policy would silently desynchronize ports.
 //   - allocfree: functions annotated //speclint:allocfree (the
 //     steady-state trial loop and its pinned hot paths) must not contain
 //     alloc-introducing constructs: make/new, non-reuse append, string
@@ -186,7 +182,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Nondeterminism,
-		PolicyPurity,
 		AllocFree,
 		LockDiscipline,
 	}
@@ -365,24 +360,6 @@ func funcPath(f *types.Func) string {
 func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
 	f := calleeFunc(info, call)
 	return f != nil && f.Pkg() != nil && f.Pkg().Path() == pkgPath && f.Name() == name
-}
-
-// receiverRoot walks a selector/index chain to its base expression:
-// c.leases[id].span -> c. Returns nil when the base is not reachable
-// through selectors/indexes/derefs.
-func receiverRoot(e ast.Expr) ast.Expr {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return x
-		}
-	}
 }
 
 // enclosingFuncs maps every node position range to its top-level FuncDecl

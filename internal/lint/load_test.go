@@ -30,8 +30,8 @@ func TestLoadPackagesTypeChecks(t *testing.T) {
 // TestByName rejects unknown analyzers and resolves subsets.
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 4 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 4, nil", len(all), err)
+	if err != nil || len(all) != 3 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 3, nil", len(all), err)
 	}
 	subset, err := ByName("allocfree,lockdiscipline")
 	if err != nil || len(subset) != 2 {

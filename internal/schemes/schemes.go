@@ -1,16 +1,17 @@
-// Package schemes implements the invisible-speculation proposals the paper
-// attacks (§2.2, §3.3.1) and the defenses it proposes (§5), as uarch
-// speculation policies:
+// Package schemes describes the invisible-speculation proposals the paper
+// attacks (§2.2, §3.3.1) and the defenses it proposes (§5), as named
+// uarch.SpecPolicy values:
 //
-//	Unsafe                      — unprotected baseline
-//	DoM (TSO / non-TSO)         — Delay-on-Miss, Sakalis et al. ISCA'19
-//	InvisiSpec (Spectre / Futuristic) — Yan et al. MICRO'18
-//	SafeSpec (WFB / WFC)        — Khasawneh et al. DAC'19
-//	MuonTrap                    — Ainsworth & Jones ISCA'20 (filter cache)
-//	Conditional Speculation     — Li et al. HPCA'19
-//	Fence defense (§5.2)        — Spectre / Futuristic variants, plus the
-//	                              prediction-free "ideal" variant that also
-//	                              satisfies the §5.1 definition exactly
+//	unsafe                          — the unprotected baseline
+//	dom, dom-tso                    — Delay-on-Miss, Sakalis et al. ISCA'19
+//	invisispec-spectre, -futuristic — InvisiSpec, Yan et al. MICRO'18
+//	safespec-wfb, safespec-wfc      — SafeSpec, Khasawneh et al. DAC'19
+//	muontrap                        — MuonTrap, Ainsworth & Jones ISCA'20
+//	condspec                        — Conditional Speculation, Li et al. HPCA'19
+//	cleanupspec                     — CleanupSpec, Saileshwar & Qureshi MICRO'19
+//	fence-spectre, -futuristic      — the §5.2 fence defense, plus their
+//	                                  prediction-free -ideal variants that
+//	                                  also satisfy the §5.1 definition exactly
 //
 // The schemes are behavioural models: each captures the load-visibility,
 // shadow and instruction-fetch rules that the paper's Table 1 analysis
@@ -24,473 +25,120 @@ import (
 	"specinterference/internal/uarch"
 )
 
-// Unsafe returns the unprotected baseline policy.
-func Unsafe() uarch.SpecPolicy { return uarch.Unprotected{} }
+// table holds every scheme, in the order Names reports them.
+var table = []uarch.SpecPolicy{
+	// The unprotected baseline: every load is visible, speculative fetch
+	// fills the I-cache, nothing is gated.
+	{Name: "unsafe"},
 
-// ---------------------------------------------------------------------------
-// Delay-on-Miss
+	// Delay-on-Miss (§2.2): a speculative load that hits the L1 executes
+	// and forwards its result, deferring the replacement-state update
+	// until it becomes safe; a speculative load that misses is delayed and
+	// re-executed when safe. DoM leaves the I-cache unprotected (§3.2.2:
+	// "Such accesses are performed by InvisiSpec and DoM").
+	{Name: "dom", OnHit: uarch.ActInvisible, OnMiss: uarch.ActDelay, TouchOnSafe: true},
+	// Delay-on-Miss under TSO: no two unprotected loads are concurrently in
+	// flight, which closes the VD-VD reordering channel (Table 1 lists only
+	// "DoM (non-TSO)" under GDNPEU VD-VD).
+	{Name: "dom-tso", Shadow: uarch.ShadowSpectreTSO, OnHit: uarch.ActInvisible, OnMiss: uarch.ActDelay, TouchOnSafe: true},
 
-// DoM is Delay-on-Miss (§2.2): a speculative load that hits the L1 executes
-// and forwards its result, deferring the replacement-state update until it
-// becomes safe; a speculative load that misses is delayed and re-executed
-// when safe. TSO selects the memory consistency model: under TSO no two
-// unprotected loads are concurrently in flight, which closes the VD-VD
-// reordering channel (Table 1 lists only "DoM (non-TSO)" under GDNPEU
-// VD-VD).
-type DoM struct {
-	// TSO selects the TSO variant.
-	TSO bool
-}
-
-// Name implements uarch.SpecPolicy.
-func (d DoM) Name() string {
-	if d.TSO {
-		return "dom-tso"
-	}
-	return "dom"
-}
-
-// Shadow implements uarch.SpecPolicy.
-func (d DoM) Shadow() uarch.ShadowModel {
-	if d.TSO {
-		return uarch.ShadowSpectreTSO
-	}
-	return uarch.ShadowSpectre
-}
-
-// DecideLoad implements uarch.SpecPolicy.
-func (d DoM) DecideLoad(ctx uarch.LoadCtx) uarch.LoadAction {
-	if ctx.L1Hit {
-		return uarch.ActInvisible
-	}
-	return uarch.ActDelay
-}
-
-// ExposeOnSafe implements uarch.SpecPolicy.
-func (DoM) ExposeOnSafe() bool { return false }
-
-// TouchOnSafe implements uarch.SpecPolicy: the deferred replacement update.
-func (DoM) TouchOnSafe() bool { return true }
-
-// IFetch implements uarch.SpecPolicy: DoM leaves the I-cache unprotected
-// (§3.2.2: "Such accesses are performed by InvisiSpec and DoM").
-func (DoM) IFetch() uarch.IFetchMode { return uarch.IFetchVisible }
-
-// CanIssue implements uarch.SpecPolicy.
-func (DoM) CanIssue(bool) bool { return true }
-
-// StallFetchInShadow implements uarch.SpecPolicy.
-func (DoM) StallFetchInShadow() bool { return false }
-
-// ---------------------------------------------------------------------------
-// InvisiSpec
-
-// InvisiSpecMode selects InvisiSpec's threat model.
-type InvisiSpecMode int
-
-// InvisiSpec modes.
-const (
-	// InvisiSpecSpectre defends only control-flow speculation: a load is
-	// safe once all older branches have resolved.
-	InvisiSpecSpectre InvisiSpecMode = iota
-	// InvisiSpecFuturistic defends all speculation sources: a load is safe
+	// InvisiSpec issues speculative loads as invisible requests that change
+	// no cache state (but do occupy MSHRs on a miss — the GDMSHR lever),
+	// then exposes/validates them with a visible access once safe. The
+	// I-cache stays unprotected. The Spectre mode defends only control-flow
+	// speculation: a load is safe once all older branches have resolved.
+	{Name: "invisispec-spectre", OnHit: uarch.ActInvisible, OnMiss: uarch.ActInvisible, ExposeOnSafe: true},
+	// The Futuristic mode defends all speculation sources: a load is safe
 	// only once every older instruction has completed.
-	InvisiSpecFuturistic
-)
+	{Name: "invisispec-futuristic", Shadow: uarch.ShadowFuturistic, OnHit: uarch.ActInvisible, OnMiss: uarch.ActInvisible, ExposeOnSafe: true},
 
-// InvisiSpec issues speculative loads as invisible requests that change no
-// cache state (but do occupy MSHRs on a miss — the GDMSHR lever), then
-// exposes/validates them with a visible access once safe.
-type InvisiSpec struct {
-	Mode InvisiSpecMode
+	// SafeSpec buffers speculative loads in shadow structures: invisible
+	// requests (MSHR-occupying on a miss) whose fills move into the real
+	// caches when the load is safe. Unlike InvisiSpec/DoM, SafeSpec also
+	// shadows speculative instruction fetches, so they leave no I-cache
+	// state (hence SafeSpec is absent from the GIRS row of Table 1).
+	// Wait-for-branch unprotects a load once older branches resolve.
+	{Name: "safespec-wfb", OnHit: uarch.ActInvisible, OnMiss: uarch.ActInvisible, ExposeOnSafe: true, IFetch: uarch.IFetchInvisible},
+	// Wait-for-commit unprotects a load only at the head of the ROB.
+	{Name: "safespec-wfc", Shadow: uarch.ShadowFuturistic, OnHit: uarch.ActInvisible, OnMiss: uarch.ActInvisible, ExposeOnSafe: true, IFetch: uarch.IFetchInvisible},
+
+	// MuonTrap gives each core a small filter cache for speculative fills:
+	// a speculative load misses invisibly into the filter (occupying an
+	// MSHR — the Table 1 GDMSHR row includes MuonTrap), hits in the filter
+	// are served locally, the filter is flushed on squash, and surviving
+	// lines install into the real hierarchy when the load commits
+	// (commit-time unprotection). Visible accesses thus happen in commit
+	// order, which closes VD-VD reordering but not the VD-AD/VI-AD
+	// attacker-reference-clock orderings. MuonTrap filters instruction
+	// fills too, so speculative fetch leaves no I-cache state.
+	{
+		Name: "muontrap", Shadow: uarch.ShadowFuturistic,
+		OnHit: uarch.ActInvisible, OnMiss: uarch.ActInvisible, ExposeOnSafe: true,
+		IFetch: uarch.IFetchInvisible, Filter: cache.Geometry{Sets: 8, Ways: 4, Latency: 2},
+	},
+
+	// Conditional Speculation (Li et al.): "suspicious" speculative loads —
+	// cache misses — are delayed until the load is the oldest in flight;
+	// speculative hits proceed without changing replacement state.
+	// Speculative I-fetch misses are likewise held back.
+	{Name: "condspec", Shadow: uarch.ShadowFuturistic, OnHit: uarch.ActInvisible, OnMiss: uarch.ActDelay, TouchOnSafe: true, IFetch: uarch.IFetchDelay},
+
+	// CleanupSpec, Saileshwar & Qureshi's "undo" approach (discussed in the
+	// paper's §6): speculative loads execute and fill caches normally, but
+	// fills caused by squashed loads are invalidated when the squash
+	// happens, and the recommended deployment randomizes LLC replacement to
+	// blunt replacement-state receivers. CleanupSpec blocks the direct
+	// transient footprint yet — as the paper notes — "does not block
+	// speculative interference but makes its exploitation more
+	// challenging": the bound-to-retire reordering survives, while the
+	// QLRU receiver degrades once the LLC replacement is randomized (see
+	// the ablation benchmarks).
+	//
+	// Modelling scope: data-side fill undo only (instruction fills are not
+	// undone), and the replacement randomization is a machine
+	// configuration (cache.PolicyRandom) rather than part of the policy.
+	{Name: "cleanupspec", UndoSpeculativeFills: true},
+
+	// The §5.2 basic defense: hardware-inserted fences that allow dispatch
+	// but block issue until the fenced instruction becomes
+	// non-speculative. Speculative I-fetch misses are held back so
+	// wrong-path fetch cannot leave I-cache state. Loads decide Delay
+	// defensively, though the issue gate keeps unsafe loads from ever
+	// reaching that decision. The Spectre variant fences after every
+	// conditional branch: younger instructions dispatch but do not issue
+	// until the branch resolves.
+	{Name: "fence-spectre", OnHit: uarch.ActDelay, OnMiss: uarch.ActDelay, IFetch: uarch.IFetchDelay, IssueOnlySafe: true},
+	// The Futuristic variant fences after every instruction that may
+	// squash: younger instructions issue only when all older ones have
+	// completed.
+	{Name: "fence-futuristic", Shadow: uarch.ShadowFuturistic, OnHit: uarch.ActDelay, OnMiss: uarch.ActDelay, IFetch: uarch.IFetchDelay, IssueOnlySafe: true},
+	// The ideal variants additionally stop fetch (not just issue) inside a
+	// speculative shadow and never consult the branch predictor: the
+	// machine's visible LLC access pattern provably equals its
+	// mis-speculation-free counterpart — C(E) = C(NoSpec(E)), the §5.1
+	// definition. Without them a residual channel remains: wrong-path
+	// fetch work can shift the *timing* (though not the content) of later
+	// visible accesses around a squash, which is exactly the paper's point
+	// that timing is hard to fully scrub out of cache-based definitions.
+	{Name: "fence-spectre-ideal", OnHit: uarch.ActDelay, OnMiss: uarch.ActDelay, IFetch: uarch.IFetchDelay, IssueOnlySafe: true, StallFetchInShadow: true},
+	{Name: "fence-futuristic-ideal", Shadow: uarch.ShadowFuturistic, OnHit: uarch.ActDelay, OnMiss: uarch.ActDelay, IFetch: uarch.IFetchDelay, IssueOnlySafe: true, StallFetchInShadow: true},
 }
 
-// Name implements uarch.SpecPolicy.
-func (p InvisiSpec) Name() string {
-	if p.Mode == InvisiSpecFuturistic {
-		return "invisispec-futuristic"
-	}
-	return "invisispec-spectre"
-}
-
-// Shadow implements uarch.SpecPolicy.
-func (p InvisiSpec) Shadow() uarch.ShadowModel {
-	if p.Mode == InvisiSpecFuturistic {
-		return uarch.ShadowFuturistic
-	}
-	return uarch.ShadowSpectre
-}
-
-// DecideLoad implements uarch.SpecPolicy.
-func (InvisiSpec) DecideLoad(uarch.LoadCtx) uarch.LoadAction { return uarch.ActInvisible }
-
-// ExposeOnSafe implements uarch.SpecPolicy.
-func (InvisiSpec) ExposeOnSafe() bool { return true }
-
-// TouchOnSafe implements uarch.SpecPolicy.
-func (InvisiSpec) TouchOnSafe() bool { return false }
-
-// IFetch implements uarch.SpecPolicy: unprotected I-cache.
-func (InvisiSpec) IFetch() uarch.IFetchMode { return uarch.IFetchVisible }
-
-// CanIssue implements uarch.SpecPolicy.
-func (InvisiSpec) CanIssue(bool) bool { return true }
-
-// StallFetchInShadow implements uarch.SpecPolicy.
-func (InvisiSpec) StallFetchInShadow() bool { return false }
-
-// ---------------------------------------------------------------------------
-// SafeSpec
-
-// SafeSpecMode selects when SafeSpec commits shadow state.
-type SafeSpecMode int
-
-// SafeSpec modes.
-const (
-	// SafeSpecWFB (wait-for-branch) unprotects a load once older branches
-	// resolve.
-	SafeSpecWFB SafeSpecMode = iota
-	// SafeSpecWFC (wait-for-commit) unprotects a load only at the head of
-	// the ROB.
-	SafeSpecWFC
-)
-
-// SafeSpec buffers speculative loads in shadow structures: invisible
-// requests (MSHR-occupying on a miss) whose fills move into the real caches
-// when the load is safe. Unlike InvisiSpec/DoM, SafeSpec also shadows
-// speculative instruction fetches.
-type SafeSpec struct {
-	Mode SafeSpecMode
-}
-
-// Name implements uarch.SpecPolicy.
-func (p SafeSpec) Name() string {
-	if p.Mode == SafeSpecWFC {
-		return "safespec-wfc"
-	}
-	return "safespec-wfb"
-}
-
-// Shadow implements uarch.SpecPolicy.
-func (p SafeSpec) Shadow() uarch.ShadowModel {
-	if p.Mode == SafeSpecWFC {
-		return uarch.ShadowFuturistic
-	}
-	return uarch.ShadowSpectre
-}
-
-// DecideLoad implements uarch.SpecPolicy.
-func (SafeSpec) DecideLoad(uarch.LoadCtx) uarch.LoadAction { return uarch.ActInvisible }
-
-// ExposeOnSafe implements uarch.SpecPolicy.
-func (SafeSpec) ExposeOnSafe() bool { return true }
-
-// TouchOnSafe implements uarch.SpecPolicy.
-func (SafeSpec) TouchOnSafe() bool { return false }
-
-// IFetch implements uarch.SpecPolicy: shadow I-structures — speculative
-// fetches do not change I-cache state (hence SafeSpec is absent from the
-// GIRS row of Table 1).
-func (SafeSpec) IFetch() uarch.IFetchMode { return uarch.IFetchInvisible }
-
-// CanIssue implements uarch.SpecPolicy.
-func (SafeSpec) CanIssue(bool) bool { return true }
-
-// StallFetchInShadow implements uarch.SpecPolicy.
-func (SafeSpec) StallFetchInShadow() bool { return false }
-
-// ---------------------------------------------------------------------------
-// MuonTrap
-
-// MuonTrap gives each core a small filter cache for speculative fills: a
-// speculative load misses invisibly into the filter (occupying an MSHR —
-// the Table 1 GDMSHR row includes MuonTrap), hits in the filter are served
-// locally, the filter is flushed on squash, and surviving lines install
-// into the real hierarchy when the load commits. Visible accesses thus
-// happen in commit order, which closes VD-VD reordering but not the
-// VD-AD/VI-AD attacker-reference-clock orderings.
-type MuonTrap struct {
-	filter    *cache.Cache
-	filterLat int64
-}
-
-// NewMuonTrap builds a MuonTrap policy with a sets×ways filter cache.
-func NewMuonTrap(sets, ways int) *MuonTrap {
-	return &MuonTrap{
-		filter:    cache.NewCache("muontrap-filter", sets, ways, 2, cache.PolicyLRU, nil),
-		filterLat: 2,
-	}
-}
-
-// Name implements uarch.SpecPolicy.
-func (*MuonTrap) Name() string { return "muontrap" }
-
-// Shadow implements uarch.SpecPolicy: commit-time unprotection.
-func (*MuonTrap) Shadow() uarch.ShadowModel { return uarch.ShadowFuturistic }
-
-// DecideLoad implements uarch.SpecPolicy.
-func (*MuonTrap) DecideLoad(uarch.LoadCtx) uarch.LoadAction { return uarch.ActInvisible }
-
-// ExposeOnSafe implements uarch.SpecPolicy: the commit-time L1 install.
-func (*MuonTrap) ExposeOnSafe() bool { return true }
-
-// TouchOnSafe implements uarch.SpecPolicy.
-func (*MuonTrap) TouchOnSafe() bool { return false }
-
-// IFetch implements uarch.SpecPolicy: MuonTrap filters instruction fills
-// too, so speculative fetch leaves no I-cache state.
-func (*MuonTrap) IFetch() uarch.IFetchMode { return uarch.IFetchInvisible }
-
-// CanIssue implements uarch.SpecPolicy.
-func (*MuonTrap) CanIssue(bool) bool { return true }
-
-// StallFetchInShadow implements uarch.SpecPolicy.
-func (*MuonTrap) StallFetchInShadow() bool { return false }
-
-// FilterLookup implements uarch.FilterPolicy.
-func (m *MuonTrap) FilterLookup(addr int64) (int64, bool) {
-	if m.filter.Contains(addr) {
-		m.filter.Touch(addr)
-		return m.filterLat, true
-	}
-	return 0, false
-}
-
-// OnInvisibleFill implements uarch.FilterPolicy.
-func (m *MuonTrap) OnInvisibleFill(addr int64) { m.filter.Fill(addr) }
-
-// OnSquash implements uarch.FilterPolicy: the filter holds only speculative
-// state and is cleared on any squash.
-func (m *MuonTrap) OnSquash() { m.filter.InvalidateAll() }
-
-// Filter exposes the filter cache for tests.
-func (m *MuonTrap) Filter() *cache.Cache { return m.filter }
-
-// ResetPolicy implements uarch.ResettablePolicy: the filter returns to its
-// just-constructed state (all ways invalid, replacement metadata fresh), so
-// a memoized MuonTrap is indistinguishable from a NewMuonTrap build.
-func (m *MuonTrap) ResetPolicy() { m.filter.Reset() }
-
-// ---------------------------------------------------------------------------
-// Conditional Speculation
-
-// CondSpec models Conditional Speculation (Li et al.): "suspicious"
-// speculative loads — cache misses — are delayed until the load is the
-// oldest in flight; speculative hits proceed without changing replacement
-// state. Speculative I-fetch misses are likewise held back.
-type CondSpec struct{}
-
-// Name implements uarch.SpecPolicy.
-func (CondSpec) Name() string { return "condspec" }
-
-// Shadow implements uarch.SpecPolicy.
-func (CondSpec) Shadow() uarch.ShadowModel { return uarch.ShadowFuturistic }
-
-// DecideLoad implements uarch.SpecPolicy.
-func (CondSpec) DecideLoad(ctx uarch.LoadCtx) uarch.LoadAction {
-	if ctx.L1Hit {
-		return uarch.ActInvisible
-	}
-	return uarch.ActDelay
-}
-
-// ExposeOnSafe implements uarch.SpecPolicy.
-func (CondSpec) ExposeOnSafe() bool { return false }
-
-// TouchOnSafe implements uarch.SpecPolicy.
-func (CondSpec) TouchOnSafe() bool { return true }
-
-// IFetch implements uarch.SpecPolicy.
-func (CondSpec) IFetch() uarch.IFetchMode { return uarch.IFetchDelay }
-
-// CanIssue implements uarch.SpecPolicy.
-func (CondSpec) CanIssue(bool) bool { return true }
-
-// StallFetchInShadow implements uarch.SpecPolicy.
-func (CondSpec) StallFetchInShadow() bool { return false }
-
-// ---------------------------------------------------------------------------
-// CleanupSpec
-
-// CleanupSpec models Saileshwar & Qureshi's "undo" approach (discussed in
-// the paper's §6): speculative loads execute and fill caches normally, but
-// fills caused by squashed loads are invalidated when the squash happens,
-// and the recommended deployment randomizes LLC replacement to blunt
-// replacement-state receivers. CleanupSpec blocks the direct transient
-// footprint yet — as the paper notes — "does not block speculative
-// interference but makes its exploitation more challenging": the
-// bound-to-retire reordering survives, while the QLRU receiver degrades
-// once the LLC replacement is randomized (see the ablation benchmarks).
-//
-// Modelling scope: data-side fill undo only (instruction fills are not
-// undone), and the replacement-randomization is a machine configuration
-// (cache.PolicyRandom) rather than part of the policy object.
-type CleanupSpec struct{}
-
-// Name implements uarch.SpecPolicy.
-func (CleanupSpec) Name() string { return "cleanupspec" }
-
-// Shadow implements uarch.SpecPolicy.
-func (CleanupSpec) Shadow() uarch.ShadowModel { return uarch.ShadowSpectre }
-
-// DecideLoad implements uarch.SpecPolicy: speculative loads run visibly.
-func (CleanupSpec) DecideLoad(uarch.LoadCtx) uarch.LoadAction { return uarch.ActVisible }
-
-// ExposeOnSafe implements uarch.SpecPolicy.
-func (CleanupSpec) ExposeOnSafe() bool { return false }
-
-// TouchOnSafe implements uarch.SpecPolicy.
-func (CleanupSpec) TouchOnSafe() bool { return false }
-
-// IFetch implements uarch.SpecPolicy.
-func (CleanupSpec) IFetch() uarch.IFetchMode { return uarch.IFetchVisible }
-
-// CanIssue implements uarch.SpecPolicy.
-func (CleanupSpec) CanIssue(bool) bool { return true }
-
-// StallFetchInShadow implements uarch.SpecPolicy.
-func (CleanupSpec) StallFetchInShadow() bool { return false }
-
-// UndoSpeculativeFills implements uarch.UndoPolicy.
-func (CleanupSpec) UndoSpeculativeFills() bool { return true }
-
-// ---------------------------------------------------------------------------
-// Fence defense (§5.2)
-
-// FenceModel selects the threat model of the basic fence defense.
-type FenceModel int
-
-// Fence defense models.
-const (
-	// FenceSpectre inserts a fence after every conditional branch: younger
-	// instructions dispatch but do not issue until the branch resolves.
-	FenceSpectre FenceModel = iota
-	// FenceFuturistic fences after every instruction that may squash:
-	// younger instructions issue only when all older ones have completed.
-	FenceFuturistic
-)
-
-// FenceDefense is the §5.2 basic defense: hardware-inserted fences that
-// allow dispatch but block issue until the fenced instruction becomes
-// non-speculative. Speculative I-fetch misses are held back so wrong-path
-// fetch cannot leave I-cache state.
-//
-// Ideal additionally stops fetch (not just issue) inside a speculative
-// shadow, and never consults the branch predictor: with Ideal set the
-// machine's visible LLC access pattern provably equals its mis-speculation-
-// free counterpart — C(E) = C(NoSpec(E)), the §5.1 definition. Without
-// Ideal, a residual channel remains: wrong-path fetch work can shift the
-// *timing* (though not the content) of later visible accesses around a
-// squash, which is exactly the paper's point that timing is hard to fully
-// scrub out of cache-based definitions.
-type FenceDefense struct {
-	Model FenceModel
-	Ideal bool
-}
-
-// Name implements uarch.SpecPolicy.
-func (f FenceDefense) Name() string {
-	s := "fence-spectre"
-	if f.Model == FenceFuturistic {
-		s = "fence-futuristic"
-	}
-	if f.Ideal {
-		s += "-ideal"
-	}
-	return s
-}
-
-// Shadow implements uarch.SpecPolicy.
-func (f FenceDefense) Shadow() uarch.ShadowModel {
-	if f.Model == FenceFuturistic {
-		return uarch.ShadowFuturistic
-	}
-	return uarch.ShadowSpectre
-}
-
-// DecideLoad implements uarch.SpecPolicy. Unreachable in practice: the
-// issue gate keeps unsafe loads from issuing at all. Delay defensively.
-func (FenceDefense) DecideLoad(uarch.LoadCtx) uarch.LoadAction { return uarch.ActDelay }
-
-// ExposeOnSafe implements uarch.SpecPolicy.
-func (FenceDefense) ExposeOnSafe() bool { return false }
-
-// TouchOnSafe implements uarch.SpecPolicy.
-func (FenceDefense) TouchOnSafe() bool { return false }
-
-// IFetch implements uarch.SpecPolicy.
-func (FenceDefense) IFetch() uarch.IFetchMode { return uarch.IFetchDelay }
-
-// CanIssue implements uarch.SpecPolicy: the fence — only safe instructions
-// issue.
-func (FenceDefense) CanIssue(safe bool) bool { return safe }
-
-// StallFetchInShadow implements uarch.SpecPolicy.
-func (f FenceDefense) StallFetchInShadow() bool { return f.Ideal }
-
-// ---------------------------------------------------------------------------
-
-// All returns one instance of every scheme the paper analyses, in the order
-// used by the Table 1 harness. Stateful schemes are freshly constructed.
-func All() []uarch.SpecPolicy {
-	return []uarch.SpecPolicy{
-		Unsafe(),
-		InvisiSpec{Mode: InvisiSpecSpectre},
-		InvisiSpec{Mode: InvisiSpecFuturistic},
-		DoM{TSO: false},
-		DoM{TSO: true},
-		SafeSpec{Mode: SafeSpecWFB},
-		SafeSpec{Mode: SafeSpecWFC},
-		NewMuonTrap(8, 4),
-		CondSpec{},
-		CleanupSpec{},
-	}
-}
-
-// ByName constructs a scheme from its Name() string (CLI convenience).
+// ByName returns the named scheme.
 func ByName(name string) (uarch.SpecPolicy, error) {
-	switch name {
-	case "unsafe":
-		return Unsafe(), nil
-	case "dom":
-		return DoM{}, nil
-	case "dom-tso":
-		return DoM{TSO: true}, nil
-	case "invisispec-spectre":
-		return InvisiSpec{Mode: InvisiSpecSpectre}, nil
-	case "invisispec-futuristic":
-		return InvisiSpec{Mode: InvisiSpecFuturistic}, nil
-	case "safespec-wfb":
-		return SafeSpec{Mode: SafeSpecWFB}, nil
-	case "safespec-wfc":
-		return SafeSpec{Mode: SafeSpecWFC}, nil
-	case "muontrap":
-		return NewMuonTrap(8, 4), nil
-	case "condspec":
-		return CondSpec{}, nil
-	case "cleanupspec":
-		return CleanupSpec{}, nil
-	case "fence-spectre":
-		return FenceDefense{Model: FenceSpectre}, nil
-	case "fence-futuristic":
-		return FenceDefense{Model: FenceFuturistic}, nil
-	case "fence-spectre-ideal":
-		return FenceDefense{Model: FenceSpectre, Ideal: true}, nil
-	case "fence-futuristic-ideal":
-		return FenceDefense{Model: FenceFuturistic, Ideal: true}, nil
-	default:
-		return nil, fmt.Errorf("schemes: unknown scheme %q", name)
+	for _, p := range table {
+		if p.Name == name {
+			return p, nil
+		}
 	}
+	return uarch.SpecPolicy{}, fmt.Errorf("schemes: unknown scheme %q", name)
 }
 
-// Names lists every name ByName accepts.
+// Names lists every name ByName accepts, in the Table 1 harness order.
 func Names() []string {
-	return []string{
-		"unsafe", "dom", "dom-tso",
-		"invisispec-spectre", "invisispec-futuristic",
-		"safespec-wfb", "safespec-wfc",
-		"muontrap", "condspec", "cleanupspec",
-		"fence-spectre", "fence-futuristic",
-		"fence-spectre-ideal", "fence-futuristic-ideal",
+	names := make([]string, len(table))
+	for i, p := range table {
+		names[i] = p.Name
 	}
+	return names
 }

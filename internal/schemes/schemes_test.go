@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"strings"
 	"testing"
 
 	"specinterference/internal/asm"
@@ -26,6 +27,16 @@ func testConfig(cores int) uarch.Config {
 		Seed:       1,
 	}
 	return cfg
+}
+
+// mustByName returns the named scheme, failing the test on an unknown name.
+func mustByName(t *testing.T, name string) uarch.SpecPolicy {
+	t.Helper()
+	p, err := ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // spectreProgram builds the canonical trained-bounds-check program whose
@@ -74,7 +85,7 @@ func runSpectre(t *testing.T, policy uarch.SpecPolicy) (leaked bool, c *uarch.Co
 }
 
 func TestUnsafeLeaksTransientLoad(t *testing.T) {
-	leaked, c := runSpectre(t, Unsafe())
+	leaked, c := runSpectre(t, mustByName(t, "unsafe"))
 	if !leaked {
 		t.Error("baseline should leak the transient line")
 	}
@@ -86,19 +97,19 @@ func TestUnsafeLeaksTransientLoad(t *testing.T) {
 // Every invisible-speculation scheme must block the direct transient-load
 // footprint — that is their core security claim, which the paper's attacks
 // then bypass through interference rather than through this direct channel.
+// (The fence defenses have their own test below.)
 func TestAllSchemesBlockDirectTransientFootprint(t *testing.T) {
-	for _, p := range All() {
-		if p.Name() == "unsafe" {
+	for _, p := range table {
+		if p.Name == "unsafe" || strings.HasPrefix(p.Name, "fence-") {
 			continue
 		}
-		p := p
-		t.Run(p.Name(), func(t *testing.T) {
+		t.Run(p.Name, func(t *testing.T) {
 			leaked, c := runSpectre(t, p)
 			if leaked {
-				t.Errorf("%s: transient load left an LLC footprint", p.Name())
+				t.Errorf("%s: transient load left an LLC footprint", p.Name)
 			}
 			if c.Reg(isa.R2) != 5 {
-				t.Errorf("%s: r2 = %d, want 5 (architectural breakage)", p.Name(), c.Reg(isa.R2))
+				t.Errorf("%s: r2 = %d, want 5 (architectural breakage)", p.Name, c.Reg(isa.R2))
 			}
 		})
 	}
@@ -107,10 +118,7 @@ func TestAllSchemesBlockDirectTransientFootprint(t *testing.T) {
 func TestFenceDefensesBlockDirectTransientFootprint(t *testing.T) {
 	for _, name := range []string{"fence-spectre", "fence-futuristic",
 		"fence-spectre-ideal", "fence-futuristic-ideal"} {
-		p, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := mustByName(t, name)
 		t.Run(name, func(t *testing.T) {
 			leaked, c := runSpectre(t, p)
 			if leaked {
@@ -138,29 +146,23 @@ loop:
     blt  r3, r4, loop
     sqrt r7, r6
     halt`)
-	policies := All()
-	for _, name := range Names() {
-		if p, err := ByName(name); err == nil {
-			policies = append(policies, p)
-		}
-	}
-	for _, p := range policies {
+	for _, p := range table {
 		s := uarch.MustNewSystem(testConfig(1), mem.New())
 		if err := s.LoadProgram(0, prog, p); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Run(500_000); err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
+			t.Fatalf("%s: %v", p.Name, err)
 		}
 		c := s.Core(0)
 		if c.Reg(isa.R6) != 102 || c.Reg(isa.R7) != 10 {
-			t.Errorf("%s: r6=%d r7=%d, want 102/10", p.Name(), c.Reg(isa.R6), c.Reg(isa.R7))
+			t.Errorf("%s: r6=%d r7=%d, want 102/10", p.Name, c.Reg(isa.R6), c.Reg(isa.R7))
 		}
 	}
 }
 
 func TestDoMDelaysSpeculativeMisses(t *testing.T) {
-	_, c := runSpectre(t, DoM{})
+	_, c := runSpectre(t, mustByName(t, "dom"))
 	if c.Stats().LoadsDelayed == 0 {
 		t.Error("DoM should have delayed speculative misses")
 	}
@@ -180,7 +182,7 @@ go:
     load r5, 0(r2)        ; speculative while older branch unresolved
     halt`)
 	s := uarch.MustNewSystem(testConfig(1), mem.New())
-	if err := s.LoadProgram(0, prog, InvisiSpec{Mode: InvisiSpecSpectre}); err != nil {
+	if err := s.LoadProgram(0, prog, mustByName(t, "invisispec-spectre")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(500_000); err != nil {
@@ -192,18 +194,18 @@ go:
 	}
 }
 
+// MuonTrap is the one scheme with a private speculative buffer: an 8-set,
+// 4-way filter with a 2-cycle hit (uarch tests cover how the core serves,
+// fills and flushes it).
 func TestMuonTrapFilter(t *testing.T) {
-	m := NewMuonTrap(8, 4)
-	if _, hit := m.FilterLookup(0x1000); hit {
-		t.Error("empty filter hit")
-	}
-	m.OnInvisibleFill(0x1000)
-	if lat, hit := m.FilterLookup(0x1000); !hit || lat <= 0 {
-		t.Error("filter should hit after fill")
-	}
-	m.OnSquash()
-	if _, hit := m.FilterLookup(0x1000); hit {
-		t.Error("filter should be empty after squash")
+	for _, p := range table {
+		want := cache.Geometry{}
+		if p.Name == "muontrap" {
+			want = cache.Geometry{Sets: 8, Ways: 4, Latency: 2}
+		}
+		if p.Filter != want {
+			t.Errorf("%s: filter %+v, want %+v", p.Name, p.Filter, want)
+		}
 	}
 }
 
@@ -223,7 +225,7 @@ func TestMuonTrapVisibleAccessesInCommitOrder(t *testing.T) {
     load r8, 0(r3)        ; B (early issue)
     halt`)
 	s := uarch.MustNewSystem(testConfig(1), mem.New())
-	if err := s.LoadProgram(0, prog, NewMuonTrap(8, 4)); err != nil {
+	if err := s.LoadProgram(0, prog, mustByName(t, "muontrap")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(500_000); err != nil {
@@ -263,9 +265,9 @@ loop:
 		}
 		return s.Core(0).Stats().Cycles
 	}
-	unsafe := run(Unsafe())
-	spectre := run(FenceDefense{Model: FenceSpectre})
-	futuristic := run(FenceDefense{Model: FenceFuturistic})
+	unsafe := run(mustByName(t, "unsafe"))
+	spectre := run(mustByName(t, "fence-spectre"))
+	futuristic := run(mustByName(t, "fence-futuristic"))
 	if spectre <= unsafe {
 		t.Errorf("fence-spectre (%d) not slower than unsafe (%d)", spectre, unsafe)
 	}
@@ -280,8 +282,8 @@ func TestByNameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
-		if p.Name() != name {
-			t.Errorf("ByName(%q).Name() = %q", name, p.Name())
+		if p.Name != name {
+			t.Errorf("ByName(%q).Name = %q", name, p.Name)
 		}
 	}
 	if _, err := ByName("nope"); err == nil {
@@ -301,12 +303,8 @@ func TestShadowModels(t *testing.T) {
 		"condspec":              uarch.ShadowFuturistic,
 	}
 	for name, want := range cases {
-		p, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Shadow() != want {
-			t.Errorf("%s shadow = %s, want %s", name, p.Shadow(), want)
+		if got := mustByName(t, name).Shadow; got != want {
+			t.Errorf("%s shadow = %s, want %s", name, got, want)
 		}
 	}
 }
@@ -314,16 +312,56 @@ func TestShadowModels(t *testing.T) {
 func TestIFetchModes(t *testing.T) {
 	visible := []string{"unsafe", "dom", "invisispec-spectre", "invisispec-futuristic"}
 	for _, name := range visible {
-		p, _ := ByName(name)
-		if p.IFetch() != uarch.IFetchVisible {
+		if mustByName(t, name).IFetch != uarch.IFetchVisible {
 			t.Errorf("%s should leave the I-cache unprotected", name)
 		}
 	}
 	protected := []string{"safespec-wfb", "muontrap", "condspec", "fence-spectre"}
 	for _, name := range protected {
-		p, _ := ByName(name)
-		if p.IFetch() == uarch.IFetchVisible {
+		if mustByName(t, name).IFetch == uarch.IFetchVisible {
 			t.Errorf("%s should protect speculative I-fetch", name)
+		}
+	}
+}
+
+// TestPolicyValueReusable runs one program twice on fresh machines under
+// the same policy value and requires the second run to match a run under a
+// fresh ByName value counter for counter. A policy is data: no scheme —
+// MuonTrap with its filter cache included — may carry state from one
+// machine into the next.
+func TestPolicyValueReusable(t *testing.T) {
+	b := asm.NewBuilder()
+	b.MovI(isa.R1, 16384)
+	b.MovI(isa.R2, 131072)
+	b.Flush(isa.R1, 0)
+	b.Fence()
+	b.Load(isa.R3, isa.R1, 0) // slow
+	b.Load(isa.R4, isa.R2, 0) // a second cold line, speculative behind the first
+	b.Sqrt(isa.R5, isa.R4)
+	for i := 0; i < 11; i++ {
+		b.Sqrt(isa.R5, isa.R5)
+	}
+	b.Halt()
+	prog := b.MustBuild()
+	run := func(p uarch.SpecPolicy) uarch.CoreStats {
+		s := uarch.MustNewSystem(uarch.DefaultConfig(1), mem.New())
+		for pc := 0; pc < prog.Len(); pc++ {
+			s.Hierarchy().WarmInst(0, prog.InstAddr(pc), cache.LevelL1)
+		}
+		if err := s.LoadProgram(0, prog, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(500_000); err != nil {
+			t.Fatal(err)
+		}
+		return s.Core(0).Stats()
+	}
+	for _, name := range Names() {
+		shared := mustByName(t, name)
+		run(shared)
+		second := run(shared)
+		if fresh := run(mustByName(t, name)); second != fresh {
+			t.Errorf("%s: reused policy value ran differently:\n  reused: %+v\n  fresh:  %+v", name, second, fresh)
 		}
 	}
 }

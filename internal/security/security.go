@@ -29,9 +29,10 @@ import (
 type RunSpec struct {
 	// Prog runs on core 0.
 	Prog *isa.Program
-	// PolicyFactory builds a fresh policy per run (stateful schemes must
-	// not be shared across the E and NoSpec runs).
-	PolicyFactory func() uarch.SpecPolicy
+	// Policy is the scheme both runs execute under (the zero value is the
+	// unprotected baseline). Each run builds its own machine, so no scheme
+	// state crosses from E into NoSpec.
+	Policy uarch.SpecPolicy
 	// Config is the machine configuration (cache geometry etc.).
 	Config uarch.Config
 	// SetupMem initializes memory contents (applied to the emulator and
@@ -129,11 +130,7 @@ func Check(spec RunSpec) (*Report, error) {
 				return nil, 0, err
 			}
 		}
-		var policy uarch.SpecPolicy
-		if spec.PolicyFactory != nil {
-			policy = spec.PolicyFactory()
-		}
-		if err := sys.LoadProgram(0, spec.Prog, policy); err != nil {
+		if err := sys.LoadProgram(0, spec.Prog, spec.Policy); err != nil {
 			return nil, 0, err
 		}
 		for r, v := range spec.InitRegs {

@@ -54,12 +54,17 @@ next:
     halt`)
 }
 
-func check(t *testing.T, policy func() uarch.SpecPolicy, prog *isa.Program) *Report {
+// check runs the §5.1 checker on prog under the named scheme.
+func check(t *testing.T, scheme string, prog *isa.Program) *Report {
 	t.Helper()
+	policy, err := schemes.ByName(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep, err := Check(RunSpec{
-		Prog:          prog,
-		PolicyFactory: policy,
-		Config:        testConfig(),
+		Prog:   prog,
+		Policy: policy,
+		Config: testConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +73,7 @@ func check(t *testing.T, policy func() uarch.SpecPolicy, prog *isa.Program) *Rep
 }
 
 func TestUnsafeViolatesDefinition(t *testing.T) {
-	rep := check(t, func() uarch.SpecPolicy { return schemes.Unsafe() }, spectreVictim())
+	rep := check(t, "unsafe", spectreVictim())
 	if rep.Mispredicts == 0 {
 		t.Fatal("vacuous check: no mispredictions")
 	}
@@ -85,13 +90,7 @@ func TestUnsafeViolatesDefinition(t *testing.T) {
 
 func TestIdealFenceSatisfiesDefinition(t *testing.T) {
 	for _, name := range []string{"fence-spectre-ideal", "fence-futuristic-ideal"} {
-		rep := check(t, func() uarch.SpecPolicy {
-			p, err := schemes.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		}, spectreVictim())
+		rep := check(t, name, spectreVictim())
 		if !rep.Holds {
 			t.Errorf("%s must satisfy ideal invisible speculation:\n%s", name, rep.Diff())
 		}
@@ -102,9 +101,7 @@ func TestFenceBlocksTheSpectreLeak(t *testing.T) {
 	// The non-ideal fence defense blocks the data-side leak on this victim
 	// too: wrong-path loads never issue, and wrong-path fetch misses are
 	// held back.
-	rep := check(t, func() uarch.SpecPolicy {
-		return schemes.FenceDefense{Model: schemes.FenceSpectre}
-	}, spectreVictim())
+	rep := check(t, "fence-spectre", spectreVictim())
 	if !rep.Holds {
 		t.Errorf("fence-spectre leaked on the Spectre victim:\n%s", rep.Diff())
 	}
@@ -118,13 +115,7 @@ func TestInvisibleSchemesHideDirectVictim(t *testing.T) {
 	// guarantee ends: overlapped bound-to-retire accesses whose ORDER the
 	// gadget perturbs.
 	for _, name := range []string{"dom", "invisispec-spectre", "muontrap"} {
-		rep := check(t, func() uarch.SpecPolicy {
-			p, err := schemes.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		}, spectreVictim())
+		rep := check(t, name, spectreVictim())
 		if !rep.SetHolds {
 			t.Errorf("%s leaked a footprint (set inequality):\n%s", name, rep.Diff())
 		}
@@ -198,10 +189,14 @@ func interferenceCheck(t *testing.T) *Report {
 	b.Halt()
 	prog := b.MustBuild()
 
+	dom, err := schemes.ByName("dom")
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep, err := Check(RunSpec{
-		Prog:          prog,
-		PolicyFactory: func() uarch.SpecPolicy { return schemes.DoM{} },
-		Config:        testConfig(),
+		Prog:   prog,
+		Policy: dom,
+		Config: testConfig(),
 		PrepareSystem: func(sys *uarch.System) error {
 			h := sys.Hierarchy()
 			for pc := 0; pc < prog.Len(); pc++ {

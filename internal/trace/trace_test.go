@@ -96,7 +96,7 @@ func TestRecorderWithRealPipeline(t *testing.T) {
 	s := uarch.MustNewSystem(cfg, mem.New())
 	rec := NewRecorder()
 	s.Core(0).SetTraceHook(rec)
-	if err := s.LoadProgram(0, p, nil); err != nil {
+	if err := s.LoadProgram(0, p, uarch.SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(100_000); err != nil {

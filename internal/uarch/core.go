@@ -170,6 +170,12 @@ type Core struct {
 
 	prog   *isa.Program
 	policy SpecPolicy
+	// filter is the private speculative buffer of a policy with a Filter
+	// geometry (MuonTrap's filter cache), live while such a policy is
+	// attached. LoadProgram builds it, or resets the one the core already
+	// holds when the geometry matches, so no policy value carries filter
+	// state from one run into the next and steady-state trials reuse it.
+	filter *cache.Cache
 
 	archRegs [isa.NumRegs]int64
 	// regMap maps an architectural register to the seq of its latest
@@ -260,7 +266,6 @@ func newCore(id int, sys *System) *Core {
 		id:     id,
 		sys:    sys,
 		cfg:    &sys.cfg,
-		policy: Unprotected{},
 		bp:     NewBranchPred(sys.cfg.BPEntries),
 		halted: true,
 	}
@@ -369,7 +374,7 @@ func (c *Core) clearPipeline() {
 func (c *Core) reset() {
 	c.clearPipeline()
 	c.prog = nil
-	c.policy = Unprotected{}
+	c.policy = SpecPolicy{}
 	for i := range c.archRegs {
 		c.archRegs[i] = 0
 	}
@@ -431,13 +436,18 @@ func (c *Core) SetBranchOracle(outcomes []bool) {
 
 // LoadProgram resets the core's pipeline and attaches prog under policy.
 // Architectural registers, the branch predictor and all cache state are
-// preserved across loads — exactly what a multi-trial attack needs.
+// preserved across loads — exactly what a multi-trial attack needs. A
+// policy's filter buffer is not: it starts empty on every load.
 func (c *Core) LoadProgram(prog *isa.Program, policy SpecPolicy) error {
 	if err := prog.Validate(); err != nil {
 		return err
 	}
-	if policy == nil {
-		policy = Unprotected{}
+	if g := policy.Filter; g.Sets > 0 {
+		if c.filter != nil && c.filter.Sets() == g.Sets && c.filter.Ways() == g.Ways && c.filter.Latency() == g.Latency {
+			c.filter.Reset()
+		} else {
+			c.filter = cache.NewCache("filter", g.Sets, g.Ways, g.Latency, cache.PolicyLRU, nil)
+		}
 	}
 	c.prog = prog
 	c.policy = policy
@@ -514,7 +524,7 @@ func (c *Core) releaseRS() {
 	}
 	kept := c.rs[:0]
 	for _, e := range c.rs {
-		if e.issued && c.safe(e, c.policy.Shadow()) {
+		if e.issued && c.safe(e, c.policy.Shadow) {
 			e.inRS = false
 			c.removeFromClass(e)
 			c.progressed = true
@@ -559,7 +569,7 @@ func (c *Core) readyCheck(e *entry) bool {
 		return false
 	}
 	// Fence-defense gate.
-	if !c.policy.CanIssue(c.safe(e, c.policy.Shadow())) {
+	if !c.policy.CanIssue(c.safe(e, c.policy.Shadow)) {
 		e.rdyGated = true
 		c.stats.IssueGateStalls++
 		return false
@@ -837,8 +847,8 @@ func (c *Core) writeback(cycle int64) {
 				}
 			}
 		}
-		if fp, ok := c.policy.(FilterPolicy); ok && e.isLoad() && e.invisible && !e.wasL1Hit {
-			fp.OnInvisibleFill(e.addr)
+		if c.policy.Filter.Sets > 0 && e.isLoad() && e.invisible && !e.wasL1Hit {
+			c.filter.Fill(e.addr)
 		}
 	}
 	m := copy(c.wbQueue, c.wbQueue[n:])
@@ -922,10 +932,7 @@ func (c *Core) squash(br *entry, cycle int64) {
 	c.incompleteLoad.dropYoungerThan(br.seq)
 	c.fenceSet.dropYoungerThan(br.seq)
 	c.storeAddrUnk.dropYoungerThan(br.seq)
-	undo := false
-	if up, ok := c.policy.(UndoPolicy); ok {
-		undo = up.UndoSpeculativeFills()
-	}
+	undo := c.policy.UndoSpeculativeFills
 	for _, e := range doomed {
 		c.stats.SquashedInsts++
 		if undo && e.isLoad() && !e.invisible && e.addrKnown &&
@@ -979,8 +986,9 @@ func (c *Core) squash(br *entry, cycle int64) {
 	c.redirectPend = true
 	c.redirectAt = cycle + int64(c.cfg.RedirectPenalty)
 	c.redirectPC = br.actualNext
-	if fp, ok := c.policy.(FilterPolicy); ok {
-		fp.OnSquash()
+	if c.policy.Filter.Sets > 0 {
+		// The filter holds only speculative state.
+		c.filter.InvalidateAll()
 	}
 }
 
@@ -1183,7 +1191,7 @@ func (c *Core) dispatch(cycle int64) {
 // fetch-buffer counters are updated at the mutation site, so a branch that
 // resolved earlier this same cycle already reads as resolved here.
 func (c *Core) fetchShadowed() bool {
-	switch c.policy.Shadow() {
+	switch c.policy.Shadow {
 	case ShadowSpectre, ShadowSpectreTSO:
 		return !c.unresolvedCB.empty() || c.fbCondBr > 0
 	default:
@@ -1215,7 +1223,7 @@ func (c *Core) fetch(cycle int64) {
 		c.stats.FetchStallCycles++
 		return
 	}
-	if c.policy.StallFetchInShadow() && c.fetchShadowed() {
+	if c.policy.StallFetchInShadow && c.fetchShadowed() {
 		c.stats.FetchStallCycles++
 		return
 	}
@@ -1258,7 +1266,7 @@ func (c *Core) fetch(cycle int64) {
 			c.fetchPC = in.Target
 			return // fetch group ends at a taken control transfer
 		case in.IsCondBranch():
-			if c.policy.StallFetchInShadow() {
+			if c.policy.StallFetchInShadow {
 				// Ideal-defense mode: never predict. Fetch stalls at the
 				// branch and resumes via a redirect when it resolves, so
 				// execution is bit-identical to its NoSpec counterpart.
@@ -1296,7 +1304,7 @@ func (c *Core) fetch(cycle int64) {
 // false when fetch must stall this cycle.
 func (c *Core) accessILine(line int64, cycle int64) bool {
 	h := c.sys.hier
-	mode := c.policy.IFetch()
+	mode := c.policy.IFetch
 	shadowed := mode != IFetchVisible && c.fetchShadowed()
 	visible := true
 	if shadowed {

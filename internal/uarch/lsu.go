@@ -6,7 +6,7 @@ import "specinterference/internal/cache"
 // finishes walks whose data arrived, re-issues delayed loads that became
 // safe, and performs deferred exposes/touches for invisibly-completed loads.
 func (c *Core) lsuTick(cycle int64) {
-	model := c.policy.Shadow()
+	model := c.policy.Shadow
 	for _, e := range c.memOrder {
 		if !e.isLoad() {
 			continue
@@ -62,27 +62,22 @@ func (c *Core) attemptAccess(e *entry, cycle int64) {
 		return
 	}
 
-	if c.safe(e, c.policy.Shadow()) {
+	if c.safe(e, c.policy.Shadow) {
 		c.startWalk(e, cycle, true)
 		return
 	}
 	l1hit := c.sys.hier.L1DHit(c.id, e.addr)
 	// Schemes with a private speculative buffer (MuonTrap filter) serve
 	// speculative hits from it before consulting the shared hierarchy.
-	if fp, ok := c.policy.(FilterPolicy); ok {
-		if lat, hit := fp.FilterLookup(e.addr); hit {
-			e.invisible = true
-			e.wasL1Hit = true // filter data needs no later install
-			e.level = cache.LevelL1
-			e.mstate = memWalking
-			e.memReady = cycle + lat
-			return
-		}
+	if c.policy.Filter.Sets > 0 && c.filter.Touch(e.addr) {
+		e.invisible = true
+		e.wasL1Hit = true // filter data needs no later install
+		e.level = cache.LevelL1
+		e.mstate = memWalking
+		e.memReady = cycle + int64(c.policy.Filter.Latency)
+		return
 	}
-	action := c.policy.DecideLoad(LoadCtx{
-		Core: c.id, Addr: e.addr, Cycle: cycle, L1Hit: l1hit,
-	})
-	switch action {
+	switch c.policy.DecideLoad(l1hit) {
 	case ActVisible:
 		c.startWalk(e, cycle, true)
 	case ActInvisible:
@@ -175,10 +170,10 @@ func (c *Core) finishLoad(e *entry, cycle int64) {
 func (c *Core) exposeLoad(e *entry, cycle int64) {
 	e.exposed = true
 	switch {
-	case c.policy.ExposeOnSafe():
+	case c.policy.ExposeOnSafe:
 		c.sys.hier.AccessData(c.id, e.addr, cache.KindDataRead, true, cycle)
 		c.stats.Exposes++
-	case c.policy.TouchOnSafe() && e.wasL1Hit:
+	case c.policy.TouchOnSafe && e.wasL1Hit:
 		c.sys.hier.TouchL1D(c.id, e.addr)
 	}
 }

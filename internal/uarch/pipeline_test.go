@@ -9,58 +9,21 @@ import (
 	"specinterference/internal/mem"
 )
 
-// invisibleFetchPolicy models SafeSpec-like shadow I-structures.
-type invisibleFetchPolicy struct{ Unprotected }
-
-func (invisibleFetchPolicy) IFetch() IFetchMode { return IFetchInvisible }
-
-// delayFetchPolicy models CondSpec-like I-miss holdback.
-type delayFetchPolicy struct{ Unprotected }
-
-func (delayFetchPolicy) IFetch() IFetchMode { return IFetchDelay }
-
-// stallFetchPolicy is the ideal-fence frontend behaviour.
-type stallFetchPolicy struct{ Unprotected }
-
-func (stallFetchPolicy) StallFetchInShadow() bool { return false } // uses branch-stall path
-func (stallFetchPolicy) CanIssue(safe bool) bool  { return safe }
-
-type trueStallPolicy struct{ Unprotected }
-
-func (trueStallPolicy) StallFetchInShadow() bool { return true }
-func (trueStallPolicy) CanIssue(safe bool) bool  { return safe }
-
-// tsoPolicy delays speculative misses under the TSO shadow.
-type tsoPolicy struct{ Unprotected }
-
-func (tsoPolicy) Shadow() ShadowModel { return ShadowSpectreTSO }
-func (tsoPolicy) DecideLoad(ctx LoadCtx) LoadAction {
-	if ctx.L1Hit {
-		return ActInvisible
+var (
+	// invisibleFetchPolicy models SafeSpec-like shadow I-structures.
+	invisibleFetchPolicy = SpecPolicy{Name: "invisible-fetch", IFetch: IFetchInvisible}
+	// delayFetchPolicy models CondSpec-like I-miss holdback.
+	delayFetchPolicy = SpecPolicy{Name: "delay-fetch", IFetch: IFetchDelay}
+	// stallFetchPolicy is the ideal-fence frontend behaviour.
+	stallFetchPolicy = SpecPolicy{Name: "stall-fetch", IssueOnlySafe: true, StallFetchInShadow: true}
+	// tsoPolicy delays speculative misses under the TSO shadow.
+	tsoPolicy = SpecPolicy{Name: "tso", Shadow: ShadowSpectreTSO, OnHit: ActInvisible, OnMiss: ActDelay, TouchOnSafe: true}
+	// filterPolicy serves speculative loads from a MuonTrap-like filter.
+	filterPolicy = SpecPolicy{
+		Name: "filter", Shadow: ShadowFuturistic, OnHit: ActInvisible, OnMiss: ActInvisible,
+		ExposeOnSafe: true, Filter: cache.Geometry{Sets: 8, Ways: 4, Latency: 2},
 	}
-	return ActDelay
-}
-func (tsoPolicy) TouchOnSafe() bool { return true }
-
-// fakeFilter is a trivial FilterPolicy holding one line.
-type fakeFilter struct {
-	Unprotected
-	line   int64
-	filled []int64
-	squash int
-}
-
-func (f *fakeFilter) DecideLoad(LoadCtx) LoadAction { return ActInvisible }
-func (f *fakeFilter) Shadow() ShadowModel           { return ShadowFuturistic }
-func (f *fakeFilter) ExposeOnSafe() bool            { return true }
-func (f *fakeFilter) FilterLookup(addr int64) (int64, bool) {
-	if mem.LineAddr(addr) == f.line {
-		return 2, true
-	}
-	return 0, false
-}
-func (f *fakeFilter) OnInvisibleFill(addr int64) { f.filled = append(f.filled, addr) }
-func (f *fakeFilter) OnSquash()                  { f.squash++ }
+)
 
 // wrongPathVictim builds a program whose mistrained branch fetches a
 // distant wrong-path line, then halts. Returns program and wrong-path line.
@@ -113,7 +76,7 @@ func runWrongPath(t *testing.T, policy SpecPolicy) (*System, int64) {
 }
 
 func TestIFetchVisibleFillsWrongPathLine(t *testing.T) {
-	s, wrongLine := runWrongPath(t, Unprotected{})
+	s, wrongLine := runWrongPath(t, SpecPolicy{})
 	if s.Core(0).Stats().Squashes == 0 {
 		t.Fatal("no mis-speculation")
 	}
@@ -123,7 +86,7 @@ func TestIFetchVisibleFillsWrongPathLine(t *testing.T) {
 }
 
 func TestIFetchInvisibleHidesWrongPathLine(t *testing.T) {
-	s, wrongLine := runWrongPath(t, invisibleFetchPolicy{})
+	s, wrongLine := runWrongPath(t, invisibleFetchPolicy)
 	if s.Core(0).Stats().Squashes == 0 {
 		t.Fatal("no mis-speculation")
 	}
@@ -133,7 +96,7 @@ func TestIFetchInvisibleHidesWrongPathLine(t *testing.T) {
 }
 
 func TestIFetchDelayHoldsWrongPathMiss(t *testing.T) {
-	s, wrongLine := runWrongPath(t, delayFetchPolicy{})
+	s, wrongLine := runWrongPath(t, delayFetchPolicy)
 	if s.Core(0).Stats().Squashes == 0 {
 		t.Fatal("no mis-speculation")
 	}
@@ -146,7 +109,7 @@ func TestIFetchDelayHoldsWrongPathMiss(t *testing.T) {
 }
 
 func TestStallFetchNeverMispredicts(t *testing.T) {
-	s, wrongLine := runWrongPath(t, trueStallPolicy{})
+	s, wrongLine := runWrongPath(t, stallFetchPolicy)
 	if sq := s.Core(0).Stats().Squashes; sq != 0 {
 		t.Errorf("stall-fetch mode squashed %d times — it must never predict", sq)
 	}
@@ -161,11 +124,8 @@ func TestStallFetchNeverMispredicts(t *testing.T) {
 }
 
 func TestFilterPolicyServesAndFlushes(t *testing.T) {
-	// A speculative load to the filter's line completes from the filter;
-	// invisible fills are reported; squash clears via OnSquash.
-	p, _, branchPC := wrongPathVictim()
-	_ = branchPC
-	fp := &fakeFilter{line: 131072}
+	// A speculative load to a line in the filter completes from it; an
+	// invisible walk fills the filter when it completes.
 	prog := asm.MustAssemble(`
     movi r1, 16384
     movi r2, 131072
@@ -176,52 +136,78 @@ func TestFilterPolicyServesAndFlushes(t *testing.T) {
     blt  r0, r4, go       ; unresolved; target == fallthrough
 go:
     load r5, 0(r2)        ; filter hit
-    load r6, 0(r3)        ; filter miss → invisible walk → OnInvisibleFill
+    load r6, 0(r3)        ; filter miss → invisible walk → filter fill
     halt`)
-	_ = p
 	s := MustNewSystem(testConfig(1), mem.New())
-	if err := s.LoadProgram(0, prog, fp); err != nil {
+	rec := &captureHook{}
+	s.Core(0).SetTraceHook(rec)
+	if err := s.LoadProgram(0, prog, filterPolicy); err != nil {
 		t.Fatal(err)
 	}
+	s.Core(0).filter.Fill(131072)
 	if err := s.Run(500_000); err != nil {
 		t.Fatal(err)
 	}
-	if len(fp.filled) == 0 {
-		t.Error("invisible fill never reported to the filter")
-	}
-	found := false
-	for _, a := range fp.filled {
-		if mem.LineAddr(a) == 196608 {
-			found = true
+	for _, r := range rec.recs {
+		if r.Inst.Op == isa.Load && r.Addr == 131072 && r.Level != cache.LevelL1 {
+			t.Errorf("cold line loaded from %s, want the filter (L1 level)", r.Level)
 		}
 	}
-	if !found {
-		t.Errorf("filter fills = %#v, missing the missing line", fp.filled)
+	if !s.Core(0).filter.Contains(196608) {
+		t.Error("invisible walk never filled the filter")
 	}
 }
 
 func TestFilterPolicySquashNotification(t *testing.T) {
-	fp := &fakeFilter{line: 1 << 40} // never hits
-	s, _ := func() (*System, int64) {
-		p, wrongLine, branchPC := wrongPathVictim()
-		s := MustNewSystem(testConfig(1), mem.New())
-		for pc := 0; pc < p.Len(); pc++ {
-			s.Hierarchy().WarmInst(0, p.InstAddr(pc)&^63, cache.LevelL1)
-		}
-		s.Core(0).Predictor().Train(branchPC, true, 4)
-		if err := s.LoadProgram(0, p, fp); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Run(500_000); err != nil {
-			t.Fatal(err)
-		}
-		return s, wrongLine
-	}()
+	p, _, branchPC := wrongPathVictim()
+	s := MustNewSystem(testConfig(1), mem.New())
+	for pc := 0; pc < p.Len(); pc++ {
+		s.Hierarchy().WarmInst(0, p.InstAddr(pc)&^63, cache.LevelL1)
+	}
+	s.Core(0).Predictor().Train(branchPC, true, 4)
+	if err := s.LoadProgram(0, p, filterPolicy); err != nil {
+		t.Fatal(err)
+	}
+	s.Core(0).filter.Fill(1 << 40)
+	if err := s.Run(500_000); err != nil {
+		t.Fatal(err)
+	}
 	if s.Core(0).Stats().Squashes == 0 {
 		t.Fatal("no squash")
 	}
-	if fp.squash == 0 {
-		t.Error("OnSquash never called")
+	if s.Core(0).filter.Contains(1 << 40) {
+		t.Error("squash left the filter's speculative line in place")
+	}
+}
+
+// TestFilterStartsEmptyPerLoad pins that a filter policy carries no state
+// from one run into the next: LoadProgram resets the core's filter when
+// the geometry matches and rebuilds it when it does not.
+func TestFilterStartsEmptyPerLoad(t *testing.T) {
+	s := MustNewSystem(testConfig(1), mem.New())
+	c := s.Core(0)
+	prog := asm.MustAssemble("halt")
+	if err := s.LoadProgram(0, prog, filterPolicy); err != nil {
+		t.Fatal(err)
+	}
+	first := c.filter
+	first.Fill(131072)
+	if err := s.LoadProgram(0, prog, SpecPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadProgram(0, prog, filterPolicy); err != nil {
+		t.Fatal(err)
+	}
+	if c.filter != first || c.filter.Contains(131072) {
+		t.Error("same geometry: want the held filter, reset")
+	}
+	wide := filterPolicy
+	wide.Filter.Ways = 8
+	if err := s.LoadProgram(0, prog, wide); err != nil {
+		t.Fatal(err)
+	}
+	if c.filter.Ways() != 8 || c.filter.Contains(131072) {
+		t.Errorf("new geometry: got a %d-way filter, want a fresh 8-way one", c.filter.Ways())
 	}
 }
 
@@ -237,7 +223,7 @@ func TestTSOShadowDelaysYoungerLoadBehindOlderLoad(t *testing.T) {
     load r4, 0(r2)        ; younger: TSO-unsafe until r3 completes
     halt`)
 	s := MustNewSystem(testConfig(1), mem.New())
-	if err := s.LoadProgram(0, prog, tsoPolicy{}); err != nil {
+	if err := s.LoadProgram(0, prog, tsoPolicy); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(500_000); err != nil {
@@ -264,8 +250,8 @@ func TestCoreAccessors(t *testing.T) {
 	if c.ID() != 1 {
 		t.Error("ID")
 	}
-	if c.Policy() == nil {
-		t.Error("default policy nil")
+	if c.Policy() != (SpecPolicy{}) {
+		t.Error("default policy is not the unprotected baseline")
 	}
 	c.SetReg(isa.R3, 42)
 	if c.Reg(isa.R3) != 42 {
@@ -337,7 +323,7 @@ func TestPreemptionOnNonPipelinedUnit(t *testing.T) {
 	warmCode(s, 0, p)
 	rec := &captureHook{}
 	s.Core(0).SetTraceHook(rec)
-	if err := s.LoadProgram(0, p, nil); err != nil {
+	if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(500_000); err != nil {

@@ -17,7 +17,9 @@
 //  5. reservation-station back-pressure that stalls dispatch and then
 //     fetch (GIRS).
 //
-// Invisible-speculation schemes and defenses plug in via SpecPolicy.
+// Invisible-speculation schemes and defenses are SpecPolicy values: plain
+// data the pipeline reads at its decision points (issue gate, load access,
+// expose, fetch, squash), so a new scheme is a new value, not a new type.
 //
 // # Performance architecture
 //
@@ -57,7 +59,11 @@
 // equivalence test (TestFastForwardEquivalence) pin that contract in CI.
 package uarch
 
-import "fmt"
+import (
+	"fmt"
+
+	"specinterference/internal/cache"
+)
 
 // ShadowModel defines when an instruction stops being speculative.
 type ShadowModel int
@@ -155,119 +161,68 @@ func (m IFetchMode) String() string {
 	}
 }
 
-// LoadCtx carries what a policy may inspect when deciding a load.
-type LoadCtx struct {
-	// Core is the issuing core's id.
-	Core int
-	// Addr is the load's effective address.
-	Addr int64
-	// Cycle is the current cycle.
-	Cycle int64
-	// L1Hit reports whether the line is in the core's L1D right now.
-	L1Hit bool
-}
-
-// SpecPolicy is an invisible-speculation scheme or defense. One instance is
-// attached per core (stateful policies keep per-core state).
+// SpecPolicy is an invisible-speculation scheme or defense, described as
+// data: one field per rule the paper's Table 1 analysis sorts schemes by.
+// The zero value is the unprotected baseline — every load visible,
+// speculative fetch fills the I-cache, nothing gated — and
+// internal/schemes holds the named values.
 //
-// Purity contract: CanIssue and DecideLoad must be pure functions of their
-// arguments (plus policy construction parameters) — no hidden state, no
-// randomness, no dependence on call order or call count. The core relies on
-// this: issue memoizes each entry's readiness verdict (which embeds
-// CanIssue's answer) for the rest of the cycle, so a CanIssue that answered
-// differently on a repeat call would silently desynchronize ports. Policies
-// that do keep state (e.g. MuonTrap's filter cache) mutate it only through
-// the explicit notification hooks (FilterPolicy, UndoPolicy), which the
-// core invokes outside the memoized window.
+// A SpecPolicy is a comparable value with no mutable state, so one value
+// may serve any number of cores, machines and trials. The one piece of
+// scheme state, MuonTrap's filter cache, belongs to the core: the policy
+// only names its geometry (Filter), and Core.LoadProgram builds or resets
+// the buffer.
 //
-// The policypurity analyzer (internal/lint, run as cmd/speclint in CI)
-// enforces the write half of this contract statically: any assignment to
-// receiver state inside CanIssue or DecideLoad on a SpecPolicy
-// implementation fails the lint gate, with stats accumulation into
-// *IssueGateStalls* fields as the one sanctioned exception.
-type SpecPolicy interface {
+// Purity contract: CanIssue and DecideLoad are value-receiver methods that
+// only read fields, so their answers depend on their arguments alone. The
+// core relies on this: issue memoizes each entry's readiness verdict
+// (which embeds CanIssue's answer) for the rest of the cycle.
+type SpecPolicy struct {
 	// Name identifies the scheme in reports.
-	Name() string
-	// Shadow returns the scheme's speculative-shadow model.
-	Shadow() ShadowModel
-	// DecideLoad is consulted for a load that is NOT safe under Shadow().
-	DecideLoad(ctx LoadCtx) LoadAction
-	// ExposeOnSafe reports whether invisibly-completed loads must perform a
-	// visible cache access once safe (InvisiSpec validation/expose, SafeSpec
-	// commit, MuonTrap L1 install).
-	ExposeOnSafe() bool
-	// TouchOnSafe reports whether invisible L1 hits apply their deferred
-	// replacement update once safe (Delay-on-Miss).
-	TouchOnSafe() bool
-	// IFetch returns the speculative instruction-fetch mode.
-	IFetch() IFetchMode
-	// CanIssue gates issue: it receives whether the instruction is safe
-	// under Shadow() and returns whether it may issue now. The §5.2 fence
-	// defenses return safe; everything else returns true.
-	CanIssue(safe bool) bool
-	// StallFetchInShadow, when true, stops the frontend from fetching past
-	// any unresolved squash source (the "ideal" fence variant used to
+	Name string
+	// Shadow is the scheme's speculative-shadow model: when an
+	// instruction stops being speculative.
+	Shadow ShadowModel
+	// OnHit and OnMiss decide a load that is NOT safe under Shadow, by
+	// whether its line is in the core's L1D right now (see DecideLoad).
+	OnHit, OnMiss LoadAction
+	// ExposeOnSafe makes invisibly-completed loads perform a visible cache
+	// access once safe (InvisiSpec validation/expose, SafeSpec commit,
+	// MuonTrap L1 install).
+	ExposeOnSafe bool
+	// TouchOnSafe makes invisible L1 hits apply their deferred replacement
+	// update once safe (Delay-on-Miss).
+	TouchOnSafe bool
+	// IFetch is the speculative instruction-fetch mode.
+	IFetch IFetchMode
+	// IssueOnlySafe gates issue: only instructions safe under Shadow may
+	// issue (the §5.2 fence defenses; see CanIssue).
+	IssueOnlySafe bool
+	// StallFetchInShadow stops the frontend from fetching past any
+	// unresolved squash source (the "ideal" fence variant used to
 	// establish the §5.1 non-interference property; it never mispredicts
 	// because it never predicts).
-	StallFetchInShadow() bool
+	StallFetchInShadow bool
+	// UndoSpeculativeFills makes speculative loads that execute visibly
+	// have their cache fills undone (invalidated) when they are squashed
+	// (CleanupSpec).
+	UndoSpeculativeFills bool
+	// Filter, when Sets > 0, gives each core a private LRU buffer of this
+	// geometry for speculative fills (MuonTrap's filter cache): the core
+	// serves speculative loads from it before the L1, records invisible
+	// fills into it, and flushes it on every squash.
+	Filter cache.Geometry
 }
 
-// UndoPolicy is implemented by CleanupSpec-style schemes: speculative loads
-// execute visibly, but cache fills caused by squashed loads are undone
-// (invalidated) when the squash happens.
-type UndoPolicy interface {
-	// UndoSpeculativeFills enables fill-undo at squash.
-	UndoSpeculativeFills() bool
+// CanIssue receives whether an instruction is safe under Shadow and
+// returns whether it may issue now.
+func (p SpecPolicy) CanIssue(safe bool) bool { return safe || !p.IssueOnlySafe }
+
+// DecideLoad returns the action for a load that is not safe under Shadow,
+// given whether its line hits in the core's L1D.
+func (p SpecPolicy) DecideLoad(l1Hit bool) LoadAction {
+	if l1Hit {
+		return p.OnHit
+	}
+	return p.OnMiss
 }
-
-// FilterPolicy is implemented by schemes with a private speculative buffer
-// (MuonTrap's filter cache): the core consults the filter before the L1 and
-// notifies the policy about invisible fills and squashes.
-type FilterPolicy interface {
-	// FilterLookup returns the extra latency and true when the filter holds
-	// the line.
-	FilterLookup(addr int64) (lat int64, hit bool)
-	// OnInvisibleFill records an invisibly-fetched line into the filter.
-	OnInvisibleFill(addr int64)
-	// OnSquash flushes speculative filter state.
-	OnSquash()
-}
-
-// ResettablePolicy is implemented by stateful policies whose internal
-// structures can be restored to their just-constructed state. Batch
-// harnesses memoize policy instances across trials and call ResetPolicy
-// before each reuse, so a recycled policy behaves bit-identically to a
-// fresh build.
-type ResettablePolicy interface {
-	ResetPolicy()
-}
-
-// Unprotected is the baseline machine: every load is visible, speculative
-// fetch fills the I-cache, nothing is gated. It is defined here (rather
-// than in internal/schemes) because it is the hardware default the other
-// policies modify.
-type Unprotected struct{}
-
-// Name implements SpecPolicy.
-func (Unprotected) Name() string { return "unsafe" }
-
-// Shadow implements SpecPolicy.
-func (Unprotected) Shadow() ShadowModel { return ShadowSpectre }
-
-// DecideLoad implements SpecPolicy.
-func (Unprotected) DecideLoad(LoadCtx) LoadAction { return ActVisible }
-
-// ExposeOnSafe implements SpecPolicy.
-func (Unprotected) ExposeOnSafe() bool { return false }
-
-// TouchOnSafe implements SpecPolicy.
-func (Unprotected) TouchOnSafe() bool { return false }
-
-// IFetch implements SpecPolicy.
-func (Unprotected) IFetch() IFetchMode { return IFetchVisible }
-
-// CanIssue implements SpecPolicy.
-func (Unprotected) CanIssue(bool) bool { return true }
-
-// StallFetchInShadow implements SpecPolicy.
-func (Unprotected) StallFetchInShadow() bool { return false }

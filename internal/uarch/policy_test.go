@@ -10,24 +10,16 @@ import (
 	"specinterference/internal/mem"
 )
 
-// delayAllPolicy delays every speculative load (a DoM-like extreme) — used
-// to exercise the memDelayed path and safety re-issue.
-type delayAllPolicy struct{ Unprotected }
-
-func (delayAllPolicy) DecideLoad(LoadCtx) LoadAction { return ActDelay }
-func (delayAllPolicy) Shadow() ShadowModel           { return ShadowSpectre }
-
-// invisibleExposePolicy makes every speculative load invisible with an
-// expose (InvisiSpec-like).
-type invisibleExposePolicy struct{ Unprotected }
-
-func (invisibleExposePolicy) DecideLoad(LoadCtx) LoadAction { return ActInvisible }
-func (invisibleExposePolicy) ExposeOnSafe() bool            { return true }
-
-// gateAllPolicy blocks issue of anything unsafe (fence-like).
-type gateAllPolicy struct{ Unprotected }
-
-func (gateAllPolicy) CanIssue(safe bool) bool { return safe }
+var (
+	// delayAllPolicy delays every speculative load (a DoM-like extreme) —
+	// used to exercise the memDelayed path and safety re-issue.
+	delayAllPolicy = SpecPolicy{Name: "delay-all", OnHit: ActDelay, OnMiss: ActDelay}
+	// invisibleExposePolicy makes every speculative load invisible with an
+	// expose (InvisiSpec-like).
+	invisibleExposePolicy = SpecPolicy{Name: "invisible-expose", OnHit: ActInvisible, OnMiss: ActInvisible, ExposeOnSafe: true}
+	// gateAllPolicy blocks issue of anything unsafe (fence-like).
+	gateAllPolicy = SpecPolicy{Name: "gate-all", IssueOnlySafe: true}
+)
 
 func TestDelayedLoadReissuesWhenSafe(t *testing.T) {
 	// A speculative load behind a slow branch gets delayed, then re-issues
@@ -45,7 +37,7 @@ go:
     load r5, 0(r2)        ; speculative: delayed by the policy
     halt`)
 	s := MustNewSystem(testConfig(1), mem.New())
-	if err := s.LoadProgram(0, p, delayAllPolicy{}); err != nil {
+	if err := s.LoadProgram(0, p, delayAllPolicy); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(500_000); err != nil {
@@ -71,7 +63,7 @@ go:
     load r5, 0(r2)        ; invisible, exposes when the branch resolves
     halt`)
 	s := MustNewSystem(testConfig(1), mem.New())
-	if err := s.LoadProgram(0, p, invisibleExposePolicy{}); err != nil {
+	if err := s.LoadProgram(0, p, invisibleExposePolicy); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(500_000); err != nil {
@@ -102,7 +94,7 @@ go:
     addi r5, r4, 1        ; gated until the branch resolves
     halt`)
 	s := MustNewSystem(testConfig(1), mem.New())
-	if err := s.LoadProgram(0, p, gateAllPolicy{}); err != nil {
+	if err := s.LoadProgram(0, p, gateAllPolicy); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(500_000); err != nil {
@@ -125,7 +117,7 @@ loop:
     blt  r1, r2, loop
     halt`)
 	s := MustNewSystem(testConfig(1), mem.New())
-	if err := s.LoadProgram(0, p, nil); err != nil {
+	if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	// Outcomes: taken ×4, then not-taken.
@@ -144,10 +136,10 @@ loop:
 func TestPausedCoreMakesNoProgress(t *testing.T) {
 	p := asm.MustAssemble("movi r1, 1\nhalt")
 	s := MustNewSystem(testConfig(2), mem.New())
-	if err := s.LoadProgram(0, p, nil); err != nil {
+	if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LoadProgram(1, p, nil); err != nil {
+	if err := s.LoadProgram(1, p, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	s.Core(0).SetPaused(true)
@@ -169,7 +161,7 @@ func TestPausedCoreMakesNoProgress(t *testing.T) {
 func TestRunUntilCoreHaltsTimeout(t *testing.T) {
 	p := asm.MustAssemble("spin: jmp spin\nhalt")
 	s := MustNewSystem(testConfig(1), mem.New())
-	if err := s.LoadProgram(0, p, nil); err != nil {
+	if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.RunUntilCoreHalts(0, 500); err == nil {
@@ -231,7 +223,7 @@ skip:
 	_ = p
 	s := MustNewSystem(testConfig(1), mem.New())
 	warmCode(s, 0, p2)
-	if err := s.LoadProgram(0, p2, nil); err != nil {
+	if err := s.LoadProgram(0, p2, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(500_000); err != nil {
@@ -248,12 +240,7 @@ skip:
 // Differential property: every scheme (and defense) preserves architectural
 // semantics on random programs — the strongest transparency guarantee.
 func TestSchemesDifferentialOnRandomPrograms(t *testing.T) {
-	policies := []func() SpecPolicy{
-		func() SpecPolicy { return delayAllPolicy{} },
-		func() SpecPolicy { return invisibleExposePolicy{} },
-		func() SpecPolicy { return gateAllPolicy{} },
-	}
-	for pi, mk := range policies {
+	for _, pol := range []SpecPolicy{delayAllPolicy, invisibleExposePolicy, gateAllPolicy} {
 		for seed := uint64(200); seed < 206; seed++ {
 			rng := cache.NewRand(seed)
 			p := genProgram(rng)
@@ -263,16 +250,16 @@ func TestSchemesDifferentialOnRandomPrograms(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := MustNewSystem(testConfig(1), mem.New())
-			if err := s.LoadProgram(0, p, mk()); err != nil {
+			if err := s.LoadProgram(0, p, pol); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Run(5_000_000); err != nil {
-				t.Fatalf("policy %d seed %d: %v", pi, seed, err)
+				t.Fatalf("policy %s seed %d: %v", pol.Name, seed, err)
 			}
 			for r := isa.Reg(0); r < isa.NumRegs; r++ {
 				if s.Core(0).Reg(r) != want[r] {
-					t.Fatalf("policy %d seed %d: %s = %d, want %d\n%s",
-						pi, seed, r, s.Core(0).Reg(r), want[r], p)
+					t.Fatalf("policy %s seed %d: %s = %d, want %d\n%s",
+						pol.Name, seed, r, s.Core(0).Reg(r), want[r], p)
 				}
 			}
 		}

@@ -13,10 +13,7 @@ import (
 // gateFuturisticPolicy gates issue on the Futuristic shadow, as the
 // fence-futuristic defense does: nothing issues before every older
 // instruction has completed.
-type gateFuturisticPolicy struct{ Unprotected }
-
-func (gateFuturisticPolicy) Shadow() ShadowModel     { return ShadowFuturistic }
-func (gateFuturisticPolicy) CanIssue(safe bool) bool { return safe }
+var gateFuturisticPolicy = SpecPolicy{Name: "gate-futuristic", Shadow: ShadowFuturistic, IssueOnlySafe: true}
 
 // checkReadyLists fails unless every rsReady list holds exactly the RS
 // entries of its class whose operands are all ready, each once. It
@@ -59,7 +56,7 @@ func TestReadyListInvariant(t *testing.T) {
 		{"hold-rs", func(c *Config) { c.HoldRSUntilSafe = true }},
 		{"hold-rs+age-arb", func(c *Config) { c.HoldRSUntilSafe = true; c.AgePriorityArb = true }},
 	}
-	policies := []SpecPolicy{Unprotected{}, gateAllPolicy{}, gateFuturisticPolicy{}, trueStallPolicy{}}
+	policies := []SpecPolicy{{Name: "unprotected"}, gateAllPolicy, gateFuturisticPolicy, stallFetchPolicy}
 	type prog struct {
 		name string
 		p    *isa.Program
@@ -74,7 +71,7 @@ func TestReadyListInvariant(t *testing.T) {
 	for _, ic := range configs {
 		for _, pol := range policies {
 			for _, pr := range progs {
-				name := fmt.Sprintf("%s/%T/%s", ic.name, pol, pr.name)
+				name := fmt.Sprintf("%s/%s/%s", ic.name, pol.Name, pr.name)
 				cfg := testConfig(1)
 				ic.tweak(&cfg)
 				s := MustNewSystem(cfg, mem.New())

@@ -50,7 +50,7 @@ type runSnapshot struct {
 func snapshotRun(t *testing.T, s *System, p *isa.Program) runSnapshot {
 	t.Helper()
 	warmCode(s, 0, p)
-	if err := s.LoadProgram(0, p, nil); err != nil {
+	if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(200_000); err != nil {

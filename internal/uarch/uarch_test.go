@@ -47,7 +47,7 @@ func runProgram(t *testing.T, src string, setup func(*System)) *Core {
 	if setup != nil {
 		setup(s)
 	}
-	if err := s.LoadProgram(0, p, nil); err != nil {
+	if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(200_000); err != nil {
@@ -88,7 +88,7 @@ func TestStoreVisibleAfterRetire(t *testing.T) {
     store r2, 0(r1)
     halt`)
 	s := MustNewSystem(testConfig(1), mem.New())
-	if err := s.LoadProgram(0, p, nil); err != nil {
+	if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(100_000); err != nil {
@@ -191,7 +191,7 @@ next:
 	p := asm.MustAssemble(src)
 	s := MustNewSystem(testConfig(1), mem.New())
 	warmCode(s, 0, p)
-	if err := s.LoadProgram(0, p, nil); err != nil {
+	if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(200_000); err != nil {
@@ -250,7 +250,7 @@ func TestAgeOrderedIssuePrefersOlder(t *testing.T) {
 	warmCode(s, 0, p)
 	rec := &captureHook{}
 	s.Core(0).SetTraceHook(rec)
-	if err := s.LoadProgram(0, p, nil); err != nil {
+	if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(100_000); err != nil {
@@ -315,7 +315,7 @@ func TestRSBackPressureStallsFrontend(t *testing.T) {
 	p := b.MustBuild()
 	s := MustNewSystem(cfg, mem.New())
 	warmCode(s, 0, p)
-	if err := s.LoadProgram(0, p, nil); err != nil {
+	if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(100_000); err != nil {
@@ -345,7 +345,7 @@ func TestMSHRLimitSerializesMisses(t *testing.T) {
 		cfg := testConfig(1)
 		cfg.Cache.DMSHRs = mshrs
 		s := MustNewSystem(cfg, mem.New())
-		if err := s.LoadProgram(0, build(), nil); err != nil {
+		if err := s.LoadProgram(0, build(), SpecPolicy{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Run(100_000); err != nil {
@@ -378,7 +378,7 @@ func TestCDBWidthContention(t *testing.T) {
 		s := MustNewSystem(cfg, mem.New())
 		p := build()
 		warmCode(s, 0, p)
-		if err := s.LoadProgram(0, p, nil); err != nil {
+		if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Run(100_000); err != nil {
@@ -454,7 +454,7 @@ func TestVisibleLogOrderFollowsIssueOrder(t *testing.T) {
     load r4, 0(r2)
     halt`)
 	s := MustNewSystem(testConfig(1), mem.New())
-	if err := s.LoadProgram(0, p, nil); err != nil {
+	if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(100_000); err != nil {
@@ -476,7 +476,7 @@ func TestTraceHookRecords(t *testing.T) {
 	s := MustNewSystem(testConfig(1), mem.New())
 	rec := &captureHook{}
 	s.Core(0).SetTraceHook(rec)
-	if err := s.LoadProgram(0, p, nil); err != nil {
+	if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(10_000); err != nil {
@@ -499,10 +499,10 @@ func TestMultiCoreIndependentPrograms(t *testing.T) {
 	s := MustNewSystem(testConfig(2), mem.New())
 	p0 := asm.MustAssemble("movi r1, 10\nmuli r2, r1, 3\nhalt")
 	p1 := asm.MustAssemble("movi r1, 7\naddi r2, r1, 1\nhalt")
-	if err := s.LoadProgram(0, p0, nil); err != nil {
+	if err := s.LoadProgram(0, p0, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LoadProgram(1, p1, nil); err != nil {
+	if err := s.LoadProgram(1, p1, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(10_000); err != nil {
@@ -518,7 +518,7 @@ func TestCrossCoreLLCSharing(t *testing.T) {
 	// Core 0 warms a line; core 1's load should then hit the LLC (fast),
 	// versus a cold line (slow).
 	warm := asm.MustAssemble("movi r1, 8192\nload r2, 0(r1)\nhalt")
-	if err := s.LoadProgram(0, warm, nil); err != nil {
+	if err := s.LoadProgram(0, warm, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(10_000); err != nil {
@@ -535,7 +535,7 @@ func TestCrossCoreLLCSharing(t *testing.T) {
     fence
     rdcycle r7
     halt`)
-	if err := s.LoadProgram(1, probe, nil); err != nil {
+	if err := s.LoadProgram(1, probe, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(100_000); err != nil {
@@ -608,7 +608,7 @@ func TestNewSystemErrors(t *testing.T) {
 func TestRunTimeout(t *testing.T) {
 	p := asm.MustAssemble("spin: jmp spin\nhalt")
 	s := MustNewSystem(testConfig(1), mem.New())
-	if err := s.LoadProgram(0, p, nil); err != nil {
+	if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(1000); err == nil {
@@ -751,7 +751,7 @@ func TestDifferentialAgainstEmulator(t *testing.T) {
 
 		pipeMem := mem.New()
 		s := MustNewSystem(testConfig(1), pipeMem)
-		if err := s.LoadProgram(0, p, nil); err != nil {
+		if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if err := s.Run(2_000_000); err != nil {
@@ -798,7 +798,7 @@ func TestDifferentialWithDefenses(t *testing.T) {
 			cfg := testConfig(1)
 			knob(&cfg)
 			s := MustNewSystem(cfg, mem.New())
-			if err := s.LoadProgram(0, p, nil); err != nil {
+			if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Run(2_000_000); err != nil {

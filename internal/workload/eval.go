@@ -182,12 +182,9 @@ func runOnce(w Workload, policyName string, cfg EvalConfig) (int64, float64, err
 	defer evalSysPool.Put(es)
 	sys := es.sys
 	setup(sys.Memory())
-	var policy uarch.SpecPolicy
-	if policyName != "unsafe" {
-		policy, err = schemes.ByName(policyName)
-		if err != nil {
-			return 0, 0, err
-		}
+	policy, err := schemes.ByName(policyName)
+	if err != nil {
+		return 0, 0, err
 	}
 	// Warm the code so the comparison measures pipeline policy, not cold
 	// instruction misses.

@@ -30,7 +30,10 @@ type (
 	System = uarch.System
 	// Core is one out-of-order core.
 	Core = uarch.Core
-	// SpecPolicy is an invisible-speculation scheme or defense.
+	// SpecPolicy is an invisible-speculation scheme or defense as a plain
+	// comparable value (Scheme returns the named ones; the zero value is
+	// the unprotected baseline). One value may serve any number of
+	// machines: scheme state such as MuonTrap's filter lives in the core.
 	SpecPolicy = uarch.SpecPolicy
 	// CacheConfig configures the memory hierarchy.
 	CacheConfig = cache.Config
@@ -126,10 +129,11 @@ func Emulate(p *Program, m *Memory) (*emu.Result, error) {
 	return emu.New(p, m).Run()
 }
 
-// Scheme constructs an invisible-speculation scheme or defense by name:
+// Scheme returns an invisible-speculation scheme or defense by name:
 // unsafe, dom, dom-tso, invisispec-spectre, invisispec-futuristic,
-// safespec-wfb, safespec-wfc, muontrap, condspec, fence-spectre,
-// fence-futuristic, fence-spectre-ideal, fence-futuristic-ideal.
+// safespec-wfb, safespec-wfc, muontrap, condspec, cleanupspec,
+// fence-spectre, fence-futuristic, fence-spectre-ideal,
+// fence-futuristic-ideal.
 func Scheme(name string) (SpecPolicy, error) { return schemes.ByName(name) }
 
 // SchemeNames lists every name Scheme accepts.
@@ -166,8 +170,8 @@ func ICacheFigure11() *PoC { return channel.ICacheFigure11() }
 type (
 	// LeakVerdict is the detector's decision plus the decisive mechanism.
 	LeakVerdict = detect.Verdict
-	// LeakReport is one self-composed analysis: policy facts and the
-	// per-branch paired speculative windows.
+	// LeakReport is one self-composed analysis: the analysed policy and
+	// the per-branch paired speculative windows.
 	LeakReport = detect.Report
 	// LeakEnv is the initial abstract state for one secret value.
 	LeakEnv = detect.Env

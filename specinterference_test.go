@@ -21,7 +21,7 @@ func TestFacadeAssembleAndRun(t *testing.T) {
 	if m == nil {
 		t.Fatal("nil memory")
 	}
-	if err := sys.LoadProgram(0, prog, nil); err != nil {
+	if err := sys.LoadProgram(0, prog, si.SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Run(100_000); err != nil {
@@ -58,8 +58,8 @@ func TestFacadeSchemes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Name() != n {
-			t.Errorf("Scheme(%q).Name() = %q", n, p.Name())
+		if p.Name != n {
+			t.Errorf("Scheme(%q).Name = %q", n, p.Name)
 		}
 	}
 	if _, err := si.Scheme("bogus"); err == nil {
@@ -163,7 +163,7 @@ func TestFacadeTimeline(t *testing.T) {
 	}
 	rec := si.NewTraceRecorder()
 	sys.Core(0).SetTraceHook(rec)
-	if err := sys.LoadProgram(0, prog, nil); err != nil {
+	if err := sys.LoadProgram(0, prog, si.SpecPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Run(100_000); err != nil {

@@ -65,7 +65,7 @@ func runWorkload(t *testing.T, w workload.Workload, iters int, cfg uarch.Config,
 // Retired means a "performance" change altered simulated behavior, which
 // the bit-identical-timing contract forbids.
 func TestTimingDeterminismCanary(t *testing.T) {
-	st := runKernel(t, "mixed", nil, true)
+	st := runKernel(t, "mixed", uarch.SpecPolicy{}, true)
 	if st.Cycles != mixedKernelCycles {
 		t.Errorf("mixed kernel simulated %d cycles, committed trajectory says %d", st.Cycles, mixedKernelCycles)
 	}
@@ -82,8 +82,8 @@ func TestTimingDeterminismCanary(t *testing.T) {
 func TestFastForwardEquivalence(t *testing.T) {
 	kernels := []string{"pointer_chase", "stream", "compute", "branchy", "hash", "mixed"}
 	for _, k := range kernels {
-		ff := runKernel(t, k, nil, true)
-		slow := runKernel(t, k, nil, false)
+		ff := runKernel(t, k, uarch.SpecPolicy{}, true)
+		slow := runKernel(t, k, uarch.SpecPolicy{}, false)
 		if ff != slow {
 			t.Errorf("%s: stats diverge with fast-forward:\n  on:  %+v\n  off: %+v", k, ff, slow)
 		}
