@@ -1,8 +1,9 @@
 // Benchmarks that regenerate every table and figure of the paper's
-// evaluation, plus ablations of the design choices DESIGN.md calls out.
-// Shape metrics (separations, error rates, slowdowns) are reported through
-// b.ReportMetric so `go test -bench` output doubles as the experiment log;
-// EXPERIMENTS.md records the paper-versus-measured comparison.
+// evaluation, plus ablations of the microarchitectural choices the attacks
+// depend on (issue order, CDB width, MSHR count, LLC replacement, the §5.4
+// defense rules). Shape metrics (separations, error rates, slowdowns) are
+// reported through b.ReportMetric so `go test -bench` output doubles as
+// the experiment log.
 //
 // Every benchmark here feeds the committed perf trajectory (BENCH_*.json,
 // see internal/bench): seeds are fixed constants — never derived from the
@@ -21,6 +22,7 @@ import (
 
 	"specinterference/internal/cache"
 	"specinterference/internal/core"
+	"specinterference/internal/detect"
 	"specinterference/internal/experiment"
 	"specinterference/internal/mem"
 	"specinterference/internal/results"
@@ -84,6 +86,41 @@ func BenchmarkTable1Matrix(b *testing.B) {
 	}
 	b.ReportMetric(float64(match), "cells-matching-paper")
 	b.ReportMetric(float64(len(rec.Table1.Cells)), "cells-total")
+}
+
+// BenchmarkDetectCellVerdicts runs the static leak detector over all 98
+// Table 1 cells in core.MatrixShard order, the detector half of the
+// concordance record, and reports how many verdicts agree with the paper.
+// The detector is deterministic, so every pass returns the same verdicts.
+// GOMAXPROCS is pinned to 1 as in benchEngine.
+func BenchmarkDetectCellVerdicts(b *testing.B) {
+	names := schemes.Names()
+	expected := core.ExpectedTable1()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pass := func() (match int) {
+		for _, combo := range core.Combos() {
+			g, ord := combo[0].(core.Gadget), combo[1].(core.Ordering)
+			row := expected[g.String()+"|"+ord.String()]
+			for _, name := range names {
+				v, err := detect.CellVerdict(name, g, ord)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if v.Leak == row[name] {
+					match++
+				}
+			}
+		}
+		return match
+	}
+	match := pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(match), "verdicts-matching-paper")
 }
 
 // BenchmarkFigure7InterferenceHistogram regenerates the contention
@@ -272,7 +309,7 @@ func BenchmarkSystemResetAfterTrial(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) -----------------------------------------------
+// --- Ablations ---------------------------------------------------------------
 
 // npeuDelay returns the secret-dependent delay on load A for a config
 // tweak: the magnitude of the interference channel.

@@ -13,7 +13,7 @@
 //	benchstore list  [-dir DIR]
 //
 // check runs the fixed-seed suite (`go test -run '^$' -bench RE
-// -benchtime 1x -benchmem`), parses it, and diffs every benchmark
+// -benchtime 3x -benchmem`), parses it, and diffs every benchmark
 // against its committed baseline: allocs/op and B/op exact for the
 // steady-state hot-path benchmarks (the alloc-free trial-loop contract),
 // ratio-banded elsewhere; ns/op inside a generous band (machines vary —

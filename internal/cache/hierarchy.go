@@ -131,6 +131,39 @@ func DefaultConfig(cores int) Config {
 	}
 }
 
+// EvictionSet returns n distinct line addresses that map to the same LLC
+// set and slice as target under c, excluding target's own line and every
+// line in avoid. Candidates are scanned upward from startHint (line-aligned).
+// This is the simulator analog of the eviction-set construction the PoCs
+// borrow from Liu et al. (§4.1): the attacker knows the geometry.
+func (c Config) EvictionSet(target int64, n int, startHint int64, avoid []int64) []int64 {
+	// The exclusion check is a linear scan over the (tiny) avoid list
+	// rather than a per-call map: this runs in trial setup for every cell
+	// of the campaign matrix, and the map allocation dominated its cost.
+	excluded := func(cand int64) bool {
+		if cand == mem.LineAddr(target) {
+			return true
+		}
+		for _, a := range avoid {
+			if cand == mem.LineAddr(a) {
+				return true
+			}
+		}
+		return false
+	}
+	wantSet := mem.SetIndex(target, c.LLC.Sets)
+	wantSlice := mem.SliceIndex(target, c.LLCSlices)
+	var out []int64
+	for cand := mem.LineAddr(startHint); len(out) < n; cand += mem.LineBytes {
+		if mem.SetIndex(cand, c.LLC.Sets) == wantSet &&
+			mem.SliceIndex(cand, c.LLCSlices) == wantSlice &&
+			!excluded(cand) {
+			out = append(out, cand)
+		}
+	}
+	return out
+}
+
 // Response reports where an access was served and when its data is ready.
 type Response struct {
 	Level Level
@@ -417,37 +450,4 @@ func (h *Hierarchy) WarmInst(core int, addr int64, level Level) {
 		return
 	}
 	h.l1i[core].Fill(addr)
-}
-
-// FindEvictionSet returns n distinct line addresses that map to the same
-// LLC set and slice as target, excluding target's own line and every line
-// in avoid. Candidates are scanned upward from startHint (line-aligned).
-// This is the simulator analog of the eviction-set construction the PoCs
-// borrow from Liu et al. (§4.1): the attacker knows the geometry.
-func (h *Hierarchy) FindEvictionSet(target int64, n int, startHint int64, avoid []int64) []int64 {
-	// The exclusion check is a linear scan over the (tiny) avoid list
-	// rather than a per-call map: this runs in trial setup for every cell
-	// of the campaign matrix, and the map allocation dominated its cost.
-	excluded := func(cand int64) bool {
-		if cand == mem.LineAddr(target) {
-			return true
-		}
-		for _, a := range avoid {
-			if cand == mem.LineAddr(a) {
-				return true
-			}
-		}
-		return false
-	}
-	wantSet := mem.SetIndex(target, h.cfg.LLC.Sets)
-	wantSlice := mem.SliceIndex(target, h.cfg.LLCSlices)
-	var out []int64
-	for cand := mem.LineAddr(startHint); len(out) < n; cand += mem.LineBytes {
-		if mem.SetIndex(cand, h.cfg.LLC.Sets) == wantSet &&
-			mem.SliceIndex(cand, h.cfg.LLCSlices) == wantSlice &&
-			!excluded(cand) {
-			out = append(out, cand)
-		}
-	}
-	return out
 }

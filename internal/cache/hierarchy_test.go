@@ -243,7 +243,7 @@ func TestFindEvictionSet(t *testing.T) {
 	h := NewHierarchy(cfg)
 	target := int64(0x9000)
 	avoid := []int64{0xa000}
-	ev := h.FindEvictionSet(target, 8, 0x100000, avoid)
+	ev := cfg.EvictionSet(target, 8, 0x100000, avoid)
 	if len(ev) != 8 {
 		t.Fatalf("got %d addresses", len(ev))
 	}

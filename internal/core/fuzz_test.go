@@ -155,12 +155,7 @@ func encodeSeedInst(in isa.Inst) []byte {
 // from the instruction mixes the experiments actually run.
 func fuzzSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
-	cfg := AttackConfig()
-	sys, err := uarch.NewSystem(cfg, mem.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := DefaultLayout(sys.Hierarchy())
+	l := DefaultLayout(AttackConfig().Cache)
 	p := DefaultVictimParams()
 	seeds := map[string][]byte{}
 	for _, gc := range []struct {

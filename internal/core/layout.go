@@ -89,12 +89,12 @@ const (
 	RegZero  = isa.R8 // always 0
 )
 
-// DefaultLayout returns the address map used by the PoCs, built against h's
-// geometry. Offsets are chosen so that the attacked LLC set (AAddr's set)
-// contains nothing but A, B and the receiver's eviction sets: victim and
-// attacker code lines land in low sets, each data line in its own low set,
-// and AAddr sits in set 100 of a 1024-set LLC.
-func DefaultLayout(h *cache.Hierarchy) Layout {
+// DefaultLayout returns the address map used by the PoCs on a hierarchy
+// built from cfg. Offsets are chosen so that the attacked LLC set (AAddr's
+// set) contains nothing but A, B and the receiver's eviction sets: victim
+// and attacker code lines land in low sets, each data line in its own low
+// set, and AAddr sits in set 100 of a 1024-set LLC.
+func DefaultLayout(cfg cache.Config) Layout {
 	l := Layout{
 		NAddr:   0x0100_0000 + 1*64,
 		ZAddr:   0x0110_0000 + 2*64,
@@ -107,8 +107,8 @@ func DefaultLayout(h *cache.Hierarchy) Layout {
 	// B and the MSHR gadget's k=0 line (the coalescing reference) must
 	// conflict with A in the LLC set and slice so the QLRU receiver can
 	// read the access order from one set's replacement state.
-	l.GadgetBase = h.FindEvictionSet(l.AAddr, 1, 0x0150_0000, nil)[0]
-	l.BAddr = h.FindEvictionSet(l.AAddr, 1, 0x0160_0000, nil)[0]
+	l.GadgetBase = cfg.EvictionSet(l.AAddr, 1, 0x0150_0000, nil)[0]
+	l.BAddr = cfg.EvictionSet(l.AAddr, 1, 0x0160_0000, nil)[0]
 	return l
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"specinterference/internal/cache"
-)
+import "testing"
 
 func TestDCachePoCEndToEnd(t *testing.T) {
 	// Figure 9's full flow, deterministic: both bit values must decode
@@ -137,13 +133,13 @@ func TestPoCKindString(t *testing.T) {
 }
 
 func TestQLRUReceiverConstruction(t *testing.T) {
-	h := cache.NewHierarchy(AttackConfig().Cache)
-	l := DefaultLayout(h)
-	r, err := NewQLRUReceiver(h, l)
+	cfg := AttackConfig().Cache
+	l := DefaultLayout(cfg)
+	r, err := NewQLRUReceiver(cfg, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ways := AttackConfig().Cache.LLC.Ways
+	ways := cfg.LLC.Ways
 	if len(r.EVS1) != ways-1 || len(r.EVS2) != ways-1 {
 		t.Fatalf("eviction set sizes %d/%d, want %d", len(r.EVS1), len(r.EVS2), ways-1)
 	}

@@ -44,12 +44,12 @@ type QLRUReceiver struct {
 	PrimeRounds int
 }
 
-// NewQLRUReceiver constructs eviction sets for the layout's A/B pair
-// against h's geometry.
-func NewQLRUReceiver(h *cache.Hierarchy, l Layout) (*QLRUReceiver, error) {
-	ways := h.Config().LLC.Ways
+// NewQLRUReceiver constructs eviction sets for the layout's A/B pair on a
+// hierarchy built from cfg.
+func NewQLRUReceiver(cfg cache.Config, l Layout) (*QLRUReceiver, error) {
+	ways := cfg.LLC.Ways
 	need := 2 * (ways - 1)
-	evs := h.FindEvictionSet(l.AAddr, need, 0x0180_0000, []int64{l.BAddr, l.GadgetBase})
+	evs := cfg.EvictionSet(l.AAddr, need, 0x0180_0000, []int64{l.BAddr, l.GadgetBase})
 	if len(evs) != need {
 		return nil, fmt.Errorf("core: found %d eviction lines, need %d", len(evs), need)
 	}

@@ -190,8 +190,7 @@ func NewAttackSystem(spec TrialSpec) (*uarch.System, Layout, *Victim, error) {
 	if err != nil {
 		return nil, Layout{}, nil, err
 	}
-	h := sys.Hierarchy()
-	l := DefaultLayout(h)
+	l := DefaultLayout(cfg.Cache)
 	v, err := cachedVictim(spec.Gadget, spec.Ordering, l, spec.params())
 	if err != nil {
 		return nil, Layout{}, nil, err

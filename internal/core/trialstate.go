@@ -110,7 +110,7 @@ func (ts *TrialState) attackSystem(spec TrialSpec) (*uarch.System, Layout, *Vict
 		// The layout is pure address arithmetic over the geometry, which
 		// is shape-independent, so it survives shape changes; computing it
 		// here keeps the no-system and new-shape paths identical.
-		ts.layout = DefaultLayout(sys.Hierarchy())
+		ts.layout = DefaultLayout(cfg.Cache)
 	}
 	v, err := ts.victim(spec)
 	if err != nil {
@@ -214,7 +214,7 @@ func (ts *TrialState) receiver(h *cache.Hierarchy, l Layout, kind PoCKind, tweak
 	if !tweaked && ts.recvOK && ts.recvKind == kind {
 		return ts.recv, ts.prime, ts.probe, nil
 	}
-	recv, err := NewQLRUReceiver(h, l)
+	recv, err := NewQLRUReceiver(h.Config(), l)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"specinterference/internal/cache"
 	"specinterference/internal/schemes"
 	"specinterference/internal/uarch"
 )
@@ -243,8 +242,7 @@ func TestTrialLoopAllocFree(t *testing.T) {
 // lookup still returns a well-formed victim and stats stay coherent.
 func TestVictimCacheResetRaceFree(t *testing.T) {
 	defer resetVictimCache()
-	h := cache.NewHierarchy(AttackConfig().Cache)
-	l := DefaultLayout(h)
+	l := DefaultLayout(AttackConfig().Cache)
 	params := DefaultVictimParams()
 
 	var wg sync.WaitGroup

@@ -3,21 +3,13 @@ package core
 import (
 	"testing"
 
-	"specinterference/internal/cache"
 	"specinterference/internal/isa"
 	"specinterference/internal/mem"
 )
 
-func testLayout(t *testing.T) Layout {
-	t.Helper()
-	h := cache.NewHierarchy(AttackConfig().Cache)
-	return DefaultLayout(h)
-}
-
 func TestDefaultLayoutConflicts(t *testing.T) {
 	cfg := AttackConfig().Cache
-	h := cache.NewHierarchy(cfg)
-	l := DefaultLayout(h)
+	l := DefaultLayout(cfg)
 	set := func(a int64) int { return mem.SetIndex(a, cfg.LLC.Sets) }
 	slice := func(a int64) int { return mem.SliceIndex(a, cfg.LLCSlices) }
 	if set(l.BAddr) != set(l.AAddr) || slice(l.BAddr) != slice(l.AAddr) {
@@ -46,7 +38,7 @@ func TestDefaultLayoutConflicts(t *testing.T) {
 }
 
 func TestBuildVictimAllCombos(t *testing.T) {
-	l := testLayout(t)
+	l := DefaultLayout(AttackConfig().Cache)
 	p := DefaultVictimParams()
 	for _, combo := range Combos() {
 		g := combo[0].(Gadget)
@@ -78,7 +70,7 @@ func TestBuildVictimAllCombos(t *testing.T) {
 }
 
 func TestGIRSRejectsDataOrderings(t *testing.T) {
-	l := testLayout(t)
+	l := DefaultLayout(AttackConfig().Cache)
 	for _, ord := range []Ordering{OrderVDVD, OrderVDAD} {
 		if _, err := BuildVictim(GadgetRS, ord, l, DefaultVictimParams()); err == nil {
 			t.Errorf("GIRS with %s should be rejected (Table 1 has no such cell)", ord)
@@ -90,7 +82,7 @@ func TestGIRSTargetLineIsolated(t *testing.T) {
 	// The target function line must not be shared with the correct-path
 	// done block (otherwise the correct path refetches it and the channel
 	// closes).
-	l := testLayout(t)
+	l := DefaultLayout(AttackConfig().Cache)
 	v, err := BuildVictim(GadgetRS, OrderVIAD, l, DefaultVictimParams())
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +98,7 @@ func TestGIRSTargetLineIsolated(t *testing.T) {
 }
 
 func TestVictimParamsRespected(t *testing.T) {
-	l := testLayout(t)
+	l := DefaultLayout(AttackConfig().Cache)
 	p := DefaultVictimParams()
 	p.GadgetSqrts = 7
 	v, err := BuildVictim(GadgetNPEU, OrderVDVD, l, p)

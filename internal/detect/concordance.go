@@ -3,7 +3,6 @@ package detect
 import (
 	"fmt"
 
-	"specinterference/internal/cache"
 	"specinterference/internal/core"
 	"specinterference/internal/schemes"
 	"specinterference/internal/uarch"
@@ -18,23 +17,25 @@ func CellVerdict(schemeName string, g core.Gadget, ord core.Ordering) (Verdict, 
 	if err != nil {
 		return Verdict{}, err
 	}
-	h := cache.NewHierarchy(core.AttackConfig().Cache)
-	l := core.DefaultLayout(h)
+	fail := func(err error) (Verdict, error) {
+		return Verdict{}, fmt.Errorf("detect: %s/%s/%s: %w", schemeName, g, ord, err)
+	}
+	l := core.DefaultLayout(core.AttackConfig().Cache)
 	v, err := core.BuildVictim(g, ord, l, core.DefaultVictimParams())
 	if err != nil {
-		return Verdict{}, err
+		return fail(err)
 	}
 	var envs [2]Env
 	for s := 0; s < 2; s++ {
 		plan, err := v.PrimePlan(s)
 		if err != nil {
-			return Verdict{}, err
+			return fail(err)
 		}
 		envs[s] = EnvFromPlan(plan)
 	}
 	rep, err := Analyze(v.Prog, policy, envs, DefaultParams())
 	if err != nil {
-		return Verdict{}, fmt.Errorf("detect: %s/%s/%s: %w", schemeName, g, ord, err)
+		return fail(err)
 	}
 	if rep.ArchDiff {
 		// The Table 1 victims are constant-time on the correct path by

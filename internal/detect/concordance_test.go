@@ -15,6 +15,10 @@ import (
 // ordering the matrix runs, and that verdict must equal the committed
 // Table 1 expectation for the cell. This checks the static analysis
 // against the paper's ground truth without running the simulator.
+//
+// Each verdict must also stay below 1,000 allocations. A verdict needs
+// about a hundred; building a cache hierarchy alone costs over 11,000, so
+// the bound fails if the detector starts building simulator state per cell.
 func TestCellVerdictAllCells(t *testing.T) {
 	expected := core.ExpectedTable1()
 	for _, combo := range core.Combos() {
@@ -32,6 +36,13 @@ func TestCellVerdictAllCells(t *testing.T) {
 			}
 			if v.Mechanism == "" {
 				t.Errorf("%s/%s/%s: verdict without mechanism", name, g, ord)
+			}
+			if raceDetectorEnabled {
+				continue
+			}
+			allocs := testing.AllocsPerRun(1, func() { CellVerdict(name, g, ord) })
+			if allocs >= 1000 {
+				t.Errorf("%s/%s/%s: %v allocs per verdict, want < 1000", name, g, ord, allocs)
 			}
 		}
 	}

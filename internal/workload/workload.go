@@ -1,8 +1,8 @@
 // Package workload provides the synthetic SPEC-like kernels used to
-// evaluate defense overhead (the paper's Figure 12 runs SPEC CPU2017 on
-// gem5; see DESIGN.md for the substitution argument). Each kernel stresses
-// a different pipeline bottleneck so the fence defenses' cost spreads the
-// way the paper's per-benchmark bars do:
+// evaluate defense overhead. They stand in for the SPEC CPU2017 runs on
+// gem5 behind the paper's Figure 12: each kernel stresses a different
+// pipeline bottleneck, which is what a fence defense's cost depends on,
+// so the defenses' cost spreads the way the paper's per-benchmark bars do:
 //
 //	pointer_chase — dependent-load latency (mcf-like)
 //	stream        — sequential loads/stores (lbm-like)

@@ -217,3 +217,15 @@ func TestFacadeAttackConfig(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFacadeDetectLeakErrorNamesCell checks that an error from building
+// the cell's victim names the cell, as the detector's own errors do.
+func TestFacadeDetectLeakErrorNamesCell(t *testing.T) {
+	_, err := si.DetectLeak("dom", si.GadgetRS, si.OrderVDVD)
+	if err == nil {
+		t.Fatal("DetectLeak accepted G_RS under VD-VD")
+	}
+	if !strings.Contains(err.Error(), "dom/G_RS/VD-VD/VI") {
+		t.Errorf("error %q does not name the cell dom/G_RS/VD-VD/VI", err)
+	}
+}
