@@ -74,17 +74,3 @@ func main() {}
 		}
 	}
 }
-
-// TestSpeclintVetProtocol covers the vettool handshake flags.
-func TestSpeclintVetProtocol(t *testing.T) {
-	// go vet derives its cache key from the buildID field, so the line
-	// must carry one; the leading token is the tool path.
-	stdout := cmdtest.Run(t, "", "-V=full")
-	if !strings.Contains(stdout, " version devel ") || !strings.Contains(stdout, "buildID=") {
-		t.Fatalf("-V=full printed %q, want a 'version devel ... buildID=' line", stdout)
-	}
-	stdout = cmdtest.Run(t, "", "-flags")
-	if strings.TrimSpace(stdout) != "[]" {
-		t.Fatalf("-flags printed %q, want []", stdout)
-	}
-}

@@ -71,20 +71,18 @@
 //     deduplicated by shard index with a byte-equality assertion that
 //     turns any determinism violation into a hard run failure, while a
 //     stale straggler's error line for a shard someone else already
-//     completed is ignored. Scheduling is self-tuning: without a pinned
-//     -chunk, grant sizes track observed per-shard cost (one chunk per
-//     quarter TTL, within [1, n/8]) scaled by each worker's throughput
-//     relative to the fleet, and re-issue deadlines tighten to each
-//     worker's observed renew cadence instead of the static TTL cliff.
-//     When the queue drains with grants still in flight, idle workers
-//     are handed speculative backup copies of the oldest straggler's
-//     undone remainder (never to the span's own holder, at most one
-//     live backup per span) — the dedup picks whichever copy lands
-//     first, so a slow-but-renewing machine gates the tail at
-//     min(primary, backup) instead of its own pace; GET /stats and an
-//     end-of-run summary expose the backup counters and per-worker
-//     throughput. Every request carries a per-run random token and results
-//     are validated against the span their lease granted, so cross-run
+//     completed is ignored. Without a pinned -chunk, grant sizes track
+//     observed per-shard cost (one chunk per quarter TTL, within
+//     [1, n/8]). When the queue drains with grants still in flight,
+//     idle workers are handed speculative backup copies of the oldest
+//     straggler's undone remainder (never to the span's own holder, at
+//     most one live backup per span) — the dedup picks whichever copy
+//     lands first, so a slow-but-renewing machine gates the tail at
+//     min(primary, backup) instead of its own pace, and a crashed
+//     worker's chunk is taken over as soon as another worker idles;
+//     GET /stats and an end-of-run summary expose the backup counters.
+//     Every request carries a per-run random token and results are
+//     validated against the span their lease granted, so cross-run
 //     confusion and over-reaching workers are rejected (410/400). With
 //     -journal DIR the coordinator appends every accepted shard result
 //     to DIR/<experiment>.jsonl and, restarted against the same

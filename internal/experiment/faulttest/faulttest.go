@@ -86,7 +86,8 @@ func (s *Shim) Lease(worker string) (remote.Lease, error) {
 }
 
 // Stats fetches the coordinator's GET /stats snapshot — run progress,
-// the speculative-backup counters and per-worker throughput estimates.
+// the speculative-backup counters, the /results traffic and the cost
+// estimate.
 func (s *Shim) Stats() (remote.Stats, error) {
 	resp, err := s.client().Get(s.Base + "/stats")
 	if err != nil {

@@ -297,16 +297,15 @@ func resultBody(t *testing.T, p results.Params, l Lease, shards ...int) []byte {
 // TestBatchedProgressEstimate pins the progress fold under batching: a
 // body of k lines is one observation of k shards in the time since the
 // lease's previous body. Bodies of k lines dt apart must give the same
-// cost and throughput estimates as single-line bodies dt/k apart, and
-// the first body under a lease — whatever its size — only anchors.
+// cost estimate as single-line bodies dt/k apart, and the first body
+// under a lease — whatever its size — only anchors.
 func TestBatchedProgressEstimate(t *testing.T) {
 	const k, dt = 4, 40 * time.Millisecond
 	p := results.Params{Trials: 64, Seed: 2}
-	estimates := func(coord *Coordinator, worker string) (time.Duration, float64, bool) {
+	costEWMA := func(coord *Coordinator) time.Duration {
 		coord.mu.Lock()
 		defer coord.mu.Unlock()
-		tp, ok := coord.throughput[worker]
-		return coord.costEWMA, tp, ok
+		return coord.costEWMA
 	}
 
 	clock := &fakeClock{t: time.Unix(8000, 0)}
@@ -316,8 +315,8 @@ func TestBatchedProgressEstimate(t *testing.T) {
 	if status := postBytes(t, url+"/results", resultBody(t, p, l, 0, 1, 2, 3), &ack); status != http.StatusOK || ack.Accepted != k {
 		t.Fatalf("anchor body: status %d ack %+v", status, ack)
 	}
-	if cost, _, seen := estimates(batched, "batcher"); cost != 0 || seen {
-		t.Fatalf("first body fed the estimates (cost %v, throughput seen %v); it must only anchor", cost, seen)
+	if cost := costEWMA(batched); cost != 0 {
+		t.Fatalf("first body fed the cost EWMA (%v); it must only anchor", cost)
 	}
 	for b := 1; b < 4; b++ {
 		clock.Advance(dt)
@@ -325,12 +324,9 @@ func TestBatchedProgressEstimate(t *testing.T) {
 			t.Fatalf("body %d: status %d ack %+v", b, status, ack)
 		}
 	}
-	cost, tp, _ := estimates(batched, "batcher")
+	cost := costEWMA(batched)
 	if cost != dt/k {
 		t.Errorf("batched cost EWMA = %v, want dt/k = %v", cost, dt/k)
-	}
-	if want := float64(k) * float64(time.Second) / float64(dt); tp != want {
-		t.Errorf("batched throughput = %v shards/s, want k/dt = %v", tp, want)
 	}
 
 	clock2 := &fakeClock{t: time.Unix(9000, 0)}
@@ -341,40 +337,11 @@ func TestBatchedProgressEstimate(t *testing.T) {
 		clock2.Advance(dt / k)
 		postShard(t, url2, p, l2.Run, l2.ID, s)
 	}
-	cost2, tp2, _ := estimates(single, "single")
-	if cost2 != cost || tp2 != tp {
-		t.Errorf("single-line bodies dt/k apart: cost %v throughput %v; batched gave %v and %v", cost2, tp2, cost, tp)
+	if cost2 := costEWMA(single); cost2 != cost {
+		t.Errorf("single-line bodies dt/k apart: cost %v; batched gave %v", cost2, cost)
 	}
 	if st := batched.Stats(); st.ResultPosts != 4 || st.ResultLines != 4*k {
 		t.Errorf("stats result posts/lines = %d/%d, want 4/%d", st.ResultPosts, st.ResultLines, 4*k)
-	}
-}
-
-// TestBatchedThroughputJitter: a body that lands just after a delayed
-// one carries several lines over a short interval. Alternating a
-// one-line body 9ms after its predecessor with a three-line body 1ms
-// after it is 4 shards per 10ms — 400/s. The worker's throughput
-// estimate must stay within 2x of that, not chase the 3000/s the short
-// interval reads as on its own.
-func TestBatchedThroughputJitter(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(10000, 0)}
-	p := results.Params{Trials: 64, Seed: 5}
-	coord, url := startCoordinator(t, testSpec(t), p, 64, Config{Chunk: 64, Lease: time.Hour, Now: clock.Now})
-	l := grantLease(t, url, "jittery")
-	postShard(t, url, p, l.Run, l.ID, 0) // anchor
-	next := 1
-	for round := 0; round < 10; round++ {
-		clock.Advance(9 * time.Millisecond)
-		postBytes(t, url+"/results", resultBody(t, p, l, next), nil)
-		clock.Advance(time.Millisecond)
-		postBytes(t, url+"/results", resultBody(t, p, l, next+1, next+2, next+3), nil)
-		next += 4
-		coord.mu.Lock()
-		tp := coord.throughput["jittery"]
-		coord.mu.Unlock()
-		if tp < 200 || tp > 800 {
-			t.Fatalf("round %d: throughput estimate %.0f/s, want within 2x of the true 400/s", round, tp)
-		}
 	}
 }
 
@@ -399,10 +366,10 @@ func TestDuplicatesCountAsProgress(t *testing.T) {
 		t.Fatalf("duplicate body: status %d ack %+v", status, ack)
 	}
 	coord.mu.Lock()
-	tp := coord.throughput["prim"]
+	cost := coord.costEWMA
 	coord.mu.Unlock()
-	if tp != 100 {
-		t.Errorf("throughput after 2 duplicates in 20ms = %v/s, want 100/s", tp)
+	if cost != 10*time.Millisecond {
+		t.Errorf("cost EWMA after 2 duplicates in 20ms = %v, want 10ms", cost)
 	}
 }
 
@@ -413,7 +380,6 @@ func TestRunSummaryResults(t *testing.T) {
 	s := runSummary(Stats{
 		Shards: 3000, BackupsIssued: 1, BackupsWon: 5, BackupsWasted: 7,
 		ResultPosts: 1500, ResultLines: 3007,
-		Workers: []WorkerStats{{Worker: "w1", ThroughputPerSec: 1500}},
 	})
 	const marker = "remote: run complete: "
 	if !strings.HasPrefix(s, marker) {
@@ -424,7 +390,7 @@ func TestRunSummaryResults(t *testing.T) {
 		shards != 3000 || issued != 1 || won != 5 {
 		t.Errorf("prefix parse of %q = %d/%d/%d (%v)", s, shards, issued, won, err)
 	}
-	if want := "; throughput: w1 1500.0/s; results: 3007 lines in 1500 posts"; !strings.HasSuffix(s, want) {
+	if want := "; results: 3007 lines in 1500 posts"; !strings.HasSuffix(s, want) {
 		t.Errorf("summary %q does not end with %q", s, want)
 	}
 }

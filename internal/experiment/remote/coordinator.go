@@ -57,15 +57,7 @@ type leaseState struct {
 	worker  string
 	span    experiment.Span
 	granted time.Time // grant time; backup issue picks the oldest grant
-	expires time.Time // hard re-issue cliff: last renewal + TTL
-	// lastBeat is the last sign of life under this lease (grant, renew
-	// or accepted result); the adaptive re-issue deadline hangs off it.
-	lastBeat time.Time
-	// lastRenew anchors the renew-cadence estimate (initially the grant
-	// time). Kept separate from lastBeat: result arrivals are beats but
-	// not renewals, and folding them in would collapse the cadence to
-	// the inter-result interval and sweep healthy workers mid-chunk.
-	lastRenew time.Time
+	expires time.Time // re-issue deadline: last grant, re-poll or renewal + TTL
 	// lastProgress is the previous accepted result's arrival, for the
 	// per-shard cost estimate. Anchored at the lease's first accepted
 	// result — not the grant — so a worker that fetched a grant and then
@@ -116,16 +108,8 @@ type Coordinator struct {
 	leases   map[string]*leaseState     // outstanding grants; guarded by mu
 	issued   map[string]experiment.Span // guarded by mu
 	byWorker map[string]string          // worker name -> its latest lease id; guarded by mu
-	cadence  map[string]time.Duration   // worker name -> EWMA renew interval; guarded by mu
-	// throughput is each worker's accepted-shards-per-second EWMA,
-	// averaged as per-shard time (see observeProgress); grant sizes scale
-	// with it, so fast machines get proportionally larger adaptive
-	// chunks. byWorker, cadence and throughput entries are
-	// pruned when the worker's last lease is swept, keeping a long-lived
-	// coordinator's maps bounded by the live worker set.
-	throughput map[string]float64 // guarded by mu
-	costEWMA   time.Duration      // observed per-shard completion cost; guarded by mu
-	nextID     int                // guarded by mu
+	costEWMA time.Duration              // observed per-shard completion cost; guarded by mu
+	nextID   int                        // guarded by mu
 	// Backup-execution counters, for the end-of-run summary and /stats:
 	// leases issued speculatively, shards whose first accepted result
 	// arrived under a backup lease, and byte-equal duplicates a backup
@@ -200,16 +184,14 @@ func NewCoordinator(spec *experiment.Spec, p results.Params, n int, cfg Config) 
 		run:   newRunToken(),
 		chunk: chunk, fixed: fixed, maxCh: maxCh, lease: lease,
 		onDone: cfg.OnShardDone, now: now,
-		leases:     map[string]*leaseState{},
-		issued:     map[string]experiment.Span{},
-		byWorker:   map[string]string{},
-		cadence:    map[string]time.Duration{},
-		throughput: map[string]float64{},
-		done:       make([]bool, n),
-		values:     make([]any, n),
-		raw:        make([][]byte, n),
-		remaining:  n,
-		finished:   make(chan struct{}),
+		leases:    map[string]*leaseState{},
+		issued:    map[string]experiment.Span{},
+		byWorker:  map[string]string{},
+		done:      make([]bool, n),
+		values:    make([]any, n),
+		raw:       make([][]byte, n),
+		remaining: n,
+		finished:  make(chan struct{}),
 	}
 	if cfg.Journal != "" {
 		j, replayed, err := openJournal(cfg.Journal, spec, p, n, c.run, c.replayEntry)
@@ -312,30 +294,31 @@ func (c *Coordinator) fail(err error) {
 	close(c.finished)
 }
 
-// sweepExpired reclaims every lease past its re-issue deadline: the
-// contiguous runs of not-yet-done shards inside its span go back in the
-// queue for other workers — this is the crash tolerance and the work
-// stealing in one move. An expired worker's byWorker, cadence and
-// throughput entries go with it, so a long-lived coordinator's maps stay
-// bounded by the live worker set. Expired leases are dropped in grant
-// order, not map-iteration order: the drop order decides where each
-// lease's undone remainder lands in the pending queue, and serving
-// requeued spans oldest-grant-first keeps the schedule reproducible
-// run to run (speclint's nondeterminism analyzer flags the unsorted
-// map-range form). Callers hold mu.
+// sweepExpired reclaims every lease whose expires has passed — the one
+// reclaim rule: a TTL since the lease's grant, re-poll or last renewal.
+// The contiguous runs of not-yet-done shards inside its span go back in
+// the queue for other workers — this is the crash tolerance and the
+// work stealing in one move. An expired worker's byWorker entry goes
+// with it, so a long-lived coordinator's map stays bounded by the live
+// worker set. Expired leases are dropped in grant order, not
+// map-iteration order: the drop order decides where each lease's undone
+// remainder lands in the pending queue, and serving requeued spans
+// oldest-grant-first keeps the schedule reproducible run to run
+// (speclint's nondeterminism analyzer flags the unsorted map-range
+// form). Callers hold mu.
 //
 //speclint:holds mu
 func (c *Coordinator) sweepExpired() {
 	now := c.now()
 	var expired []*leaseState
 	for _, l := range c.leases {
-		if !now.Before(c.reissueDeadline(l)) {
+		if !now.Before(l.expires) {
 			expired = append(expired, l)
 		}
 	}
 	sort.Slice(expired, func(i, j int) bool { return expired[i].seq < expired[j].seq })
 	for _, l := range expired {
-		c.dropLease(l, true)
+		c.dropLease(l)
 	}
 }
 
@@ -348,13 +331,10 @@ func (c *Coordinator) sweepExpired() {
 // in play. When both sides of a pair expire in one sweep, the first one
 // dropped sees its counterpart still live and skips the requeue; the
 // second has been unlinked and requeues — exactly once either way.
-// pruneWorker additionally clears the worker's cadence and throughput
-// estimates (the sweep path: the worker is presumed gone); the
-// abandoned-grant release path keeps them, since that worker is alive
-// and about to be granted more work. Callers hold mu.
+// Callers hold mu.
 //
 //speclint:holds mu
-func (c *Coordinator) dropLease(l *leaseState, pruneWorker bool) {
+func (c *Coordinator) dropLease(l *leaseState) {
 	delete(c.leases, l.id)
 	covered := false
 	if l.backupID != "" {
@@ -376,38 +356,7 @@ func (c *Coordinator) dropLease(l *leaseState, pruneWorker bool) {
 	}
 	if l.worker != "" && c.byWorker[l.worker] == l.id {
 		delete(c.byWorker, l.worker)
-		if pruneWorker {
-			delete(c.cadence, l.worker)
-			delete(c.throughput, l.worker)
-		}
 	}
-}
-
-// reissueDeadline is when an unrenewed lease's work goes back in the
-// queue: the hard TTL cliff, tightened for a worker whose observed
-// renew cadence says it should have checked in well before it — a fast
-// heartbeat that stops is a crash signal worth acting on early. The
-// adaptive deadline is three missed beats past the last sign of life,
-// bounded to [TTL/2, TTL] (the floor keeps a worker renewing at the
-// standard TTL/3 tick safe through several slow beats), and only ever
-// moves re-issue timing, never result acceptance. Callers hold mu.
-//
-//speclint:holds mu
-func (c *Coordinator) reissueDeadline(l *leaseState) time.Time {
-	deadline := l.expires
-	if cad, ok := c.cadence[l.worker]; ok && l.worker != "" {
-		grace := 3 * cad
-		if min := c.lease / 2; grace < min {
-			grace = min
-		}
-		if grace > c.lease {
-			grace = c.lease
-		}
-		if d := l.lastBeat.Add(grace); d.Before(deadline) {
-			deadline = d
-		}
-	}
-	return deadline
 }
 
 // requeueUndone pushes the contiguous not-done sub-spans of sp back onto
@@ -449,66 +398,16 @@ func (c *Coordinator) targetChunk() int {
 	return k
 }
 
-// targetChunkFor is the grant size for one worker: the global adaptive
-// target scaled by the worker's observed throughput relative to the
-// fleet mean, within [1/4, 4]x and the usual [1, n/8] clamp — a machine
-// completing shards four times faster than average gets grants up to
-// four times larger, and a slow one stops being handed TTL-sized chunks
-// it can't finish. Pinned -chunk, unknown workers and single-worker
-// fleets (no peer to compare against) all fall back to the global
-// target. Scheduling only, never values. Callers hold mu.
-//
-//speclint:holds mu
-func (c *Coordinator) targetChunkFor(worker string) int {
-	k := c.targetChunk()
-	if c.fixed || worker == "" || len(c.throughput) < 2 {
-		return k
-	}
-	tp, ok := c.throughput[worker]
-	if !ok || tp <= 0 {
-		return k
-	}
-	var sum float64
-	for _, t := range c.throughput {
-		sum += t
-	}
-	mean := sum / float64(len(c.throughput))
-	if mean <= 0 {
-		return k
-	}
-	f := tp / mean
-	if f < 0.25 {
-		f = 0.25
-	}
-	if f > 4 {
-		f = 4
-	}
-	k = int(float64(k) * f)
-	if k < 1 {
-		k = 1
-	}
-	if k > c.maxCh {
-		k = c.maxCh
-	}
-	return k
-}
-
 // observeProgress folds the k shards a lease completed in one /results
-// body into the adaptive scheduling estimates, as one observation: the
-// interval since the lease's previous body, dt, gives a per-shard cost of
-// dt/k for the global cost EWMA and a rate of k/dt for the worker's
-// throughput EWMA. The observation weighs as k single-line bodies dt/k
-// apart would — k EWMA steps of 1/4 — so a coalesced body's lines, which
-// arrive together, neither read as k-1 free shards nor count as one.
-// Both estimates average per-shard time, not rate: the throughput EWMA
-// is the reciprocal of a per-worker cost EWMA. A body's arrival jitters
-// with its predecessor's — one that lands just after a delayed body
-// carries many lines over a short dt — and averaging rates would let
-// that burst dominate, where averaging times weighs it by the little
-// time it covers. Callers pass only body-to-body intervals — the body
-// that carries a lease's first accepted result merely anchors
-// lastProgress (see leaseState) — and a result from an already-expired
-// lease carries no usable timing. Callers hold mu.
+// body into the cost EWMA, as one observation: the interval since the
+// lease's previous body, dt, gives a per-shard cost of dt/k. The
+// observation weighs as k single-line bodies dt/k apart would — k EWMA
+// steps of 1/4 — so a coalesced body's lines, which arrive together,
+// neither read as k-1 free shards nor count as one. Callers pass only
+// body-to-body intervals — the body that carries a lease's first
+// accepted result merely anchors lastProgress (see leaseState) — and a
+// result from an already-expired lease carries no usable timing.
+// Callers hold mu.
 //
 //speclint:holds mu
 func (c *Coordinator) observeProgress(l *leaseState, k int, now time.Time) {
@@ -517,19 +416,11 @@ func (c *Coordinator) observeProgress(l *leaseState, k int, now time.Time) {
 	if cost < time.Microsecond {
 		cost = time.Microsecond // instantaneous arrivals still mean "cheap"
 	}
-	keep := math.Pow(0.75, float64(k)) // old estimate's weight after k steps
 	if c.costEWMA <= 0 {
 		c.costEWMA = cost
 	} else {
+		keep := math.Pow(0.75, float64(k)) // old estimate's weight after k steps
 		c.costEWMA = cost + time.Duration(keep*float64(c.costEWMA-cost))
-	}
-	if l.worker != "" {
-		rate := float64(time.Second) / float64(cost)
-		if old, ok := c.throughput[l.worker]; ok {
-			c.throughput[l.worker] = 1 / (1/rate + keep*(1/old-1/rate))
-		} else {
-			c.throughput[l.worker] = rate
-		}
 	}
 }
 
@@ -561,8 +452,7 @@ func (c *Coordinator) newLease(worker string, sp experiment.Span, now time.Time)
 	l := &leaseState{
 		id:  fmt.Sprintf("L%d", c.nextID),
 		seq: c.nextID, worker: worker, span: sp,
-		granted: now, expires: now.Add(c.lease),
-		lastBeat: now, lastRenew: now, lastProgress: now,
+		granted: now, expires: now.Add(c.lease), lastProgress: now,
 	}
 	c.leases[l.id] = l
 	c.issued[l.id] = sp
@@ -616,8 +506,8 @@ func (c *Coordinator) grantBackup(worker string, now time.Time) *leaseState {
 }
 
 // Stats snapshots the coordinator's scheduling state: run progress, the
-// live lease and queue shape, the speculative-backup counters, and
-// per-worker throughput/cadence estimates (sorted by worker name).
+// live lease and queue shape, the speculative-backup counters, the
+// /results traffic and the cost EWMA.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -636,21 +526,6 @@ func (c *Coordinator) Stats() Stats {
 			st.BackupLeases++
 		}
 	}
-	seen := map[string]bool{}
-	for w := range c.throughput {
-		seen[w] = true
-	}
-	for w := range c.cadence {
-		seen[w] = true
-	}
-	for w := range seen {
-		ws := WorkerStats{Worker: w, ThroughputPerSec: c.throughput[w]}
-		if cad, ok := c.cadence[w]; ok {
-			ws.CadenceMillis = cad.Milliseconds()
-		}
-		st.Workers = append(st.Workers, ws)
-	}
-	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].Worker < st.Workers[j].Worker })
 	return st
 }
 
@@ -727,7 +602,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 					// same grant back — the retry after a lease response
 					// lost in transit, not a request for more.
 					l.expires = now.Add(c.lease)
-					l.lastBeat = now
 					writeJSON(w, http.StatusOK, Lease{
 						ID: l.id, Run: c.run, Start: l.span.Start, End: l.span.End,
 						ExpiresMillis: c.lease.Milliseconds(), Backup: l.backup,
@@ -740,9 +614,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 				// that chunk (the transport-error fallback) and moved on.
 				// The coordinator knows — releasing the undone remainder
 				// now, before granting fresh work, beats leaving those
-				// shards unserveable until the TTL cliff. The worker's
-				// cadence and throughput estimates survive: it is alive.
-				c.dropLease(l, false)
+				// shards unserveable until the TTL cliff.
+				c.dropLease(l)
 			}
 		}
 	}
@@ -757,11 +630,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, Lease{Wait: true, Run: c.run, PollMillis: c.pollInterval().Milliseconds()})
 		return
 	}
-	// Carve the grant off the head span at the worker's target size; the
+	// Carve the grant off the head span at the target size; the
 	// remainder goes back to the front so the queue stays FIFO.
 	sp := c.pending[0]
 	c.pending = c.pending[1:]
-	if k := c.targetChunkFor(req.Worker); sp.End-sp.Start > k {
+	if k := c.targetChunk(); sp.End-sp.Start > k {
 		c.pending = append([]experiment.Span{{Start: sp.Start + k, End: sp.End}}, c.pending...)
 		sp.End = sp.Start + k
 	}
@@ -795,24 +668,11 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 		// Expired (possibly re-issued already): the worker must abandon
 		// the chunk. Results it already streamed remain accepted.
 		if ok {
-			c.dropLease(l, true)
+			c.dropLease(l)
 		}
 		http.Error(w, "lease expired or unknown", http.StatusGone)
 		return
 	}
-	// Fold the renew-to-renew interval into the worker's cadence
-	// estimate; the adaptive re-issue deadline rides on it.
-	if l.worker != "" {
-		if dt := now.Sub(l.lastRenew); dt > 0 {
-			if old, seen := c.cadence[l.worker]; seen {
-				c.cadence[l.worker] = (3*old + dt) / 4
-			} else {
-				c.cadence[l.worker] = dt
-			}
-		}
-	}
-	l.lastRenew = now
-	l.lastBeat = now
 	l.expires = now.Add(c.lease)
 	writeJSON(w, http.StatusOK, Renewal{ExpiresMillis: c.lease.Milliseconds()})
 }
@@ -890,8 +750,8 @@ func progressFor(progress *[]bodyProgress, l *leaseState) *bodyProgress {
 // finishBody closes one /results body: it counts the post and the lines
 // accepted from it, and folds each lease's completions in the body into
 // one progress observation. A lease dropped while the body was read (a
-// sweep or an abandoned-grant release) is skipped, so a swept worker's
-// estimates are not revived.
+// sweep or an abandoned-grant release) is skipped: like an expired
+// lease's, its timing is no cost sample.
 func (c *Coordinator) finishBody(progress []bodyProgress, accepted int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -930,24 +790,19 @@ func (c *Coordinator) acceptResult(line []byte, progress *[]bodyProgress) (int, 
 		return http.StatusBadRequest, fmt.Errorf("shard %d outside lease %s's span [%d,%d)", rl.Shard, rl.Lease, span.Start, span.End)
 	}
 	now := c.now()
-	// Only lines the coordinator actually accepts count as signs of life
-	// (and as "the grant was started"): rejected garbage must not keep a
-	// babbling-but-stuck worker's lease alive or defeat the unstarted
-	// re-poll idempotency. The started transition also anchors the
-	// per-shard cost clock: the gap between the grant and the first
-	// accepted result is fetch and idle time, not shard cost, and the
-	// rest of the anchoring body arrived with it, so it is not observed
-	// either. ran marks a shard result — new or a byte-equal duplicate,
-	// work the worker did either way — which counts toward the body's
-	// progress observation; a duplicate-only stretch (a primary and its
-	// backup racing) would otherwise read as a worker that stalled.
+	// Only shard results the coordinator actually accepts mark the grant
+	// started: rejected garbage must not defeat the unstarted re-poll
+	// idempotency. The started transition also anchors the per-shard
+	// cost clock: the gap between the grant and the first accepted
+	// result is fetch and idle time, not shard cost, and the rest of the
+	// anchoring body arrived with it, so it is not observed either. ran
+	// counts a shard result — new or a byte-equal duplicate, work the
+	// worker did either way — toward the body's progress observation; a
+	// duplicate-only stretch (a primary and its backup racing) would
+	// otherwise read as a stalled worker.
 	l := c.leases[rl.Lease]
-	beat := func(ran bool) {
+	ran := func() {
 		if l == nil {
-			return
-		}
-		l.lastBeat = now
-		if !ran {
 			return
 		}
 		bp := progressFor(progress, l)
@@ -965,7 +820,6 @@ func (c *Coordinator) acceptResult(line []byte, progress *[]bodyProgress) (int, 
 			// a shard someone else already completed: moot by then — the
 			// accepted bytes satisfied the determinism contract, so the
 			// stale error must not poison the run.
-			beat(false)
 			return http.StatusOK, nil
 		case bytes.Equal(c.raw[rl.Shard], rl.Value):
 			// Idempotent duplicate from a re-issued or backup lease; a
@@ -974,7 +828,7 @@ func (c *Coordinator) acceptResult(line []byte, progress *[]bodyProgress) (int, 
 			if l != nil && l.backup {
 				c.backupsWasted++
 			}
-			beat(true)
+			ran()
 			return http.StatusOK, nil
 		default:
 			err := fmt.Errorf("remote: shard %d: duplicate result differs from accepted bytes — determinism contract violated", rl.Shard)
@@ -1003,7 +857,7 @@ func (c *Coordinator) acceptResult(line []byte, progress *[]bodyProgress) (int, 
 			return http.StatusInternalServerError, err
 		}
 	}
-	beat(true)
+	ran()
 	c.values[rl.Shard] = v
 	c.raw[rl.Shard] = append([]byte(nil), rl.Value...)
 	c.done[rl.Shard] = true

@@ -226,37 +226,6 @@ func TestJournalLocked(t *testing.T) {
 	second.Close()
 }
 
-// TestRenewCadenceFromRenewalsOnly pins the cadence estimator's input:
-// result arrivals are beats but not renewals. If they fed the cadence,
-// a fast-streaming worker's estimate would collapse to the inter-result
-// interval and the adaptive deadline would sweep it mid-chunk the
-// moment it hit one expensive shard.
-func TestRenewCadenceFromRenewalsOnly(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(11000, 0)}
-	p := results.Params{Trials: 9}
-	coord, url := startCoordinator(t, testSpec(t), p, 9, Config{Chunk: 9, Lease: 9 * time.Second, Now: clock.Now})
-
-	l := grantLease(t, url, "streamer")
-	// Results land every second; the renew only comes 3s after grant.
-	for shard := 0; shard < 2; shard++ {
-		clock.Advance(time.Second)
-		var ack ResultAck
-		if status := postDoc(t, url+"/results", ResultLine{Run: l.Run, Lease: l.ID, ShardLine: experiment.ShardLine{Shard: shard, Value: encodeValue(t, p, shard)}}, &ack); status != http.StatusOK {
-			t.Fatalf("shard %d: status %d", shard, status)
-		}
-	}
-	clock.Advance(time.Second)
-	if status := postDoc(t, url+"/renew", RenewRequest{ID: l.ID, Run: l.Run}, nil); status != http.StatusOK {
-		t.Fatalf("renew: status %d", status)
-	}
-	coord.mu.Lock()
-	got := coord.cadence["streamer"]
-	coord.mu.Unlock()
-	if got != 3*time.Second {
-		t.Errorf("cadence = %v, want 3s (the grant-to-renew interval, not the 1s inter-result interval)", got)
-	}
-}
-
 // TestLeaseRepollIdempotent pins the satellite-4 fix: a worker whose
 // lease response was lost in transit retries POST /lease; while its
 // grant is unexpired and unstarted it gets the same grant back, so the
@@ -402,58 +371,28 @@ func TestAdaptiveChunk(t *testing.T) {
 	coord.mu.Unlock()
 }
 
-// TestAdaptiveReclaim: a worker that renewed on a fast, steady cadence
-// and then went silent loses its lease well before the hard TTL cliff —
-// the re-issue deadline adapts to the observed heartbeat.
-func TestAdaptiveReclaim(t *testing.T) {
+// TestSilentLeaseHeldUntilTTL pins the single reclaim rule: a lease is
+// reclaimed only when the TTL has passed since its grant or last
+// renewal. A holder that renewed every second and then went silent for
+// half the TTL still holds its lease — an idle worker gets a backup copy
+// of the span, never the reclaimed span — and its next renewal succeeds.
+func TestSilentLeaseHeldUntilTTL(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(9000, 0)}
 	p := results.Params{Trials: 4}
 	_, url := startCoordinator(t, testSpec(t), p, 4, Config{Chunk: 4, Lease: 10 * time.Second, Now: clock.Now})
 
-	l := grantLease(t, url, "heartbeat")
-	// Three renewals at a 1s cadence.
+	l := grantLease(t, url, "holder")
 	for i := 0; i < 3; i++ {
 		clock.Advance(time.Second)
 		if status := postDoc(t, url+"/renew", RenewRequest{ID: l.ID, Run: l.Run}, nil); status != http.StatusOK {
 			t.Fatalf("renew %d: status %d", i, status)
 		}
 	}
-	// Then silence. 5s later — half the hard TTL, but 3×cadence (and
-	// the lease/2 floor) passed with five missed beats — the chunk is
-	// re-issued to the next asker.
 	clock.Advance(5 * time.Second)
-	got := grantLease(t, url, "vulture")
-	if got.Wait || got.Done {
-		t.Fatalf("5s after a 1s-cadence worker went silent: lease = %+v, want a re-issued grant", got)
-	}
-	if got.Start != 0 || got.End != 4 {
-		t.Errorf("re-issued grant [%d,%d), want [0,4)", got.Start, got.End)
-	}
-}
-
-// TestAdaptiveReclaimLowerBound: the adaptive deadline never undercuts
-// TTL/2 — a worker renewing extremely often is not punished with a
-// hair-trigger reclaim.
-func TestAdaptiveReclaimLowerBound(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(9500, 0)}
-	p := results.Params{Trials: 4}
-	_, url := startCoordinator(t, testSpec(t), p, 4, Config{Chunk: 4, Lease: 10 * time.Second, Now: clock.Now})
-
-	l := grantLease(t, url, "eager")
-	for i := 0; i < 4; i++ {
-		clock.Advance(100 * time.Millisecond)
-		if status := postDoc(t, url+"/renew", RenewRequest{ID: l.ID, Run: l.Run}, nil); status != http.StatusOK {
-			t.Fatalf("renew %d: status %d", i, status)
-		}
-	}
-	// 3×cadence would be 300ms, but the floor is lease/2 = 5s: at 4s of
-	// silence the lease must still be held — a poacher gets at most a
-	// speculative backup copy, never the reclaimed span itself.
-	clock.Advance(4 * time.Second)
-	if got := grantLease(t, url, "vulture"); !got.Backup {
-		t.Errorf("4s after last beat (floor 5s): lease = %+v, want a backup copy (primary still held)", got)
+	if got := grantLease(t, url, "idler"); !got.Backup || got.Start != 0 || got.End != 4 {
+		t.Errorf("5s into a 10s TTL: lease = %+v, want a backup copy of [0,4) (primary still held)", got)
 	}
 	if status := postDoc(t, url+"/renew", RenewRequest{ID: l.ID, Run: l.Run}, nil); status != http.StatusOK {
-		t.Errorf("renew before the floor: status %d, want %d (lease was reclaimed)", status, http.StatusOK)
+		t.Errorf("holder's renew after 5s of silence: status %d, want %d (lease was reclaimed)", status, http.StatusOK)
 	}
 }

@@ -9,7 +9,7 @@
 //	POST /lease    LeaseRequest -> Lease   claim the next chunk (or wait/done)
 //	POST /renew    RenewRequest -> Renewal  extend a held lease's TTL
 //	POST /results  ResultLine JSON lines -> ResultAck   one or more shard results
-//	GET  /stats    -> Stats        progress, backup counters, worker rates
+//	GET  /stats    -> Stats        progress, backup counters, cost estimate
 //
 // Workers are the same binary in a hidden -remote-worker mode; they fetch
 // the job once, then loop lease → run shards (the shared
@@ -45,13 +45,12 @@
 // granted; a lease id is not a license to post arbitrary in-range
 // shards.
 //
-// Chunk size and lease re-issue timing are adaptive (see Config), and a
-// coordinator given a -journal directory appends every accepted shard
-// result to an on-disk journal it replays after a restart, serving only
-// the remainder. All of that moves scheduling and wall-clock only:
-// shard values stay a pure function of (params, shard index), so record
-// signatures are byte-identical with or without faults, restarts, or
-// adaptation.
+// Chunk size is adaptive (see Config), and a coordinator given a
+// -journal directory appends every accepted shard result to an on-disk
+// journal it replays after a restart, serving only the remainder. All of
+// that moves scheduling and wall-clock only: shard values stay a pure
+// function of (params, shard index), so record signatures are
+// byte-identical with or without faults, restarts, or adaptation.
 package remote
 
 import (
@@ -89,9 +88,9 @@ type Job struct {
 }
 
 // LeaseRequest asks for the next chunk; Worker is a diagnostic identity
-// (host-pid) the scheduler also keys idempotent re-polls and renew
-// cadence on — a scheduling input, never a correctness input. Run must
-// echo the job's run token.
+// (host-pid) the scheduler also keys idempotent re-polls, abandoned-grant
+// release and the backup holder fence on — a scheduling input, never a
+// correctness input. Run must echo the job's run token.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
 	Run    string `json:"run"`
@@ -163,22 +162,9 @@ type ResultAck struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// WorkerStats is one worker's scheduling estimates in a Stats snapshot.
-type WorkerStats struct {
-	// Worker is the worker's self-reported identity (host-pid-seq).
-	Worker string `json:"worker"`
-	// ThroughputPerSec is the worker's accepted-shards-per-second EWMA,
-	// byte-equal duplicates included and averaged as per-shard time;
-	// adaptive grant sizes scale with it relative to the fleet mean.
-	ThroughputPerSec float64 `json:"throughput_per_sec"`
-	// CadenceMillis is the worker's renew-cadence EWMA (0 = no renewals
-	// observed yet); the adaptive re-issue deadline rides on it.
-	CadenceMillis int64 `json:"cadence_ms,omitempty"`
-}
-
 // Stats is the GET /stats snapshot: run progress, the live lease and
-// queue shape, the speculative-backup counters, and per-worker
-// scheduling estimates. Observability only — nothing here feeds back
+// queue shape, the speculative-backup counters, the /results traffic
+// and the cost estimate. Observability only — nothing here feeds back
 // into results.
 type Stats struct {
 	Run          string `json:"run"`
@@ -206,8 +192,6 @@ type Stats struct {
 	// CostEWMAMicros is the observed per-shard completion cost driving
 	// adaptive chunk sizing, in microseconds (0 = no estimate yet).
 	CostEWMAMicros int64 `json:"cost_ewma_us"`
-	// Workers lists per-worker estimates, sorted by worker name.
-	Workers []WorkerStats `json:"workers,omitempty"`
 }
 
 // mustJSON encodes a response document; protocol types marshal without

@@ -10,7 +10,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -147,25 +146,13 @@ func (b Remote) Run(ctx context.Context, spec *experiment.Spec, p results.Params
 }
 
 // runSummary renders the end-of-run scheduling summary: shard count, the
-// speculative-backup counters, each worker's observed throughput — the
-// tail-latency machinery's speedup made visible instead of vibes — and
-// how many /results posts carried the result lines. The prefix up to
-// "%d won" is parsed by tooling (cmd/specbench), so new fields go at the
-// end.
+// speculative-backup counters — the tail-latency machinery's effect made
+// visible — and how many /results posts carried the result lines. The
+// prefix up to "%d won" is parsed by tooling (cmd/specbench), so new
+// fields go at the end.
 func runSummary(st Stats) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "remote: run complete: %d shards; backups: %d issued, %d won, %d wasted",
-		st.Shards, st.BackupsIssued, st.BackupsWon, st.BackupsWasted)
-	for i, ws := range st.Workers {
-		if i == 0 {
-			sb.WriteString("; throughput:")
-		} else {
-			sb.WriteString(",")
-		}
-		fmt.Fprintf(&sb, " %s %.1f/s", ws.Worker, ws.ThroughputPerSec)
-	}
-	fmt.Fprintf(&sb, "; results: %d lines in %d posts", st.ResultLines, st.ResultPosts)
-	return sb.String()
+	return fmt.Sprintf("remote: run complete: %d shards; backups: %d issued, %d won, %d wasted; results: %d lines in %d posts",
+		st.Shards, st.BackupsIssued, st.BackupsWon, st.BackupsWasted, st.ResultLines, st.ResultPosts)
 }
 
 // localWorkers tracks the worker processes a coordinator spawned beside

@@ -474,8 +474,8 @@ func TestAbandonedGrantRelease(t *testing.T) {
 }
 
 // TestWorkerStatePruned pins the state-leak bugfix: churning through
-// many short-lived workers must not grow byWorker, cadence or throughput
-// without bound — a swept worker's entries go with its last lease.
+// many short-lived workers must not grow byWorker without bound — a
+// swept worker's entry goes with its last lease.
 func TestWorkerStatePruned(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(5000, 0)}
 	p := results.Params{Trials: 64, Seed: 1}
@@ -488,8 +488,6 @@ func TestWorkerStatePruned(t *testing.T) {
 		if l.Wait || l.Done {
 			t.Fatalf("worker %s got no grant: %+v", w, l)
 		}
-		// A renewal seeds the cadence map; a posted result seeds
-		// throughput — the maps under test.
 		clock.Advance(100 * time.Millisecond)
 		if status := postDoc(t, url+"/renew", RenewRequest{ID: l.ID, Run: l.Run}, nil); status != http.StatusOK {
 			t.Fatalf("renew %s: status %d", w, status)
@@ -507,12 +505,6 @@ func TestWorkerStatePruned(t *testing.T) {
 	defer coord.mu.Unlock()
 	if len(coord.byWorker) > 1 {
 		t.Errorf("byWorker holds %d entries after churn, want <= 1", len(coord.byWorker))
-	}
-	if len(coord.cadence) > 1 {
-		t.Errorf("cadence holds %d entries after churn, want <= 1 (stale EWMAs leak)", len(coord.cadence))
-	}
-	if len(coord.throughput) > 1 {
-		t.Errorf("throughput holds %d entries after churn, want <= 1", len(coord.throughput))
 	}
 	if len(coord.leases) > 1 {
 		t.Errorf("%d leases outstanding after churn, want <= 1", len(coord.leases))
@@ -541,51 +533,9 @@ func TestFirstResultAnchorsCostEWMA(t *testing.T) {
 	postShard(t, url, p, l.Run, l.ID, 1)
 	coord.mu.Lock()
 	ewma = coord.costEWMA
-	tp := coord.throughput["idler"]
 	coord.mu.Unlock()
 	if ewma != 50*time.Millisecond {
 		t.Errorf("cost EWMA after one interval = %v, want exactly 50ms (the idle gap leaked in)", ewma)
-	}
-	if want := 20.0; tp != want {
-		t.Errorf("throughput EWMA = %v shards/s, want %v", tp, want)
-	}
-}
-
-// TestThroughputScalesGrants: with two workers whose observed completion
-// rates differ, the fast worker's adaptive grants are larger than the
-// slow worker's — within the global [1, n/8] clamp and a 4x band.
-func TestThroughputScalesGrants(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(7000, 0)}
-	p := results.Params{Trials: 1024, Seed: 3}
-	coord, url := startCoordinator(t, testSpec(t), p, 1024, Config{Now: clock.Now})
-
-	fast := grantLease(t, url, "fast")
-	slow := grantLease(t, url, "slow")
-	post := func(l Lease, shard int, step time.Duration) {
-		clock.Advance(step)
-		postShard(t, url, p, l.Run, l.ID, shard)
-	}
-	// Interleave so both EWMAs see result-to-result intervals: fast
-	// completes a shard every 10ms, slow every 160ms.
-	post(fast, fast.Start, 0)
-	post(slow, slow.Start, 0)
-	for i := 1; i < 8; i++ {
-		post(fast, fast.Start+i, 10*time.Millisecond)
-		post(slow, slow.Start+i, 160*time.Millisecond)
-	}
-	coord.mu.Lock()
-	kFast := coord.targetChunkFor("fast")
-	kSlow := coord.targetChunkFor("slow")
-	kAnon := coord.targetChunkFor("")
-	coord.mu.Unlock()
-	if kFast <= kSlow {
-		t.Errorf("targetChunk fast=%d slow=%d, want fast > slow", kFast, kSlow)
-	}
-	if kFast < 1 || kFast > 128 || kSlow < 1 || kSlow > 128 {
-		t.Errorf("chunk sizes fast=%d slow=%d escaped [1, n/8]", kFast, kSlow)
-	}
-	if base := coord.targetChunk(); kAnon != base {
-		t.Errorf("anonymous worker chunk = %d, want the global target %d", kAnon, base)
 	}
 }
 
@@ -595,8 +545,6 @@ func TestStatsEndpoint(t *testing.T) {
 	p := results.Params{Trials: 4, Seed: 6}
 	_, url := startCoordinator(t, testSpec(t), p, 4, Config{Chunk: 4})
 	prim := grantLease(t, url, "prim")
-	// Two results per worker: the first anchors its clock, the second
-	// yields an interval, so both earn a throughput estimate.
 	postShard(t, url, p, prim.Run, prim.ID, 0)
 	postShard(t, url, p, prim.Run, prim.ID, 1)
 	bk := grantLease(t, url, "spec")
@@ -626,16 +574,6 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.BackupsIssued != 1 || st.BackupsWon != 2 {
 		t.Errorf("stats backups issued/won = %d/%d, want 1/2", st.BackupsIssued, st.BackupsWon)
-	}
-	// Both workers posted two results, so both appear with throughput
-	// estimates, sorted by name.
-	if len(st.Workers) != 2 || st.Workers[0].Worker != "prim" || st.Workers[1].Worker != "spec" {
-		t.Fatalf("stats workers = %+v, want prim then spec", st.Workers)
-	}
-	for _, ws := range st.Workers {
-		if ws.ThroughputPerSec <= 0 {
-			t.Errorf("worker %s throughput = %v, want > 0", ws.Worker, ws.ThroughputPerSec)
-		}
 	}
 }
 

@@ -196,54 +196,6 @@ func checkFiles(fset *token.FileSet, conf types.Config, pkgPath string, files []
 	return check(fset, conf, pkgPath, syntax)
 }
 
-// VetConfig is the .cfg file `go vet -vettool` hands a tool for each
-// package unit (the unitchecker protocol, stdlib-decoded).
-type VetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// LoadVetConfig parses a vet .cfg unit and type-checks its package from
-// source, resolving imports through the export files vet already built.
-func LoadVetConfig(path string) (*VetConfig, *Package, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := new(VetConfig)
-	if err := json.Unmarshal(data, cfg); err != nil {
-		return nil, nil, fmt.Errorf("lint: parsing vet config %s: %v", path, err)
-	}
-	if cfg.VetxOnly {
-		return cfg, nil, nil
-	}
-	fset := token.NewFileSet()
-	lookup := func(importPath string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[importPath]; ok {
-			importPath = mapped
-		}
-		file, ok := cfg.PackageFile[importPath]
-		if !ok {
-			return nil, fmt.Errorf("lint: no export data for %q in vet config", importPath)
-		}
-		return os.Open(file)
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-	pkg, err := checkFiles(fset, conf, cfg.ImportPath, cfg.GoFiles)
-	if err != nil {
-		return cfg, nil, err
-	}
-	return cfg, pkg, nil
-}
-
 func check(fset *token.FileSet, conf types.Config, pkgPath string, syntax []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},

@@ -329,17 +329,15 @@ func SubprocessBackend(procs, workers int) ExperimentBackend {
 // ephemeral port) that leases small shard chunks to workers: procs > 0
 // spawns that many local -remote-worker processes (the one-machine
 // work-stealing configuration), procs = 0 waits for external workers
-// started by hand against the printed URL. Expired leases are re-issued
-// (adaptively — chunk sizes track observed shard cost scaled by each
-// worker's throughput, and re-issue deadlines track each worker's renew
-// cadence), stragglers holding the last in-flight chunks are raced by
+// started by hand against the printed URL. Chunk sizes track observed
+// shard cost, leases that go unrenewed for a TTL are re-issued, and
+// stragglers holding the last in-flight chunks are raced by
 // speculative backup leases handed to idle workers, so worker crashes
 // and stalls cost wall-clock, never correctness; duplicate results are
 // deduplicated by shard index with a byte-equality assertion — which is
 // also what lets whichever of a primary/backup pair lands first win —
 // and every request is fenced by a per-run token. For a coordinator
-// that survives
-// its own crashes, construct the backend through
+// that survives its own crashes, construct the backend through
 // NewExperimentBackendOptions with a Journal directory: accepted shard
 // results are journaled and a restarted coordinator resumes from them.
 func RemoteBackend(listen string, procs, workers int) ExperimentBackend {
