@@ -52,13 +52,13 @@
 //
 //   - the in-process backend shards trials across the bounded worker
 //     pool of internal/runner (-parallel N goroutines, 0 = one per CPU);
-//   - the subprocess backend re-execs the binary in a hidden
-//     -shard-worker mode and dispatches small shard chunks (-chunk N,
-//     0 = automatic) to -procs N worker processes dynamically — each
-//     worker pulls the next chunk as it finishes the last, so uneven
-//     shard costs (AD-ordering matrix cells calibrate twice) level out
-//     instead of idling fast workers behind a static equal split —
-//     collecting JSON-streamed results by shard index;
+//   - the subprocess backend re-execs the binary as -procs N hidden
+//     -shard-worker processes and runs the remote backend's coordinator
+//     over their stdin/stdout pipes (no server, no journal): idle workers
+//     get the next grant (-chunk N shards, 0 = adaptive), results are
+//     accepted like remote /results lines and collected by shard index,
+//     stragglers get speculative backups and a crashed worker's undone
+//     shards run elsewhere;
 //   - the remote backend (internal/experiment/remote) runs an HTTP
 //     coordinator (-listen ADDR, default a loopback ephemeral port)
 //     that leases shard chunks to workers over the network: the

@@ -56,8 +56,8 @@ type BackendOptions struct {
 	Procs int
 	// Workers bounds shard-goroutine concurrency inside each worker.
 	Workers int
-	// Chunk is the scheduler granularity: shards per lease (remote) or
-	// per dispatched range (subprocess). 0 picks an automatic size.
+	// Chunk is the shards per lease of the coordinator the subprocess
+	// and remote backends share (0 = adaptive to observed shard cost).
 	Chunk int
 	// Listen is the remote coordinator's listen address
 	// ("" = 127.0.0.1:0, a loopback ephemeral port).
@@ -109,8 +109,8 @@ func BackendNames() []string {
 
 // NewBackendOptions constructs a backend from its CLI name and the full
 // option set: "inprocess" (worker goroutines), "subprocess" (worker
-// processes) or — when internal/experiment/remote is linked in — "remote"
-// (an HTTP coordinator leasing shard chunks to network workers).
+// processes) or "remote" (network workers); the last two run on the
+// coordinator in internal/experiment/remote and need it linked in.
 func NewBackendOptions(name string, o BackendOptions) (Backend, error) {
 	if name == "" {
 		name = "inprocess"

@@ -16,7 +16,7 @@ import (
 
 // CLIConfig wires one experiment binary onto the shared driver: the
 // driver owns the common machinery — the -parallel/-backend/-procs/
-// -json/-store/-progress/-scale flags, hidden shard-worker mode, backend
+// -json/-store/-progress/-scale flags, hidden worker modes, backend
 // selection, store recording — while the config supplies what actually
 // differs per experiment: its flags, and how a finished record renders.
 type CLIConfig struct {
@@ -51,7 +51,7 @@ func BackendFlags(fs *flag.FlagSet) func() (Backend, BackendOptions, error) {
 	fs.IntVar(&o.Procs, "procs", 0, "worker processes: subprocess workers (0 = one per CPU) or local remote workers spawned next to the coordinator (0 = none, wait for external -remote-worker processes)")
 	fs.StringVar(&o.Listen, "listen", "", "remote backend: coordinator listen address (default 127.0.0.1:0, a loopback ephemeral port)")
 	fs.DurationVar(&o.Lease, "lease", 0, "remote backend: shard-lease time-to-live before unfinished work is re-issued (0 = 10s)")
-	fs.IntVar(&o.Chunk, "chunk", 0, "shards per lease/dispatch chunk for the remote and subprocess schedulers (0 = automatic: subprocess uses about four chunks per worker; remote adapts to observed shard cost)")
+	fs.IntVar(&o.Chunk, "chunk", 0, "shards per lease for the subprocess and remote backends, which share one scheduler (0 = adaptive: start at n/32, then track observed shard cost, at most n/8)")
 	fs.StringVar(&o.Journal, "journal", "", "remote backend: shard-result journal directory for resumable coordinator restarts (accepted results append to <dir>/<experiment>.jsonl; a restarted run replays it and serves only the remainder)")
 	return func() (Backend, BackendOptions, error) {
 		b, err := NewBackendOptions(*name, o)
@@ -64,8 +64,8 @@ const progressInterval = 2 * time.Second
 
 // Main is the shared experiment-CLI entry point.
 func Main(cfg CLIConfig) {
-	// A process spawned by the subprocess backend never comes back from
-	// this call: it serves its shard range and exits.
+	// A process spawned as a backend worker never comes back from this
+	// call: it serves its shards and exits.
 	RunWorkerIfRequested()
 
 	die := func(err error) {

@@ -11,8 +11,9 @@
 // collected in index order, and Aggregate replays the original serial
 // loop's aggregation order. Under that contract the canonical record
 // signature is identical however and wherever the shards ran: one
-// goroutine, a worker pool (InProcess), or a fleet of re-exec'd worker
-// processes (Subprocess). The backend is purely a wall-clock knob.
+// goroutine, a worker pool (InProcess), or worker processes on one
+// coordinator (Subprocess, remote.Remote). The backend is purely a
+// wall-clock knob.
 //
 // Run is the only code that executes a whole experiment: the experiment
 // CLIs, resultstore's check and baseline, the facade's RunExperiment and

@@ -14,7 +14,10 @@ import (
 )
 
 // TestMain lets this test binary serve as a subprocess-backend shard
-// worker when the Subprocess tests re-exec it.
+// worker when the Subprocess tests re-exec it. The scheduler and the
+// worker modes come from internal/experiment/remote, which this package
+// cannot import; the external test package (equivalence_test.go) links
+// it into the test binary.
 func TestMain(m *testing.M) {
 	RunWorkerIfRequested()
 	os.Exit(m.Run())
@@ -42,7 +45,7 @@ func init() {
 }
 
 func TestRegistryNames(t *testing.T) {
-	want := []string{"concordance", "figure11", "figure12", "figure7", "table1", "test-fail", "test-stderr"}
+	want := []string{"concordance", "figure11", "figure12", "figure7", "table1", "test-crash-once", "test-fail", "test-stderr"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Names() = %v, want %v", got, want)
 	}

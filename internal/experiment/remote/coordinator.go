@@ -84,9 +84,10 @@ type leaseState struct {
 }
 
 // Coordinator owns one experiment run's shard state machine: a queue of
-// unleased spans, the outstanding leases, and the accepted results. It
-// is an http.Handler serving the wire protocol; every mutation happens
-// under one mutex, so concurrent workers see a consistent queue.
+// unleased spans, the outstanding leases, and the accepted results.
+// Handler serves it to HTTP workers and drive (pipe.go) to -shard-worker
+// processes; every mutation happens under one mutex, so concurrent
+// workers see a consistent queue.
 type Coordinator struct {
 	spec   *experiment.Spec
 	params results.Params
@@ -150,8 +151,8 @@ func newRunToken() string {
 
 // NewCoordinator builds the coordinator for shards [0, n) of spec at
 // params, replaying cfg.Journal first when one is configured. The
-// caller serves Handler() somewhere workers can reach, waits on
-// Finished, and Closes the coordinator when done with it.
+// caller serves Handler() where workers can reach it (or drives pipe
+// workers), waits on Finished, and Closes the coordinator when done.
 //
 // Construction-time exclusivity: the coordinator is not published to any
 // other goroutine until this returns, so guarded fields are written
@@ -571,30 +572,48 @@ func (c *Coordinator) pollInterval() time.Duration {
 	return p
 }
 
+// handleLease, handleRenew and handleResults decode HTTP requests for
+// grant, renew and accept, which drive (pipe.go) calls directly.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
+	var req LeaseRequest
+	if c.decodeRequest(w, r, "lease request", &req, &req.Run) {
+		writeJSON(w, http.StatusOK, c.grant(req.Worker))
+	}
+}
+
+// decodeRequest decodes a POST's JSON body into req and checks the run
+// token it carries in *run, answering 405, 400 or 410 itself on failure.
+func (c *Coordinator) decodeRequest(w http.ResponseWriter, r *http.Request, what string, req any, run *string) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+		return false
 	}
-	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad lease request: "+err.Error(), http.StatusBadRequest)
-		return
+	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+		http.Error(w, "bad "+what+": "+err.Error(), http.StatusBadRequest)
+		return false
 	}
+	if *run != c.run {
+		http.Error(w, fmt.Sprintf("%s names run %q; this coordinator serves run %q", what, *run, c.run), http.StatusGone)
+		return false
+	}
+	return true
+}
+
+// grant answers one lease request from worker, a diagnostic identity
+// ("" = anonymous): Done once the run is over; the worker's own unstarted
+// grant again; otherwise the next span off the queue at the target size,
+// a backup copy of the oldest in-flight remainder when the queue is
+// empty, or Wait.
+func (c *Coordinator) grant(worker string) Lease {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if req.Run != c.run {
-		http.Error(w, fmt.Sprintf("lease request names run %q; this coordinator serves run %q", req.Run, c.run), http.StatusGone)
-		return
-	}
 	now := c.now()
 	c.sweepExpired()
 	if c.fatal != nil || c.remaining == 0 {
-		writeJSON(w, http.StatusOK, Lease{Done: true, Run: c.run})
-		return
+		return Lease{Done: true, Run: c.run}
 	}
-	if req.Worker != "" {
-		if id, ok := c.byWorker[req.Worker]; ok {
+	if worker != "" {
+		if id, ok := c.byWorker[worker]; ok {
 			if l := c.leases[id]; l != nil {
 				if !l.started {
 					// Idempotent re-poll: a worker holding an unexpired
@@ -602,33 +621,23 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 					// same grant back — the retry after a lease response
 					// lost in transit, not a request for more.
 					l.expires = now.Add(c.lease)
-					writeJSON(w, http.StatusOK, Lease{
-						ID: l.id, Run: c.run, Start: l.span.Start, End: l.span.End,
-						ExpiresMillis: c.lease.Milliseconds(), Backup: l.backup,
-					})
-					return
+					return c.offer(l)
 				}
 				// Abandoned-grant release: a worker never polls for a new
 				// lease while still serving a chunk, so a re-poll from the
-				// holder of a started, unexpired grant means it abandoned
-				// that chunk (the transport-error fallback) and moved on.
-				// The coordinator knows — releasing the undone remainder
-				// now, before granting fresh work, beats leaving those
-				// shards unserveable until the TTL cliff.
+				// holder of a started, unexpired grant means it finished or
+				// abandoned that chunk and moved on. Releasing the undone
+				// remainder now, before granting fresh work, beats leaving
+				// those shards unserveable until the TTL cliff.
 				c.dropLease(l)
 			}
 		}
 	}
 	if len(c.pending) == 0 {
-		if b := c.grantBackup(req.Worker, now); b != nil {
-			writeJSON(w, http.StatusOK, Lease{
-				ID: b.id, Run: c.run, Start: b.span.Start, End: b.span.End,
-				ExpiresMillis: c.lease.Milliseconds(), Backup: true,
-			})
-			return
+		if b := c.grantBackup(worker, now); b != nil {
+			return c.offer(b)
 		}
-		writeJSON(w, http.StatusOK, Lease{Wait: true, Run: c.run, PollMillis: c.pollInterval().Milliseconds()})
-		return
+		return Lease{Wait: true, Run: c.run, PollMillis: c.pollInterval().Milliseconds()}
 	}
 	// Carve the grant off the head span at the target size; the
 	// remainder goes back to the front so the queue stays FIFO.
@@ -638,56 +647,60 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		c.pending = append([]experiment.Span{{Start: sp.Start + k, End: sp.End}}, c.pending...)
 		sp.End = sp.Start + k
 	}
-	l := c.newLease(req.Worker, sp, now)
-	writeJSON(w, http.StatusOK, Lease{
-		ID: l.id, Run: c.run, Start: sp.Start, End: sp.End,
-		ExpiresMillis: c.lease.Milliseconds(),
-	})
+	return c.offer(c.newLease(worker, sp, now))
+}
+
+// offer renders a grant as the Lease document its worker receives.
+func (c *Coordinator) offer(l *leaseState) Lease {
+	return Lease{
+		ID: l.id, Run: c.run, Start: l.span.Start, End: l.span.End,
+		ExpiresMillis: c.lease.Milliseconds(), Backup: l.backup,
+	}
 }
 
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req RenewRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad renew request: "+err.Error(), http.StatusBadRequest)
-		return
+	switch {
+	case !c.decodeRequest(w, r, "renewal", &req, &req.Run):
+	case !c.renew(req.ID):
+		http.Error(w, "lease expired or unknown", http.StatusGone)
+	default:
+		writeJSON(w, http.StatusOK, Renewal{ExpiresMillis: c.lease.Milliseconds()})
 	}
+}
+
+// renew extends lease id's TTL, reporting false when the lease expired
+// (possibly re-issued already) or was never issued: its holder must
+// abandon the chunk. Results it already streamed remain accepted.
+func (c *Coordinator) renew(id string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if req.Run != c.run {
-		http.Error(w, fmt.Sprintf("renewal names run %q; this coordinator serves run %q", req.Run, c.run), http.StatusGone)
-		return
-	}
 	c.sweepExpired()
-	l, ok := c.leases[req.ID]
+	l, ok := c.leases[id]
 	now := c.now()
 	if !ok || !now.Before(l.expires) {
-		// Expired (possibly re-issued already): the worker must abandon
-		// the chunk. Results it already streamed remain accepted.
 		if ok {
 			c.dropLease(l)
 		}
-		http.Error(w, "lease expired or unknown", http.StatusGone)
-		return
+		return false
 	}
 	l.expires = now.Add(c.lease)
-	writeJSON(w, http.StatusOK, Renewal{ExpiresMillis: c.lease.Milliseconds()})
+	return true
 }
 
-// handleResults ingests a stream of ResultLine documents, one per line.
-// Lines are validated hard — the coordinator trusts no worker: malformed
-// JSON, wrong run tokens, never-issued lease ids, out-of-range or
-// out-of-span shard indexes and payloads that don't decode as the spec's
-// shard type are rejected with a 4xx without corrupting shard state (the
-// shard stays pending or leased and will be served again). A duplicate
-// of an already-done shard must be byte-identical to the accepted
-// result: equal bytes are acknowledged idempotently, unequal bytes are a
-// determinism-contract violation that fails the whole run (409). Lines
-// are applied in order up to the first rejection; the ack counts the
-// lines applied.
+// release drops lease id at once and requeues its undone remainder, for
+// a pipe worker that died or broke the protocol mid-grant.
+func (c *Coordinator) release(id string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if l := c.leases[id]; l != nil {
+		c.dropLease(l)
+	}
+}
+
+// handleResults ingests a stream of ResultLine documents, one per line,
+// applied in order up to the first rejection; the ack counts the lines
+// applied. The coordinator trusts no worker: see accept.
 func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -705,7 +718,16 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 		if len(line) == 0 {
 			continue
 		}
-		if status, err = c.acceptResult(line, &progress); err != nil {
+		var rl ResultLine
+		if err = json.Unmarshal(line, &rl); err != nil {
+			status, err = http.StatusBadRequest, fmt.Errorf("malformed result line: %w", err)
+			break
+		}
+		if rl.Run != c.run {
+			status, err = http.StatusGone, fmt.Errorf("result names run %q; this coordinator serves run %q", rl.Run, c.run)
+			break
+		}
+		if status, err = c.accept(rl.Lease, rl.ShardLine, &progress); err != nil {
 			break
 		}
 		accepted++
@@ -747,9 +769,10 @@ func progressFor(progress *[]bodyProgress, l *leaseState) *bodyProgress {
 	return &(*progress)[len(*progress)-1]
 }
 
-// finishBody closes one /results body: it counts the post and the lines
-// accepted from it, and folds each lease's completions in the body into
-// one progress observation. A lease dropped while the body was read (a
+// finishBody closes one result body — a /results request, or one line
+// from a pipe worker: it counts the body and the lines accepted from it,
+// and folds each lease's completions in the body into one progress
+// observation. A lease dropped while the body was read (a
 // sweep or an abandoned-grant release) is skipped: like an expired
 // lease's, its timing is no cost sample.
 func (c *Coordinator) finishBody(progress []bodyProgress, accepted int) {
@@ -765,29 +788,28 @@ func (c *Coordinator) finishBody(progress []bodyProgress, accepted int) {
 	}
 }
 
-// acceptResult validates and applies one result line, returning the HTTP
-// status to reject it with when invalid. A shard result it accepts under
-// a live lease is tallied in progress for the body's progress
-// observation.
-func (c *Coordinator) acceptResult(line []byte, progress *[]bodyProgress) (int, error) {
-	var rl ResultLine
-	if err := json.Unmarshal(line, &rl); err != nil {
-		return http.StatusBadRequest, fmt.Errorf("malformed result line: %w", err)
-	}
+// accept validates and applies one shard result produced under lease,
+// returning the HTTP status to reject it with when invalid. A lease this
+// coordinator never issued, a shard out of range or outside the lease's
+// granted span, or a payload that does not decode as the spec's shard
+// type leaves shard state alone (the shard stays pending or leased and
+// will be served again). A duplicate of an already-done shard must be
+// byte-identical to the accepted result: equal bytes are acknowledged
+// idempotently, unequal bytes are a determinism-contract violation that
+// fails the whole run (409). A shard result it accepts under a live
+// lease is tallied in progress for the body's progress observation.
+func (c *Coordinator) accept(lease string, sl experiment.ShardLine, progress *[]bodyProgress) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if rl.Run != c.run {
-		return http.StatusGone, fmt.Errorf("result names run %q; this coordinator serves run %q", rl.Run, c.run)
-	}
-	span, issued := c.issued[rl.Lease]
+	span, issued := c.issued[lease]
 	if !issued {
-		return http.StatusGone, fmt.Errorf("result names lease %q this coordinator never issued", rl.Lease)
+		return http.StatusGone, fmt.Errorf("result names lease %q this coordinator never issued", lease)
 	}
-	if rl.Shard < 0 || rl.Shard >= c.n {
-		return http.StatusBadRequest, fmt.Errorf("shard %d out of range [0,%d)", rl.Shard, c.n)
+	if sl.Shard < 0 || sl.Shard >= c.n {
+		return http.StatusBadRequest, fmt.Errorf("shard %d out of range [0,%d)", sl.Shard, c.n)
 	}
-	if rl.Shard < span.Start || rl.Shard >= span.End {
-		return http.StatusBadRequest, fmt.Errorf("shard %d outside lease %s's span [%d,%d)", rl.Shard, rl.Lease, span.Start, span.End)
+	if sl.Shard < span.Start || sl.Shard >= span.End {
+		return http.StatusBadRequest, fmt.Errorf("shard %d outside lease %s's span [%d,%d)", sl.Shard, lease, span.Start, span.End)
 	}
 	now := c.now()
 	// Only shard results the coordinator actually accepts mark the grant
@@ -800,7 +822,7 @@ func (c *Coordinator) acceptResult(line []byte, progress *[]bodyProgress) (int, 
 	// worker did either way — toward the body's progress observation; a
 	// duplicate-only stretch (a primary and its backup racing) would
 	// otherwise read as a stalled worker.
-	l := c.leases[rl.Lease]
+	l := c.leases[lease]
 	ran := func() {
 		if l == nil {
 			return
@@ -813,15 +835,15 @@ func (c *Coordinator) acceptResult(line []byte, progress *[]bodyProgress) (int, 
 			bp.anchor = true
 		}
 	}
-	if c.done[rl.Shard] {
+	if c.done[sl.Shard] {
 		switch {
-		case rl.Err != "":
+		case sl.Err != "":
 			// A straggler from a re-issued lease reporting a failure for
 			// a shard someone else already completed: moot by then — the
 			// accepted bytes satisfied the determinism contract, so the
 			// stale error must not poison the run.
 			return http.StatusOK, nil
-		case bytes.Equal(c.raw[rl.Shard], rl.Value):
+		case bytes.Equal(c.raw[sl.Shard], sl.Value):
 			// Idempotent duplicate from a re-issued or backup lease; a
 			// backup's duplicate means its primary got there first —
 			// wasted speculation, worth counting.
@@ -831,26 +853,26 @@ func (c *Coordinator) acceptResult(line []byte, progress *[]bodyProgress) (int, 
 			ran()
 			return http.StatusOK, nil
 		default:
-			err := fmt.Errorf("remote: shard %d: duplicate result differs from accepted bytes — determinism contract violated", rl.Shard)
+			err := fmt.Errorf("remote: shard %d: duplicate result differs from accepted bytes — determinism contract violated", sl.Shard)
 			c.fail(err)
 			return http.StatusConflict, err
 		}
 	}
-	if rl.Err != "" {
+	if sl.Err != "" {
 		// A shard that genuinely fails would fail identically anywhere —
 		// re-running it elsewhere cannot help, so the run fails.
-		c.fail(fmt.Errorf("remote: shard %d: %s", rl.Shard, rl.Err))
+		c.fail(fmt.Errorf("remote: shard %d: %s", sl.Shard, sl.Err))
 		return http.StatusOK, nil
 	}
-	if len(rl.Value) == 0 {
-		return http.StatusBadRequest, fmt.Errorf("shard %d: empty result value", rl.Shard)
+	if len(sl.Value) == 0 {
+		return http.StatusBadRequest, fmt.Errorf("shard %d: empty result value", sl.Shard)
 	}
-	v, err := experiment.DecodeShard(c.spec, rl.Value)
+	v, err := experiment.DecodeShard(c.spec, sl.Value)
 	if err != nil {
-		return http.StatusBadRequest, fmt.Errorf("shard %d: corrupt payload: %w", rl.Shard, err)
+		return http.StatusBadRequest, fmt.Errorf("shard %d: corrupt payload: %w", sl.Shard, err)
 	}
 	if c.journal != nil {
-		if err := c.journal.append(rl.ShardLine); err != nil {
+		if err := c.journal.append(sl); err != nil {
 			// A journal that cannot record what it accepted is a broken
 			// restart contract; failing loudly beats resuming wrong.
 			c.fail(err)
@@ -858,9 +880,9 @@ func (c *Coordinator) acceptResult(line []byte, progress *[]bodyProgress) (int, 
 		}
 	}
 	ran()
-	c.values[rl.Shard] = v
-	c.raw[rl.Shard] = append([]byte(nil), rl.Value...)
-	c.done[rl.Shard] = true
+	c.values[sl.Shard] = v
+	c.raw[sl.Shard] = append([]byte(nil), sl.Value...)
+	c.done[sl.Shard] = true
 	c.remaining--
 	if l != nil && l.backup {
 		c.backupsWon++ // the speculative copy landed first

@@ -1,9 +1,11 @@
-// Package remote is the distributed execution backend: an HTTP
-// coordinator that leases small shard chunks to worker processes on any
-// machine that can reach it, re-issuing expired leases so crashed or
+// Package remote is the one shard scheduler, Coordinator, in two
+// framings: the remote backend serves it over HTTP to workers on any
+// machine that can reach it, and the subprocess backend drives local
+// -shard-worker processes over their pipes (pipe.go). It leases small
+// shard chunks, re-issuing dropped or expired leases so crashed or
 // stalled workers cost wall-clock, never correctness.
 //
-// The wire protocol is five JSON endpoints on the coordinator:
+// The HTTP wire protocol is five JSON endpoints on the coordinator:
 //
 //	GET  /job      -> Job          the experiment, params and shard count
 //	POST /lease    LeaseRequest -> Lease   claim the next chunk (or wait/done)
@@ -60,13 +62,11 @@ import (
 	"specinterference/internal/results"
 )
 
-// WorkerArg is the hidden CLI argument naming remote-worker mode:
+// WorkerArg is the hidden CLI argument (argv[1]) naming remote-worker
+// mode:
 //
 //	<binary> -remote-worker -connect http://host:port [-parallel N]
 const WorkerArg = "-remote-worker"
-
-// workerEnvVar mirrors WorkerArg for locally spawned workers.
-const workerEnvVar = "SPECINTERFERENCE_REMOTE_WORKER"
 
 // Job describes the one experiment a coordinator is serving; workers
 // fetch it once, build per-process state, then start leasing.
@@ -183,10 +183,10 @@ type Stats struct {
 	BackupsIssued int `json:"backups_issued"`
 	BackupsWon    int `json:"backups_won"`
 	BackupsWasted int `json:"backups_wasted"`
-	// ResultPosts counts /results request bodies received, and
-	// ResultLines the result lines accepted from them: workers coalesce
-	// results that finish while a POST is in flight, so lines per post
-	// shows how much.
+	// ResultPosts counts result bodies received — /results requests, or
+	// single lines from pipe workers — and ResultLines the result lines
+	// accepted from them: HTTP workers coalesce results that finish while
+	// a POST is in flight, so lines per post shows how much.
 	ResultPosts int `json:"result_posts"`
 	ResultLines int `json:"result_lines"`
 	// CostEWMAMicros is the observed per-shard completion cost driving

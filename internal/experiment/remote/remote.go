@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"specinterference/internal/experiment"
@@ -67,7 +68,9 @@ func init() {
 			Lease: o.Lease, Chunk: o.Chunk, Journal: o.Journal,
 		}, nil
 	})
+	experiment.RegisterSubprocessRunner(runSubprocess)
 	experiment.RegisterWorkerMode(RunWorkerIfRequested)
+	experiment.RegisterWorkerMode(runShardWorkerIfRequested)
 }
 
 // Run implements experiment.Backend.
@@ -119,28 +122,14 @@ func (b Remote) Run(ctx context.Context, spec *experiment.Spec, p results.Params
 		fmt.Fprintf(stderr, "remote: waiting for workers — start each with: <binary> %s -connect %s\n", WorkerArg, url)
 	}
 
-	workers, err := b.spawnLocalWorkers(ctx, url, stderr)
+	args := []string{WorkerArg, "-connect", url, "-parallel", strconv.Itoa(b.Workers)}
+	workers, err := spawnWorkers(ctx, b.Procs, "remote-worker", args, stderr, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	select {
-	case <-coord.Finished():
-	case <-ctx.Done():
-		workers.kill()
-		return nil, ctx.Err()
-	case <-workers.exited:
-		// Every local worker is gone. If that's because the job just
-		// finished, fall through; otherwise the run can never complete.
-		select {
-		case <-coord.Finished():
-		default:
-			return nil, fmt.Errorf("remote: all %d local workers exited before the run completed: %w", b.Procs, workers.firstErr())
-		}
+	if err := workers.wait(ctx, coord); err != nil {
+		return nil, err
 	}
-	// Give local workers one poll cycle to observe Done and exit cleanly;
-	// stragglers are killed rather than orphaned.
-	workers.reap(coord.pollInterval() + time.Second)
 	fmt.Fprintln(stderr, runSummary(coord.Stats()))
 	return coord.Values()
 }
@@ -155,31 +144,41 @@ func runSummary(st Stats) string {
 		st.Shards, st.BackupsIssued, st.BackupsWon, st.BackupsWasted, st.ResultLines, st.ResultPosts)
 }
 
-// localWorkers tracks the worker processes a coordinator spawned beside
-// itself.
+// localWorkers tracks the worker processes a backend spawned beside its
+// coordinator.
 type localWorkers struct {
 	cmds   []*exec.Cmd
 	exited chan struct{} // closed when every worker exited (never, when none spawned)
-	mu     sync.Mutex
-	errs   []error // worker exit failures; guarded by mu
-	wg     sync.WaitGroup
+	// stopping is set by kill: exits from then on are the backend's own
+	// doing, neither reported nor counted as failures.
+	stopping atomic.Bool
+	mu       sync.Mutex
+	errs     []error // worker failures; guarded by mu
+	wg       sync.WaitGroup
 }
 
 // slowWorkerEnv is the spawn-side half of the shardDelayEnv fault shim:
-// when set to a time.Duration string, the FIRST local worker is started
-// with that per-shard delay while the rest run at full speed — a
-// reproducible straggler, so the CI backup-execution gate can drive
-// speculative backup leases through a stock `resultstore check -backend
-// remote` run. Never set in normal operation.
+// when set to a time.Duration string, the FIRST local worker of either
+// kind (-remote-worker or -shard-worker) is started with that per-shard
+// delay while the rest run at full speed — a reproducible straggler, so
+// the CI backup-execution gates can drive speculative backup leases
+// through a stock `resultstore check` run on the remote or subprocess
+// backend. Never set in normal operation.
 const slowWorkerEnv = "SPECINTERFERENCE_REMOTE_SLOW_WORKER"
 
-// spawnLocalWorkers starts Procs re-exec'd -remote-worker processes
-// against the coordinator URL, each with "[remote-worker N]"-framed
-// stderr passthrough.
-func (b Remote) spawnLocalWorkers(ctx context.Context, url string, stderr io.Writer) (*localWorkers, error) {
+// spawnWorkers is the one spawn path for local workers of both kinds: it
+// starts n copies of the current binary with args (the worker mode's
+// marker first), frames each one's stderr as "[label N] " lines, and
+// reaps each, recording and reporting a failure. serve, when non-nil,
+// drives worker id over its stdin/stdout pipes until it has read stdout
+// to EOF or killed the worker, returning the worker's failure. With
+// n = 0 it spawns nothing, and exited never closes: external workers
+// come and go.
+func spawnWorkers(ctx context.Context, n int, label string, args []string, stderr io.Writer,
+	serve func(id int, stdin io.WriteCloser, stdout io.Reader, kill func()) error) (*localWorkers, error) {
 	lw := &localWorkers{exited: make(chan struct{})}
-	if b.Procs <= 0 {
-		return lw, nil // exited stays open: external workers come and go
+	if n <= 0 {
+		return lw, nil
 	}
 	exe, err := os.Executable()
 	if err != nil {
@@ -187,42 +186,89 @@ func (b Remote) spawnLocalWorkers(ctx context.Context, url string, stderr io.Wri
 	}
 	var stderrMu sync.Mutex
 	slow := os.Getenv(slowWorkerEnv)
-	for i := 0; i < b.Procs; i++ {
-		cmd := exec.CommandContext(ctx, exe, WorkerArg,
-			"-connect", url, "-parallel", strconv.Itoa(b.Workers))
-		cmd.Env = append(os.Environ(), workerEnvVar+"=1")
+	for i := 0; i < n; i++ {
+		cmd := exec.Command(exe, args...)
 		if i == 0 && slow != "" {
-			cmd.Env = append(cmd.Env, shardDelayEnv+"="+slow)
+			cmd.Env = append(os.Environ(), shardDelayEnv+"="+slow)
 		}
-		pipe, err := cmd.StderrPipe()
+		errPipe, err := cmd.StderrPipe()
+		var stdin io.WriteCloser
+		var stdout io.Reader
+		if serve != nil && err == nil {
+			if stdin, err = cmd.StdinPipe(); err == nil {
+				stdout, err = cmd.StdoutPipe()
+			}
+		}
+		if err == nil {
+			err = cmd.Start()
+		}
 		if err != nil {
 			lw.kill()
-			return nil, err
-		}
-		if err := cmd.Start(); err != nil {
-			lw.kill()
-			return nil, fmt.Errorf("remote: spawn local worker: %w", err)
+			return nil, fmt.Errorf("remote: spawn local %s: %w", label, err)
 		}
 		lw.cmds = append(lw.cmds, cmd)
+		prefix := fmt.Sprintf("[%s %d] ", label, i)
 		lw.wg.Add(1)
-		go func(id int, cmd *exec.Cmd, pipe io.Reader) {
+		go func(id int) {
 			defer lw.wg.Done()
-			experiment.CopyPrefixedLines(stderr, &stderrMu, fmt.Sprintf("[remote-worker %d] ", id), pipe)
-			if err := cmd.Wait(); err != nil {
-				lw.mu.Lock()
-				lw.errs = append(lw.errs, fmt.Errorf("worker %d: %w", id, err))
-				lw.mu.Unlock()
-				stderrMu.Lock()
-				fmt.Fprintf(stderr, "[remote-worker %d] exited: %v\n", id, err)
-				stderrMu.Unlock()
+			copied := make(chan struct{})
+			go func() {
+				defer close(copied)
+				experiment.CopyPrefixedLines(stderr, &stderrMu, prefix, errPipe)
+			}()
+			var err error
+			if serve != nil {
+				err = serve(id, stdin, stdout, func() { cmd.Process.Kill() })
 			}
-		}(i, cmd, pipe)
+			<-copied
+			// Wait closes the pipes, so it comes after every read of them.
+			switch werr := cmd.Wait(); {
+			case err == nil:
+				err = werr
+			case werr != nil:
+				err = fmt.Errorf("%w (%v)", err, werr)
+			}
+			if err == nil || lw.stopping.Load() || ctx.Err() != nil {
+				return
+			}
+			lw.mu.Lock()
+			lw.errs = append(lw.errs, fmt.Errorf("worker %d: %w", id, err))
+			lw.mu.Unlock()
+			stderrMu.Lock()
+			fmt.Fprintf(stderr, "%sexited: %v\n", prefix, err)
+			stderrMu.Unlock()
+		}(i)
 	}
 	go func() {
 		lw.wg.Wait()
 		close(lw.exited)
 	}()
 	return lw, nil
+}
+
+// wait blocks until coord's run is over, ctx is cancelled or every
+// worker has exited, then kills and reaps the workers still running:
+// once the run is over they hold only copies of finished work. It
+// returns ctx's error, or one naming the first worker failure when every
+// worker exited with shards outstanding.
+func (lw *localWorkers) wait(ctx context.Context, coord *Coordinator) error {
+	var err error
+	select {
+	case <-coord.Finished():
+	case <-ctx.Done():
+		err = ctx.Err()
+	case <-lw.exited:
+		select {
+		case <-coord.Finished():
+		default:
+			err = fmt.Errorf("remote: all %d local workers exited before the run completed: %w", len(lw.cmds), lw.firstErr())
+		}
+	}
+	lw.kill()
+	if len(lw.cmds) > 0 {
+		<-lw.exited
+	}
+	return err
 }
 
 // firstErr reports the first worker failure, or a placeholder when the
@@ -238,23 +284,8 @@ func (lw *localWorkers) firstErr() error {
 
 // kill terminates every worker process immediately.
 func (lw *localWorkers) kill() {
+	lw.stopping.Store(true)
 	for _, cmd := range lw.cmds {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-		}
-	}
-}
-
-// reap waits up to grace for the workers to exit on their own, then
-// kills the rest.
-func (lw *localWorkers) reap(grace time.Duration) {
-	if len(lw.cmds) == 0 {
-		return
-	}
-	select {
-	case <-lw.exited:
-	case <-time.After(grace):
-		lw.kill()
-		<-lw.exited
+		cmd.Process.Kill()
 	}
 }

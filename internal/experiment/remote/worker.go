@@ -29,11 +29,12 @@ const jobFetchTimeout = 10 * time.Second
 var workerSeq atomic.Int64
 
 // shardDelayEnv is a fault-injection shim: a time.Duration string that
-// makes this worker sleep that long before buffering each shard result
-// for /results, turning it into an artificial straggler. The CI
-// backup-execution gate sets it on one of two local workers (see
-// slowWorkerEnv in remote.go) so speculative backup leases are exercised
-// on every push; never set in normal operation. Scheduling only — a slowed worker's results are
+// makes this worker sleep that long before sending each shard result —
+// buffering it for /results, or writing it to a pipe worker's stdout —
+// turning it into an artificial straggler. The CI backup-execution gates
+// set it on one of two local workers (see slowWorkerEnv in remote.go) so
+// speculative backup leases are exercised on every push; never set in
+// normal operation. Scheduling only — a slowed worker's results are
 // byte-identical, just late.
 const shardDelayEnv = "SPECINTERFERENCE_REMOTE_SHARD_DELAY"
 
@@ -493,24 +494,19 @@ func post(ctx context.Context, client *http.Client, url string, body []byte, out
 }
 
 // RunWorkerIfRequested turns the process into a remote HTTP worker when
-// it was started in -remote-worker mode (argv marker or the mirror env
-// var set by locally spawned workers) and never returns in that case; it
-// returns without side effects otherwise. Registered with
+// it was started with WorkerArg as argv[1] and never returns in that
+// case; it returns without side effects otherwise. Registered with
 // experiment.RegisterWorkerMode, so every binary calling
 // experiment.RunWorkerIfRequested (all experiment CLIs, resultstore,
 // test binaries) serves this mode too.
 func RunWorkerIfRequested() {
-	if os.Getenv(workerEnvVar) == "" && !(len(os.Args) > 1 && os.Args[1] == WorkerArg) {
+	if len(os.Args) < 2 || os.Args[1] != WorkerArg {
 		return
-	}
-	args := os.Args[1:]
-	if len(args) > 0 && args[0] == WorkerArg {
-		args = args[1:]
 	}
 	fs := flag.NewFlagSet("remote-worker", flag.ExitOnError)
 	connect := fs.String("connect", "", "coordinator base URL, e.g. http://host:8080 (required)")
 	parallel := fs.Int("parallel", 0, "shard goroutines inside this worker (0 = serial)")
-	fs.Parse(args)
+	fs.Parse(os.Args[2:])
 	if *connect == "" {
 		fmt.Fprintln(os.Stderr, "remote-worker: -connect URL is required")
 		os.Exit(2)

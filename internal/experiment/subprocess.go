@@ -2,13 +2,10 @@ package experiment
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"os/exec"
 	"reflect"
 	"sync"
 
@@ -16,37 +13,30 @@ import (
 	"specinterference/internal/runner"
 )
 
-// workerEnvVar marks a process as a shard worker; the Subprocess backend
-// sets it (alongside the workerArg argv marker) on every child it spawns.
-const workerEnvVar = "SPECINTERFERENCE_SHARD_WORKER"
-
-// workerArg is the hidden CLI argument naming worker mode, for humans
-// reading `ps` output and for invoking the mode by hand.
-const workerArg = "-shard-worker"
-
 // Subprocess fans shards out across re-exec'd copies of the current
-// binary. Shards are split into chunks (small contiguous ranges) and
-// dispatched dynamically: each worker process serves one chunk at a time
-// — a JSON request line on stdin, shard results streamed back as JSON
-// lines on stdout — and asks for the next when it finishes, so fast
-// workers absorb the load of slow chunks (AD-ordering matrix cells
-// calibrate twice and cost double) instead of idling behind a static
-// equal split. The parent places results by shard index, so collection
-// is ordered no matter how workers interleave — the same determinism
-// contract as InProcess, across process boundaries. Worker stderr passes
-// through line-by-line with a "[worker N]" prefix, so diagnostics from
-// concurrent workers stay attributable and never interleave mid-line.
+// binary in a hidden -shard-worker mode, scheduled over their
+// stdin/stdout pipes by the remote backend's coordinator (registered
+// from internal/experiment/remote's init; Run fails unless that package
+// is linked in). Idle workers get the next span of JSON-streamed shards,
+// so fast workers absorb the load of slow spans (AD-ordering matrix
+// cells calibrate twice), a straggler's remainder gets a speculative
+// backup, and a crashed worker's undone shards run elsewhere. Results
+// are placed by shard index — the same determinism contract as
+// InProcess, across process boundaries; a shard run twice must produce
+// identical bytes. Worker stderr passes through line-by-line with a
+// "[worker N]" prefix, so diagnostics from concurrent workers stay
+// attributable; the backend itself prints nothing.
 type Subprocess struct {
 	// Procs is the worker-process count (0 = one per CPU); clamped to the
 	// shard count.
 	Procs int
 	// Workers bounds shard concurrency inside each worker process
-	// (0 = one goroutine per chunk, i.e. serial within the worker — the
-	// process count is the parallelism knob).
+	// (0 = serial within the worker — the process count is the
+	// parallelism knob).
 	Workers int
-	// Chunk is the dispatch granularity in shards (0 = automatic: about
-	// four chunks per worker, so stragglers cost at most a quarter of one
-	// worker's share).
+	// Chunk pins the shards per grant (0 = adaptive, the remote
+	// coordinator's rule: grants start at n/32 and then track the
+	// observed per-shard cost, at most n/8).
 	Chunk int
 	// Stderr receives the prefixed worker diagnostics (nil = os.Stderr).
 	Stderr io.Writer
@@ -55,21 +45,27 @@ type Subprocess struct {
 // Name implements Backend.
 func (Subprocess) Name() string { return "subprocess" }
 
-// workerRequest is one parent-to-worker chunk dispatch: run shards
-// [Start, End) of the named experiment. A worker serves a stream of
-// these, one JSON value at a time, until stdin closes.
-type workerRequest struct {
-	Experiment string         `json:"experiment"`
-	Params     results.Params `json:"params"`
-	// Start and End bound the chunk's shard range: [Start, End).
-	Start int `json:"start"`
-	End   int `json:"end"`
-	// Workers bounds shard concurrency inside the worker.
-	Workers int `json:"workers"`
+// SubprocessRunner runs a Subprocess backend's shards; see
+// RegisterSubprocessRunner.
+type SubprocessRunner func(ctx context.Context, b Subprocess, spec *Spec, p results.Params, n int, done func()) ([]any, error)
+
+var subprocessRunner SubprocessRunner
+
+// RegisterSubprocessRunner installs the scheduler behind Subprocess.Run.
+// internal/experiment/remote, which imports this package, registers its
+// coordinator from init, the way it registers the remote backend.
+func RegisterSubprocessRunner(f SubprocessRunner) { subprocessRunner = f }
+
+// Run implements Backend.
+func (b Subprocess) Run(ctx context.Context, spec *Spec, p results.Params, n int, done func()) ([]any, error) {
+	if subprocessRunner == nil {
+		return nil, fmt.Errorf("experiment: the subprocess backend runs on the coordinator in specinterference/internal/experiment/remote, which this binary does not link")
+	}
+	return subprocessRunner(ctx, b, spec, p, n, done)
 }
 
 // ShardLine is one streamed shard result — the wire format every worker
-// transport shares (subprocess stdout, remote HTTP /results): a shard's
+// transport shares (pipe-worker stdout, remote HTTP /results): a shard's
 // JSON-encoded value, or its failure.
 type ShardLine struct {
 	Shard int             `json:"shard"`
@@ -77,227 +73,9 @@ type ShardLine struct {
 	Err   string          `json:"err,omitempty"`
 }
 
-// Span is a contiguous shard range [Start, End) — the unit every
-// chunking scheduler (subprocess dispatch, remote leases) hands out.
+// Span is a contiguous shard range [Start, End) — the unit the remote
+// coordinator grants to workers of either backend.
 type Span struct{ Start, End int }
-
-// Spans tiles [0, n) into contiguous chunks of size chunk (clamped to
-// at least 1); the last chunk absorbs the remainder.
-func Spans(n, chunk int) []Span {
-	if chunk < 1 {
-		chunk = 1
-	}
-	spans := make([]Span, 0, (n+chunk-1)/chunk)
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		spans = append(spans, Span{start, end})
-	}
-	return spans
-}
-
-// chunkSpans splits [0, n) into dispatch chunks of the given size
-// (<=0 = automatic: about chunksPerWorker chunks per worker).
-func chunkSpans(n, chunk, procs int) []Span {
-	const chunksPerWorker = 4
-	if chunk <= 0 {
-		if procs < 1 {
-			procs = 1
-		}
-		chunk = n / (chunksPerWorker * procs)
-	}
-	return Spans(n, chunk)
-}
-
-// Run implements Backend.
-func (b Subprocess) Run(ctx context.Context, spec *Spec, p results.Params, n int, done func()) ([]any, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if n == 0 {
-		return nil, ctx.Err()
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("experiment: locate executable for subprocess backend: %w", err)
-	}
-	procs := runner.Workers(b.Procs, n)
-	out := make([]any, n)
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		mu.Unlock()
-	}
-
-	// The chunk queue: workers pull the next range as they finish the
-	// previous one, so load balance emerges from completion order.
-	spans := chunkSpans(n, b.Chunk, procs)
-	chunks := make(chan Span)
-	go func() {
-		defer close(chunks)
-		for _, sp := range spans {
-			select {
-			case chunks <- sp:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	stderr := b.Stderr
-	if stderr == nil {
-		stderr = os.Stderr
-	}
-	var stderrMu sync.Mutex
-	for w := 0; w < procs; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if err := b.runWorker(ctx, exe, spec, p, id, chunks, out, done, stderr, &stderrMu); err != nil {
-				fail(err)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// runWorker spawns one worker process and feeds it chunks from the queue,
-// decoding its streamed results into out by shard index.
-func (b Subprocess) runWorker(ctx context.Context, exe string, spec *Spec, p results.Params, id int, chunks <-chan Span, out []any, done func(), stderr io.Writer, stderrMu *sync.Mutex) error {
-	cmd := exec.CommandContext(ctx, exe, workerArg)
-	cmd.Env = append(os.Environ(), workerEnvVar+"=1")
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return err
-	}
-	workerStderr, err := cmd.StderrPipe()
-	if err != nil {
-		return err
-	}
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("experiment: spawn shard worker: %w", err)
-	}
-	var stderrWG sync.WaitGroup
-	stderrWG.Add(1)
-	go func() {
-		defer stderrWG.Done()
-		CopyPrefixedLines(stderr, stderrMu, fmt.Sprintf("[worker %d] ", id), workerStderr)
-	}()
-
-	enc := json.NewEncoder(stdin)
-	sc := bufio.NewScanner(stdout)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
-
-	serveErr := func() error {
-		for {
-			var sp Span
-			var ok bool
-			select {
-			case sp, ok = <-chunks:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			if !ok {
-				return nil
-			}
-			if err := enc.Encode(workerRequest{
-				Experiment: spec.Name, Params: p,
-				Start: sp.Start, End: sp.End, Workers: b.Workers,
-			}); err != nil {
-				return fmt.Errorf("experiment: worker %d: dispatch [%d,%d): %w", id, sp.Start, sp.End, err)
-			}
-			if err := b.collectChunk(spec, id, sp, sc, out, done); err != nil {
-				return err
-			}
-		}
-	}()
-	// Closing stdin is the shutdown signal: the worker's request loop
-	// sees EOF and exits cleanly. On error, kill instead — the worker may
-	// be wedged mid-chunk.
-	stdin.Close()
-	if serveErr != nil {
-		cmd.Process.Kill()
-	}
-	stderrWG.Wait()
-	waitErr := cmd.Wait()
-	if serveErr != nil {
-		return serveErr
-	}
-	if waitErr != nil {
-		return fmt.Errorf("experiment: worker %d: %w", id, waitErr)
-	}
-	return nil
-}
-
-// collectChunk reads the worker's result lines for one dispatched chunk
-// until every shard in the span has reported.
-func (b Subprocess) collectChunk(spec *Spec, id int, sp Span, sc *bufio.Scanner, out []any, done func()) error {
-	// seen tracks per-shard coverage rather than a bare count, so a
-	// misbehaving worker that duplicates one shard and drops another is a
-	// clean protocol error, not a nil value reaching the aggregator.
-	seen := make([]bool, sp.End-sp.Start)
-	for got := 0; got < sp.End-sp.Start; {
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return fmt.Errorf("experiment: worker %d [%d,%d): %w", id, sp.Start, sp.End, err)
-			}
-			return fmt.Errorf("experiment: worker %d exited after %d of %d shard results in [%d,%d)", id, got, sp.End-sp.Start, sp.Start, sp.End)
-		}
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var sl ShardLine
-		if err := json.Unmarshal(line, &sl); err != nil {
-			return fmt.Errorf("experiment: worker %d [%d,%d): bad result line: %w", id, sp.Start, sp.End, err)
-		}
-		switch {
-		case sl.Err != "":
-			return fmt.Errorf("experiment: shard %d: %s", sl.Shard, sl.Err)
-		case sl.Shard < sp.Start || sl.Shard >= sp.End:
-			return fmt.Errorf("experiment: worker %d [%d,%d) returned out-of-range shard %d", id, sp.Start, sp.End, sl.Shard)
-		case seen[sl.Shard-sp.Start]:
-			return fmt.Errorf("experiment: worker %d [%d,%d) returned shard %d twice", id, sp.Start, sp.End, sl.Shard)
-		default:
-			v, err := DecodeShard(spec, sl.Value)
-			if err != nil {
-				return fmt.Errorf("experiment: shard %d: %w", sl.Shard, err)
-			}
-			out[sl.Shard] = v
-			seen[sl.Shard-sp.Start] = true
-			got++
-			if done != nil {
-				done()
-			}
-		}
-	}
-	return nil
-}
 
 // CopyPrefixedLines copies src to dst one line at a time, prefixing each
 // line and holding mu across the write, so lines from concurrent workers
@@ -370,89 +148,25 @@ func RunShardLines(ctx context.Context, spec *Spec, state any, p results.Params,
 	return err
 }
 
-// workerModes are extra hidden process modes (the remote worker)
-// registered by packages this one cannot import; RunWorkerIfRequested
-// gives each a chance to recognise its trigger and serve before the
-// shard-worker check.
+// workerModes are the hidden worker-process modes (the pipe worker and
+// the remote HTTP worker), registered by internal/experiment/remote,
+// which this package cannot import.
 var workerModes []func()
 
 // RegisterWorkerMode adds a hidden worker-mode hook. A hook inspects
-// os.Args/environment itself, returns without side effects when not
-// triggered, and never returns (os.Exit) when it serves.
+// os.Args itself, returns without side effects when not triggered, and
+// never returns (os.Exit) when it serves.
 func RegisterWorkerMode(f func()) { workerModes = append(workerModes, f) }
 
-// RunWorkerIfRequested turns the process into a shard worker — serving
-// chunk requests from stdin until EOF, streaming shard results to
-// stdout, then exiting — when the Subprocess backend spawned it
-// (workerEnvVar set, or workerArg as the first argument), and gives
-// registered worker modes (the remote HTTP worker's -remote-worker) the
-// same chance first. It returns without side effects otherwise. Every
-// binary that serves as a backend worker calls it before any flag
+// RunWorkerIfRequested gives every registered worker mode the chance to
+// take over the process: a backend spawns its workers with the mode's
+// marker as the first argument (-shard-worker, -remote-worker), and the
+// mode serves and exits. It returns without side effects otherwise.
+// Every binary that serves as a backend worker calls it before any flag
 // parsing: the experiment CLIs (via Main), resultstore, and the test
 // binaries that exercise the backends (via TestMain).
 func RunWorkerIfRequested() {
 	for _, f := range workerModes {
 		f()
-	}
-	if os.Getenv(workerEnvVar) == "" && !(len(os.Args) > 1 && os.Args[1] == workerArg) {
-		return
-	}
-	os.Exit(workerMain(os.Stdin, os.Stdout, os.Stderr))
-}
-
-// workerMain is the worker-process body: decode chunk requests from
-// stdin one at a time, run each range on the in-process pool streaming
-// results as shards complete, and exit cleanly at EOF (the parent closed
-// the pipe: no more work). Spec lookup and state preparation happen once,
-// on the first request — every request in a session names the same
-// experiment and params. Returns the process exit code.
-func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
-	dec := json.NewDecoder(stdin)
-	bw := bufio.NewWriter(stdout)
-	defer bw.Flush()
-	enc := json.NewEncoder(bw)
-	emit := func(sl ShardLine) error {
-		if err := enc.Encode(sl); err != nil {
-			return err
-		}
-		// Flush per line so the parent sees progress as shards complete.
-		return bw.Flush()
-	}
-
-	var (
-		spec  *Spec
-		state any
-	)
-	for {
-		var req workerRequest
-		if err := dec.Decode(&req); err == io.EOF {
-			return 0
-		} else if err != nil {
-			fmt.Fprintln(stderr, "shard-worker: bad request:", err)
-			return 2
-		}
-		if req.Start < 0 || req.End < req.Start {
-			fmt.Fprintf(stderr, "shard-worker: bad shard range [%d,%d)\n", req.Start, req.End)
-			return 2
-		}
-		if spec == nil {
-			s, err := Lookup(req.Experiment)
-			if err != nil {
-				fmt.Fprintln(stderr, "shard-worker:", err)
-				return 2
-			}
-			if state, err = s.PrepareState(req.Params); err != nil {
-				fmt.Fprintln(stderr, "shard-worker:", err)
-				return 1
-			}
-			spec = s
-		} else if req.Experiment != spec.Name {
-			fmt.Fprintf(stderr, "shard-worker: experiment changed mid-session: %s -> %s\n", spec.Name, req.Experiment)
-			return 2
-		}
-		if err := RunShardLines(context.Background(), spec, state, req.Params, req.Start, req.End, req.Workers, emit); err != nil {
-			fmt.Fprintln(stderr, "shard-worker:", err)
-			return 1
-		}
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -29,35 +31,6 @@ func init() {
 			return nil, fmt.Errorf("framing tests never aggregate")
 		},
 	})
-}
-
-// TestChunkSpans pins the scheduler granularity: explicit chunk sizes
-// tile [0, n) exactly; automatic sizing aims at about four chunks per
-// worker and never goes below one shard.
-func TestChunkSpans(t *testing.T) {
-	for _, tc := range []struct {
-		n, chunk, procs int
-		want            []Span
-	}{
-		{7, 3, 1, []Span{{0, 3}, {3, 6}, {6, 7}}},
-		{4, 10, 1, []Span{{0, 4}}},
-		{6, 1, 2, []Span{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}}},
-		// auto: 32 shards / (4 chunks × 2 procs) = 4 per chunk.
-		{32, 0, 2, []Span{{0, 4}, {4, 8}, {8, 12}, {12, 16}, {16, 20}, {20, 24}, {24, 28}, {28, 32}}},
-		// auto never drops below one shard per chunk.
-		{3, 0, 8, []Span{{0, 1}, {1, 2}, {2, 3}}},
-	} {
-		got := chunkSpans(tc.n, tc.chunk, tc.procs)
-		if len(got) != len(tc.want) {
-			t.Errorf("chunkSpans(%d,%d,%d) = %v, want %v", tc.n, tc.chunk, tc.procs, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("chunkSpans(%d,%d,%d)[%d] = %v, want %v", tc.n, tc.chunk, tc.procs, i, got[i], tc.want[i])
-			}
-		}
-	}
 }
 
 // TestCopyPrefixedLines pins the framing primitive: every line gets the
@@ -114,7 +87,8 @@ func TestCopyPrefixedLinesConcurrent(t *testing.T) {
 
 // TestSubprocessStderrFraming is the end-to-end pin: stderr from
 // concurrent worker processes arrives line-framed and attributed, and
-// every shard's diagnostic line survives exactly once.
+// every shard's diagnostic line survives. A speculative backup can run a
+// shard twice, so a diagnostic may appear more than once.
 func TestSubprocessStderrFraming(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -145,12 +119,94 @@ func TestSubprocessStderrFraming(t *testing.T) {
 		}
 		seen[m[1]]++
 	}
+	for i := 0; i < n; i++ {
+		if seen[strconv.Itoa(i)] == 0 {
+			t.Errorf("shard %d diagnostic missing (%v)", i, seen)
+		}
+	}
 	if len(seen) != n {
 		t.Errorf("saw %d distinct shard diagnostics, want %d (%v)", len(seen), n, seen)
 	}
-	for shard, count := range seen {
-		if count != 1 {
-			t.Errorf("shard %s diagnostic appeared %d times", shard, count)
+}
+
+// crashOnceEnv names the marker file test-crash-once claims before its
+// one crash; TestSubprocessWorkerCrash sets it for the worker processes.
+const crashOnceEnv = "SPECINTERFERENCE_TEST_CRASH_ONCE"
+
+// test-crash-once is a spec whose shard crashShard kills its worker
+// process the first time any worker runs it. The first run claims a
+// marker file with O_EXCL, so exactly one process crashes even when a
+// backup runs the shard on two workers at once.
+const crashShard = 5
+
+func init() {
+	Register(&Spec{
+		Name: "test-crash-once",
+		Plan: func(p results.Params) (int, error) { return p.Trials, nil },
+		Run: func(_ context.Context, _ any, p results.Params, i int) (any, error) {
+			if path := os.Getenv(crashOnceEnv); i == crashShard && path != "" {
+				if f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644); err == nil {
+					f.Close()
+					os.Exit(3)
+				}
+			}
+			return float64(i), nil
+		},
+		NewShard: func() any { return new(float64) },
+		Aggregate: func(p results.Params, shards []any) (*results.Record, error) {
+			return nil, fmt.Errorf("crash tests never aggregate")
+		},
+	})
+}
+
+// TestSubprocessWorkerCrash pins crash recovery: a worker process that
+// dies mid-span loses only its lease, and the undone remainder runs on
+// the surviving worker, so the run still returns every value in index
+// order.
+func TestSubprocessWorkerCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	t.Setenv(crashOnceEnv, filepath.Join(t.TempDir(), "crashed"))
+	spec, err := Lookup("test-crash-once")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 12
+	var buf bytes.Buffer
+	out, err := Subprocess{Procs: 2, Chunk: 2, Stderr: &buf}.Run(context.Background(), spec, results.Params{Trials: n}, n, nil)
+	if err != nil {
+		t.Fatalf("%v\nstderr:\n%s", err, buf.String())
+	}
+	if len(out) != n {
+		t.Fatalf("%d values, want %d", len(out), n)
+	}
+	for i, v := range out {
+		if v != float64(i) {
+			t.Errorf("shard %d = %v, want %v", i, v, float64(i))
 		}
+	}
+	if _, err := os.Stat(os.Getenv(crashOnceEnv)); err != nil {
+		t.Errorf("shard %d never crashed a worker: %v", crashShard, err)
+	}
+}
+
+// TestSubprocessAllWorkersExit: when the only worker crashes, no worker
+// is left to take over its shards, and the run fails with an error
+// naming that worker's failure.
+func TestSubprocessAllWorkersExit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	t.Setenv(crashOnceEnv, filepath.Join(t.TempDir(), "crashed"))
+	spec, err := Lookup("test-crash-once")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 12
+	var buf bytes.Buffer
+	_, err = Subprocess{Procs: 1, Chunk: 2, Stderr: &buf}.Run(context.Background(), spec, results.Params{Trials: n}, n, nil)
+	if err == nil || !strings.Contains(err.Error(), "[4,6)") || !strings.Contains(err.Error(), "exit status 3") {
+		t.Errorf("err = %v, want the crashed worker's failure\nstderr:\n%s", err, buf.String())
 	}
 }

@@ -319,8 +319,9 @@ func InProcessBackend(workers int) ExperimentBackend {
 
 // SubprocessBackend fans shard ranges out across re-exec'd copies of the
 // current binary (procs 0 = one per CPU), running workers goroutines
-// inside each worker process (0 = serial). By the shard purity contract
-// its results are bit-identical to the in-process backend's.
+// inside each (0 = serial), scheduled over their pipes by the remote
+// backend's coordinator. Its results are bit-identical to the
+// in-process backend's.
 func SubprocessBackend(procs, workers int) ExperimentBackend {
 	return experiment.Subprocess{Procs: procs, Workers: workers}
 }
@@ -353,10 +354,10 @@ func NewExperimentBackendOptions(name string, o ExperimentBackendOptions) (Exper
 // ExperimentBackendNames lists the resolvable backend names.
 func ExperimentBackendNames() []string { return experiment.BackendNames() }
 
-// RunExperimentWorkerIfRequested turns the process into a shard worker —
-// a subprocess-backend stdin/stdout worker, or a remote-backend HTTP
-// worker (-remote-worker -connect URL) — when a backend spawned it or it
-// was started in a worker mode by hand, and returns without side effects
+// RunExperimentWorkerIfRequested turns the process into a shard worker
+// when its first argument names a worker mode — -shard-worker (a
+// subprocess-backend pipe worker) or -remote-worker -connect URL (a
+// remote-backend HTTP worker) — and returns without side effects
 // otherwise. Binaries that run experiments through SubprocessBackend or
 // RemoteBackend must call it before any flag parsing.
 func RunExperimentWorkerIfRequested() { experiment.RunWorkerIfRequested() }
