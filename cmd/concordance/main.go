@@ -2,8 +2,7 @@
 // (internal/detect) against the cycle-level simulator over every Table 1
 // cell: each scheme × gadget × ordering combination is classified twice —
 // once empirically, once by the static analysis — and the two verdicts
-// are compared. Any disagreement that is not an explicitly enumerated
-// exception fails the run.
+// are compared. Any disagreement fails the run.
 //
 // The run itself goes through the shared experiment engine
 // (internal/experiment), which also provides the common flags:
@@ -48,9 +47,6 @@ func main() {
 				status := "ok"
 				if !c.Match {
 					status = "MISMATCH"
-					if c.Exception != "" {
-						status = "exception: " + c.Exception
-					}
 				} else {
 					matches++
 				}

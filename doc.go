@@ -126,9 +126,8 @@
 // curve point, the Figure 12 slowdown table. Records append as JSONL
 // under a store directory (one file per experiment, newest last) via the
 // -store flag on vulnmatrix, covertbench, defensebench and interference,
-// or programmatically through OpenResultStore and the record
-// constructors (NewFigure7Record, NewTable1Record, NewFigure11Record,
-// NewFigure12Record, NewConcordanceRecord).
+// or programmatically: RunExperiment returns the sealed record and
+// OpenResultStore opens the store to append it to.
 //
 // Each record carries a canonical SHA-256 signature over its parameters
 // and payload; metadata is excluded, so two runs of the same experiment

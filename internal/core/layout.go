@@ -29,10 +29,12 @@
 // seed. TrialState (trialstate.go) exploits that: each worker resets one
 // pooled two-core system in place between trials (uarch.System.Reset)
 // and reuses every result buffer, with victim programs and PoC receivers
-// memoized in front of the shared caches, so the post-warmup trial loop
-// performs zero heap allocations. The reuse path is pinned bit-identical
-// to fresh construction by TestTrialStateMatchesRunTrial and the
-// committed result baselines, and the zero is pinned by
+// memoized on the state, so the post-warmup trial loop performs zero
+// heap allocations. Every trial, NewAttackSystem's included, builds or
+// resets its machine in TrialState.attackSystem and finds its victim in
+// the state's memo, the only victim cache. The reuse path is pinned
+// bit-identical to fresh construction by TestTrialStateMatchesRunTrial
+// and the committed result baselines, and the zero is pinned by
 // TestTrialLoopAllocFree plus the committed BENCH_*.json trajectories
 // (internal/bench). RunTrial remains the single-shot entry point: it
 // runs on a private state, so its result — including the post-run

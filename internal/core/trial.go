@@ -3,12 +3,10 @@ package core
 import (
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"specinterference/internal/asm"
 	"specinterference/internal/cache"
 	"specinterference/internal/isa"
-	"specinterference/internal/mem"
 	"specinterference/internal/uarch"
 )
 
@@ -100,105 +98,13 @@ type recordSink struct{ recs []uarch.InstRecord }
 
 func (r *recordSink) Record(_ int, rec uarch.InstRecord) { r.recs = append(r.recs, rec) }
 
-// victimKey identifies one assembled victim program. The layout is part
-// of the key because config tweaks can move the eviction-set-derived
-// addresses; everything in it is a comparable value type.
-type victimKey struct {
-	gadget   Gadget
-	ordering Ordering
-	layout   Layout
-	params   VictimParams
-}
-
-// victimTable is one generation of the victim-program cache: the map and
-// the counters that describe it live together, so a reset — an atomic
-// pointer swap to a fresh table — can never pair new counters with old
-// entries (or vice versa) under concurrent shards.
-type victimTable struct {
-	// m memoizes BuildVictim across trials: batch harnesses (the Figure 7
-	// arms, the matrix, the channel curves) run thousands of trials over a
-	// handful of distinct (gadget, ordering, layout, params) tuples, and
-	// the assembled program is immutable once built — the pipeline only
-	// reads it, and the harness keys its per-trial state off the System,
-	// not the Victim. Safe for concurrent shards.
-	m            sync.Map // victimKey -> *Victim
-	hits, misses atomic.Uint64
-}
-
-// victimTab points at the live cache generation. Readers Load the pointer
-// once per operation and work against that table; resetVictimCache swaps
-// in a fresh table instead of mutating the live one.
-var victimTab atomic.Pointer[victimTable]
-
-// victimCacheGen invalidates the per-TrialState victim memos, which sit in
-// front of victimTab and would otherwise survive a reset.
-var victimCacheGen atomic.Uint64
-
-func init() { victimTab.Store(&victimTable{}) }
-
-// cachedVictim returns the memoized victim for a key, building and
-// publishing it on first use. Concurrent first uses may both build; the
-// builder is deterministic, so either result is the same program.
-func cachedVictim(g Gadget, ord Ordering, l Layout, p VictimParams) (*Victim, error) {
-	t := victimTab.Load()
-	key := victimKey{gadget: g, ordering: ord, layout: l, params: p}
-	if v, ok := t.m.Load(key); ok {
-		t.hits.Add(1)
-		return v.(*Victim), nil
-	}
-	t.misses.Add(1)
-	v, err := BuildVictim(g, ord, l, p)
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := t.m.LoadOrStore(key, v)
-	return actual.(*Victim), nil
-}
-
-// VictimCacheStats reports victim-program cache hits and misses for the
-// current cache generation (diagnostics for the batch-trial fast path).
-func VictimCacheStats() (hits, misses uint64) {
-	t := victimTab.Load()
-	return t.hits.Load(), t.misses.Load()
-}
-
-// resetVictimCache atomically replaces the cache with an empty generation
-// and invalidates every TrialState's private memo (tests only). Shards
-// racing with the reset finish against whichever table they loaded, so
-// stats stay internally consistent either way.
-func resetVictimCache() {
-	victimTab.Store(&victimTable{})
-	victimCacheGen.Add(1)
-}
-
 // NewAttackSystem builds the two-core system, layout and victim for a
 // spec, fully primed and trained but not yet run. Exposed for receivers
-// and tests that orchestrate phases themselves. The assembled victim
-// program is cached per (gadget, ordering, layout, params) and shared
-// across trials; see victimCache.
+// and tests that orchestrate phases themselves. It runs on a private
+// TrialState, the one place every trial's machine is built or reset, so
+// the machine belongs to the caller.
 func NewAttackSystem(spec TrialSpec) (*uarch.System, Layout, *Victim, error) {
-	cfg := AttackConfig()
-	cfg.Cache.MemJitter = spec.Jitter
-	cfg.Cache.LLCReplacementNoisePct = spec.ReplNoisePct
-	if spec.Seed != 0 {
-		cfg.Cache.Seed = spec.Seed
-	}
-	if spec.Tweak != nil {
-		spec.Tweak(&cfg)
-	}
-	sys, err := uarch.NewSystem(cfg, mem.New())
-	if err != nil {
-		return nil, Layout{}, nil, err
-	}
-	l := DefaultLayout(cfg.Cache)
-	v, err := cachedVictim(spec.Gadget, spec.Ordering, l, spec.params())
-	if err != nil {
-		return nil, Layout{}, nil, err
-	}
-	if err := prepareTrial(sys, v, spec); err != nil {
-		return nil, Layout{}, nil, err
-	}
-	return sys, l, v, nil
+	return NewTrialState().attackSystem(spec)
 }
 
 // prepareTrial sets up memory contents, cache priming, branch training and

@@ -19,9 +19,20 @@ type trialShape struct {
 	replNoisePct int
 }
 
-// victimMemo is one entry of TrialState's private victim cache. The global
-// victimCache already memoizes builds, but looking it up boxes the struct
-// key into an interface on every call; the per-state linear scan below is
+// victimKey identifies one assembled victim program. The layout is part
+// of the key because config tweaks can move the eviction-set-derived
+// addresses; everything in it is a comparable value type.
+type victimKey struct {
+	gadget   Gadget
+	ordering Ordering
+	layout   Layout
+	params   VictimParams
+}
+
+// victimMemo is one entry of TrialState's victim memo, the only victim
+// cache. Batch harnesses run thousands of trials over a handful of
+// distinct keys, and an assembled program is immutable once built, so
+// each state builds a victim once per key. The linear scan is
 // allocation-free on the steady-state path.
 type victimMemo struct {
 	key victimKey
@@ -46,8 +57,7 @@ type TrialState struct {
 	sink recordSink
 	res  TrialResult
 
-	victims   []victimMemo
-	victimGen uint64
+	victims []victimMemo
 
 	// PoC receiver memo: the QLRU receiver and its prime/probe programs
 	// depend only on the layout, geometry and PoC kind — all fixed for a
@@ -82,64 +92,58 @@ func AcquireTrialState() *TrialState { return trialStatePool.Get().(*TrialState)
 // alias the state's buffers and must not be used after release.
 func ReleaseTrialState(ts *TrialState) { trialStatePool.Put(ts) }
 
-// attackSystem is NewAttackSystem against the state's reusable machine:
-// when the spec's shape matches the cached system, the machine is reset in
-// place (no allocation) instead of rebuilt. Tweaked specs always build
-// fresh — a config mutation cannot be keyed, so reuse would be unsound.
+// attackSystem builds or resets the state's machine for spec, primes and
+// trains it, and returns it with its layout and victim: NewAttackSystem
+// and every trial run through it. When the spec's shape matches the kept
+// machine, the machine is reset in place (no allocation) instead of
+// rebuilt. A tweaked spec always gets a fresh machine that is never kept,
+// because a config mutation cannot be keyed; its victim still goes into
+// the memo, keyed by the layout its tweaked cache config derives.
 func (ts *TrialState) attackSystem(spec TrialSpec) (*uarch.System, Layout, *Victim, error) {
-	if spec.Tweak != nil {
-		return NewAttackSystem(spec)
-	}
 	seed := spec.Seed
 	if seed == 0 {
 		seed = 1 // AttackConfig's default hierarchy seed
 	}
 	shape := trialShape{jitter: spec.Jitter, replNoisePct: spec.ReplNoisePct}
-	if ts.hasSys && ts.shape == shape {
-		ts.sys.Reset(seed)
+	sys, l := ts.sys, ts.layout
+	if spec.Tweak == nil && ts.hasSys && ts.shape == shape {
+		sys.Reset(seed)
 	} else {
 		cfg := AttackConfig()
 		cfg.Cache.MemJitter = spec.Jitter
 		cfg.Cache.LLCReplacementNoisePct = spec.ReplNoisePct
 		cfg.Cache.Seed = seed
-		sys, err := uarch.NewSystem(cfg, mem.New())
-		if err != nil {
+		if spec.Tweak != nil {
+			spec.Tweak(&cfg)
+		}
+		var err error
+		if sys, err = uarch.NewSystem(cfg, mem.New()); err != nil {
 			return nil, Layout{}, nil, err
 		}
-		ts.sys, ts.shape, ts.hasSys = sys, shape, true
-		// The layout is pure address arithmetic over the geometry, which
-		// is shape-independent, so it survives shape changes; computing it
-		// here keeps the no-system and new-shape paths identical.
-		ts.layout = DefaultLayout(cfg.Cache)
+		l = DefaultLayout(cfg.Cache)
+		if spec.Tweak == nil {
+			ts.sys, ts.shape, ts.hasSys, ts.layout = sys, shape, true, l
+		}
 	}
-	v, err := ts.victim(spec)
+	v, err := ts.victim(victimKey{gadget: spec.Gadget, ordering: spec.Ordering, layout: l, params: spec.params()})
 	if err != nil {
 		return nil, Layout{}, nil, err
 	}
-	if err := prepareTrial(ts.sys, v, spec); err != nil {
+	if err := prepareTrial(sys, v, spec); err != nil {
 		return nil, Layout{}, nil, err
 	}
-	return ts.sys, ts.layout, v, nil
+	return sys, l, v, nil
 }
 
-// victim returns the assembled victim program for spec, consulting the
-// state's linear memo before the global (interface-boxing) cache. The
-// memo is dropped when the global cache generation changes, so a
-// resetVictimCache is visible through pooled states too.
-func (ts *TrialState) victim(spec TrialSpec) (*Victim, error) {
-	if g := victimCacheGen.Load(); g != ts.victimGen {
-		ts.victims, ts.victimGen = ts.victims[:0], g
-	}
-	key := victimKey{gadget: spec.Gadget, ordering: spec.Ordering, layout: ts.layout, params: spec.params()}
+// victim returns the memoized victim program for key, building it on the
+// state's first use of the key.
+func (ts *TrialState) victim(key victimKey) (*Victim, error) {
 	for i := range ts.victims {
 		if ts.victims[i].key == key {
-			// A memo hit still reuses the shared build: count it so
-			// VictimCacheStats keeps describing the batch fast path.
-			victimTab.Load().hits.Add(1)
 			return ts.victims[i].v, nil
 		}
 	}
-	v, err := cachedVictim(spec.Gadget, spec.Ordering, ts.layout, spec.params())
+	v, err := BuildVictim(key.gadget, key.ordering, key.layout, key.params)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 
 	"specinterference/internal/schemes"
@@ -144,8 +143,8 @@ func TestTrialStatePoCBitMatchesFresh(t *testing.T) {
 }
 
 // TestTrialStateTweakBypassesReuse: tweaked specs must build fresh
-// machines (and skip the receiver memo), and must not poison the cached
-// machine for subsequent untweaked trials.
+// machines with the tweaked config (and skip the receiver memo), and must
+// not poison the cached machine for subsequent untweaked trials.
 func TestTrialStateTweakBypassesReuse(t *testing.T) {
 	ts := NewTrialState()
 	plain := TrialSpec{Gadget: GadgetNPEU, Ordering: OrderVDVD, Secret: 1}
@@ -154,16 +153,23 @@ func TestTrialStateTweakBypassesReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	sigBefore := before.Signature()
-	cachedSys := ts.sys
+	cachedSys, victimBefore := ts.sys, before.Victim
 
 	tweaked := plain
-	tweaked.Tweak = func(c *uarch.Config) { c.CDBWidth = 1 }
+	tweaked.Tweak = func(c *uarch.Config) { c.Cache.DMSHRs = 2 }
 	rTweaked, err := ts.Run(tweaked)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rTweaked.System == cachedSys {
 		t.Error("tweaked trial ran on the cached machine")
+	}
+	if got := rTweaked.System.Hierarchy().DMSHR(0).Cap(); got != 2 {
+		t.Errorf("tweaked machine has %d L1D MSHRs, want the tweak's 2", got)
+	}
+	if rTweaked.Victim != victimBefore {
+		// The MSHR count does not move the layout, so the key is the same.
+		t.Error("tweaked trial rebuilt a victim the state's memo already held")
 	}
 
 	after, err := ts.Run(plain)
@@ -172,6 +178,9 @@ func TestTrialStateTweakBypassesReuse(t *testing.T) {
 	}
 	if after.System != cachedSys {
 		t.Error("untweaked trial after a tweak did not reuse the cached machine")
+	}
+	if got, want := after.System.Hierarchy().DMSHR(0).Cap(), AttackConfig().Cache.DMSHRs; got != want {
+		t.Errorf("reused machine has %d L1D MSHRs after a tweak detour, want AttackConfig's %d", got, want)
 	}
 	if got := after.Signature(); got != sigBefore {
 		t.Errorf("signature after tweak detour %q != before %q", got, sigBefore)
@@ -233,52 +242,4 @@ func TestTrialLoopAllocFree(t *testing.T) {
 			t.Errorf("MatrixShard cell %d steady state: %d allocs in 10 runs, want 0", j, n)
 		}
 	}
-}
-
-// TestVictimCacheResetRaceFree hammers the victim cache from concurrent
-// shards while another goroutine keeps swapping in fresh generations —
-// the exact interleaving the old clear-in-place reset raced on. Run under
-// -race this pins the atomic-swap reset; in any mode it checks that every
-// lookup still returns a well-formed victim and stats stay coherent.
-func TestVictimCacheResetRaceFree(t *testing.T) {
-	defer resetVictimCache()
-	l := DefaultLayout(AttackConfig().Cache)
-	params := DefaultVictimParams()
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				g := []Gadget{GadgetNPEU, GadgetMSHR, GadgetRS}[i%3]
-				ord := OrderVDVD
-				if g == GadgetRS {
-					ord = OrderVIAD
-				}
-				v, err := cachedVictim(g, ord, l, params)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if v == nil || v.Prog == nil {
-					t.Error("cachedVictim returned an empty victim")
-					return
-				}
-				hits, misses := VictimCacheStats()
-				_ = hits + misses // stats must be readable mid-reset
-			}
-		}()
-	}
-	for i := 0; i < 200; i++ {
-		resetVictimCache()
-	}
-	close(stop)
-	wg.Wait()
 }

@@ -2,41 +2,44 @@ package core
 
 import "testing"
 
-// TestVictimCacheIdenticalTrials proves the batch-trial fast path is
-// invisible: a trial that builds its victim program from scratch (cold
-// cache) and a trial that reuses the memoized program produce identical
-// probe signatures, and the cached program is the same code BuildVictim
-// emits.
+// TestVictimCacheIdenticalTrials proves the victim memo is invisible: a
+// trial that builds its victim program (cold memo) and a trial that
+// reuses the memoized program produce identical probe signatures, and the
+// memoized program is the same code BuildVictim emits.
 func TestVictimCacheIdenticalTrials(t *testing.T) {
 	spec := TrialSpec{
 		Gadget: GadgetNPEU, Ordering: OrderVDVD,
 		Secret: 1, Jitter: 5, Seed: 7,
 	}
 
-	resetVictimCache()
-	defer resetVictimCache()
-	cold, err := RunTrial(spec)
+	ts := NewTrialState()
+	cold, err := ts.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := VictimCacheStats(); hits != 0 || misses != 1 {
-		t.Fatalf("cold trial: hits=%d misses=%d, want 0/1", hits, misses)
+	if n := len(ts.victims); n != 1 {
+		t.Fatalf("cold trial: %d memo entries, want 1", n)
 	}
+	// The result aliases the state, so keep what the warm run overwrites.
+	coldSig, coldCycle, coldVictim := cold.Signature(), cold.SecretLineCycle, cold.Victim
 
-	warm, err := RunTrial(spec)
+	warm, err := ts.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := VictimCacheStats(); hits != 1 || misses != 1 {
-		t.Fatalf("warm trial: hits=%d misses=%d, want 1/1", hits, misses)
+	if n := len(ts.victims); n != 1 {
+		t.Fatalf("warm trial: %d memo entries, want 1", n)
+	}
+	if warm.Victim != coldVictim {
+		t.Error("warm trial rebuilt its victim instead of reusing the memoized one")
 	}
 
-	if got, want := warm.Signature(), cold.Signature(); got != want {
-		t.Errorf("cached trial signature %q differs from uncached %q", got, want)
+	if got := warm.Signature(); got != coldSig {
+		t.Errorf("memoized trial signature %q differs from cold %q", got, coldSig)
 	}
-	if warm.SecretLineCycle != cold.SecretLineCycle {
-		t.Errorf("cached trial secret-line cycle %d differs from uncached %d",
-			warm.SecretLineCycle, cold.SecretLineCycle)
+	if warm.SecretLineCycle != coldCycle {
+		t.Errorf("memoized trial secret-line cycle %d differs from cold %d",
+			warm.SecretLineCycle, coldCycle)
 	}
 
 	// The memoized program is exactly what a fresh build emits.
@@ -45,19 +48,18 @@ func TestVictimCacheIdenticalTrials(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := warm.Victim.Prog.String(), fresh.Prog.String(); got != want {
-		t.Errorf("cached program differs from a fresh build:\n%s\nvs\n%s", got, want)
+		t.Errorf("memoized program differs from a fresh build:\n%s\nvs\n%s", got, want)
 	}
 	if warm.Victim.BranchPC != fresh.BranchPC || warm.Victim.APC != fresh.APC ||
 		warm.Victim.BPC != fresh.BPC || warm.Victim.TargetLine != fresh.TargetLine {
-		t.Errorf("cached victim metadata %+v differs from fresh %+v", warm.Victim, fresh)
+		t.Errorf("memoized victim metadata %+v differs from fresh %+v", warm.Victim, fresh)
 	}
 }
 
 // TestVictimCacheKeysDistinct: different gadgets, orderings and params
-// must never share a cache entry.
+// must never share a memo entry.
 func TestVictimCacheKeysDistinct(t *testing.T) {
-	resetVictimCache()
-	defer resetVictimCache()
+	ts := NewTrialState()
 	specs := []TrialSpec{
 		{Gadget: GadgetNPEU, Ordering: OrderVDVD},
 		{Gadget: GadgetNPEU, Ordering: OrderVIAD},
@@ -66,7 +68,7 @@ func TestVictimCacheKeysDistinct(t *testing.T) {
 	}
 	progs := map[string]bool{}
 	for _, s := range specs {
-		r, err := RunTrial(s)
+		r, err := ts.Run(s)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", s.Gadget, s.Ordering, err)
 		}
@@ -75,42 +77,50 @@ func TestVictimCacheKeysDistinct(t *testing.T) {
 	if len(progs) != len(specs) {
 		t.Fatalf("distinct specs shared programs: %d unique of %d", len(progs), len(specs))
 	}
-	if _, misses := VictimCacheStats(); misses != uint64(len(specs)) {
-		t.Errorf("misses = %d, want %d (one per distinct key)", misses, len(specs))
+	if n := len(ts.victims); n != len(specs) {
+		t.Errorf("%d memo entries, want %d (one per distinct key)", n, len(specs))
 	}
 
 	// Params changes miss too.
 	p := DefaultVictimParams()
 	p.FChain += 2
-	if _, err := RunTrial(TrialSpec{Gadget: GadgetNPEU, Ordering: OrderVDVD, Params: p}); err != nil {
+	if _, err := ts.Run(TrialSpec{Gadget: GadgetNPEU, Ordering: OrderVDVD, Params: p}); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := VictimCacheStats(); misses != uint64(len(specs))+1 {
-		t.Errorf("param change did not miss the cache (misses=%d)", misses)
+	if n := len(ts.victims); n != len(specs)+1 {
+		t.Errorf("param change did not miss the memo (%d entries)", n)
 	}
 }
 
-// TestVictimCacheParallelHarness: the cache sits under concurrent shards;
-// Figure7Shard on four workers must stay bit-identical to one worker (the
-// runner's seed discipline) while sharing one cached victim.
+// TestVictimCacheParallelHarness: memoized victims sit under concurrent
+// shards; Figure7Shard on four workers must stay bit-identical to one
+// worker (the runner's seed discipline), and one state running the same
+// shards memoizes a single victim.
 func TestVictimCacheParallelHarness(t *testing.T) {
-	resetVictimCache()
-	defer resetVictimCache()
 	serial := shardFigure7(t, 4, 10, 1, 1)
 	parallel := shardFigure7(t, 4, 10, 1, 4)
 	for i := range serial.Baseline {
 		if serial.Baseline[i] != parallel.Baseline[i] ||
 			serial.Interference[i] != parallel.Interference[i] {
-			t.Fatalf("trial %d diverged across worker counts with a shared victim cache", i)
+			t.Fatalf("trial %d diverged across worker counts with memoized victims", i)
 		}
 	}
-	hits, misses := VictimCacheStats()
-	if misses == 0 || hits == 0 {
-		t.Errorf("expected both misses and hits across 16 trials, got hits=%d misses=%d", hits, misses)
+	// The same 8 shards on one state, with Figure7Shard's secret and seed
+	// mapping: 8 trials over one (gadget, ordering, layout, params) tuple,
+	// so the first builds the victim and the other seven hit the memo.
+	want := append(append([]float64{}, serial.Baseline...), serial.Interference...)
+	ts := NewTrialState()
+	for j, w := range want {
+		secret, i := j/4, j%4
+		lat, err := measureTargetLatency(ts, secret, 10, 1+uint64(2*i+secret))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lat != w {
+			t.Fatalf("shard %d on one state: latency %v, harness %v", j, lat, w)
+		}
 	}
-	if misses > 5 {
-		// 16 trials over one (gadget, ordering, layout, params) tuple: at
-		// worst the serial first build plus four racing parallel builds.
-		t.Errorf("cache misses %d times for one victim tuple", misses)
+	if n := len(ts.victims); n != 1 {
+		t.Errorf("%d memo entries for one victim tuple, want 1", n)
 	}
 }

@@ -135,22 +135,9 @@ type Cell struct {
 	Detector bool
 	// Mechanism is the detector's decisive rule.
 	Mechanism string
-	// Match is Empirical == Detector.
+	// Match is Empirical == Detector. A mismatch is an error: the detector
+	// is exact on the full grid.
 	Match bool
-	// Exception is non-empty when the cell is an enumerated, explained
-	// divergence (see exceptions); an unexplained mismatch is an error.
-	Exception string
-}
-
-// exceptions enumerates the (scheme, gadget, ordering) cells where the
-// detector is allowed to disagree with the simulator, keyed
-// "scheme|gadget|ordering", with the explanation as value. Currently
-// empty: the detector is exact on the full grid, and any regression must
-// either be fixed or explained here explicitly.
-var exceptions = map[string]string{}
-
-func cellKey(scheme string, g core.Gadget, ord core.Ordering) string {
-	return scheme + "|" + g.String() + "|" + ord.String()
 }
 
 // Shards returns the concordance shard count for a scheme list: the full
@@ -185,24 +172,23 @@ func Shard(schemeNames []string, j int) (Cell, error) {
 		Empirical: empirical.Vulnerable,
 		Detector:  v.Leak,
 		Mechanism: v.Mechanism,
-		Exception: exceptions[cellKey(name, g, ord)],
 	}
 	c.Match = c.Empirical == c.Detector
 	return c, nil
 }
 
-// CheckCells returns an error naming every unexplained detector/simulator
-// mismatch in cells (nil when fully concordant modulo exceptions).
+// CheckCells returns an error naming every detector/simulator mismatch
+// in cells (nil when fully concordant).
 func CheckCells(cells []Cell) error {
 	var bad []string
 	for _, c := range cells {
-		if !c.Match && c.Exception == "" {
+		if !c.Match {
 			bad = append(bad, fmt.Sprintf("%s/%s/%s: empirical=%v detector=%v (%s)",
 				c.Scheme, c.Gadget, c.Ordering, c.Empirical, c.Detector, c.Mechanism))
 		}
 	}
 	if len(bad) > 0 {
-		return fmt.Errorf("detect: %d unexplained concordance mismatches: %v", len(bad), bad)
+		return fmt.Errorf("detect: %d concordance mismatches: %v", len(bad), bad)
 	}
 	return nil
 }

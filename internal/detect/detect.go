@@ -34,9 +34,9 @@
 // binary fast/slow classification induced by the primed L1 state, and
 // decides pressure by signal-specific thresholds rather than by
 // simulating contention cycle by cycle. The concordance experiment
-// (one Shard per Table 1 cell) keeps it honest: every verdict is compared against the
-// empirical Table 1 classification of the simulator, and any mismatch
-// that is not an explicitly enumerated exception fails the run.
+// (one Shard per Table 1 cell) keeps it honest: every verdict is compared
+// against the empirical Table 1 classification of the simulator, and any
+// mismatch fails the run.
 package detect
 
 import (

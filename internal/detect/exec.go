@@ -329,7 +329,7 @@ func runArch(prog *isa.Program, env Env) (archTrace, error) {
 		case isa.Jmp:
 			next = in.Target
 		default:
-			regs[in.Dst] = alu(in, regs[in.Src1], regs[in.Src2])
+			regs[in.Dst] = emu.ALU(in, regs[in.Src1], regs[in.Src2])
 			srcs, ns := in.Uses()
 			sl := false
 			for i := 0; i < ns; i++ {
@@ -340,43 +340,6 @@ func runArch(prog *isa.Program, env Env) (archTrace, error) {
 		pc = next
 	}
 	return tr, fmt.Errorf("stepper: %w", emu.ErrStepLimit)
-}
-
-// alu evaluates a register-writing arithmetic/logic instruction with the
-// emulator's semantics (shared SafeDiv/ISqrt ensure bit-equality).
-func alu(in isa.Inst, a, b int64) int64 {
-	switch in.Op {
-	case isa.MovI:
-		return in.Imm
-	case isa.Mov:
-		return a
-	case isa.Add:
-		return a + b
-	case isa.AddI:
-		return a + in.Imm
-	case isa.Sub:
-		return a - b
-	case isa.And:
-		return a & b
-	case isa.Or:
-		return a | b
-	case isa.Xor:
-		return a ^ b
-	case isa.ShlI:
-		return a << uint(in.Imm&63)
-	case isa.ShrI:
-		return int64(uint64(a) >> uint(in.Imm&63))
-	case isa.Mul:
-		return a * b
-	case isa.MulI:
-		return a * in.Imm
-	case isa.Div:
-		return emu.SafeDiv(a, b)
-	case isa.Sqrt:
-		return emu.ISqrt(a)
-	default:
-		panic(fmt.Sprintf("detect: alu on %s", in.Op))
-	}
 }
 
 // crossCheck pins the stepper to the emu golden model: branch streams and
@@ -552,7 +515,7 @@ func explore(prog *isa.Program, policy uarch.SpecPolicy, env Env, at branchVisit
 				}
 			}
 			if in.HasDst() {
-				regs[in.Dst] = alu(in, regs[in.Src1], regs[in.Src2])
+				regs[in.Dst] = emu.ALU(in, regs[in.Src1], regs[in.Src2])
 				slow[in.Dst], unavail[in.Dst] = anySlow, false
 			}
 		}

@@ -102,34 +102,12 @@ func (e *Machine) Run() (*Result, error) {
 			res.Halted = true
 			res.Regs = e.regs
 			return res, nil
-		case isa.MovI:
-			e.regs[in.Dst] = in.Imm
-		case isa.Mov:
-			e.regs[in.Dst] = e.regs[in.Src1]
-		case isa.Add:
-			e.regs[in.Dst] = e.regs[in.Src1] + e.regs[in.Src2]
-		case isa.AddI:
-			e.regs[in.Dst] = e.regs[in.Src1] + in.Imm
-		case isa.Sub:
-			e.regs[in.Dst] = e.regs[in.Src1] - e.regs[in.Src2]
-		case isa.And:
-			e.regs[in.Dst] = e.regs[in.Src1] & e.regs[in.Src2]
-		case isa.Or:
-			e.regs[in.Dst] = e.regs[in.Src1] | e.regs[in.Src2]
-		case isa.Xor:
-			e.regs[in.Dst] = e.regs[in.Src1] ^ e.regs[in.Src2]
-		case isa.ShlI:
-			e.regs[in.Dst] = e.regs[in.Src1] << uint(in.Imm&63)
-		case isa.ShrI:
-			e.regs[in.Dst] = int64(uint64(e.regs[in.Src1]) >> uint(in.Imm&63))
-		case isa.Mul:
-			e.regs[in.Dst] = e.regs[in.Src1] * e.regs[in.Src2]
-		case isa.MulI:
-			e.regs[in.Dst] = e.regs[in.Src1] * in.Imm
-		case isa.Div:
-			e.regs[in.Dst] = SafeDiv(e.regs[in.Src1], e.regs[in.Src2])
-		case isa.Sqrt:
-			e.regs[in.Dst] = ISqrt(e.regs[in.Src1])
+		case isa.MovI, isa.Mov, isa.Add, isa.AddI, isa.Sub, isa.And, isa.Or, isa.Xor,
+			isa.ShlI, isa.ShrI, isa.Mul, isa.MulI, isa.Div, isa.Sqrt:
+			// Read only the registers the op uses: a field it ignores
+			// need not name a valid register.
+			srcs, _ := in.Uses()
+			e.regs[in.Dst] = ALU(in, e.regs[srcs[0]], e.regs[srcs[1]])
 		case isa.Load:
 			addr := e.regs[in.Src1] + in.Imm
 			e.regs[in.Dst] = e.mem.Read64(addr)
@@ -159,6 +137,45 @@ func (e *Machine) Run() (*Result, error) {
 	}
 	res.Regs = e.regs
 	return res, fmt.Errorf("emu: %w after %d instructions", ErrStepLimit, max)
+}
+
+// ALU evaluates a register-writing arithmetic or logic instruction on its
+// source values a and b (Src1 and Src2; an operand the op does not use is
+// ignored). Shared with the out-of-order core and the static detector so
+// all three machines agree on semantics.
+func ALU(in isa.Inst, a, b int64) int64 {
+	switch in.Op {
+	case isa.MovI:
+		return in.Imm
+	case isa.Mov:
+		return a
+	case isa.Add:
+		return a + b
+	case isa.AddI:
+		return a + in.Imm
+	case isa.Sub:
+		return a - b
+	case isa.And:
+		return a & b
+	case isa.Or:
+		return a | b
+	case isa.Xor:
+		return a ^ b
+	case isa.ShlI:
+		return a << uint(in.Imm&63)
+	case isa.ShrI:
+		return int64(uint64(a) >> uint(in.Imm&63))
+	case isa.Mul:
+		return a * b
+	case isa.MulI:
+		return a * in.Imm
+	case isa.Div:
+		return SafeDiv(a, b)
+	case isa.Sqrt:
+		return ISqrt(a)
+	default:
+		panic(fmt.Sprintf("emu: %s is not an ALU op", in.Op))
+	}
 }
 
 // BranchTaken evaluates a conditional branch condition. Shared with the

@@ -289,6 +289,27 @@ func TestBranchTaken(t *testing.T) {
 	}
 }
 
+// TestALUIgnoresUnusedRegisterFields: a register field the op does not
+// use may hold any value and still pass Program.Validate, so Run must
+// not read it.
+func TestALUIgnoresUnusedRegisterFields(t *testing.T) {
+	p := isa.NewProgram([]isa.Inst{
+		{Op: isa.MovI, Dst: isa.R1, Src1: 40, Src2: 99, Imm: 5},
+		{Op: isa.AddI, Dst: isa.R2, Src1: isa.R1, Src2: 200, Imm: 1},
+		{Op: isa.Halt},
+	})
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := New(p, mem.New()).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Regs[isa.R2] != 6 {
+		t.Errorf("r2 = %d, want 6", res.Regs[isa.R2])
+	}
+}
+
 func TestBranchTakenPanicsOnNonBranch(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -273,9 +273,6 @@ func diffConcordance(d *DiffReport, old, new *ConcordancePayload) {
 		case oc.Mechanism != nc.Mechanism:
 			d.add(Drift, "cell %s/%s/%s mechanism %q → %q",
 				k.scheme, k.gadget, k.ordering, oc.Mechanism, nc.Mechanism)
-		case oc.Exception != nc.Exception:
-			d.add(Drift, "cell %s/%s/%s exception %q → %q",
-				k.scheme, k.gadget, k.ordering, oc.Exception, nc.Exception)
 		}
 	}
 	for k := range newCells {

@@ -176,9 +176,6 @@ type ConcordanceCell struct {
 	Mechanism string `json:"mechanism"`
 	// Match is Empirical == Detector.
 	Match bool `json:"match"`
-	// Exception explains an enumerated, allowed divergence (empty for
-	// concordant cells).
-	Exception string `json:"exception,omitempty"`
 }
 
 // ConcordancePayload is the full detector agreement grid.
@@ -330,9 +327,8 @@ func NewTable1Record(cells []core.MatrixCell, schemeNames []string) (*Record, er
 }
 
 // NewConcordanceRecord wraps a detector-versus-simulator agreement grid.
-// It refuses to seal a record containing an unexplained mismatch: a
-// divergence must be fixed in the detector or enumerated as an exception
-// before it can become a committed result.
+// It refuses to seal a record containing a mismatch: a divergence must be
+// fixed in the detector before it can become a committed result.
 func NewConcordanceRecord(cells []detect.Cell, schemeNames []string) (*Record, error) {
 	if err := detect.CheckCells(cells); err != nil {
 		return nil, err
@@ -342,7 +338,7 @@ func NewConcordanceRecord(cells []detect.Cell, schemeNames []string) (*Record, e
 		p.Cells = append(p.Cells, ConcordanceCell{
 			Scheme: c.Scheme, Gadget: c.Gadget.String(), Ordering: c.Ordering.String(),
 			Empirical: c.Empirical, Detector: c.Detector,
-			Mechanism: c.Mechanism, Match: c.Match, Exception: c.Exception,
+			Mechanism: c.Mechanism, Match: c.Match,
 		})
 	}
 	r := &Record{

@@ -742,42 +742,10 @@ func (c *Core) removeFromClass(e *entry) {
 
 // compute evaluates a register-writing non-memory instruction.
 func (c *Core) compute(e *entry, cycle int64) int64 {
-	a, b := e.srcVal[0], e.srcVal[1]
-	in := e.inst
-	switch in.Op {
-	case isa.MovI:
-		return in.Imm
-	case isa.Mov:
-		return a
-	case isa.Add:
-		return a + b
-	case isa.AddI:
-		return a + in.Imm
-	case isa.Sub:
-		return a - b
-	case isa.And:
-		return a & b
-	case isa.Or:
-		return a | b
-	case isa.Xor:
-		return a ^ b
-	case isa.ShlI:
-		return a << uint(in.Imm&63)
-	case isa.ShrI:
-		return int64(uint64(a) >> uint(in.Imm&63))
-	case isa.Mul:
-		return a * b
-	case isa.MulI:
-		return a * in.Imm
-	case isa.Div:
-		return emu.SafeDiv(a, b)
-	case isa.Sqrt:
-		return emu.ISqrt(a)
-	case isa.RdCycle:
+	if e.inst.Op == isa.RdCycle {
 		return cycle
-	default:
-		panic(fmt.Sprintf("uarch: compute called for %s", in.Op))
 	}
+	return emu.ALU(e.inst, e.srcVal[0], e.srcVal[1])
 }
 
 // ---------------------------------------------------------------------------

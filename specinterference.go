@@ -2,7 +2,6 @@ package specinterference
 
 import (
 	"context"
-	"time"
 
 	"specinterference/internal/asm"
 	"specinterference/internal/cache"
@@ -195,12 +194,6 @@ func DetectLeak(schemeName string, g Gadget, ord Ordering) (LeakVerdict, error) 
 	return detect.CellVerdict(schemeName, g, ord)
 }
 
-// NewConcordanceRecord wraps a detector agreement grid as a sealed run
-// record, refusing unexplained mismatches.
-func NewConcordanceRecord(cells []ConcordanceCell, schemeNames []string) (*RunRecord, error) {
-	return results.NewConcordanceRecord(cells, schemeNames)
-}
-
 // CheckIdealInvisibleSpeculation verifies the §5.1 definition for a
 // program under a scheme: C(E) = C(NoSpec(E)).
 func CheckIdealInvisibleSpeculation(spec security.RunSpec) (*SecurityReport, error) {
@@ -238,8 +231,6 @@ type (
 	RunDiffReport = results.DiffReport
 	// RunDiffClass classifies a record comparison.
 	RunDiffClass = results.DiffClass
-	// ChannelCurveInput names one measured curve for NewFigure11Record.
-	ChannelCurveInput = results.CurveInput
 )
 
 // Diff classifications, in increasing severity.
@@ -261,34 +252,6 @@ const (
 
 // OpenResultStore opens (creating if needed) a results store directory.
 func OpenResultStore(dir string) (*ResultStore, error) { return results.Open(dir) }
-
-// RecordRun stamps a sealed record's volatile metadata (git revision,
-// worker count, wall time) and appends it to the store at dir, creating
-// the store if needed — the path the experiment binaries' -store flag
-// shares.
-func RecordRun(dir string, rec *RunRecord, workers int, wall time.Duration) error {
-	return results.RecordRun(dir, rec, workers, wall)
-}
-
-// NewFigure7Record wraps a Figure 7 measurement as a sealed run record.
-func NewFigure7Record(res *Figure7Result, trials, jitter int, seed uint64) (*RunRecord, error) {
-	return results.NewFigure7Record(res, trials, jitter, seed)
-}
-
-// NewTable1Record wraps a vulnerability-matrix run as a sealed run record.
-func NewTable1Record(cells []MatrixCell, schemeNames []string) (*RunRecord, error) {
-	return results.NewTable1Record(cells, schemeNames)
-}
-
-// NewFigure11Record wraps measured channel curves as a sealed run record.
-func NewFigure11Record(curves []ChannelCurveInput, bits int, reps []int, seed uint64) (*RunRecord, error) {
-	return results.NewFigure11Record(curves, bits, reps, seed)
-}
-
-// NewFigure12Record wraps a defense-overhead sweep as a sealed run record.
-func NewFigure12Record(res *EvalResult, iters int, schemeNames []string) (*RunRecord, error) {
-	return results.NewFigure12Record(res, iters, schemeNames)
-}
 
 // DiffRunRecords classifies the change from old to new: identical,
 // statistical drift, regression, or incomparable.
