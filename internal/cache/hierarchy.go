@@ -271,7 +271,7 @@ func (h *Hierarchy) Reset(seed uint64) {
 		c.Reset()
 	}
 	for _, f := range h.mshr {
-		f.Reset()
+		f.Clear()
 	}
 	for _, c := range h.llc {
 		c.Reset()

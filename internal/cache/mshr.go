@@ -19,11 +19,10 @@ import (
 type MSHRFile struct {
 	cap     int
 	entries []mshrEntry
-
-	// stats
-	allocs    uint64
-	coalesces uint64
-	fullStall uint64
+	// minReady is the earliest ready cycle among entries (math.MaxInt64
+	// when empty): before it, no fill has completed and reap has nothing
+	// to drop, so a load retrying on a full file costs no scan.
+	minReady int64
 }
 
 type mshrEntry struct {
@@ -36,7 +35,7 @@ func NewMSHRFile(capacity int) *MSHRFile {
 	if capacity < 1 {
 		panic("cache: MSHR capacity must be >= 1")
 	}
-	return &MSHRFile{cap: capacity}
+	return &MSHRFile{cap: capacity, minReady: math.MaxInt64}
 }
 
 // Cap returns the file capacity.
@@ -44,10 +43,15 @@ func (f *MSHRFile) Cap() int { return f.cap }
 
 // reap drops entries whose fills completed at or before now.
 func (f *MSHRFile) reap(now int64) {
+	if f.minReady > now {
+		return
+	}
 	kept := f.entries[:0]
+	f.minReady = math.MaxInt64
 	for _, e := range f.entries {
 		if e.ready > now {
 			kept = append(kept, e)
+			f.minReady = min(f.minReady, e.ready)
 		}
 	}
 	f.entries = kept
@@ -66,7 +70,6 @@ func (f *MSHRFile) Lookup(addr, now int64) (ready int64, ok bool) {
 	line := mem.LineAddr(addr)
 	for _, e := range f.entries {
 		if e.line == line {
-			f.coalesces++
 			return e.ready, true
 		}
 	}
@@ -86,11 +89,10 @@ func (f *MSHRFile) Allocate(addr, ready, now int64) bool {
 		}
 	}
 	if len(f.entries) >= f.cap {
-		f.fullStall++
 		return false
 	}
 	f.entries = append(f.entries, mshrEntry{line: line, ready: ready})
-	f.allocs++
+	f.minReady = min(f.minReady, ready)
 	return true
 }
 
@@ -108,24 +110,9 @@ func (f *MSHRFile) NextReady(now int64) int64 {
 	return next
 }
 
-// Clear empties the file (used when resetting a system between trials).
-func (f *MSHRFile) Clear() { f.entries = f.entries[:0] }
-
-// Reset empties the file and zeroes its statistics, restoring the state
-// NewMSHRFile returns.
-func (f *MSHRFile) Reset() {
-	f.Clear()
-	f.allocs, f.coalesces, f.fullStall = 0, 0, 0
-}
-
-// MSHRStats summarizes file activity.
-type MSHRStats struct {
-	Allocs     uint64
-	Coalesces  uint64
-	FullStalls uint64
-}
-
-// Stats returns activity counters.
-func (f *MSHRFile) Stats() MSHRStats {
-	return MSHRStats{Allocs: f.allocs, Coalesces: f.coalesces, FullStalls: f.fullStall}
+// Clear empties the file, restoring the state NewMSHRFile returns (used
+// when resetting a system between trials).
+func (f *MSHRFile) Clear() {
+	f.entries = f.entries[:0]
+	f.minReady = math.MaxInt64
 }

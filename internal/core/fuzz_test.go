@@ -14,7 +14,7 @@ import (
 	"specinterference/internal/uarch"
 )
 
-var updateCorpus = flag.Bool("update", false, "rewrite the committed fuzz seed corpus")
+var update = flag.Bool("update", false, "rewrite the committed fuzz seed corpus and the generated-program CoreStats golden")
 
 // fuzzDataBase is the data window fuzz programs may touch; the emulator
 // and the pipeline are compared word-for-word over [base, base+window).
@@ -194,7 +194,7 @@ func TestFuzzCorpusCurrent(t *testing.T) {
 	for name, data := range fuzzSeeds(t) {
 		path := filepath.Join(corpusDir, name)
 		want := []byte("go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n")
-		if *updateCorpus {
+		if *update {
 			if err := os.MkdirAll(corpusDir, 0o755); err != nil {
 				t.Fatal(err)
 			}

@@ -39,6 +39,15 @@ type entry struct {
 	srcTag [2]int64
 	srcVal [2]int64
 
+	// Wakeup lists. wakeHead and wakeTail are the first and last link of
+	// the list of consumers waiting on this entry's result, in dispatch
+	// order. A consumer sits once on the list of each producer it waits
+	// on, and wakeNext[k] continues the list of the producer its source
+	// slot k names. The links live in the entries, so building, walking
+	// and cutting the lists never allocates.
+	wakeHead, wakeTail wakeLink
+	wakeNext           [2]wakeLink
+
 	fetchCycle int64
 	dispCycle  int64
 	issued     bool
@@ -74,6 +83,21 @@ type entry struct {
 	exposed   bool
 	forwarded bool
 	level     cache.Level
+	// fwdKnown is set at a load's first access attempt, when fwdSeq records
+	// the seq of the store it forwards from, or -1 for none. By then every
+	// older store's address is known and no older store can still be
+	// dispatched, and a store cannot issue, let alone retire, before its
+	// data arrives, so a retrying load never needs to search again.
+	fwdKnown bool
+	fwdSeq   int64
+}
+
+// wakeLink is one link of a producer's wakeup list: the consumer, and the
+// source slot k whose wakeNext[k] holds the next link. The zero link ends
+// a list.
+type wakeLink struct {
+	e *entry
+	k int
 }
 
 func (e *entry) isLoad() bool  { return e.inst.Op == isa.Load }
@@ -187,7 +211,10 @@ type Core struct {
 	// tail, so the window is always seq-sorted (with gaps where squashes
 	// consumed seqs) and robEntry resolves a rename tag by binary search.
 	rob []*entry
-	rs  []*entry
+	// rsUsed counts the entries holding an RS slot (inRS). Dispatch takes
+	// a slot; issue, releaseRS, retire and squash give it back. No stage
+	// needs the slots in any order, so the RS is just this count.
+	rsUsed int
 	// rsReady lists, per execution class, the RS entries whose source
 	// operands are all ready — the only entries issue can pick. An entry
 	// joins at dispatch if its sources are ready, else in broadcast when
@@ -197,11 +224,6 @@ type Core struct {
 	rsReady [isa.NumClasses][]*entry
 	// memOrder lists in-flight loads and stores in program order.
 	memOrder []*entry
-	// waiting lists, in program order, the entries with at least one
-	// unresolved source tag — the only possible wakeup targets. broadcast
-	// scans it instead of the whole ROB; entries drop out the moment their
-	// last tag resolves (and at squash).
-	waiting []*entry
 
 	executing []*entry // issued, completion scheduled at execDoneAt
 	wbQueue   []*entry // execution done, waiting for a CDB slot
@@ -347,12 +369,11 @@ func (c *Core) clearPipeline() {
 		c.recycle(e)
 	}
 	c.rob = truncEntries(c.rob)
-	c.rs = truncEntries(c.rs)
+	c.rsUsed = 0
 	for cls := range c.rsReady {
 		c.rsReady[cls] = truncEntries(c.rsReady[cls])
 	}
 	c.memOrder = truncEntries(c.memOrder)
-	c.waiting = truncEntries(c.waiting)
 	c.executing = truncEntries(c.executing)
 	c.wbQueue = truncEntries(c.wbQueue)
 	c.fetchBuf = c.fetchBuf[:0]
@@ -517,23 +538,22 @@ func (c *Core) safe(e *entry, model ShadowModel) bool {
 
 // releaseRS frees reservation stations. Normally an RS entry frees at
 // issue; under HoldRSUntilSafe (advanced defense rule 1) it frees only once
-// the instruction is safe.
+// the instruction is safe. safe() compares a seq against a tracker minimum
+// that is fixed until writeback, and the ROB is seq-sorted, so the safe
+// entries are a prefix of the ROB: the walk stops at the first unsafe one.
 func (c *Core) releaseRS() {
 	if !c.cfg.HoldRSUntilSafe {
 		return
 	}
-	kept := c.rs[:0]
-	for _, e := range c.rs {
-		if e.issued && c.safe(e, c.policy.Shadow) {
-			e.inRS = false
-			c.removeFromClass(e)
-			c.progressed = true
-			continue
+	for _, e := range c.rob {
+		if !c.safe(e, c.policy.Shadow) {
+			return
 		}
-		kept = append(kept, e)
+		if e.inRS && e.issued {
+			c.removeRS(e)
+			c.progressed = true
+		}
 	}
-	nilTail(c.rs, len(kept))
-	c.rs = kept
 }
 
 // ---------------------------------------------------------------------------
@@ -712,16 +732,10 @@ func (c *Core) issueTo(p int, e *entry, cycle int64) {
 	}
 }
 
+// removeRS gives back e's RS slot.
 func (c *Core) removeRS(e *entry) {
 	e.inRS = false
-	for i, x := range c.rs {
-		if x == e {
-			copy(c.rs[i:], c.rs[i+1:])
-			c.rs[len(c.rs)-1] = nil
-			c.rs = c.rs[:len(c.rs)-1]
-			break
-		}
-	}
+	c.rsUsed--
 	c.removeFromClass(e)
 }
 
@@ -829,14 +843,18 @@ func (c *Core) writeback(cycle int64) {
 	}
 }
 
-// broadcast delivers e's result to every waiting consumer and computes
-// store addresses whose base register just arrived. Only entries with an
-// unresolved source tag can consume a broadcast, so the scan covers the
-// waiting list — compacting out consumers whose last tag just resolved,
-// which join their class's operand-ready list — rather than the whole ROB.
+// broadcast delivers e's result to the consumers on its wakeup list and
+// computes store addresses whose base register just arrived. The list
+// holds exactly the entries with a source tag naming e, in dispatch
+// order, so the cost is e's consumer count, not the window's size.
+// Consumers whose last tag resolves join their class's operand-ready list
+// in that order. The list is emptied: e has completed, and no later
+// dispatch waits on a completed producer.
 func (c *Core) broadcast(e *entry) {
-	kept := c.waiting[:0]
-	for _, o := range c.waiting {
+	for l := e.wakeHead; l.e != nil; {
+		o, slot := l.e, l.k
+		l = o.wakeNext[slot]
+		o.wakeNext[slot] = wakeLink{}
 		pending := false
 		for k := 0; k < o.nsrc; k++ {
 			if o.srcTag[k] == e.seq {
@@ -851,16 +869,43 @@ func (c *Core) broadcast(e *entry) {
 				pending = true
 			}
 		}
-		if pending {
-			kept = append(kept, o)
-		} else {
+		if !pending {
 			// o still holds its RS slot: only RS instructions have
 			// sources, and none issues before they are all ready.
 			c.rsReady[o.class] = append(c.rsReady[o.class], o)
 		}
 	}
-	nilTail(c.waiting, len(kept))
-	c.waiting = kept
+	e.wakeHead, e.wakeTail = wakeLink{}, wakeLink{}
+}
+
+// link appends consumer o, waiting on p through source slot k, to p's
+// wakeup list.
+func link(p, o *entry, k int) {
+	l := wakeLink{e: o, k: k}
+	if t := p.wakeTail; t.e != nil {
+		t.e.wakeNext[t.k] = l
+	} else {
+		p.wakeHead = l
+	}
+	p.wakeTail = l
+}
+
+// cutWakeList drops from p's wakeup list every consumer younger than keep.
+// Lists are in dispatch order, so the doomed consumers are a tail.
+func cutWakeList(p *entry, keep int64) {
+	var last wakeLink
+	for l := p.wakeHead; l.e != nil; l = l.e.wakeNext[l.k] {
+		if l.e.seq > keep {
+			break
+		}
+		last = l
+	}
+	if last.e == nil {
+		p.wakeHead = wakeLink{}
+	} else {
+		last.e.wakeNext[last.k] = wakeLink{}
+	}
+	p.wakeTail = last
 }
 
 // nilTail clears s[n:] so compacted entry queues hold no stale pointers
@@ -900,9 +945,20 @@ func (c *Core) squash(br *entry, cycle int64) {
 	c.incompleteLoad.dropYoungerThan(br.seq)
 	c.fenceSet.dropYoungerThan(br.seq)
 	c.storeAddrUnk.dropYoungerThan(br.seq)
+	// Unlink the doomed consumers from the surviving producers' wakeup
+	// lists while their seqs are intact (recycle zeroes them). Completed
+	// producers have empty lists.
+	for _, e := range c.rob {
+		if !e.completed && e.wakeHead.e != nil {
+			cutWakeList(e, br.seq)
+		}
+	}
 	undo := c.policy.UndoSpeculativeFills
 	for _, e := range doomed {
 		c.stats.SquashedInsts++
+		if e.inRS {
+			c.rsUsed--
+		}
 		if undo && e.isLoad() && !e.invisible && e.addrKnown &&
 			(e.mstate == memWalking || e.mstate == memDone) &&
 			e.level != cache.LevelL1 {
@@ -914,12 +970,10 @@ func (c *Core) squash(br *entry, cycle int64) {
 		}
 	}
 	isDoomed := func(e *entry) bool { return e.seq > br.seq }
-	c.rs = filterEntries(c.rs, isDoomed)
 	for cls := range c.rsReady {
 		c.rsReady[cls] = filterEntries(c.rsReady[cls], isDoomed)
 	}
 	c.memOrder = filterEntries(c.memOrder, isDoomed)
-	c.waiting = filterEntries(c.waiting, isDoomed)
 	c.executing = filterEntries(c.executing, isDoomed)
 	c.wbQueue = filterEntries(c.wbQueue, isDoomed)
 	for p := range c.euBusy {
@@ -1075,7 +1129,7 @@ func (c *Core) dispatch(cycle int64) {
 		}
 		f := c.fetchBuf[0]
 		needsRS := isa.OpClass(f.inst.Op) != isa.ClassNone
-		if needsRS && len(c.rs) >= c.cfg.RSSize {
+		if needsRS && c.rsUsed >= c.cfg.RSSize {
 			c.stats.RSFullStallCycles++
 			return
 		}
@@ -1099,18 +1153,25 @@ func (c *Core) dispatch(cycle int64) {
 		e.nsrc = nsrc
 		for k := 0; k < nsrc; k++ {
 			e.srcTag[k] = -1
-			if tag := c.regMap[srcs[k]]; tag == -1 {
+			tag := c.regMap[srcs[k]]
+			if tag == -1 {
 				e.srcVal[k] = c.archRegs[srcs[k]]
-			} else if prod := c.robEntry(tag); prod != nil && prod.completed {
+				continue
+			}
+			// regMap names only in-flight producers, so prod is never nil.
+			prod := c.robEntry(tag)
+			if prod.completed {
 				e.srcVal[k] = prod.destVal
-			} else {
-				e.srcTag[k] = tag
+				continue
+			}
+			e.srcTag[k] = tag
+			if k == 0 || e.srcTag[0] != tag {
+				// One link per producer: broadcast resolves every
+				// source slot that names it.
+				link(prod, e, k)
 			}
 		}
 		ready := e.srcsReady()
-		if !ready {
-			c.waiting = append(c.waiting, e)
-		}
 		if f.inst.HasDst() {
 			c.regMap[f.inst.Dst] = e.seq
 		}
@@ -1120,7 +1181,7 @@ func (c *Core) dispatch(cycle int64) {
 			e.completeCycle = cycle
 		} else {
 			e.inRS = true
-			c.rs = append(c.rs, e)
+			c.rsUsed++
 			if ready {
 				c.rsReady[e.class] = append(c.rsReady[e.class], e)
 			}

@@ -17,7 +17,8 @@ func (c *Core) lsuTick(cycle int64) {
 				c.attemptAccess(e, cycle)
 				// A still-retrying load is the one attempt that can leave the
 				// machine unchanged (forwarding store's data pending, or MSHR
-				// file full — the latter marks e invisible/wasL1Hit, but those
+				// file full — the latter marks e invisible/wasL1Hit, and the
+				// first attempt records the forwarding store, but those
 				// writes are idempotent and cycle-independent, so replaying
 				// the attempt each skipped cycle reproduces them exactly).
 				if e.mstate != memRetry {
@@ -49,8 +50,18 @@ func (c *Core) lsuTick(cycle int64) {
 // then the policy decision, then the hierarchy walk with MSHR allocation.
 func (c *Core) attemptAccess(e *entry, cycle int64) {
 	// Store-to-load forwarding. The issue gate guarantees every older store
-	// address is known, so this scan is exact.
-	if st := c.forwardingStore(e); st != nil {
+	// address is known, so the search is exact; it runs once, at the first
+	// attempt (see entry.fwdSeq). Not at issue: an older store can retire
+	// in the cycle the load issues, and then it no longer forwards.
+	if !e.fwdKnown {
+		e.fwdKnown = true
+		e.fwdSeq = -1
+		if st := c.forwardingStore(e); st != nil {
+			e.fwdSeq = st.seq
+		}
+	}
+	if e.fwdSeq != -1 {
+		st := c.robEntry(e.fwdSeq)
 		if st.srcTag[1] != -1 {
 			return // store data not produced yet; retry next cycle
 		}

@@ -33,19 +33,23 @@
 // fences, unknown store addresses) are maintained at the rare mutation
 // events — dispatch, completion, retire, squash — so safe(), the fence
 // check and load disambiguation are O(1) per query instead of a per-cycle
-// ROB scan. Second, issue visits only real candidates: beside the unified
-// RS, each execution class keeps a list of its operand-ready RS entries.
-// An entry joins at dispatch, or in wakeup when its last source tag
-// resolves, and leaves with its RS slot or at squash; readiness never
-// reverts while an entry holds its slot, so nothing is rescanned. Each
-// port walks just the lists of the classes it serves, so an entry still
-// waiting on a producer costs issue nothing, and the port-independent
-// gate verdict is memoized per entry per cycle. Wakeup likewise scans
-// only the entries with an unresolved source tag (the waiting list), not
-// the ROB. Between trials, System.Reset restores only the cache sets
-// filled since the last reset (see cache.Cache.Reset) and zeroes only the
-// memory words written, so a reset costs what the trial touched, not the
-// size of the machine.
+// ROB scan. Second, issue visits only real candidates: the unified RS is
+// an occupancy count, and each execution class keeps a list of its
+// operand-ready RS entries. An entry joins at dispatch, or in wakeup when
+// its last source tag resolves, and leaves with its RS slot or at squash;
+// readiness never reverts while an entry holds its slot, so nothing is
+// rescanned. Each port walks just the lists of the classes it serves, so
+// an entry still waiting on a producer costs issue nothing, and the
+// port-independent gate verdict is memoized per entry per cycle. Wakeup
+// visits only the completing producer's consumers: dispatch links each
+// waiting consumer onto its producer's wakeup list (intrusive links in
+// the entries, so nothing allocates), and squash cuts the doomed tail of
+// each surviving list. A load retrying its cache access finds its
+// forwarding store once, at the first attempt, and a retry on a full MSHR
+// file scans nothing before the file's earliest fill is due. Between
+// trials, System.Reset restores only the cache sets filled since the last
+// reset (see cache.Cache.Reset) and zeroes only the memory words written,
+// so a reset costs what the trial touched, not the size of the machine.
 //
 // On top of the per-cycle work, System.Run skips provably idle cycles
 // entirely: when a tick changes nothing (no core sets its progressed

@@ -171,24 +171,36 @@ func TestRunUntilCoreHaltsTimeout(t *testing.T) {
 
 func TestStoreForwardingAcrossDistance(t *testing.T) {
 	// A store whose value arrives late must still forward to a younger
-	// load of the same word, and never to a different word.
+	// load of the same word, and never to a different word. The word
+	// under the stores already holds 11 and its line is in L1, so a load
+	// that skipped forwarding would read 11 long before the stores retire.
+	// The youngest store's value, 77, comes from a flushed line, so the
+	// load retries until the data arrives; an older store to the same
+	// word holds 33 and must lose to the youngest.
 	c := runProgram(t, `
     movi r1, 4096
     movi r2, 16384
     flush 0(r2)
     fence
-    load r3, 0(r2)        ; slow producer of the store VALUE
-    store r3, 8(r1)       ; address known early, data late
-    load r4, 8(r1)        ; must forward (value 0 from memory)
-    movi r5, 9
-    store r5, 16(r1)
-    load r6, 24(r1)       ; different word: no forwarding
-    halt`, nil)
-	if c.Reg(isa.R4) != 0 {
-		t.Errorf("forwarded r4 = %d, want 0", c.Reg(isa.R4))
+    load r3, 0(r2)        ; slow producer of the store VALUE (77)
+    movi r5, 33
+    store r5, 8(r1)       ; older store to the same word, data ready
+    store r3, 8(r1)       ; youngest: address known early, data late
+    load r4, 8(r1)        ; must forward 77 from the youngest store
+    movi r6, 9
+    store r6, 16(r1)
+    load r7, 24(r1)       ; different word: no forwarding
+    halt`, func(s *System) {
+		s.Memory().Write64(4096+8, 11)
+		s.Memory().Write64(4096+24, 44)
+		s.Memory().Write64(16384, 77)
+		s.Hierarchy().Warm(0, 4096, cache.LevelL1)
+	})
+	if c.Reg(isa.R4) != 77 {
+		t.Errorf("forwarded r4 = %d, want 77 (11: not forwarded, 33: older store won)", c.Reg(isa.R4))
 	}
-	if c.Reg(isa.R6) != 0 {
-		t.Errorf("r6 = %d", c.Reg(isa.R6))
+	if c.Reg(isa.R7) != 44 {
+		t.Errorf("r7 = %d, want 44 from memory", c.Reg(isa.R7))
 	}
 }
 

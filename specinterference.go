@@ -10,7 +10,9 @@ import (
 	"specinterference/internal/detect"
 	"specinterference/internal/emu"
 	"specinterference/internal/experiment"
-	"specinterference/internal/experiment/remote"
+	// Linking remote registers the subprocess and remote backends, which
+	// NewExperimentBackendOptions builds by name.
+	_ "specinterference/internal/experiment/remote"
 	"specinterference/internal/isa"
 	"specinterference/internal/mem"
 	"specinterference/internal/results"
@@ -156,12 +158,9 @@ func FormatMatrix(cells []MatrixCell) string { return core.FormatMatrix(cells) }
 // ExpectedTable1 returns the paper's Table 1 for comparison.
 func ExpectedTable1() map[string]map[string]bool { return core.ExpectedTable1() }
 
-// DCacheFigure11 and ICacheFigure11 return the PoCs at their calibrated
-// Figure 11 noise operating points.
+// DCacheFigure11 returns the D-cache PoC at its calibrated Figure 11(a)
+// noise operating point.
 func DCacheFigure11() *PoC { return channel.DCacheFigure11() }
-
-// ICacheFigure11 returns the Figure 11(b) PoC.
-func ICacheFigure11() *PoC { return channel.ICacheFigure11() }
 
 // Static leak-detector types (see internal/detect): a SPECTECTOR-style
 // abstract analysis that decides leak/no-leak per Table 1 cell without
@@ -280,49 +279,22 @@ func InProcessBackend(workers int) ExperimentBackend {
 	return experiment.InProcess{Workers: workers}
 }
 
-// SubprocessBackend fans shard ranges out across re-exec'd copies of the
-// current binary (procs 0 = one per CPU), running workers goroutines
-// inside each (0 = serial), scheduled over their pipes by the remote
-// backend's coordinator. Its results are bit-identical to the
-// in-process backend's.
-func SubprocessBackend(procs, workers int) ExperimentBackend {
-	return experiment.Subprocess{Procs: procs, Workers: workers}
-}
-
-// RemoteBackend starts an HTTP coordinator on listen ("" = a loopback
-// ephemeral port) that leases small shard chunks to workers: procs > 0
-// spawns that many local -remote-worker processes (the one-machine
-// work-stealing configuration), procs = 0 waits for external workers
-// started by hand against the printed URL. Chunk sizes track observed
-// shard cost, leases that go unrenewed for a TTL are re-issued, and
-// stragglers holding the last in-flight chunks are raced by
-// speculative backup leases handed to idle workers, so worker crashes
-// and stalls cost wall-clock, never correctness; duplicate results are
-// deduplicated by shard index with a byte-equality assertion — which is
-// also what lets whichever of a primary/backup pair lands first win —
-// and every request is fenced by a per-run token. For a coordinator
-// that survives its own crashes, construct the backend through
-// NewExperimentBackendOptions with a Journal directory: accepted shard
-// results are journaled and a restarted coordinator resumes from them.
-func RemoteBackend(listen string, procs, workers int) ExperimentBackend {
-	return remote.Remote{Listen: listen, Procs: procs, Workers: workers}
-}
-
 // NewExperimentBackendOptions constructs a backend from its CLI name and
-// the full option set — the constructor behind every -backend flag.
+// the full option set — the constructor behind every -backend flag:
+// "inprocess" (worker goroutines), "subprocess" (re-exec'd copies of the
+// current binary over their pipes) or "remote" (an HTTP coordinator
+// leasing shard chunks to local or external workers, resumable from a
+// Journal directory). Every backend's results are bit-identical.
 func NewExperimentBackendOptions(name string, o ExperimentBackendOptions) (ExperimentBackend, error) {
 	return experiment.NewBackendOptions(name, o)
 }
-
-// ExperimentBackendNames lists the resolvable backend names.
-func ExperimentBackendNames() []string { return experiment.BackendNames() }
 
 // RunExperimentWorkerIfRequested turns the process into a shard worker
 // when its first argument names a worker mode — -shard-worker (a
 // subprocess-backend pipe worker) or -remote-worker -connect URL (a
 // remote-backend HTTP worker) — and returns without side effects
-// otherwise. Binaries that run experiments through SubprocessBackend or
-// RemoteBackend must call it before any flag parsing.
+// otherwise. Binaries that run experiments on the subprocess or remote
+// backend must call it before any flag parsing.
 func RunExperimentWorkerIfRequested() { experiment.RunWorkerIfRequested() }
 
 // ExperimentNames lists the registered experiment specs.
@@ -352,9 +324,6 @@ func BaselineRunParams(experiment string) (RunParams, error) {
 
 // ResultExperiments lists every experiment name in canonical order.
 func ResultExperiments() []string { return results.Experiments() }
-
-// ReadRecordFile parses one JSONL record file, validating every record.
-func ReadRecordFile(path string) ([]*RunRecord, error) { return results.ReadFile(path) }
 
 // ParseRecordRef splits "experiment" or "experiment@idx" references used
 // by the resultstore CLI (idx negative counts from the newest record).
