@@ -67,7 +67,10 @@ func genGoldenPrograms(t *testing.T) (names []string, progs []*isa.Program) {
 // a program's timing alone share a line. Like the kernel golden it must
 // stay byte-identical across simulator speedups; rewrite it with -update
 // only when a change is meant to alter simulated behavior. Each config
-// reuses one machine through System.Reset, as pooled trials do.
+// reuses one machine through System.Reset, as pooled trials do. Every run
+// is repeated cycle by cycle, with fast-forward off, and must produce the
+// same result line: the idle-cycle skip must account stalls and MSHR
+// retries exactly, and find every event that ends an idle stretch.
 func TestGeneratedCoreStatsGolden(t *testing.T) {
 	names, progs := genGoldenPrograms(t)
 	var b strings.Builder
@@ -85,14 +88,23 @@ func TestGeneratedCoreStatsGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sys.Reset(cfg.Cache.Seed)
-				if err := sys.LoadProgram(0, p, pol); err != nil {
-					t.Fatal(err)
+				var res string
+				for _, ff := range []bool{true, false} {
+					sys.Reset(cfg.Cache.Seed)
+					sys.SetFastForward(ff)
+					if err := sys.LoadProgram(0, p, pol); err != nil {
+						t.Fatal(err)
+					}
+					if err := sys.Run(2_000_000); err != nil {
+						t.Fatalf("%s %s %s (fast-forward %v): %v", names[i], scheme, gc.name, ff, err)
+					}
+					got := fmt.Sprintf("cycle=%d %+v", sys.Cycle(), sys.Core(0).Stats())
+					if ff {
+						res = got
+					} else if got != res {
+						t.Errorf("%s %s %s: fast-forward off gives\n  %s\nbut on gives\n  %s", names[i], scheme, gc.name, got, res)
+					}
 				}
-				if err := sys.Run(2_000_000); err != nil {
-					t.Fatalf("%s %s %s: %v", names[i], scheme, gc.name, err)
-				}
-				res := fmt.Sprintf("cycle=%d %+v", sys.Cycle(), sys.Core(0).Stats())
 				if j := slices.Index(results, res); j >= 0 {
 					byResult[j] += "," + scheme
 				} else {

@@ -3,6 +3,7 @@ package uarch
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"specinterference/internal/cache"
 	"specinterference/internal/emu"
@@ -48,16 +49,10 @@ type entry struct {
 	wakeHead, wakeTail wakeLink
 	wakeNext           [2]wakeLink
 
-	fetchCycle int64
-	dispCycle  int64
-	issued     bool
-	issueCycle int64
-	// rdyStamp/rdyOK/rdyGated memoize candidateReady for cycle rdyStamp-1:
-	// readiness is port-independent, so ports sharing a class reuse the
-	// verdict (the gate-stall stat still counts once per examining port).
-	rdyStamp      int64
-	rdyOK         bool
-	rdyGated      bool
+	fetchCycle    int64
+	dispCycle     int64
+	issued        bool
+	issueCycle    int64
 	execDoneAt    int64
 	completed     bool
 	completeCycle int64
@@ -90,6 +85,13 @@ type entry struct {
 	// data arrives, so a retrying load never needs to search again.
 	fwdKnown bool
 	fwdSeq   int64
+	// parkUntil and parkFills park a load whose last access attempt found
+	// the D-MSHR file full: parkUntil is the file's next fill then, and
+	// parkFills the core's fill count (see Core.fills). Until that fill is
+	// due, and while no line has been installed since, a retry fails the
+	// same way, so lsuTick counts it without attempting it.
+	parkUntil int64
+	parkFills uint64
 }
 
 // wakeLink is one link of a producer's wakeup list: the consumer, and the
@@ -130,6 +132,51 @@ type fetched struct {
 // noSeq is the min() result of an empty seqSet: older than nothing.
 const noSeq = int64(math.MaxInt64)
 
+// The ROB, memOrder, the LSU list, the fetch buffer and the seqSet
+// trackers are queues held as a window of a backing array twice their
+// structure's capacity, built once in newCore. A pop reslices the front;
+// a push that reaches the array's end first slides the window back to the
+// base. Each slot is copied about once per trip through the array instead
+// of once per pop, and nothing allocates.
+
+// newQueue returns the backing array for a queue of at most n elements,
+// and the empty queue.
+func newQueue[T any](n int) (arr, q []T) {
+	arr = make([]T, 2*n)
+	return arr, arr[:0]
+}
+
+// pushQueue appends v to q, a queue in arr.
+func pushQueue[T any](arr, q []T, v T) []T {
+	if len(q) == cap(q) {
+		n := copy(arr, q)
+		clear(arr[n:])
+		q = arr[:n]
+	}
+	return append(q, v)
+}
+
+// insertQueue inserts v at index i of q, a queue in arr.
+func insertQueue[T any](arr, q []T, i int, v T) []T {
+	q = pushQueue(arr, q, v)
+	copy(q[i+1:], q[i:])
+	q[i] = v
+	return q
+}
+
+// popQueue drops q's front element, zeroing its slot.
+func popQueue[T any](q []T) []T {
+	var zero T
+	q[0] = zero
+	return q[1:]
+}
+
+// resetQueue empties q, a queue in arr, and moves it back to arr's base.
+func resetQueue[T any](arr, q []T) []T {
+	clear(q)
+	return arr[:0]
+}
+
 // seqSet tracks the seqs of in-flight entries satisfying one shadow/safety
 // predicate (unresolved branch, incomplete, fence, ...). Because dispatch
 // hands out strictly increasing seqs, add() is always an append and the
@@ -138,13 +185,16 @@ const noSeq = int64(math.MaxInt64)
 // seqs that is just min() < e.seq, so safety queries are O(1) and the
 // bookkeeping moves to the (much rarer) completion/retire/squash events.
 type seqSet struct {
-	seqs []int64
+	seqs []int64 // a queue in arr
+	arr  []int64
 }
 
 // add records seq, which must exceed every seq already present.
-func (s *seqSet) add(seq int64) { s.seqs = append(s.seqs, seq) }
+func (s *seqSet) add(seq int64) { s.seqs = pushQueue(s.arr, s.seqs, seq) }
 
-// remove drops seq if present.
+// remove drops seq if present. Most removals are at or near the oldest
+// seq, so it shifts whichever side of seq is shorter; dropping the oldest
+// is a pop.
 func (s *seqSet) remove(seq int64) {
 	lo, hi := 0, len(s.seqs)
 	for lo < hi {
@@ -155,8 +205,15 @@ func (s *seqSet) remove(seq int64) {
 			hi = mid
 		}
 	}
-	if lo < len(s.seqs) && s.seqs[lo] == seq {
-		s.seqs = append(s.seqs[:lo], s.seqs[lo+1:]...)
+	if lo == len(s.seqs) || s.seqs[lo] != seq {
+		return
+	}
+	if lo < len(s.seqs)-1-lo {
+		copy(s.seqs[1:lo+1], s.seqs[:lo])
+		s.seqs = s.seqs[1:]
+	} else {
+		copy(s.seqs[lo:], s.seqs[lo+1:])
+		s.seqs = s.seqs[:len(s.seqs)-1]
 	}
 }
 
@@ -184,7 +241,7 @@ func (s *seqSet) min() int64 {
 
 func (s *seqSet) empty() bool { return len(s.seqs) == 0 }
 
-func (s *seqSet) clear() { s.seqs = s.seqs[:0] }
+func (s *seqSet) clear() { s.seqs = s.arr[:0] }
 
 // Core is one out-of-order core.
 type Core struct {
@@ -210,20 +267,38 @@ type Core struct {
 	// strictly increasing seqs, retire pops the front and squash cuts the
 	// tail, so the window is always seq-sorted (with gaps where squashes
 	// consumed seqs) and robEntry resolves a rename tag by binary search.
-	rob []*entry
+	// It is a queue in robArr (see pushQueue), as memOrder is in memArr,
+	// lsuLoads in lsuArr and fetchBuf in fetchArr.
+	rob    []*entry
+	robArr []*entry
 	// rsUsed counts the entries holding an RS slot (inRS). Dispatch takes
 	// a slot; issue, releaseRS, retire and squash give it back. No stage
 	// needs the slots in any order, so the RS is just this count.
 	rsUsed int
-	// rsReady lists, per execution class, the RS entries whose source
-	// operands are all ready — the only entries issue can pick. An entry
-	// joins at dispatch if its sources are ready, else in broadcast when
-	// its last tag resolves; it leaves with its RS slot (removeFromClass)
-	// or at squash. Readiness never reverts while an entry holds its slot,
-	// so the lists never need rescanning.
-	rsReady [isa.NumClasses][]*entry
-	// memOrder lists in-flight loads and stores in program order.
+	// rsReady lists, per execution class and in seq order, the unissued RS
+	// entries whose source operands are all ready: the only entries issue
+	// can pick. An entry joins at dispatch if its sources are ready (an
+	// append: it is the youngest), else in broadcast when its last tag
+	// resolves, and again when preempt cancels its execution. It leaves
+	// when it issues, even if HoldRSUntilSafe keeps its RS slot, or at
+	// squash, which cuts the lists' tails. Readiness never reverts while
+	// an entry holds its slot, so the lists never need rescanning.
+	// readyMask has bit cls set exactly when rsReady[cls] is non-empty.
+	rsReady   [isa.NumClasses][]*entry
+	readyMask uint32
+	// memOrder lists in-flight loads and stores in program order, for the
+	// store-forwarding search.
 	memOrder []*entry
+	memArr   []*entry
+	// lsuLoads lists, in seq order, the issued loads the LSU still has work
+	// for: an access to (re)attempt, a walk to finish, a delayed
+	// re-execution or a deferred expose. A load joins at issue and leaves
+	// at the end of the lsuTick visit after which it is done and either
+	// visible or exposed, or at retire, after retire's expose; squash cuts
+	// the tail. It is memOrder restricted to the loads lsuTick acts on, so
+	// lsuTick visits them, and allocates MSHRs, in memOrder's order.
+	lsuLoads []*entry
+	lsuArr   []*entry
 
 	executing []*entry // issued, completion scheduled at execDoneAt
 	wbQueue   []*entry // execution done, waiting for a CDB slot
@@ -239,6 +314,7 @@ type Core struct {
 	fetchPC      int
 	fetchOn      bool
 	fetchBuf     []fetched
+	fetchArr     []fetched
 	lastIFLine   int64
 	lastIFInvis  bool
 	ifPending    bool
@@ -250,8 +326,8 @@ type Core struct {
 	// Shadow/safety trackers: the seqs of in-flight entries that are an
 	// unresolved conditional branch / not yet complete / an incomplete load /
 	// a fence / a store with unknown address. Maintained incrementally at
-	// dispatch, completion, retire and squash; safe() and candidateReady
-	// compare against their minimums instead of re-scanning the ROB.
+	// dispatch, completion, retire and squash; safe() and issue compare
+	// against their minimums instead of re-scanning the ROB.
 	unresolvedCB   seqSet
 	incomplete     seqSet
 	incompleteLoad seqSet
@@ -262,8 +338,9 @@ type Core struct {
 	fbCondBr int
 	fbLoads  int
 
-	// portClasses[p] lists (deduplicated) the classes port p serves.
-	portClasses [][]isa.Class
+	// portMask[p] has bit cls set for each class port p serves, so a port
+	// whose classes have nothing ready costs issue one AND with readyMask.
+	portMask []uint32
 
 	// progressed records whether this core's last tick changed any machine
 	// state (beyond per-cycle stall counters). A cycle where no core
@@ -293,15 +370,19 @@ func newCore(id int, sys *System) *Core {
 	}
 	c.euFreeAt = make([]int64, len(sys.cfg.Ports))
 	c.euBusy = make([]*entry, len(sys.cfg.Ports))
-	c.portClasses = make([][]isa.Class, len(sys.cfg.Ports))
+	c.portMask = make([]uint32, len(sys.cfg.Ports))
 	for p := range sys.cfg.Ports {
-		var seen [isa.NumClasses]bool
 		for _, cls := range sys.cfg.Ports[p].Classes {
-			if !seen[cls] {
-				seen[cls] = true
-				c.portClasses[p] = append(c.portClasses[p], cls)
-			}
+			c.portMask[p] |= 1 << cls
 		}
+	}
+	n := sys.cfg.ROBSize
+	c.robArr, c.rob = newQueue[*entry](n)
+	c.memArr, c.memOrder = newQueue[*entry](n)
+	c.lsuArr, c.lsuLoads = newQueue[*entry](n)
+	c.fetchArr, c.fetchBuf = newQueue[fetched](sys.cfg.FetchBufSize)
+	for _, s := range []*seqSet{&c.unresolvedCB, &c.incomplete, &c.incompleteLoad, &c.fenceSet, &c.storeAddrUnk} {
+		s.arr, s.seqs = newQueue[int64](n)
 	}
 	for i := range c.regMap {
 		c.regMap[i] = -1
@@ -338,19 +419,33 @@ func (c *Core) recycle(e *entry) {
 // is always seq-sorted (see the rob field), so this is a binary search,
 // replacing the seq→entry map the rename path used to probe.
 func (c *Core) robEntry(seq int64) *entry {
-	lo, hi := 0, len(c.rob)
+	if i := seqCut(c.rob, seq-1); i < len(c.rob) && c.rob[i].seq == seq {
+		return c.rob[i]
+	}
+	return nil
+}
+
+// seqCut returns how many entries of the seq-sorted s have a seq of at
+// most seq: the index where the entries younger than seq begin.
+func seqCut(s []*entry, seq int64) int {
+	lo, hi := 0, len(s)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if c.rob[mid].seq < seq {
+		if s[mid].seq <= seq {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(c.rob) && c.rob[lo].seq == seq {
-		return c.rob[lo]
-	}
-	return nil
+	return lo
+}
+
+// cutYoungerThan drops from the seq-sorted s every entry younger than
+// keep, nilling the dropped slots.
+func cutYoungerThan(s []*entry, keep int64) []*entry {
+	i := seqCut(s, keep)
+	clear(s[i:])
+	return s[:i]
 }
 
 // truncEntries empties an entry queue keeping its capacity, nilling slots so
@@ -368,15 +463,17 @@ func (c *Core) clearPipeline() {
 	for _, e := range c.rob {
 		c.recycle(e)
 	}
-	c.rob = truncEntries(c.rob)
+	c.rob = resetQueue(c.robArr, c.rob)
 	c.rsUsed = 0
 	for cls := range c.rsReady {
 		c.rsReady[cls] = truncEntries(c.rsReady[cls])
 	}
-	c.memOrder = truncEntries(c.memOrder)
+	c.readyMask = 0
+	c.memOrder = resetQueue(c.memArr, c.memOrder)
+	c.lsuLoads = resetQueue(c.lsuArr, c.lsuLoads)
 	c.executing = truncEntries(c.executing)
 	c.wbQueue = truncEntries(c.wbQueue)
-	c.fetchBuf = c.fetchBuf[:0]
+	c.fetchBuf = resetQueue(c.fetchArr, c.fetchBuf)
 	c.unresolvedCB.clear()
 	c.incomplete.clear()
 	c.incompleteLoad.clear()
@@ -524,13 +621,19 @@ func (c *Core) tick(cycle int64) {
 // stages observe are exactly the cycle-start snapshot the old per-cycle
 // prefix scan produced.
 func (c *Core) safe(e *entry, model ShadowModel) bool {
+	return e.seq <= c.safeLimit(model)
+}
+
+// safeLimit returns the seq at or below which every entry is safe under
+// model: the oldest entry the model's shadow trackers hold.
+func (c *Core) safeLimit(model ShadowModel) int64 {
 	switch model {
 	case ShadowSpectre:
-		return c.unresolvedCB.min() >= e.seq
+		return c.unresolvedCB.min()
 	case ShadowSpectreTSO:
-		return c.unresolvedCB.min() >= e.seq && c.incompleteLoad.min() >= e.seq
+		return min(c.unresolvedCB.min(), c.incompleteLoad.min())
 	case ShadowFuturistic:
-		return c.incomplete.min() >= e.seq
+		return c.incomplete.min()
 	default:
 		panic(fmt.Sprintf("uarch: unknown shadow model %d", model))
 	}
@@ -559,80 +662,45 @@ func (c *Core) releaseRS() {
 // ---------------------------------------------------------------------------
 // issue
 
-// candidateReady reports whether e can issue this cycle (operands, gates).
-// The verdict is port-independent and its inputs (operands, trackers, the
-// policy's pure CanIssue) are immutable while issue() runs, so it is
-// memoized per entry per cycle; ports sharing a class reuse it. The
-// gate-stall stat still counts once per examining (port, candidate) pair:
-// a memoized gated verdict replays the increment on every visit.
-func (c *Core) candidateReady(e *entry, cycle int64) bool {
-	if e.issued {
-		return false
-	}
-	if e.rdyStamp == cycle+1 {
-		if e.rdyGated {
-			c.stats.IssueGateStalls++
-		}
-		return e.rdyOK
-	}
-	e.rdyStamp = cycle + 1
-	e.rdyGated = false
-	e.rdyOK = c.readyCheck(e)
-	return e.rdyOK
-}
-
-// readyCheck is the uncached body of candidateReady. e's operands are
-// ready: issue only visits the rsReady lists.
-func (c *Core) readyCheck(e *entry) bool {
-	// lfence semantics: nothing younger than an unretired fence issues.
-	if c.fenceSet.min() < e.seq {
-		return false
-	}
-	// Fence-defense gate.
-	if !c.policy.CanIssue(c.safe(e, c.policy.Shadow)) {
-		e.rdyGated = true
-		c.stats.IssueGateStalls++
-		return false
-	}
-	// Loads wait until every older store address is known (conservative
-	// disambiguation: this machine never replays on memory ordering).
-	if e.isLoad() && c.storeAddrUnk.min() < e.seq {
-		return false
-	}
-	return true
-}
-
-// issue walks, for each port, the operand-ready lists of the classes it
-// serves — not the whole RS once per port, and never an entry still
-// waiting on a producer. The visible behavior of a (port × full RS) scan is
-// preserved exactly: entries off the lists could not issue anyway, best
-// selection is order-independent (seqs are unique, comparisons strict), and
-// IssueGateStalls still counts once per gated (port, candidate) pair per
-// cycle because every serving port visits every operand-ready entry and
-// candidateReady replays the increment on memoized visits. Port class lists
-// are deduped at construction so no port visits a list twice.
+// issue gives each port, in port order, the oldest entry (the youngest
+// under YoungestFirstIssue) on the ready lists of the classes it serves
+// that the gates let through. Every gate is a seq limit, fixed for the
+// whole stage because the trackers change only in writeback and later
+// (see safe):
+//
+//   - nothing younger than an unretired fence issues (lfence semantics);
+//   - under a policy that gates issue (the fence defenses), nothing
+//     younger than the safe limit issues;
+//   - a load waits until every older store address is known
+//     (conservative disambiguation: this machine never replays on memory
+//     ordering). A flush shares the load class but not this gate.
+//
+// The ready lists are seq-sorted, so a pick is the first (or last) entry
+// under the limits. IssueGateStalls counts each entry the defense gates,
+// once per serving port per cycle: on a seq-sorted list these are the
+// entries between the safe limit and the fence limit, two binary searches.
+// An entry issued earlier in the stage was under the safe limit, so
+// taking it off its list changes no later port's count.
 func (c *Core) issue(cycle int64) {
+	if c.readyMask == 0 {
+		return
+	}
+	fenceLim := c.fenceSet.min()
+	lim, gateLim := fenceLim, noSeq
+	if !c.policy.CanIssue(false) {
+		gateLim = c.safeLimit(c.policy.Shadow)
+		lim = min(lim, gateLim)
+	}
+	storeLim := c.storeAddrUnk.min()
 	for p := range c.cfg.Ports {
 		var best *entry
-		for _, cls := range c.portClasses[p] {
-			for _, e := range c.rsReady[cls] {
-				if e.issued {
-					continue
-				}
-				if !c.candidateReady(e, cycle) {
-					continue
-				}
-				if best == nil {
-					best = e
-					continue
-				}
-				if c.cfg.YoungestFirstIssue {
-					if e.seq > best.seq {
-						best = e
-					}
-				} else if e.seq < best.seq {
-					best = e
-				}
+		for m := c.readyMask & c.portMask[p]; m != 0; m &= m - 1 {
+			l := c.rsReady[bits.TrailingZeros32(m)]
+			if gateLim < fenceLim {
+				c.stats.IssueGateStalls += int64(seqCut(l, fenceLim) - seqCut(l, gateLim))
+			}
+			if e := c.pick(l, lim, storeLim); e != nil && (best == nil || c.before(e, best)) {
+				best = e
 			}
 		}
 		if best == nil {
@@ -655,8 +723,67 @@ func (c *Core) issue(cycle int64) {
 	}
 }
 
-// preempt cancels busy's execution on port p and returns it to the ready
-// pool (it still holds its RS entry under HoldRSUntilSafe).
+// pick returns the entry issue takes from the seq-sorted ready list l, or
+// nil: the oldest entry (the youngest under YoungestFirstIssue) whose seq
+// is at most lim and, for a load, at most storeLim.
+func (c *Core) pick(l []*entry, lim, storeLim int64) *entry {
+	if !c.cfg.YoungestFirstIssue {
+		for _, e := range l {
+			if e.seq > lim {
+				break
+			}
+			if !e.isLoad() || e.seq <= storeLim {
+				return e
+			}
+		}
+		return nil
+	}
+	for i := seqCut(l, lim) - 1; i >= 0; i-- {
+		if e := l[i]; !e.isLoad() || e.seq <= storeLim {
+			return e
+		}
+	}
+	return nil
+}
+
+// before reports whether issue prefers a to b: the older one, or the
+// younger under YoungestFirstIssue.
+func (c *Core) before(a, b *entry) bool {
+	if c.cfg.YoungestFirstIssue {
+		return a.seq > b.seq
+	}
+	return a.seq < b.seq
+}
+
+// insertReady puts e, an unissued RS entry whose operands are all ready,
+// on its class's ready list in seq order. At dispatch e is the youngest,
+// so it lands at the end.
+func (c *Core) insertReady(e *entry) {
+	l := c.rsReady[e.class]
+	i := seqCut(l, e.seq)
+	l = append(l, nil)
+	copy(l[i+1:], l[i:])
+	l[i] = e
+	c.rsReady[e.class] = l
+	c.readyMask |= 1 << e.class
+}
+
+// removeReady takes e, which is issuing, off its class's ready list.
+func (c *Core) removeReady(e *entry) {
+	l := c.rsReady[e.class]
+	i := seqCut(l, e.seq-1)
+	copy(l[i:], l[i+1:])
+	l[len(l)-1] = nil
+	l = l[:len(l)-1]
+	c.rsReady[e.class] = l
+	if len(l) == 0 {
+		c.readyMask &^= 1 << e.class
+	}
+}
+
+// preempt cancels busy's execution on port p and returns it to its ready
+// list (it still holds its RS entry under HoldRSUntilSafe), where ports
+// after p can pick it this same cycle.
 func (c *Core) preempt(p int, busy *entry) {
 	c.progressed = true
 	busy.issued = false
@@ -670,10 +797,12 @@ func (c *Core) preempt(p int, busy *entry) {
 	c.executing = kept
 	c.euFreeAt[p] = 0
 	c.euBusy[p] = nil
+	c.insertReady(busy)
 }
 
 func (c *Core) issueTo(p int, e *entry, cycle int64) {
 	c.progressed = true
+	c.removeReady(e)
 	e.issued = true
 	e.issueCycle = cycle
 	e.port = p
@@ -686,6 +815,7 @@ func (c *Core) issueTo(p int, e *entry, cycle int64) {
 		e.addrKnown = true
 		e.mstate = memRetry
 		c.euFreeAt[p] = cycle + 1
+		c.lsuLoads = insertQueue(c.lsuArr, c.lsuLoads, seqCut(c.lsuLoads, e.seq), e)
 	case e.isFlush():
 		// Address generation only: the eviction applies at retire, so a
 		// squashed flush has no effect (clflush is not transient; like on
@@ -732,26 +862,11 @@ func (c *Core) issueTo(p int, e *entry, cycle int64) {
 	}
 }
 
-// removeRS gives back e's RS slot.
+// removeRS gives back e's RS slot. e has issued, so it is on no ready
+// list.
 func (c *Core) removeRS(e *entry) {
 	e.inRS = false
 	c.rsUsed--
-	c.removeFromClass(e)
-}
-
-// removeFromClass drops e, which is releasing its RS slot, from its
-// class's operand-ready list. An entry releases its slot only once issued,
-// so it is always on the list.
-func (c *Core) removeFromClass(e *entry) {
-	l := c.rsReady[e.class]
-	for i, x := range l {
-		if x == e {
-			copy(l[i:], l[i+1:])
-			l[len(l)-1] = nil
-			c.rsReady[e.class] = l[:len(l)-1]
-			return
-		}
-	}
 }
 
 // compute evaluates a register-writing non-memory instruction.
@@ -847,9 +962,9 @@ func (c *Core) writeback(cycle int64) {
 // computes store addresses whose base register just arrived. The list
 // holds exactly the entries with a source tag naming e, in dispatch
 // order, so the cost is e's consumer count, not the window's size.
-// Consumers whose last tag resolves join their class's operand-ready list
-// in that order. The list is emptied: e has completed, and no later
-// dispatch waits on a completed producer.
+// Consumers whose last tag resolves join their class's ready list. The
+// wakeup list is emptied: e has completed, and no later dispatch waits on
+// a completed producer.
 func (c *Core) broadcast(e *entry) {
 	for l := e.wakeHead; l.e != nil; {
 		o, slot := l.e, l.k
@@ -872,7 +987,7 @@ func (c *Core) broadcast(e *entry) {
 		if !pending {
 			// o still holds its RS slot: only RS instructions have
 			// sources, and none issues before they are all ready.
-			c.rsReady[o.class] = append(c.rsReady[o.class], o)
+			c.insertReady(o)
 		}
 	}
 	e.wakeHead, e.wakeTail = wakeLink{}, wakeLink{}
@@ -908,14 +1023,6 @@ func cutWakeList(p *entry, keep int64) {
 	p.wakeTail = last
 }
 
-// nilTail clears s[n:] so compacted entry queues hold no stale pointers
-// into the pool.
-func nilTail(s []*entry, n int) {
-	for i := n; i < len(s); i++ {
-		s[i] = nil
-	}
-}
-
 func sortEntries(s []*entry, less func(a, b *entry) bool) {
 	// Insertion sort: queues are short and usually nearly sorted.
 	for i := 1; i < len(s); i++ {
@@ -931,13 +1038,7 @@ func sortEntries(s []*entry, less func(a, b *entry) bool) {
 func (c *Core) squash(br *entry, cycle int64) {
 	c.stats.Squashes++
 	// Flush everything younger than the branch.
-	cut := len(c.rob)
-	for i, e := range c.rob {
-		if e.seq > br.seq {
-			cut = i
-			break
-		}
-	}
+	cut := seqCut(c.rob, br.seq)
 	doomed := c.rob[cut:]
 	c.rob = c.rob[:cut]
 	c.unresolvedCB.dropYoungerThan(br.seq)
@@ -969,11 +1070,14 @@ func (c *Core) squash(br *entry, cycle int64) {
 			c.hook.Record(c.id, record(e, true))
 		}
 	}
-	isDoomed := func(e *entry) bool { return e.seq > br.seq }
 	for cls := range c.rsReady {
-		c.rsReady[cls] = filterEntries(c.rsReady[cls], isDoomed)
+		if c.rsReady[cls] = cutYoungerThan(c.rsReady[cls], br.seq); len(c.rsReady[cls]) == 0 {
+			c.readyMask &^= 1 << cls
+		}
 	}
-	c.memOrder = filterEntries(c.memOrder, isDoomed)
+	c.memOrder = cutYoungerThan(c.memOrder, br.seq)
+	c.lsuLoads = cutYoungerThan(c.lsuLoads, br.seq)
+	isDoomed := func(e *entry) bool { return e.seq > br.seq }
 	c.executing = filterEntries(c.executing, isDoomed)
 	c.wbQueue = filterEntries(c.wbQueue, isDoomed)
 	for p := range c.euBusy {
@@ -1000,7 +1104,7 @@ func (c *Core) squash(br *entry, cycle int64) {
 		doomed[i] = nil
 	}
 	// Redirect the front end.
-	c.fetchBuf = c.fetchBuf[:0]
+	c.fetchBuf = resetQueue(c.fetchArr, c.fetchBuf)
 	c.fbCondBr, c.fbLoads = 0, 0
 	c.ifPending = false
 	c.lastIFLine = -1
@@ -1028,9 +1132,8 @@ func filterEntries(s []*entry, drop func(*entry) bool) []*entry {
 // retire
 
 func (c *Core) retire(cycle int64) {
-	popped := 0
-	for n := 0; n < c.cfg.RetireWidth && popped < len(c.rob); n++ {
-		e := c.rob[popped]
+	for n := 0; n < c.cfg.RetireWidth && len(c.rob) > 0; n++ {
+		e := c.rob[0]
 		if !e.completed {
 			break
 		}
@@ -1067,18 +1170,16 @@ func (c *Core) retire(cycle int64) {
 		if e.inRS {
 			c.removeRS(e)
 		}
+		// Retirement is in order, so e is the front entry of the ROB, of
+		// memOrder if it is a memory op, and of the LSU list if it is on it.
 		if e.isLoad() || e.isStore() {
-			// Retirement is in order, so e is memOrder's front entry.
-			for i, x := range c.memOrder {
-				if x == e {
-					copy(c.memOrder[i:], c.memOrder[i+1:])
-					c.memOrder[len(c.memOrder)-1] = nil
-					c.memOrder = c.memOrder[:len(c.memOrder)-1]
-					break
-				}
-			}
+			c.memOrder = popQueue(c.memOrder)
 		}
-		popped++
+		if len(c.lsuLoads) > 0 && c.lsuLoads[0] == e {
+			c.lsuLoads = popQueue(c.lsuLoads)
+		}
+		c.rob = popQueue(c.rob)
+		c.progressed = true
 		c.stats.Retired++
 		if c.hook != nil {
 			r := record(e, false)
@@ -1089,16 +1190,6 @@ func (c *Core) retire(cycle int64) {
 		if c.halted {
 			break
 		}
-	}
-	// One compaction per cycle keeps the ROB anchored at its backing array's
-	// base, so dispatch appends never reallocate in steady state.
-	if popped > 0 {
-		c.progressed = true
-		m := copy(c.rob, c.rob[popped:])
-		for i := m; i < m+popped; i++ {
-			c.rob[i] = nil
-		}
-		c.rob = c.rob[:m]
 	}
 }
 
@@ -1133,8 +1224,7 @@ func (c *Core) dispatch(cycle int64) {
 			c.stats.RSFullStallCycles++
 			return
 		}
-		nf := copy(c.fetchBuf, c.fetchBuf[1:])
-		c.fetchBuf = c.fetchBuf[:nf]
+		c.fetchBuf = popQueue(c.fetchBuf)
 		if f.inst.IsCondBranch() {
 			c.fbCondBr--
 		}
@@ -1183,7 +1273,7 @@ func (c *Core) dispatch(cycle int64) {
 			e.inRS = true
 			c.rsUsed++
 			if ready {
-				c.rsReady[e.class] = append(c.rsReady[e.class], e)
+				c.insertReady(e)
 			}
 			c.incomplete.add(e.seq)
 			if e.inst.IsCondBranch() {
@@ -1204,9 +1294,9 @@ func (c *Core) dispatch(cycle int64) {
 			c.storeAddrUnk.add(e.seq)
 		}
 		if e.isLoad() || e.isStore() {
-			c.memOrder = append(c.memOrder, e)
+			c.memOrder = pushQueue(c.memArr, c.memOrder, e)
 		}
-		c.rob = append(c.rob, e)
+		c.rob = pushQueue(c.robArr, c.rob, e)
 		c.progressed = true
 	}
 }
@@ -1238,7 +1328,7 @@ func (c *Core) pushFetched(f fetched) {
 	if f.inst.Op == isa.Load {
 		c.fbLoads++
 	}
-	c.fetchBuf = append(c.fetchBuf, f)
+	c.fetchBuf = pushQueue(c.fetchArr, c.fetchBuf, f)
 }
 
 func (c *Core) fetch(cycle int64) {
@@ -1402,7 +1492,9 @@ func (c *Core) applyIdleCycles(n int64, pre idleStats) {
 // this core's tick could act differently than it just did: a pending
 // redirect or I-fetch completing, an execution or hierarchy walk
 // finishing, a busy execution unit freeing, or an outstanding MSHR entry
-// expiring (which unblocks full-file load retries). Everything else the
+// expiring (which unblocks full-file load retries and ends every parked
+// load's wait; a park's other end, a line fill, only happens on a cycle
+// that makes progress). Everything else the
 // pipeline waits on — operand wakeups, safety-shadow clearing, fence
 // retirement, structural slots — is driven by one of these completions
 // and therefore happens on a cycle some prior tick made progress.
@@ -1422,8 +1514,8 @@ func (c *Core) nextEventAfter(now int64) int64 {
 	for _, e := range c.executing {
 		minTo(e.execDoneAt)
 	}
-	for _, e := range c.memOrder {
-		if e.isLoad() && e.mstate == memWalking {
+	for _, e := range c.lsuLoads {
+		if e.mstate == memWalking {
 			minTo(e.memReady)
 		}
 	}

@@ -2,28 +2,34 @@ package uarch
 
 import "specinterference/internal/cache"
 
-// lsuTick advances every in-flight load: (re)attempts cache accesses,
-// finishes walks whose data arrived, re-issues delayed loads that became
-// safe, and performs deferred exposes/touches for invisibly-completed loads.
+// lsuTick advances the loads on the LSU list, in program order:
+// (re)attempts cache accesses, finishes walks whose data arrived,
+// re-issues delayed loads that became safe, and performs deferred
+// exposes/touches for invisibly-completed loads. A load that leaves its
+// visit done and either visible or exposed has nothing left for the LSU
+// and drops off the list.
 func (c *Core) lsuTick(cycle int64) {
 	model := c.policy.Shadow
-	for _, e := range c.memOrder {
-		if !e.isLoad() {
-			continue
-		}
+	kept := c.lsuLoads[:0]
+	for _, e := range c.lsuLoads {
 		switch e.mstate {
 		case memRetry:
-			if e.issued {
-				c.attemptAccess(e, cycle)
-				// A still-retrying load is the one attempt that can leave the
-				// machine unchanged (forwarding store's data pending, or MSHR
-				// file full — the latter marks e invisible/wasL1Hit, and the
-				// first attempt records the forwarding store, but those
-				// writes are idempotent and cycle-independent, so replaying
-				// the attempt each skipped cycle reproduces them exactly).
-				if e.mstate != memRetry {
-					c.progressed = true
-				}
+			if e.parkUntil > cycle && c.fills() == e.parkFills {
+				// Parked on a full D-MSHR file (see startWalk): the
+				// attempt would fail the same way, so only count it.
+				c.stats.MSHRRetries++
+				break
+			}
+			c.attemptAccess(e, cycle)
+			// An attempt that leaves the load retrying changes nothing a
+			// later cycle reads: it waited on its forwarding store's data,
+			// or found the MSHR file full. The latter marks e
+			// invisible/wasL1Hit and parks it, and the first attempt
+			// records the forwarding store, but those writes are
+			// idempotent and stay the same until the next fill, so an idle
+			// tick that fast-forward repeats reproduces them exactly.
+			if e.mstate != memRetry {
+				c.progressed = true
 			}
 		case memDelayed:
 			if c.safe(e, model) {
@@ -43,7 +49,23 @@ func (c *Core) lsuTick(cycle int64) {
 				c.exposeLoad(e, cycle)
 			}
 		}
+		if e.mstate != memDone || (e.invisible && !e.exposed) {
+			kept = append(kept, e)
+		}
 	}
+	clear(c.lsuLoads[len(kept):])
+	c.lsuLoads = kept
+}
+
+// fills returns how many lines the core's L1D, and its filter when the
+// policy has one, have installed since the last reset. A load that found
+// the D-MSHR file full can find its line present only after a fill.
+func (c *Core) fills() uint64 {
+	n := c.sys.hier.L1D(c.id).Stats().Fills
+	if c.policy.Filter.Sets > 0 {
+		n += c.filter.Stats().Fills
+	}
+	return n
 }
 
 // attemptAccess runs one load's D-cache access attempt: store forwarding,
@@ -119,7 +141,22 @@ func sameWord(a, b int64) bool { return a&^7 == b&^7 }
 
 // startWalk issues the hierarchy access for a load, allocating an MSHR for
 // L1 misses. A full MSHR file leaves the load in memRetry — the structural
-// delay the GDMSHR gadget induces on the victim.
+// delay the GDMSHR gadget induces on the victim — and parks it until the
+// file's next fill or until a line is installed in the L1D or the filter,
+// whichever comes first. Until then every retry fails the same way:
+//
+//   - before the file's earliest fill nothing is reaped, so nothing can be
+//     allocated and the load's line cannot appear in the file;
+//   - without a fill, the line cannot appear in the L1D or the filter
+//     (invalidations only remove lines);
+//   - safety only turns on, and the safe and unsafe paths fail alike on an
+//     absent line and a full file (an ActDelay miss never retries);
+//   - the reap a retry runs before the earliest fill drops nothing.
+//
+// The L1D count matters: retiring an older store to the load's line
+// installs it without an MSHR. So does the filter's: an invisible load
+// of the same line whose fill was reaped when this load parked writes
+// the line into the filter at its writeback.
 func (c *Core) startWalk(e *entry, cycle int64, visible bool) {
 	h := c.sys.hier
 	if h.L1DHit(c.id, e.addr) {
@@ -151,6 +188,8 @@ func (c *Core) startWalk(e *entry, cycle int64, visible bool) {
 	}
 	if mshr.InUse(cycle) >= mshr.Cap() {
 		e.mstate = memRetry
+		e.parkUntil = mshr.NextReady(cycle)
+		e.parkFills = c.fills()
 		c.stats.MSHRRetries++
 		return
 	}

@@ -33,23 +33,37 @@
 // fences, unknown store addresses) are maintained at the rare mutation
 // events — dispatch, completion, retire, squash — so safe(), the fence
 // check and load disambiguation are O(1) per query instead of a per-cycle
-// ROB scan. Second, issue visits only real candidates: the unified RS is
-// an occupancy count, and each execution class keeps a list of its
-// operand-ready RS entries. An entry joins at dispatch, or in wakeup when
-// its last source tag resolves, and leaves with its RS slot or at squash;
-// readiness never reverts while an entry holds its slot, so nothing is
-// rescanned. Each port walks just the lists of the classes it serves, so
-// an entry still waiting on a producer costs issue nothing, and the
-// port-independent gate verdict is memoized per entry per cycle. Wakeup
-// visits only the completing producer's consumers: dispatch links each
-// waiting consumer onto its producer's wakeup list (intrusive links in
-// the entries, so nothing allocates), and squash cuts the doomed tail of
-// each surviving list. A load retrying its cache access finds its
-// forwarding store once, at the first attempt, and a retry on a full MSHR
-// file scans nothing before the file's earliest fill is due. Between
-// trials, System.Reset restores only the cache sets filled since the last
-// reset (see cache.Cache.Reset) and zeroes only the memory words written,
-// so a reset costs what the trial touched, not the size of the machine.
+// ROB scan. Second, each stage visits only the entries that can act:
+//
+//   - Issue. The unified RS is an occupancy count, and each execution
+//     class keeps a seq-sorted list of its unissued operand-ready RS
+//     entries, with a ready-mask bit set while the list is non-empty. An
+//     entry joins at dispatch, in wakeup when its last source tag
+//     resolves, or when preemption cancels its execution, and leaves when
+//     it issues or at squash. Every issue gate (fence, fence defense, load
+//     disambiguation) is a seq limit fixed for the whole stage, so a port
+//     ANDs its class mask with the ready mask and takes the first entry
+//     under the limits. The candidates the defense gates, which
+//     IssueGateStalls counts, are one seq range of each list: two binary
+//     searches.
+//   - Wakeup. Dispatch links each waiting consumer onto its producer's
+//     wakeup list (intrusive links in the entries, so nothing allocates),
+//     a writeback visits only the completing producer's consumers, and
+//     squash cuts the doomed tail of each surviving list.
+//   - Load/store unit. It walks a seq-sorted list of the issued loads it
+//     still has work for, not every memory op in flight. A load finds its
+//     forwarding store once, at the first attempt. A load that finds the
+//     D-MSHR file full parks: until the file's next fill is due, and while
+//     no line is installed in the L1D (or the filter), each retry would
+//     fail the same way, so it is counted and not attempted.
+//   - Queues. The ROB, memOrder, the LSU list, the fetch buffer and the
+//     seq trackers are windows into backing arrays twice their capacity:
+//     a pop reslices the front instead of shifting the rest.
+//
+// Between trials, System.Reset restores only the cache sets filled since
+// the last reset (see cache.Cache.Reset) and zeroes only the memory words
+// written, so a reset costs what the trial touched, not the size of the
+// machine.
 //
 // On top of the per-cycle work, System.Run skips provably idle cycles
 // entirely: when a tick changes nothing (no core sets its progressed
@@ -59,8 +73,10 @@
 //
 // All of this is contractually timing-neutral: the optimizations change
 // how fast cycles are simulated, never what a cycle does. The committed
-// sim-cycles/op / sim-insts/op trajectory and the fast-forward on/off
-// equivalence test (TestFastForwardEquivalence) pin that contract in CI.
+// sim-cycles/op / sim-insts/op trajectory, the two CoreStats goldens and
+// the fast-forward on/off equivalence tests (TestFastForwardEquivalence,
+// and TestGeneratedCoreStatsGolden on generated programs) pin that
+// contract in CI.
 package uarch
 
 import (
@@ -179,8 +195,10 @@ func (m IFetchMode) String() string {
 //
 // Purity contract: CanIssue and DecideLoad are value-receiver methods that
 // only read fields, so their answers depend on their arguments alone. The
-// core relies on this: issue memoizes each entry's readiness verdict
-// (which embeds CanIssue's answer) for the rest of the cycle.
+// core relies on this: issue asks CanIssue once per cycle and turns the
+// answer into a seq limit for the whole stage, and a load parked on a
+// full D-MSHR file skips its retries because, among other things,
+// DecideLoad cannot answer differently for the same L1D miss.
 type SpecPolicy struct {
 	// Name identifies the scheme in reports.
 	Name string

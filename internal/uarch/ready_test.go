@@ -15,40 +15,71 @@ import (
 // instruction has completed.
 var gateFuturisticPolicy = SpecPolicy{Name: "gate-futuristic", Shadow: ShadowFuturistic, IssueOnlySafe: true}
 
-// checkReadyLists fails unless the RS count, the per-class ready lists and
-// the producers' wakeup lists agree with the ROB. The count must equal the
-// number of entries holding an RS slot. Every rsReady list must hold
-// exactly the RS entries of its class whose operands are all ready, each
-// once. Every unresolved source tag must have exactly one link on its
-// producer's wakeup list, and a list may hold only ROB entries with a
-// source slot waiting on that producer. It returns how many entries the
-// ready lists hold.
+// checkReadyLists fails unless the RS count, the per-class ready lists,
+// the ready mask, the LSU list and the producers' wakeup lists agree with
+// the ROB. The count must equal the number of entries holding an RS slot.
+// Every rsReady list must be seq-sorted and hold exactly the unissued RS
+// entries of its class whose operands are all ready, each once, and the
+// mask must have a class's bit set exactly when its list is non-empty.
+// The LSU list must be seq-sorted and hold exactly the issued loads with
+// work left for the LSU, each once. Every unresolved source tag must have
+// exactly one link on its producer's wakeup list, and a list may hold
+// only ROB entries with a source slot waiting on that producer. It returns
+// how many entries the ready lists hold.
 func checkReadyLists(t *testing.T, c *Core, when string) int {
 	t.Helper()
 	listed := map[*entry]isa.Class{}
 	for cls := isa.Class(0); cls < isa.NumClasses; cls++ {
-		for _, e := range c.rsReady[cls] {
+		for i, e := range c.rsReady[cls] {
 			if prev, dup := listed[e]; dup {
 				t.Fatalf("%s: seq %d is on the %s list and the %s list", when, e.seq, prev, cls)
 			}
 			listed[e] = cls
-			if e.class != cls || !e.inRS || !e.srcsReady() {
-				t.Fatalf("%s: seq %d (%s, inRS %v, operands ready %v) is on the %s ready list",
-					when, e.seq, e.class, e.inRS, e.srcsReady(), cls)
+			if e.class != cls || !e.inRS || e.issued || !e.srcsReady() {
+				t.Fatalf("%s: seq %d (%s, inRS %v, issued %v, operands ready %v) is on the %s ready list",
+					when, e.seq, e.class, e.inRS, e.issued, e.srcsReady(), cls)
 			}
+			if i > 0 && c.rsReady[cls][i-1].seq >= e.seq {
+				t.Fatalf("%s: the %s ready list is not seq-sorted at seq %d", when, cls, e.seq)
+			}
+		}
+		if set := c.readyMask&(1<<cls) != 0; set != (len(c.rsReady[cls]) > 0) {
+			t.Fatalf("%s: ready mask bit for %s is %v with %d entries listed", when, cls, set, len(c.rsReady[cls]))
+		}
+	}
+	if c.readyMask>>isa.NumClasses != 0 {
+		t.Fatalf("%s: ready mask %#x has a bit beyond the classes", when, c.readyMask)
+	}
+	inLSU := map[*entry]bool{}
+	for i, e := range c.lsuLoads {
+		if inLSU[e] {
+			t.Fatalf("%s: seq %d is on the LSU list twice", when, e.seq)
+		}
+		inLSU[e] = true
+		if i > 0 && c.lsuLoads[i-1].seq >= e.seq {
+			t.Fatalf("%s: the LSU list is not seq-sorted at seq %d", when, e.seq)
 		}
 	}
 	inROB := map[*entry]bool{}
 	inRS := 0
 	for _, e := range c.rob {
 		inROB[e] = true
+		pending := e.isLoad() && e.issued && (e.mstate != memDone || e.invisible && !e.exposed)
+		if pending != inLSU[e] {
+			t.Fatalf("%s: seq %d (%s, issued %v, state %d, invisible %v, exposed %v) has LSU work %v but is listed %v",
+				when, e.seq, e.inst.Op, e.issued, e.mstate, e.invisible, e.exposed, pending, inLSU[e])
+		}
+		delete(inLSU, e)
 		if !e.inRS {
 			continue
 		}
 		inRS++
-		if _, ok := listed[e]; e.srcsReady() && !ok {
+		if _, ok := listed[e]; e.srcsReady() && !e.issued && !ok {
 			t.Fatalf("%s: operand-ready RS entry seq %d (%s) is missing from its ready list", when, e.seq, e.class)
 		}
+	}
+	for e := range inLSU {
+		t.Fatalf("%s: the LSU list holds seq %d, which is not in the ROB", when, e.seq)
 	}
 	if inRS != c.rsUsed {
 		t.Fatalf("%s: RS count is %d, but %d entries hold a slot", when, c.rsUsed, inRS)
@@ -91,13 +122,16 @@ func checkReadyLists(t *testing.T, c *Core, when string) int {
 }
 
 // TestReadyListInvariant steps programs cycle by cycle under every issue
-// configuration, a small machine and the issue-gating policies, and after
-// every tick checks that the per-class ready lists issue walks are exactly
-// the operand-ready RS entries of each class, that the RS count matches
-// the slots held, and that each producer's wakeup list holds exactly its
-// waiting consumers. Those invariants are what let issue skip entries
-// still waiting on producers and broadcast visit only a producer's
-// consumers without changing a single counter.
+// configuration, a small machine, the issue-gating policies and policies
+// that delay, hide and expose loads, and after every tick checks that the
+// per-class ready lists issue selects from are exactly the unissued
+// operand-ready RS entries of each class, in seq order and behind a
+// matching ready mask, that the RS count matches the slots held, that the
+// LSU list holds exactly the loads lsuTick has work for, and that each
+// producer's wakeup list holds exactly its waiting consumers. Those
+// invariants are what let issue select by seq limits, lsuTick skip loads
+// with nothing to do and broadcast visit only a producer's consumers
+// without changing a single counter.
 func TestReadyListInvariant(t *testing.T) {
 	configs := []struct {
 		name  string
@@ -109,7 +143,7 @@ func TestReadyListInvariant(t *testing.T) {
 		{"hold-rs+age-arb", func(c *Config) { c.HoldRSUntilSafe = true; c.AgePriorityArb = true }},
 		{"small", func(c *Config) { c.RSSize, c.ROBSize, c.Cache.DMSHRs, c.CDBWidth = 16, 32, 2, 1 }},
 	}
-	policies := []SpecPolicy{{Name: "unprotected"}, gateAllPolicy, gateFuturisticPolicy, stallFetchPolicy}
+	policies := []SpecPolicy{{Name: "unprotected"}, gateAllPolicy, gateFuturisticPolicy, stallFetchPolicy, tsoPolicy, filterPolicy}
 	type prog struct {
 		name string
 		p    *isa.Program
