@@ -24,23 +24,13 @@ import (
 	"specinterference/internal/results"
 )
 
-// jsonCurve is the machine-readable form of one PoC's Figure 11 curve.
+// jsonCurve is the machine-readable form of one PoC's Figure 11 curve:
+// the record's curve plus the measurement seed.
 type jsonCurve struct {
-	PoC    string      `json:"poc"`
-	Scheme string      `json:"scheme"`
-	Seed   uint64      `json:"seed"`
-	Points []jsonPoint `json:"points"`
-}
-
-// jsonPoint is one error-vs-rate curve point.
-type jsonPoint struct {
-	Reps         int     `json:"reps"`
-	Bits         int     `json:"bits"`
-	Errors       int     `json:"errors"`
-	Dropped      int     `json:"dropped"`
-	ErrorRate    float64 `json:"error_rate"`
-	CyclesPerBit float64 `json:"cycles_per_bit"`
-	Bps          float64 `json:"bps"`
+	PoC    string           `json:"poc"`
+	Scheme string           `json:"scheme"`
+	Seed   uint64           `json:"seed"`
+	Points []channel.Result `json:"points"`
 }
 
 // displayName maps persisted PoC names to the Figure 11 captions.
@@ -55,6 +45,15 @@ func displayName(poc string) string {
 	}
 }
 
+// defaultReps renders channel.DefaultReps as the -reps flag value.
+func defaultReps() string {
+	reps := make([]string, 0, len(channel.DefaultReps()))
+	for _, r := range channel.DefaultReps() {
+		reps = append(reps, strconv.Itoa(r))
+	}
+	return strings.Join(reps, ",")
+}
+
 func main() {
 	experiment.Main(experiment.CLIConfig{
 		Name:       "covertbench",
@@ -62,7 +61,7 @@ func main() {
 		Flags: func(fs *flag.FlagSet) func() (results.Params, error) {
 			poc := fs.String("poc", "both", "dcache, icache or both")
 			bits := fs.Int("bits", 64, "random bits per curve point")
-			repsFlag := fs.String("reps", "1,3,5,9,15", "comma-separated repetitions-per-bit sweep")
+			repsFlag := fs.String("reps", defaultReps(), "comma-separated repetitions-per-bit sweep")
 			seed := fs.Uint64("seed", 1, "measurement seed")
 			return func() (results.Params, error) {
 				var pocs []string
@@ -90,11 +89,7 @@ func main() {
 				fmt.Fprintf(w, "Figure 11 (%s PoC, scheme %s): error rate vs bit rate\n",
 					displayName(c.PoC), c.Scheme)
 				for _, pt := range c.Points {
-					r := channel.Result{
-						Reps: pt.Reps, Bits: pt.Bits, Errors: pt.Errors, Dropped: pt.Dropped,
-						ErrorRate: pt.ErrorRate, CyclesPerBit: pt.CyclesPerBit, Bps: pt.Bps,
-					}
-					fmt.Fprintln(w, "  "+r.String())
+					fmt.Fprintln(w, "  "+pt.String())
 				}
 				fmt.Fprintln(w)
 			}
@@ -103,14 +98,7 @@ func main() {
 		JSON: func(rec *results.Record) (any, error) {
 			curves := make([]jsonCurve, 0, len(rec.Figure11.Curves))
 			for _, c := range rec.Figure11.Curves {
-				jc := jsonCurve{PoC: c.PoC, Scheme: c.Scheme, Seed: rec.Params.Seed}
-				for _, pt := range c.Points {
-					jc.Points = append(jc.Points, jsonPoint{
-						Reps: pt.Reps, Bits: pt.Bits, Errors: pt.Errors, Dropped: pt.Dropped,
-						ErrorRate: pt.ErrorRate, CyclesPerBit: pt.CyclesPerBit, Bps: pt.Bps,
-					})
-				}
-				curves = append(curves, jc)
+				curves = append(curves, jsonCurve{PoC: c.PoC, Scheme: c.Scheme, Seed: rec.Params.Seed, Points: c.Points})
 			}
 			return curves, nil
 		},

@@ -19,15 +19,8 @@ import (
 	"specinterference/internal/experiment"
 	_ "specinterference/internal/experiment/remote" // registers -backend=remote and the -remote-worker mode
 	"specinterference/internal/results"
+	"specinterference/internal/workload"
 )
-
-// jsonRow is the machine-readable form of one workload's slowdowns.
-type jsonRow struct {
-	Workload       string             `json:"workload"`
-	BaselineCycles int64              `json:"baseline_cycles"`
-	BaselineIPC    float64            `json:"baseline_ipc"`
-	Slowdown       map[string]float64 `json:"slowdown"`
-}
 
 func main() {
 	experiment.Main(experiment.CLIConfig{
@@ -46,24 +39,15 @@ func main() {
 		},
 		Text: func(w io.Writer, rec *results.Record) error {
 			fmt.Fprintln(w, "Figure 12: fence-defense slowdown over the unsafe baseline")
-			fmt.Fprint(w, results.Figure12Result(rec).Format(rec.Params.Schemes))
+			fmt.Fprint(w, rec.Figure12.Format(rec.Params.Schemes))
 			fmt.Fprintln(w, "\npaper (SPEC CPU2017 on gem5): 1.58x mean Spectre model, 5.38x mean Futuristic model")
 			return nil
 		},
 		JSON: func(rec *results.Record) (any, error) {
-			out := struct {
-				Iters   int                `json:"iters"`
-				Rows    []jsonRow          `json:"rows"`
-				Mean    map[string]float64 `json:"mean"`
-				Geomean map[string]float64 `json:"geomean"`
-			}{Iters: rec.Params.Iters, Mean: rec.Figure12.Mean, Geomean: rec.Figure12.Geomean}
-			for _, row := range rec.Figure12.Rows {
-				out.Rows = append(out.Rows, jsonRow{
-					Workload: row.Workload, BaselineCycles: row.BaselineCycles,
-					BaselineIPC: row.BaselineIPC, Slowdown: row.Slowdown,
-				})
-			}
-			return out, nil
+			return struct {
+				Iters int `json:"iters"`
+				*workload.EvalResult
+			}{rec.Params.Iters, rec.Figure12}, nil
 		},
 	})
 }

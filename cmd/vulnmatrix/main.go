@@ -25,15 +25,6 @@ import (
 	"specinterference/internal/schemes"
 )
 
-// jsonCell is the machine-readable form of one matrix cell.
-type jsonCell struct {
-	Scheme     string `json:"scheme"`
-	Gadget     string `json:"gadget"`
-	Ordering   string `json:"ordering"`
-	Vulnerable bool   `json:"vulnerable"`
-	RefCycle   int64  `json:"ref_cycle,omitempty"`
-}
-
 func main() {
 	var verify *bool
 	experiment.Main(experiment.CLIConfig{
@@ -59,14 +50,7 @@ func main() {
 			return nil
 		},
 		JSON: func(rec *results.Record) (any, error) {
-			out := make([]jsonCell, 0, len(rec.Table1.Cells))
-			for _, c := range rec.Table1.Cells {
-				out = append(out, jsonCell{
-					Scheme: c.Scheme, Gadget: c.Gadget, Ordering: c.Ordering,
-					Vulnerable: c.Vulnerable, RefCycle: c.RefCycle,
-				})
-			}
-			return out, nil
+			return rec.Table1.Cells, nil
 		},
 		After: func(rec *results.Record, jsonMode bool) error {
 			if !*verify {

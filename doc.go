@@ -123,11 +123,12 @@
 // name, its parameters (trial counts, seeds, scheme lists), volatile
 // metadata (git revision, worker count, wall time) and the full payload —
 // per-arm Figure 7 latencies, every Table 1 matrix cell, each Figure 11
-// curve point, the Figure 12 slowdown table. Records append as JSONL
-// under a store directory (one file per experiment, newest last) via the
-// -store flag on vulnmatrix, covertbench, defensebench and interference,
-// or programmatically: RunExperiment returns the sealed record and
-// OpenResultStore opens the store to append it to.
+// curve point (a ChannelResult), the Figure 12 slowdown table (an
+// EvalResult), every concordance cell. Records append as JSONL under a
+// store directory (one file per experiment, newest last) via the -store
+// flag on vulnmatrix, concordance, covertbench, defensebench and
+// interference, or programmatically: RunExperiment returns the sealed
+// record and OpenResultStore opens the store to append it to.
 //
 // Each record carries a canonical SHA-256 signature over its parameters
 // and payload; metadata is excluded, so two runs of the same experiment

@@ -11,7 +11,6 @@ import (
 	"log"
 
 	si "specinterference"
-	"specinterference/internal/results"
 	"specinterference/internal/security"
 )
 
@@ -45,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(results.Figure12Result(rec).Format(schemesList))
+	fmt.Print(rec.Figure12.Format(schemesList))
 	fmt.Println("paper (SPEC CPU2017): 1.58x mean Spectre, 5.38x mean Futuristic")
 
 	fmt.Println("\n== §5.1 ideal invisible speculation: C(E) = C(NoSpec(E))")

@@ -16,17 +16,18 @@ import (
 // figures, matching the paper's 3.6 GHz Kaby Lake base clock.
 const NominalGHz = 3.6
 
-// Result is one point of the error-vs-rate curve.
+// Result is one point of the error-vs-rate curve. The Figure 11 record
+// stores its points as this type, so the JSON field order is part of the
+// record signature.
 type Result struct {
-	Reps         int
-	Bits         int
-	Errors       int
-	Dropped      int // trials discarded as inconsistent (receiver noise)
-	ErrorRate    float64
-	TotalCycles  int64
-	CyclesPerBit float64
+	Reps         int     `json:"reps"`
+	Bits         int     `json:"bits"`
+	Errors       int     `json:"errors"`
+	Dropped      int     `json:"dropped"` // trials discarded as inconsistent (receiver noise)
+	ErrorRate    float64 `json:"error_rate"`
+	CyclesPerBit float64 `json:"cycles_per_bit"`
 	// Bps is the bit rate at the nominal clock.
-	Bps float64
+	Bps float64 `json:"bps"`
 }
 
 // String renders the point like the Figure 11 axes.
@@ -67,11 +68,12 @@ func PointSeedBase(seedBase uint64, point int) uint64 {
 // experiment engine's figure11 spec replays per curve point.
 func DecodePoint(reps int, bits []int, outs []core.BitOutcome) Result {
 	res := Result{Reps: reps, Bits: len(bits)}
+	var cycles int64
 	for b := 0; b < len(bits); b++ {
 		votes := [2]int{}
 		for rep := 0; rep < reps; rep++ {
 			out := outs[b*reps+rep]
-			res.TotalCycles += out.Cycles
+			cycles += out.Cycles
 			if out.OK {
 				votes[out.Decoded]++
 			} else {
@@ -87,7 +89,7 @@ func DecodePoint(reps int, bits []int, outs []core.BitOutcome) Result {
 		}
 	}
 	res.ErrorRate = float64(res.Errors) / float64(res.Bits)
-	res.CyclesPerBit = float64(res.TotalCycles) / float64(res.Bits)
+	res.CyclesPerBit = float64(cycles) / float64(res.Bits)
 	res.Bps = NominalGHz * 1e9 / res.CyclesPerBit
 	return res
 }

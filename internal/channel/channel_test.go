@@ -20,7 +20,7 @@ func TestNoiselessChannelIsPerfect(t *testing.T) {
 func TestMeasureDeterministic(t *testing.T) {
 	a := serialMeasure(t, DCacheFigure11(), 3, 6, 11)
 	b := serialMeasure(t, DCacheFigure11(), 3, 6, 11)
-	if a.Errors != b.Errors || a.TotalCycles != b.TotalCycles {
+	if a.Errors != b.Errors || a.CyclesPerBit != b.CyclesPerBit {
 		t.Error("equal seeds must reproduce the measurement")
 	}
 }

@@ -16,6 +16,7 @@ func serialMeasure(t *testing.T, poc *core.PoC, reps, bits int, seedBase uint64)
 	t.Helper()
 	rng := cache.NewRand(seedBase | 1)
 	res := Result{Reps: reps, Bits: bits}
+	var cycles int64
 	seed := seedBase*1_000_003 + 17
 	for b := 0; b < bits; b++ {
 		bit := rng.Intn(2)
@@ -26,7 +27,7 @@ func serialMeasure(t *testing.T, poc *core.PoC, reps, bits int, seedBase uint64)
 			if err != nil {
 				t.Fatalf("serial reference: %v", err)
 			}
-			res.TotalCycles += out.Cycles
+			cycles += out.Cycles
 			if out.OK {
 				votes[out.Decoded]++
 			} else {
@@ -42,7 +43,7 @@ func serialMeasure(t *testing.T, poc *core.PoC, reps, bits int, seedBase uint64)
 		}
 	}
 	res.ErrorRate = float64(res.Errors) / float64(res.Bits)
-	res.CyclesPerBit = float64(res.TotalCycles) / float64(res.Bits)
+	res.CyclesPerBit = float64(cycles) / float64(res.Bits)
 	res.Bps = NominalGHz * 1e9 / res.CyclesPerBit
 	return res
 }

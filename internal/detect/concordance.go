@@ -43,13 +43,15 @@ func CellVerdict(schemeName string, g core.Gadget, ord core.Ordering) (Verdict, 
 		// that the scheme leaks.
 		return Verdict{}, fmt.Errorf("detect: %s/%s/%s: architectural trace depends on the secret", schemeName, g, ord)
 	}
-	return cellVerdict(rep, g, ord, core.ProbeLines(g, ord, l, v)), nil
+	return cellVerdict(rep, ord, core.ProbeLines(g, ord, l, v)), nil
 }
 
-// cellVerdict is the decision rule: policy gates first, then the gadget's
-// differential-pressure signal, then the ordering-specific visibility
-// conditions that decide whether the pressure reaches a receiver.
-func cellVerdict(rep *Report, g core.Gadget, ord core.Ordering, probes [2]int64) Verdict {
+// cellVerdict is the decision rule: policy gates first, then the first
+// differential-pressure signal that fires (NPEU, MSHR, RS), then the
+// ordering-specific visibility conditions that decide whether the
+// pressure reaches a receiver. It reads no gadget label: the signal names
+// the mechanism.
+func cellVerdict(rep *Report, ord core.Ordering, probes [2]int64) Verdict {
 	p := rep.Policy
 	if p.StallFetchInShadow {
 		return Verdict{Leak: false, Mechanism: MechNoSpecFetch}
@@ -58,17 +60,16 @@ func cellVerdict(rep *Report, g core.Gadget, ord core.Ordering, probes [2]int64)
 		return Verdict{Leak: false, Mechanism: MechNoSpecIssue}
 	}
 
-	var pressure bool
 	var mech string
-	switch g {
-	case core.GadgetNPEU:
-		pressure, mech = rep.SqrtDiff(), MechNPEU
-	case core.GadgetMSHR:
-		pressure, mech = rep.MSHRDiff(), MechMSHR
-	case core.GadgetRS:
-		pressure, mech = rep.RSDiff(), MechRS
+	switch {
+	case rep.SqrtDiff():
+		mech = MechNPEU
+	case rep.MSHRDiff():
+		mech = MechMSHR
+	case rep.RSDiff():
+		mech = MechRS
 	}
-	if !pressure {
+	if mech == "" {
 		if ord == core.OrderVDVD && rep.FootprintDiff(probes) {
 			return Verdict{Leak: true, Mechanism: MechFootprint}
 		}
@@ -103,7 +104,7 @@ func cellVerdict(rep *Report, g core.Gadget, ord core.Ordering, probes [2]int64)
 		// load flips its order against the reference.
 		return Verdict{Leak: true, Mechanism: mech}
 	case core.OrderVIAD:
-		if g == core.GadgetRS {
+		if mech == MechRS {
 			// The G_IRS receiver probes the I-cache line of the
 			// not-yet-fetched target block, so the clog must modulate a
 			// VISIBLE speculative fetch of that line.
@@ -140,17 +141,11 @@ type Cell struct {
 	Match bool
 }
 
-// Shards returns the concordance shard count for a scheme list: the full
-// (combo, scheme) grid.
-func Shards(schemeNames []string) int {
-	return core.MatrixShards(schemeNames)
-}
-
-// Shard computes concordance cell j — combo j/len(schemes), scheme
-// j%len(schemes), matching core.MatrixShard's order. Each shard runs the
-// empirical classification AND the static analysis, then compares. It is
-// a pure function of (schemeNames, j), so it runs identically on any
-// execution backend.
+// Shard computes concordance cell j of core.MatrixShards(schemeNames) —
+// combo j/len(schemes), scheme j%len(schemes), matching core.MatrixShard's
+// order. Each shard runs the empirical classification AND the static
+// analysis, then compares. It is a pure function of (schemeNames, j), so
+// it runs identically on any execution backend.
 func Shard(schemeNames []string, j int) (Cell, error) {
 	combo := core.Combos()[j/len(schemeNames)]
 	name := schemeNames[j%len(schemeNames)]

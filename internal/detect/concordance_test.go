@@ -56,7 +56,7 @@ func TestConcordanceMatrix(t *testing.T) {
 		t.Skip("simulator grid in -short mode")
 	}
 	names := schemes.Names()
-	cells, err := runner.Map(context.Background(), Shards(names), runtime.GOMAXPROCS(0), func(_ context.Context, j int) (Cell, error) {
+	cells, err := runner.Map(context.Background(), core.MatrixShards(names), runtime.GOMAXPROCS(0), func(_ context.Context, j int) (Cell, error) {
 		return Shard(names, j)
 	})
 	if err != nil {
@@ -65,7 +65,7 @@ func TestConcordanceMatrix(t *testing.T) {
 	if err := CheckCells(cells); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(cells), Shards(names); got != want {
+	if got, want := len(cells), core.MatrixShards(names); got != want {
 		t.Fatalf("got %d cells, want %d", got, want)
 	}
 }

@@ -86,7 +86,7 @@ func concordanceSpec() *Spec {
 			if len(p.Schemes) == 0 {
 				return 0, fmt.Errorf("experiment: concordance needs at least one scheme")
 			}
-			return detect.Shards(p.Schemes), nil
+			return core.MatrixShards(p.Schemes), nil
 		},
 		Run: func(_ context.Context, _ any, p results.Params, i int) (any, error) {
 			return detect.Shard(p.Schemes, i)
@@ -191,18 +191,18 @@ func figure11Spec() *Spec {
 			if err != nil {
 				return nil, err
 			}
-			var curves []results.CurveInput
+			var curves []results.Figure11Curve
 			for pi, name := range p.PoCs {
-				in := results.CurveInput{PoC: name, Scheme: st.pocs[pi].SchemeName}
+				c := results.Figure11Curve{PoC: name, Scheme: st.pocs[pi].SchemeName}
 				for pt, reps := range p.Reps {
 					lo := pi*st.perPoc + st.offset[pt]
 					outs := make([]core.BitOutcome, p.Bits*reps)
 					for t := range outs {
 						outs[t] = shards[lo+t].(core.BitOutcome)
 					}
-					in.Points = append(in.Points, channel.DecodePoint(reps, st.sent[pt], outs))
+					c.Points = append(c.Points, channel.DecodePoint(reps, st.sent[pt], outs))
 				}
-				curves = append(curves, in)
+				curves = append(curves, c)
 			}
 			return results.NewFigure11Record(curves, p.Bits, p.Reps, p.Seed)
 		},

@@ -1,11 +1,14 @@
 package results
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
 	"strings"
+
+	"specinterference/internal/workload"
 )
 
 // DiffClass classifies the difference between two comparable records, in
@@ -178,50 +181,64 @@ func diffFigure7(d *DiffReport, old, new *Figure7Payload) {
 	}
 }
 
-func diffTable1(d *DiffReport, old, new *Table1Payload) {
-	type cellKey struct{ scheme, gadget, ordering string }
-	index := func(p *Table1Payload) map[cellKey]Table1Cell {
-		m := make(map[cellKey]Table1Cell, len(p.Cells))
-		for _, c := range p.Cells {
-			m[cellKey{c.Scheme, c.Gadget, c.Ordering}] = c
+// cellKey names one Table 1 grid cell.
+type cellKey struct{ scheme, gadget, ordering string }
+
+// String renders the key as scheme/gadget/ordering.
+func (k cellKey) String() string { return k.scheme + "/" + k.gadget + "/" + k.ordering }
+
+func (c Table1Cell) key() cellKey      { return cellKey{c.Scheme, c.Gadget, c.Ordering} }
+func (c ConcordanceCell) key() cellKey { return cellKey{c.Scheme, c.Gadget, c.Ordering} }
+
+// sortedKeys returns m's keys ordered by gadget, ordering, then scheme.
+func sortedKeys[C any](m map[cellKey]C) []cellKey {
+	keys := make([]cellKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b cellKey) int {
+		return cmp.Or(strings.Compare(a.gadget, b.gadget),
+			strings.Compare(a.ordering, b.ordering), strings.Compare(a.scheme, b.scheme))
+	})
+	return keys
+}
+
+// diffCells pairs two grids' cells by (scheme, gadget, ordering), reports
+// a cell missing on either side as incomparable, and hands every pair to
+// compare in sortedKeys order.
+func diffCells[C interface{ key() cellKey }](d *DiffReport, old, new []C, compare func(k cellKey, oc, nc C)) {
+	index := func(cells []C) map[cellKey]C {
+		m := make(map[cellKey]C, len(cells))
+		for _, c := range cells {
+			m[c.key()] = c
 		}
 		return m
 	}
 	oldCells, newCells := index(old), index(new)
-	keys := make([]cellKey, 0, len(oldCells))
-	for k := range oldCells {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.gadget != b.gadget {
-			return a.gadget < b.gadget
-		}
-		if a.ordering != b.ordering {
-			return a.ordering < b.ordering
-		}
-		return a.scheme < b.scheme
-	})
-	for _, k := range keys {
-		oc := oldCells[k]
+	for _, k := range sortedKeys(oldCells) {
 		nc, ok := newCells[k]
 		if !ok {
-			d.add(Incomparable, "cell %s/%s/%s missing from new record", k.scheme, k.gadget, k.ordering)
+			d.add(Incomparable, "cell %s missing from new record", k)
 			continue
 		}
+		compare(k, oldCells[k], nc)
+	}
+	for _, k := range sortedKeys(newCells) {
+		if _, ok := oldCells[k]; !ok {
+			d.add(Incomparable, "cell %s missing from old record", k)
+		}
+	}
+}
+
+func diffTable1(d *DiffReport, old, new *Table1Payload) {
+	diffCells(d, old.Cells, new.Cells, func(k cellKey, oc, nc Table1Cell) {
 		if oc.Vulnerable != nc.Vulnerable {
 			d.add(Regression, "matrix cell %s under %s/%s flipped %s → %s",
 				k.scheme, k.gadget, k.ordering, vulnWord(oc.Vulnerable), vulnWord(nc.Vulnerable))
 		} else if oc.RefCycle != nc.RefCycle {
-			d.add(Drift, "cell %s/%s/%s reference cycle %d → %d",
-				k.scheme, k.gadget, k.ordering, oc.RefCycle, nc.RefCycle)
+			d.add(Drift, "cell %s reference cycle %d → %d", k, oc.RefCycle, nc.RefCycle)
 		}
-	}
-	for k := range newCells {
-		if _, ok := oldCells[k]; !ok {
-			d.add(Incomparable, "cell %s/%s/%s missing from old record", k.scheme, k.gadget, k.ordering)
-		}
-	}
+	})
 }
 
 func vulnWord(v bool) string {
@@ -232,54 +249,18 @@ func vulnWord(v bool) string {
 }
 
 func diffConcordance(d *DiffReport, old, new *ConcordancePayload) {
-	type cellKey struct{ scheme, gadget, ordering string }
-	index := func(p *ConcordancePayload) map[cellKey]ConcordanceCell {
-		m := make(map[cellKey]ConcordanceCell, len(p.Cells))
-		for _, c := range p.Cells {
-			m[cellKey{c.Scheme, c.Gadget, c.Ordering}] = c
-		}
-		return m
-	}
-	oldCells, newCells := index(old), index(new)
-	keys := make([]cellKey, 0, len(oldCells))
-	for k := range oldCells {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.gadget != b.gadget {
-			return a.gadget < b.gadget
-		}
-		if a.ordering != b.ordering {
-			return a.ordering < b.ordering
-		}
-		return a.scheme < b.scheme
-	})
-	for _, k := range keys {
-		oc := oldCells[k]
-		nc, ok := newCells[k]
-		if !ok {
-			d.add(Incomparable, "cell %s/%s/%s missing from new record", k.scheme, k.gadget, k.ordering)
-			continue
-		}
+	diffCells(d, old.Cells, new.Cells, func(k cellKey, oc, nc ConcordanceCell) {
 		switch {
 		// A verdict flip (on either side) or a lost agreement is a
 		// regression: the detector or the simulator changed its mind about
 		// a security property.
 		case oc.Detector != nc.Detector || oc.Empirical != nc.Empirical || oc.Match != nc.Match:
-			d.add(Regression, "cell %s/%s/%s changed: empirical %v→%v, detector %v→%v (match %v→%v)",
-				k.scheme, k.gadget, k.ordering,
-				oc.Empirical, nc.Empirical, oc.Detector, nc.Detector, oc.Match, nc.Match)
+			d.add(Regression, "cell %s changed: empirical %v→%v, detector %v→%v (match %v→%v)",
+				k, oc.Empirical, nc.Empirical, oc.Detector, nc.Detector, oc.Match, nc.Match)
 		case oc.Mechanism != nc.Mechanism:
-			d.add(Drift, "cell %s/%s/%s mechanism %q → %q",
-				k.scheme, k.gadget, k.ordering, oc.Mechanism, nc.Mechanism)
+			d.add(Drift, "cell %s mechanism %q → %q", k, oc.Mechanism, nc.Mechanism)
 		}
-	}
-	for k := range newCells {
-		if _, ok := oldCells[k]; !ok {
-			d.add(Incomparable, "cell %s/%s/%s missing from old record", k.scheme, k.gadget, k.ordering)
-		}
-	}
+	})
 }
 
 func diffFigure11(d *DiffReport, old, new *Figure11Payload) {
@@ -332,8 +313,8 @@ func diffFigure11(d *DiffReport, old, new *Figure11Payload) {
 	}
 }
 
-func diffFigure12(d *DiffReport, old, new *Figure12Payload) {
-	newRows := make(map[string]Figure12Row, len(new.Rows))
+func diffFigure12(d *DiffReport, old, new *workload.EvalResult) {
+	newRows := make(map[string]workload.EvalRow, len(new.Rows))
 	for _, r := range new.Rows {
 		newRows[r.Workload] = r
 	}

@@ -1,10 +1,13 @@
 // Package results is the persistent results store: every experiment
 // harness (the Figure 7 histogram, the Table 1 vulnerability matrix, the
-// Figure 11 channel curves and the Figure 12 defense-overhead sweep) can
-// persist its output as a Record — the experiment's parameters, volatile
-// run metadata (git revision, worker count, wall time) and the full
-// payload — into an append-only JSONL store for cross-run comparison and
-// regression tracking.
+// Figure 11 channel curves, the Figure 12 defense-overhead sweep and the
+// detector-versus-simulator concordance grid) can persist its output as
+// a Record — the experiment's parameters, volatile run metadata (git
+// revision, worker count, wall time) and the full payload — into an
+// append-only JSONL store for cross-run comparison and regression
+// tracking. The Figure 11 and Figure 12 payloads are the domain results
+// themselves (channel.Result points, a workload.EvalResult), so those
+// types' JSON field order is part of the signature.
 //
 // Two runs are comparable when their experiment and parameters match;
 // volatile metadata (worker count included — results are bit-identical at
@@ -12,9 +15,9 @@
 // carries a canonical SHA-256 signature of its parameters and payload, so
 // "nothing changed" is a hash comparison; when hashes differ, Diff
 // classifies the change as statistical drift or a regression (a matrix
-// cell flipping vulnerable↔protected, channel accuracy collapsing, the
-// interference separation disappearing, or defense overheads shifting
-// beyond thresholds).
+// cell flipping vulnerable↔protected, a concordance cell changing its
+// verdict, channel accuracy collapsing, the interference separation
+// disappearing, or defense overheads shifting beyond thresholds).
 package results
 
 import (
@@ -87,11 +90,13 @@ type Meta struct {
 	// CPU). Results are bit-identical at any value, hence metadata.
 	Workers int `json:"workers,omitempty"`
 	// Backend names the execution backend the run used ("inprocess",
-	// "subprocess"); like Workers it never affects results, hence
-	// metadata, but provenance should say how a run was produced.
+	// "subprocess", "remote"); like Workers it never affects results,
+	// hence metadata, but provenance should say how a run was produced.
 	Backend string `json:"backend,omitempty"`
-	// Procs is the subprocess backend's worker-process count (0 = one
-	// per CPU); zero for in-process runs.
+	// Procs is the -procs value of a subprocess or remote run: the
+	// subprocess worker-process count (0 = one per CPU), or the number
+	// of local remote workers spawned next to the coordinator (0 = none,
+	// external workers only). Zero for in-process runs.
 	Procs int `json:"procs,omitempty"`
 	// WallMillis is the run's wall-clock duration in milliseconds.
 	WallMillis int64 `json:"wall_ms,omitempty"`
@@ -125,42 +130,19 @@ type Table1Payload struct {
 	Cells []Table1Cell `json:"cells"`
 }
 
-// CurvePoint is one error-versus-rate measurement.
-type CurvePoint struct {
-	Reps         int     `json:"reps"`
-	Bits         int     `json:"bits"`
-	Errors       int     `json:"errors"`
-	Dropped      int     `json:"dropped"`
-	ErrorRate    float64 `json:"error_rate"`
-	CyclesPerBit float64 `json:"cycles_per_bit"`
-	Bps          float64 `json:"bps"`
-}
-
 // Figure11Curve is one PoC's Figure 11 curve.
 type Figure11Curve struct {
-	PoC    string       `json:"poc"`
-	Scheme string       `json:"scheme"`
-	Points []CurvePoint `json:"points"`
+	// PoC is "dcache" or "icache".
+	PoC string `json:"poc"`
+	// Scheme is the victim scheme the PoC attacked.
+	Scheme string `json:"scheme"`
+	// Points is the measured error-versus-rate sweep.
+	Points []channel.Result `json:"points"`
 }
 
 // Figure11Payload holds every measured curve.
 type Figure11Payload struct {
 	Curves []Figure11Curve `json:"curves"`
-}
-
-// Figure12Row is one workload's normalized execution times.
-type Figure12Row struct {
-	Workload       string             `json:"workload"`
-	BaselineCycles int64              `json:"baseline_cycles"`
-	BaselineIPC    float64            `json:"baseline_ipc"`
-	Slowdown       map[string]float64 `json:"slowdown"`
-}
-
-// Figure12Payload is the full defense-overhead table.
-type Figure12Payload struct {
-	Rows    []Figure12Row      `json:"rows"`
-	Mean    map[string]float64 `json:"mean"`
-	Geomean map[string]float64 `json:"geomean"`
 }
 
 // ConcordanceCell is one static-versus-empirical comparison entry.
@@ -194,24 +176,24 @@ type Record struct {
 	// params, payload); see ComputeHash.
 	Hash string `json:"hash"`
 
-	Figure7     *Figure7Payload     `json:"figure7,omitempty"`
-	Table1      *Table1Payload      `json:"table1,omitempty"`
-	Figure11    *Figure11Payload    `json:"figure11,omitempty"`
-	Figure12    *Figure12Payload    `json:"figure12,omitempty"`
-	Concordance *ConcordancePayload `json:"concordance,omitempty"`
+	Figure7     *Figure7Payload      `json:"figure7,omitempty"`
+	Table1      *Table1Payload       `json:"table1,omitempty"`
+	Figure11    *Figure11Payload     `json:"figure11,omitempty"`
+	Figure12    *workload.EvalResult `json:"figure12,omitempty"`
+	Concordance *ConcordancePayload  `json:"concordance,omitempty"`
 }
 
 // canonicalView is what the signature covers: everything that defines the
 // run's outcome, nothing volatile (Meta, and the Hash itself).
 type canonicalView struct {
-	Schema      int                 `json:"schema"`
-	Experiment  string              `json:"experiment"`
-	Params      Params              `json:"params"`
-	Figure7     *Figure7Payload     `json:"figure7,omitempty"`
-	Table1      *Table1Payload      `json:"table1,omitempty"`
-	Figure11    *Figure11Payload    `json:"figure11,omitempty"`
-	Figure12    *Figure12Payload    `json:"figure12,omitempty"`
-	Concordance *ConcordancePayload `json:"concordance,omitempty"`
+	Schema      int                  `json:"schema"`
+	Experiment  string               `json:"experiment"`
+	Params      Params               `json:"params"`
+	Figure7     *Figure7Payload      `json:"figure7,omitempty"`
+	Table1      *Table1Payload       `json:"table1,omitempty"`
+	Figure11    *Figure11Payload     `json:"figure11,omitempty"`
+	Figure12    *workload.EvalResult `json:"figure12,omitempty"`
+	Concordance *ConcordancePayload  `json:"concordance,omitempty"`
 }
 
 // CanonicalJSON renders the signature-covered view of the record. The
@@ -349,31 +331,12 @@ func NewConcordanceRecord(cells []detect.Cell, schemeNames []string) (*Record, e
 	return r.seal()
 }
 
-// CurveInput names one measured Figure 11 curve for NewFigure11Record.
-type CurveInput struct {
-	// PoC is "dcache" or "icache".
-	PoC string
-	// Scheme is the victim scheme the PoC attacked.
-	Scheme string
-	// Points is the measured error-versus-rate sweep.
-	Points []channel.Result
-}
-
 // NewFigure11Record wraps a set of channel curves measured with the given
 // bits/reps/seed parameters.
-func NewFigure11Record(curves []CurveInput, bits int, reps []int, seed uint64) (*Record, error) {
-	p := &Figure11Payload{}
+func NewFigure11Record(curves []Figure11Curve, bits int, reps []int, seed uint64) (*Record, error) {
 	pocs := make([]string, 0, len(curves))
-	for _, in := range curves {
-		pocs = append(pocs, in.PoC)
-		c := Figure11Curve{PoC: in.PoC, Scheme: in.Scheme}
-		for _, pt := range in.Points {
-			c.Points = append(c.Points, CurvePoint{
-				Reps: pt.Reps, Bits: pt.Bits, Errors: pt.Errors, Dropped: pt.Dropped,
-				ErrorRate: pt.ErrorRate, CyclesPerBit: pt.CyclesPerBit, Bps: pt.Bps,
-			})
-		}
-		p.Curves = append(p.Curves, c)
+	for _, c := range curves {
+		pocs = append(pocs, c.PoC)
 	}
 	r := &Record{
 		Experiment: ExpFigure11,
@@ -381,37 +344,17 @@ func NewFigure11Record(curves []CurveInput, bits int, reps []int, seed uint64) (
 			PoCs: pocs, Bits: bits,
 			Reps: append([]int(nil), reps...), Seed: seed,
 		},
-		Figure11: p,
+		Figure11: &Figure11Payload{Curves: curves},
 	}
 	return r.seal()
 }
 
 // NewFigure12Record wraps a defense-overhead sweep.
 func NewFigure12Record(res *workload.EvalResult, iters int, schemeNames []string) (*Record, error) {
-	p := &Figure12Payload{Mean: res.Mean, Geomean: res.Geomean}
-	for _, row := range res.Rows {
-		p.Rows = append(p.Rows, Figure12Row{
-			Workload: row.Workload, BaselineCycles: row.BaselineCycles,
-			BaselineIPC: row.BaselineIPC, Slowdown: row.Slowdown,
-		})
-	}
 	r := &Record{
 		Experiment: ExpFigure12,
 		Params:     Params{Iters: iters, Schemes: append([]string(nil), schemeNames...)},
-		Figure12:   p,
+		Figure12:   res,
 	}
 	return r.seal()
-}
-
-// Figure12Result is NewFigure12Record's inverse: it rebuilds the typed
-// sweep result from a Figure 12 record's payload, for the table renderer.
-func Figure12Result(rec *Record) *workload.EvalResult {
-	res := &workload.EvalResult{Mean: rec.Figure12.Mean, Geomean: rec.Figure12.Geomean}
-	for _, row := range rec.Figure12.Rows {
-		res.Rows = append(res.Rows, workload.EvalRow{
-			Workload: row.Workload, BaselineCycles: row.BaselineCycles,
-			BaselineIPC: row.BaselineIPC, Slowdown: row.Slowdown,
-		})
-	}
-	return res
 }

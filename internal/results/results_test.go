@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"specinterference/internal/channel"
 	"specinterference/internal/core"
+	"specinterference/internal/detect"
+	"specinterference/internal/workload"
 )
 
 // table1Record seals a two-scheme vulnerability matrix built from
@@ -195,6 +198,77 @@ func TestDiffMatrixFlipRegression(t *testing.T) {
 	}
 }
 
+// concordanceRecord seals a two-scheme agreement grid built from literal
+// cells, shaped like table1Record's: unsafe leaking, the fence protected.
+func concordanceRecord(t *testing.T) *Record {
+	t.Helper()
+	rec, err := NewConcordanceRecord([]detect.Cell{
+		{Scheme: "unsafe", Gadget: core.GadgetNPEU, Ordering: core.OrderVDVD,
+			Empirical: true, Detector: true, Mechanism: detect.MechNPEU, Match: true},
+		{Scheme: "fence-spectre", Gadget: core.GadgetNPEU, Ordering: core.OrderVDVD,
+			Mechanism: detect.MechNoSpecIssue, Match: true},
+	}, []string{"unsafe", "fence-spectre"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// TestDiffGridCells drives both grid diffs through one sealed edit each:
+// a flipped verdict is a regression, a changed mechanism is drift, and a
+// cell dropped from either side makes the records incomparable. Every
+// edit must yield exactly the one named finding.
+func TestDiffGridCells(t *testing.T) {
+	dropFirst := func(r *Record) {
+		if r.Table1 != nil {
+			r.Table1.Cells = r.Table1.Cells[1:]
+		} else {
+			r.Concordance.Cells = r.Concordance.Cells[1:]
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		record func(*testing.T) *Record
+		edit   func(*Record)
+		onOld  bool // edit the old record instead of the new one
+		want   DiffClass
+		detail string
+	}{
+		{"table1/flip", table1Record, func(r *Record) { r.Table1.Cells[0].Vulnerable = false }, false,
+			Regression, "matrix cell unsafe under G_NPEU/VD-VD/VI flipped vulnerable → protected"},
+		{"table1/drop-new", table1Record, dropFirst, false,
+			Incomparable, "cell unsafe/G_NPEU/VD-VD/VI missing from new record"},
+		{"table1/drop-old", table1Record, dropFirst, true,
+			Incomparable, "cell unsafe/G_NPEU/VD-VD/VI missing from old record"},
+		{"concordance/flip", concordanceRecord, func(r *Record) {
+			c := &r.Concordance.Cells[1]
+			c.Empirical, c.Detector = true, true
+		}, false, Regression, "cell fence-spectre/G_NPEU/VD-VD/VI changed: empirical false→true, detector false→true (match true→true)"},
+		{"concordance/mechanism", concordanceRecord, func(r *Record) { r.Concordance.Cells[0].Mechanism = detect.MechMSHR }, false,
+			Drift, `cell unsafe/G_NPEU/VD-VD/VI mechanism "npeu-contention" → "mshr-exhaustion"`},
+		{"concordance/drop-new", concordanceRecord, dropFirst, false,
+			Incomparable, "cell unsafe/G_NPEU/VD-VD/VI missing from new record"},
+		{"concordance/drop-old", concordanceRecord, dropFirst, true,
+			Incomparable, "cell unsafe/G_NPEU/VD-VD/VI missing from old record"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			old, new := tc.record(t), tc.record(t)
+			edited := new
+			if tc.onOld {
+				edited = old
+			}
+			tc.edit(edited)
+			if _, err := edited.seal(); err != nil {
+				t.Fatal(err)
+			}
+			d := Diff(old, new)
+			if d.Class != tc.want || len(d.Findings) != 1 || d.Findings[0].Detail != tc.detail {
+				t.Fatalf("diff = %s %v, want %s with the one finding %q", d.Class, d.Findings, tc.want, tc.detail)
+			}
+		})
+	}
+}
+
 func TestDiffIncomparable(t *testing.T) {
 	table := table1Record(t)
 	figure := figure7Record(t, 1)
@@ -262,10 +336,10 @@ func TestDiffRecomputesHashes(t *testing.T) {
 func sealedFigure11(t *testing.T, errorRates ...float64) *Record {
 	t.Helper()
 	reps := make([]int, len(errorRates))
-	pts := make([]CurvePoint, len(errorRates))
+	pts := make([]channel.Result, len(errorRates))
 	for i, er := range errorRates {
 		reps[i] = 1 // duplicate reps values are legal: seeds differ by position
-		pts[i] = CurvePoint{Reps: 1, Bits: 4, ErrorRate: er, CyclesPerBit: 2000, Bps: 1e6}
+		pts[i] = channel.Result{Reps: 1, Bits: 4, ErrorRate: er, CyclesPerBit: 2000, Bps: 1e6}
 	}
 	r := &Record{
 		Experiment: ExpFigure11,
@@ -300,8 +374,8 @@ func sealedFigure12(t *testing.T, slowdown float64) *Record {
 	r := &Record{
 		Experiment: ExpFigure12,
 		Params:     Params{Iters: 10, Schemes: []string{"fence-spectre"}},
-		Figure12: &Figure12Payload{
-			Rows: []Figure12Row{{
+		Figure12: &workload.EvalResult{
+			Rows: []workload.EvalRow{{
 				Workload: "stream", BaselineCycles: 1000, BaselineIPC: 1,
 				Slowdown: map[string]float64{"fence-spectre": slowdown},
 			}},

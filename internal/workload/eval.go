@@ -35,27 +35,30 @@ func DefaultEvalConfig() EvalConfig {
 	}
 }
 
-// EvalRow is one workload's normalized execution times.
+// EvalRow is one workload's normalized execution times. It is also the
+// Figure 12 record's row payload, so its JSON field order is part of the
+// record signature.
 type EvalRow struct {
-	Workload       string
-	BaselineCycles int64
+	Workload       string `json:"workload"`
+	BaselineCycles int64  `json:"baseline_cycles"`
+	// IPC of the unsafe baseline (diagnostics).
+	BaselineIPC float64 `json:"baseline_ipc"`
 	// Slowdown maps scheme name to execution time normalized to the
 	// unsafe baseline (the Figure 12 y-axis).
-	Slowdown map[string]float64
-	// IPC of the unsafe baseline (diagnostics).
-	BaselineIPC float64
+	Slowdown map[string]float64 `json:"slowdown"`
 }
 
-// EvalResult is the full sweep.
+// EvalResult is the full sweep and the Figure 12 record's payload; as
+// with EvalRow, its JSON field order is part of the record signature.
 type EvalResult struct {
-	Rows []EvalRow
+	Rows []EvalRow `json:"rows"`
+	// Mean is the arithmetic mean, matching the paper's "on average"
+	// phrasing.
+	Mean map[string]float64 `json:"mean"`
 	// Geomean maps scheme name to the geometric-mean slowdown across
 	// workloads (the paper reports 1.58x Spectre / 5.38x Futuristic
 	// arithmetic averages over SPEC2017).
-	Geomean map[string]float64
-	// Mean is the arithmetic mean, matching the paper's "on average"
-	// phrasing.
-	Mean map[string]float64
+	Geomean map[string]float64 `json:"geomean"`
 }
 
 // Cell is one workload×policy measurement of the Figure 12 grid.

@@ -68,13 +68,16 @@ type (
 	BitOutcome = core.BitOutcome
 	// MatrixCell is one Table 1 entry.
 	MatrixCell = core.MatrixCell
-	// ChannelResult is one Figure 11 curve point.
+	// ChannelResult is one Figure 11 curve point; the Figure 11 record
+	// stores its points as this type. It has no TotalCycles field: a
+	// point's cycle cost is CyclesPerBit.
 	ChannelResult = channel.Result
 	// SecurityReport is a §5.1 checker outcome.
 	SecurityReport = security.Report
 	// Workload is a synthetic SPEC-like kernel.
 	Workload = workload.Workload
-	// EvalResult is a Figure 12 defense-overhead table.
+	// EvalResult is a Figure 12 defense-overhead table; the Figure 12
+	// record stores it as its payload.
 	EvalResult = workload.EvalResult
 	// Figure7Result is the interference-contention histogram data.
 	Figure7Result = core.Figure7Result
