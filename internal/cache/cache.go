@@ -28,13 +28,14 @@ type Cache struct {
 	lines  [][]int64 // line address per way, or -1 when invalid
 	valid  [][]bool
 	stats  Stats
-	// dirty lists the sets Fill has touched since construction or the last
-	// Reset, and isDirty[s] records membership. A set not on the list has
-	// no valid way and fresh replacement state, so Reset restores only the
-	// listed sets. Only Fill can break that: Touch, Invalidate and
-	// InvalidateAll act on lines already present.
-	dirty   []int
-	isDirty []bool
+	// fills[s] counts the lines Fill has installed in set s since
+	// construction or the last Reset, and dirty lists the sets whose count
+	// is non-zero. A set not on the list has no valid way and fresh
+	// replacement state, so Reset restores only the listed sets. Only Fill
+	// can break that: Touch, Invalidate and InvalidateAll act on lines
+	// already present.
+	fills []uint64
+	dirty []int
 }
 
 // NewCache builds a cache. sets must be a power of two; lat is the hit
@@ -53,8 +54,8 @@ func NewCache(name string, sets, ways, lat int, policy PolicyKind, rng *Rand) *C
 	c.state = make([]SetState, sets)
 	c.lines = make([][]int64, sets)
 	c.valid = make([][]bool, sets)
+	c.fills = make([]uint64, sets)
 	c.dirty = make([]int, 0, sets)
-	c.isDirty = make([]bool, sets)
 	for s := 0; s < sets; s++ {
 		c.state[s] = NewSetState(policy, ways, rng)
 		c.lines[s] = make([]int64, ways)
@@ -83,6 +84,11 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // SetOf returns the set index for addr.
 func (c *Cache) SetOf(addr int64) int { return mem.SetIndex(addr, c.sets) }
+
+// SetFills returns how many lines Fill has installed in addr's set since
+// construction or the last Reset. A line absent from the cache can appear
+// only through a fill its set counts.
+func (c *Cache) SetFills(addr int64) uint64 { return c.fills[c.SetOf(addr)] }
 
 func (c *Cache) find(addr int64) (set, way int, hit bool) {
 	line := mem.LineAddr(addr)
@@ -136,8 +142,7 @@ func (c *Cache) Fill(addr int64) (evicted int64, hasEvict bool) {
 		c.state[set].OnHit(way)
 		return 0, false
 	}
-	if !c.isDirty[set] {
-		c.isDirty[set] = true
+	if c.fills[set] == 0 {
 		c.dirty = append(c.dirty, set)
 	}
 	way = c.state[set].Victim(c.valid[set])
@@ -149,6 +154,7 @@ func (c *Cache) Fill(addr int64) (evicted int64, hasEvict bool) {
 	c.lines[set][way] = mem.LineAddr(addr)
 	c.valid[set][way] = true
 	c.state[set].OnFill(way)
+	c.fills[set]++
 	c.stats.Fills++
 	return evicted, hasEvict
 }
@@ -195,7 +201,7 @@ func (c *Cache) Reset() {
 			c.valid[s][w] = false
 		}
 		c.state[s].Reset()
-		c.isDirty[s] = false
+		c.fills[s] = 0
 	}
 	c.dirty = c.dirty[:0]
 	c.stats = Stats{}

@@ -171,6 +171,29 @@ func TestCacheAccessors(t *testing.T) {
 	}
 }
 
+// TestCacheSetFills: each set counts the lines Fill installs in it. A
+// refill of a present line is a touch and counts nothing, and so does an
+// invalidation; Reset zeroes the counts.
+func TestCacheSetFills(t *testing.T) {
+	c := NewCache("c", 4, 2, 1, PolicyLRU, nil)
+	const set1, set2 = 1 * 64, 2 * 64
+	c.Fill(set1)
+	c.Fill(set1 + 4*64)
+	c.Fill(set1) // present: a touch
+	c.Fill(set1 + 8*64)
+	c.Invalidate(set1 + 8*64)
+	if got := c.SetFills(set1 + 12*64); got != 3 {
+		t.Errorf("set 1 fills = %d, want 3", got)
+	}
+	if got := c.SetFills(set2); got != 0 {
+		t.Errorf("set 2 fills = %d, want 0", got)
+	}
+	c.Reset()
+	if got := c.SetFills(set1); got != 0 {
+		t.Errorf("set 1 fills after Reset = %d, want 0", got)
+	}
+}
+
 func TestCacheConstructorPanics(t *testing.T) {
 	cases := []func(){
 		func() { NewCache("x", 3, 2, 1, PolicyLRU, nil) },
@@ -222,6 +245,10 @@ func TestMSHRAllocateAndReap(t *testing.T) {
 	if got := f.NextReady(100); got != 120 {
 		t.Errorf("NextReady(100) after reap = %d, want 120", got)
 	}
+	// After a reap at now, the minimum ready cycle is NextReady(now).
+	if got := f.MinReady(); got != 120 {
+		t.Errorf("MinReady after the reap at 100 = %d, want 120", got)
+	}
 	if !f.Allocate(0x080, 200, 100) {
 		t.Error("allocate after reap should succeed")
 	}
@@ -259,6 +286,9 @@ func TestMSHRClear(t *testing.T) {
 	}
 	if got := f.NextReady(0); got != math.MaxInt64 {
 		t.Errorf("NextReady after clear = %d, want none", got)
+	}
+	if got := f.MinReady(); got != math.MaxInt64 {
+		t.Errorf("MinReady after clear = %d, want none", got)
 	}
 }
 

@@ -96,6 +96,12 @@ func (f *MSHRFile) Allocate(addr, ready, now int64) bool {
 	return true
 }
 
+// MinReady returns the earliest fill-ready cycle among the outstanding
+// entries, or math.MaxInt64 when the file is empty. Right after a call at
+// cycle now that reaps (InUse, Lookup, Allocate), every outstanding fill
+// is due after now, so this is NextReady(now) without the scan.
+func (f *MSHRFile) MinReady() int64 { return f.minReady }
+
 // NextReady returns the earliest cycle strictly after now at which an
 // outstanding entry's fill completes (freeing its slot for retrying
 // loads), or math.MaxInt64 when nothing is pending. It mutates nothing —

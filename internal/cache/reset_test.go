@@ -35,8 +35,8 @@ func randomOps(c *Cache, rng *Rand, n int) {
 	}
 }
 
-// requireSameCache fails unless got and want agree on every set's lines
-// and replacement state and on the event counters.
+// requireSameCache fails unless got and want agree on every set's lines,
+// replacement state and fill count and on the event counters.
 func requireSameCache(t *testing.T, got, want *Cache, when string) {
 	t.Helper()
 	for s := 0; s < want.Sets(); s++ {
@@ -45,6 +45,10 @@ func requireSameCache(t *testing.T, got, want *Cache, when string) {
 		}
 		if g, w := got.SetState(s).DebugString(), want.SetState(s).DebugString(); g != w {
 			t.Fatalf("%s: set %d replacement state %s, fresh cache %s", when, s, g, w)
+		}
+		addr := int64(s) * mem.LineBytes
+		if g, w := got.SetFills(addr), want.SetFills(addr); g != w {
+			t.Fatalf("%s: set %d counts %d fills, fresh cache %d", when, s, g, w)
 		}
 	}
 	if g, w := got.Stats(), want.Stats(); g != w {

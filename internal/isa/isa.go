@@ -305,17 +305,6 @@ func (in Inst) HasDst() bool {
 	return false
 }
 
-// Defs returns the register the instruction writes and whether it writes
-// one at all — the def half of static use/def walking (Uses is the use
-// half). It is HasDst expressed as data, so analyses can treat defs and
-// uses uniformly.
-func (in Inst) Defs() (Reg, bool) {
-	if in.HasDst() {
-		return in.Dst, true
-	}
-	return 0, false
-}
-
 // Uses returns the source registers read by the instruction. The second
 // return value counts how many of the two entries are meaningful.
 func (in Inst) Uses() (srcs [2]Reg, n int) {
@@ -347,27 +336,6 @@ func (in Inst) IsCondBranch() bool {
 	}
 	return false
 }
-
-// IsMem reports whether the instruction accesses data memory.
-func (in Inst) IsMem() bool {
-	switch in.Op {
-	case Load, Store, Flush:
-		return true
-	}
-	return false
-}
-
-// MaySquash reports whether the instruction can trigger a pipeline squash.
-// Under the paper's Futuristic threat model every such instruction casts a
-// speculative shadow; under the Spectre model only conditional branches do.
-// Loads are included (they may fault / be replayed), matching the paper's
-// description of the Futuristic model.
-func (in Inst) MaySquash() bool {
-	return in.IsCondBranch() || in.Op == Load || in.Op == Store
-}
-
-// Class returns the execution class of the instruction.
-func (in Inst) Class() Class { return OpClass(in.Op) }
 
 // String renders the instruction in assembler syntax.
 func (in Inst) String() string {

@@ -135,19 +135,15 @@ func TestInstUses(t *testing.T) {
 
 func TestInstPredicates(t *testing.T) {
 	b := Inst{Op: Blt, Src1: R1, Src2: R2, Target: 0}
-	if !b.IsBranch() || !b.IsCondBranch() || !b.MaySquash() {
-		t.Error("Blt should be a squashable conditional branch")
+	if !b.IsBranch() || !b.IsCondBranch() {
+		t.Error("Blt should be a conditional branch")
 	}
 	j := Inst{Op: Jmp, Target: 0}
-	if !j.IsBranch() || j.IsCondBranch() || j.MaySquash() {
-		t.Error("Jmp is an unconditional, non-squashing branch")
-	}
-	ld := Inst{Op: Load, Dst: R1, Src1: R2}
-	if !ld.IsMem() || !ld.MaySquash() {
-		t.Error("Load is a memory op and may squash (Futuristic model)")
+	if !j.IsBranch() || j.IsCondBranch() {
+		t.Error("Jmp is an unconditional branch")
 	}
 	add := Inst{Op: Add, Dst: R1, Src1: R2, Src2: R3}
-	if add.IsMem() || add.MaySquash() || add.IsBranch() {
+	if add.IsBranch() {
 		t.Error("Add is plain ALU")
 	}
 }
@@ -250,19 +246,6 @@ func TestProgramString(t *testing.T) {
 	s := p.String()
 	if !strings.Contains(s, "start:") || !strings.Contains(s, "movi r1, 5") {
 		t.Errorf("Program.String() = %q", s)
-	}
-}
-
-func TestDefsMatchesHasDst(t *testing.T) {
-	for op := Nop; op < numOps; op++ {
-		in := Inst{Op: op, Dst: R5}
-		r, ok := in.Defs()
-		if ok != in.HasDst() {
-			t.Errorf("%s: Defs ok = %v, HasDst = %v", op, ok, in.HasDst())
-		}
-		if ok && r != R5 {
-			t.Errorf("%s: Defs reg = %s, want r5", op, r)
-		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"specinterference/internal/cache"
 	"specinterference/internal/emu"
@@ -27,16 +28,46 @@ const (
 	memDone             // data obtained
 )
 
-// entry is one in-flight dynamic instruction (a ROB entry).
-type entry struct {
-	seq   int64
-	pc    int
+// decoded is the static decode of one program instruction: the facts
+// fetch, dispatch, issue, writeback and retire would otherwise re-derive
+// from the isa switches for each dynamic instance. LoadProgram builds one
+// per PC (see Core.decode).
+type decoded struct {
 	inst  isa.Inst
 	class isa.Class
+	// srcs[:nsrc] are the registers the instruction reads.
+	srcs [2]isa.Reg
+	nsrc int
+	// hasDst: the instruction writes inst.Dst.
+	hasDst bool
+	condBr bool
+	load   bool
+	store  bool
+}
+
+// decodeInst returns the static decode of in.
+func decodeInst(in isa.Inst) decoded {
+	d := decoded{
+		inst:   in,
+		class:  isa.OpClass(in.Op),
+		hasDst: in.HasDst(),
+		condBr: in.IsCondBranch(),
+		load:   in.Op == isa.Load,
+		store:  in.Op == isa.Store,
+	}
+	d.srcs, d.nsrc = in.Uses()
+	return d
+}
+
+// entry is one in-flight dynamic instruction (a ROB entry).
+type entry struct {
+	seq int64
+	pc  int
+	// dec is the instruction's row of the core's decode table.
+	dec *decoded
 
 	// renamed operands: srcTag[k] is the producer's seq or -1 when srcVal[k]
-	// holds the value.
-	nsrc   int
+	// holds the value, for k < dec.nsrc.
 	srcTag [2]int64
 	srcVal [2]int64
 
@@ -78,20 +109,25 @@ type entry struct {
 	exposed   bool
 	forwarded bool
 	level     cache.Level
-	// fwdKnown is set at a load's first access attempt, when fwdSeq records
-	// the seq of the store it forwards from, or -1 for none. By then every
-	// older store's address is known and no older store can still be
-	// dispatched, and a store cannot issue, let alone retire, before its
-	// data arrives, so a retrying load never needs to search again.
+	// fwdKnown is set at a load's first access attempt, when fwd records
+	// the store it forwards from, or nil for none. By then every older
+	// store's address is known and no older store can still be
+	// dispatched, so a retrying load never needs to search again. The
+	// store cannot issue, let alone retire, before its data arrives, and
+	// the load forwards in the first LSU stage after that, so fwd names an
+	// in-flight entry until it is cleared at the forward; a squash that
+	// takes the store takes the younger load too.
 	fwdKnown bool
-	fwdSeq   int64
-	// parkUntil and parkFills park a load whose last access attempt found
-	// the D-MSHR file full: parkUntil is the file's next fill then, and
-	// parkFills the core's fill count (see Core.fills). Until that fill is
-	// due, and while no line has been installed since, a retry fails the
-	// same way, so lsuTick counts it without attempting it.
-	parkUntil int64
-	parkFills uint64
+	fwd      *entry
+	// parkUntil and parkSetFills park a load whose last access attempt
+	// found the D-MSHR file full: parkUntil is the file's next fill then,
+	// and parkSetFills the fill count of the load's L1D set, plus its
+	// filter set under a filter policy (see Core.setFills). While that
+	// count stands, a retry can succeed only once the file has a free slot
+	// or holds the load's line, so lsuTick counts it without attempting
+	// it (see Core.parked).
+	parkUntil    int64
+	parkSetFills uint64
 }
 
 // wakeLink is one link of a producer's wakeup list: the consumer, and the
@@ -102,13 +138,13 @@ type wakeLink struct {
 	k int
 }
 
-func (e *entry) isLoad() bool  { return e.inst.Op == isa.Load }
-func (e *entry) isStore() bool { return e.inst.Op == isa.Store }
-func (e *entry) isFlush() bool { return e.inst.Op == isa.Flush }
+func (e *entry) isLoad() bool  { return e.dec.load }
+func (e *entry) isStore() bool { return e.dec.store }
+func (e *entry) isFlush() bool { return e.dec.inst.Op == isa.Flush }
 
 // srcsReady reports whether all renamed operands have values.
 func (e *entry) srcsReady() bool {
-	for k := 0; k < e.nsrc; k++ {
+	for k := 0; k < e.dec.nsrc; k++ {
 		if e.srcTag[k] != -1 {
 			return false
 		}
@@ -119,7 +155,7 @@ func (e *entry) srcsReady() bool {
 // fetched is a decoded instruction waiting in the fetch buffer.
 type fetched struct {
 	pc         int
-	inst       isa.Inst
+	dec        *decoded
 	predTaken  bool
 	predNext   int
 	fetchCycle int64
@@ -251,6 +287,11 @@ type Core struct {
 
 	prog   *isa.Program
 	policy SpecPolicy
+	// decode is prog's decode table, indexed by PC: LoadProgram refills it
+	// in place, so reloading a program of no more instructions than any
+	// before it allocates nothing. Fetched instructions and ROB entries
+	// point into it.
+	decode []decoded
 	// filter is the private speculative buffer of a policy with a Filter
 	// geometry (MuonTrap's filter cache), live while such a policy is
 	// attached. LoadProgram builds it, or resets the one the core already
@@ -259,16 +300,20 @@ type Core struct {
 	filter *cache.Cache
 
 	archRegs [isa.NumRegs]int64
-	// regMap maps an architectural register to the seq of its latest
-	// in-flight producer, or -1 when the value is architectural.
-	regMap [isa.NumRegs]int64
+	// regMap maps an architectural register to its youngest in-flight
+	// producer, or nil when the value is architectural. No slot outlives
+	// its entry: retire clears a slot naming the retiring entry (the
+	// oldest, so no other in-flight entry writes that register), squash
+	// rebuilds the map from the survivors, and LoadProgram and reset,
+	// which recycle every entry, clear it.
+	regMap [isa.NumRegs]*entry
 
 	// rob holds the in-flight window in program order. Dispatch appends
 	// strictly increasing seqs, retire pops the front and squash cuts the
 	// tail, so the window is always seq-sorted (with gaps where squashes
-	// consumed seqs) and robEntry resolves a rename tag by binary search.
-	// It is a queue in robArr (see pushQueue), as memOrder is in memArr,
-	// lsuLoads in lsuArr and fetchBuf in fetchArr.
+	// consumed seqs) and tail-cuttable by binary search. It is a queue in
+	// robArr (see pushQueue), as memOrder is in memArr, lsuLoads in lsuArr
+	// and fetchBuf in fetchArr.
 	rob    []*entry
 	robArr []*entry
 	// rsUsed counts the entries holding an RS slot (inRS). Dispatch takes
@@ -384,9 +429,6 @@ func newCore(id int, sys *System) *Core {
 	for _, s := range []*seqSet{&c.unresolvedCB, &c.incomplete, &c.incompleteLoad, &c.fenceSet, &c.storeAddrUnk} {
 		s.arr, s.seqs = newQueue[int64](n)
 	}
-	for i := range c.regMap {
-		c.regMap[i] = -1
-	}
 	return c
 }
 
@@ -413,16 +455,6 @@ func (c *Core) recycle(e *entry) {
 	}
 	*e = entry{}
 	c.freeEntries = append(c.freeEntries, e)
-}
-
-// robEntry returns the in-flight entry with the given seq, or nil. The ROB
-// is always seq-sorted (see the rob field), so this is a binary search,
-// replacing the seq→entry map the rename path used to probe.
-func (c *Core) robEntry(seq int64) *entry {
-	if i := seqCut(c.rob, seq-1); i < len(c.rob) && c.rob[i].seq == seq {
-		return c.rob[i]
-	}
-	return nil
 }
 
 // seqCut returns how many entries of the seq-sorted s have a seq of at
@@ -493,12 +525,11 @@ func (c *Core) reset() {
 	c.clearPipeline()
 	c.prog = nil
 	c.policy = SpecPolicy{}
+	c.decode = c.decode[:0]
 	for i := range c.archRegs {
 		c.archRegs[i] = 0
 	}
-	for i := range c.regMap {
-		c.regMap[i] = -1
-	}
+	c.regMap = [isa.NumRegs]*entry{}
 	c.bp.Reset()
 	c.bp.ResetStats()
 	c.oracle = nil
@@ -555,7 +586,9 @@ func (c *Core) SetBranchOracle(outcomes []bool) {
 // LoadProgram resets the core's pipeline and attaches prog under policy.
 // Architectural registers, the branch predictor and all cache state are
 // preserved across loads — exactly what a multi-trial attack needs. A
-// policy's filter buffer is not: it starts empty on every load.
+// policy's filter buffer is not: it starts empty on every load. prog is
+// decoded here, once per instruction, so the core runs its instructions
+// as they are at the call.
 func (c *Core) LoadProgram(prog *isa.Program, policy SpecPolicy) error {
 	if err := prog.Validate(); err != nil {
 		return err
@@ -570,9 +603,11 @@ func (c *Core) LoadProgram(prog *isa.Program, policy SpecPolicy) error {
 	c.prog = prog
 	c.policy = policy
 	c.clearPipeline()
-	for i := range c.regMap {
-		c.regMap[i] = -1
+	c.decode = slices.Grow(c.decode[:0], len(prog.Insts))
+	for _, in := range prog.Insts {
+		c.decode = append(c.decode, decodeInst(in))
 	}
+	c.regMap = [isa.NumRegs]*entry{}
 	c.fetchPC = 0
 	c.fetchOn = true
 	c.lastIFLine = -1
@@ -759,25 +794,27 @@ func (c *Core) before(a, b *entry) bool {
 // on its class's ready list in seq order. At dispatch e is the youngest,
 // so it lands at the end.
 func (c *Core) insertReady(e *entry) {
-	l := c.rsReady[e.class]
+	cls := e.dec.class
+	l := c.rsReady[cls]
 	i := seqCut(l, e.seq)
 	l = append(l, nil)
 	copy(l[i+1:], l[i:])
 	l[i] = e
-	c.rsReady[e.class] = l
-	c.readyMask |= 1 << e.class
+	c.rsReady[cls] = l
+	c.readyMask |= 1 << cls
 }
 
 // removeReady takes e, which is issuing, off its class's ready list.
 func (c *Core) removeReady(e *entry) {
-	l := c.rsReady[e.class]
+	cls := e.dec.class
+	l := c.rsReady[cls]
 	i := seqCut(l, e.seq-1)
 	copy(l[i:], l[i+1:])
 	l[len(l)-1] = nil
 	l = l[:len(l)-1]
-	c.rsReady[e.class] = l
+	c.rsReady[cls] = l
 	if len(l) == 0 {
-		c.readyMask &^= 1 << e.class
+		c.readyMask &^= 1 << cls
 	}
 }
 
@@ -806,12 +843,12 @@ func (c *Core) issueTo(p int, e *entry, cycle int64) {
 	e.issued = true
 	e.issueCycle = cycle
 	e.port = p
-	lat := int64(isa.ClassLatency(e.class))
+	lat := int64(isa.ClassLatency(e.dec.class))
 	switch {
 	case e.isLoad():
 		// One cycle of AGU/port occupancy; the LSU walks the hierarchy from
 		// the next cycle on.
-		e.addr = e.srcVal[0] + e.inst.Imm
+		e.addr = e.srcVal[0] + e.dec.inst.Imm
 		e.addrKnown = true
 		e.mstate = memRetry
 		c.euFreeAt[p] = cycle + 1
@@ -820,7 +857,7 @@ func (c *Core) issueTo(p int, e *entry, cycle int64) {
 		// Address generation only: the eviction applies at retire, so a
 		// squashed flush has no effect (clflush is not transient; like on
 		// x86 it must be fenced before a reload can be expected to miss).
-		e.addr = e.srcVal[0] + e.inst.Imm
+		e.addr = e.srcVal[0] + e.dec.inst.Imm
 		e.addrKnown = true
 		e.execDoneAt = cycle + 1
 		c.executing = append(c.executing, e)
@@ -831,18 +868,18 @@ func (c *Core) issueTo(p int, e *entry, cycle int64) {
 		e.execDoneAt = cycle + 1
 		c.executing = append(c.executing, e)
 		c.euFreeAt[p] = cycle + 1
-	case e.inst.IsCondBranch():
-		taken := emu.BranchTaken(e.inst.Op, e.srcVal[0], e.srcVal[1])
+	case e.dec.condBr:
+		taken := emu.BranchTaken(e.dec.inst.Op, e.srcVal[0], e.srcVal[1])
 		if taken {
-			e.actualNext = e.inst.Target
+			e.actualNext = e.dec.inst.Target
 		} else {
 			e.actualNext = e.pc + 1
 		}
 		e.execDoneAt = cycle + lat
 		c.executing = append(c.executing, e)
 		c.euFreeAt[p] = cycle + 1
-	case e.inst.Op == isa.Jmp:
-		e.actualNext = e.inst.Target
+	case e.dec.inst.Op == isa.Jmp:
+		e.actualNext = e.dec.inst.Target
 		e.execDoneAt = cycle + lat
 		c.executing = append(c.executing, e)
 		c.euFreeAt[p] = cycle + 1
@@ -850,7 +887,7 @@ func (c *Core) issueTo(p int, e *entry, cycle int64) {
 		e.destVal = c.compute(e, cycle)
 		e.execDoneAt = cycle + lat
 		c.executing = append(c.executing, e)
-		if isa.Pipelined(e.class) {
+		if isa.Pipelined(e.dec.class) {
 			c.euFreeAt[p] = cycle + 1
 		} else {
 			c.euFreeAt[p] = cycle + lat
@@ -871,10 +908,10 @@ func (c *Core) removeRS(e *entry) {
 
 // compute evaluates a register-writing non-memory instruction.
 func (c *Core) compute(e *entry, cycle int64) int64 {
-	if e.inst.Op == isa.RdCycle {
+	if e.dec.inst.Op == isa.RdCycle {
 		return cycle
 	}
-	return emu.ALU(e.inst, e.srcVal[0], e.srcVal[1])
+	return emu.ALU(e.dec.inst, e.srcVal[0], e.srcVal[1])
 }
 
 // ---------------------------------------------------------------------------
@@ -924,10 +961,10 @@ func (c *Core) writeback(cycle int64) {
 		if e.isLoad() {
 			c.incompleteLoad.remove(e.seq)
 		}
-		if e.inst.HasDst() {
+		if e.dec.hasDst {
 			c.broadcast(e)
 		}
-		if e.inst.IsCondBranch() {
+		if e.dec.condBr {
 			c.unresolvedCB.remove(e.seq)
 			if e.predNext == stalledBranch {
 				// Ideal-defense mode: fetch waited at this branch; resume
@@ -938,7 +975,7 @@ func (c *Core) writeback(cycle int64) {
 				c.redirectPC = e.actualNext
 			} else {
 				mispred := e.actualNext != e.predNext
-				c.bp.Update(e.pc, e.actualNext == e.inst.Target, mispred)
+				c.bp.Update(e.pc, e.actualNext == e.dec.inst.Target, mispred)
 				if mispred && (squashAt == nil || e.seq < squashAt.seq) {
 					squashAt = e
 				}
@@ -971,12 +1008,12 @@ func (c *Core) broadcast(e *entry) {
 		l = o.wakeNext[slot]
 		o.wakeNext[slot] = wakeLink{}
 		pending := false
-		for k := 0; k < o.nsrc; k++ {
+		for k := 0; k < o.dec.nsrc; k++ {
 			if o.srcTag[k] == e.seq {
 				o.srcTag[k] = -1
 				o.srcVal[k] = e.destVal
 				if o.isStore() && k == 0 && !o.addrKnown {
-					o.addr = o.srcVal[0] + o.inst.Imm
+					o.addr = o.srcVal[0] + o.dec.inst.Imm
 					o.addrKnown = true
 					c.storeAddrUnk.remove(o.seq)
 				}
@@ -1088,13 +1125,12 @@ func (c *Core) squash(br *entry, cycle int64) {
 			c.euBusy[p] = nil
 		}
 	}
-	// Rebuild the rename map from the surviving entries.
-	for i := range c.regMap {
-		c.regMap[i] = -1
-	}
+	// Rebuild the rename map from the surviving entries, so that no slot
+	// names a doomed one.
+	c.regMap = [isa.NumRegs]*entry{}
 	for _, e := range c.rob {
-		if e.inst.HasDst() {
-			c.regMap[e.inst.Dst] = e.seq
+		if e.dec.hasDst {
+			c.regMap[e.dec.inst.Dst] = e
 		}
 	}
 	// Every queue has been filtered; the doomed entries can go back to the
@@ -1150,7 +1186,7 @@ func (c *Core) retire(cycle int64) {
 				c.sys.hier.AccessInst(c.id, line, true, cycle)
 			}
 		}
-		switch e.inst.Op {
+		switch e.dec.inst.Op {
 		case isa.Store:
 			c.sys.mem.Write64(e.addr, e.srcVal[1])
 			c.sys.hier.AccessData(c.id, e.addr, cache.KindDataWrite, true, cycle)
@@ -1161,10 +1197,10 @@ func (c *Core) retire(cycle int64) {
 		case isa.Halt:
 			c.halted = true
 		}
-		if e.inst.HasDst() {
-			c.archRegs[e.inst.Dst] = e.destVal
-			if c.regMap[e.inst.Dst] == e.seq {
-				c.regMap[e.inst.Dst] = -1
+		if e.dec.hasDst {
+			c.archRegs[e.dec.inst.Dst] = e.destVal
+			if c.regMap[e.dec.inst.Dst] == e {
+				c.regMap[e.dec.inst.Dst] = nil
 			}
 		}
 		if e.inRS {
@@ -1195,7 +1231,7 @@ func (c *Core) retire(cycle int64) {
 
 func record(e *entry, squashed bool) InstRecord {
 	r := InstRecord{
-		Seq: e.seq, PC: e.pc, Inst: e.inst,
+		Seq: e.seq, PC: e.pc, Inst: e.dec.inst,
 		Fetch: e.fetchCycle, Dispatch: e.dispCycle,
 		Issue: -1, Complete: -1, Retire: -1,
 		Squashed: squashed, Level: e.level, Addr: e.addr,
@@ -1219,51 +1255,47 @@ func (c *Core) dispatch(cycle int64) {
 			return
 		}
 		f := c.fetchBuf[0]
-		needsRS := isa.OpClass(f.inst.Op) != isa.ClassNone
+		d := f.dec
+		needsRS := d.class != isa.ClassNone
 		if needsRS && c.rsUsed >= c.cfg.RSSize {
 			c.stats.RSFullStallCycles++
 			return
 		}
 		c.fetchBuf = popQueue(c.fetchBuf)
-		if f.inst.IsCondBranch() {
+		if d.condBr {
 			c.fbCondBr--
 		}
-		if f.inst.Op == isa.Load {
+		if d.load {
 			c.fbLoads--
 		}
 		e := c.newEntry()
-		e.seq, e.pc, e.inst = c.nextSeq, f.pc, f.inst
-		e.class = isa.OpClass(f.inst.Op)
+		e.seq, e.pc, e.dec = c.nextSeq, f.pc, d
 		e.fetchCycle, e.dispCycle = f.fetchCycle, cycle
 		e.predTaken, e.predNext = f.predTaken, f.predNext
 		e.invisibleFetch = f.invisibleFetch
 		e.level = cache.LevelMem
 		c.nextSeq++
-		srcs, nsrc := f.inst.Uses()
-		e.nsrc = nsrc
-		for k := 0; k < nsrc; k++ {
+		for k := 0; k < d.nsrc; k++ {
 			e.srcTag[k] = -1
-			tag := c.regMap[srcs[k]]
-			if tag == -1 {
-				e.srcVal[k] = c.archRegs[srcs[k]]
+			prod := c.regMap[d.srcs[k]]
+			if prod == nil {
+				e.srcVal[k] = c.archRegs[d.srcs[k]]
 				continue
 			}
-			// regMap names only in-flight producers, so prod is never nil.
-			prod := c.robEntry(tag)
 			if prod.completed {
 				e.srcVal[k] = prod.destVal
 				continue
 			}
-			e.srcTag[k] = tag
-			if k == 0 || e.srcTag[0] != tag {
+			e.srcTag[k] = prod.seq
+			if k == 0 || e.srcTag[0] != prod.seq {
 				// One link per producer: broadcast resolves every
 				// source slot that names it.
 				link(prod, e, k)
 			}
 		}
 		ready := e.srcsReady()
-		if f.inst.HasDst() {
-			c.regMap[f.inst.Dst] = e.seq
+		if d.hasDst {
+			c.regMap[d.inst.Dst] = e
 		}
 		if !needsRS {
 			// Nop/Fence/Halt complete at dispatch and retire in order.
@@ -1276,24 +1308,24 @@ func (c *Core) dispatch(cycle int64) {
 				c.insertReady(e)
 			}
 			c.incomplete.add(e.seq)
-			if e.inst.IsCondBranch() {
+			if d.condBr {
 				c.unresolvedCB.add(e.seq)
 			}
-			if e.isLoad() {
+			if d.load {
 				c.incompleteLoad.add(e.seq)
 			}
 		}
-		if e.inst.Op == isa.Fence {
+		if d.inst.Op == isa.Fence {
 			c.fenceSet.add(e.seq)
 		}
-		if e.isStore() && e.srcTag[0] == -1 {
-			e.addr = e.srcVal[0] + e.inst.Imm
+		if d.store && e.srcTag[0] == -1 {
+			e.addr = e.srcVal[0] + d.inst.Imm
 			e.addrKnown = true
 		}
-		if e.isStore() && !e.addrKnown {
+		if d.store && !e.addrKnown {
 			c.storeAddrUnk.add(e.seq)
 		}
-		if e.isLoad() || e.isStore() {
+		if d.load || d.store {
 			c.memOrder = pushQueue(c.memArr, c.memOrder, e)
 		}
 		c.rob = pushQueue(c.robArr, c.rob, e)
@@ -1322,10 +1354,10 @@ func (c *Core) fetchShadowed() bool {
 // pushFetched appends f to the fetch buffer, maintaining the shadow
 // counters fetchShadowed reads.
 func (c *Core) pushFetched(f fetched) {
-	if f.inst.IsCondBranch() {
+	if f.dec.condBr {
 		c.fbCondBr++
 	}
-	if f.inst.Op == isa.Load {
+	if f.dec.load {
 		c.fbLoads++
 	}
 	c.fetchBuf = pushQueue(c.fetchArr, c.fetchBuf, f)
@@ -1356,7 +1388,7 @@ func (c *Core) fetch(cycle int64) {
 	}
 	fetchedAny := false
 	for n := 0; n < c.cfg.FetchWidth && len(c.fetchBuf) < c.cfg.FetchBufSize; n++ {
-		if c.fetchPC < 0 || c.fetchPC >= c.prog.Len() {
+		if c.fetchPC < 0 || c.fetchPC >= len(c.decode) {
 			c.fetchOn = false
 			c.progressed = true
 			break
@@ -1367,24 +1399,24 @@ func (c *Core) fetch(cycle int64) {
 				break // stalled on I-cache
 			}
 		}
-		in := c.prog.Insts[c.fetchPC]
-		f := fetched{pc: c.fetchPC, inst: in, fetchCycle: cycle,
+		d := &c.decode[c.fetchPC]
+		f := fetched{pc: c.fetchPC, dec: d, fetchCycle: cycle,
 			invisibleFetch: c.lastIFInvis}
 		c.stats.Fetched++
 		fetchedAny = true
 		c.progressed = true
 		switch {
-		case in.Op == isa.Halt:
+		case d.inst.Op == isa.Halt:
 			f.predNext = c.fetchPC + 1
 			c.pushFetched(f)
 			c.fetchOn = false
 			return
-		case in.Op == isa.Jmp:
-			f.predNext = in.Target
+		case d.inst.Op == isa.Jmp:
+			f.predNext = d.inst.Target
 			c.pushFetched(f)
-			c.fetchPC = in.Target
+			c.fetchPC = d.inst.Target
 			return // fetch group ends at a taken control transfer
-		case in.IsCondBranch():
+		case d.condBr:
 			if c.policy.StallFetchInShadow {
 				// Ideal-defense mode: never predict. Fetch stalls at the
 				// branch and resumes via a redirect when it resolves, so
@@ -1401,7 +1433,7 @@ func (c *Core) fetch(cycle int64) {
 				f.predTaken = c.bp.Predict(c.fetchPC)
 			}
 			if f.predTaken {
-				f.predNext = in.Target
+				f.predNext = d.inst.Target
 			} else {
 				f.predNext = c.fetchPC + 1
 			}

@@ -14,9 +14,9 @@ func (c *Core) lsuTick(cycle int64) {
 	for _, e := range c.lsuLoads {
 		switch e.mstate {
 		case memRetry:
-			if e.parkUntil > cycle && c.fills() == e.parkFills {
-				// Parked on a full D-MSHR file (see startWalk): the
-				// attempt would fail the same way, so only count it.
+			if e.parkUntil != 0 && c.parked(e, cycle) {
+				// Parked on a full D-MSHR file: the attempt would fail
+				// the same way, so only count it.
 				c.stats.MSHRRetries++
 				break
 			}
@@ -27,7 +27,8 @@ func (c *Core) lsuTick(cycle int64) {
 			// invisible/wasL1Hit and parks it, and the first attempt
 			// records the forwarding store, but those writes are
 			// idempotent and stay the same until the next fill, so an idle
-			// tick that fast-forward repeats reproduces them exactly.
+			// tick that fast-forward repeats reproduces them exactly. So
+			// does a re-park (see parked).
 			if e.mstate != memRetry {
 				c.progressed = true
 			}
@@ -57,15 +58,50 @@ func (c *Core) lsuTick(cycle int64) {
 	c.lsuLoads = kept
 }
 
-// fills returns how many lines the core's L1D, and its filter when the
-// policy has one, have installed since the last reset. A load that found
-// the D-MSHR file full can find its line present only after a fill.
-func (c *Core) fills() uint64 {
-	n := c.sys.hier.L1D(c.id).Stats().Fills
+// setFills returns how many lines the core's L1D, and its filter when
+// the policy has one, have installed in the sets addr maps to since the
+// last reset. A load that found the D-MSHR file full can find its line
+// present only after a fill these sets count. Both counts only grow while
+// a load is in flight, so their sum stands exactly while each does.
+func (c *Core) setFills(addr int64) uint64 {
+	n := c.sys.hier.L1D(c.id).SetFills(addr)
 	if c.policy.Filter.Sets > 0 {
-		n += c.filter.Stats().Fills
+		n += c.filter.SetFills(addr)
 	}
 	return n
+}
+
+// parked reports whether e, a load parked on a full D-MSHR file (see
+// startWalk), would fail its retry this cycle the same way. While no
+// line has been installed in its sets, only a free slot in the file or
+// its line in the file can let the retry succeed:
+//
+//   - before the park deadline, the file's earliest fill, nothing is
+//     reaped, so nothing can be allocated and the load's line cannot
+//     appear in the file;
+//   - once the deadline passes, a retry that finds the file full again
+//     (an older load took the slot) without its line fails too, and the
+//     load re-parks until the file's next fill without walking.
+//
+// Safety only turns on, the safe and unsafe paths fail alike on an absent
+// line and a full file (an ActDelay miss never retries), and the reap
+// the check runs is the one the retry would run.
+func (c *Core) parked(e *entry, cycle int64) bool {
+	if c.setFills(e.addr) != e.parkSetFills {
+		return false
+	}
+	if e.parkUntil > cycle {
+		return true
+	}
+	mshr := c.sys.hier.DMSHR(c.id)
+	if mshr.InUse(cycle) < mshr.Cap() {
+		return false
+	}
+	if _, ok := mshr.Lookup(e.addr, cycle); ok {
+		return false
+	}
+	e.parkUntil = mshr.MinReady()
+	return true
 }
 
 // attemptAccess runs one load's D-cache access attempt: store forwarding,
@@ -73,21 +109,18 @@ func (c *Core) fills() uint64 {
 func (c *Core) attemptAccess(e *entry, cycle int64) {
 	// Store-to-load forwarding. The issue gate guarantees every older store
 	// address is known, so the search is exact; it runs once, at the first
-	// attempt (see entry.fwdSeq). Not at issue: an older store can retire
-	// in the cycle the load issues, and then it no longer forwards.
+	// attempt (see entry.fwd). Not at issue: an older store can retire in
+	// the cycle the load issues, and then it no longer forwards.
 	if !e.fwdKnown {
 		e.fwdKnown = true
-		e.fwdSeq = -1
-		if st := c.forwardingStore(e); st != nil {
-			e.fwdSeq = st.seq
-		}
+		e.fwd = c.forwardingStore(e)
 	}
-	if e.fwdSeq != -1 {
-		st := c.robEntry(e.fwdSeq)
+	if st := e.fwd; st != nil {
 		if st.srcTag[1] != -1 {
 			return // store data not produced yet; retry next cycle
 		}
 		e.destVal = st.srcVal[1]
+		e.fwd = nil // the store may retire from now on
 		e.forwarded = true
 		e.level = cache.LevelL1
 		e.mstate = memWalking
@@ -141,22 +174,15 @@ func sameWord(a, b int64) bool { return a&^7 == b&^7 }
 
 // startWalk issues the hierarchy access for a load, allocating an MSHR for
 // L1 misses. A full MSHR file leaves the load in memRetry — the structural
-// delay the GDMSHR gadget induces on the victim — and parks it until the
-// file's next fill or until a line is installed in the L1D or the filter,
-// whichever comes first. Until then every retry fails the same way:
-//
-//   - before the file's earliest fill nothing is reaped, so nothing can be
-//     allocated and the load's line cannot appear in the file;
-//   - without a fill, the line cannot appear in the L1D or the filter
-//     (invalidations only remove lines);
-//   - safety only turns on, and the safe and unsafe paths fail alike on an
-//     absent line and a full file (an ActDelay miss never retries);
-//   - the reap a retry runs before the earliest fill drops nothing.
-//
-// The L1D count matters: retiring an older store to the load's line
-// installs it without an MSHR. So does the filter's: an invisible load
-// of the same line whose fill was reaped when this load parked writes
-// the line into the filter at its writeback.
+// delay the GDMSHR gadget induces on the victim — and parks it (see
+// parked) until the file's next fill or until a line is installed in the
+// load's L1D set or filter set, whichever comes first. Without such a
+// fill the line cannot appear in the L1D or the filter (invalidations
+// only remove lines). The L1D set matters: retiring an older store to
+// the load's line installs it without an MSHR. So does the filter set:
+// an invisible load of the same line whose fill was reaped when this load
+// parked writes the line into the filter at its writeback. The file's
+// next fill is its minimum ready cycle after the reap InUse runs.
 func (c *Core) startWalk(e *entry, cycle int64, visible bool) {
 	h := c.sys.hier
 	if h.L1DHit(c.id, e.addr) {
@@ -188,8 +214,8 @@ func (c *Core) startWalk(e *entry, cycle int64, visible bool) {
 	}
 	if mshr.InUse(cycle) >= mshr.Cap() {
 		e.mstate = memRetry
-		e.parkUntil = mshr.NextReady(cycle)
-		e.parkFills = c.fills()
+		e.parkUntil = mshr.MinReady()
+		e.parkSetFills = c.setFills(e.addr)
 		c.stats.MSHRRetries++
 		return
 	}

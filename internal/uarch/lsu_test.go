@@ -9,15 +9,19 @@ import (
 	"specinterference/internal/mem"
 )
 
-// memTrace runs p on a one-core testConfig machine with dmshrs D-MSHRs
-// and a warm I-cache under policy, and returns the trace records of its
-// retired loads and stores, in program order.
-func memTrace(t *testing.T, p *isa.Program, dmshrs int, policy SpecPolicy) []InstRecord {
+// memTrace runs p on a one-core testConfig machine with dmshrs D-MSHRs,
+// a warm I-cache and each of llcLines in the LLC only, under policy, and
+// returns the trace records of its retired loads and stores, in program
+// order.
+func memTrace(t *testing.T, p *isa.Program, dmshrs int, policy SpecPolicy, llcLines ...int64) []InstRecord {
 	t.Helper()
 	cfg := testConfig(1)
 	cfg.Cache.DMSHRs = dmshrs
 	s := MustNewSystem(cfg, mem.New())
 	warmCode(s, 0, p)
+	for _, line := range llcLines {
+		s.Hierarchy().Warm(0, line, cache.LevelLLC)
+	}
 	rec := &captureHook{}
 	s.Core(0).SetTraceHook(rec)
 	if err := s.LoadProgram(0, p, policy); err != nil {
@@ -109,5 +113,50 @@ func TestParkedLoadWakesOnFilterFill(t *testing.T) {
 	if x.Level != cache.LevelL1 || x.Complete != i.Complete+3 {
 		t.Errorf("X load completed at %d from %v; want a filter hit at %d, three cycles after I wrote back",
 			x.Complete, x.Level, i.Complete+3)
+	}
+}
+
+// TestParkedLoadCoalescesOnInvisibleMiss: loads O and P of line X find the
+// D-MSHR file full of the misses on lines A and B at cycle 113 and park
+// until A's fill at 221. At that reap the older O takes A's slot for X,
+// invisibly (the policy hides unsafe misses, and a 24-sqrt chain keeps
+// every load unsafe), so no line is installed in the L1D or a filter and
+// the file is full again. P must coalesce onto O's entry in that same
+// cycle and complete with O at 277, when X arrives from the LLC 56 cycles
+// later, not re-park until that fill and then walk to the LLC itself
+// (333). B's fill is due at 317, after X's, so only the file's lookup can
+// wake P at 221.
+func TestParkedLoadCoalescesOnInvisibleMiss(t *testing.T) {
+	const lineA, lineB, lineX = 0x8000, 0x9000, 0xa000
+	invisibleFuturistic := SpecPolicy{
+		Name: "invisible-futuristic", Shadow: ShadowFuturistic,
+		OnHit: ActInvisible, OnMiss: ActInvisible, ExposeOnSafe: true,
+	}
+	b := asm.NewBuilder()
+	b.MovI(isa.R12, 99)
+	for range 24 {
+		b.Sqrt(isa.R12, isa.R12)
+	}
+	b.MovI(isa.R1, lineA)
+	b.MovI(isa.R2, lineB)
+	for range 20 {
+		b.MulI(isa.R2, isa.R2, 1) // B's base arrives 80 cycles after A's
+	}
+	b.AddI(isa.R3, isa.R2, lineX-lineB) // O and P issue after B
+	b.Load(isa.R5, isa.R1, 0)           // A: memory miss
+	b.Load(isa.R6, isa.R2, 0)           // B: memory miss; the file is full
+	b.Load(isa.R7, isa.R3, 0)           // O: line X, word 0
+	b.Load(isa.R8, isa.R3, 8)           // P: line X, word 1
+	b.Halt()
+	recs := memTrace(t, b.MustBuild(), 2, invisibleFuturistic, lineX)
+	a, bl, o, p := recs[0], recs[1], recs[2], recs[3]
+	if p.Issue >= a.Complete || bl.Issue >= o.Issue || bl.Complete <= o.Complete {
+		t.Fatalf("A completed at %d, B issued at %d and completed at %d, O issued at %d and completed at %d, P issued at %d: "+
+			"O and P did not park on A's and B's misses with B's fill due after X's",
+			a.Complete, bl.Issue, bl.Complete, o.Issue, o.Complete, p.Issue)
+	}
+	if o.Complete != a.Complete+56 || p.Complete != o.Complete {
+		t.Errorf("O completed at %d and P at %d; want both at %d, an LLC hit 56 cycles after A's fill was reaped",
+			o.Complete, p.Complete, a.Complete+56)
 	}
 }

@@ -24,16 +24,21 @@
 // # Performance architecture
 //
 // The simulator's hot loop is tick() on each core; everything on it is
-// organized around two invariants. First, dispatch hands out strictly
+// organized around three ideas. First, dispatch hands out strictly
 // increasing sequence numbers and never reuses them, so the ROB is always
-// seq-sorted (binary-searchable for rename, tail-cuttable for squash) and
-// every "is any OLDER in-flight instruction X?" safety question reduces to
-// comparing against the minimum of a sorted seq slice. The per-predicate
-// seqSet trackers (unresolved branches, incomplete instructions and loads,
-// fences, unknown store addresses) are maintained at the rare mutation
-// events — dispatch, completion, retire, squash — so safe(), the fence
-// check and load disambiguation are O(1) per query instead of a per-cycle
-// ROB scan. Second, each stage visits only the entries that can act:
+// seq-sorted (tail-cuttable for squash) and every "is any OLDER in-flight
+// instruction X?" safety question reduces to comparing against the
+// minimum of a sorted seq slice. The per-predicate seqSet trackers
+// (unresolved branches, incomplete instructions and loads, fences,
+// unknown store addresses) are maintained at the rare mutation events —
+// dispatch, completion, retire, squash — so safe(), the fence check and
+// load disambiguation are O(1) per query instead of a per-cycle ROB scan.
+// Second, decoding happens once per static instruction, not once per
+// dynamic one: LoadProgram fills a per-core decode table indexed by PC
+// (class, sources, destination, and the conditional-branch, load and
+// store flags), reused across loads, and fetched instructions and ROB
+// entries point at their row. Third, each stage visits only the entries
+// that can act:
 //
 //   - Issue. The unified RS is an occupancy count, and each execution
 //     class keeps a seq-sorted list of its unissued operand-ready RS
@@ -46,16 +51,25 @@
 //     under the limits. The candidates the defense gates, which
 //     IssueGateStalls counts, are one seq range of each list: two binary
 //     searches.
-//   - Wakeup. Dispatch links each waiting consumer onto its producer's
-//     wakeup list (intrusive links in the entries, so nothing allocates),
-//     a writeback visits only the completing producer's consumers, and
-//     squash cuts the doomed tail of each surviving list.
+//   - Rename and wakeup. The rename map holds each register's youngest
+//     in-flight producer as a pointer, so a source finds its producer
+//     without a search; retire clears a slot naming the retiring entry
+//     and squash rebuilds the map. Dispatch links each waiting consumer
+//     onto its producer's wakeup list (intrusive links in the entries, so
+//     nothing allocates), a writeback visits only the completing
+//     producer's consumers, and squash cuts the doomed tail of each
+//     surviving list.
 //   - Load/store unit. It walks a seq-sorted list of the issued loads it
 //     still has work for, not every memory op in flight. A load finds its
-//     forwarding store once, at the first attempt. A load that finds the
-//     D-MSHR file full parks: until the file's next fill is due, and while
-//     no line is installed in the L1D (or the filter), each retry would
-//     fail the same way, so it is counted and not attempted.
+//     forwarding store once, at the first attempt, and keeps a pointer to
+//     it until it forwards. A load that finds the D-MSHR file full parks
+//     on the fill counts of its own L1D set and filter set, which
+//     cache.Cache keeps per set: until the file's next fill is due, and
+//     while no line is installed in those sets, each retry would fail the
+//     same way, so it is counted and not attempted. When that fill comes
+//     and an older load has taken the freed slot for another line, the
+//     load re-parks until the next fill without walking; a fill elsewhere
+//     in the cache wakes nothing.
 //   - Queues. The ROB, memOrder, the LSU list, the fetch buffer and the
 //     seq trackers are windows into backing arrays twice their capacity:
 //     a pop reslices the front instead of shifting the rest.

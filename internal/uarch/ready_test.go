@@ -24,8 +24,11 @@ var gateFuturisticPolicy = SpecPolicy{Name: "gate-futuristic", Shadow: ShadowFut
 // The LSU list must be seq-sorted and hold exactly the issued loads with
 // work left for the LSU, each once. Every unresolved source tag must have
 // exactly one link on its producer's wakeup list, and a list may hold
-// only ROB entries with a source slot waiting on that producer. It returns
-// how many entries the ready lists hold.
+// only ROB entries with a source slot waiting on that producer. The rename
+// map must name, for each register, its youngest writer in the ROB, and
+// nil when no entry in the ROB writes it. A load's forwarding-store
+// pointer must name an older store in the ROB to the same word, the
+// youngest such. It returns how many entries the ready lists hold.
 func checkReadyLists(t *testing.T, c *Core, when string) int {
 	t.Helper()
 	listed := map[*entry]isa.Class{}
@@ -35,9 +38,9 @@ func checkReadyLists(t *testing.T, c *Core, when string) int {
 				t.Fatalf("%s: seq %d is on the %s list and the %s list", when, e.seq, prev, cls)
 			}
 			listed[e] = cls
-			if e.class != cls || !e.inRS || e.issued || !e.srcsReady() {
+			if e.dec.class != cls || !e.inRS || e.issued || !e.srcsReady() {
 				t.Fatalf("%s: seq %d (%s, inRS %v, issued %v, operands ready %v) is on the %s ready list",
-					when, e.seq, e.class, e.inRS, e.issued, e.srcsReady(), cls)
+					when, e.seq, e.dec.class, e.inRS, e.issued, e.srcsReady(), cls)
 			}
 			if i > 0 && c.rsReady[cls][i-1].seq >= e.seq {
 				t.Fatalf("%s: the %s ready list is not seq-sorted at seq %d", when, cls, e.seq)
@@ -67,7 +70,7 @@ func checkReadyLists(t *testing.T, c *Core, when string) int {
 		pending := e.isLoad() && e.issued && (e.mstate != memDone || e.invisible && !e.exposed)
 		if pending != inLSU[e] {
 			t.Fatalf("%s: seq %d (%s, issued %v, state %d, invisible %v, exposed %v) has LSU work %v but is listed %v",
-				when, e.seq, e.inst.Op, e.issued, e.mstate, e.invisible, e.exposed, pending, inLSU[e])
+				when, e.seq, e.dec.inst.Op, e.issued, e.mstate, e.invisible, e.exposed, pending, inLSU[e])
 		}
 		delete(inLSU, e)
 		if !e.inRS {
@@ -75,7 +78,7 @@ func checkReadyLists(t *testing.T, c *Core, when string) int {
 		}
 		inRS++
 		if _, ok := listed[e]; e.srcsReady() && !e.issued && !ok {
-			t.Fatalf("%s: operand-ready RS entry seq %d (%s) is missing from its ready list", when, e.seq, e.class)
+			t.Fatalf("%s: operand-ready RS entry seq %d (%s) is missing from its ready list", when, e.seq, e.dec.class)
 		}
 	}
 	for e := range inLSU {
@@ -96,7 +99,7 @@ func checkReadyLists(t *testing.T, c *Core, when string) int {
 			if !inROB[o] {
 				t.Fatalf("%s: the wakeup list of seq %d holds an entry outside the ROB", when, p.seq)
 			}
-			if l.k >= o.nsrc || o.srcTag[l.k] != p.seq {
+			if l.k >= o.dec.nsrc || o.srcTag[l.k] != p.seq {
 				t.Fatalf("%s: the wakeup list of seq %d holds seq %d, whose source %d does not wait on it",
 					when, p.seq, o.seq, l.k)
 			}
@@ -111,10 +114,45 @@ func checkReadyLists(t *testing.T, c *Core, when string) int {
 		}
 	}
 	for _, o := range c.rob {
-		for k := 0; k < o.nsrc; k++ {
+		for k := 0; k < o.dec.nsrc; k++ {
 			if tag := o.srcTag[k]; tag != -1 && links[wait{o, tag}] != 1 {
 				t.Fatalf("%s: source %d of seq %d waits on seq %d, whose wakeup list does not hold it",
 					when, k, o.seq, tag)
+			}
+		}
+	}
+	var writer [isa.NumRegs]*entry
+	for _, e := range c.rob {
+		if e.dec.hasDst {
+			writer[e.dec.inst.Dst] = e
+		}
+	}
+	for r, p := range c.regMap {
+		if p != writer[r] {
+			got, want := int64(-1), int64(-1)
+			if p != nil {
+				got = p.seq
+			}
+			if writer[r] != nil {
+				want = writer[r].seq
+			}
+			t.Fatalf("%s: the rename map names seq %d for r%d, whose youngest writer in the ROB is seq %d (-1: none)",
+				when, got, r, want)
+		}
+	}
+	for _, e := range c.rob {
+		st := e.fwd
+		if st == nil {
+			continue
+		}
+		if !e.isLoad() || !inROB[st] || !st.isStore() || st.seq >= e.seq || !st.addrKnown || !sameWord(st.addr, e.addr) {
+			t.Fatalf("%s: seq %d (%s) forwards from an entry that is not an older store in the ROB to its word",
+				when, e.seq, e.dec.inst.Op)
+		}
+		for _, o := range c.memOrder {
+			if o.seq > st.seq && o.seq < e.seq && o.isStore() && sameWord(o.addr, e.addr) {
+				t.Fatalf("%s: load seq %d forwards from store seq %d, but store seq %d to its word is younger",
+					when, e.seq, st.seq, o.seq)
 			}
 		}
 	}
@@ -127,11 +165,13 @@ func checkReadyLists(t *testing.T, c *Core, when string) int {
 // per-class ready lists issue selects from are exactly the unissued
 // operand-ready RS entries of each class, in seq order and behind a
 // matching ready mask, that the RS count matches the slots held, that the
-// LSU list holds exactly the loads lsuTick has work for, and that each
-// producer's wakeup list holds exactly its waiting consumers. Those
-// invariants are what let issue select by seq limits, lsuTick skip loads
-// with nothing to do and broadcast visit only a producer's consumers
-// without changing a single counter.
+// LSU list holds exactly the loads lsuTick has work for, that each
+// producer's wakeup list holds exactly its waiting consumers, and that
+// the rename map and the loads' forwarding-store pointers name only the
+// in-flight entries they should. Those invariants are what let issue
+// select by seq limits, lsuTick skip loads with nothing to do, broadcast
+// visit only a producer's consumers and rename follow a pointer without
+// changing a single counter.
 func TestReadyListInvariant(t *testing.T) {
 	configs := []struct {
 		name  string
