@@ -55,7 +55,7 @@
 //   - the subprocess backend re-execs the binary as -procs N hidden
 //     -shard-worker processes and runs the remote backend's coordinator
 //     over their stdin/stdout pipes (no server, no journal): idle workers
-//     get the next grant (-chunk N shards, 0 = adaptive), results are
+//     get the next grant (-chunk N shards, 0 = n/16), results are
 //     accepted like remote /results lines and collected by shard index,
 //     stragglers get speculative backups and a crashed worker's undone
 //     shards run elsewhere;
@@ -71,16 +71,16 @@
 //     deduplicated by shard index with a byte-equality assertion that
 //     turns any determinism violation into a hard run failure, while a
 //     stale straggler's error line for a shard someone else already
-//     completed is ignored. Without a pinned -chunk, grant sizes track
-//     observed per-shard cost (one chunk per quarter TTL, within
-//     [1, n/8]). When the queue drains with grants still in flight,
-//     idle workers are handed speculative backup copies of the oldest
-//     straggler's undone remainder (never to the span's own holder, at
-//     most one live backup per span) — the dedup picks whichever copy
-//     lands first, so a slow-but-renewing machine gates the tail at
-//     min(primary, backup) instead of its own pace, and a crashed
-//     worker's chunk is taken over as soon as another worker idles;
-//     GET /stats and an end-of-run summary expose the backup counters.
+//     completed is ignored. Without a pinned -chunk, every grant is
+//     n/16 shards (at least 1). When the queue drains with grants
+//     still in flight, idle workers are handed speculative backup
+//     copies of the oldest straggler's undone remainder (never to the
+//     span's own holder, at most one live backup per span) — the dedup
+//     picks whichever copy lands first, so a slow-but-renewing machine
+//     gates the tail at min(primary, backup) instead of its own pace,
+//     and a crashed worker's chunk is taken over as soon as another
+//     worker idles; GET /stats and an end-of-run summary expose the
+//     backup counters.
 //     Every request carries a per-run random token and results are
 //     validated against the span their lease granted, so cross-run
 //     confusion and over-reaching workers are rejected (410/400). With

@@ -57,7 +57,7 @@ type BackendOptions struct {
 	// Workers bounds shard-goroutine concurrency inside each worker.
 	Workers int
 	// Chunk is the shards per lease of the coordinator the subprocess
-	// and remote backends share (0 = adaptive to observed shard cost).
+	// and remote backends share (0 = n/16 of the n shards, at least 1).
 	Chunk int
 	// Listen is the remote coordinator's listen address
 	// ("" = 127.0.0.1:0, a loopback ephemeral port).

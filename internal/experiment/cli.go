@@ -51,7 +51,7 @@ func BackendFlags(fs *flag.FlagSet) func() (Backend, BackendOptions, error) {
 	fs.IntVar(&o.Procs, "procs", 0, "worker processes: subprocess workers (0 = one per CPU) or local remote workers spawned next to the coordinator (0 = none, wait for external -remote-worker processes)")
 	fs.StringVar(&o.Listen, "listen", "", "remote backend: coordinator listen address (default 127.0.0.1:0, a loopback ephemeral port)")
 	fs.DurationVar(&o.Lease, "lease", 0, "remote backend: shard-lease time-to-live before unfinished work is re-issued (0 = 10s)")
-	fs.IntVar(&o.Chunk, "chunk", 0, "shards per lease for the subprocess and remote backends, which share one scheduler (0 = adaptive: start at n/32, then track observed shard cost, at most n/8)")
+	fs.IntVar(&o.Chunk, "chunk", 0, "shards per lease for the subprocess and remote backends, which share one scheduler (0 = n/16 of the n shards, at least 1)")
 	fs.StringVar(&o.Journal, "journal", "", "remote backend: shard-result journal directory for resumable coordinator restarts (accepted results append to <dir>/<experiment>.jsonl; a restarted run replays it and serves only the remainder)")
 	return func() (Backend, BackendOptions, error) {
 		b, err := NewBackendOptions(*name, o)

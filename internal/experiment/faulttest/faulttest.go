@@ -86,8 +86,7 @@ func (s *Shim) Lease(worker string) (remote.Lease, error) {
 }
 
 // Stats fetches the coordinator's GET /stats snapshot — run progress,
-// the speculative-backup counters, the /results traffic and the cost
-// estimate.
+// the speculative-backup counters and the /results traffic.
 func (s *Shim) Stats() (remote.Stats, error) {
 	resp, err := s.client().Get(s.Base + "/stats")
 	if err != nil {

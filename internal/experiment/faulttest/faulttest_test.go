@@ -678,7 +678,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	}{
 		{results.ExpFigure7, 1, 1},
 		{results.ExpFigure7, 2, 2},
-		{results.ExpTable1, 2, 0}, // adaptive chunking
+		{results.ExpTable1, 2, 0}, // the default grant size, max(1, n/16)
 	}
 	for _, tc := range cases {
 		tc := tc

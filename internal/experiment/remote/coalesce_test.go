@@ -279,100 +279,6 @@ func TestResultsGoneMidChunk(t *testing.T) {
 	}
 }
 
-// resultBody encodes one /results body carrying the honest result of
-// each shard under a lease.
-func resultBody(t *testing.T, p results.Params, l Lease, shards ...int) []byte {
-	t.Helper()
-	var body []byte
-	for _, s := range shards {
-		raw, err := json.Marshal(ResultLine{Run: l.Run, Lease: l.ID, ShardLine: experiment.ShardLine{Shard: s, Value: encodeValue(t, p, s)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		body = append(append(body, raw...), '\n')
-	}
-	return body
-}
-
-// TestBatchedProgressEstimate pins the progress fold under batching: a
-// body of k lines is one observation of k shards in the time since the
-// lease's previous body. Bodies of k lines dt apart must give the same
-// cost estimate as single-line bodies dt/k apart, and the first body
-// under a lease — whatever its size — only anchors.
-func TestBatchedProgressEstimate(t *testing.T) {
-	const k, dt = 4, 40 * time.Millisecond
-	p := results.Params{Trials: 64, Seed: 2}
-	costEWMA := func(coord *Coordinator) time.Duration {
-		coord.mu.Lock()
-		defer coord.mu.Unlock()
-		return coord.costEWMA
-	}
-
-	clock := &fakeClock{t: time.Unix(8000, 0)}
-	batched, url := startCoordinator(t, testSpec(t), p, 64, Config{Chunk: 64, Lease: time.Hour, Now: clock.Now})
-	l := grantLease(t, url, "batcher")
-	var ack ResultAck
-	if status := postBytes(t, url+"/results", resultBody(t, p, l, 0, 1, 2, 3), &ack); status != http.StatusOK || ack.Accepted != k {
-		t.Fatalf("anchor body: status %d ack %+v", status, ack)
-	}
-	if cost := costEWMA(batched); cost != 0 {
-		t.Fatalf("first body fed the cost EWMA (%v); it must only anchor", cost)
-	}
-	for b := 1; b < 4; b++ {
-		clock.Advance(dt)
-		if status := postBytes(t, url+"/results", resultBody(t, p, l, k*b, k*b+1, k*b+2, k*b+3), &ack); status != http.StatusOK || ack.Accepted != k {
-			t.Fatalf("body %d: status %d ack %+v", b, status, ack)
-		}
-	}
-	cost := costEWMA(batched)
-	if cost != dt/k {
-		t.Errorf("batched cost EWMA = %v, want dt/k = %v", cost, dt/k)
-	}
-
-	clock2 := &fakeClock{t: time.Unix(9000, 0)}
-	single, url2 := startCoordinator(t, testSpec(t), p, 64, Config{Chunk: 64, Lease: time.Hour, Now: clock2.Now})
-	l2 := grantLease(t, url2, "single")
-	postShard(t, url2, p, l2.Run, l2.ID, 0)
-	for s := 1; s <= 3*k; s++ {
-		clock2.Advance(dt / k)
-		postShard(t, url2, p, l2.Run, l2.ID, s)
-	}
-	if cost2 := costEWMA(single); cost2 != cost {
-		t.Errorf("single-line bodies dt/k apart: cost %v; batched gave %v", cost2, cost)
-	}
-	if st := batched.Stats(); st.ResultPosts != 4 || st.ResultLines != 4*k {
-		t.Errorf("stats result posts/lines = %d/%d, want 4/%d", st.ResultPosts, st.ResultLines, 4*k)
-	}
-}
-
-// TestDuplicatesCountAsProgress: byte-equal duplicates are shards the
-// worker ran, so a body of them is progress. A primary racing its backup
-// posts mostly duplicates; counting only new completions would read it
-// as a stalled worker.
-func TestDuplicatesCountAsProgress(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(11000, 0)}
-	p := results.Params{Trials: 8, Seed: 6}
-	coord, url := startCoordinator(t, testSpec(t), p, 8, Config{Chunk: 8, Lease: time.Hour, Now: clock.Now})
-	prim := grantLease(t, url, "prim")
-	postShard(t, url, p, prim.Run, prim.ID, 0) // anchor
-	bk := grantLease(t, url, "spec")
-	if !bk.Backup {
-		t.Fatalf("second lease = %+v, want a backup", bk)
-	}
-	postBytes(t, url+"/results", resultBody(t, p, bk, 1, 2), nil) // the backup lands 1 and 2 first
-	clock.Advance(20 * time.Millisecond)
-	var ack ResultAck
-	if status := postBytes(t, url+"/results", resultBody(t, p, prim, 1, 2), &ack); status != http.StatusOK || ack.Accepted != 2 {
-		t.Fatalf("duplicate body: status %d ack %+v", status, ack)
-	}
-	coord.mu.Lock()
-	cost := coord.costEWMA
-	coord.mu.Unlock()
-	if cost != 10*time.Millisecond {
-		t.Errorf("cost EWMA after 2 duplicates in 20ms = %v, want 10ms", cost)
-	}
-}
-
 // TestRunSummaryResults: the end-of-run summary reports result lines and
 // posts after the existing fields, leaving the prefix tooling parses
 // unchanged.

@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -25,13 +24,11 @@ const DefaultLease = 10 * time.Second
 
 // Config tunes a Coordinator.
 type Config struct {
-	// Chunk pins the shards-per-lease granularity. 0 means adaptive:
-	// grants start at n/32 (clamped to at least 1) and then track the
-	// observed per-shard completion cost, aiming for one chunk per
-	// quarter lease TTL within [1, n/8] — so cheap shards coalesce into
-	// bigger grants and expensive ones (AD-ordering cells calibrate
-	// twice) stop mispricing a fixed split. Chunking only ever moves
-	// scheduling, never values.
+	// Chunk pins the shards per grant. 0 means n/16 (at least 1): one
+	// shard per grant for runs of fewer than 32 shards, such as Figure
+	// 12's 18 long simulations, and a tail chunk small enough that a
+	// backup copy of it duplicates little of a 3000-shard Figure 7 run.
+	// Chunking only ever moves scheduling, never values.
 	Chunk int
 	// Lease is the lease TTL (0 = DefaultLease).
 	Lease time.Duration
@@ -58,12 +55,6 @@ type leaseState struct {
 	span    experiment.Span
 	granted time.Time // grant time; backup issue picks the oldest grant
 	expires time.Time // re-issue deadline: last grant, re-poll or renewal + TTL
-	// lastProgress is the previous accepted result's arrival, for the
-	// per-shard cost estimate. Anchored at the lease's first accepted
-	// result — not the grant — so a worker that fetched a grant and then
-	// idled (wait/poll loop, job fetch) doesn't fold the wait into the
-	// cost EWMA and collapse the adaptive chunk size.
-	lastProgress time.Time
 	// started is set once a result arrived under this lease; an
 	// unstarted grant is returned verbatim to a re-polling worker, so a
 	// lease response lost in transit never orphans a chunk for a TTL.
@@ -93,9 +84,7 @@ type Coordinator struct {
 	params results.Params
 	n      int
 	run    string // per-run random token every request must echo
-	chunk  int    // pinned grant size, or the adaptive starting size
-	fixed  bool   // Config.Chunk pinned the grant size
-	maxCh  int    // adaptive grant-size ceiling
+	chunk  int    // shards per grant
 	lease  time.Duration
 	onDone func()
 	now    func() time.Time
@@ -109,7 +98,6 @@ type Coordinator struct {
 	leases   map[string]*leaseState     // outstanding grants; guarded by mu
 	issued   map[string]experiment.Span // guarded by mu
 	byWorker map[string]string          // worker name -> its latest lease id; guarded by mu
-	costEWMA time.Duration              // observed per-shard completion cost; guarded by mu
 	nextID   int                        // guarded by mu
 	// Backup-execution counters, for the end-of-run summary and /stats:
 	// leases issued speculatively, shards whose first accepted result
@@ -161,16 +149,8 @@ func newRunToken() string {
 //speclint:holds mu
 func NewCoordinator(spec *experiment.Spec, p results.Params, n int, cfg Config) (*Coordinator, error) {
 	chunk := cfg.Chunk
-	fixed := chunk > 0
-	if !fixed {
-		chunk = n / 32
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-	maxCh := n / 8
-	if maxCh < chunk {
-		maxCh = chunk
+	if chunk <= 0 {
+		chunk = max(1, n/16)
 	}
 	lease := cfg.Lease
 	if lease <= 0 {
@@ -183,7 +163,7 @@ func NewCoordinator(spec *experiment.Spec, p results.Params, n int, cfg Config) 
 	c := &Coordinator{
 		spec: spec, params: p, n: n,
 		run:   newRunToken(),
-		chunk: chunk, fixed: fixed, maxCh: maxCh, lease: lease,
+		chunk: chunk, lease: lease,
 		onDone: cfg.OnShardDone, now: now,
 		leases:    map[string]*leaseState{},
 		issued:    map[string]experiment.Span{},
@@ -380,51 +360,6 @@ func (c *Coordinator) requeueUndone(sp experiment.Span) {
 	}
 }
 
-// targetChunk is the shards-per-grant size: the configured size when
-// pinned, otherwise adapted so one chunk costs about a quarter of the
-// lease TTL at the observed per-shard completion cost. Callers hold mu.
-//
-//speclint:holds mu
-func (c *Coordinator) targetChunk() int {
-	if c.fixed || c.costEWMA <= 0 {
-		return c.chunk
-	}
-	k := int((c.lease / 4) / c.costEWMA)
-	if k < 1 {
-		k = 1
-	}
-	if k > c.maxCh {
-		k = c.maxCh
-	}
-	return k
-}
-
-// observeProgress folds the k shards a lease completed in one /results
-// body into the cost EWMA, as one observation: the interval since the
-// lease's previous body, dt, gives a per-shard cost of dt/k. The
-// observation weighs as k single-line bodies dt/k apart would — k EWMA
-// steps of 1/4 — so a coalesced body's lines, which arrive together,
-// neither read as k-1 free shards nor count as one. Callers pass only
-// body-to-body intervals — the body that carries a lease's first
-// accepted result merely anchors lastProgress (see leaseState) — and a
-// result from an already-expired lease carries no usable timing.
-// Callers hold mu.
-//
-//speclint:holds mu
-func (c *Coordinator) observeProgress(l *leaseState, k int, now time.Time) {
-	cost := now.Sub(l.lastProgress) / time.Duration(k)
-	l.lastProgress = now
-	if cost < time.Microsecond {
-		cost = time.Microsecond // instantaneous arrivals still mean "cheap"
-	}
-	if c.costEWMA <= 0 {
-		c.costEWMA = cost
-	} else {
-		keep := math.Pow(0.75, float64(k)) // old estimate's weight after k steps
-		c.costEWMA = cost + time.Duration(keep*float64(c.costEWMA-cost))
-	}
-}
-
 // undoneBounds is the tightest span covering sp's not-done shards;
 // ok is false when every shard of sp is complete. Callers hold mu.
 //
@@ -453,7 +388,7 @@ func (c *Coordinator) newLease(worker string, sp experiment.Span, now time.Time)
 	l := &leaseState{
 		id:  fmt.Sprintf("L%d", c.nextID),
 		seq: c.nextID, worker: worker, span: sp,
-		granted: now, expires: now.Add(c.lease), lastProgress: now,
+		granted: now, expires: now.Add(c.lease),
 	}
 	c.leases[l.id] = l
 	c.issued[l.id] = sp
@@ -507,8 +442,8 @@ func (c *Coordinator) grantBackup(worker string, now time.Time) *leaseState {
 }
 
 // Stats snapshots the coordinator's scheduling state: run progress, the
-// live lease and queue shape, the speculative-backup counters, the
-// /results traffic and the cost EWMA.
+// live lease and queue shape, the speculative-backup counters and the
+// /results traffic.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -517,10 +452,9 @@ func (c *Coordinator) Stats() Stats {
 		Done: c.n - c.remaining, Remaining: c.remaining,
 		PendingSpans: len(c.pending), Leases: len(c.leases),
 		BackupsIssued: c.backupsIssued, BackupsWon: c.backupsWon,
-		BackupsWasted:  c.backupsWasted,
-		ResultPosts:    c.resultPosts,
-		ResultLines:    c.resultLines,
-		CostEWMAMicros: c.costEWMA.Microseconds(),
+		BackupsWasted: c.backupsWasted,
+		ResultPosts:   c.resultPosts,
+		ResultLines:   c.resultLines,
 	}
 	for _, l := range c.leases {
 		if l.backup {
@@ -601,7 +535,7 @@ func (c *Coordinator) decodeRequest(w http.ResponseWriter, r *http.Request, what
 
 // grant answers one lease request from worker, a diagnostic identity
 // ("" = anonymous): Done once the run is over; the worker's own unstarted
-// grant again; otherwise the next span off the queue at the target size,
+// grant again; otherwise the next span off the queue at the grant size,
 // a backup copy of the oldest in-flight remainder when the queue is
 // empty, or Wait.
 func (c *Coordinator) grant(worker string) Lease {
@@ -639,13 +573,13 @@ func (c *Coordinator) grant(worker string) Lease {
 		}
 		return Lease{Wait: true, Run: c.run, PollMillis: c.pollInterval().Milliseconds()}
 	}
-	// Carve the grant off the head span at the target size; the
+	// Carve the grant off the head span at the grant size; the
 	// remainder goes back to the front so the queue stays FIFO.
 	sp := c.pending[0]
 	c.pending = c.pending[1:]
-	if k := c.targetChunk(); sp.End-sp.Start > k {
-		c.pending = append([]experiment.Span{{Start: sp.Start + k, End: sp.End}}, c.pending...)
-		sp.End = sp.Start + k
+	if sp.End-sp.Start > c.chunk {
+		c.pending = append([]experiment.Span{{Start: sp.Start + c.chunk, End: sp.End}}, c.pending...)
+		sp.End = sp.Start + c.chunk
 	}
 	return c.offer(c.newLease(worker, sp, now))
 }
@@ -710,7 +644,6 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	// needs more, up to the 64 MiB line cap.
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 0, 4<<10), 1<<26)
-	var progress []bodyProgress
 	accepted, status := 0, http.StatusOK
 	var err error
 	for sc.Scan() {
@@ -727,7 +660,7 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 			status, err = http.StatusGone, fmt.Errorf("result names run %q; this coordinator serves run %q", rl.Run, c.run)
 			break
 		}
-		if status, err = c.accept(rl.Lease, rl.ShardLine, &progress); err != nil {
+		if status, err = c.accept(rl.Lease, rl.ShardLine); err != nil {
 			break
 		}
 		accepted++
@@ -737,7 +670,7 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusBadRequest
 		}
 	}
-	c.finishBody(progress, accepted)
+	c.finishBody(accepted)
 	ack := ResultAck{Accepted: accepted}
 	if err != nil {
 		ack.Error = err.Error()
@@ -745,47 +678,13 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, ack)
 }
 
-// bodyProgress is one lease's share of a /results body: the shard
-// results the body carried under it (new completions and byte-equal
-// duplicates), folded into a single progress observation once the body
-// is read.
-type bodyProgress struct {
-	lease  *leaseState
-	shards int
-	// anchor is set when the lease's first accepted result arrived in
-	// this body: the body only anchors the lease's progress clock.
-	anchor bool
-}
-
-// progressFor returns l's entry in a body's progress list, adding it on
-// first use. A worker's body names one lease, so the list is short.
-func progressFor(progress *[]bodyProgress, l *leaseState) *bodyProgress {
-	for i := range *progress {
-		if (*progress)[i].lease == l {
-			return &(*progress)[i]
-		}
-	}
-	*progress = append(*progress, bodyProgress{lease: l})
-	return &(*progress)[len(*progress)-1]
-}
-
 // finishBody closes one result body — a /results request, or one line
-// from a pipe worker: it counts the body and the lines accepted from it,
-// and folds each lease's completions in the body into one progress
-// observation. A lease dropped while the body was read (a
-// sweep or an abandoned-grant release) is skipped: like an expired
-// lease's, its timing is no cost sample.
-func (c *Coordinator) finishBody(progress []bodyProgress, accepted int) {
+// from a pipe worker — counting it and the lines accepted from it.
+func (c *Coordinator) finishBody(accepted int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.resultPosts++
 	c.resultLines += accepted
-	now := c.now()
-	for _, bp := range progress {
-		if !bp.anchor && bp.shards > 0 && c.leases[bp.lease.id] == bp.lease {
-			c.observeProgress(bp.lease, bp.shards, now)
-		}
-	}
 }
 
 // accept validates and applies one shard result produced under lease,
@@ -796,9 +695,9 @@ func (c *Coordinator) finishBody(progress []bodyProgress, accepted int) {
 // will be served again). A duplicate of an already-done shard must be
 // byte-identical to the accepted result: equal bytes are acknowledged
 // idempotently, unequal bytes are a determinism-contract violation that
-// fails the whole run (409). A shard result it accepts under a live
-// lease is tallied in progress for the body's progress observation.
-func (c *Coordinator) accept(lease string, sl experiment.ShardLine, progress *[]bodyProgress) (int, error) {
+// fails the whole run (409). An accepted result, new or a byte-equal
+// duplicate, marks its lease started.
+func (c *Coordinator) accept(lease string, sl experiment.ShardLine) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	span, issued := c.issued[lease]
@@ -811,30 +710,10 @@ func (c *Coordinator) accept(lease string, sl experiment.ShardLine, progress *[]
 	if sl.Shard < span.Start || sl.Shard >= span.End {
 		return http.StatusBadRequest, fmt.Errorf("shard %d outside lease %s's span [%d,%d)", sl.Shard, lease, span.Start, span.End)
 	}
-	now := c.now()
 	// Only shard results the coordinator actually accepts mark the grant
 	// started: rejected garbage must not defeat the unstarted re-poll
-	// idempotency. The started transition also anchors the per-shard
-	// cost clock: the gap between the grant and the first accepted
-	// result is fetch and idle time, not shard cost, and the rest of the
-	// anchoring body arrived with it, so it is not observed either. ran
-	// counts a shard result — new or a byte-equal duplicate, work the
-	// worker did either way — toward the body's progress observation; a
-	// duplicate-only stretch (a primary and its backup racing) would
-	// otherwise read as a stalled worker.
+	// idempotency.
 	l := c.leases[lease]
-	ran := func() {
-		if l == nil {
-			return
-		}
-		bp := progressFor(progress, l)
-		bp.shards++
-		if !l.started {
-			l.started = true
-			l.lastProgress = now
-			bp.anchor = true
-		}
-	}
 	if c.done[sl.Shard] {
 		switch {
 		case sl.Err != "":
@@ -847,10 +726,12 @@ func (c *Coordinator) accept(lease string, sl experiment.ShardLine, progress *[]
 			// Idempotent duplicate from a re-issued or backup lease; a
 			// backup's duplicate means its primary got there first —
 			// wasted speculation, worth counting.
-			if l != nil && l.backup {
-				c.backupsWasted++
+			if l != nil {
+				l.started = true
+				if l.backup {
+					c.backupsWasted++
+				}
 			}
-			ran()
 			return http.StatusOK, nil
 		default:
 			err := fmt.Errorf("remote: shard %d: duplicate result differs from accepted bytes — determinism contract violated", sl.Shard)
@@ -879,13 +760,15 @@ func (c *Coordinator) accept(lease string, sl experiment.ShardLine, progress *[]
 			return http.StatusInternalServerError, err
 		}
 	}
-	ran()
 	c.values[sl.Shard] = v
 	c.raw[sl.Shard] = append([]byte(nil), sl.Value...)
 	c.done[sl.Shard] = true
 	c.remaining--
-	if l != nil && l.backup {
-		c.backupsWon++ // the speculative copy landed first
+	if l != nil {
+		l.started = true
+		if l.backup {
+			c.backupsWon++ // the speculative copy landed first
+		}
 	}
 	if c.onDone != nil {
 		c.onDone()

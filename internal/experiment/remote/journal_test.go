@@ -2,6 +2,7 @@ package remote
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -317,58 +318,44 @@ func TestOutOfSpanResult(t *testing.T) {
 	}
 }
 
-// TestAdaptiveChunk: with no pinned -chunk, grant sizes track observed
-// shard cost — instantaneous completions grow the next grants toward
-// n/8, slow completions shrink them back to single shards. Values are
-// untouched either way.
-func TestAdaptiveChunk(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(5000, 0)}
-	p := results.Params{Trials: 64}
-	spec := testSpec(t)
-	coord, url := startCoordinator(t, spec, p, 64, Config{Lease: 8 * time.Second, Now: clock.Now})
-
-	// Adaptive start: n/32 = 2 shards.
-	l := grantLease(t, url, "fast")
-	if got := l.End - l.Start; got != 2 {
-		t.Fatalf("first adaptive grant %d shards, want 2 (n/32)", got)
+// TestGrantSize pins the grant rule: without a pinned -chunk every grant
+// is max(1, n/16) shards from the first grant on, whatever the shards
+// cost — instant completions and 5s completions (on the fake clock)
+// leave the next grant's size alone — and Config.Chunk pins it.
+func TestGrantSize(t *testing.T) {
+	for _, n := range []int{1, 15, 18, 32, 64, 3000} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			want := max(1, n/16)
+			clock := &fakeClock{t: time.Unix(5000, 0)}
+			p := results.Params{Trials: n}
+			_, url := startCoordinator(t, testSpec(t), p, n, Config{Lease: 8 * time.Second, Now: clock.Now})
+			// The first grant's shards complete at once, the second's 5s
+			// apart; the worker renews after each result, as a real one
+			// would.
+			next := 0
+			for _, cost := range []time.Duration{0, 5 * time.Second, 0} {
+				if next == n {
+					break
+				}
+				l := grantLease(t, url, "w")
+				if l.Start != next || l.End != next+min(want, n-next) {
+					t.Fatalf("grant after shard %d = [%d,%d), want %d shards from %d", next, l.Start, l.End, want, next)
+				}
+				for shard := l.Start; shard < l.End; shard++ {
+					clock.Advance(cost)
+					postShard(t, url, p, l.Run, l.ID, shard)
+					if status := postDoc(t, url+"/renew", RenewRequest{ID: l.ID, Run: l.Run}, nil); status != http.StatusOK {
+						t.Fatalf("renew: status %d", status)
+					}
+				}
+				next = l.End
+			}
+		})
 	}
-	// The worker finishes both instantly (no clock movement): per-shard
-	// cost collapses, so the next grant grows to the n/8 ceiling.
-	for shard := l.Start; shard < l.End; shard++ {
-		var ack ResultAck
-		if status := postDoc(t, url+"/results", ResultLine{Run: l.Run, Lease: l.ID, ShardLine: experiment.ShardLine{Shard: shard, Value: encodeValue(t, p, shard)}}, &ack); status != http.StatusOK {
-			t.Fatalf("shard %d: status %d", shard, status)
-		}
+	_, url := startCoordinator(t, testSpec(t), results.Params{Trials: 64}, 64, Config{Chunk: 3})
+	if l := grantLease(t, url, "w"); l.Start != 0 || l.End != 3 {
+		t.Errorf("pinned Chunk 3: grant [%d,%d), want [0,3)", l.Start, l.End)
 	}
-	grown := grantLease(t, url, "fast")
-	if got := grown.End - grown.Start; got != 8 {
-		t.Fatalf("post-fast-completion grant %d shards, want 8 (n/8 ceiling)", got)
-	}
-	// Now every shard takes 5s — more than the lease/4 budget — so
-	// grants shrink back to one shard at a time.
-	for shard := grown.Start; shard < grown.End; shard++ {
-		clock.Advance(5 * time.Second)
-		var ack ResultAck
-		if status := postDoc(t, url+"/results", ResultLine{Run: grown.Run, Lease: grown.ID, ShardLine: experiment.ShardLine{Shard: shard, Value: encodeValue(t, p, shard)}}, &ack); status != http.StatusOK {
-			t.Fatalf("shard %d: status %d", shard, status)
-		}
-		// Keep the lease alive while the slow work drags on.
-		if status := postDoc(t, url+"/renew", RenewRequest{ID: grown.ID, Run: grown.Run}, nil); status != http.StatusOK {
-			t.Fatalf("renew: status %d", status)
-		}
-	}
-	shrunk := grantLease(t, url, "slow")
-	if got := shrunk.End - shrunk.Start; got != 1 {
-		t.Fatalf("post-slow-completion grant %d shards, want 1", got)
-	}
-	// Scheduling only: the values accepted so far are still exact.
-	coord.mu.Lock()
-	for i, d := range coord.done {
-		if d && coord.values[i] != float64(i*i) {
-			t.Errorf("shard %d = %v, want %v", i, coord.values[i], float64(i*i))
-		}
-	}
-	coord.mu.Unlock()
 }
 
 // TestSilentLeaseHeldUntilTTL pins the single reclaim rule: a lease is

@@ -121,7 +121,6 @@ func (c *Coordinator) drive(ctx context.Context, worker string, workers int, std
 // accepted, as an HTTP straggler's are.
 func (c *Coordinator) collect(g Lease, sc *bufio.Scanner) error {
 	seen := make([]bool, g.End-g.Start)
-	var progress []bodyProgress
 	for got := 0; got < len(seen); {
 		if !sc.Scan() {
 			if err := sc.Err(); err != nil {
@@ -145,11 +144,10 @@ func (c *Coordinator) collect(g Lease, sc *bufio.Scanner) error {
 		}
 		seen[sl.Shard-g.Start] = true
 		got++
-		progress = progress[:0]
-		if _, err := c.accept(g.ID, sl, &progress); err != nil {
+		if _, err := c.accept(g.ID, sl); err != nil {
 			return err
 		}
-		c.finishBody(progress, 1)
+		c.finishBody(1)
 		c.renew(g.ID)
 	}
 	return nil

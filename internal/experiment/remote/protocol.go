@@ -11,7 +11,7 @@
 //	POST /lease    LeaseRequest -> Lease   claim the next chunk (or wait/done)
 //	POST /renew    RenewRequest -> Renewal  extend a held lease's TTL
 //	POST /results  ResultLine JSON lines -> ResultAck   one or more shard results
-//	GET  /stats    -> Stats        progress, backup counters, cost estimate
+//	GET  /stats    -> Stats        progress, backup counters, result traffic
 //
 // Workers are the same binary in a hidden -remote-worker mode; they fetch
 // the job once, then loop lease → run shards (the shared
@@ -47,12 +47,13 @@
 // granted; a lease id is not a license to post arbitrary in-range
 // shards.
 //
-// Chunk size is adaptive (see Config), and a coordinator given a
-// -journal directory appends every accepted shard result to an on-disk
-// journal it replays after a restart, serving only the remainder. All of
-// that moves scheduling and wall-clock only: shard values stay a pure
-// function of (params, shard index), so record signatures are
-// byte-identical with or without faults, restarts, or adaptation.
+// Every grant has one size, fixed when the coordinator is built (n/16
+// shards unless pinned; see Config), and a coordinator given a -journal
+// directory appends every accepted shard result to an on-disk journal it
+// replays after a restart, serving only the remainder. All of that moves
+// scheduling and wall-clock only: shard values stay a pure function of
+// (params, shard index), so record signatures are byte-identical with or
+// without faults, restarts, or a pinned grant size.
 package remote
 
 import (
@@ -163,9 +164,9 @@ type ResultAck struct {
 }
 
 // Stats is the GET /stats snapshot: run progress, the live lease and
-// queue shape, the speculative-backup counters, the /results traffic
-// and the cost estimate. Observability only — nothing here feeds back
-// into results.
+// queue shape, the speculative-backup counters and the /results
+// traffic. Observability only — nothing here feeds back into results
+// or scheduling.
 type Stats struct {
 	Run          string `json:"run"`
 	Shards       int    `json:"shards"`
@@ -189,9 +190,6 @@ type Stats struct {
 	// a POST is in flight, so lines per post shows how much.
 	ResultPosts int `json:"result_posts"`
 	ResultLines int `json:"result_lines"`
-	// CostEWMAMicros is the observed per-shard completion cost driving
-	// adaptive chunk sizing, in microseconds (0 = no estimate yet).
-	CostEWMAMicros int64 `json:"cost_ewma_us"`
 }
 
 // mustJSON encodes a response document; protocol types marshal without

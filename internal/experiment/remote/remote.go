@@ -42,8 +42,8 @@ type Remote struct {
 	Workers int
 	// Lease is the lease TTL (0 = DefaultLease).
 	Lease time.Duration
-	// Chunk is the shards-per-lease granularity (0 = adaptive: grants
-	// start at n/32 and track observed per-shard cost; see Config.Chunk).
+	// Chunk is the shards per lease (0 = n/16, at least 1; see
+	// Config.Chunk).
 	Chunk int
 	// Journal, when non-empty, is a directory holding one append-only
 	// shard-result journal per experiment (<dir>/<experiment>.jsonl, the

@@ -511,34 +511,6 @@ func TestWorkerStatePruned(t *testing.T) {
 	}
 }
 
-// TestFirstResultAnchorsCostEWMA pins the cost-poisoning bugfix: a long
-// gap between a grant and its first result (job fetch, the wait/poll
-// loop) is idle time, not shard cost, and must not collapse the adaptive
-// chunk size.
-func TestFirstResultAnchorsCostEWMA(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(6000, 0)}
-	p := results.Params{Trials: 8, Seed: 4}
-	coord, url := startCoordinator(t, testSpec(t), p, 8, Config{Chunk: 4, Lease: time.Hour, Now: clock.Now})
-
-	l := grantLease(t, url, "idler")
-	clock.Advance(30 * time.Second) // a long idle stretch before any result
-	postShard(t, url, p, l.Run, l.ID, 0)
-	coord.mu.Lock()
-	ewma := coord.costEWMA
-	coord.mu.Unlock()
-	if ewma != 0 {
-		t.Fatalf("first result fed the cost EWMA (%v); it must only anchor the clock", ewma)
-	}
-	clock.Advance(50 * time.Millisecond)
-	postShard(t, url, p, l.Run, l.ID, 1)
-	coord.mu.Lock()
-	ewma = coord.costEWMA
-	coord.mu.Unlock()
-	if ewma != 50*time.Millisecond {
-		t.Errorf("cost EWMA after one interval = %v, want exactly 50ms (the idle gap leaked in)", ewma)
-	}
-}
-
 // TestStatsEndpoint: GET /stats serves a JSON snapshot whose progress,
 // lease and backup fields track the run.
 func TestStatsEndpoint(t *testing.T) {

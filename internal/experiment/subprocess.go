@@ -34,9 +34,8 @@ type Subprocess struct {
 	// (0 = serial within the worker — the process count is the
 	// parallelism knob).
 	Workers int
-	// Chunk pins the shards per grant (0 = adaptive, the remote
-	// coordinator's rule: grants start at n/32 and then track the
-	// observed per-shard cost, at most n/8).
+	// Chunk pins the shards per grant (0 = the remote coordinator's
+	// rule: n/16 of the n shards, at least 1).
 	Chunk int
 	// Stderr receives the prefixed worker diagnostics (nil = os.Stderr).
 	Stderr io.Writer
@@ -92,11 +91,14 @@ func CopyPrefixedLines(dst io.Writer, mu *sync.Mutex, prefix string, src io.Read
 	}
 	// Scanner errors (a line beyond the buffer cap, a read failure) are
 	// diagnostics-of-diagnostics: report and move on rather than failing
-	// the run over stderr cosmetics.
+	// the run over stderr cosmetics. The rest of src is still read, and
+	// dropped: a worker whose stderr pipe fills blocks in write, holding
+	// its lease until the TTL, or for good when it is the only worker.
 	if err := sc.Err(); err != nil {
 		mu.Lock()
 		fmt.Fprintf(dst, "%s(stderr truncated: %v)\n", prefix, err)
 		mu.Unlock()
+		io.Copy(io.Discard, src)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"specinterference/internal/results"
 )
@@ -82,6 +83,48 @@ func TestCopyPrefixedLinesConcurrent(t *testing.T) {
 		if m[1] != m[2] {
 			t.Errorf("line %q framed under the wrong worker", line)
 		}
+	}
+}
+
+// TestCopyPrefixedLinesDrainsAfterLongLine: a line over the 1 MiB cap
+// ends the framing with one truncation notice, but src is still read to
+// EOF, so a worker that keeps writing stderr after such a line never
+// blocks on a full pipe.
+func TestCopyPrefixedLinesDrainsAfterLongLine(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close() // unblocks the writer if the copy stopped reading
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := w.Write(append(bytes.Repeat([]byte{'x'}, 2<<20), '\n'))
+		for n := 0; err == nil && n < 220<<10; {
+			var k int
+			k, err = fmt.Fprintf(w, "short line %d\n", n)
+			n += k
+		}
+		w.Close()
+		wrote <- err
+	}()
+	var buf bytes.Buffer
+	var mu sync.Mutex
+	copied := make(chan struct{})
+	go func() {
+		defer close(copied)
+		CopyPrefixedLines(&buf, &mu, "[worker 0] ", r)
+	}()
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Fatalf("writer: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("writer still blocked 10s after its 2 MiB line: the pipe is no longer read")
+	}
+	<-copied
+	if n := strings.Count(buf.String(), "(stderr truncated: "); n != 1 {
+		t.Errorf("%d truncation notices, want 1:\n%.200s", n, buf.String())
 	}
 }
 

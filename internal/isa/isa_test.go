@@ -3,7 +3,6 @@ package isa
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestRegString(t *testing.T) {
@@ -210,31 +209,6 @@ func TestProgramAddressing(t *testing.T) {
 	if addr != DefaultCodeBase+3*InstBytes {
 		t.Errorf("InstAddr(3) = %#x", addr)
 	}
-	pc, ok := p.AddrPC(addr)
-	if !ok || pc != 3 {
-		t.Errorf("AddrPC(%#x) = %d, %v", addr, pc, ok)
-	}
-	if _, ok := p.AddrPC(p.CodeBase - 8); ok {
-		t.Error("address below code base accepted")
-	}
-	if _, ok := p.AddrPC(p.CodeBase + 1); ok {
-		t.Error("unaligned address accepted")
-	}
-	if _, ok := p.AddrPC(p.InstAddr(10)); ok {
-		t.Error("address past end accepted")
-	}
-}
-
-func TestProgramAddrPCRoundTrip(t *testing.T) {
-	p := NewProgram(make([]Inst, 64))
-	f := func(pcRaw uint8) bool {
-		pc := int(pcRaw) % 64
-		got, ok := p.AddrPC(p.InstAddr(pc))
-		return ok && got == pc
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestProgramString(t *testing.T) {
@@ -246,40 +220,5 @@ func TestProgramString(t *testing.T) {
 	s := p.String()
 	if !strings.Contains(s, "start:") || !strings.Contains(s, "movi r1, 5") {
 		t.Errorf("Program.String() = %q", s)
-	}
-}
-
-func TestSuccessors(t *testing.T) {
-	p := NewProgram([]Inst{
-		{Op: MovI, Dst: R1, Imm: 1},              // 0
-		{Op: Blt, Src1: R1, Src2: R2, Target: 4}, // 1
-		{Op: Jmp, Target: 0},                     // 2
-		{Op: Halt},                               // 3
-		{Op: Nop},                                // 4: last inst, no fall-through
-	})
-	cases := []struct {
-		pc   int
-		want []int
-	}{
-		{0, []int{1}},
-		{1, []int{2, 4}}, // fall-through first, then the taken target
-		{2, []int{0}},
-		{3, nil},
-		{4, nil},
-		{-1, nil},
-		{5, nil},
-	}
-	for _, c := range cases {
-		got := p.Successors(c.pc)
-		if len(got) != len(c.want) {
-			t.Errorf("Successors(%d) = %v, want %v", c.pc, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("Successors(%d) = %v, want %v", c.pc, got, c.want)
-				break
-			}
-		}
 	}
 }

@@ -36,48 +36,6 @@ func (p *Program) Len() int { return len(p.Insts) }
 // InstAddr returns the byte address of instruction pc.
 func (p *Program) InstAddr(pc int) int64 { return p.CodeBase + int64(pc)*InstBytes }
 
-// AddrPC converts a byte address inside the code region back to an
-// instruction index, with ok=false when the address is out of range.
-func (p *Program) AddrPC(addr int64) (pc int, ok bool) {
-	off := addr - p.CodeBase
-	if off < 0 || off%InstBytes != 0 {
-		return 0, false
-	}
-	pc = int(off / InstBytes)
-	if pc >= len(p.Insts) {
-		return 0, false
-	}
-	return pc, true
-}
-
-// Successors returns the static control-flow successors of instruction
-// pc, for analyses that walk the program as a graph: both directions of a
-// conditional branch (fall-through first), the target of a jump, nothing
-// after a halt, and the fall-through otherwise. The final instruction has
-// no fall-through successor.
-func (p *Program) Successors(pc int) []int {
-	if pc < 0 || pc >= len(p.Insts) {
-		return nil
-	}
-	in := p.Insts[pc]
-	var succ []int
-	switch {
-	case in.Op == Halt:
-	case in.Op == Jmp:
-		succ = append(succ, in.Target)
-	case in.IsCondBranch():
-		if pc+1 < len(p.Insts) {
-			succ = append(succ, pc+1)
-		}
-		succ = append(succ, in.Target)
-	default:
-		if pc+1 < len(p.Insts) {
-			succ = append(succ, pc+1)
-		}
-	}
-	return succ
-}
-
 // Validate checks every instruction and branch target.
 func (p *Program) Validate() error {
 	if len(p.Insts) == 0 {

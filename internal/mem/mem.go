@@ -21,7 +21,7 @@ const pageWords = 512
 const pageShift = 9
 
 // page is one 4KB chunk of backing store. written marks the words ever
-// written, so Footprint and the O(footprint) Reset need no separate index.
+// written, so Reset zeroes only those without a separate index.
 type page struct {
 	words   [pageWords]int64
 	written [pageWords / 64]uint64
@@ -40,8 +40,6 @@ type Memory struct {
 	// working sets cluster, so nearly every access hits the memo.
 	lastIdx  int64
 	lastPage *page
-	// footprint counts distinct words ever written since the last Reset.
-	footprint int
 }
 
 // New returns an empty memory.
@@ -84,19 +82,13 @@ func (m *Memory) Write64(addr int64, v int64) {
 	p := m.pageAt(w, true)
 	off := w & (pageWords - 1)
 	p.words[off] = v
-	if bit := uint64(1) << uint(off&63); p.written[off>>6]&bit == 0 {
-		p.written[off>>6] |= bit
-		m.footprint++
-	}
+	p.written[off>>6] |= uint64(1) << uint(off&63)
 }
-
-// Footprint returns the number of distinct words ever written.
-func (m *Memory) Footprint() int { return m.footprint }
 
 // Reset makes the memory observably identical to New() while keeping the
 // allocated pages, so steady-state reuse (internal/core.TrialState) pays no
 // allocation to start over. Only words actually written are zeroed —
-// O(footprint), not O(capacity).
+// O(words written), not O(capacity).
 func (m *Memory) Reset() {
 	for _, p := range m.pages {
 		for i, w := range p.written {
@@ -106,19 +98,6 @@ func (m *Memory) Reset() {
 			p.written[i] = 0
 		}
 	}
-	m.footprint = 0
-}
-
-// Clone returns a deep copy; used by differential tests that need to run the
-// same initial state through two machines.
-func (m *Memory) Clone() *Memory {
-	c := New()
-	for idx, p := range m.pages {
-		cp := *p
-		c.pages[idx] = &cp
-	}
-	c.footprint = m.footprint
-	return c
 }
 
 // LineAddr returns the address of the cache line containing addr.

@@ -24,29 +24,6 @@ func TestReadWrite(t *testing.T) {
 	}
 }
 
-func TestFootprint(t *testing.T) {
-	m := New()
-	m.Write64(0, 1)
-	m.Write64(8, 1)
-	m.Write64(3, 2) // same word as 0
-	if m.Footprint() != 2 {
-		t.Errorf("Footprint = %d, want 2", m.Footprint())
-	}
-}
-
-func TestClone(t *testing.T) {
-	m := New()
-	m.Write64(64, 9)
-	c := m.Clone()
-	c.Write64(64, 10)
-	if m.Read64(64) != 9 {
-		t.Error("clone aliases original")
-	}
-	if c.Read64(64) != 10 {
-		t.Error("clone write lost")
-	}
-}
-
 func TestLineHelpers(t *testing.T) {
 	if LineAddr(0x1234) != 0x1200 {
 		t.Errorf("LineAddr(0x1234) = %#x", LineAddr(0x1234))

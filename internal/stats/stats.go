@@ -1,6 +1,6 @@
 // Package stats provides the small statistics toolkit used by the
-// experiment harnesses: summaries, histograms (Figure 7), and
-// error/throughput accounting (Figure 11).
+// experiment harnesses: summaries, percentiles, and histograms and
+// their overlap (Figure 7).
 package stats
 
 import (
@@ -167,26 +167,4 @@ func Overlap(a, b *Histogram) float64 {
 	sum += math.Min(float64(a.UnderLo)/float64(a.Total), float64(b.UnderLo)/float64(b.Total))
 	sum += math.Min(float64(a.OverHi)/float64(a.Total), float64(b.OverHi)/float64(b.Total))
 	return sum
-}
-
-// ErrorRate tracks bit-channel decode outcomes.
-type ErrorRate struct {
-	Bits   int
-	Errors int
-}
-
-// Record adds one decoded bit outcome.
-func (e *ErrorRate) Record(correct bool) {
-	e.Bits++
-	if !correct {
-		e.Errors++
-	}
-}
-
-// Rate returns the bit error probability.
-func (e *ErrorRate) Rate() float64 {
-	if e.Bits == 0 {
-		return 0
-	}
-	return float64(e.Errors) / float64(e.Bits)
 }

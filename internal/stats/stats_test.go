@@ -108,20 +108,6 @@ func TestOverlapIncompatiblePanics(t *testing.T) {
 	Overlap(NewHistogram(0, 10, 10), NewHistogram(0, 20, 10))
 }
 
-func TestErrorRate(t *testing.T) {
-	var e ErrorRate
-	if e.Rate() != 0 {
-		t.Error("empty rate")
-	}
-	e.Record(true)
-	e.Record(false)
-	e.Record(false)
-	e.Record(true)
-	if e.Bits != 4 || e.Errors != 2 || e.Rate() != 0.5 {
-		t.Errorf("error rate = %+v", e)
-	}
-}
-
 func TestSummarizeProperty(t *testing.T) {
 	f := func(raw []int8) bool {
 		if len(raw) == 0 {
