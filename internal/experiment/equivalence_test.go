@@ -7,6 +7,7 @@ package experiment_test
 import (
 	"context"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,5 +144,33 @@ func TestSubprocessPayloadEquality(t *testing.T) {
 		if string(inJSON) != string(recJSON) {
 			t.Errorf("canonical JSON diverged across backends:\n  inprocess: %s\n  %s: %s", inJSON, b.Name(), recJSON)
 		}
+	}
+}
+
+// TestShardErrorRemote: a shard that fails in the middle of a remote
+// chunk fails the run with its own error, long before the lease TTL. A
+// worker that never posted the failure line would leave the shard
+// leased, unstarted, to whoever re-polls for it, and the run would never
+// end. That the failure travels in the chunk's buffered second body, not
+// a later re-lease, is pinned by the remote package's
+// TestResultsShardFailure.
+func TestShardErrorRemote(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	spec, err := experiment.Lookup("test-fail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lease = 30 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), lease/2)
+	defer cancel()
+	start := time.Now()
+	_, err = experiment.Run(ctx, spec, results.Params{Trials: 16}, quiet(t, remote.Remote{Procs: 2, Chunk: 8, Lease: lease}), nil)
+	if err == nil || !strings.Contains(err.Error(), "shard 3 exploded") {
+		t.Fatalf("err = %v after %v, want shard 3's failure", err, time.Since(start))
+	}
+	if took := time.Since(start); took > lease/4 {
+		t.Errorf("the shard failure took %v to fail the run, want well inside the %v lease", took, lease)
 	}
 }

@@ -19,8 +19,22 @@ import (
 
 // remote-test-slow is remote-test with a per-shard sleep of Jitter
 // milliseconds, so tests can pick shard times above or below a POST
-// round trip.
+// round trip. remote-test-fail is remote-test whose shard 3 fails.
 func init() {
+	experiment.Register(&experiment.Spec{
+		Name: "remote-test-fail",
+		Plan: func(p results.Params) (int, error) { return p.Trials, nil },
+		Run: func(_ context.Context, _ any, p results.Params, i int) (any, error) {
+			if i == 3 {
+				return nil, fmt.Errorf("shard %d exploded", i)
+			}
+			return float64(i*i) + float64(p.Seed), nil
+		},
+		NewShard: func() any { return new(float64) },
+		Aggregate: func(p results.Params, shards []any) (*results.Record, error) {
+			return nil, fmt.Errorf("unit tests aggregate by hand")
+		},
+	})
 	experiment.Register(&experiment.Spec{
 		Name: "remote-test-slow",
 		Plan: func(p results.Params) (int, error) { return p.Trials, nil },
@@ -148,11 +162,11 @@ func startTappedCoordinator(t *testing.T, spec *experiment.Spec, p results.Param
 	return coord, srv.URL
 }
 
-// TestResultsCoalesce: shards that finish while a POST is in flight ride
-// together in the next one. Figure 7 at its baseline params through two
-// RunWorker goroutines, with every /results round trip slowed to 20ms,
-// must take fewer POSTs than shards and still hash to the committed
-// baseline.
+// TestResultsCoalesce: a chunk's results reach the coordinator in at
+// most two bodies, however fast its shards finish. Figure 7 at its
+// baseline params through two RunWorker goroutines, with every /results
+// round trip slowed to 20ms, must take at most two POSTs per granted
+// lease and still hash to the committed baseline.
 func TestResultsCoalesce(t *testing.T) {
 	spec, err := experiment.Lookup(results.ExpFigure7)
 	if err != nil {
@@ -182,11 +196,15 @@ func TestResultsCoalesce(t *testing.T) {
 	}
 	bodies, _ := tap.snapshot()
 	lines := 0
+	perLease := map[string]int{}
 	for _, b := range bodies {
 		lines += b.lines
+		perLease[b.leases[0]]++
 	}
-	if len(bodies) >= n {
-		t.Errorf("%d /results posts for %d shards, want fewer (lines per post: %v)", len(bodies), n, bodies)
+	for lease, posts := range perLease {
+		if posts > 2 {
+			t.Errorf("lease %s took %d /results posts, want at most 2 (bodies: %v)", lease, posts, bodies)
+		}
 	}
 	if lines < n {
 		t.Errorf("%d result lines posted for %d shards", lines, n)
@@ -197,19 +215,21 @@ func TestResultsCoalesce(t *testing.T) {
 	}
 }
 
-// TestResultsPostAlone: shards slower than a POST round trip find the
-// sender idle, so each result is posted on its own as soon as it
-// finishes — coalescing never holds a result back. The worker also waits
-// for each chunk's last ack before it polls /lease again: a poll while a
-// body is still in flight would release finished shards for re-execution.
+// TestResultsPostAlone: a chunk's first result is posted alone, as soon
+// as it exists, and the chunk's other results follow together in one
+// body once the chunk is over — even when each shard is slower than a
+// POST round trip. The worker also waits for each chunk's last ack
+// before it polls /lease again: a poll while a body is still in flight
+// would release finished shards for re-execution.
 func TestResultsPostAlone(t *testing.T) {
 	spec, err := experiment.Lookup("remote-test-slow")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := results.Params{Trials: 6, Jitter: 50}
+	const chunk = 3
 	tap := &resultTap{latency: 10 * time.Millisecond}
-	coord, url := startTappedCoordinator(t, spec, p, p.Trials, Config{Chunk: p.Trials / 2}, tap)
+	coord, url := startTappedCoordinator(t, spec, p, p.Trials, Config{Chunk: chunk}, tap)
 	// A worker that ends chunks before their last ack can re-run the
 	// released tail forever; the deadline turns that into a failure.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -221,18 +241,53 @@ func TestResultsPostAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	bodies, _ := tap.snapshot()
-	if len(bodies) != p.Trials {
-		t.Errorf("%d /results posts for %d slow shards, want one each", len(bodies), p.Trials)
+	if want := 2 * p.Trials / chunk; len(bodies) != want {
+		t.Fatalf("%d /results posts for %d chunks, want %d (bodies: %v)", len(bodies), p.Trials/chunk, want, bodies)
 	}
-	for i, b := range bodies {
-		if b.lines != 1 {
-			t.Errorf("post %d carried %d lines, want 1", i, b.lines)
+	for i := 0; i < len(bodies); i += 2 {
+		head, tail := bodies[i], bodies[i+1]
+		if head.lines != 1 || tail.lines != chunk-1 {
+			t.Errorf("chunk %d posted %d then %d lines, want 1 then %d", i/2, head.lines, tail.lines, chunk-1)
+		}
+		for _, l := range tail.leases {
+			if l != head.leases[0] {
+				t.Errorf("chunk %d: body names lease %s, its first result %s", i/2, l, head.leases[0])
+			}
 		}
 	}
 	tap.mu.Lock()
 	defer tap.mu.Unlock()
 	if tap.overlaps != 0 {
 		t.Errorf("%d /lease polls while a /results body was in flight: the chunk ended before its last ack", tap.overlaps)
+	}
+}
+
+// TestResultsShardFailure: a shard that fails in mid-chunk reaches the
+// coordinator in the chunk's second body, behind the results buffered
+// before it, so the run fails under the chunk's one lease. A worker that
+// dropped that body would fail the run only in the end: each re-lease of
+// the remainder posts its first result alone, one shard further on, so
+// the chunk would be re-run once per shard before the failing one.
+func TestResultsShardFailure(t *testing.T) {
+	spec, err := experiment.Lookup("remote-test-fail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := results.Params{Trials: 8}
+	tap := &resultTap{}
+	coord, url := startTappedCoordinator(t, spec, p, p.Trials, Config{Chunk: p.Trials}, tap)
+	runGoroutineWorkers(t, url, 1, 0)
+	if _, err := coord.Values(); err == nil || !strings.Contains(err.Error(), "shard 3 exploded") {
+		t.Fatalf("Values() error = %v, want shard 3's failure", err)
+	}
+	bodies, _ := tap.snapshot()
+	if len(bodies) != 2 || bodies[0].lines != 1 || bodies[1].lines != 3 {
+		t.Fatalf("/results bodies %+v, want shard 0 alone, then shards 1-3 together", bodies)
+	}
+	for _, l := range bodies[1].leases {
+		if l != bodies[0].leases[0] {
+			t.Errorf("the failure's body names lease %s, the chunk's first result %s: the chunk was re-leased", l, bodies[0].leases[0])
+		}
 	}
 }
 

@@ -107,8 +107,7 @@ type Coordinator struct {
 	backupsWon    int // guarded by mu
 	backupsWasted int // guarded by mu
 	// /results traffic, for the end-of-run summary and /stats: request
-	// bodies received and lines accepted from them. Their ratio is how
-	// well workers coalesce results.
+	// bodies received and lines accepted from them.
 	resultPosts int      // guarded by mu
 	resultLines int      // guarded by mu
 	done        []bool   // per-shard completion; guarded by mu

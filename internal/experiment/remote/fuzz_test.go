@@ -104,7 +104,7 @@ func FuzzResultLine(f *testing.F) {
 	f.Add([]byte("{\"run\":\"RT\",\"lease\":\"L1\",\"shard\":0,\"value\":\"banana\"}\n"))
 	f.Add(bytes.Repeat([]byte("{}\n"), 50))
 	f.Add([]byte("\x00\xff\xfe{\n\n"))
-	// Multi-line bodies, as a coalescing worker posts them: two valid
+	// Multi-line bodies, as a worker posts a chunk's later results: two valid
 	// lines, and a malformed line between two valid ones (the third must
 	// not be applied).
 	valid1, _ := json.Marshal(ResultLine{Run: "RT", Lease: "L1", ShardLine: experiment.ShardLine{Shard: 1, Value: json.RawMessage("7")}})

@@ -15,12 +15,13 @@
 //
 // Workers are the same binary in a hidden -remote-worker mode; they fetch
 // the job once, then loop lease → run shards (the shared
-// experiment.RunShardLines path) → stream results with at most one
-// /results POST in flight per chunk: a result that finishes while a POST
-// is in flight waits for its ack and rides in the next POST with every
-// other result buffered meanwhile, so shards cheaper than a round trip
-// share POSTs and slower ones post alone as each finishes. A worker's
-// chunk ends only when its last body is acked.
+// experiment.RunShardLines path) → post results in two /results bodies
+// per chunk: the chunk's first result alone as soon as it exists, which
+// marks the lease started, and every later result together once the
+// chunk is over, a failing shard's error line included. The grant size
+// is therefore the one granularity of scheduling, progress, backup
+// overlap and crash loss. A worker's chunk ends only when its last body
+// is acked.
 // A worker that dies mid-chunk simply stops renewing: the lease expires
 // and the chunk's unfinished shards go back in the queue for someone
 // else. Results are deduplicated by shard index with a byte-equality
@@ -186,8 +187,9 @@ type Stats struct {
 	BackupsWasted int `json:"backups_wasted"`
 	// ResultPosts counts result bodies received — /results requests, or
 	// single lines from pipe workers — and ResultLines the result lines
-	// accepted from them: HTTP workers coalesce results that finish while
-	// a POST is in flight, so lines per post shows how much.
+	// accepted from them. An HTTP worker posts at most two bodies per
+	// chunk (its first result, then the rest), so a run's posts are at most
+	// twice its grants; a pipe worker's are one per line.
 	ResultPosts int `json:"result_posts"`
 	ResultLines int `json:"result_lines"`
 }

@@ -12,7 +12,6 @@ import (
 	"net/url"
 	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -41,13 +40,13 @@ const shardDelayEnv = "SPECINTERFERENCE_REMOTE_SHARD_DELAY"
 // RunWorker serves one coordinator until its job completes: fetch the
 // job, build per-process state once, then loop — lease a chunk, run
 // its shards through the shared experiment.RunShardLines path (workers
-// goroutines, 0 = serial), stream results to /results through a
-// per-chunk sender that keeps at most one POST in flight (results that
-// finish while a POST is in flight ride together in the next one), and
-// renew the lease at a third of its TTL while the chunk is in flight. A
-// lost lease (the coordinator re-issued it after a stall) cancels the
-// chunk and moves on; the coordinator's byte-equality dedupe makes any
-// straggler results it already posted harmless. A 410 on the
+// goroutines, 0 = serial), post the chunk's results to /results as two
+// bodies (its first result alone, the rest together once the chunk is
+// over; see serveChunk), and renew the lease at a third of its TTL while
+// the chunk is in flight. A lost lease (the coordinator re-issued it
+// after a stall) cancels the chunk and moves on; the coordinator's
+// byte-equality dedupe makes any straggler results it already posted
+// harmless. A 410 on the
 // lease poll means a different run token answers at this address — a
 // restarted coordinator (with -journal, the same run resumed under a
 // fresh token): the worker re-fetches the job and keeps serving when it
@@ -149,12 +148,20 @@ func RunWorker(ctx context.Context, connect string, workers int, logw io.Writer)
 	}
 }
 
-// serveChunk runs one leased chunk, streaming results through a
-// resultSender and renewing the lease until the chunk completes and its
-// last body is acked, or the lease is lost. delay > 0 is the
-// shardDelayEnv fault shim: sleep before buffering each result (the
-// renew loop keeps the lease alive regardless, so a slowed worker is a
-// straggler, not a crash).
+// serveChunk runs one leased chunk and posts its results in two
+// bodies. The first result is posted alone, as soon as it exists: it
+// marks the lease started, which ends the coordinator's idempotent
+// re-poll of an unstarted grant. Every later result line is buffered and
+// posted as one body once the chunk is over — finished, or stopped by a
+// failing shard, whose failure line must reach the coordinator to fail
+// the run — unless the lease was lost or the worker stopped meanwhile.
+// The chunk ends only when that body is acked: the next /lease poll
+// tells the coordinator this chunk is finished or abandoned, so
+// returning with lines still unsent would release finished shards for
+// re-execution. The lease is renewed until then. delay > 0 is the
+// shardDelayEnv fault shim: sleep before each result (the renew loop
+// keeps the lease alive regardless, so a slowed worker is a straggler,
+// not a crash).
 func serveChunk(ctx context.Context, client *http.Client, base string, spec *experiment.Spec, state any, job Job, grant Lease, workers int, lease, delay time.Duration) error {
 	chunkCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -198,10 +205,17 @@ func serveChunk(ctx context.Context, client *http.Client, base string, spec *exp
 		}
 	}()
 
-	sender := newResultSender(func(body []byte) error {
+	postResults := func(body []byte) error {
 		var ack ResultAck
 		return post(chunkCtx, client, base+"/results", body, &ack)
-	}, cancel)
+	}
+	// RunShardLines serializes emit, so first, rest and postErr need no
+	// lock of their own.
+	var (
+		first   = true
+		rest    []byte
+		postErr error
+	)
 	runErr := experiment.RunShardLines(chunkCtx, spec, state, job.Params, grant.Start, grant.End, workers,
 		func(sl experiment.ShardLine) error {
 			if delay > 0 {
@@ -211,156 +225,49 @@ func serveChunk(ctx context.Context, client *http.Client, base string, spec *exp
 					return chunkCtx.Err()
 				}
 			}
-			return sender.add(append(mustJSON(ResultLine{Run: job.Run, Lease: grant.ID, ShardLine: sl}), '\n'))
+			line := append(mustJSON(ResultLine{Run: job.Run, Lease: grant.ID, ShardLine: sl}), '\n')
+			if first {
+				first = false
+				postErr = postResults(line)
+				return postErr
+			}
+			rest = append(rest, line...)
+			return nil
 		})
-	// Wait for the final body's ack before returning: the next /lease poll
-	// tells the coordinator this chunk is finished (or abandoned), so
-	// returning with lines still buffered would release finished shards
-	// for re-execution.
-	transportErr := sender.close()
+	if postErr == nil && len(rest) > 0 && chunkCtx.Err() == nil {
+		postErr = postResults(rest)
+	}
 	switch {
 	case leaseLost.Load():
 		// The chunk belongs to another worker now. Both the run-shard
-		// error (a cancelled context) and any post that failed on the
-		// cancelled context are expected, not fatal — including a shard
-		// that outlived the stall and failed to stream. Go lease
-		// something else; the re-issued chunk covers whatever was lost.
+		// error (a cancelled context) and a post that failed on the
+		// cancelled context are expected, not fatal. Go lease something
+		// else; the re-issued chunk covers whatever was lost.
 		return nil
-	case transportErr != nil:
-		if isGone(transportErr) {
-			// The lease — or the whole run token — went stale mid-stream
-			// (a re-issue or a coordinator restart). Abandon the chunk;
-			// the lease loop re-syncs, and results already accepted stay
-			// accepted.
+	case postErr != nil:
+		if isGone(postErr) {
+			// The lease — or the whole run token — went stale (a re-issue
+			// or a coordinator restart). Abandon the chunk; the lease loop
+			// re-syncs, and results already accepted stay accepted.
 			return nil
 		}
-		if isTransportErr(transportErr) && ctx.Err() == nil {
-			// The coordinator became unreachable mid-stream — killed, or
-			// finished and gone. Abandon the chunk and let the lease loop
+		if isTransportErr(postErr) && ctx.Err() == nil {
+			// The coordinator became unreachable — killed, or finished
+			// and gone. Abandon the chunk and let the lease loop
 			// classify: a coordinator that stays gone is a clean exit, a
 			// restarted one answers the next poll with 410 and the worker
 			// rejoins its resumed run.
 			return nil
 		}
-		return fmt.Errorf("remote: stream results for lease %s: %w", grant.ID, transportErr)
+		return fmt.Errorf("remote: post results for lease %s: %w", grant.ID, postErr)
 	case runErr != nil && ctx.Err() != nil:
 		return ctx.Err()
 	}
-	// A genuine shard failure was already streamed to the coordinator; it
-	// fails the run and the next lease poll returns Done. Keep serving —
-	// the worker's job is transport, the coordinator owns the verdict.
+	// A genuine shard failure reached the coordinator in one of the
+	// chunk's two bodies; it fails the run and the next lease poll
+	// returns Done. Keep serving — the worker's job is transport, the
+	// coordinator owns the verdict.
 	return nil
-}
-
-// resultSender streams one chunk's result lines to /results with at most
-// one POST in flight. A line that arrives while a POST is in flight is
-// buffered, and the next POST, sent when the current one is acked,
-// carries every buffered line as one JSONL body. There is no batch-size
-// or flush-interval knob: a batch grows to about POST latency over shard
-// time, so sub-millisecond shards share a POST while shards slower than
-// a round trip still post one at a time, as soon as each finishes. The
-// coordinator already takes many lines per body, so the wire protocol is
-// unchanged. Every line of a chunk shares one run token and one lease,
-// so a rejection (a 410 for a stale lease or run) covers the whole body
-// exactly as it covered each line posted alone.
-type resultSender struct {
-	post    func(body []byte) error // sends one body, returning once it is acked
-	stop    func()                  // cancels the rest of the chunk
-	mu      sync.Mutex
-	started bool   // the chunk's first line was added; guarded by mu
-	buf     []byte // encoded lines awaiting the next POST; guarded by mu
-	closed  bool   // guarded by mu
-	err     error  // the first failed POST; guarded by mu
-	wake    chan struct{}
-	done    chan struct{}
-}
-
-// newResultSender starts the sender goroutine. post sends one body and
-// returns once it is acked; stop is called once when a POST fails, to
-// cancel the rest of the chunk.
-func newResultSender(post func(body []byte) error, stop func()) *resultSender {
-	s := &resultSender{post: post, stop: stop, wake: make(chan struct{}, 1), done: make(chan struct{})}
-	go s.loop()
-	return s
-}
-
-// add hands one newline-terminated result line to the sender. The
-// chunk's first line is posted inline: nothing is in flight yet, a
-// handoff to the sender goroutine would only delay the result that
-// starts the lease, and callers add one line at a time
-// (experiment.RunShardLines serializes emit), so no other POST can
-// start meanwhile. Later lines are buffered for the next POST. add
-// returns the failed POST's error once one has failed, so the shard
-// runner stops on it exactly as it stopped on a failed per-line POST.
-func (s *resultSender) add(line []byte) error {
-	s.mu.Lock()
-	err, first := s.err, !s.started
-	s.started = true
-	if err == nil && !first {
-		s.buf = append(s.buf, line...)
-	}
-	s.mu.Unlock()
-	switch {
-	case err != nil:
-		return err
-	case first:
-		return s.send(line)
-	}
-	select {
-	case s.wake <- struct{}{}:
-	default: // a wake-up is already pending
-	}
-	return nil
-}
-
-// send posts one body; a failure is recorded and stops the chunk.
-func (s *resultSender) send(body []byte) error {
-	err := s.post(body)
-	if err != nil {
-		s.mu.Lock()
-		s.err = err
-		s.mu.Unlock()
-		s.stop()
-	}
-	return err
-}
-
-// close flushes what is buffered, waits for the last POST's ack and
-// returns the first POST error, if any.
-func (s *resultSender) close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-	<-s.done
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-func (s *resultSender) loop() {
-	defer close(s.done)
-	for {
-		s.mu.Lock()
-		// A fresh buffer per body rather than a reused one: the HTTP
-		// transport may still hold the previous body after its ack.
-		body, closed := s.buf, s.closed
-		s.buf = nil
-		s.mu.Unlock()
-		if len(body) > 0 {
-			if s.send(body) != nil {
-				return
-			}
-			continue
-		}
-		if closed {
-			return
-		}
-		<-s.wake
-	}
 }
 
 // pollLease asks for the next chunk, absorbing brief transport blips

@@ -287,10 +287,13 @@ type Core struct {
 
 	prog   *isa.Program
 	policy SpecPolicy
-	// decode is prog's decode table, indexed by PC: LoadProgram refills it
-	// in place, so reloading a program of no more instructions than any
-	// before it allocates nothing. Fetched instructions and ROB entries
-	// point into it.
+	// decode is the decode table of the last program loaded, indexed by
+	// PC. LoadProgram rebuilds it in place only when the instructions it
+	// is given differ from the ones the rows hold, and reset keeps it, so
+	// a trial loop that resets the machine and reloads the same victim
+	// validates and decodes it once, and reloading a program of no more
+	// instructions than any before it allocates nothing. Fetched
+	// instructions and ROB entries point into it.
 	decode []decoded
 	// filter is the private speculative buffer of a policy with a Filter
 	// geometry (MuonTrap's filter cache), live while such a policy is
@@ -520,12 +523,13 @@ func (c *Core) clearPipeline() {
 
 // reset restores the core to the state newCore returns: no program, no
 // policy, architectural state zeroed, predictor fresh. Storage (queues,
-// entry pool, tracker slices) is retained for reuse.
+// entry pool, tracker slices) is retained for reuse, and so is the decode
+// table: it depends only on the instructions it was built from, which
+// LoadProgram compares before reusing it.
 func (c *Core) reset() {
 	c.clearPipeline()
 	c.prog = nil
 	c.policy = SpecPolicy{}
-	c.decode = c.decode[:0]
 	for i := range c.archRegs {
 		c.archRegs[i] = 0
 	}
@@ -587,11 +591,19 @@ func (c *Core) SetBranchOracle(outcomes []bool) {
 // Architectural registers, the branch predictor and all cache state are
 // preserved across loads — exactly what a multi-trial attack needs. A
 // policy's filter buffer is not: it starts empty on every load. prog is
-// decoded here, once per instruction, so the core runs its instructions
-// as they are at the call.
+// validated and decoded here, once per instruction, so the core runs its
+// instructions as they are at the call. When they equal the ones the
+// decode table already holds (the same victim reloaded every trial), the
+// table is valid as it stands and neither step runs again.
 func (c *Core) LoadProgram(prog *isa.Program, policy SpecPolicy) error {
-	if err := prog.Validate(); err != nil {
-		return err
+	if prog.CodeBase < 0 || !c.decodes(prog.Insts) {
+		if err := prog.Validate(); err != nil {
+			return err
+		}
+		c.decode = slices.Grow(c.decode[:0], len(prog.Insts))
+		for _, in := range prog.Insts {
+			c.decode = append(c.decode, decodeInst(in))
+		}
 	}
 	if g := policy.Filter; g.Sets > 0 {
 		if c.filter != nil && c.filter.Sets() == g.Sets && c.filter.Ways() == g.Ways && c.filter.Latency() == g.Latency {
@@ -603,10 +615,6 @@ func (c *Core) LoadProgram(prog *isa.Program, policy SpecPolicy) error {
 	c.prog = prog
 	c.policy = policy
 	c.clearPipeline()
-	c.decode = slices.Grow(c.decode[:0], len(prog.Insts))
-	for _, in := range prog.Insts {
-		c.decode = append(c.decode, decodeInst(in))
-	}
 	c.regMap = [isa.NumRegs]*entry{}
 	c.fetchPC = 0
 	c.fetchOn = true
@@ -618,6 +626,22 @@ func (c *Core) LoadProgram(prog *isa.Program, policy SpecPolicy) error {
 	c.oracleIdx = 0
 	c.stats = CoreStats{}
 	return nil
+}
+
+// decodes reports whether the decode table holds exactly insts, row for
+// row. It compares the rows' own copies, not the slice, so a program
+// mutated since its last load is validated and decoded again. An empty
+// table holds nothing, so an empty program still fails validation.
+func (c *Core) decodes(insts []isa.Inst) bool {
+	if len(c.decode) == 0 || len(c.decode) != len(insts) {
+		return false
+	}
+	for i := range insts {
+		if c.decode[i].inst != insts[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // LoadProgram loads prog on core with policy (System-level convenience).

@@ -36,8 +36,11 @@
 // Second, decoding happens once per static instruction, not once per
 // dynamic one: LoadProgram fills a per-core decode table indexed by PC
 // (class, sources, destination, and the conditional-branch, load and
-// store flags), reused across loads, and fetched instructions and ROB
-// entries point at their row. Third, each stage visits only the entries
+// store flags), and fetched instructions and ROB entries point at their
+// row. The table outlives System.Reset, and a load whose instructions
+// equal its rows reuses it without validating or decoding again, so a
+// trial loop that reloads one victim per trial decodes it once per
+// program, not once per trial. Third, each stage visits only the entries
 // that can act:
 //
 //   - Issue. The unified RS is an occupancy count, and each execution

@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"slices"
 	"testing"
 
 	"specinterference/internal/asm"
@@ -120,4 +121,67 @@ func TestResetAdoptsNewSeed(t *testing.T) {
 	if fresh1 == fresh7 {
 		t.Fatalf("seed 1 and seed 7 runs are identical; jitter probe is broken")
 	}
+}
+
+// TestLoadProgramDecodeReuse pins LoadProgram's decode reuse: a core
+// skips validation and decode only when a program's instructions equal
+// the rows its decode table holds, and the table survives System.Reset.
+// Loading P, then Q, then P twice must run exactly as on machines that
+// decode every load afresh, and a program mutated after its load must
+// be validated again.
+func TestLoadProgramDecodeReuse(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.Cache.MemJitter = 9
+	p := asm.MustAssemble(resetProbeSrc)
+	// q has p's length and differs in one immediate (movi r2, 78), so
+	// only a comparison of contents tells the two apart.
+	q := &isa.Program{Insts: slices.Clone(p.Insts), CodeBase: p.CodeBase}
+	q.Insts[1].Imm = 78
+	// pAgain is p's instructions in a slice of its own: a hit must not
+	// depend on the pointer.
+	pAgain := &isa.Program{Insts: slices.Clone(p.Insts), CodeBase: p.CodeBase}
+	seq := []*isa.Program{p, q, p, pAgain}
+
+	t.Run("reset", func(t *testing.T) {
+		reused := MustNewSystem(cfg, mem.New())
+		for i, prog := range seq {
+			if i > 0 {
+				reused.Reset(cfg.Cache.Seed)
+			}
+			want := snapshotRun(t, MustNewSystem(cfg, mem.New()), prog)
+			if got := snapshotRun(t, reused, prog); got != want {
+				t.Errorf("load %d after reset: run %+v differs from fresh run %+v", i, got, want)
+			}
+		}
+	})
+	t.Run("no reset", func(t *testing.T) {
+		// Without a reset, caches, registers and the predictor carry over
+		// from load to load, so the reference is a second machine given
+		// the same sequence with its decode table dropped before each load.
+		reused := MustNewSystem(cfg, mem.New())
+		ref := MustNewSystem(cfg, mem.New())
+		for i, prog := range seq {
+			ref.Core(0).decode = nil
+			want := snapshotRun(t, ref, prog)
+			if got := snapshotRun(t, reused, prog); got != want {
+				t.Errorf("load %d: run %+v differs from a fresh decode's %+v", i, got, want)
+			}
+		}
+		if got, want := reused.Memory().Read64(4096), int64(77); got != want {
+			t.Errorf("final run stored %d, want p's %d: q's decode was reused", got, want)
+		}
+	})
+	t.Run("mutated", func(t *testing.T) {
+		s := MustNewSystem(cfg, mem.New())
+		prog := asm.MustAssemble(resetProbeSrc)
+		snapshotRun(t, s, prog)
+		prog.Insts[2].Op = isa.Op(255)
+		if err := s.LoadProgram(0, prog, SpecPolicy{}); err == nil {
+			t.Error("LoadProgram accepted a program mutated to an invalid opcode after its last load")
+		}
+		s.Reset(cfg.Cache.Seed)
+		if err := s.LoadProgram(0, prog, SpecPolicy{}); err == nil {
+			t.Error("LoadProgram after Reset accepted a program mutated to an invalid opcode")
+		}
+	})
 }
