@@ -6,13 +6,14 @@
 //
 // The detector self-composes two abstract executions of the program — one
 // per secret value — over the same initial-state ground truth the
-// empirical harness primes (core.PrimePlan). Each execution follows the
-// architectural (correct) path concretely, and at every conditional
-// branch opens a bounded speculative window down the anti-architectural
-// direction, tracking which wrong-path instructions the policy lets
-// issue, which lines they touch and whether their operands arrive fast
-// (L1-resident) or slow. Comparing the paired windows across the two
-// secrets yields the paper's three differential pressure signals:
+// empirical harness primes (core.PrimePlan). Each execution runs the
+// architectural (correct) path once on the emulator (internal/emu), whose
+// hook reports every instruction; at every conditional branch it opens a
+// bounded speculative window down the anti-architectural direction,
+// tracking which wrong-path instructions the policy lets issue, which
+// lines they touch and whether their operands arrive fast (L1-resident)
+// or slow. Comparing the paired windows across the two secrets yields the
+// paper's three differential pressure signals:
 //
 //   - NPEU contention: the count (or readiness) of issued non-pipelined
 //     sqrt operations differs by secret (§3.2.2, G_NPEU);
@@ -71,8 +72,10 @@ func DefaultParams() Params {
 
 // Env is the initial abstract machine state for one secret value: the
 // memory image, the register file and the set of L1-resident data lines.
-// Lines absent from WarmData are "slow" — the detector does not care how
-// slow (L2, LLC or DRAM), only that they lose against L1 hits.
+// Memory is word-granular as in mem.Memory: a Mem entry sets the 8-byte
+// word containing its address. Lines absent from WarmData are "slow" —
+// the detector does not care how slow (L2, LLC or DRAM), only that they
+// lose against L1 hits.
 type Env struct {
 	Mem      map[int64]int64
 	Regs     [isa.NumRegs]int64

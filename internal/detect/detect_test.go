@@ -260,6 +260,130 @@ func TestTaintPrimitives(t *testing.T) {
 	})
 }
 
+// TestWrongPathMemory pins what a speculative window reads: memory at
+// the word granularity of mem.Memory, holding the correct-path stores
+// made before its branch, and a correct-path rdcycle destination holding
+// the emulator's instruction count. Each wrong path puts a value in R5
+// and then visibly touches table[R5*64], so the table line in Visible
+// names the value it read.
+func TestWrongPathMemory(t *testing.T) {
+	cases := []struct {
+		name          string
+		before, after func(b *asm.Builder) // the correct path around the branch
+		wrong         func(b *asm.Builder) // the wrong path up to setting R5
+		mem           map[int64]int64      // initial memory beyond toyEnvs
+		want          int64                // the word the wrong path reads
+	}{
+		{
+			name:   "stores-before-branch-only",
+			before: func(b *asm.Builder) { b.MovI(isa.R6, 1).Store(isa.R2, 8, isa.R6) },
+			after:  func(b *asm.Builder) { b.MovI(isa.R6, 2).Store(isa.R2, 8, isa.R6) },
+			wrong:  func(b *asm.Builder) { b.Load(isa.R5, isa.R2, 8) },
+			want:   1,
+		},
+		{
+			name:   "correct-path-store-word",
+			before: func(b *asm.Builder) { b.MovI(isa.R6, 2).Store(isa.R2, 4, isa.R6) },
+			wrong:  func(b *asm.Builder) { b.Load(isa.R5, isa.R2, 0) },
+			want:   2,
+		},
+		{
+			name:  "wrong-path-store-word",
+			wrong: func(b *asm.Builder) { b.MovI(isa.R6, 3).Store(isa.R2, 4, isa.R6).Load(isa.R5, isa.R2, 0) },
+			want:  3,
+		},
+		{
+			name:  "initial-image-word",
+			mem:   map[int64]int64{toySecret + 12: 3},
+			wrong: func(b *asm.Builder) { b.Load(isa.R5, isa.R2, 8) },
+			want:  3,
+		},
+		{
+			name:   "rdcycle-instruction-count",
+			before: func(b *asm.Builder) { b.RdCycle(isa.R6) }, // the third instruction
+			wrong:  func(b *asm.Builder) { b.Mov(isa.R5, isa.R6) },
+			want:   3,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := asm.NewBuilder()
+			b.MovI(isa.R3, 0)
+			b.MovI(isa.R4, 1)
+			if tc.before != nil {
+				tc.before(b)
+			}
+			b.Blt(isa.R4, isa.R3, "wrong") // never taken
+			if tc.after != nil {
+				tc.after(b)
+			}
+			b.Halt()
+			b.Label("wrong")
+			tc.wrong(b)
+			b.ShlI(isa.R6, isa.R5, 6)
+			b.Add(isa.R6, isa.R6, isa.R1)
+			b.Load(isa.R7, isa.R6, 0)
+			b.Halt()
+			envs := toyEnvs()
+			for s := range envs {
+				for a, v := range tc.mem {
+					envs[s].Mem[a] = v
+				}
+			}
+			rep, err := Analyze(b.MustBuild(), uarch.SpecPolicy{}, envs, DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.ArchDiff || len(rep.Pairs) != 1 {
+				t.Fatalf("ArchDiff = %v with %d windows, want false with 1", rep.ArchDiff, len(rep.Pairs))
+			}
+			want := map[int64]bool{toyTable + tc.want*mem.LineBytes: true}
+			for s, w := range rep.Pairs[0].W {
+				delete(w.Visible, mem.LineAddr(toySecret)) // loaded by most wrong paths here
+				if !sameLineSet(w.Visible, want) {
+					t.Errorf("secret %d: visible lines besides the secret's %v, want %v", s, w.Visible, want)
+				}
+			}
+		})
+	}
+}
+
+// TestWrongPathStoresStayInWindow: a wrong path's stores are its own. The
+// first window stores to memory; the second must still read the word the
+// correct path stored between the two branches.
+func TestWrongPathStoresStayInWindow(t *testing.T) {
+	b := asm.NewBuilder()
+	b.MovI(isa.R3, 0)
+	b.MovI(isa.R4, 1)
+	b.MovI(isa.R6, 1).Store(isa.R2, 8, isa.R6)
+	b.Blt(isa.R4, isa.R3, "wrong1") // never taken
+	b.MovI(isa.R6, 2).Store(isa.R2, 8, isa.R6)
+	b.Blt(isa.R4, isa.R3, "wrong2") // never taken
+	b.Halt()
+	b.Label("wrong1")
+	b.MovI(isa.R6, 3).Store(isa.R2, 16, isa.R6)
+	b.Halt()
+	b.Label("wrong2")
+	b.Load(isa.R5, isa.R2, 8) // 2
+	b.ShlI(isa.R6, isa.R5, 6)
+	b.Add(isa.R6, isa.R6, isa.R1)
+	b.Load(isa.R7, isa.R6, 0)
+	b.Halt()
+	rep, err := Analyze(b.MustBuild(), uarch.SpecPolicy{}, toyEnvs(), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Pairs) != 2 {
+		t.Fatalf("%d windows, want 2", len(rep.Pairs))
+	}
+	want := map[int64]bool{mem.LineAddr(toySecret): true, toyTable + 2*mem.LineBytes: true}
+	for s, w := range rep.Pairs[1].W {
+		if !sameLineSet(w.Visible, want) {
+			t.Errorf("secret %d: second window's visible lines %v, want %v", s, w.Visible, want)
+		}
+	}
+}
+
 // TestPolicyGates pins the two policy gates that short-circuit every
 // pressure signal: fences keep wrong-path work from issuing, and the
 // ideal fences never even fetch a wrong path.

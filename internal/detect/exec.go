@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"slices"
 
 	"specinterference/internal/emu"
 	"specinterference/internal/isa"
@@ -165,233 +166,145 @@ func sameLineSet(a, b map[int64]bool) bool {
 	return true
 }
 
-// branchVisit is one architectural conditional-branch execution plus the
-// state snapshot a speculative window starts from.
-type branchVisit struct {
+// event is one load or conditional branch of a correct path.
+type event struct {
 	pc    int
-	taken bool
-	// snapshot of the architectural state at the branch (nil when past
-	// the exploration cap).
-	regs *[isa.NumRegs]int64
-	slow *[isa.NumRegs]bool
-	mem  map[int64]int64
+	addr  int64 // a load's address
+	taken bool  // a branch's outcome
 }
 
-// archTrace is one correct-path execution.
-type archTrace struct {
-	branches []branchVisit
-	loads    []int64
-	regs     [isa.NumRegs]int64
+// snapshot is the state at a conditional branch: where the speculative
+// window down its other direction starts.
+type snapshot struct {
+	pc    int
+	taken bool
+	regs  [isa.NumRegs]int64
+	slow  [isa.NumRegs]bool
+	// stores counts the correct-path stores before the branch.
+	stores int
+}
+
+// wordWrite is one store, by word address.
+type wordWrite struct {
+	word, val int64
+}
+
+// correctPath is one secret's architectural execution as the emulator's
+// Hook reports it.
+type correctPath struct {
+	// image is the initial memory by word address. Memory at a branch is
+	// image overlaid with the first snapshot.stores entries of stores.
+	image  map[int64]int64
+	stores []wordWrite
+	// present holds the L1-resident lines: the warm ones plus every line
+	// the path has accessed.
+	present map[int64]bool
+	// slow is each register's latency class: whether its value depends on
+	// a load that missed present.
+	slow [isa.NumRegs]bool
+	// trace lists the loads and branches in order; ArchDiff compares the
+	// two secrets' traces.
+	trace []event
+	// snaps are the states at the first maxExploredBranches branches.
+	snaps []snapshot
 }
 
 // Analyze self-composes the program under policy across the two secret
-// environments and returns the paired speculative windows. It fails —
-// rather than returning a verdict-bearing report — when either
-// architectural execution does not halt (emu.ErrStepLimit is wrapped and
-// can be tested with errors.Is) or when the internal stepper disagrees
-// with the emu golden model.
+// environments and returns the paired speculative windows. Each secret's
+// correct path runs once on the architectural emulator (internal/emu),
+// whose Hook yields the operand latency classes, the present lines and
+// the branch snapshots. A correct-path rdcycle destination therefore
+// holds the emulator's instruction count when a window starts, the same
+// under both secrets whenever ArchDiff is false. Analyze fails, rather
+// than returning a verdict-bearing report, only on an invalid program or
+// a correct path that does not halt (emu.ErrStepLimit is wrapped and can
+// be tested with errors.Is).
 func Analyze(prog *isa.Program, policy uarch.SpecPolicy, envs [2]Env, params Params) (*Report, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("detect: %w", err)
 	}
 	rep := &Report{Policy: policy, Params: params}
 
-	var traces [2]archTrace
-	for s := 0; s < 2; s++ {
-		oracle, err := runOracle(prog, envs[s])
-		if err != nil {
+	var paths [2]correctPath
+	m := mem.New()
+	for s := range paths {
+		if err := paths[s].run(prog, envs[s], m); err != nil {
 			return nil, fmt.Errorf("detect: secret %d: %w", s, err)
 		}
-		tr, err := runArch(prog, envs[s])
-		if err != nil {
-			return nil, fmt.Errorf("detect: secret %d: %w", s, err)
-		}
-		if err := crossCheck(prog, tr, oracle); err != nil {
-			return nil, fmt.Errorf("detect: secret %d: %w", s, err)
-		}
-		traces[s] = tr
 	}
-
-	rep.ArchDiff = archDiverges(traces[0], traces[1])
+	rep.ArchDiff = !slices.Equal(paths[0].trace, paths[1].trace)
 
 	if policy.StallFetchInShadow {
 		return rep, nil // no wrong path is ever fetched
 	}
-	n := len(traces[0].branches)
-	if len(traces[1].branches) < n {
-		n = len(traces[1].branches)
-	}
-	for i := 0; i < n; i++ {
-		b0, b1 := traces[0].branches[i], traces[1].branches[i]
-		if b0.regs == nil || b1.regs == nil {
-			break // past the exploration cap
-		}
-		if b0.pc != b1.pc {
+	for i := range min(len(paths[0].snaps), len(paths[1].snaps)) {
+		pc := paths[0].snaps[i].pc
+		if paths[1].snaps[i].pc != pc {
 			break // control already diverged (ArchDiff is set)
 		}
 		rep.Pairs = append(rep.Pairs, WindowPair{
-			BranchPC: b0.pc,
+			BranchPC: pc,
 			W: [2]Window{
-				explore(prog, policy, envs[0], b0, params),
-				explore(prog, policy, envs[1], b1, params),
+				explore(prog, policy, envs[0], &paths[0], i, params),
+				explore(prog, policy, envs[1], &paths[1], i, params),
 			},
 		})
 	}
 	return rep, nil
 }
 
-// runOracle executes the program on the architectural emulator, the
-// golden model the internal stepper is checked against. A non-halting
-// run surfaces as an error (wrapping emu.ErrStepLimit), never as data.
-func runOracle(prog *isa.Program, env Env) (*emu.Result, error) {
-	m := mem.New()
+// run executes the program on the architectural emulator over m, which
+// it resets first, and records what the windows start from. A
+// non-halting run surfaces as an error (wrapping emu.ErrStepLimit), never
+// as data.
+func (p *correctPath) run(prog *isa.Program, env Env, m *mem.Memory) error {
+	p.image = make(map[int64]int64, len(env.Mem))
+	p.present = make(map[int64]bool, len(env.WarmData))
+	m.Reset()
 	for a, v := range env.Mem {
 		m.Write64(a, v)
+		p.image[mem.WordAddr(a)] = v
+	}
+	for l := range env.WarmData {
+		p.present[l] = true
 	}
 	e := emu.New(prog, m)
-	e.RecordBranches = true
-	e.RecordLoads = true
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		if env.Regs[r] != 0 {
-			e.SetReg(r, env.Regs[r])
-		}
+	e.Hook = p
+	for r, v := range env.Regs {
+		e.SetReg(isa.Reg(r), v)
 	}
-	res, err := e.Run()
-	if err != nil {
-		return nil, fmt.Errorf("architectural oracle: %w", err)
-	}
-	return res, nil
+	_, err := e.Run()
+	return err
 }
 
-// runArch is the detector's own correct-path stepper: architecturally
-// identical to emu (cross-checked), but additionally tracking the L1
-// fast/slow latency class of every register and snapshotting state at
-// conditional branches for window exploration.
-func runArch(prog *isa.Program, env Env) (archTrace, error) {
-	var tr archTrace
-	regs := env.Regs
-	var slow [isa.NumRegs]bool
-	memory := map[int64]int64{}
-	for a, v := range env.Mem {
-		memory[a] = v
-	}
-	present := map[int64]bool{}
-	for l := range env.WarmData {
-		present[l] = true
-	}
-
-	pc := 0
-	for steps := 0; steps < emu.DefaultMaxSteps; steps++ {
-		if pc < 0 || pc >= prog.Len() {
-			return tr, fmt.Errorf("stepper: pc %d out of range", pc)
+// Observe is the emulator Hook: it classes each written register fast or
+// slow, logs loads, stores and branches, and snapshots each branch.
+func (p *correctPath) Observe(s emu.Step) {
+	in := s.Inst
+	switch {
+	case in.Op == isa.Load:
+		line := mem.LineAddr(s.Addr)
+		p.slow[in.Dst] = !p.present[line]
+		p.present[line] = true // architectural loads fill visibly
+		p.trace = append(p.trace, event{pc: s.PC, addr: s.Addr})
+	case in.Op == isa.Store:
+		p.present[mem.LineAddr(s.Addr)] = true
+		p.stores = append(p.stores, wordWrite{mem.WordAddr(s.Addr), s.Regs[in.Src2]})
+	case in.IsCondBranch():
+		if len(p.snaps) < maxExploredBranches {
+			p.snaps = append(p.snaps, snapshot{pc: s.PC, taken: s.Taken, regs: *s.Regs, slow: p.slow, stores: len(p.stores)})
 		}
-		in := prog.Insts[pc]
-		next := pc + 1
-		switch in.Op {
-		case isa.Halt:
-			tr.regs = regs
-			return tr, nil
-		case isa.Nop, isa.Fence, isa.Flush:
-		case isa.MovI:
-			regs[in.Dst], slow[in.Dst] = in.Imm, false
-		case isa.Mov:
-			regs[in.Dst], slow[in.Dst] = regs[in.Src1], slow[in.Src1]
-		case isa.Load:
-			addr := regs[in.Src1] + in.Imm
-			line := mem.LineAddr(addr)
-			regs[in.Dst], slow[in.Dst] = memory[addr], !present[line]
-			present[line] = true // architectural loads fill visibly
-			tr.loads = append(tr.loads, addr)
-		case isa.Store:
-			addr := regs[in.Src1] + in.Imm
-			memory[addr] = regs[in.Src2]
-			present[mem.LineAddr(addr)] = true
-		case isa.RdCycle:
-			// The stepper has no clock; zero keeps it deterministic, and
-			// the emu cross-check tolerates the one register RdCycle
-			// defines differently (see crossCheck).
-			regs[in.Dst], slow[in.Dst] = 0, false
-		case isa.Beq, isa.Bne, isa.Blt, isa.Bge:
-			taken := emu.BranchTaken(in.Op, regs[in.Src1], regs[in.Src2])
-			v := branchVisit{pc: pc, taken: taken}
-			if len(tr.branches) < maxExploredBranches {
-				r, sl := regs, slow
-				mm := make(map[int64]int64, len(memory))
-				for a, val := range memory {
-					mm[a] = val
-				}
-				v.regs, v.slow, v.mem = &r, &sl, mm
-			}
-			tr.branches = append(tr.branches, v)
-			if taken {
-				next = in.Target
-			}
-		case isa.Jmp:
-			next = in.Target
-		default:
-			regs[in.Dst] = emu.ALU(in, regs[in.Src1], regs[in.Src2])
-			srcs, ns := in.Uses()
-			sl := false
-			for i := 0; i < ns; i++ {
-				sl = sl || slow[srcs[i]]
-			}
-			slow[in.Dst] = sl
-		}
-		pc = next
+		p.trace = append(p.trace, event{pc: s.PC, taken: s.Taken})
+	case in.HasDst():
+		p.slow[in.Dst] = anySource(&p.slow, in)
 	}
-	return tr, fmt.Errorf("stepper: %w", emu.ErrStepLimit)
 }
 
-// crossCheck pins the stepper to the emu golden model: branch streams and
-// final registers must agree (RdCycle destinations excepted — the two
-// models define the counter differently, which is also why the fuzz
-// generator excludes it).
-func crossCheck(prog *isa.Program, tr archTrace, oracle *emu.Result) error {
-	if len(tr.branches) != len(oracle.Branches) {
-		return fmt.Errorf("stepper diverged: %d branches vs oracle %d",
-			len(tr.branches), len(oracle.Branches))
-	}
-	for i, b := range tr.branches {
-		if b.pc != oracle.Branches[i].PC || b.taken != oracle.Branches[i].Taken {
-			return fmt.Errorf("stepper diverged at branch %d: pc %d taken %v vs oracle pc %d taken %v",
-				i, b.pc, b.taken, oracle.Branches[i].PC, oracle.Branches[i].Taken)
-		}
-	}
-	if len(tr.loads) != len(oracle.LoadAddrs) {
-		return fmt.Errorf("stepper diverged: %d loads vs oracle %d", len(tr.loads), len(oracle.LoadAddrs))
-	}
-	for i, a := range tr.loads {
-		if a != oracle.LoadAddrs[i] {
-			return fmt.Errorf("stepper diverged at load %d: %#x vs oracle %#x", i, a, oracle.LoadAddrs[i])
-		}
-	}
-	var skip [isa.NumRegs]bool
-	for _, in := range prog.Insts {
-		if in.Op == isa.RdCycle {
-			skip[in.Dst] = true
-		}
-	}
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		if !skip[r] && tr.regs[r] != oracle.Regs[r] {
-			return fmt.Errorf("stepper diverged: %s = %d vs oracle %d", r, tr.regs[r], oracle.Regs[r])
-		}
-	}
-	return nil
-}
-
-// archDiverges reports whether the two correct-path executions are
-// distinguishable: different branch outcomes or different load addresses.
-func archDiverges(a, b archTrace) bool {
-	if len(a.branches) != len(b.branches) || len(a.loads) != len(b.loads) {
-		return true
-	}
-	for i := range a.branches {
-		if a.branches[i].pc != b.branches[i].pc || a.branches[i].taken != b.branches[i].taken {
-			return true
-		}
-	}
-	for i := range a.loads {
-		if a.loads[i] != b.loads[i] {
+// anySource reports whether flags is set for any source register of in.
+func anySource(flags *[isa.NumRegs]bool, in isa.Inst) bool {
+	srcs, n := in.Uses()
+	for _, r := range srcs[:n] {
+		if flags[r] {
 			return true
 		}
 	}
@@ -403,41 +316,40 @@ func archDiverges(a, b archTrace) bool {
 // rules. The wrong-path "present" model is deliberately the PLAN's warm
 // L1 lines plus wrong-path refills only: correct-path fills are the
 // in-flight state the window races against, not guaranteed hits.
-func explore(prog *isa.Program, policy uarch.SpecPolicy, env Env, at branchVisit, params Params) Window {
+func explore(prog *isa.Program, policy uarch.SpecPolicy, env Env, path *correctPath, i int, params Params) Window {
+	snap := &path.snaps[i]
 	w := Window{
-		BranchPC:  at.pc,
+		BranchPC:  snap.pc,
 		MissLines: map[int64]bool{},
 		Visible:   map[int64]bool{},
 		Fetched:   map[int64]bool{},
 	}
-	regs := *at.regs
-	slow := *at.slow
+	regs, slow := snap.regs, snap.slow
 	var unavail [isa.NumRegs]bool
-	storeBuf := map[int64]int64{}
+	// stores starts as the correct-path stores before the branch; the
+	// wrong path appends its own (Clip keeps them out of path.stores).
+	stores := slices.Clip(path.stores[:snap.stores])
 	present := map[int64]bool{}
 	for l := range env.WarmData {
 		present[l] = true
 	}
 
 	// The mispredicted direction is the one the architecture did NOT take.
-	pc := at.pc + 1
-	if !at.taken {
-		pc = prog.Insts[at.pc].Target
+	pc := snap.pc + 1
+	if !snap.taken {
+		pc = prog.Insts[snap.pc].Target
 	}
 
+	// read returns the word containing addr, as mem.Memory does: the
+	// newest store to it, else the initial image.
 	read := func(addr int64) int64 {
-		if v, ok := storeBuf[addr]; ok {
-			return v
+		word := mem.WordAddr(addr)
+		for j := len(stores) - 1; j >= 0; j-- {
+			if stores[j].word == word {
+				return stores[j].val
+			}
 		}
-		return at.mem[addr]
-	}
-	srcState := func(in isa.Inst) (anyUnavail, anySlow bool) {
-		srcs, n := in.Uses()
-		for i := 0; i < n; i++ {
-			anyUnavail = anyUnavail || unavail[srcs[i]]
-			anySlow = anySlow || slow[srcs[i]]
-		}
-		return
+		return path.image[word]
 	}
 
 	for fetched := 0; fetched < params.ROBSize; fetched++ {
@@ -459,7 +371,7 @@ func explore(prog *isa.Program, policy uarch.SpecPolicy, env Env, at branchVisit
 			continue
 		}
 
-		anyUnavail, anySlow := srcState(in)
+		anyUnavail, anySlow := anySource(&unavail, in), anySource(&slow, in)
 		if anyUnavail || anySlow {
 			w.Parked++ // waits in the RS for its operands
 		}
@@ -496,7 +408,7 @@ func explore(prog *isa.Program, policy uarch.SpecPolicy, env Env, at branchVisit
 			}
 		case in.Op == isa.Store:
 			if issued {
-				storeBuf[regs[in.Src1]+in.Imm] = regs[in.Src2]
+				stores = append(stores, wordWrite{mem.WordAddr(regs[in.Src1] + in.Imm), regs[in.Src2]})
 			}
 		case in.Op == isa.RdCycle:
 			// Timing-dependent value: treat the destination as unknowable.

@@ -1,12 +1,14 @@
 // Package emu is the architectural (golden-model) emulator: it executes
-// programs sequentially with no microarchitecture at all. It serves three
+// programs sequentially with no microarchitecture at all. It serves four
 // roles:
 //
 //  1. differential-testing oracle for the out-of-order core (final
 //     architectural state must match),
-//  2. perfect branch oracle — the recorded branch outcomes drive the
+//  2. perfect branch oracle — the branch outcomes its Hook sees drive the
 //     "NoSpec(E)" executions required by the §5.1 security definition,
-//  3. a fast way for tests to compute expected register/memory values.
+//  3. the static leak detector's correct path — internal/detect builds
+//     its operand latency classes and branch snapshots from the Hook,
+//  4. a fast way for tests to compute expected register/memory values.
 package emu
 
 import (
@@ -25,10 +27,24 @@ import (
 // must surface it as an error rather than classify from the prefix.
 var ErrStepLimit = errors.New("step limit exceeded")
 
-// BranchRecord is the outcome of one dynamic conditional-branch execution.
-type BranchRecord struct {
-	PC    int
+// Hook observes a Machine's run.
+type Hook interface {
+	// Observe is called once per executed instruction, in program order
+	// and after the instruction takes effect, halt included.
+	Observe(Step)
+}
+
+// Step is one executed instruction as a Hook sees it.
+type Step struct {
+	PC   int
+	Inst isa.Inst
+	// Addr is a load's or store's effective address (0 otherwise).
+	Addr int64
+	// Taken is a conditional branch's outcome (false otherwise).
 	Taken bool
+	// Regs is the machine's register file after the instruction. The
+	// hook may read it during the call; it must not write or keep it.
+	Regs *[isa.NumRegs]int64
 }
 
 // Result is the outcome of an emulated run.
@@ -38,13 +54,8 @@ type Result struct {
 	// InstCount is the number of dynamic instructions executed (including
 	// the final halt).
 	InstCount int
-	// Branches lists every dynamic conditional branch outcome in order.
-	Branches []BranchRecord
 	// Halted is true when the program reached a halt (vs. the step limit).
 	Halted bool
-	// LoadAddrs lists every dynamic load address in order (used by priming
-	// and security analyses).
-	LoadAddrs []int64
 }
 
 // DefaultMaxSteps bounds runaway programs.
@@ -56,10 +67,8 @@ type Machine struct {
 	mem  *mem.Memory
 	// MaxSteps bounds the dynamic instruction count; DefaultMaxSteps when 0.
 	MaxSteps int
-	// RecordBranches enables Branches in the result.
-	RecordBranches bool
-	// RecordLoads enables LoadAddrs in the result.
-	RecordLoads bool
+	// Hook, when non-nil, observes every executed instruction.
+	Hook Hook
 
 	regs [isa.NumRegs]int64
 }
@@ -77,10 +86,9 @@ func (e *Machine) SetReg(r isa.Reg, v int64) { e.regs[r] = v }
 // limit. On the step limit it returns BOTH a non-nil Result and a non-nil
 // error wrapping ErrStepLimit: the Result is the consistent prefix of the
 // aborted run — Regs is the register file after the last completed
-// instruction, InstCount counts exactly the executed instructions, and
-// Branches/LoadAddrs (when recording) list exactly the branches and loads
-// among them, in order. Out-of-range PCs and unimplemented opcodes return
-// a nil Result.
+// instruction, InstCount counts exactly the executed instructions, and the
+// Hook has seen exactly those instructions, in order. Out-of-range PCs and
+// unimplemented opcodes return a nil Result.
 func (e *Machine) Run() (*Result, error) {
 	max := e.MaxSteps
 	if max == 0 {
@@ -95,13 +103,11 @@ func (e *Machine) Run() (*Result, error) {
 		in := e.prog.Insts[pc]
 		res.InstCount++
 		next := pc + 1
+		var addr int64
+		taken := false
 		switch in.Op {
-		case isa.Nop, isa.Fence, isa.Flush:
+		case isa.Nop, isa.Fence, isa.Flush, isa.Halt:
 			// Architecturally invisible. Flush affects only cache state.
-		case isa.Halt:
-			res.Halted = true
-			res.Regs = e.regs
-			return res, nil
 		case isa.MovI, isa.Mov, isa.Add, isa.AddI, isa.Sub, isa.And, isa.Or, isa.Xor,
 			isa.ShlI, isa.ShrI, isa.Mul, isa.MulI, isa.Div, isa.Sqrt:
 			// Read only the registers the op uses: a field it ignores
@@ -109,22 +115,17 @@ func (e *Machine) Run() (*Result, error) {
 			srcs, _ := in.Uses()
 			e.regs[in.Dst] = ALU(in, e.regs[srcs[0]], e.regs[srcs[1]])
 		case isa.Load:
-			addr := e.regs[in.Src1] + in.Imm
+			addr = e.regs[in.Src1] + in.Imm
 			e.regs[in.Dst] = e.mem.Read64(addr)
-			if e.RecordLoads {
-				res.LoadAddrs = append(res.LoadAddrs, addr)
-			}
 		case isa.Store:
-			e.mem.Write64(e.regs[in.Src1]+in.Imm, e.regs[in.Src2])
+			addr = e.regs[in.Src1] + in.Imm
+			e.mem.Write64(addr, e.regs[in.Src2])
 		case isa.RdCycle:
 			// Architecturally: a monotonic counter. The emulator has no
 			// cycles; instruction count is the closest monotone analog.
 			e.regs[in.Dst] = int64(res.InstCount)
 		case isa.Beq, isa.Bne, isa.Blt, isa.Bge:
-			taken := BranchTaken(in.Op, e.regs[in.Src1], e.regs[in.Src2])
-			if e.RecordBranches {
-				res.Branches = append(res.Branches, BranchRecord{PC: pc, Taken: taken})
-			}
+			taken = BranchTaken(in.Op, e.regs[in.Src1], e.regs[in.Src2])
 			if taken {
 				next = in.Target
 			}
@@ -132,6 +133,14 @@ func (e *Machine) Run() (*Result, error) {
 			next = in.Target
 		default:
 			return nil, fmt.Errorf("emu: unimplemented opcode %s at pc %d", in.Op, pc)
+		}
+		if e.Hook != nil {
+			e.Hook.Observe(Step{PC: pc, Inst: in, Addr: addr, Taken: taken, Regs: &e.regs})
+		}
+		if in.Op == isa.Halt {
+			res.Halted = true
+			res.Regs = e.regs
+			return res, nil
 		}
 		pc = next
 	}

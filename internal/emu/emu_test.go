@@ -3,6 +3,7 @@ package emu
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -81,6 +82,33 @@ loop:
 	}
 }
 
+// recorder is a Hook that keeps every Step it sees, each with a copy of
+// the register file (a hook may not keep the machine's own).
+type recorder []Step
+
+func (r *recorder) Observe(s Step) {
+	regs := *s.Regs
+	s.Regs = &regs
+	*r = append(*r, s)
+}
+
+// checkSteps requires the hook to have seen exactly the instructions at
+// pcs, in order, one Step each, carrying the program's own instructions.
+func checkSteps(t *testing.T, p *isa.Program, steps []Step, res *Result, pcs ...int) {
+	t.Helper()
+	if len(steps) != res.InstCount {
+		t.Errorf("hook saw %d steps, InstCount = %d", len(steps), res.InstCount)
+	}
+	if len(steps) != len(pcs) {
+		t.Fatalf("hook saw %d steps, want %d", len(steps), len(pcs))
+	}
+	for i, s := range steps {
+		if s.PC != pcs[i] || s.Inst != p.Insts[pcs[i]] {
+			t.Errorf("step %d: pc %d %v, want pc %d %v", i, s.PC, s.Inst, pcs[i], p.Insts[pcs[i]])
+		}
+	}
+}
+
 func TestBranchRecording(t *testing.T) {
 	p := asm.MustAssemble(`
     movi r1, 0
@@ -90,36 +118,62 @@ loop:
     blt  r1, r2, loop
     halt`)
 	e := New(p, mem.New())
-	e.RecordBranches = true
+	var steps recorder
+	e.Hook = &steps
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Branches) != 3 {
-		t.Fatalf("branches = %d, want 3", len(res.Branches))
+	checkSteps(t, p, steps, res, 0, 1, 2, 3, 2, 3, 2, 3, 4)
+	var taken []bool
+	var atBranch []int64
+	for _, s := range steps {
+		if s.Inst.IsCondBranch() {
+			taken = append(taken, s.Taken)
+			atBranch = append(atBranch, s.Regs[isa.R1])
+		} else if s.Taken || s.Addr != 0 {
+			t.Errorf("pc %d: non-memory, non-branch step %+v", s.PC, s)
+		}
 	}
-	if !res.Branches[0].Taken || !res.Branches[1].Taken || res.Branches[2].Taken {
-		t.Errorf("branch pattern = %+v, want taken,taken,not-taken", res.Branches)
+	if want := []bool{true, true, false}; !slices.Equal(taken, want) {
+		t.Errorf("branch outcomes = %v, want %v", taken, want)
 	}
-	if res.Branches[0].PC != 3 {
-		t.Errorf("branch PC = %d, want 3", res.Branches[0].PC)
+	// The hook reads the register file as the branch left it.
+	if want := []int64{1, 2, 3}; !slices.Equal(atBranch, want) {
+		t.Errorf("r1 at each branch = %v, want %v", atBranch, want)
 	}
 }
 
 func TestLoadRecording(t *testing.T) {
 	p := asm.MustAssemble(`
     movi r1, 1024
-    load r2, 0(r1)
+    movi r4, 7
+    store r4, 12(r1)
+    load r2, 8(r1)
     load r3, 64(r1)
     halt`)
 	e := New(p, mem.New())
-	e.RecordLoads = true
+	var steps recorder
+	e.Hook = &steps
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.LoadAddrs) != 2 || res.LoadAddrs[0] != 1024 || res.LoadAddrs[1] != 1088 {
-		t.Errorf("LoadAddrs = %v", res.LoadAddrs)
+	checkSteps(t, p, steps, res, 0, 1, 2, 3, 4, 5)
+	var addrs, loaded []int64
+	for _, s := range steps {
+		addrs = append(addrs, s.Addr)
+		if s.Inst.Op == isa.Load {
+			loaded = append(loaded, s.Regs[s.Inst.Dst])
+		}
+	}
+	if want := []int64{0, 0, 1036, 1032, 1088, 0}; !slices.Equal(addrs, want) {
+		t.Errorf("step addresses = %v, want %v", addrs, want)
+	}
+	// A load step sees its destination already written: the word the
+	// store at 1036 wrote, then untouched memory.
+	if want := []int64{7, 0}; !slices.Equal(loaded, want) {
+		t.Errorf("loaded values = %v, want %v", loaded, want)
 	}
 }
 
@@ -155,9 +209,10 @@ func TestStepLimit(t *testing.T) {
 // TestStepLimitPrefixConsistency pins the step-limit contract Run
 // documents: a deliberately non-halting program aborted at MaxSteps must
 // yield errors.Is(err, ErrStepLimit), Halted == false, and a Result whose
-// Regs/Branches/LoadAddrs are exactly the consistent prefix of the
-// aborted run — so callers (the NoSpec oracle, the static leak detector)
-// can reliably refuse to turn the prefix into a verdict.
+// Regs are exactly the consistent prefix of the aborted run, with the Hook
+// having seen exactly the executed instructions — so callers (the NoSpec
+// oracle, the static leak detector) can reliably refuse to turn the prefix
+// into a verdict.
 func TestStepLimitPrefixConsistency(t *testing.T) {
 	p := asm.MustAssemble(`
     movi r1, 65536
@@ -171,8 +226,8 @@ func TestStepLimitPrefixConsistency(t *testing.T) {
 	m.Write64(65536, 7)
 	e := New(p, m)
 	e.MaxSteps = 11 // 2 movi + 3 full iterations: load,addi,blt ×3
-	e.RecordBranches = true
-	e.RecordLoads = true
+	var steps recorder
+	e.Hook = &steps
 	res, err := e.Run()
 	if !errors.Is(err, ErrStepLimit) {
 		t.Fatalf("err = %v, want errors.Is(_, ErrStepLimit)", err)
@@ -192,20 +247,16 @@ func TestStepLimitPrefixConsistency(t *testing.T) {
 	if got := res.Regs[isa.R3]; got != 7 {
 		t.Errorf("r3 = %d, want 7 (last completed load)", got)
 	}
-	if len(res.LoadAddrs) != 3 {
-		t.Fatalf("LoadAddrs = %v, want exactly the 3 executed loads", res.LoadAddrs)
+	checkSteps(t, p, steps, res, 0, 1, 2, 3, 4, 2, 3, 4, 2, 3, 4)
+	if last := steps[len(steps)-1]; *last.Regs != res.Regs {
+		t.Errorf("registers after the last step %v differ from Result.Regs %v", *last.Regs, res.Regs)
 	}
-	for i, a := range res.LoadAddrs {
-		if a != 65536 {
-			t.Errorf("LoadAddrs[%d] = %d, want 65536", i, a)
-		}
-	}
-	if len(res.Branches) != 3 {
-		t.Fatalf("Branches = %v, want exactly the 3 executed branches", res.Branches)
-	}
-	for i, b := range res.Branches {
-		if !b.Taken || b.PC != 4 {
-			t.Errorf("Branches[%d] = %+v, want taken loop branch at pc 4", i, b)
+	for _, s := range steps {
+		switch {
+		case s.Inst.Op == isa.Load && s.Addr != 65536:
+			t.Errorf("load at pc %d: addr %d, want 65536", s.PC, s.Addr)
+		case s.Inst.IsCondBranch() && !s.Taken:
+			t.Errorf("branch at pc %d not taken, want the taken loop branch", s.PC)
 		}
 	}
 }

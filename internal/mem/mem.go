@@ -100,6 +100,10 @@ func (m *Memory) Reset() {
 	}
 }
 
+// WordAddr returns the address of the 8-byte word containing addr: the
+// unit Read64 and Write64 access.
+func WordAddr(addr int64) int64 { return addr &^ 7 }
+
 // LineAddr returns the address of the cache line containing addr.
 func LineAddr(addr int64) int64 { return addr &^ (LineBytes - 1) }
 

@@ -103,17 +103,13 @@ func Check(spec RunSpec) (*Report, error) {
 		spec.SetupMem(goldenMem)
 	}
 	e := emu.New(spec.Prog, goldenMem)
-	e.RecordBranches = true
+	var outcomes branchOutcomes
+	e.Hook = &outcomes
 	for r, v := range spec.InitRegs {
 		e.SetReg(r, v)
 	}
-	golden, err := e.Run()
-	if err != nil {
+	if _, err := e.Run(); err != nil {
 		return nil, fmt.Errorf("security: golden run: %w", err)
-	}
-	outcomes := make([]bool, len(golden.Branches))
-	for i, b := range golden.Branches {
-		outcomes[i] = b.Taken
 	}
 
 	runOnce := func(oracle []bool) ([]string, uint64, error) {
@@ -136,9 +132,7 @@ func Check(spec RunSpec) (*Report, error) {
 		for r, v := range spec.InitRegs {
 			sys.Core(0).SetReg(r, v)
 		}
-		if oracle != nil {
-			sys.Core(0).SetBranchOracle(oracle)
-		}
+		sys.Core(0).SetBranchOracle(oracle) // nil for E: the real predictor
 		sys.Hierarchy().ResetLog()
 		if err := sys.Run(spec.MaxCycles); err != nil {
 			return nil, 0, err
@@ -187,6 +181,16 @@ func Check(spec RunSpec) (*Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// branchOutcomes is an emulator hook that collects a run's conditional
+// branch outcomes in order: the perfect oracle of NoSpec(E).
+type branchOutcomes []bool
+
+func (o *branchOutcomes) Observe(s emu.Step) {
+	if s.Inst.IsCondBranch() {
+		*o = append(*o, s.Taken)
+	}
 }
 
 // Diff renders a short human-readable explanation of a failed check.

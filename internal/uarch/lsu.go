@@ -1,6 +1,9 @@
 package uarch
 
-import "specinterference/internal/cache"
+import (
+	"specinterference/internal/cache"
+	"specinterference/internal/mem"
+)
 
 // lsuTick advances the loads on the LSU list, in program order:
 // (re)attempts cache accesses, finishes walks whose data arrived,
@@ -163,14 +166,12 @@ func (c *Core) forwardingStore(e *entry) *entry {
 		if o.seq >= e.seq {
 			break
 		}
-		if o.isStore() && o.addrKnown && sameWord(o.addr, e.addr) {
+		if o.isStore() && o.addrKnown && mem.WordAddr(o.addr) == mem.WordAddr(e.addr) {
 			found = o
 		}
 	}
 	return found
 }
-
-func sameWord(a, b int64) bool { return a&^7 == b&^7 }
 
 // startWalk issues the hierarchy access for a load, allocating an MSHR for
 // L1 misses. A full MSHR file leaves the load in memRetry — the structural

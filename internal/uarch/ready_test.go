@@ -145,12 +145,12 @@ func checkReadyLists(t *testing.T, c *Core, when string) int {
 		if st == nil {
 			continue
 		}
-		if !e.isLoad() || !inROB[st] || !st.isStore() || st.seq >= e.seq || !st.addrKnown || !sameWord(st.addr, e.addr) {
+		if !e.isLoad() || !inROB[st] || !st.isStore() || st.seq >= e.seq || !st.addrKnown || mem.WordAddr(st.addr) != mem.WordAddr(e.addr) {
 			t.Fatalf("%s: seq %d (%s) forwards from an entry that is not an older store in the ROB to its word",
 				when, e.seq, e.dec.inst.Op)
 		}
 		for _, o := range c.memOrder {
-			if o.seq > st.seq && o.seq < e.seq && o.isStore() && sameWord(o.addr, e.addr) {
+			if o.seq > st.seq && o.seq < e.seq && o.isStore() && mem.WordAddr(o.addr) == mem.WordAddr(e.addr) {
 				t.Fatalf("%s: load seq %d forwards from store seq %d, but store seq %d to its word is younger",
 					when, e.seq, st.seq, o.seq)
 			}

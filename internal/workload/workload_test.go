@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"specinterference/internal/emu"
+	"specinterference/internal/isa"
 	"specinterference/internal/mem"
 )
 
@@ -55,6 +56,11 @@ func TestKernelNamesUnique(t *testing.T) {
 	}
 }
 
+// hookFunc adapts a function to emu.Hook.
+type hookFunc func(emu.Step)
+
+func (f hookFunc) Observe(s emu.Step) { f(s) }
+
 func TestPointerChaseIsSerial(t *testing.T) {
 	// The chase list must form a cycle: following `iters` hops never hits
 	// address zero (which would mean a broken permutation).
@@ -62,19 +68,23 @@ func TestPointerChaseIsSerial(t *testing.T) {
 	m := mem.New()
 	setup(m)
 	e := emu.New(prog, m)
-	e.RecordLoads = true
-	res, err := e.Run()
-	if err != nil {
+	var loads []int64
+	e.Hook = hookFunc(func(s emu.Step) {
+		if s.Inst.Op == isa.Load {
+			loads = append(loads, s.Addr)
+		}
+	})
+	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, a := range res.LoadAddrs {
+	for i, a := range loads {
 		if a == 0 {
 			t.Fatalf("chase reached null at hop %d", i)
 		}
 	}
 	// All hops distinct within one lap of the 256-node cycle.
 	seen := map[int64]bool{}
-	for _, a := range res.LoadAddrs[:256] {
+	for _, a := range loads[:256] {
 		if seen[a] {
 			t.Fatal("chase revisited a node within one lap")
 		}
@@ -87,20 +97,18 @@ func TestBranchyHasUnpredictableBranches(t *testing.T) {
 	m := mem.New()
 	setup(m)
 	e := emu.New(prog, m)
-	e.RecordBranches = true
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
 	taken := 0
 	inner := 0
-	for _, b := range res.Branches {
-		if b.PC == prog.Symbols["even"]-3 { // the data-dependent beq
+	e.Hook = hookFunc(func(s emu.Step) {
+		if s.Inst.IsCondBranch() && s.PC == prog.Symbols["even"]-3 { // the data-dependent beq
 			inner++
-			if b.Taken {
+			if s.Taken {
 				taken++
 			}
 		}
+	})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
 	if inner == 0 {
 		t.Fatal("no data-dependent branches recorded")

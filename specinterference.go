@@ -128,7 +128,10 @@ func Assemble(src string) (*Program, error) { return asm.Assemble(src) }
 // MustAssemble is Assemble panicking on error.
 func MustAssemble(src string) *Program { return asm.MustAssemble(src) }
 
-// Emulate runs a program on the architectural (golden-model) emulator.
+// Emulate runs a program on the architectural (golden-model) emulator
+// and returns its final registers and instruction count. The emulator's
+// per-instruction hook, through which the §5.1 checker and the static
+// leak detector observe a run, is not set here.
 func Emulate(p *Program, m *Memory) (*emu.Result, error) {
 	return emu.New(p, m).Run()
 }
