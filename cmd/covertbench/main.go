@@ -8,7 +8,7 @@
 //
 //	covertbench [-poc dcache|icache|both] [-bits 64] [-reps 1,3,5,9,15]
 //	            [-seed 1] [-parallel N] [-backend inprocess|subprocess|remote]
-//	            [-procs N] [-scale N] [-progress] [-json] [-store DIR]
+//	            [-procs N] [-progress] [-json] [-store DIR]
 package main
 
 import (

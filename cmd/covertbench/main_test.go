@@ -15,24 +15,6 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
-// TestScaleFlag: -scale multiplies the per-point bit count (small
-// defaults unchanged when absent) and the record reflects the scaled
-// parameters.
-func TestScaleFlag(t *testing.T) {
-	out := cmdtest.Run(t, "", "-poc", "dcache", "-bits", "2", "-reps", "1", "-scale", "2", "-json")
-	var curves []struct {
-		Points []struct {
-			Bits int `json:"bits"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal([]byte(out), &curves); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, out)
-	}
-	if len(curves) != 1 || len(curves[0].Points) != 1 || curves[0].Points[0].Bits != 4 {
-		t.Errorf("scaled run should measure 4 bits per point: %+v", curves)
-	}
-}
-
 func TestSmokeJSON(t *testing.T) {
 	out := cmdtest.Run(t, "", "-poc", "icache", "-bits", "2", "-reps", "1,3", "-json", "-parallel", "2")
 	var curves []struct {

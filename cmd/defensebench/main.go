@@ -7,7 +7,7 @@
 //
 //	defensebench [-iters 2000] [-schemes fence-spectre,fence-futuristic]
 //	             [-parallel N] [-backend inprocess|subprocess|remote] [-procs N]
-//	             [-scale N] [-progress] [-json] [-store DIR]
+//	             [-progress] [-json] [-store DIR]
 package main
 
 import (

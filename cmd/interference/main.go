@@ -7,8 +7,8 @@
 // (internal/experiment), which also provides the common flags:
 //
 //	interference [-trials 500] [-jitter 30] [-seed 1] [-parallel N]
-//	             [-backend inprocess|subprocess|remote] [-procs N] [-scale N]
-//	             [-progress] [-json] [-store DIR]
+//	             [-backend inprocess|subprocess|remote] [-procs N] [-progress]
+//	             [-json] [-store DIR]
 package main
 
 import (

@@ -13,7 +13,10 @@
 // evaluation on a cycle-level out-of-order multi-core simulator written in
 // pure Go:
 //
-//   - a small RISC-like ISA, assembler and architectural emulator,
+//   - a small RISC-like ISA whose opcodes are each stated once, as a row
+//     of one instruction table (mnemonic, execution class, operands) that
+//     the decode predicates, the printer and the parser read, plus an
+//     assembler and an architectural emulator,
 //   - an out-of-order core with age-ordered issue, non-pipelined execution
 //     units, MSHRs, a mistrainable branch predictor, and squash/recovery,
 //   - a cache hierarchy with the QLRU_H11_M1_R0_U0 replacement policy the
@@ -112,10 +115,10 @@
 // domain packages keep only the per-shard primitives and aggregators the
 // specs call. The experiment CLIs sit on the engine's shared driver and
 // take common flags: -parallel, -backend, -procs, -listen, -lease,
-// -chunk, -journal, -json, -store, -progress (periodic
-// shard-completion reporting to stderr, off by default) and -scale
-// (multiply trial-style counts — larger Figure 7 arms, more Figure 11
-// bits — for sweeps that span processes and machines).
+// -chunk, -journal, -json, -store and -progress (periodic
+// shard-completion reporting to stderr, off by default). Each
+// experiment's own flags size its sweep: -trials for Figure 7, -bits for
+// Figure 11, -iters for Figure 12.
 //
 // # Results store and regression tracking
 //

@@ -202,6 +202,56 @@ func TestAssembleMemOperandNoOffset(t *testing.T) {
 	}
 }
 
+// TestAssembleEveryMnemonic pins what each mnemonic assembles to,
+// written out by hand rather than printed by isa, so a printer and a
+// parser that drift together still fail here.
+func TestAssembleEveryMnemonic(t *testing.T) {
+	cases := []struct {
+		src  string
+		want isa.Inst
+	}{
+		{"nop", isa.Inst{Op: isa.Nop}},
+		{"halt", isa.Inst{Op: isa.Halt}},
+		{"movi r1, 42", isa.Inst{Op: isa.MovI, Dst: isa.R1, Imm: 42}},
+		{"mov r1, r2", isa.Inst{Op: isa.Mov, Dst: isa.R1, Src1: isa.R2}},
+		{"add r1, r2, r3", isa.Inst{Op: isa.Add, Dst: isa.R1, Src1: isa.R2, Src2: isa.R3}},
+		{"addi r1, r2, -5", isa.Inst{Op: isa.AddI, Dst: isa.R1, Src1: isa.R2, Imm: -5}},
+		{"sub r4, r5, r6", isa.Inst{Op: isa.Sub, Dst: isa.R4, Src1: isa.R5, Src2: isa.R6}},
+		{"and r7, r8, r9", isa.Inst{Op: isa.And, Dst: isa.R7, Src1: isa.R8, Src2: isa.R9}},
+		{"or r10, r11, r12", isa.Inst{Op: isa.Or, Dst: isa.R10, Src1: isa.R11, Src2: isa.R12}},
+		{"xor r13, r14, r15", isa.Inst{Op: isa.Xor, Dst: isa.R13, Src1: isa.R14, Src2: isa.R15}},
+		{"shli r1, r2, 6", isa.Inst{Op: isa.ShlI, Dst: isa.R1, Src1: isa.R2, Imm: 6}},
+		{"shri r3, r4, 2", isa.Inst{Op: isa.ShrI, Dst: isa.R3, Src1: isa.R4, Imm: 2}},
+		{"mul r16, r17, r18", isa.Inst{Op: isa.Mul, Dst: isa.R16, Src1: isa.R17, Src2: isa.R18}},
+		{"muli r19, r20, 0x40", isa.Inst{Op: isa.MulI, Dst: isa.R19, Src1: isa.R20, Imm: 64}},
+		{"div r21, r22, r23", isa.Inst{Op: isa.Div, Dst: isa.R21, Src1: isa.R22, Src2: isa.R23}},
+		{"sqrt r1, r2", isa.Inst{Op: isa.Sqrt, Dst: isa.R1, Src1: isa.R2}},
+		{"load r4, 16(r5)", isa.Inst{Op: isa.Load, Dst: isa.R4, Src1: isa.R5, Imm: 16}},
+		{"store r6, -8(r5)", isa.Inst{Op: isa.Store, Src1: isa.R5, Src2: isa.R6, Imm: -8}},
+		{"flush (r3)", isa.Inst{Op: isa.Flush, Src1: isa.R3}},
+		{"rdcycle r31", isa.Inst{Op: isa.RdCycle, Dst: isa.R31}},
+		{"beq r1, r2, @0", isa.Inst{Op: isa.Beq, Src1: isa.R1, Src2: isa.R2}},
+		{"bne r3, r4, @1", isa.Inst{Op: isa.Bne, Src1: isa.R3, Src2: isa.R4, Target: 1}},
+		{"blt r5, r6, end", isa.Inst{Op: isa.Blt, Src1: isa.R5, Src2: isa.R6, Target: 1}},
+		{"bge r7, r8, end", isa.Inst{Op: isa.Bge, Src1: isa.R7, Src2: isa.R8, Target: 1}},
+		{"jmp end", isa.Inst{Op: isa.Jmp, Target: 1}},
+		{"jmp @0", isa.Inst{Op: isa.Jmp}},
+		{"fence", isa.Inst{Op: isa.Fence}},
+		{"MOVI\tR1 , 0b101", isa.Inst{Op: isa.MovI, Dst: isa.R1, Imm: 5}},
+		{"Load r2,8(R3)", isa.Inst{Op: isa.Load, Dst: isa.R2, Src1: isa.R3, Imm: 8}},
+	}
+	for _, c := range cases {
+		p, err := Assemble(c.src + "\nend: halt")
+		if err != nil {
+			t.Errorf("Assemble(%q): %v", c.src, err)
+			continue
+		}
+		if got := p.Insts[0]; got != c.want {
+			t.Errorf("Assemble(%q) = %+v, want %+v", c.src, got, c.want)
+		}
+	}
+}
+
 func TestAssembleErrors(t *testing.T) {
 	cases := []string{
 		"bogus r1, r2",
@@ -220,6 +270,16 @@ func TestAssembleErrors(t *testing.T) {
 		"load r1, z(r2)",
 		"store r1, 8(rr)",
 		"rdcycle r1, r2",
+		"movi r1, 2, 3",
+		"addi r1, r2, 3, 4",
+		"muli r1, r2, 3, 4",
+		"shli r1, r2, 3, 4",
+		"shri r1, r2, 3, 4",
+		"load r1, 8(r2), r3",
+		"store r3, 8(r2), r4",
+		"flush 8(r2), r3",
+		"beq r1, r2, ",
+		"jmp @",
 	}
 	for _, src := range cases {
 		if _, err := Assemble(src + "\nhalt"); err == nil {

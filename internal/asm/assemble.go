@@ -2,14 +2,13 @@ package asm
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"specinterference/internal/isa"
 )
 
-// Assemble parses assembler text into a program. The syntax matches
-// isa.Inst.String() output, one instruction per line:
+// Assemble parses assembler text into a program, one instruction per
+// line in the syntax isa.Inst.String prints (see isa.ParseInst):
 //
 //	start:
 //	    movi r1, 64          ; comments run to end of line
@@ -17,25 +16,24 @@ import (
 //	    blt  r2, r1, start   # labels or numeric @targets
 //	    halt
 //
-// Both ';' and '#' start comments. Branch targets may be label names or
-// absolute instruction indices written as @N.
+// Assemble itself handles only lines, comments and labels. Both ';' and
+// '#' start comments. Branch targets may be label names or absolute
+// instruction indices written as @N.
 func Assemble(src string) (*isa.Program, error) {
 	b := NewBuilder()
-	lineNo := 0
-	for _, rawLine := range strings.Split(src, "\n") {
-		lineNo++
-		line := stripComment(rawLine)
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
+	for i, line := range strings.Split(src, "\n") {
+		lineNo := i + 1
+		if c := strings.IndexAny(line, ";#"); c >= 0 {
+			line = line[:c]
 		}
-		// A line may carry a leading "label:" before an instruction.
+		line = strings.TrimSpace(line)
+		// A line may carry leading "label:" definitions before an instruction.
 		for {
-			colon := strings.Index(line, ":")
-			if colon < 0 {
+			label, rest, ok := strings.Cut(line, ":")
+			if !ok {
 				break
 			}
-			label := strings.TrimSpace(line[:colon])
+			label = strings.TrimSpace(label)
 			if !isIdent(label) {
 				return nil, fmt.Errorf("asm: line %d: bad label %q", lineNo, label)
 			}
@@ -43,13 +41,21 @@ func Assemble(src string) (*isa.Program, error) {
 				return nil, fmt.Errorf("asm: line %d: duplicate label %q", lineNo, label)
 			}
 			b.Label(label)
-			line = strings.TrimSpace(line[colon+1:])
+			line = strings.TrimSpace(rest)
 		}
 		if line == "" {
 			continue
 		}
-		if err := assembleInst(b, line); err != nil {
+		in, target, err := isa.ParseInst(line)
+		switch {
+		case err != nil:
 			return nil, fmt.Errorf("asm: line %d: %w", lineNo, err)
+		case target == "":
+			b.Emit(in)
+		case !isIdent(target):
+			return nil, fmt.Errorf("asm: line %d: bad branch target %q", lineNo, target)
+		default:
+			b.emitTo(in, target)
 		}
 	}
 	return b.Build()
@@ -63,13 +69,6 @@ func MustAssemble(src string) *isa.Program {
 		panic(err)
 	}
 	return p
-}
-
-func stripComment(line string) string {
-	if i := strings.IndexAny(line, ";#"); i >= 0 {
-		return line[:i]
-	}
-	return line
 }
 
 func isIdent(s string) bool {
@@ -88,281 +87,4 @@ func isIdent(s string) bool {
 		}
 	}
 	return true
-}
-
-func assembleInst(b *Builder, line string) error {
-	mnemonic := line
-	rest := ""
-	if i := strings.IndexAny(line, " \t"); i >= 0 {
-		mnemonic, rest = line[:i], strings.TrimSpace(line[i+1:])
-	}
-	args := splitArgs(rest)
-	switch strings.ToLower(mnemonic) {
-	case "nop":
-		return noArgs(b, args, isa.Inst{Op: isa.Nop})
-	case "halt":
-		return noArgs(b, args, isa.Inst{Op: isa.Halt})
-	case "fence":
-		return noArgs(b, args, isa.Inst{Op: isa.Fence})
-	case "movi":
-		dst, err := parseReg(args, 0)
-		if err != nil {
-			return err
-		}
-		imm, err := parseImm(args, 1)
-		if err != nil {
-			return err
-		}
-		b.MovI(dst, imm)
-		return nil
-	case "mov":
-		return twoReg(b, args, func(d, s isa.Reg) { b.Mov(d, s) })
-	case "sqrt":
-		return twoReg(b, args, func(d, s isa.Reg) { b.Sqrt(d, s) })
-	case "rdcycle":
-		dst, err := parseReg(args, 0)
-		if err != nil {
-			return err
-		}
-		if len(args) != 1 {
-			return fmt.Errorf("rdcycle takes 1 operand")
-		}
-		b.RdCycle(dst)
-		return nil
-	case "add", "sub", "and", "or", "xor", "mul", "div":
-		return threeReg(b, args, mnemonic)
-	case "addi", "muli", "shli", "shri":
-		dst, err := parseReg(args, 0)
-		if err != nil {
-			return err
-		}
-		src, err := parseReg(args, 1)
-		if err != nil {
-			return err
-		}
-		imm, err := parseImm(args, 2)
-		if err != nil {
-			return err
-		}
-		switch strings.ToLower(mnemonic) {
-		case "addi":
-			b.AddI(dst, src, imm)
-		case "muli":
-			b.MulI(dst, src, imm)
-		case "shli":
-			b.ShlI(dst, src, imm)
-		case "shri":
-			b.ShrI(dst, src, imm)
-		}
-		return nil
-	case "load":
-		dst, err := parseReg(args, 0)
-		if err != nil {
-			return err
-		}
-		off, base, err := parseMemOperand(args, 1)
-		if err != nil {
-			return err
-		}
-		b.Load(dst, base, off)
-		return nil
-	case "store":
-		val, err := parseReg(args, 0)
-		if err != nil {
-			return err
-		}
-		off, base, err := parseMemOperand(args, 1)
-		if err != nil {
-			return err
-		}
-		b.Store(base, off, val)
-		return nil
-	case "flush":
-		off, base, err := parseMemOperand(args, 0)
-		if err != nil {
-			return err
-		}
-		b.Flush(base, off)
-		return nil
-	case "beq", "bne", "blt", "bge":
-		s1, err := parseReg(args, 0)
-		if err != nil {
-			return err
-		}
-		s2, err := parseReg(args, 1)
-		if err != nil {
-			return err
-		}
-		if len(args) != 3 {
-			return fmt.Errorf("%s takes 3 operands", mnemonic)
-		}
-		return emitBranch(b, strings.ToLower(mnemonic), s1, s2, args[2])
-	case "jmp":
-		if len(args) != 1 {
-			return fmt.Errorf("jmp takes 1 operand")
-		}
-		return emitBranch(b, "jmp", 0, 0, args[0])
-	default:
-		return fmt.Errorf("unknown mnemonic %q", mnemonic)
-	}
-}
-
-func emitBranch(b *Builder, mnemonic string, s1, s2 isa.Reg, target string) error {
-	if strings.HasPrefix(target, "@") {
-		pc, err := strconv.Atoi(target[1:])
-		if err != nil {
-			return fmt.Errorf("bad numeric target %q", target)
-		}
-		var op isa.Op
-		switch mnemonic {
-		case "beq":
-			op = isa.Beq
-		case "bne":
-			op = isa.Bne
-		case "blt":
-			op = isa.Blt
-		case "bge":
-			op = isa.Bge
-		case "jmp":
-			op = isa.Jmp
-		}
-		b.Emit(isa.Inst{Op: op, Src1: s1, Src2: s2, Target: pc})
-		return nil
-	}
-	if !isIdent(target) {
-		return fmt.Errorf("bad branch target %q", target)
-	}
-	switch mnemonic {
-	case "beq":
-		b.Beq(s1, s2, target)
-	case "bne":
-		b.Bne(s1, s2, target)
-	case "blt":
-		b.Blt(s1, s2, target)
-	case "bge":
-		b.Bge(s1, s2, target)
-	case "jmp":
-		b.Jmp(target)
-	}
-	return nil
-}
-
-func splitArgs(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
-}
-
-func noArgs(b *Builder, args []string, in isa.Inst) error {
-	if len(args) != 0 {
-		return fmt.Errorf("%s takes no operands", in.Op)
-	}
-	b.Emit(in)
-	return nil
-}
-
-func twoReg(b *Builder, args []string, emit func(d, s isa.Reg)) error {
-	d, err := parseReg(args, 0)
-	if err != nil {
-		return err
-	}
-	s, err := parseReg(args, 1)
-	if err != nil {
-		return err
-	}
-	if len(args) != 2 {
-		return fmt.Errorf("expected 2 operands, got %d", len(args))
-	}
-	emit(d, s)
-	return nil
-}
-
-func threeReg(b *Builder, args []string, mnemonic string) error {
-	d, err := parseReg(args, 0)
-	if err != nil {
-		return err
-	}
-	s1, err := parseReg(args, 1)
-	if err != nil {
-		return err
-	}
-	s2, err := parseReg(args, 2)
-	if err != nil {
-		return err
-	}
-	if len(args) != 3 {
-		return fmt.Errorf("expected 3 operands, got %d", len(args))
-	}
-	switch strings.ToLower(mnemonic) {
-	case "add":
-		b.Add(d, s1, s2)
-	case "sub":
-		b.Sub(d, s1, s2)
-	case "and":
-		b.And(d, s1, s2)
-	case "or":
-		b.Or(d, s1, s2)
-	case "xor":
-		b.Xor(d, s1, s2)
-	case "mul":
-		b.Mul(d, s1, s2)
-	case "div":
-		b.Div(d, s1, s2)
-	}
-	return nil
-}
-
-func parseReg(args []string, i int) (isa.Reg, error) {
-	if i >= len(args) {
-		return 0, fmt.Errorf("missing operand %d", i+1)
-	}
-	s := strings.ToLower(args[i])
-	if !strings.HasPrefix(s, "r") {
-		return 0, fmt.Errorf("operand %d: expected register, got %q", i+1, args[i])
-	}
-	n, err := strconv.Atoi(s[1:])
-	if err != nil || n < 0 || n >= isa.NumRegs {
-		return 0, fmt.Errorf("operand %d: bad register %q", i+1, args[i])
-	}
-	return isa.Reg(n), nil
-}
-
-func parseImm(args []string, i int) (int64, error) {
-	if i >= len(args) {
-		return 0, fmt.Errorf("missing operand %d", i+1)
-	}
-	v, err := strconv.ParseInt(args[i], 0, 64)
-	if err != nil {
-		return 0, fmt.Errorf("operand %d: bad immediate %q", i+1, args[i])
-	}
-	return v, nil
-}
-
-// parseMemOperand parses "off(base)" or "(base)".
-func parseMemOperand(args []string, i int) (off int64, base isa.Reg, err error) {
-	if i >= len(args) {
-		return 0, 0, fmt.Errorf("missing operand %d", i+1)
-	}
-	s := args[i]
-	open := strings.Index(s, "(")
-	if open < 0 || !strings.HasSuffix(s, ")") {
-		return 0, 0, fmt.Errorf("operand %d: expected off(base), got %q", i+1, s)
-	}
-	if open > 0 {
-		off, err = strconv.ParseInt(s[:open], 0, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("operand %d: bad offset in %q", i+1, s)
-		}
-	}
-	inner := s[open+1 : len(s)-1]
-	base, err = parseReg([]string{inner}, 0)
-	if err != nil {
-		return 0, 0, fmt.Errorf("operand %d: bad base in %q", i+1, s)
-	}
-	return off, base, nil
 }

@@ -1,6 +1,8 @@
 // Package asm provides two ways to construct isa.Programs: a fluent Go
 // Builder used by the attack-gadget generators, and a small text assembler
-// (see Assemble) for hand-written programs in examples and tests.
+// (see Assemble) for hand-written programs in examples and tests. The
+// instruction syntax is isa's: Assemble adds only lines, comments and
+// labels, and resolves label targets through the Builder.
 package asm
 
 import (
@@ -156,35 +158,35 @@ func (b *Builder) RdCycle(dst isa.Reg) *Builder {
 	return b.Emit(isa.Inst{Op: isa.RdCycle, Dst: dst})
 }
 
-func (b *Builder) branch(op isa.Op, s1, s2 isa.Reg, label string) *Builder {
+// emitTo emits in and leaves its Target for Build to set to label's PC.
+func (b *Builder) emitTo(in isa.Inst, label string) *Builder {
 	b.fixups = append(b.fixups, fixup{instIdx: len(b.insts), label: label})
-	return b.Emit(isa.Inst{Op: op, Src1: s1, Src2: s2})
+	return b.Emit(in)
 }
 
 // Beq emits a branch to label when s1 == s2.
 func (b *Builder) Beq(s1, s2 isa.Reg, label string) *Builder {
-	return b.branch(isa.Beq, s1, s2, label)
+	return b.emitTo(isa.Inst{Op: isa.Beq, Src1: s1, Src2: s2}, label)
 }
 
 // Bne emits a branch to label when s1 != s2.
 func (b *Builder) Bne(s1, s2 isa.Reg, label string) *Builder {
-	return b.branch(isa.Bne, s1, s2, label)
+	return b.emitTo(isa.Inst{Op: isa.Bne, Src1: s1, Src2: s2}, label)
 }
 
 // Blt emits a branch to label when s1 < s2.
 func (b *Builder) Blt(s1, s2 isa.Reg, label string) *Builder {
-	return b.branch(isa.Blt, s1, s2, label)
+	return b.emitTo(isa.Inst{Op: isa.Blt, Src1: s1, Src2: s2}, label)
 }
 
 // Bge emits a branch to label when s1 >= s2.
 func (b *Builder) Bge(s1, s2 isa.Reg, label string) *Builder {
-	return b.branch(isa.Bge, s1, s2, label)
+	return b.emitTo(isa.Inst{Op: isa.Bge, Src1: s1, Src2: s2}, label)
 }
 
 // Jmp emits an unconditional jump to label.
 func (b *Builder) Jmp(label string) *Builder {
-	b.fixups = append(b.fixups, fixup{instIdx: len(b.insts), label: label})
-	return b.Emit(isa.Inst{Op: isa.Jmp})
+	return b.emitTo(isa.Inst{Op: isa.Jmp}, label)
 }
 
 // Build resolves label fixups and returns a validated program.

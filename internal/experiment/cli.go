@@ -16,7 +16,7 @@ import (
 
 // CLIConfig wires one experiment binary onto the shared driver: the
 // driver owns the common machinery — the -parallel/-backend/-procs/
-// -json/-store/-progress/-scale flags, hidden worker modes, backend
+// -json/-store/-progress flags, hidden worker modes, backend
 // selection, store recording — while the config supplies what actually
 // differs per experiment: its flags, and how a finished record renders.
 type CLIConfig struct {
@@ -79,7 +79,6 @@ func Main(cfg CLIConfig) {
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of the text rendering")
 	storeDir := fs.String("store", "", "append a run record to this results-store directory")
 	progress := fs.Bool("progress", false, "report shard completion to stderr (for long sweeps; off by default)")
-	scale := fs.Int("scale", 1, "multiply the experiment's trial-style counts by N (larger sweeps now that shards span processes)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (analyze with `go tool pprof`)")
 	memProfile := fs.String("memprofile", "", "write an allocation profile taken after the run to this file")
 	fs.Parse(os.Args[1:])
@@ -133,15 +132,6 @@ func Main(cfg CLIConfig) {
 	p, err := build()
 	if err != nil {
 		die(err)
-	}
-	if *scale != 1 {
-		if *scale < 1 {
-			die(fmt.Errorf("-scale must be >= 1, got %d", *scale))
-		}
-		if spec.Scale == nil {
-			die(fmt.Errorf("-scale is not supported: this experiment has no trial-count axis"))
-		}
-		p = spec.Scale(p, *scale)
 	}
 	backend, opts, err := mkBackend()
 	if err != nil {

@@ -61,11 +61,6 @@ type Spec struct {
 	// into a sealed record. It must replay the original serial loop's
 	// aggregation order so the record signature is backend-independent.
 	Aggregate func(p results.Params, shards []any) (*results.Record, error)
-
-	// Scale returns params with trial-style counts multiplied by k > 1
-	// (larger Figure 7 arms, more Figure 11 bits). Nil means the
-	// experiment has no meaningful scale axis.
-	Scale func(p results.Params, k int) results.Params
 }
 
 var registry = map[string]*Spec{}

@@ -121,27 +121,6 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
-// TestScaleHooks: -scale multiplies the trial-style axis and leaves the
-// rest of the params alone.
-func TestScaleHooks(t *testing.T) {
-	f7, _ := Lookup("figure7")
-	if p := f7.Scale(results.Params{Trials: 4, Jitter: 9, Seed: 2}, 3); p.Trials != 12 || p.Jitter != 9 || p.Seed != 2 {
-		t.Errorf("figure7 scale: %+v", p)
-	}
-	f11, _ := Lookup("figure11")
-	if p := f11.Scale(results.Params{Bits: 2, Reps: []int{1, 3}}, 4); p.Bits != 8 || len(p.Reps) != 2 {
-		t.Errorf("figure11 scale: %+v", p)
-	}
-	f12, _ := Lookup("figure12")
-	if p := f12.Scale(results.Params{Iters: 10}, 2); p.Iters != 20 {
-		t.Errorf("figure12 scale: %+v", p)
-	}
-	t1, _ := Lookup("table1")
-	if t1.Scale != nil {
-		t.Error("table1 must not declare a scale axis")
-	}
-}
-
 // TestRunProgressCallback: the done hook fires once per shard.
 func TestRunProgressCallback(t *testing.T) {
 	spec, _ := Lookup("figure7")

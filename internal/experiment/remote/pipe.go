@@ -51,21 +51,28 @@ func runSubprocess(ctx context.Context, b experiment.Subprocess, spec *experimen
 	if err != nil {
 		return nil, err
 	}
+	if err := drivePipeWorkers(ctx, b, coord); err != nil {
+		return nil, err
+	}
+	return coord.Values()
+}
+
+// drivePipeWorkers spawns b.Procs -shard-worker processes (clamped by
+// runner.Workers) and drives them over their pipes until coord's run is
+// over.
+func drivePipeWorkers(ctx context.Context, b experiment.Subprocess, coord *Coordinator) error {
 	stderr := b.Stderr
 	if stderr == nil {
 		stderr = os.Stderr
 	}
-	workers, err := spawnWorkers(ctx, runner.Workers(b.Procs, n), "worker", []string{shardWorkerArg}, stderr,
+	workers, err := spawnWorkers(ctx, runner.Workers(b.Procs, coord.n), "worker", []string{shardWorkerArg}, stderr,
 		func(id int, stdin io.WriteCloser, stdout io.Reader, kill func()) error {
 			return coord.drive(ctx, fmt.Sprintf("worker %d", id), b.Workers, stdin, stdout, kill)
 		})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := workers.wait(ctx, coord); err != nil {
-		return nil, err
-	}
-	return coord.Values()
+	return workers.wait(ctx, coord)
 }
 
 // drive serves one pipe worker, named worker in the coordinator's

@@ -1,10 +1,12 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,13 @@ import (
 	"specinterference/internal/experiment"
 	"specinterference/internal/results"
 )
+
+// TestMain lets this test binary serve as a -shard-worker process when
+// TestSubprocessBackupWins re-execs it.
+func TestMain(m *testing.M) {
+	experiment.RunWorkerIfRequested()
+	os.Exit(m.Run())
+}
 
 // pipeWorker is an in-memory pipe worker for drive: the test plays the
 // worker process on the other ends of two io.Pipes.
@@ -167,5 +176,41 @@ func TestPipeBackupOvertakesStall(t *testing.T) {
 	st := coord.Stats()
 	if st.BackupsIssued != 1 || st.BackupsWon != 6 || slow.killed.Load() {
 		t.Errorf("backups issued %d, won %d, stalled worker killed %v; want 1, 6, false", st.BackupsIssued, st.BackupsWon, slow.killed.Load())
+	}
+}
+
+// TestSubprocessBackupWins is the subprocess backend's backup gate: two
+// real -shard-worker processes (this test binary re-exec'd), the first
+// slowed to 25ms per shard by the fault shim, must finish the run with
+// at least one shard won by a backup lease. The fast worker drains the
+// queue in a few milliseconds, while the slow one needs 150ms for its
+// six-shard chunk, so a coordinator that never grants a backup, or whose
+// backups never land first, fails here. CI's "Subprocess
+// backup-execution gate" names this test.
+func TestSubprocessBackupWins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	t.Setenv(slowWorkerEnv, "25ms")
+	p := results.Params{Trials: 48, Seed: 2}
+	coord, err := NewCoordinator(testSpec(t), p, p.Trials, Config{Chunk: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	if err := drivePipeWorkers(context.Background(), experiment.Subprocess{Procs: 2, Stderr: &stderr}, coord); err != nil {
+		t.Fatal(err)
+	}
+	vals, err := coord.Values()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vals {
+		if want := float64(i*i) + float64(p.Seed); v != want {
+			t.Errorf("shard %d = %v, want %v", i, v, want)
+		}
+	}
+	if st := coord.Stats(); st.BackupsWon < 1 {
+		t.Errorf("backups: %d issued, %d won; want at least one won. Worker stderr:\n%s", st.BackupsIssued, st.BackupsWon, stderr.String())
 	}
 }

@@ -44,10 +44,6 @@ func figure7Spec() *Spec {
 			res := core.BuildFigure7Result(lats[:p.Trials:p.Trials], lats[p.Trials:])
 			return results.NewFigure7Record(res, p.Trials, p.Jitter, p.Seed)
 		},
-		Scale: func(p results.Params, k int) results.Params {
-			p.Trials *= k
-			return p
-		},
 	}
 }
 
@@ -206,10 +202,6 @@ func figure11Spec() *Spec {
 			}
 			return results.NewFigure11Record(curves, p.Bits, p.Reps, p.Seed)
 		},
-		Scale: func(p results.Params, k int) results.Params {
-			p.Bits *= k
-			return p
-		},
 	}
 }
 
@@ -245,10 +237,6 @@ func figure12Spec() *Spec {
 			}
 			res := workload.AggregateCells(evalConfig(p), cells)
 			return results.NewFigure12Record(res, p.Iters, p.Schemes)
-		},
-		Scale: func(p results.Params, k int) results.Params {
-			p.Iters *= k
-			return p
 		},
 	}
 }

@@ -13,9 +13,20 @@
 //   - CLFLUSH and RDCYCLE give the attacker the receiver primitives the
 //     paper's PoCs use (Flush+Reload, timed probes),
 //   - conditional branches are predicted by a mistrainable predictor.
+//
+// An opcode is defined by its row in one table (opSpecs): its mnemonic,
+// its execution class and its operands in assembler order. The decode
+// predicates (OpClass, HasDst, Uses, IsBranch, IsCondBranch), the printer
+// (Inst.String) and the parser (ParseInst) all read that row; what an
+// opcode computes is stated by the emulator (internal/emu) and the
+// out-of-order core (internal/uarch).
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Reg names an architectural register. The machine has NumRegs general
 // purpose registers R0..R31. R0 is an ordinary register (not hardwired).
@@ -137,39 +148,10 @@ const (
 	numOps
 )
 
-var opNames = [numOps]string{
-	Nop:     "nop",
-	Halt:    "halt",
-	MovI:    "movi",
-	Mov:     "mov",
-	Add:     "add",
-	AddI:    "addi",
-	Sub:     "sub",
-	And:     "and",
-	Or:      "or",
-	Xor:     "xor",
-	ShlI:    "shli",
-	ShrI:    "shri",
-	Mul:     "mul",
-	MulI:    "muli",
-	Div:     "div",
-	Sqrt:    "sqrt",
-	Load:    "load",
-	Store:   "store",
-	Flush:   "flush",
-	RdCycle: "rdcycle",
-	Beq:     "beq",
-	Bne:     "bne",
-	Blt:     "blt",
-	Bge:     "bge",
-	Jmp:     "jmp",
-	Fence:   "fence",
-}
-
 // String implements fmt.Stringer.
 func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
+	if name := opSpecs[o].name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -224,23 +206,86 @@ func (c Class) String() string {
 }
 
 // OpClass returns the execution class of an opcode.
-func OpClass(o Op) Class {
-	switch o {
-	case Add, AddI, Sub, And, Or, Xor, ShlI, ShrI, Mov, MovI, RdCycle:
-		return ClassALU
-	case Mul, MulI:
-		return ClassMul
-	case Div, Sqrt:
-		return ClassSqrt
-	case Load, Flush:
-		return ClassLoad
-	case Store:
-		return ClassStore
-	case Beq, Bne, Blt, Bge, Jmp:
-		return ClassBranch
-	default:
-		return ClassNone
+func OpClass(o Op) Class { return opSpecs[o].class }
+
+// operand is one assembler operand of an instruction: which Inst fields
+// it carries and how they are written.
+type operand uint8
+
+const (
+	argDst    operand = iota // destination register: Dst
+	argSrc1                  // source register: Src1
+	argSrc2                  // source register: Src2
+	argImm                   // immediate: Imm
+	argMem                   // memory operand Imm(Src1)
+	argTarget                // branch target: @Target, or a label
+)
+
+// opSpec is the one statement of an opcode: its mnemonic, its execution
+// class and its operands in assembler order. The flags after class are
+// derived from args once, when the table is built, so that each decode
+// predicate is a single lookup.
+type opSpec struct {
+	name  string
+	args  []operand
+	class Class
+	// dst: args name Dst. nsrc: the source registers read are
+	// Src1 (nsrc >= 1) and Src2 (nsrc == 2). branch: args name a Target.
+	// cond: a branch that reads registers, so its direction is predicted.
+	dst          bool
+	nsrc         uint8
+	branch, cond bool
+}
+
+// spec builds an opcode's row of the instruction table.
+func spec(name string, class Class, args ...operand) opSpec {
+	s := opSpec{name: name, args: args, class: class}
+	for _, a := range args {
+		switch a {
+		case argDst:
+			s.dst = true
+		case argSrc1, argMem:
+			s.nsrc = max(s.nsrc, 1)
+		case argSrc2:
+			s.nsrc = 2
+		case argTarget:
+			s.branch = true
+		}
 	}
+	s.cond = s.branch && s.nsrc > 0
+	return s
+}
+
+// opSpecs is the instruction table. It has a row for every Op value, so
+// an undefined opcode reads the zero row: no name, ClassNone, no
+// operands.
+var opSpecs = [256]opSpec{
+	Nop:     spec("nop", ClassNone),
+	Halt:    spec("halt", ClassNone),
+	MovI:    spec("movi", ClassALU, argDst, argImm),
+	Mov:     spec("mov", ClassALU, argDst, argSrc1),
+	Add:     spec("add", ClassALU, argDst, argSrc1, argSrc2),
+	AddI:    spec("addi", ClassALU, argDst, argSrc1, argImm),
+	Sub:     spec("sub", ClassALU, argDst, argSrc1, argSrc2),
+	And:     spec("and", ClassALU, argDst, argSrc1, argSrc2),
+	Or:      spec("or", ClassALU, argDst, argSrc1, argSrc2),
+	Xor:     spec("xor", ClassALU, argDst, argSrc1, argSrc2),
+	ShlI:    spec("shli", ClassALU, argDst, argSrc1, argImm),
+	ShrI:    spec("shri", ClassALU, argDst, argSrc1, argImm),
+	Mul:     spec("mul", ClassMul, argDst, argSrc1, argSrc2),
+	MulI:    spec("muli", ClassMul, argDst, argSrc1, argImm),
+	Div:     spec("div", ClassSqrt, argDst, argSrc1, argSrc2),
+	Sqrt:    spec("sqrt", ClassSqrt, argDst, argSrc1),
+	Load:    spec("load", ClassLoad, argDst, argMem),
+	Store:   spec("store", ClassStore, argSrc2, argMem),
+	Flush:   spec("flush", ClassLoad, argMem),
+	RdCycle: spec("rdcycle", ClassALU, argDst),
+	Beq:     spec("beq", ClassBranch, argSrc1, argSrc2, argTarget),
+	Bne:     spec("bne", ClassBranch, argSrc1, argSrc2, argTarget),
+	Blt:     spec("blt", ClassBranch, argSrc1, argSrc2, argTarget),
+	Bge:     spec("bge", ClassBranch, argSrc1, argSrc2, argTarget),
+	Jmp:     spec("jmp", ClassBranch, argTarget),
+	Fence:   spec("fence", ClassNone),
 }
 
 // Latencies (cycles from issue to completion) for each class, excluding
@@ -296,77 +341,144 @@ type Inst struct {
 }
 
 // HasDst reports whether the instruction writes a destination register.
-func (in Inst) HasDst() bool {
-	switch in.Op {
-	case MovI, Mov, Add, AddI, Sub, And, Or, Xor, ShlI, ShrI,
-		Mul, MulI, Div, Sqrt, Load, RdCycle:
-		return true
-	}
-	return false
-}
+func (in Inst) HasDst() bool { return opSpecs[in.Op].dst }
 
 // Uses returns the source registers read by the instruction. The second
-// return value counts how many of the two entries are meaningful.
+// return value counts how many of the two entries are meaningful; the
+// others are zero.
 func (in Inst) Uses() (srcs [2]Reg, n int) {
-	switch in.Op {
-	case Mov, AddI, MulI, ShlI, ShrI, Sqrt, Load, Flush:
-		return [2]Reg{in.Src1}, 1
-	case Add, Sub, And, Or, Xor, Mul, Div, Store, Beq, Bne, Blt, Bge:
-		return [2]Reg{in.Src1, in.Src2}, 2
-	default:
-		return [2]Reg{}, 0
+	n = int(opSpecs[in.Op].nsrc)
+	if n > 0 {
+		srcs[0] = in.Src1
 	}
+	if n > 1 {
+		srcs[1] = in.Src2
+	}
+	return srcs, n
 }
 
 // IsBranch reports whether the instruction is a control-flow instruction.
-func (in Inst) IsBranch() bool {
-	switch in.Op {
-	case Beq, Bne, Blt, Bge, Jmp:
-		return true
-	}
-	return false
-}
+func (in Inst) IsBranch() bool { return opSpecs[in.Op].branch }
 
 // IsCondBranch reports whether the instruction is a conditional branch
 // (predicted; may mispredict and squash).
-func (in Inst) IsCondBranch() bool {
-	switch in.Op {
-	case Beq, Bne, Blt, Bge:
-		return true
+func (in Inst) IsCondBranch() bool { return opSpecs[in.Op].cond }
+
+// String renders the instruction in assembler syntax: the mnemonic, then
+// its operands separated by commas.
+func (in Inst) String() string {
+	s := &opSpecs[in.Op]
+	if s.name == "" {
+		return in.Op.String() + " ?"
 	}
-	return false
+	text := s.name
+	for i, a := range s.args {
+		if i == 0 {
+			text += " "
+		} else {
+			text += ", "
+		}
+		text += a.format(in)
+	}
+	return text
 }
 
-// String renders the instruction in assembler syntax.
-func (in Inst) String() string {
-	switch in.Op {
-	case Nop, Halt, Fence:
-		return in.Op.String()
-	case MovI:
-		return fmt.Sprintf("%s %s, %d", in.Op, in.Dst, in.Imm)
-	case Mov:
-		return fmt.Sprintf("%s %s, %s", in.Op, in.Dst, in.Src1)
-	case AddI, MulI, ShlI, ShrI:
-		return fmt.Sprintf("%s %s, %s, %d", in.Op, in.Dst, in.Src1, in.Imm)
-	case Add, Sub, And, Or, Xor, Mul, Div:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, in.Dst, in.Src1, in.Src2)
-	case Sqrt:
-		return fmt.Sprintf("%s %s, %s", in.Op, in.Dst, in.Src1)
-	case Load:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, in.Dst, in.Imm, in.Src1)
-	case Store:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, in.Src2, in.Imm, in.Src1)
-	case Flush:
-		return fmt.Sprintf("%s %d(%s)", in.Op, in.Imm, in.Src1)
-	case RdCycle:
-		return fmt.Sprintf("%s %s", in.Op, in.Dst)
-	case Beq, Bne, Blt, Bge:
-		return fmt.Sprintf("%s %s, %s, @%d", in.Op, in.Src1, in.Src2, in.Target)
-	case Jmp:
-		return fmt.Sprintf("%s @%d", in.Op, in.Target)
-	default:
-		return fmt.Sprintf("%s ?", in.Op)
+// ParseInst parses one instruction in the syntax String prints: the
+// mnemonic, then exactly the opcode's operands. The mnemonic and register
+// names may be in any case, and an immediate or offset in any base
+// strconv.ParseInt accepts with base 0. A branch target is either @N,
+// which sets Target, or a label: ParseInst leaves Target zero and returns
+// the label text, unchecked, for the caller to resolve.
+func ParseInst(line string) (in Inst, label string, err error) {
+	mnemonic, rest := strings.TrimSpace(line), ""
+	if i := strings.IndexAny(mnemonic, " \t"); i >= 0 {
+		mnemonic, rest = mnemonic[:i], mnemonic[i+1:]
 	}
+	name := strings.ToLower(mnemonic)
+	for in.Op < numOps && opSpecs[in.Op].name != name {
+		in.Op++
+	}
+	if !in.Op.Valid() {
+		return Inst{}, "", fmt.Errorf("unknown mnemonic %q", mnemonic)
+	}
+	var args []string
+	if strings.TrimSpace(rest) != "" {
+		args = strings.Split(rest, ",")
+	}
+	s := &opSpecs[in.Op]
+	if len(args) != len(s.args) {
+		return Inst{}, "", fmt.Errorf("%s takes %d operands, got %d", name, len(s.args), len(args))
+	}
+	for i, a := range s.args {
+		if err := a.parse(&in, strings.TrimSpace(args[i]), &label); err != nil {
+			return Inst{}, "", fmt.Errorf("%s operand %d: %w", name, i+1, err)
+		}
+	}
+	return in, label, nil
+}
+
+// format renders operand a of in.
+func (a operand) format(in Inst) string {
+	switch a {
+	case argDst:
+		return in.Dst.String()
+	case argSrc1:
+		return in.Src1.String()
+	case argSrc2:
+		return in.Src2.String()
+	case argImm:
+		return strconv.FormatInt(in.Imm, 10)
+	case argMem:
+		return fmt.Sprintf("%d(%s)", in.Imm, in.Src1)
+	default:
+		return fmt.Sprintf("@%d", in.Target)
+	}
+}
+
+// parse sets the fields of in that operand a carries from its text s. A
+// label target goes to *label instead.
+func (a operand) parse(in *Inst, s string, label *string) (err error) {
+	switch a {
+	case argDst:
+		in.Dst, err = parseReg(s)
+	case argSrc1:
+		in.Src1, err = parseReg(s)
+	case argSrc2:
+		in.Src2, err = parseReg(s)
+	case argImm:
+		in.Imm, err = strconv.ParseInt(s, 0, 64)
+	case argMem:
+		open := strings.IndexByte(s, '(')
+		if open < 0 || !strings.HasSuffix(s, ")") {
+			return fmt.Errorf("expected off(base), got %q", s)
+		}
+		if open > 0 {
+			if in.Imm, err = strconv.ParseInt(s[:open], 0, 64); err != nil {
+				return err
+			}
+		}
+		in.Src1, err = parseReg(s[open+1 : len(s)-1])
+	case argTarget:
+		if s == "" {
+			return fmt.Errorf("missing branch target")
+		}
+		if !strings.HasPrefix(s, "@") {
+			*label = s
+			return nil
+		}
+		in.Target, err = strconv.Atoi(s[1:])
+	}
+	return err
+}
+
+// parseReg parses a register name r0..r31.
+func parseReg(s string) (Reg, error) {
+	lower := strings.ToLower(s)
+	n, err := strconv.Atoi(strings.TrimPrefix(lower, "r"))
+	if !strings.HasPrefix(lower, "r") || err != nil || n < 0 || n >= NumRegs {
+		return 0, fmt.Errorf("bad register %q", s)
+	}
+	return Reg(n), nil
 }
 
 // Validate reports an error when the instruction is malformed (bad opcode or

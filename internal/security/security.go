@@ -44,9 +44,10 @@ type RunSpec struct {
 	// attacker-controlled environment. It must not touch memory contents
 	// or registers. Optional.
 	PrepareSystem func(*uarch.System) error
-	// MaxCycles bounds each run.
-	MaxCycles int64
 }
+
+// maxCycles bounds each of Check's two machine runs.
+const maxCycles = 2_000_000
 
 // Report is the checker outcome. The two equality notions form a
 // hierarchy that maps directly onto the paper's narrative:
@@ -90,9 +91,6 @@ func Check(spec RunSpec) (*Report, error) {
 	if spec.Prog == nil {
 		return nil, fmt.Errorf("security: nil program")
 	}
-	if spec.MaxCycles == 0 {
-		spec.MaxCycles = 2_000_000
-	}
 	if err := spec.Prog.Validate(); err != nil {
 		return nil, err
 	}
@@ -134,7 +132,7 @@ func Check(spec RunSpec) (*Report, error) {
 		}
 		sys.Core(0).SetBranchOracle(oracle) // nil for E: the real predictor
 		sys.Hierarchy().ResetLog()
-		if err := sys.Run(spec.MaxCycles); err != nil {
+		if err := sys.Run(maxCycles); err != nil {
 			return nil, 0, err
 		}
 		_, mispredicts := sys.Core(0).Predictor().Stats()

@@ -29,9 +29,9 @@ const (
 )
 
 // decoded is the static decode of one program instruction: the facts
-// fetch, dispatch, issue, writeback and retire would otherwise re-derive
-// from the isa switches for each dynamic instance. LoadProgram builds one
-// per PC (see Core.decode).
+// fetch, dispatch, issue, writeback and retire would otherwise look up in
+// the isa instruction table for each dynamic instance. LoadProgram
+// builds one per PC (see Core.decode).
 type decoded struct {
 	inst  isa.Inst
 	class isa.Class

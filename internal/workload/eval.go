@@ -11,12 +11,13 @@ import (
 	"specinterference/internal/uarch"
 )
 
+// evalMaxCycles bounds each Figure 12 run.
+const evalMaxCycles = 30_000_000
+
 // EvalConfig drives a Figure 12 style defense-overhead sweep.
 type EvalConfig struct {
 	// Iters is the per-kernel loop count.
 	Iters int
-	// MaxCycles bounds each run.
-	MaxCycles int64
 	// Schemes lists the policies to evaluate against the unsafe baseline
 	// (default: the two §5.2 fence defenses).
 	Schemes []string
@@ -28,10 +29,9 @@ type EvalConfig struct {
 // DefaultEvalConfig returns the Figure 12 setup.
 func DefaultEvalConfig() EvalConfig {
 	return EvalConfig{
-		Iters:     2000,
-		MaxCycles: 30_000_000,
-		Schemes:   []string{"fence-spectre", "fence-futuristic"},
-		Cores:     1,
+		Iters:   2000,
+		Schemes: []string{"fence-spectre", "fence-futuristic"},
+		Cores:   1,
 	}
 }
 
@@ -69,14 +69,11 @@ type Cell struct {
 	IPC float64 `json:"ipc"`
 }
 
-// Normalize fills EvalConfig defaults (iters, cycle bound, schemes,
-// cores), so shard planning, execution and aggregation all see one config.
+// Normalize fills EvalConfig defaults (iters, schemes, cores), so shard
+// planning, execution and aggregation all see one config.
 func (cfg EvalConfig) Normalize() EvalConfig {
 	if cfg.Iters <= 0 {
 		cfg.Iters = DefaultEvalConfig().Iters
-	}
-	if cfg.MaxCycles <= 0 {
-		cfg.MaxCycles = DefaultEvalConfig().MaxCycles
 	}
 	if len(cfg.Schemes) == 0 {
 		cfg.Schemes = DefaultEvalConfig().Schemes
@@ -197,7 +194,7 @@ func runOnce(w Workload, policyName string, cfg EvalConfig) (int64, float64, err
 	if err := sys.LoadProgram(0, prog, policy); err != nil {
 		return 0, 0, err
 	}
-	if err := sys.Run(cfg.MaxCycles); err != nil {
+	if err := sys.Run(evalMaxCycles); err != nil {
 		return 0, 0, fmt.Errorf("workload %s under %s: %w", w.Name, policyName, err)
 	}
 	st := sys.Core(0).Stats()

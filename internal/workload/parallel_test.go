@@ -56,7 +56,7 @@ func serialEvaluate(t *testing.T, cfg EvalConfig) *EvalResult {
 // spec's grid, folded by AggregateCells, is bit-identical (rows, means
 // and geomeans) to the serial loop at worker counts 1 and 4.
 func TestEvaluateParallelMatchesSerial(t *testing.T) {
-	cfg := EvalConfig{Iters: 50, MaxCycles: 5_000_000, Schemes: []string{"fence-spectre"}, Cores: 1}
+	cfg := EvalConfig{Iters: 50, Schemes: []string{"fence-spectre"}, Cores: 1}
 	want := serialEvaluate(t, cfg)
 	for _, workers := range []int{1, 4} {
 		cells, err := runner.Map(context.Background(), EvalShards(cfg), workers, func(_ context.Context, j int) (Cell, error) {
