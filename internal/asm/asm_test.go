@@ -280,6 +280,10 @@ func TestAssembleErrors(t *testing.T) {
 		"flush 8(r2), r3",
 		"beq r1, r2, ",
 		"jmp @",
+		"movi r+1, 5",
+		"mov r-0, r1",
+		"mov r1, r01",
+		"jmp @+1",
 	}
 	for _, src := range cases {
 		if _, err := Assemble(src + "\nhalt"); err == nil {

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -147,17 +146,13 @@ func TestCacheSetConflictsOnly(t *testing.T) {
 	}
 }
 
-func TestCacheLinesInSetAndDump(t *testing.T) {
+func TestCacheLinesInSet(t *testing.T) {
 	c := NewCache("t", 1, 4, 1, PolicyLRU, nil)
 	c.Fill(0x000)
 	c.Fill(0x040)
 	lines := c.LinesInSet(0)
 	if len(lines) != 2 || lines[0] != 0 || lines[1] != 0x40 {
 		t.Errorf("LinesInSet = %#v", lines)
-	}
-	d := c.DumpSet(0)
-	if !strings.Contains(d, "0x40") || !strings.Contains(d, "lru") {
-		t.Errorf("DumpSet = %q", d)
 	}
 }
 
@@ -200,6 +195,9 @@ func TestCacheConstructorPanics(t *testing.T) {
 		func() { NewCache("x", 0, 2, 1, PolicyLRU, nil) },
 		func() { NewCache("x", 4, 0, 1, PolicyLRU, nil) },
 		func() { NewCache("x", 4, 2, 0, PolicyLRU, nil) },
+		func() { NewCache("x", 4, 2, 1, PolicyQLRU, nil).AddReplacementNoise(5) },
+		func() { NewCache("x", 4, 2, 1, PolicyQLRU, NewRand(1)).AddReplacementNoise(0) },
+		func() { NewCache("x", 4, 2, 1, PolicyQLRU, NewRand(1)).AddReplacementNoise(101) },
 	}
 	for i, f := range cases {
 		func() {
@@ -211,6 +209,24 @@ func TestCacheConstructorPanics(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+func TestNewCacheRandomNeedsRand(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic")
+		}
+	}()
+	NewCache("x", 4, 2, 1, PolicyRandom, nil)
+}
+
+func TestNewCacheUnknownPolicyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic")
+		}
+	}()
+	NewCache("x", 4, 2, 1, PolicyKind(42), nil)
 }
 
 func TestMSHRAllocateAndReap(t *testing.T) {

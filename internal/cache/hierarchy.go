@@ -210,7 +210,7 @@ func NewHierarchy(cfg Config) *Hierarchy {
 		c := NewCache(fmt.Sprintf("llc%d", s),
 			cfg.LLC.Sets, cfg.LLC.Ways, cfg.LLC.Latency, cfg.LLCPolicy, h.rng)
 		if cfg.LLCReplacementNoisePct > 0 {
-			c.AddReplacementNoise(cfg.LLCReplacementNoisePct, h.rng)
+			c.AddReplacementNoise(cfg.LLCReplacementNoisePct)
 		}
 		h.llc = append(h.llc, c)
 	}

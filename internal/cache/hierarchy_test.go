@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"specinterference/internal/mem"
@@ -318,5 +319,40 @@ func TestLevelAndKindStrings(t *testing.T) {
 	}
 	if Level(9).String() == "" || AccessKind(9).String() == "" {
 		t.Error("unknown enums should still render")
+	}
+}
+
+// TestNewHierarchyAllocsIndependentOfSize pins machine construction's
+// allocation count to the hierarchy's shape, not its size: each cache
+// keeps its state in a fixed number of flat arrays, so a config with every
+// level's Sets multiplied by 4 builds with exactly as many allocations. A
+// heap object per set would add allocations with every set.
+func TestNewHierarchyAllocsIndependentOfSize(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("alloc counts are not meaningful under the race detector")
+	}
+	allocs := func(cfg Config) float64 {
+		// A collection during the runs can allocate on its own.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		return testing.AllocsPerRun(3, func() { NewHierarchy(cfg) })
+	}
+	noisyRandom := DefaultConfig(2)
+	noisyRandom.LLCPolicy = PolicyRandom
+	noisyRandom.LLCReplacementNoisePct = 10
+	srrip := smallConfig()
+	srrip.L1Policy, srrip.LLCPolicy = PolicySRRIP, PolicySRRIP
+	noL2 := smallConfig()
+	noL2.L2 = Geometry{}
+	for name, cfg := range map[string]Config{
+		"default": DefaultConfig(1), "small": smallConfig(), "noisy-random": noisyRandom,
+		"srrip": srrip, "no-l2": noL2,
+	} {
+		big := cfg
+		for _, g := range []*Geometry{&big.L1I, &big.L1D, &big.L2, &big.LLC} {
+			g.Sets *= 4
+		}
+		if n, nBig := allocs(cfg), allocs(big); n != nBig {
+			t.Errorf("%s: NewHierarchy makes %v allocations, %v with 4x the sets", name, n, nBig)
+		}
 	}
 }

@@ -1,32 +1,44 @@
 // Package cache implements the memory-side substrate of the simulator:
-// parametric set-associative caches with pluggable replacement policies
-// (including the QLRU_H11_M1_R0_U0 policy reverse-engineered from the
-// paper's Kaby Lake target in §4.2.2), miss-status-holding-register files,
-// per-core private levels, a shared sliced last-level cache with inclusive
-// back-invalidation, a visible-access log implementing the C(E) abstraction
-// of §5.1, and eviction-set construction for the attacker's receiver.
+// parametric set-associative caches whose tags and replacement state live
+// in flat per-cache arrays, under one of four replacement policies (LRU,
+// SRRIP, random, and the QLRU_H11_M1_R0_U0 policy reverse-engineered from
+// the paper's Kaby Lake target in §4.2.2), miss-status-holding-register
+// files, per-core private levels, a shared sliced last-level cache with
+// inclusive back-invalidation, a visible-access log implementing the C(E)
+// abstraction of §5.1, and eviction-set construction for the attacker's
+// receiver.
 package cache
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 )
 
 // PolicyKind selects a replacement policy.
 type PolicyKind int
 
-// Replacement policies.
+// Replacement policies. Every policy fills the leftmost empty way of a set
+// before it evicts anything.
 const (
 	// PolicyLRU is true least-recently-used.
 	PolicyLRU PolicyKind = iota
-	// PolicyTreePLRU is tree pseudo-LRU (ways must be a power of two).
-	PolicyTreePLRU
-	// PolicyNRU is not-recently-used (single reference bit).
-	PolicyNRU
-	// PolicySRRIP is 2-bit static re-reference interval prediction.
+	// PolicySRRIP is 2-bit static re-reference interval prediction
+	// (Jaleel et al.): insert at RRPV 2, promote to 0 on a hit, and evict
+	// as QLRU does.
 	PolicySRRIP
-	// PolicyQLRU is QLRU_H11_M1_R0_U0, the quad-age LRU variant the paper
-	// identified on its Kaby Lake LLC sets (§4.2.2).
+	// PolicyQLRU is QLRU_H11_M1_R0_U0, the quad-age LRU variant that the
+	// paper identified (via nanoBench/CacheQuery) on the Kaby Lake LLC
+	// sets it attacks (§4.2.2). Quoting the paper's sub-policies:
+	//
+	//   - M1 insertion: new lines enter with age 1.
+	//   - H11 hit promotion: age 3 -> 1, age 2 -> 1, age 1 or 0 -> 0.
+	//   - R0 eviction: insert into the leftmost empty way when the set is
+	//     not full; otherwise evict the leftmost way whose age is 3.
+	//   - U0 aging: when an eviction is needed and no way has age 3,
+	//     increment every way's age (saturating at 3) until one does.
+	//
+	// The D-Cache PoC receiver (internal/core) decodes load-issue *order*
+	// from exactly these rules.
 	PolicyQLRU
 	// PolicyRandom picks uniformly random victims (CleanupSpec-style
 	// randomized replacement; the §6 mitigation discussion).
@@ -38,10 +50,6 @@ func (k PolicyKind) String() string {
 	switch k {
 	case PolicyLRU:
 		return "lru"
-	case PolicyTreePLRU:
-		return "tree-plru"
-	case PolicyNRU:
-		return "nru"
 	case PolicySRRIP:
 		return "srrip"
 	case PolicyQLRU:
@@ -53,396 +61,78 @@ func (k PolicyKind) String() string {
 	}
 }
 
-// SetState is the replacement state of a single cache set. Implementations
-// are not safe for concurrent use; the simulator is single-threaded per
-// system.
-type SetState interface {
-	// OnFill records that a line was inserted into way.
-	OnFill(way int)
-	// OnHit records a hit on way.
-	OnHit(way int)
-	// Victim selects the way for an incoming fill. occupied[i] reports
-	// whether way i currently holds a valid line. Victim may mutate state
-	// (e.g., QLRU's U0 aging runs during victim selection).
-	Victim(occupied []bool) int
-	// OnInvalidate records that way was invalidated.
-	OnInvalidate(way int)
-	// Reset restores the state a freshly-constructed set would have,
-	// without allocating.
-	Reset()
-	// DebugString renders the state for diagnostics.
-	DebugString() string
-}
-
-// NewSetState constructs the per-set state for a policy. rng is used only
-// by PolicyRandom; it must not be nil for that policy.
-func NewSetState(k PolicyKind, ways int, rng *Rand) SetState {
-	switch k {
+// hit applies the replacement update for a hit on way index i of set.
+func (c *Cache) hit(set, i int) {
+	switch c.policy {
 	case PolicyLRU:
-		return NewLRUSet(ways)
-	case PolicyTreePLRU:
-		return NewTreePLRUSet(ways)
-	case PolicyNRU:
-		return NewNRUSet(ways)
+		c.clock[set]++
+		c.stamp[i] = c.clock[set]
 	case PolicySRRIP:
-		return NewSRRIPSet(ways)
+		c.age[i] = 0
 	case PolicyQLRU:
-		return NewQLRUSet(ways)
+		c.age[i] /= 2 // H11: age 3 or 2 -> 1, age 1 or 0 -> 0
+	}
+}
+
+// fill applies the replacement update for a line just installed at way
+// index i of set.
+func (c *Cache) fill(set, i int) {
+	switch c.policy {
+	case PolicyLRU:
+		c.hit(set, i)
+	case PolicySRRIP:
+		c.age[i] = 2
+	case PolicyQLRU: // M1
+		c.age[i] = 1
+	}
+}
+
+// victim returns the way of set that the next fill replaces: the leftmost
+// empty way, else the policy's choice. Replacement noise then draws, after
+// the policy has chosen and aged the set, and may pick a random way
+// instead.
+func (c *Cache) victim(set int) int {
+	base := set * c.ways
+	if w := slices.Index(c.tags[base:base+c.ways], noLine); w >= 0 {
+		return w
+	}
+	v := 0
+	switch c.policy {
+	case PolicyLRU:
+		stamp := c.stamp[base : base+c.ways]
+		for w := 1; w < len(stamp); w++ {
+			if stamp[w] < stamp[v] {
+				v = w
+			}
+		}
+	case PolicySRRIP, PolicyQLRU:
+		// Evict the leftmost way of age 3, first ageing every way by the
+		// same amount until one has it (U0).
+		age := c.age[base : base+c.ways]
+		lift := 3 - slices.Max(age)
+		for w := range age {
+			age[w] += lift
+		}
+		v = slices.Index(age, 3)
 	case PolicyRandom:
-		if rng == nil {
-			panic("cache: PolicyRandom requires a Rand")
-		}
-		return NewRandomSet(ways, rng)
-	default:
-		panic(fmt.Sprintf("cache: unknown policy %d", int(k)))
+		v = int(c.rng.Uint64() % uint64(c.ways))
+	}
+	if c.noise > 0 && c.rng.Intn(100) < c.noise {
+		return c.rng.Intn(c.ways)
+	}
+	return v
+}
+
+// clearWay empties way index i and zeroes its replacement state.
+func (c *Cache) clearWay(i int) {
+	c.tags[i] = noLine
+	switch c.policy {
+	case PolicyLRU:
+		c.stamp[i] = 0
+	case PolicySRRIP, PolicyQLRU:
+		c.age[i] = 0
 	}
 }
-
-func firstEmpty(occupied []bool) (int, bool) {
-	for i, occ := range occupied {
-		if !occ {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// ---------------------------------------------------------------------------
-// LRU
-
-// LRUSet is true LRU via monotonically increasing use stamps.
-type LRUSet struct {
-	stamp []uint64
-	clock uint64
-}
-
-// NewLRUSet returns LRU state for a set with the given associativity.
-func NewLRUSet(ways int) *LRUSet { return &LRUSet{stamp: make([]uint64, ways)} }
-
-func (s *LRUSet) touch(way int) {
-	s.clock++
-	s.stamp[way] = s.clock
-}
-
-// OnFill implements SetState.
-func (s *LRUSet) OnFill(way int) { s.touch(way) }
-
-// OnHit implements SetState.
-func (s *LRUSet) OnHit(way int) { s.touch(way) }
-
-// Victim implements SetState: leftmost empty way, else the least recently
-// used occupied way.
-func (s *LRUSet) Victim(occupied []bool) int {
-	if w, ok := firstEmpty(occupied); ok {
-		return w
-	}
-	victim, best := 0, s.stamp[0]
-	for w := 1; w < len(s.stamp); w++ {
-		if s.stamp[w] < best {
-			victim, best = w, s.stamp[w]
-		}
-	}
-	return victim
-}
-
-// OnInvalidate implements SetState.
-func (s *LRUSet) OnInvalidate(way int) { s.stamp[way] = 0 }
-
-// Reset implements SetState.
-func (s *LRUSet) Reset() {
-	clear(s.stamp)
-	s.clock = 0
-}
-
-// DebugString implements SetState.
-func (s *LRUSet) DebugString() string { return fmt.Sprintf("lru%v", s.stamp) }
-
-// ---------------------------------------------------------------------------
-// Tree PLRU
-
-// TreePLRUSet is tree pseudo-LRU over a power-of-two number of ways.
-type TreePLRUSet struct {
-	ways int
-	// bits is a perfect binary tree in heap order; bits[i]==false points
-	// left (lower ways), true points right.
-	bits []bool
-}
-
-// NewTreePLRUSet returns tree-PLRU state; ways must be a power of two >= 2.
-func NewTreePLRUSet(ways int) *TreePLRUSet {
-	if ways < 2 || ways&(ways-1) != 0 {
-		panic(fmt.Sprintf("cache: tree-plru needs power-of-two ways, got %d", ways))
-	}
-	return &TreePLRUSet{ways: ways, bits: make([]bool, ways-1)}
-}
-
-// touch makes way the most recently used: every tree node on the path is
-// pointed away from it.
-func (s *TreePLRUSet) touch(way int) {
-	node := 0
-	lo, hi := 0, s.ways
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if way < mid {
-			s.bits[node] = true // point away: right
-			node = 2*node + 1
-			hi = mid
-		} else {
-			s.bits[node] = false // point away: left
-			node = 2*node + 2
-			lo = mid
-		}
-	}
-}
-
-// OnFill implements SetState.
-func (s *TreePLRUSet) OnFill(way int) { s.touch(way) }
-
-// OnHit implements SetState.
-func (s *TreePLRUSet) OnHit(way int) { s.touch(way) }
-
-// Victim implements SetState.
-func (s *TreePLRUSet) Victim(occupied []bool) int {
-	if w, ok := firstEmpty(occupied); ok {
-		return w
-	}
-	node := 0
-	lo, hi := 0, s.ways
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if !s.bits[node] {
-			node = 2*node + 1
-			hi = mid
-		} else {
-			node = 2*node + 2
-			lo = mid
-		}
-	}
-	return lo
-}
-
-// OnInvalidate implements SetState. PLRU keeps no per-way state to clear.
-func (s *TreePLRUSet) OnInvalidate(int) {}
-
-// Reset implements SetState.
-func (s *TreePLRUSet) Reset() { clear(s.bits) }
-
-// DebugString implements SetState.
-func (s *TreePLRUSet) DebugString() string { return fmt.Sprintf("plru%v", s.bits) }
-
-// ---------------------------------------------------------------------------
-// NRU
-
-// NRUSet is not-recently-used: one reference bit per way.
-type NRUSet struct {
-	ref []bool
-}
-
-// NewNRUSet returns NRU state.
-func NewNRUSet(ways int) *NRUSet { return &NRUSet{ref: make([]bool, ways)} }
-
-// OnFill implements SetState.
-func (s *NRUSet) OnFill(way int) { s.ref[way] = true }
-
-// OnHit implements SetState.
-func (s *NRUSet) OnHit(way int) { s.ref[way] = true }
-
-// Victim implements SetState: leftmost empty, else leftmost way with a
-// clear reference bit, clearing all bits when none is clear.
-func (s *NRUSet) Victim(occupied []bool) int {
-	if w, ok := firstEmpty(occupied); ok {
-		return w
-	}
-	for w, r := range s.ref {
-		if !r {
-			return w
-		}
-	}
-	for w := range s.ref {
-		s.ref[w] = false
-	}
-	return 0
-}
-
-// OnInvalidate implements SetState.
-func (s *NRUSet) OnInvalidate(way int) { s.ref[way] = false }
-
-// Reset implements SetState.
-func (s *NRUSet) Reset() { clear(s.ref) }
-
-// DebugString implements SetState.
-func (s *NRUSet) DebugString() string { return fmt.Sprintf("nru%v", s.ref) }
-
-// ---------------------------------------------------------------------------
-// SRRIP
-
-// SRRIPSet is 2-bit static RRIP (Jaleel et al.): insert at RRPV 2, promote
-// to 0 on hit, evict the leftmost way with RRPV 3, aging all ways until one
-// exists.
-type SRRIPSet struct {
-	rrpv []uint8
-}
-
-// NewSRRIPSet returns SRRIP state.
-func NewSRRIPSet(ways int) *SRRIPSet { return &SRRIPSet{rrpv: make([]uint8, ways)} }
-
-// OnFill implements SetState.
-func (s *SRRIPSet) OnFill(way int) { s.rrpv[way] = 2 }
-
-// OnHit implements SetState.
-func (s *SRRIPSet) OnHit(way int) { s.rrpv[way] = 0 }
-
-// Victim implements SetState.
-func (s *SRRIPSet) Victim(occupied []bool) int {
-	if w, ok := firstEmpty(occupied); ok {
-		return w
-	}
-	for {
-		for w, v := range s.rrpv {
-			if v == 3 {
-				return w
-			}
-		}
-		for w := range s.rrpv {
-			if s.rrpv[w] < 3 {
-				s.rrpv[w]++
-			}
-		}
-	}
-}
-
-// OnInvalidate implements SetState.
-func (s *SRRIPSet) OnInvalidate(way int) { s.rrpv[way] = 0 }
-
-// Reset implements SetState.
-func (s *SRRIPSet) Reset() { clear(s.rrpv) }
-
-// DebugString implements SetState.
-func (s *SRRIPSet) DebugString() string { return fmt.Sprintf("srrip%v", s.rrpv) }
-
-// ---------------------------------------------------------------------------
-// QLRU_H11_M1_R0_U0
-
-// QLRUSet implements QLRU_H11_M1_R0_U0, the quad-age LRU variant that the
-// paper identified (via nanoBench/CacheQuery) on the Kaby Lake LLC sets it
-// attacks (§4.2.2). Sub-policies, quoting the paper:
-//
-//   - M1 insertion: new lines enter with age 1.
-//   - H11 hit promotion: age 3 -> 1, age 2 -> 1, age 1 or 0 -> 0.
-//   - R0 eviction: insert into the leftmost empty way when the set is not
-//     full; otherwise evict the leftmost way whose age is 3.
-//   - U0 aging: when an eviction is needed and no way has age 3, increment
-//     every way's age (saturating at 3) until a victim candidate exists.
-//
-// The D-Cache PoC receiver (internal/core) decodes load-issue *order* from
-// exactly these rules.
-type QLRUSet struct {
-	age []uint8
-}
-
-// NewQLRUSet returns QLRU state.
-func NewQLRUSet(ways int) *QLRUSet { return &QLRUSet{age: make([]uint8, ways)} }
-
-// OnFill implements SetState (M1: insertion age 1).
-func (s *QLRUSet) OnFill(way int) { s.age[way] = 1 }
-
-// OnHit implements SetState (H11 promotion).
-func (s *QLRUSet) OnHit(way int) {
-	switch s.age[way] {
-	case 3, 2:
-		s.age[way] = 1
-	default:
-		s.age[way] = 0
-	}
-}
-
-// Victim implements SetState (R0 eviction with U0 aging).
-func (s *QLRUSet) Victim(occupied []bool) int {
-	if w, ok := firstEmpty(occupied); ok {
-		return w
-	}
-	for {
-		for w, a := range s.age {
-			if a == 3 {
-				return w
-			}
-		}
-		// U0: age everything until a candidate appears.
-		for w := range s.age {
-			if s.age[w] < 3 {
-				s.age[w]++
-			}
-		}
-	}
-}
-
-// OnInvalidate implements SetState.
-func (s *QLRUSet) OnInvalidate(way int) { s.age[way] = 0 }
-
-// Reset implements SetState.
-func (s *QLRUSet) Reset() { clear(s.age) }
-
-// Ages returns a copy of the per-way age vector (for tests and the
-// replacement-state receiver's documentation of Figure 8).
-func (s *QLRUSet) Ages() []uint8 {
-	out := make([]uint8, len(s.age))
-	copy(out, s.age)
-	return out
-}
-
-// DebugString implements SetState.
-func (s *QLRUSet) DebugString() string {
-	var b strings.Builder
-	b.WriteString("qlru[")
-	for i, a := range s.age {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d", a)
-	}
-	b.WriteString("]")
-	return b.String()
-}
-
-// ---------------------------------------------------------------------------
-// Random
-
-// RandomSet picks uniformly random victims among occupied ways.
-type RandomSet struct {
-	ways int
-	rng  *Rand
-}
-
-// NewRandomSet returns random-replacement state drawing from rng.
-func NewRandomSet(ways int, rng *Rand) *RandomSet {
-	return &RandomSet{ways: ways, rng: rng}
-}
-
-// OnFill implements SetState.
-func (s *RandomSet) OnFill(int) {}
-
-// OnHit implements SetState.
-func (s *RandomSet) OnHit(int) {}
-
-// Victim implements SetState.
-func (s *RandomSet) Victim(occupied []bool) int {
-	if w, ok := firstEmpty(occupied); ok {
-		return w
-	}
-	return int(s.rng.Uint64() % uint64(s.ways))
-}
-
-// OnInvalidate implements SetState.
-func (s *RandomSet) OnInvalidate(int) {}
-
-// Reset implements SetState. The shared Rand is reseeded by the hierarchy,
-// not per set.
-func (s *RandomSet) Reset() {}
-
-// DebugString implements SetState.
-func (s *RandomSet) DebugString() string { return "random" }
-
-// ---------------------------------------------------------------------------
 
 // Rand is a small deterministic xorshift64* generator so the simulator does
 // not depend on math/rand ordering and is reproducible across runs.

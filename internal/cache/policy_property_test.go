@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -9,63 +10,44 @@ import (
 const qlruMaxAge = 3
 
 // checkAges asserts the QLRU state never leaves its 2-bit domain.
-func checkAges(t *testing.T, s *QLRUSet, when string) {
+func checkAges(t *testing.T, c *Cache, when string) {
 	t.Helper()
-	for w, a := range s.Ages() {
+	for w, a := range c.age {
 		if a > qlruMaxAge {
 			t.Fatalf("%s: way %d age %d outside the 2-bit domain", when, w, a)
 		}
 	}
 }
 
-// leftmostMax returns the leftmost occupied way of maximal age — the way
-// the R0 eviction rule with U0 aging must select: uniform saturating
-// increments preserve the age order, so the first way to reach age 3 is
-// the leftmost one that started maximal.
-func leftmostMax(ages []uint8, occupied []bool) int {
-	best, way := -1, -1
-	for w, a := range ages {
-		if occupied[w] && int(a) > best {
-			best, way = int(a), w
-		}
-	}
-	return way
+// leftmostMax returns the leftmost way of maximal age — the way the R0
+// eviction rule with U0 aging must select in a full set: uniform
+// saturating increments preserve the age order, so the first way to reach
+// age 3 is the leftmost one that started maximal.
+func leftmostMax(ages []uint8) int {
+	return slices.Index(ages, slices.Max(ages))
 }
 
-// TestQLRUPropertyRandomAccess drives QLRU_H11_M1_R0_U0 sets with long
-// pseudo-random access/invalidate sequences and asserts, after every
-// operation:
+// TestQLRUPropertyRandomAccess drives a one-set QLRU_H11_M1_R0_U0 cache
+// with long pseudo-random fill/invalidate sequences and asserts, after
+// every operation:
 //
 //   - ages stay within the 2-bit domain (the hardware has no age 4),
 //   - insertions obey M1 (age 1) and hits obey H11 (promote to 0 or 1),
-//   - Victim fills empty ways leftmost-first,
-//   - Victim on a full set returns the leftmost way of maximal age, so a
-//     just-touched way — whose age an immediately preceding hit forced to
-//     0 or 1 — is never evicted while any way holds a strictly greater
-//     age. (When every occupied way is age-tied, U0 ages them to 3 in
-//     lockstep and R0's leftmost tie-break applies; that tie-break, not
-//     recency, is the only way a just-hit way can ever be the victim, and
-//     it is exactly the determinism the §4.2.2 receiver decodes.)
+//   - fills take empty ways leftmost-first,
+//   - a fill into a full set replaces the leftmost way of maximal age, so
+//     a just-touched way — whose age an immediately preceding hit forced
+//     to 0 or 1 — is never evicted while any way holds a strictly greater
+//     age. (When every way is age-tied, U0 ages them to 3 in lockstep and
+//     R0's leftmost tie-break applies; that tie-break, not recency, is the
+//     only way a just-hit way can ever be the victim, and it is exactly
+//     the determinism the §4.2.2 receiver decodes.)
 func TestQLRUPropertyRandomAccess(t *testing.T) {
 	for _, ways := range []int{4, 16} {
 		for seed := uint64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("ways=%d/seed=%d", ways, seed), func(t *testing.T) {
 				rng := NewRand(seed*0x9e37 + uint64(ways))
-				s := NewQLRUSet(ways)
-				occupied := make([]bool, ways)
-				resident := make([]int, ways) // line id per way, -1 = empty
-				for w := range resident {
-					resident[w] = -1
-				}
-				find := func(line int) int {
-					for w, l := range resident {
-						if occupied[w] && l == line {
-							return w
-						}
-					}
-					return -1
-				}
-				lastHit := -1 // way touched by the most recent OnHit
+				c := NewCache("t", 1, ways, 1, PolicyQLRU, nil)
+				lastHit := -1 // way touched by the most recent hit
 
 				// 2*ways distinct lines: misses and hits stay interleaved.
 				lines := 2 * ways
@@ -74,71 +56,56 @@ func TestQLRUPropertyRandomAccess(t *testing.T) {
 					case op == 0 && step > 0:
 						// Occasional back-invalidation of a random way.
 						w := rng.Intn(ways)
-						if occupied[w] {
-							s.OnInvalidate(w)
-							occupied[w] = false
-							resident[w] = -1
+						if c.tags[w] != noLine {
+							c.Invalidate(c.tags[w])
 							if lastHit == w {
 								lastHit = -1
 							}
-							checkAges(t, s, "after OnInvalidate")
+							checkAges(t, c, "after Invalidate")
 						}
 					default:
-						line := rng.Intn(lines)
-						if w := find(line); w >= 0 {
-							s.OnHit(w)
-							if a := s.Ages()[w]; a > 1 {
+						addr := line(rng.Intn(lines))
+						if _, w := c.find(addr); w >= 0 {
+							c.Fill(addr)
+							if a := c.age[w]; a > 1 {
 								t.Fatalf("H11 violated: hit way %d left age %d", w, a)
 							}
 							lastHit = w
-							checkAges(t, s, "after OnHit")
+							checkAges(t, c, "after hit")
 							continue
 						}
-						agesBefore := s.Ages()
-						full := true
-						for _, o := range occupied {
-							full = full && o
-						}
-						w := s.Victim(occupied)
-						checkAges(t, s, "after Victim")
-						if !full {
-							want := -1
-							for i, o := range occupied {
-								if !o {
-									want = i
-									break
-								}
-							}
-							if w != want {
-								t.Fatalf("Victim on a non-full set chose way %d, want leftmost empty %d", w, want)
+						agesBefore := slices.Clone(c.age)
+						empty := slices.Index(c.tags, noLine)
+						c.Fill(addr)
+						checkAges(t, c, "after fill")
+						_, w := c.find(addr)
+						if empty >= 0 {
+							if w != empty {
+								t.Fatalf("fill into a non-full set chose way %d, want leftmost empty %d", w, empty)
 							}
 						} else {
-							want := leftmostMax(agesBefore, occupied)
+							want := leftmostMax(agesBefore)
 							if w != want {
-								t.Fatalf("Victim chose way %d (age %d), want leftmost maximal way %d (age %d); ages %v",
+								t.Fatalf("fill replaced way %d (age %d), want leftmost maximal way %d (age %d); ages %v",
 									w, agesBefore[w], want, agesBefore[want], agesBefore)
 							}
 							// The just-touched-way guarantee: only an
 							// all-maximal tie may evict the last hit way.
 							if w == lastHit {
-								for ow, o := range occupied {
-									if o && agesBefore[ow] > agesBefore[w] {
+								for ow, a := range agesBefore {
+									if a > agesBefore[w] {
 										t.Fatalf("just-hit way %d evicted while way %d is older (%d > %d)",
-											w, ow, agesBefore[ow], agesBefore[w])
+											w, ow, a, agesBefore[w])
 									}
 								}
 							}
 						}
-						s.OnFill(w)
-						if a := s.Ages()[w]; a != 1 {
+						if a := c.age[w]; a != 1 {
 							t.Fatalf("M1 violated: fill of way %d set age %d, want 1", w, a)
 						}
-						occupied[w] = true
-						resident[w] = line
 						if lastHit == w {
 							lastHit = -1
 						}
-						checkAges(t, s, "after OnFill")
 					}
 				}
 			})
@@ -153,22 +120,16 @@ func TestQLRUPropertyRandomAccess(t *testing.T) {
 // takes more rounds than the receiver's probe needs.
 func TestQLRUJustTouchedSurvivesPressure(t *testing.T) {
 	const ways = 16
-	s := NewQLRUSet(ways)
-	occupied := make([]bool, ways)
-	for w := 0; w < ways; w++ {
-		v := s.Victim(occupied)
-		s.OnFill(v)
-		occupied[v] = true
-	}
+	c := fullSet(PolicyQLRU, ways)
 	const hot = 5
-	s.OnHit(hot) // age 0; every other way is age 1
-	v := s.Victim(occupied)
-	if v == hot {
+	c.Touch(line(hot)) // age 0; every other way is age 1
+	c.Fill(line(ways))
+	if !c.Contains(line(hot)) {
 		t.Fatalf("first eviction after the hit chose the just-touched way %d", hot)
 	}
-	s.OnFill(v)
 	// One more round: the hot way is still the youngest.
-	if v := s.Victim(occupied); v == hot {
-		t.Fatalf("second eviction chose the just-touched way %d; ages %v", hot, s.Ages())
+	c.Fill(line(ways + 1))
+	if !c.Contains(line(hot)) {
+		t.Fatalf("second eviction chose the just-touched way %d; ages %v", hot, c.age)
 	}
 }

@@ -1,30 +1,33 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"specinterference/internal/mem"
 )
 
-func occ(n int, occupied ...int) []bool {
-	o := make([]bool, n)
-	for _, i := range occupied {
-		o[i] = true
-	}
-	return o
-}
+// policies lists every replacement policy.
+var policies = []PolicyKind{PolicyLRU, PolicySRRIP, PolicyQLRU, PolicyRandom}
 
-func full(n int) []bool {
-	o := make([]bool, n)
-	for i := range o {
-		o[i] = true
+// line returns the address of line n; in a one-set cache every line maps
+// to set 0.
+func line(n int) int64 { return int64(n) * mem.LineBytes }
+
+// fullSet returns a one-set cache under policy k whose ways hold lines 0,
+// 1, ... in way order, each filled once.
+func fullSet(k PolicyKind, ways int) *Cache {
+	c := NewCache("t", 1, ways, 1, k, NewRand(42))
+	for n := 0; n < ways; n++ {
+		c.Fill(line(n))
 	}
-	return o
+	return c
 }
 
 func TestPolicyKindString(t *testing.T) {
-	kinds := []PolicyKind{PolicyLRU, PolicyTreePLRU, PolicyNRU, PolicySRRIP, PolicyQLRU, PolicyRandom}
 	seen := map[string]bool{}
-	for _, k := range kinds {
+	for _, k := range policies {
 		s := k.String()
 		if s == "" || seen[s] {
 			t.Errorf("bad or duplicate name %q", s)
@@ -36,133 +39,62 @@ func TestPolicyKindString(t *testing.T) {
 	}
 }
 
-func TestNewSetStateAllKinds(t *testing.T) {
-	rng := NewRand(7)
-	for _, k := range []PolicyKind{PolicyLRU, PolicyTreePLRU, PolicyNRU, PolicySRRIP, PolicyQLRU, PolicyRandom} {
-		s := NewSetState(k, 4, rng)
-		if s == nil {
-			t.Fatalf("nil state for %s", k)
-		}
-		if s.DebugString() == "" {
-			t.Errorf("%s: empty debug string", k)
-		}
-	}
-}
-
-func TestNewSetStateRandomNeedsRand(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewSetState(PolicyRandom, 4, nil)
-}
-
-func TestNewSetStateUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewSetState(PolicyKind(42), 4, nil)
-}
-
 func TestLRUVictimOrder(t *testing.T) {
-	s := NewLRUSet(4)
-	// Fill 0..3; victim should be way 0 (oldest).
-	for w := 0; w < 4; w++ {
-		s.OnFill(w)
-	}
-	if v := s.Victim(full(4)); v != 0 {
+	c := fullSet(PolicyLRU, 4)
+	// Filled 0..3 in order: the victim is way 0, the oldest.
+	if v := c.victim(0); v != 0 {
 		t.Errorf("victim = %d, want 0", v)
 	}
-	// Touch way 0; victim becomes way 1.
-	s.OnHit(0)
-	if v := s.Victim(full(4)); v != 1 {
+	// Touch way 0; the victim becomes way 1.
+	c.Touch(line(0))
+	if v := c.victim(0); v != 1 {
 		t.Errorf("victim after hit = %d, want 1", v)
 	}
 }
 
 func TestLRUPrefersEmptyWay(t *testing.T) {
-	s := NewLRUSet(4)
-	s.OnFill(0)
-	if v := s.Victim(occ(4, 0)); v != 1 {
+	c := NewCache("t", 1, 4, 1, PolicyLRU, nil)
+	c.Fill(line(0))
+	if v := c.victim(0); v != 1 {
 		t.Errorf("victim = %d, want first empty way 1", v)
 	}
 }
 
 func TestLRUInvalidate(t *testing.T) {
-	s := NewLRUSet(2)
-	s.OnFill(0)
-	s.OnFill(1)
-	s.OnInvalidate(1)
-	// Way 1 stamp cleared: with both occupied it would be the victim.
-	if v := s.Victim(full(2)); v != 1 {
-		t.Errorf("victim = %d, want invalidated way 1", v)
+	c := fullSet(PolicyLRU, 2)
+	c.Invalidate(line(1))
+	if c.stamp[1] != 0 {
+		t.Errorf("invalidated way keeps stamp %d, want 0", c.stamp[1])
 	}
-}
-
-func TestTreePLRUBasic(t *testing.T) {
-	s := NewTreePLRUSet(4)
-	for w := 0; w < 4; w++ {
-		s.OnFill(w)
+	// Refilled, way 1 is the newest: way 0 is the next victim.
+	c.Fill(line(2))
+	if c.tags[1] != line(2) {
+		t.Fatalf("refill went to %#x, want the empty way 1", c.LinesInSet(0))
 	}
-	// After filling 0,1,2,3 in order, PLRU should evict from the left half.
-	v := s.Victim(full(4))
-	if v != 0 && v != 1 {
-		t.Errorf("victim = %d, want left half", v)
-	}
-	// Victim never points at the most recently touched way.
-	for w := 0; w < 4; w++ {
-		s.OnHit(w)
-		if got := s.Victim(full(4)); got == w {
-			t.Errorf("victim %d equals MRU way %d", got, w)
-		}
-	}
-}
-
-func TestTreePLRUNeedsPowerOfTwo(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewTreePLRUSet(6)
-}
-
-func TestNRUVictim(t *testing.T) {
-	s := NewNRUSet(4)
-	for w := 0; w < 4; w++ {
-		s.OnFill(w)
-	}
-	// All referenced: Victim clears everything and returns way 0.
-	if v := s.Victim(full(4)); v != 0 {
+	if v := c.victim(0); v != 0 {
 		t.Errorf("victim = %d, want 0", v)
-	}
-	// After the clear, touching way 0 makes way 1 the next victim.
-	s.OnHit(0)
-	if v := s.Victim(full(4)); v != 1 {
-		t.Errorf("victim = %d, want 1", v)
 	}
 }
 
 func TestSRRIPInsertAndPromote(t *testing.T) {
-	s := NewSRRIPSet(2)
-	s.OnFill(0)
-	s.OnFill(1)
-	s.OnHit(0) // way0 rrpv=0, way1 rrpv=2
-	// Aging: way1 reaches 3 first.
-	if v := s.Victim(full(2)); v != 1 {
+	c := fullSet(PolicySRRIP, 2)
+	if !slices.Equal(c.age, []uint8{2, 2}) {
+		t.Errorf("RRPVs after fills = %v, want [2 2]", c.age)
+	}
+	c.Touch(line(0)) // way 0 RRPV 0, way 1 RRPV 2
+	// Aging: way 1 reaches 3 first.
+	if v := c.victim(0); v != 1 {
 		t.Errorf("victim = %d, want 1", v)
+	}
+	if !slices.Equal(c.age, []uint8{1, 3}) {
+		t.Errorf("RRPVs after aging = %v, want [1 3]", c.age)
 	}
 }
 
 func TestRandomVictimInRangeAndDeterministic(t *testing.T) {
-	s1 := NewRandomSet(8, NewRand(42))
-	s2 := NewRandomSet(8, NewRand(42))
+	c1, c2 := fullSet(PolicyRandom, 8), fullSet(PolicyRandom, 8)
 	for i := 0; i < 100; i++ {
-		v1 := s1.Victim(full(8))
-		v2 := s2.Victim(full(8))
+		v1, v2 := c1.victim(0), c2.victim(0)
 		if v1 != v2 {
 			t.Fatal("random policy not reproducible with equal seeds")
 		}
@@ -172,65 +104,88 @@ func TestRandomVictimInRangeAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestReplacementNoiseDrawsAfterPolicy pins when noise draws from the
+// shared Rand: after the policy has chosen a victim (a random victim's own
+// draw included) and aged the set, one Intn(100) and, when that deviates,
+// one Intn(ways). The result baselines depend on this order.
+func TestReplacementNoiseDrawsAfterPolicy(t *testing.T) {
+	const ways = 8
+	for _, k := range policies {
+		c := fullSet(k, ways) // filling empty ways draws nothing
+		c.AddReplacementNoise(100)
+		want := NewRand(42)
+		if k == PolicyRandom {
+			want.Uint64()
+		}
+		want.Intn(100)
+		if v, w := c.victim(0), want.Intn(ways); v != w {
+			t.Errorf("%s: noisy victim = %d, want %d", k, v, w)
+		}
+		if c.age != nil && !slices.Contains(c.age, 3) {
+			t.Errorf("%s: ages %v: the policy did not age the set before noise chose", k, c.age)
+		}
+	}
+}
+
 // --- QLRU_H11_M1_R0_U0: the paper's §4.2.2 policy ---
 
 func TestQLRUInsertionAgeM1(t *testing.T) {
-	s := NewQLRUSet(4)
-	s.OnFill(2)
-	if ages := s.Ages(); ages[2] != 1 {
-		t.Errorf("insert age = %d, want 1 (M1)", ages[2])
+	c := NewCache("t", 1, 4, 1, PolicyQLRU, nil)
+	c.Fill(line(0))
+	c.Fill(line(1))
+	c.Fill(line(2))
+	if c.age[2] != 1 {
+		t.Errorf("insert age = %d, want 1 (M1)", c.age[2])
 	}
 }
 
 func TestQLRUHitPromotionH11(t *testing.T) {
 	cases := []struct{ before, after uint8 }{{3, 1}, {2, 1}, {1, 0}, {0, 0}}
-	for _, c := range cases {
-		s := NewQLRUSet(1)
-		s.age[0] = c.before
-		s.OnHit(0)
-		if s.age[0] != c.after {
-			t.Errorf("hit on age %d -> %d, want %d (H11)", c.before, s.age[0], c.after)
+	for _, tc := range cases {
+		c := fullSet(PolicyQLRU, 1)
+		c.age[0] = tc.before
+		c.Touch(line(0))
+		if c.age[0] != tc.after {
+			t.Errorf("hit on age %d -> %d, want %d (H11)", tc.before, c.age[0], tc.after)
 		}
 	}
 }
 
 func TestQLRUVictimR0LeftmostEmpty(t *testing.T) {
-	s := NewQLRUSet(4)
-	if v := s.Victim(occ(4, 0, 2)); v != 1 {
+	c := fullSet(PolicyQLRU, 4)
+	c.Invalidate(line(1))
+	c.Invalidate(line(3))
+	if v := c.victim(0); v != 1 {
 		t.Errorf("victim = %d, want leftmost empty way 1 (R0)", v)
 	}
 }
 
 func TestQLRUVictimU0Aging(t *testing.T) {
-	s := NewQLRUSet(4)
-	s.age = []uint8{0, 1, 2, 1}
-	v := s.Victim(full(4))
+	c := fullSet(PolicyQLRU, 4)
+	copy(c.age, []uint8{0, 1, 2, 1})
 	// U0 increments all by 1 until a 3 exists: {1,2,3,2} -> way 2 evicted.
-	if v != 2 {
+	if v := c.victim(0); v != 2 {
 		t.Errorf("victim = %d, want 2", v)
 	}
-	wantAges := []uint8{1, 2, 3, 2}
-	for i, a := range s.Ages() {
-		if a != wantAges[i] {
-			t.Errorf("age[%d] = %d, want %d", i, a, wantAges[i])
-		}
+	if want := []uint8{1, 2, 3, 2}; !slices.Equal(c.age, want) {
+		t.Errorf("ages = %v, want %v", c.age, want)
 	}
 }
 
 func TestQLRUVictimLeftmostAge3(t *testing.T) {
-	s := NewQLRUSet(4)
-	s.age = []uint8{2, 3, 3, 0}
-	if v := s.Victim(full(4)); v != 1 {
+	c := fullSet(PolicyQLRU, 4)
+	copy(c.age, []uint8{2, 3, 3, 0})
+	if v := c.victim(0); v != 1 {
 		t.Errorf("victim = %d, want leftmost age-3 way 1", v)
 	}
 }
 
 func TestQLRUInvalidate(t *testing.T) {
-	s := NewQLRUSet(2)
-	s.age = []uint8{3, 3}
-	s.OnInvalidate(0)
-	if s.Ages()[0] != 0 {
-		t.Error("invalidate should clear age")
+	c := fullSet(PolicyQLRU, 2)
+	copy(c.age, []uint8{3, 3})
+	c.Invalidate(line(0))
+	if c.age[0] != 0 || c.tags[0] != noLine {
+		t.Errorf("invalidated way holds tag %d age %d, want empty at age 0", c.tags[0], c.age[0])
 	}
 }
 
@@ -246,11 +201,10 @@ func TestQLRUFigure8StateEvolution(t *testing.T) {
 		evs1 := make([]int64, 15)
 		evs2 := make([]int64, 15)
 		for i := range evs1 {
-			evs1[i] = int64(i+1) * 64
-			evs2[i] = int64(i+16) * 64
+			evs1[i] = line(i + 1)
+			evs2[i] = line(i + 16)
 		}
-		addrA := int64(31 * 64)
-		addrB := int64(32 * 64)
+		addrA, addrB := line(31), line(32)
 		// Prime: access EVS1 many times (saturate ages at 0), then A.
 		for round := 0; round < 4; round++ {
 			for _, a := range evs1 {
@@ -290,26 +244,23 @@ func TestQLRUFigure8IntermediateStates(t *testing.T) {
 	c := NewCache("llc", 1, ways, 1, PolicyQLRU, nil)
 	evs1 := make([]int64, 15)
 	for i := range evs1 {
-		evs1[i] = int64(i+1) * 64
+		evs1[i] = line(i + 1)
 	}
-	addrA := int64(31 * 64)
-	addrB := int64(32 * 64)
+	addrA, addrB := line(31), line(32)
 	for round := 0; round < 4; round++ {
 		for _, a := range evs1 {
 			c.Fill(a)
 		}
 	}
 	c.Fill(addrA)
-	qs := c.SetState(0).(*QLRUSet)
-	ages := qs.Ages()
 	// After prime: EVS1 saturated at age 0, A inserted at age 1.
 	for w := 0; w < 15; w++ {
-		if ages[w] != 0 {
-			t.Errorf("after prime: age[%d] = %d, want 0", w, ages[w])
+		if c.age[w] != 0 {
+			t.Errorf("after prime: age[%d] = %d, want 0", w, c.age[w])
 		}
 	}
-	if ages[15] != 1 {
-		t.Errorf("after prime: age[A] = %d, want 1 (M1)", ages[15])
+	if c.age[15] != 1 {
+		t.Errorf("after prime: age[A] = %d, want 1 (M1)", c.age[15])
 	}
 	// Victim A-B: hit on A (1->0), then miss on B ages everything to 3 and
 	// evicts the leftmost line (EV0), inserting B at age 1.
@@ -318,13 +269,12 @@ func TestQLRUFigure8IntermediateStates(t *testing.T) {
 	if !c.Contains(addrB) || c.Contains(evs1[0]) {
 		t.Error("B should replace EV0")
 	}
-	ages = qs.Ages()
-	if ages[0] != 1 {
-		t.Errorf("B age = %d, want 1", ages[0])
+	if c.age[0] != 1 {
+		t.Errorf("B age = %d, want 1", c.age[0])
 	}
 	for w := 1; w < 16; w++ {
-		if ages[w] != 3 {
-			t.Errorf("age[%d] = %d, want 3 after U0 aging", w, ages[w])
+		if c.age[w] != 3 {
+			t.Errorf("age[%d] = %d, want 3 after U0 aging", w, c.age[w])
 		}
 	}
 }
@@ -357,32 +307,32 @@ func TestRandIntn(t *testing.T) {
 	r.Intn(0)
 }
 
-// Property: for every policy, Victim always returns an in-range way and
-// prefers an empty way when one exists.
+// Property: for every policy, with and without noise, the victim is always
+// an in-range way, and it is the empty way whenever a set has one.
 func TestVictimPropertyAllPolicies(t *testing.T) {
-	rng := NewRand(3)
-	for _, k := range []PolicyKind{PolicyLRU, PolicyTreePLRU, PolicyNRU, PolicySRRIP, PolicyQLRU, PolicyRandom} {
-		k := k
-		f := func(fillSeq []uint8, emptyWay uint8) bool {
-			const ways = 8
-			s := NewSetState(k, ways, rng)
-			for _, w := range fillSeq {
-				s.OnFill(int(w) % ways)
-				s.OnHit(int(w) % ways)
+	const ways = 8
+	for _, k := range policies {
+		for _, noise := range []int{0, 30} {
+			f := func(seq []uint8, emptyWay uint8) bool {
+				c := fullSet(k, ways)
+				if noise > 0 {
+					c.AddReplacementNoise(noise)
+				}
+				for _, n := range seq {
+					c.Fill(line(int(n) % (2 * ways)))
+				}
+				e := int(emptyWay) % ways
+				c.Invalidate(c.tags[e])
+				if v := c.victim(0); v != e {
+					return false
+				}
+				c.Fill(line(2 * ways))
+				v := c.victim(0)
+				return v >= 0 && v < ways
 			}
-			occupied := full(ways)
-			e := int(emptyWay) % ways
-			occupied[e] = false
-			if v := s.Victim(occupied); v != e {
-				// All policies here use first-empty; with one hole the
-				// victim must be that hole.
-				return false
+			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+				t.Errorf("%s noise=%d: %v", k, noise, err)
 			}
-			v := s.Victim(full(ways))
-			return v >= 0 && v < ways
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Errorf("%s: %v", k, err)
 		}
 	}
 }

@@ -114,10 +114,12 @@ func DefaultLayout(cfg cache.Config) Layout {
 	return l
 }
 
-// probeLines returns the two line addresses whose visible-access pattern
+// ProbeLines returns the two line addresses whose visible-access pattern
 // encodes the secret for a gadget/ordering combination (the secret line
-// first). A fixed-size array keeps the per-trial result path off the heap.
-func probeLines(g Gadget, ord Ordering, l Layout, v *Victim) [2]int64 {
+// first): the observation points the static leak detector shares with the
+// empirical harness. A fixed-size array keeps the per-trial result path
+// off the heap.
+func ProbeLines(g Gadget, ord Ordering, l Layout, v *Victim) [2]int64 {
 	switch ord {
 	case OrderVDVD:
 		bLine := mem.LineAddr(l.BAddr)

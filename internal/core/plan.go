@@ -147,10 +147,3 @@ func (v *Victim) PrimePlan(secret int) (*PrimePlan, error) {
 	}
 	return v.plans[secret], nil
 }
-
-// ProbeLines exposes the probe-line pair for a gadget/ordering (the
-// secret-carrying line first) — the observation points the static leak
-// detector shares with the empirical harness.
-func ProbeLines(g Gadget, ord Ordering, l Layout, v *Victim) [2]int64 {
-	return probeLines(g, ord, l, v)
-}

@@ -195,7 +195,7 @@ func (ts *TrialState) Run(spec TrialSpec) (*TrialResult, error) {
 		Victim:          v,
 		System:          sys,
 	}
-	probes := probeLines(spec.Gadget, spec.Ordering, l, v)
+	probes := ProbeLines(spec.Gadget, spec.Ordering, l, v)
 	secretLine := probes[0]
 	for _, a := range h.Log() {
 		for _, pl := range probes {

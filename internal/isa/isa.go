@@ -386,9 +386,10 @@ func (in Inst) String() string {
 // ParseInst parses one instruction in the syntax String prints: the
 // mnemonic, then exactly the opcode's operands. The mnemonic and register
 // names may be in any case, and an immediate or offset in any base
-// strconv.ParseInt accepts with base 0. A branch target is either @N,
-// which sets Target, or a label: ParseInst leaves Target zero and returns
-// the label text, unchecked, for the caller to resolve.
+// strconv.ParseInt accepts with base 0. A register is r0..r31 without
+// sign or leading zero. A branch target is either @N, N unsigned decimal
+// digits, which sets Target, or a label: ParseInst leaves Target zero and
+// returns the label text, unchecked, for the caller to resolve.
 func ParseInst(line string) (in Inst, label string, err error) {
 	mnemonic, rest := strings.TrimSpace(line), ""
 	if i := strings.IndexAny(mnemonic, " \t"); i >= 0 {
@@ -466,19 +467,31 @@ func (a operand) parse(in *Inst, s string, label *string) (err error) {
 			*label = s
 			return nil
 		}
-		in.Target, err = strconv.Atoi(s[1:])
+		if in.Target, err = parseDecimal(s[1:]); err != nil {
+			return fmt.Errorf("bad branch target %q", s)
+		}
 	}
 	return err
 }
 
-// parseReg parses a register name r0..r31.
+// parseReg parses a register name r0..r31 (or R0..R31), spelled as String
+// prints it: no sign and no leading zero.
 func parseReg(s string) (Reg, error) {
-	lower := strings.ToLower(s)
-	n, err := strconv.Atoi(strings.TrimPrefix(lower, "r"))
-	if !strings.HasPrefix(lower, "r") || err != nil || n < 0 || n >= NumRegs {
+	digits, ok := strings.CutPrefix(strings.ToLower(s), "r")
+	n, err := parseDecimal(digits)
+	if !ok || err != nil || n >= NumRegs || (digits[0] == '0' && len(digits) > 1) {
 		return 0, fmt.Errorf("bad register %q", s)
 	}
 	return Reg(n), nil
+}
+
+// parseDecimal parses a non-empty string of decimal digits: unlike
+// strconv.Atoi, it takes no sign.
+func parseDecimal(s string) (int, error) {
+	if s == "" || strings.Trim(s, "0123456789") != "" {
+		return 0, fmt.Errorf("not an unsigned decimal %q", s)
+	}
+	return strconv.Atoi(s)
 }
 
 // Validate reports an error when the instruction is malformed (bad opcode or
