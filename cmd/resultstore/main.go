@@ -1,9 +1,8 @@
 // Command resultstore manages the persistent results store: run records
 // (experiment parameters + metadata + full payloads) appended as JSONL
 // under a store directory by the experiment binaries' -store flag, or
-// regenerated here. It lists and shows history, diffs records with
-// regression classification, and gates CI on "nothing regressed versus
-// the committed baseline".
+// regenerated here. It lists and shows history, diffs records exactly,
+// and gates CI on "every result identical to the committed baseline".
 //
 // Usage:
 //
@@ -20,17 +19,16 @@
 //
 // diff compares refA against refB within -store, or — given -baseline —
 // the baseline's newest record against the store's (old → new). Classes:
-// identical (signatures match; worker counts and other metadata never
-// matter), drift (numbers moved within thresholds), regression (a matrix
-// cell flipped vulnerable↔protected, a concordance cell lost
-// detector/simulator agreement, channel accuracy dropped, the
-// interference separation collapsed, or defense overheads shifted), and
-// incomparable (parameters differ).
+// identical (canonical bytes match; worker counts and other metadata
+// never matter), changed (one "path: old → new" line per moved value,
+// e.g. a Table 1 cell's ref_cycle or one Figure 7 sample), and
+// incomparable (experiment, schema or parameters differ). diff exits
+// non-zero unless the records are identical.
 //
 // check reruns every baseline experiment at the baseline's recorded
-// parameters and exits non-zero when any comparison classifies as
-// regression or incomparable — the CI gate. baseline (re)writes the
-// committed baseline records at the standard small-trial parameters.
+// parameters and exits non-zero unless every experiment is identical —
+// the CI gate. baseline (re)writes the committed baseline records at the
+// standard small-trial parameters; it is the one refresh command.
 // Both rerun through the experiment engine: -backend selects inprocess
 // (worker goroutines), subprocess (re-exec'd worker processes, the
 // -procs knob) or remote (an HTTP coordinator leasing shard chunks to
@@ -42,9 +40,10 @@
 // -journal replays the journal and reruns only the remaining shards.
 //
 // bless promotes each experiment's newest record in -store to the
-// committed baseline in one command, replacing the baseline record and
-// stamping a provenance note (date, reason, commit) — the reviewed path
-// for intentional result shifts.
+// committed baseline in one command, replacing the baseline record,
+// stamping a provenance note (date, reason, commit) and printing each
+// record's class against the old baseline — the reviewed path for
+// intentional result shifts.
 package main
 
 import (
@@ -229,7 +228,7 @@ func runDiff(args []string) error {
 	}
 	report := si.DiffRunRecords(old, new)
 	fmt.Print(report.Format())
-	if report.Class >= si.DiffRegression {
+	if report.Class != si.DiffIdentical {
 		os.Exit(1)
 	}
 	return nil
@@ -297,16 +296,16 @@ func runCheck(args []string) error {
 			worst = report.Class
 		}
 	}
-	switch {
-	case worst == si.DiffIncomparable:
+	switch worst {
+	case si.DiffIncomparable:
 		fmt.Printf("FAIL: baseline in %s is incomparable (parameters or schema changed) — refresh it with `resultstore baseline -dir %s`\n",
 			*baselineDir, *baselineDir)
 		os.Exit(1)
-	case worst >= si.DiffRegression:
-		fmt.Printf("FAIL: results regressed versus the baseline in %s\n", *baselineDir)
+	case si.DiffChanged:
+		fmt.Printf("FAIL: results changed versus the baseline in %s\n", *baselineDir)
 		os.Exit(1)
 	}
-	fmt.Printf("OK: no regression versus the baseline in %s\n", *baselineDir)
+	fmt.Printf("OK: every experiment identical to the baseline in %s\n", *baselineDir)
 	return nil
 }
 
@@ -386,7 +385,7 @@ func runBless(args []string) error {
 			return err
 		}
 		// Classify against the outgoing baseline so the operator sees
-		// what kind of shift they are promoting. A corrupt baseline must
+		// which records the promotion changes. A corrupt baseline must
 		// surface, not silently read as "no old record".
 		change := "new"
 		if olds, err := baseline.Load(exp); err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -78,7 +79,7 @@ func TestCheckPassesOnFreshBaseline(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "baseline")
 	writeTestBaseline(t, dir, nil)
 	out := cmdtest.Run(t, "", "check", "-baseline", dir, "-parallel", "2")
-	if !strings.Contains(out, "OK: no regression") {
+	if !strings.Contains(out, "OK: every experiment identical") {
 		t.Errorf("check output:\n%s", out)
 	}
 }
@@ -90,7 +91,7 @@ func TestCheckSubprocessBackend(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "baseline")
 	writeTestBaseline(t, dir, nil)
 	out := cmdtest.Run(t, "", "check", "-baseline", dir, "-backend", "subprocess", "-procs", "2")
-	if !strings.Contains(out, "OK: no regression") {
+	if !strings.Contains(out, "OK: every experiment identical") {
 		t.Errorf("subprocess check output:\n%s", out)
 	}
 	for _, exp := range si.ResultExperiments() {
@@ -108,7 +109,7 @@ func TestCheckRemoteBackend(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "baseline")
 	writeTestBaseline(t, dir, nil)
 	out := cmdtest.Run(t, "", "check", "-baseline", dir, "-backend", "remote", "-procs", "3")
-	if !strings.Contains(out, "OK: no regression") {
+	if !strings.Contains(out, "OK: every experiment identical") {
 		t.Errorf("remote check output:\n%s", out)
 	}
 	for _, exp := range si.ResultExperiments() {
@@ -197,7 +198,7 @@ func TestBlessEmptyStore(t *testing.T) {
 
 // TestCheckFailsOnFlippedMatrixCell is the gate's reason to exist: a
 // baseline whose (gadget, scheme) cell disagrees with the current tree
-// must classify as a regression and fail the check.
+// must read as changed, name the cell's verdict, and fail the check.
 func TestCheckFailsOnFlippedMatrixCell(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "baseline")
 	writeTestBaseline(t, dir, func(rec *si.RunRecord) {
@@ -206,11 +207,73 @@ func TestCheckFailsOnFlippedMatrixCell(t *testing.T) {
 		}
 	})
 	out := cmdtest.RunFail(t, "", "check", "-baseline", dir)
-	if !strings.Contains(out, "regression") || !strings.Contains(out, "flipped") {
-		t.Errorf("check failure output lacks the regression finding:\n%s", out)
+	if !regexp.MustCompile(`table1\s+CHANGED`).MatchString(out) || !strings.Contains(out, "table1.cells[0]{") ||
+		!strings.Contains(out, "}.vulnerable: ") {
+		t.Errorf("check failure output lacks the changed cell:\n%s", out)
 	}
 	if !strings.Contains(out, "FAIL") {
 		t.Errorf("check failure output lacks the FAIL verdict:\n%s", out)
+	}
+}
+
+// TestCheckFailsOnDrift: every experiment is deterministic, so the gate
+// has no tolerance. A baseline whose first nonzero Table 1 reference
+// cycle is off by one, or whose Figure 7 baseline arm has two samples
+// swapped (what a shard placed at the wrong index looks like), must fail
+// the check, and the output must name each moved value's path.
+func TestCheckFailsOnDrift(t *testing.T) {
+	num := func(x float64) string { b, _ := json.Marshal(x); return string(b) }
+	for _, tc := range []struct {
+		name, exp string
+		// tamper edits the baseline record of exp before it is re-sealed
+		// and returns the findings check must print.
+		tamper func(t *testing.T, rec *si.RunRecord) []string
+	}{
+		{"ref-cycle", si.ExpTable1, func(t *testing.T, rec *si.RunRecord) []string {
+			for i := range rec.Table1.Cells {
+				c := &rec.Table1.Cells[i]
+				if c.RefCycle != 0 {
+					c.RefCycle++
+					return []string{fmt.Sprintf("table1.cells[%d]{gadget=%s,ordering=%s,scheme=%s}.ref_cycle: %d → %d",
+						i, c.Gadget, c.Ordering, c.Scheme, c.RefCycle, c.RefCycle-1)}
+				}
+			}
+			t.Fatal("no table1 cell has a reference cycle")
+			return nil
+		}},
+		{"swapped-figure7-samples", si.ExpFigure7, func(t *testing.T, rec *si.RunRecord) []string {
+			arm := rec.Figure7.Baseline
+			for j := range arm {
+				if arm[j] != arm[0] {
+					arm[0], arm[j] = arm[j], arm[0]
+					return []string{
+						fmt.Sprintf("figure7.baseline[0]: %s → %s", num(arm[0]), num(arm[j])),
+						fmt.Sprintf("figure7.baseline[%d]: %s → %s", j, num(arm[j]), num(arm[0])),
+					}
+				}
+			}
+			t.Fatal("every figure7 baseline sample is equal")
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "baseline")
+			var want []string
+			writeTestBaseline(t, dir, func(rec *si.RunRecord) {
+				if rec.Experiment == tc.exp {
+					want = tc.tamper(t, rec)
+				}
+			})
+			out := cmdtest.RunFail(t, "", "check", "-baseline", dir)
+			for _, f := range want {
+				if !strings.Contains(out, f) {
+					t.Errorf("check output lacks the finding %q:\n%s", f, out)
+				}
+			}
+			if !strings.Contains(out, "FAIL: results changed") {
+				t.Errorf("check output lacks the FAIL verdict:\n%s", out)
+			}
+		})
 	}
 }
 
@@ -228,8 +291,8 @@ func TestCheckFailsOnPartialBaseline(t *testing.T) {
 	}
 }
 
-// TestDiffExitsNonZeroOnRegression: diff is scriptable — regression and
-// incomparable classes exit non-zero.
+// TestDiffExitsNonZeroOnRegression: diff is scriptable — any class but
+// identical exits non-zero.
 func TestDiffExitsNonZeroOnRegression(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	writeTestBaseline(t, dir, nil)
@@ -239,8 +302,8 @@ func TestDiffExitsNonZeroOnRegression(t *testing.T) {
 		}
 	})
 	out := cmdtest.RunFail(t, "", "diff", "-store", dir, "table1@0", "table1@1")
-	if !strings.Contains(out, "REGRESSION") {
-		t.Errorf("diff output lacks REGRESSION:\n%s", out)
+	if !strings.Contains(out, "CHANGED") || !strings.Contains(out, "}.vulnerable: ") {
+		t.Errorf("diff output lacks the changed cell:\n%s", out)
 	}
 }
 

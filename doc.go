@@ -136,30 +136,27 @@
 // Each record carries a canonical SHA-256 signature over its parameters
 // and payload; metadata is excluded, so two runs of the same experiment
 // at the same parameters hash identically no matter the worker count,
-// machine or commit that produced them. DiffRunRecords classifies any
-// change between two comparable records as identical (signatures match),
-// drift (numbers moved within thresholds), or regression (a Table 1 cell
-// flipped vulnerable↔protected, a concordance cell lost
-// detector/simulator agreement, a channel's error rate rose beyond
-// threshold, the Figure 7 separation collapsed, or a defense slowdown
-// shifted wholesale); records at different parameters are incomparable.
+// machine or commit that produced them. Every experiment is
+// deterministic, so DiffRunRecords has no tolerance: two comparable
+// records are identical when their canonical bytes match and changed
+// otherwise, and a changed report names each moved value by its path,
+// e.g. table1.cells[14]{gadget=G_NPEU,ordering=VD-AD,scheme=unsafe}.ref_cycle:
+// 231 → 230. Records of different experiments, schemas or parameters
+// are incomparable.
 //
 // The resultstore CLI drives the store: list and show browse history,
-// diff classifies two records (exit non-zero on regression), check
+// diff compares two records (exit non-zero unless identical), check
 // reruns every experiment at the committed baseline's parameters —
 // through any backend, via -backend/-procs/-listen/-lease/-chunk/
-// -journal — and fails on any regression-class change (the CI gate, run
-// in-process, through the subprocess backend, through the remote
-// backend with leased loopback workers, and once more with the
+// -journal — and fails unless every experiment is identical (the CI
+// gate, run in-process, through the subprocess backend, through the
+// remote backend with leased loopback workers, and once more with the
 // coordinator SIGKILLed mid-check and resumed from its journal),
-// baseline (re)writes the small-trial baseline
-// records committed under internal/results/testdata/baseline, and bless
-// promotes each experiment's newest store record to the committed
-// baseline in one command, stamping a provenance note (date, reason,
-// commit) for review. Golden-file tests in internal/experiment
-// additionally pin the canonical encodings byte-for-byte, in process, in
-// internal/results/testdata (regenerate them with go test
-// ./internal/experiment -run TestGolden -update).
+// baseline (re)writes the small-trial baseline records committed under
+// internal/results/testdata/baseline, the one committed copy of each
+// result, and bless promotes each experiment's newest store record to
+// the committed baseline in one command, stamping a provenance note
+// (date, reason, commit) for review.
 //
 // See README.md for a tour. The root package is a facade over the
 // internal packages; the cmd/ tools and examples/ programs show it in

@@ -124,17 +124,33 @@ func emitZChain(b *asm.Builder) {
 	}
 }
 
-// emitAccessAndTransmitter emits the access load (reads the secret at
-// T[i]) and the transmitter load of S[secret*64], returning the register
-// holding the transmitter result.
-func emitAccessAndTransmitter(b *asm.Builder) isa.Reg {
+// emitAccess emits the access load, which reads the secret at T[i], and
+// leaves secret*64 in isa.R24.
+func emitAccess(b *asm.Builder) {
 	b.ShlI(isa.R22, RegIdx, 3)
 	b.Add(isa.R22, isa.R22, RegT)
 	b.Load(isa.R23, isa.R22, 0) // access load: secret = T[i]
 	b.ShlI(isa.R24, isa.R23, 6) // secret * 64
+}
+
+// emitAccessAndTransmitter emits the access load and the transmitter load
+// of S[secret*64], returning the register holding the transmitter result.
+func emitAccessAndTransmitter(b *asm.Builder) isa.Reg {
+	emitAccess(b)
 	b.Add(isa.R24, isa.R24, RegS)
 	b.Load(isa.R25, isa.R24, 0) // transmitter: S[secret*64]
 	return isa.R25
+}
+
+// emitMSHRLoads emits the G_MSHR gadget's M loads at GadgetBase +
+// secret*64*k, after emitAccess: one line when secret=0, M distinct lines
+// when secret=1.
+func emitMSHRLoads(b *asm.Builder, l Layout, p VictimParams) {
+	for k := 0; k < p.MSHRLoads; k++ {
+		b.MulI(isa.R26, isa.R24, int64(k))
+		b.AddI(isa.R26, isa.R26, l.GadgetBase)
+		b.Load(isa.R27, isa.R26, 0)
+	}
 }
 
 // buildNPEUVictim is the Figure 6 sender: interference target f(z)→load A,
@@ -214,17 +230,8 @@ func buildMSHRVictim(l Layout, p VictimParams) (*Victim, error) {
 	b.Blt(RegIdx, isa.R10, "gadget")
 	b.Jmp("done")
 	b.Label("gadget")
-	b.ShlI(isa.R22, RegIdx, 3)
-	b.Add(isa.R22, isa.R22, RegT)
-	b.Load(isa.R23, isa.R22, 0) // access load: secret
-	b.ShlI(isa.R24, isa.R23, 6) // secret * 64
-	// M loads at GadgetBase + secret*64*k: one line when secret=0, M
-	// distinct lines when secret=1.
-	for k := 0; k < p.MSHRLoads; k++ {
-		b.MulI(isa.R26, isa.R24, int64(k))
-		b.AddI(isa.R26, isa.R26, l.GadgetBase)
-		b.Load(isa.R27, isa.R26, 0)
-	}
+	emitAccess(b)
+	emitMSHRLoads(b, l, p)
 	b.Label("spin")
 	b.Jmp("spin")
 	b.Label("done")
@@ -265,15 +272,8 @@ func buildNPEUorMSHRVIAD(g Gadget, l Layout, p VictimParams) (*Victim, error) {
 			b.Sqrt(isa.R26, x)
 		}
 	} else {
-		b.ShlI(isa.R22, RegIdx, 3)
-		b.Add(isa.R22, isa.R22, RegT)
-		b.Load(isa.R23, isa.R22, 0)
-		b.ShlI(isa.R24, isa.R23, 6)
-		for k := 0; k < p.MSHRLoads; k++ {
-			b.MulI(isa.R26, isa.R24, int64(k))
-			b.AddI(isa.R26, isa.R26, l.GadgetBase)
-			b.Load(isa.R27, isa.R26, 0)
-		}
+		emitAccess(b)
+		emitMSHRLoads(b, l, p)
 	}
 	b.Label("spin")
 	b.Jmp("spin")

@@ -141,29 +141,24 @@ type Cell struct {
 	Match bool
 }
 
-// Shard computes concordance cell j of core.MatrixShards(schemeNames) —
-// combo j/len(schemes), scheme j%len(schemes), matching core.MatrixShard's
-// order. Each shard runs the empirical classification AND the static
-// analysis, then compares. It is a pure function of (schemeNames, j), so
-// it runs identically on any execution backend.
+// Shard computes concordance cell j of core.MatrixShards(schemeNames):
+// core.MatrixShard classifies the cell empirically and names its scheme,
+// gadget and ordering, and the static analysis then judges that same
+// cell. It is a pure function of (schemeNames, j), so it runs
+// identically on any execution backend.
 func Shard(schemeNames []string, j int) (Cell, error) {
-	combo := core.Combos()[j/len(schemeNames)]
-	name := schemeNames[j%len(schemeNames)]
-	g := combo[0].(core.Gadget)
-	ord := combo[1].(core.Ordering)
-
 	empirical, err := core.MatrixShard(schemeNames, j)
 	if err != nil {
 		return Cell{}, err
 	}
-	v, err := CellVerdict(name, g, ord)
+	v, err := CellVerdict(empirical.Scheme, empirical.Gadget, empirical.Ordering)
 	if err != nil {
 		return Cell{}, err
 	}
 	c := Cell{
-		Scheme:    name,
-		Gadget:    g,
-		Ordering:  ord,
+		Scheme:    empirical.Scheme,
+		Gadget:    empirical.Gadget,
+		Ordering:  empirical.Ordering,
 		Empirical: empirical.Vulnerable,
 		Detector:  v.Leak,
 		Mechanism: v.Mechanism,

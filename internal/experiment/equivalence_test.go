@@ -35,11 +35,14 @@ func backendsUnderTest() []experiment.Backend {
 }
 
 // TestBackendEquivalence runs every experiment at the committed baseline
-// parameters on every backend configuration and requires the canonical
-// signatures to be byte-identical — to each other and to the committed
-// baseline records. This is the engine's core guarantee: the backend is
-// purely a wall-clock knob, whether the shards ran on goroutines, local
-// worker processes, or leased chunks over HTTP.
+// parameters on every backend configuration and requires each record to
+// be identical to the committed baseline record, so also to each other.
+// This is the engine's core guarantee: the backend is purely a
+// wall-clock knob, whether the shards ran on goroutines, local worker
+// processes, or leased chunks over HTTP. It is also the byte-exact pin
+// of every experiment's in-process result: a mismatch prints each moved
+// value, and an intended change is refreshed with
+// `go run ./cmd/resultstore baseline -dir internal/results/testdata/baseline`.
 func TestBackendEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes and full small-trial sweeps")
@@ -51,7 +54,7 @@ func TestBackendEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			committed := committedBaselineHash(t, exp)
+			committed := committedBaseline(t, exp)
 
 			spec, err := experiment.Lookup(exp)
 			if err != nil {
@@ -65,9 +68,8 @@ func TestBackendEquivalence(t *testing.T) {
 				if err := rec.Validate(); err != nil {
 					t.Errorf("%s %+v: %v", b.Name(), b, err)
 				}
-				if rec.Hash != committed {
-					t.Errorf("%s %+v: hash %.12s != committed baseline %.12s",
-						b.Name(), b, rec.Hash, committed)
+				if d := results.Diff(committed, rec); d.Class != results.Identical {
+					t.Errorf("%s %+v differs from the committed baseline:\n%s", b.Name(), b, d.Format())
 				}
 			}
 		})
@@ -95,8 +97,9 @@ func (w testWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// committedBaselineHash loads the committed baseline record's signature.
-func committedBaselineHash(t *testing.T, exp string) string {
+// committedBaseline loads the committed baseline record, the one
+// committed copy of each experiment's result.
+func committedBaseline(t *testing.T, exp string) *results.Record {
 	t.Helper()
 	path := filepath.Join("..", "results", "testdata", "baseline", exp+".jsonl")
 	recs, err := results.ReadFile(path)
@@ -106,8 +109,38 @@ func committedBaselineHash(t *testing.T, exp string) string {
 	if len(recs) == 0 {
 		t.Fatalf("committed baseline %s is empty", path)
 	}
-	return recs[len(recs)-1].Hash
+	return recs[len(recs)-1]
 }
+
+// testGolden runs one experiment in-process, one worker per CPU, at the
+// committed baseline parameters and requires the record to be identical
+// to the committed baseline record. Unlike TestBackendEquivalence it
+// runs under -short too, so every test run pins each experiment's
+// result exactly; a mismatch prints each moved value.
+func testGolden(t *testing.T, exp string) {
+	params, err := results.BaselineParams(exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := experiment.Lookup(exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := experiment.Run(context.Background(), spec, params, experiment.InProcess{}, nil)
+	if err != nil {
+		t.Fatalf("Run(%s): %v", exp, err)
+	}
+	if d := results.Diff(committedBaseline(t, exp), rec); d.Class != results.Identical {
+		t.Errorf("%s differs from the committed baseline:\n%s", exp, d.Format())
+	}
+}
+
+func TestGoldenFigure7(t *testing.T)  { testGolden(t, results.ExpFigure7) }
+func TestGoldenTable1(t *testing.T)   { testGolden(t, results.ExpTable1) }
+func TestGoldenFigure11(t *testing.T) { testGolden(t, results.ExpFigure11) }
+func TestGoldenFigure12(t *testing.T) { testGolden(t, results.ExpFigure12) }
+
+func TestGoldenConcordance(t *testing.T) { testGolden(t, results.ExpConcordance) }
 
 // TestSubprocessPayloadEquality goes beyond hashes for one experiment:
 // the full canonical JSON must match across all three backends, catching

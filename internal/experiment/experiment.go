@@ -17,7 +17,7 @@
 //
 // Run is the only code that executes a whole experiment: the experiment
 // CLIs, resultstore's check and baseline, the facade's RunExperiment and
-// the golden and benchmark suites all go through it. The package also
+// the equivalence and benchmark suites all go through it. The package also
 // provides the shared CLI driver (Main) the experiment binaries sit on,
 // and BackendFlags, the backend flag set Main and resultstore share.
 package experiment

@@ -2,8 +2,6 @@ package remote
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -32,19 +30,6 @@ type journalHeader struct {
 	Run string `json:"run"`
 }
 
-// paramsSignature is the canonical SHA-256 of a params document; two
-// runs are journal-compatible only when their signatures match.
-// encoding/json renders Params deterministically (struct fields in
-// declaration order), the same property the record signature relies on.
-func paramsSignature(p results.Params) string {
-	b, err := json.Marshal(p)
-	if err != nil {
-		panic("remote: params marshal: " + err.Error()) // Params marshals by construction
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
 // journal is the coordinator's append handle on its shard-result file:
 // an append-only JSONL file (the results-store idiom) holding one
 // header line followed by one experiment.ShardLine per accepted shard.
@@ -67,7 +52,7 @@ type journal struct {
 // Returns the append handle positioned after the last intact line, and
 // how many entries were replayed.
 func openJournal(path string, spec *experiment.Spec, p results.Params, n int, run string, replay func(experiment.ShardLine) error) (*journal, int, error) {
-	sig := paramsSignature(p)
+	sig := p.Signature()
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, 0, fmt.Errorf("remote: journal %s: %w", path, err)

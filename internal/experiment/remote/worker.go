@@ -109,7 +109,7 @@ func RunWorker(ctx context.Context, connect string, workers int, logw io.Writer)
 				if jerr != nil {
 					return jerr
 				}
-				if nj.Experiment != job.Experiment || paramsSignature(nj.Params) != paramsSignature(job.Params) || nj.Shards != job.Shards {
+				if nj.Experiment != job.Experiment || nj.Params.Signature() != job.Params.Signature() || nj.Shards != job.Shards {
 					return fmt.Errorf("remote: coordinator at %s now serves a different run (%s, %d shards); this worker was serving %s (%d shards)",
 						base, nj.Experiment, nj.Shards, job.Experiment, job.Shards)
 				}

@@ -12,12 +12,10 @@
 // Two runs are comparable when their experiment and parameters match;
 // volatile metadata (worker count included — results are bit-identical at
 // any worker count by construction) never affects comparison. Each record
-// carries a canonical SHA-256 signature of its parameters and payload, so
-// "nothing changed" is a hash comparison; when hashes differ, Diff
-// classifies the change as statistical drift or a regression (a matrix
-// cell flipping vulnerable↔protected, a concordance cell changing its
-// verdict, channel accuracy collapsing, the interference separation
-// disappearing, or defense overheads shifting beyond thresholds).
+// carries a canonical SHA-256 signature of its parameters and payload.
+// Every experiment is deterministic, so Diff has no tolerance: comparable
+// records are identical when their canonical bytes match and changed
+// otherwise, and a changed report names each moved value by its path.
 package results
 
 import (
@@ -58,8 +56,9 @@ func Experiments() []string {
 }
 
 // Params are the experiment parameters that define comparability: two
-// records are comparable only when their Params are equal. Fields are
-// per-experiment; unused ones stay zero and are omitted from the JSON.
+// records are comparable only when their Params signatures are equal.
+// Fields are per-experiment; unused ones stay zero and are omitted from
+// the JSON.
 type Params struct {
 	// Trials is the per-arm trial count (figure7).
 	Trials int `json:"trials,omitempty"`
@@ -77,6 +76,18 @@ type Params struct {
 	Reps []int `json:"reps,omitempty"`
 	// Iters is the per-kernel loop count (figure12).
 	Iters int `json:"iters,omitempty"`
+}
+
+// Signature is the SHA-256 of the params' JSON encoding, in which every
+// field counts, one added later included. Two records are comparable, and
+// a remote journal replayable, only when their signatures match.
+func (p Params) Signature() string {
+	b, err := json.Marshal(p)
+	if err != nil {
+		panic("results: params marshal: " + err.Error()) // Params marshals by construction
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // Meta is volatile run metadata: recorded for provenance, excluded from

@@ -1,7 +1,11 @@
 package results
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,13 +16,13 @@ import (
 )
 
 // table1Record seals a two-scheme vulnerability matrix built from
-// literal cells: one gadget/ordering column, the unsafe baseline leaking
-// and the fence defense protected.
+// literal cells: one gadget/ordering column with calibrated reference
+// cycles, the unsafe baseline leaking and the fence defense protected.
 func table1Record(t *testing.T) *Record {
 	t.Helper()
 	rec, err := NewTable1Record([]core.MatrixCell{
-		{Scheme: "unsafe", Gadget: core.GadgetNPEU, Ordering: core.OrderVDVD, Vulnerable: true},
-		{Scheme: "fence-spectre", Gadget: core.GadgetNPEU, Ordering: core.OrderVDVD},
+		{Scheme: "unsafe", Gadget: core.GadgetNPEU, Ordering: core.OrderVDAD, Vulnerable: true, RefCycle: 231},
+		{Scheme: "fence-spectre", Gadget: core.GadgetNPEU, Ordering: core.OrderVDAD, RefCycle: 240},
 	}, []string{"unsafe", "fence-spectre"})
 	if err != nil {
 		t.Fatal(err)
@@ -176,28 +180,6 @@ func TestDiffWorkerCountIdentical(t *testing.T) {
 	}
 }
 
-// TestDiffMatrixFlipRegression: flipping one (gadget, scheme) cell
-// vulnerable↔protected must classify as a regression.
-func TestDiffMatrixFlipRegression(t *testing.T) {
-	old := table1Record(t)
-
-	flipped := *old
-	cells := append([]Table1Cell(nil), old.Table1.Cells...)
-	cells[0].Vulnerable = !cells[0].Vulnerable
-	flipped.Table1 = &Table1Payload{Cells: cells}
-	if _, err := (&flipped).seal(); err != nil {
-		t.Fatal(err)
-	}
-
-	d := Diff(old, &flipped)
-	if d.Class != Regression {
-		t.Fatalf("diff after cell flip = %s %v, want regression", d.Class, d.Findings)
-	}
-	if len(d.Findings) != 1 || d.Findings[0].Class != Regression {
-		t.Fatalf("want exactly one regression finding, got %v", d.Findings)
-	}
-}
-
 // concordanceRecord seals a two-scheme agreement grid built from literal
 // cells, shaped like table1Record's: unsafe leaking, the fence protected.
 func concordanceRecord(t *testing.T) *Record {
@@ -214,58 +196,27 @@ func concordanceRecord(t *testing.T) *Record {
 	return rec
 }
 
-// TestDiffGridCells drives both grid diffs through one sealed edit each:
-// a flipped verdict is a regression, a changed mechanism is drift, and a
-// cell dropped from either side makes the records incomparable. Every
-// edit must yield exactly the one named finding.
-func TestDiffGridCells(t *testing.T) {
-	dropFirst := func(r *Record) {
-		if r.Table1 != nil {
-			r.Table1.Cells = r.Table1.Cells[1:]
-		} else {
-			r.Concordance.Cells = r.Concordance.Cells[1:]
-		}
+// TestParamsSignature pins the params signature to the SHA-256 of the
+// params' JSON, the value remote journals store as params_sig, and
+// checks that every field counts: a field left out of a field-by-field
+// comparison would make records at different parameters comparable.
+func TestParamsSignature(t *testing.T) {
+	sum := sha256.Sum256([]byte(`{"trials":8,"jitter":10,"seed":1}`))
+	if got, want := (Params{Trials: 8, Jitter: 10, Seed: 1}).Signature(), hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("Signature() = %s, want the SHA-256 of the params JSON, %s", got, want)
 	}
-	for _, tc := range []struct {
-		name   string
-		record func(*testing.T) *Record
-		edit   func(*Record)
-		onOld  bool // edit the old record instead of the new one
-		want   DiffClass
-		detail string
-	}{
-		{"table1/flip", table1Record, func(r *Record) { r.Table1.Cells[0].Vulnerable = false }, false,
-			Regression, "matrix cell unsafe under G_NPEU/VD-VD/VI flipped vulnerable → protected"},
-		{"table1/drop-new", table1Record, dropFirst, false,
-			Incomparable, "cell unsafe/G_NPEU/VD-VD/VI missing from new record"},
-		{"table1/drop-old", table1Record, dropFirst, true,
-			Incomparable, "cell unsafe/G_NPEU/VD-VD/VI missing from old record"},
-		{"concordance/flip", concordanceRecord, func(r *Record) {
-			c := &r.Concordance.Cells[1]
-			c.Empirical, c.Detector = true, true
-		}, false, Regression, "cell fence-spectre/G_NPEU/VD-VD/VI changed: empirical false→true, detector false→true (match true→true)"},
-		{"concordance/mechanism", concordanceRecord, func(r *Record) { r.Concordance.Cells[0].Mechanism = detect.MechMSHR }, false,
-			Drift, `cell unsafe/G_NPEU/VD-VD/VI mechanism "npeu-contention" → "mshr-exhaustion"`},
-		{"concordance/drop-new", concordanceRecord, dropFirst, false,
-			Incomparable, "cell unsafe/G_NPEU/VD-VD/VI missing from new record"},
-		{"concordance/drop-old", concordanceRecord, dropFirst, true,
-			Incomparable, "cell unsafe/G_NPEU/VD-VD/VI missing from old record"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			old, new := tc.record(t), tc.record(t)
-			edited := new
-			if tc.onOld {
-				edited = old
-			}
-			tc.edit(edited)
-			if _, err := edited.seal(); err != nil {
-				t.Fatal(err)
-			}
-			d := Diff(old, new)
-			if d.Class != tc.want || len(d.Findings) != 1 || d.Findings[0].Detail != tc.detail {
-				t.Fatalf("diff = %s %v, want %s with the one finding %q", d.Class, d.Findings, tc.want, tc.detail)
-			}
-		})
+	zero := Params{}.Signature()
+	for i := range reflect.TypeOf(Params{}).NumField() {
+		var p Params
+		f := reflect.ValueOf(&p).Elem().Field(i)
+		if f.Kind() == reflect.Slice {
+			f.Set(reflect.Append(f, reflect.Zero(f.Type().Elem())))
+		} else {
+			f.Set(reflect.ValueOf(1).Convert(f.Type()))
+		}
+		if p.Signature() == zero {
+			t.Errorf("setting Params.%s leaves the signature unchanged", reflect.TypeOf(p).Field(i).Name)
+		}
 	}
 }
 
@@ -282,48 +233,13 @@ func TestDiffIncomparable(t *testing.T) {
 	}
 }
 
-// synthetic payload diffs: thresholds fire exactly as documented.
-func sealedFigure7(t *testing.T, sep, overlap float64) *Record {
-	t.Helper()
-	r := &Record{
-		Experiment: ExpFigure7,
-		Params:     Params{Trials: 2, Jitter: 1, Seed: 1},
-		Figure7: &Figure7Payload{
-			Baseline: []float64{100, 100}, Interference: []float64{100 + sep, 100 + sep},
-			Separation: sep, Overlap: overlap,
-		},
-	}
-	if _, err := r.seal(); err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-func TestDiffFigure7Thresholds(t *testing.T) {
-	base := sealedFigure7(t, 80, 0.05)
-	if d := Diff(base, sealedFigure7(t, 70, 0.08)); d.Class != Drift {
-		t.Fatalf("small separation move = %s %v, want drift", d.Class, d.Findings)
-	}
-	if d := Diff(base, sealedFigure7(t, 10, 0.05)); d.Class != Regression {
-		t.Fatalf("separation collapse = %s, want regression", d.Class)
-	}
-	if d := Diff(base, sealedFigure7(t, 80, 0.9)); d.Class != Regression {
-		t.Fatalf("overlap explosion = %s, want regression", d.Class)
-	}
-	// A sign inversion is a full collapse of the interference effect even
-	// when the magnitudes are close.
-	if d := Diff(base, sealedFigure7(t, -65, 0.05)); d.Class != Regression {
-		t.Fatalf("separation sign inversion = %s %v, want regression", d.Class, d.Findings)
-	}
-}
-
 // TestDiffRecomputesHashes: a fixture whose hash field was stripped (or
 // never written) must still diff as identical against a byte-identical
-// payload — the comparison trusts recomputed signatures, not stored
+// payload — the comparison trusts the canonical bytes, not stored
 // strings.
 func TestDiffRecomputesHashes(t *testing.T) {
-	a := sealedFigure7(t, 80, 0.05)
-	b := sealedFigure7(t, 80, 0.05)
+	a := figure7Record(t, 1)
+	b := figure7Record(t, 1)
 	b.Hash = ""
 	if d := Diff(b, a); d.Class != Identical || len(d.Findings) != 0 {
 		t.Fatalf("diff with a hashless old record = %s %v, want identical", d.Class, d.Findings)
@@ -333,69 +249,187 @@ func TestDiffRecomputesHashes(t *testing.T) {
 	}
 }
 
-func sealedFigure11(t *testing.T, errorRates ...float64) *Record {
+// figure11Record seals one single-point Figure 11 curve.
+func figure11Record(t *testing.T) *Record {
 	t.Helper()
-	reps := make([]int, len(errorRates))
-	pts := make([]channel.Result, len(errorRates))
-	for i, er := range errorRates {
-		reps[i] = 1 // duplicate reps values are legal: seeds differ by position
-		pts[i] = channel.Result{Reps: 1, Bits: 4, ErrorRate: er, CyclesPerBit: 2000, Bps: 1e6}
-	}
-	r := &Record{
-		Experiment: ExpFigure11,
-		Params:     Params{PoCs: []string{"dcache"}, Bits: 4, Reps: reps, Seed: 1},
-		Figure11: &Figure11Payload{Curves: []Figure11Curve{{
-			PoC: "dcache", Scheme: "invisispec-spectre", Points: pts,
-		}}},
-	}
-	if _, err := r.seal(); err != nil {
+	rec, err := NewFigure11Record([]Figure11Curve{{
+		PoC: "dcache", Scheme: "invisispec-spectre",
+		Points: []channel.Result{{Reps: 1, Bits: 4, Errors: 1, ErrorRate: 0.25, CyclesPerBit: 2589.5, Bps: 1390229.7740876616}},
+	}}, 4, []int{1}, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return rec
 }
 
-func TestDiffFigure11Thresholds(t *testing.T) {
-	base := sealedFigure11(t, 0.1)
-	if d := Diff(base, sealedFigure11(t, 0.2)); d.Class != Drift {
-		t.Fatalf("small error-rate move = %s %v, want drift", d.Class, d.Findings)
-	}
-	if d := Diff(base, sealedFigure11(t, 0.5)); d.Class != Regression {
-		t.Fatalf("error-rate collapse = %s, want regression", d.Class)
-	}
-	// Duplicate reps values pair positionally: a collapse in the second
-	// duplicate point must not hide behind the healthy first one.
-	if d := Diff(sealedFigure11(t, 0.1, 0.1), sealedFigure11(t, 0.1, 0.6)); d.Class != Regression {
-		t.Fatalf("collapse in a duplicate-reps point = %s, want regression", d.Class)
-	}
-}
-
-func sealedFigure12(t *testing.T, slowdown float64) *Record {
+// figure12Record seals a one-workload, one-scheme Figure 12 sweep.
+func figure12Record(t *testing.T) *Record {
 	t.Helper()
-	r := &Record{
-		Experiment: ExpFigure12,
-		Params:     Params{Iters: 10, Schemes: []string{"fence-spectre"}},
-		Figure12: &workload.EvalResult{
-			Rows: []workload.EvalRow{{
-				Workload: "stream", BaselineCycles: 1000, BaselineIPC: 1,
-				Slowdown: map[string]float64{"fence-spectre": slowdown},
-			}},
-			Mean:    map[string]float64{"fence-spectre": slowdown},
-			Geomean: map[string]float64{"fence-spectre": slowdown},
-		},
-	}
-	if _, err := r.seal(); err != nil {
+	rec, err := NewFigure12Record(&workload.EvalResult{
+		Rows: []workload.EvalRow{{
+			Workload: "stream", BaselineCycles: 2507, BaselineIPC: 0.3366573593936976,
+			Slowdown: map[string]float64{"fence-spectre": 1.0063821300358995},
+		}},
+		Mean:    map[string]float64{"fence-spectre": 1.0063821300358995},
+		Geomean: map[string]float64{"fence-spectre": 1.0063821300358995},
+	}, 10, []string{"fence-spectre"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return rec
 }
 
-func TestDiffFigure12Thresholds(t *testing.T) {
-	base := sealedFigure12(t, 1.6)
-	if d := Diff(base, sealedFigure12(t, 1.7)); d.Class != Drift {
-		t.Fatalf("small slowdown move = %s %v, want drift", d.Class, d.Findings)
+// sealedEdit is one edit to a freshly sealed record, re-sealed so its
+// hash is valid, and the exact findings Diff must report for it.
+type sealedEdit struct {
+	name   string
+	record func(*testing.T) *Record
+	edit   func(*Record)
+	onOld  bool // edit the old record instead of the new one
+	want   []string
+}
+
+// runSealedEdits requires each edit to diff as Changed with exactly its
+// findings.
+func runSealedEdits(t *testing.T, cases []sealedEdit) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			old, new := tc.record(t), tc.record(t)
+			edited := new
+			if tc.onOld {
+				edited = old
+			}
+			tc.edit(edited)
+			if _, err := edited.seal(); err != nil {
+				t.Fatal(err)
+			}
+			d := Diff(old, new)
+			if d.Class != Changed || !slices.Equal(d.Findings, tc.want) {
+				t.Fatalf("diff = %s %q, want changed %q", d.Class, d.Findings, tc.want)
+			}
+		})
 	}
-	if d := Diff(base, sealedFigure12(t, 4.0)); d.Class != Regression {
-		t.Fatalf("slowdown explosion = %s, want regression", d.Class)
+}
+
+// TestDiffMatrixFlipRegression: a Table 1 cell that flips from
+// vulnerable to protected, the regression the gate exists for, is
+// Changed with the one finding that names the cell. The flipped record
+// shares no cell storage with the old one.
+func TestDiffMatrixFlipRegression(t *testing.T) {
+	old := table1Record(t)
+
+	flipped := *old
+	cells := append([]Table1Cell(nil), old.Table1.Cells...)
+	cells[0].Vulnerable = !cells[0].Vulnerable
+	flipped.Table1 = &Table1Payload{Cells: cells}
+	if _, err := (&flipped).seal(); err != nil {
+		t.Fatal(err)
+	}
+
+	d := Diff(old, &flipped)
+	want := []string{"table1.cells[0]{gadget=G_NPEU,ordering=VD-AD,scheme=unsafe}.vulnerable: true → false"}
+	if d.Class != Changed || !slices.Equal(d.Findings, want) {
+		t.Fatalf("diff after cell flip = %s %q, want changed %q", d.Class, d.Findings, want)
+	}
+}
+
+// TestDiffGridCells: in the two scheme × gadget × ordering grids, a
+// flipped verdict, a changed mechanism and a cell missing from either
+// record are each Changed, named by the cell's labelled path or by the
+// grid's length.
+func TestDiffGridCells(t *testing.T) {
+	dropLast := func(r *Record) {
+		if r.Table1 != nil {
+			r.Table1.Cells = r.Table1.Cells[:1]
+		} else {
+			r.Concordance.Cells = r.Concordance.Cells[:1]
+		}
+	}
+	runSealedEdits(t, []sealedEdit{
+		{name: "table1/flip", record: table1Record, edit: func(r *Record) { r.Table1.Cells[1].Vulnerable = true }, want: []string{
+			"table1.cells[1]{gadget=G_NPEU,ordering=VD-AD,scheme=fence-spectre}.vulnerable: false → true",
+		}},
+		{name: "table1/drop-new", record: table1Record, edit: dropLast, want: []string{
+			"len(table1.cells): 2 → 1",
+		}},
+		{name: "table1/drop-old", record: table1Record, edit: dropLast, onOld: true, want: []string{
+			"len(table1.cells): 1 → 2",
+		}},
+		{name: "concordance/flip", record: concordanceRecord, edit: func(r *Record) {
+			c := &r.Concordance.Cells[1]
+			c.Empirical, c.Detector = true, true
+		}, want: []string{
+			"concordance.cells[1]{gadget=G_NPEU,mechanism=no-speculative-issue,ordering=VD-VD/VI,scheme=fence-spectre}.detector: false → true",
+			"concordance.cells[1]{gadget=G_NPEU,mechanism=no-speculative-issue,ordering=VD-VD/VI,scheme=fence-spectre}.empirical: false → true",
+		}},
+		{name: "concordance/mechanism", record: concordanceRecord, edit: func(r *Record) { r.Concordance.Cells[0].Mechanism = detect.MechMSHR }, want: []string{
+			`concordance.cells[0]{gadget=G_NPEU,mechanism=npeu-contention,ordering=VD-VD/VI,scheme=unsafe}.mechanism: "npeu-contention" → "mshr-exhaustion"`,
+		}},
+		{name: "concordance/drop-new", record: concordanceRecord, edit: dropLast, want: []string{
+			"len(concordance.cells): 2 → 1",
+		}},
+		{name: "concordance/drop-old", record: concordanceRecord, edit: dropLast, onOld: true, want: []string{
+			"len(concordance.cells): 1 → 2",
+		}},
+	})
+}
+
+// TestDiffChangedFindings: Diff has no tolerance. Each sealed edit, down
+// to a reference cycle moved by one or two samples swapped within an arm
+// (a shard placed at the wrong index), is Changed, and the report names
+// exactly the moved values by their path in the canonical document.
+func TestDiffChangedFindings(t *testing.T) {
+	runSealedEdits(t, []sealedEdit{
+		{name: "moved-ref-cycle", record: table1Record, edit: func(r *Record) { r.Table1.Cells[0].RefCycle = 230 }, want: []string{
+			"table1.cells[0]{gadget=G_NPEU,ordering=VD-AD,scheme=unsafe}.ref_cycle: 231 → 230",
+		}},
+		{name: "zeroed-ref-cycle", record: table1Record, edit: func(r *Record) { r.Table1.Cells[0].RefCycle = 0 }, want: []string{
+			"table1.cells[0]{gadget=G_NPEU,ordering=VD-AD,scheme=unsafe}.ref_cycle: 231 → absent",
+		}},
+		{name: "swapped-figure7-sample", record: func(t *testing.T) *Record { return figure7Record(t, 1) }, edit: func(r *Record) {
+			b := r.Figure7.Baseline
+			b[0], b[1] = b[1], b[0]
+		}, want: []string{
+			"figure7.baseline[0]: 100 → 104",
+			"figure7.baseline[1]: 104 → 100",
+		}},
+		{name: "moved-slowdown", record: figure12Record, edit: func(r *Record) { r.Figure12.Rows[0].Slowdown["fence-spectre"] = 1.0063821300358997 }, want: []string{
+			"figure12.rows[0]{workload=stream}.slowdown.fence-spectre: 1.0063821300358995 → 1.0063821300358997",
+		}},
+		{name: "moved-figure11-point", record: figure11Record, edit: func(r *Record) { r.Figure11.Curves[0].Points[0].CyclesPerBit = 2590 }, want: []string{
+			"figure11.curves[0]{poc=dcache,scheme=invisispec-spectre}.points[0].cycles_per_bit: 2589.5 → 2590",
+		}},
+	})
+}
+
+// TestDiffCapsFindings: a wholesale change lists the first maxFindings
+// moved values and counts the rest in one closing line.
+func TestDiffCapsFindings(t *testing.T) {
+	arm := func(base float64) []float64 {
+		xs := make([]float64, maxFindings+5)
+		for i := range xs {
+			xs[i] = base + float64(i)
+		}
+		return xs
+	}
+	seal := func(base float64) *Record {
+		rec, err := NewFigure7Record(core.BuildFigure7Result(arm(base), arm(200)), maxFindings+5, 10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	d := Diff(seal(100), seal(101))
+	// Every baseline sample moved, and so did the separation.
+	if d.Class != Changed || len(d.Findings) != maxFindings+1 {
+		t.Fatalf("diff = %s with %d findings, want changed with %d", d.Class, len(d.Findings), maxFindings+1)
+	}
+	if d.Findings[0] != "figure7.baseline[0]: 100 → 101" {
+		t.Errorf("first finding %q", d.Findings[0])
+	}
+	if last := d.Findings[maxFindings]; last != "… and 6 more" {
+		t.Errorf("closing line %q, want %q", last, "… and 6 more")
 	}
 }
 

@@ -220,8 +220,8 @@ func RenderTimeline(records []InstRecord, opt trace.Options) string {
 // TimelineOptions configures RenderTimeline.
 type TimelineOptions = trace.Options
 
-// Results-store types: persisted run records with cross-run regression
-// classification (see internal/results and cmd/resultstore).
+// Results-store types: persisted run records with exact cross-run
+// comparison (see internal/results and cmd/resultstore).
 type (
 	// RunRecord is one persisted experiment run: parameters, volatile
 	// metadata, canonical signature and the full payload.
@@ -232,17 +232,16 @@ type (
 	RunMeta = results.Meta
 	// ResultStore is an append-only JSONL directory of run records.
 	ResultStore = results.Store
-	// RunDiffReport is a classified comparison of two records.
+	// RunDiffReport is the comparison of two records.
 	RunDiffReport = results.DiffReport
 	// RunDiffClass classifies a record comparison.
 	RunDiffClass = results.DiffClass
 )
 
-// Diff classifications, in increasing severity.
+// Diff classifications.
 const (
 	DiffIdentical    = results.Identical
-	DiffDrift        = results.Drift
-	DiffRegression   = results.Regression
+	DiffChanged      = results.Changed
 	DiffIncomparable = results.Incomparable
 )
 
@@ -258,8 +257,8 @@ const (
 // OpenResultStore opens (creating if needed) a results store directory.
 func OpenResultStore(dir string) (*ResultStore, error) { return results.Open(dir) }
 
-// DiffRunRecords classifies the change from old to new: identical,
-// statistical drift, regression, or incomparable.
+// DiffRunRecords compares old with new: identical, changed (each moved
+// value named by its path), or incomparable.
 func DiffRunRecords(old, new *RunRecord) *RunDiffReport { return results.Diff(old, new) }
 
 // Experiment-engine types: every experiment is a registered spec (shard
