@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -33,6 +34,32 @@ func TestSmokeRemote(t *testing.T) {
 	got := cmdtest.Run(t, "", "-trials", "2", "-jitter", "5", "-backend", "remote", "-procs", "2", "-chunk", "1")
 	if got != want {
 		t.Errorf("remote output diverged from in-process:\n--- inprocess\n%s\n--- remote\n%s", want, got)
+	}
+}
+
+// TestUnreadBackendFlags: a backend flag the chosen backend does not
+// read exits non-zero naming the flag, and a subprocess run given
+// -journal writes no journal.
+func TestUnreadBackendFlags(t *testing.T) {
+	journal := t.TempDir()
+	for _, tc := range []struct {
+		args   []string
+		unread []string
+	}{
+		{[]string{"-backend", "subprocess", "-procs", "2", "-journal", journal, "-lease", "1ms", "-listen", "1.2.3.4:99"},
+			[]string{"-journal", "-lease", "-listen"}},
+		{[]string{"-backend", "inprocess", "-procs", "7", "-chunk", "5", "-journal", journal},
+			[]string{"-procs", "-chunk", "-journal"}},
+	} {
+		out := cmdtest.RunFail(t, "", append([]string{"-trials", "3", "-jitter", "5"}, tc.args...)...)
+		for _, flag := range tc.unread {
+			if !strings.Contains(out, flag+" (read by") {
+				t.Errorf("%v: error does not name %s:\n%s", tc.args, flag, out)
+			}
+		}
+	}
+	if entries, err := os.ReadDir(journal); err != nil || len(entries) != 0 {
+		t.Errorf("journal directory holds %d entries (%v), want none", len(entries), err)
 	}
 }
 

@@ -2,7 +2,8 @@
 // (experiment parameters + metadata + full payloads) appended as JSONL
 // under a store directory by the experiment binaries' -store flag, or
 // regenerated here. It lists and shows history, diffs records exactly,
-// and gates CI on "every result identical to the committed baseline".
+// checks that every result is identical to the committed baseline, and
+// writes that baseline.
 //
 // Usage:
 //
@@ -11,7 +12,6 @@
 //	resultstore diff     [-store DIR] [-baseline DIR] refA [refB]
 //	resultstore check    -baseline DIR [-store DIR] [-parallel N] [-backend B] [-procs N] [-listen ADDR] [-lease TTL] [-chunk N] [-journal DIR]
 //	resultstore baseline -dir DIR [-parallel N] [-backend B] [-procs N] [-listen ADDR] [-lease TTL] [-chunk N] [-journal DIR]
-//	resultstore bless    -baseline DIR [-store DIR] -reason STR
 //
 // A ref is "experiment" or "experiment@idx": figure7, table1, figure11,
 // figure12 or concordance, with an optional 0-based history index
@@ -26,9 +26,11 @@
 // non-zero unless the records are identical.
 //
 // check reruns every baseline experiment at the baseline's recorded
-// parameters and exits non-zero unless every experiment is identical —
-// the CI gate. baseline (re)writes the committed baseline records at the
-// standard small-trial parameters; it is the one refresh command.
+// parameters and exits non-zero unless every experiment is identical;
+// TestGolden<Exp> and TestBackendEquivalence (internal/experiment) make
+// the same comparison under go test, on every backend. baseline
+// (re)writes the committed baseline records at the standard small-trial
+// parameters; it is the one refresh command and the one baseline writer.
 // Both rerun through the experiment engine: -backend selects inprocess
 // (worker goroutines), subprocess (re-exec'd worker processes, the
 // -procs knob) or remote (an HTTP coordinator leasing shard chunks to
@@ -38,12 +40,6 @@
 // journal every accepted shard result to <DIR>/<experiment>.jsonl; a
 // check or baseline killed mid-run and re-invoked with the same
 // -journal replays the journal and reruns only the remaining shards.
-//
-// bless promotes each experiment's newest record in -store to the
-// committed baseline in one command, replacing the baseline record,
-// stamping a provenance note (date, reason, commit) and printing each
-// record's class against the old baseline — the reviewed path for
-// intentional result shifts.
 package main
 
 import (
@@ -79,8 +75,6 @@ func main() {
 		err = runCheck(args)
 	case "baseline":
 		err = runBaseline(args)
-	case "bless":
-		err = runBless(args)
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -102,7 +96,6 @@ func usage() {
   resultstore diff     [-store DIR] [-baseline DIR] refA [refB]
   resultstore check    -baseline DIR [-store DIR] [-parallel N] [-backend inprocess|subprocess|remote] [-procs N] [-listen ADDR] [-lease TTL] [-chunk N] [-journal DIR]
   resultstore baseline -dir DIR [-parallel N] [-backend inprocess|subprocess|remote] [-procs N] [-listen ADDR] [-lease TTL] [-chunk N] [-journal DIR]
-  resultstore bless    -baseline DIR [-store DIR] -reason STR
 `)
 }
 
@@ -343,64 +336,5 @@ func runBaseline(args []string) error {
 		}
 		fmt.Printf("baseline %-9s %.12s written to %s\n", exp, rec.Hash, store.Dir())
 	}
-	return nil
-}
-
-// runBless promotes each experiment's newest store record to the
-// committed baseline in one reviewed command, stamping a provenance note
-// (date, reason, commit) so the history of intentional result shifts
-// lives in the baseline files themselves.
-func runBless(args []string) error {
-	fs := flag.NewFlagSet("bless", flag.ExitOnError)
-	storeDir := fs.String("store", "results-store", "store holding the run records to promote")
-	baselineDir := fs.String("baseline", "", "committed baseline directory to update (required)")
-	reason := fs.String("reason", "", "why the baseline is moving (recorded in the provenance note; required)")
-	fs.Parse(args)
-	if *baselineDir == "" {
-		return fmt.Errorf("bless requires -baseline DIR")
-	}
-	if *reason == "" {
-		return fmt.Errorf("bless requires -reason explaining the intentional result shift")
-	}
-	store, err := openStore(*storeDir)
-	if err != nil {
-		return err
-	}
-	baseline, err := si.OpenResultStore(*baselineDir)
-	if err != nil {
-		return err
-	}
-	exps, err := store.Experiments()
-	if err != nil {
-		return err
-	}
-	if len(exps) == 0 {
-		return fmt.Errorf("store %s has no run records to bless", store.Dir())
-	}
-	note := fmt.Sprintf("blessed %s: %s (commit %s)",
-		time.Now().UTC().Format("2006-01-02"), *reason, si.GitRevision())
-	for _, exp := range exps {
-		rec, err := store.Latest(exp)
-		if err != nil {
-			return err
-		}
-		// Classify against the outgoing baseline so the operator sees
-		// which records the promotion changes. A corrupt baseline must
-		// surface, not silently read as "no old record".
-		change := "new"
-		if olds, err := baseline.Load(exp); err != nil {
-			return fmt.Errorf("old baseline %s: %w", exp, err)
-		} else if len(olds) > 0 {
-			change = si.DiffRunRecords(olds[len(olds)-1], rec).Class.String()
-		}
-		promoted := *rec
-		promoted.Meta = si.RunMeta{Note: note}
-		if err := baseline.Replace(&promoted); err != nil {
-			return err
-		}
-		fmt.Printf("blessed %-9s %.12s -> %s (%s vs old baseline)\n",
-			exp, promoted.Hash, baseline.Dir(), change)
-	}
-	fmt.Printf("provenance: %s\n", note)
 	return nil
 }

@@ -84,9 +84,9 @@ func TestCheckPassesOnFreshBaseline(t *testing.T) {
 	}
 }
 
-// TestCheckSubprocessBackend: the CI gate reruns the sweep through
-// re-exec'd worker processes; the records must still hash identically to
-// the in-process baseline.
+// TestCheckSubprocessBackend: check reruns the sweep through re-exec'd
+// worker processes; the records must still hash identically to the
+// in-process baseline.
 func TestCheckSubprocessBackend(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "baseline")
 	writeTestBaseline(t, dir, nil)
@@ -116,83 +116,6 @@ func TestCheckRemoteBackend(t *testing.T) {
 		if !regexp.MustCompile(exp + `\s+IDENTICAL`).MatchString(out) {
 			t.Errorf("remote check did not classify %s as identical:\n%s", exp, out)
 		}
-	}
-}
-
-// TestBlessSubcommand: bless promotes the store's newest records to the
-// committed baseline with a provenance note, so an intentional result
-// shift is one reviewed command.
-func TestBlessSubcommand(t *testing.T) {
-	baseDir := filepath.Join(t.TempDir(), "baseline")
-	storeDir := filepath.Join(t.TempDir(), "store")
-	writeTestBaseline(t, baseDir, nil)
-	// The store's latest table1 record carries an intentional flip — the
-	// kind of change bless exists to promote.
-	writeTestBaseline(t, storeDir, func(rec *si.RunRecord) {
-		if rec.Experiment == si.ExpTable1 {
-			rec.Table1.Cells[0].Vulnerable = !rec.Table1.Cells[0].Vulnerable
-		}
-	})
-
-	out := cmdtest.Run(t, "", "bless", "-store", storeDir, "-baseline", baseDir, "-reason", "recalibrated receiver")
-	if !strings.Contains(out, "provenance: blessed") || !strings.Contains(out, "recalibrated receiver") {
-		t.Errorf("bless output lacks the provenance note:\n%s", out)
-	}
-	for _, exp := range si.ResultExperiments() {
-		if !strings.Contains(out, "blessed "+exp) {
-			t.Errorf("bless output missing %s:\n%s", exp, out)
-		}
-	}
-
-	// The promoted baseline must carry the store's records (flip
-	// included), the provenance note, and exactly one record per
-	// experiment.
-	store, err := si.OpenResultStore(baseDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, exp := range si.ResultExperiments() {
-		recs, err := store.Load(exp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != 1 {
-			t.Fatalf("%s: blessed baseline has %d records, want 1", exp, len(recs))
-		}
-		if !strings.Contains(recs[0].Meta.Note, "recalibrated receiver") {
-			t.Errorf("%s: blessed record note %q lacks the reason", exp, recs[0].Meta.Note)
-		}
-	}
-	blessed, err := store.Latest(si.ExpTable1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := si.RunExperiment(context.Background(), si.ExpTable1, blessed.Params, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blessed.Hash == fresh.Hash {
-		t.Error("blessed table1 record should carry the store's flipped cell, not the regenerated matrix")
-	}
-}
-
-// TestBlessRequiresReason: promoting a baseline without saying why is
-// exactly the unreviewed drift the provenance note prevents.
-func TestBlessRequiresReason(t *testing.T) {
-	storeDir := filepath.Join(t.TempDir(), "store")
-	writeTestBaseline(t, storeDir, nil)
-	out := cmdtest.RunFail(t, "", "bless", "-store", storeDir, "-baseline", filepath.Join(t.TempDir(), "b"))
-	if !strings.Contains(out, "-reason") {
-		t.Errorf("bless without -reason should name the missing flag:\n%s", out)
-	}
-}
-
-// TestBlessEmptyStore: nothing to promote is an error, not a no-op.
-func TestBlessEmptyStore(t *testing.T) {
-	storeDir := t.TempDir()
-	out := cmdtest.RunFail(t, "", "bless", "-store", storeDir, "-baseline", filepath.Join(t.TempDir(), "b"), "-reason", "x")
-	if !strings.Contains(out, "no run records") {
-		t.Errorf("bless on an empty store should say so:\n%s", out)
 	}
 }
 

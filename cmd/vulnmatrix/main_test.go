@@ -15,7 +15,12 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
+// TestSmokeJSON: at default params -json prints the committed Table 1
+// baseline record's cells byte for byte, and a scheme subset prints one
+// cell per gadget × ordering combination of each scheme.
 func TestSmokeJSON(t *testing.T) {
+	cmdtest.MatchBaselineCells(t, cmdtest.Run(t, "", "-json"), "table1")
+
 	out := cmdtest.Run(t, "", "-schemes", "unsafe,dom", "-json", "-parallel", "2")
 	var cells []struct {
 		Scheme     string `json:"scheme"`

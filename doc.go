@@ -116,9 +116,10 @@
 // specs call. The experiment CLIs sit on the engine's shared driver and
 // take common flags: -parallel, -backend, -procs, -listen, -lease,
 // -chunk, -journal, -json, -store and -progress (periodic
-// shard-completion reporting to stderr, off by default). Each
-// experiment's own flags size its sweep: -trials for Figure 7, -bits for
-// Figure 11, -iters for Figure 12.
+// shard-completion reporting to stderr, off by default); a backend flag
+// the chosen backend does not read is an error. Each experiment's own
+// flags size its sweep: -trials for Figure 7, -bits for Figure 11,
+// -iters for Figure 12.
 //
 // # Results store and regression tracking
 //
@@ -148,15 +149,14 @@
 // diff compares two records (exit non-zero unless identical), check
 // reruns every experiment at the committed baseline's parameters —
 // through any backend, via -backend/-procs/-listen/-lease/-chunk/
-// -journal — and fails unless every experiment is identical (the CI
-// gate, run in-process, through the subprocess backend, through the
-// remote backend with leased loopback workers, and once more with the
-// coordinator SIGKILLed mid-check and resumed from its journal),
+// -journal — and fails unless every experiment is identical, and
 // baseline (re)writes the small-trial baseline records committed under
 // internal/results/testdata/baseline, the one committed copy of each
-// result, and bless promotes each experiment's newest store record to
-// the committed baseline in one command, stamping a provenance note
-// (date, reason, commit) for review.
+// result and the one way to refresh it. The tests hold the same gate:
+// TestGolden<Exp> and TestBackendEquivalence (internal/experiment)
+// compare every experiment, on every backend, with those records. Which
+// test or CI step fails on which fault is indexed once, in the Gates
+// section of the verify skill (the repository's one SKILL.md).
 //
 // See README.md for a tour. The root package is a facade over the
 // internal packages; the cmd/ tools and examples/ programs show it in

@@ -1,16 +1,59 @@
 // Package cmdtest builds and runs the cmd/ binaries for smoke tests: each
 // test compiles the main package in its own working directory and asserts
-// a zero exit with non-empty output on a tiny workload.
+// a zero exit with non-empty output on a tiny workload, or compares the
+// output with a committed baseline record.
 package cmdtest
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// MatchBaselineCells fails the test unless out, a cmd/<name> binary's
+// -json output at default params, is byte for byte the cell list of the
+// committed baseline record of exp ("table1" or "concordance"): the
+// record's cells value, compacted, plus the encoder's newline.
+func MatchBaselineCells(t *testing.T, out, exp string) {
+	t.Helper()
+	path := filepath.Join("..", "..", "internal", "results", "testdata", "baseline", exp+".jsonl")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("committed baseline: %v", err)
+	}
+	// One record per baseline file: a second line fails the decode.
+	var rec map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatalf("committed baseline %s: %v", path, err)
+	}
+	var payload struct {
+		Cells json.RawMessage `json:"cells"`
+	}
+	if err := json.Unmarshal(rec[exp], &payload); err != nil || payload.Cells == nil {
+		t.Fatalf("committed baseline %s has no %s.cells (%v)", path, exp, err)
+	}
+	var want bytes.Buffer
+	if err := json.Compact(&want, payload.Cells); err != nil {
+		t.Fatal(err)
+	}
+	want.WriteByte('\n')
+	w := want.String()
+	if out == w {
+		return
+	}
+	i := 0
+	for i < len(out) && i < len(w) && out[i] == w[i] {
+		i++
+	}
+	lo := max(0, i-80)
+	t.Errorf("-json output (%d bytes) differs from %s.cells of %s (%d bytes) at byte %d:\n got: …%s\nwant: …%s",
+		len(out), exp, path, len(w), i, out[lo:min(len(out), i+80)], w[lo:min(len(w), i+80)])
+}
 
 // Run builds the main package in the test's working directory, executes it
 // with args (feeding stdin when non-empty), and returns stdout. Any build

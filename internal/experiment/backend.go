@@ -3,7 +3,9 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"specinterference/internal/results"
@@ -47,8 +49,10 @@ func (b InProcess) Run(ctx context.Context, spec *Spec, p results.Params, n int,
 	})
 }
 
-// BackendOptions carries every backend-construction knob the CLIs expose;
-// each backend reads the fields it understands and ignores the rest.
+// BackendOptions carries every backend-construction knob the CLIs expose.
+// inprocess reads only Workers, subprocess also Procs and Chunk, and
+// remote every field; the inprocess and subprocess factories reject a
+// set field they do not read.
 type BackendOptions struct {
 	// Procs is the worker-process count: subprocess workers, or local
 	// remote workers spawned next to the coordinator (remote: 0 = none,
@@ -76,11 +80,44 @@ type BackendFactory func(o BackendOptions) (Backend, error)
 
 var backendFactories = map[string]BackendFactory{
 	"inprocess": func(o BackendOptions) (Backend, error) {
+		if err := o.unreadBy("inprocess"); err != nil {
+			return nil, err
+		}
 		return InProcess{Workers: o.Workers}, nil
 	},
 	"subprocess": func(o BackendOptions) (Backend, error) {
+		if err := o.unreadBy("subprocess"); err != nil {
+			return nil, err
+		}
 		return Subprocess{Procs: o.Procs, Workers: o.Workers, Chunk: o.Chunk}, nil
 	},
+}
+
+// unreadBy fails when o sets an option that backend does not read,
+// naming each such flag and the backends that do read it, so a flag
+// meant for another backend (-journal on a subprocess run) stops the
+// run instead of being dropped. -parallel (Workers) is read by all.
+func (o BackendOptions) unreadBy(backend string) error {
+	var unread []string
+	for _, f := range []struct {
+		flag    string
+		set     bool
+		readers []string
+	}{
+		{"-procs", o.Procs != 0, []string{"subprocess", "remote"}},
+		{"-chunk", o.Chunk != 0, []string{"subprocess", "remote"}},
+		{"-listen", o.Listen != "", []string{"remote"}},
+		{"-lease", o.Lease != 0, []string{"remote"}},
+		{"-journal", o.Journal != "", []string{"remote"}},
+	} {
+		if f.set && !slices.Contains(f.readers, backend) {
+			unread = append(unread, fmt.Sprintf("%s (read by %s)", f.flag, strings.Join(f.readers, " and ")))
+		}
+	}
+	if len(unread) > 0 {
+		return fmt.Errorf("experiment: -backend %s does not read %s", backend, strings.Join(unread, ", "))
+	}
+	return nil
 }
 
 // RegisterBackendFactory adds a named backend constructor; packages that

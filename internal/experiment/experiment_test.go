@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"specinterference/internal/results"
 )
@@ -164,6 +166,48 @@ func TestNewBackend(t *testing.T) {
 	}
 	if _, err := NewBackendOptions("carrier-pigeon", BackendOptions{}); err == nil {
 		t.Error("unknown backend accepted")
+	}
+}
+
+// TestNewBackendUnreadFlags: a flag the chosen backend does not read
+// fails construction with an error naming that flag and no other, and
+// every flag a backend reads is accepted.
+func TestNewBackendUnreadFlags(t *testing.T) {
+	const listen, lease, journal = "1.2.3.4:99", time.Millisecond, "journal-dir"
+	for _, tc := range []struct {
+		backend string
+		o       BackendOptions
+		unread  []string // the flags the error must name; none = accepted
+	}{
+		{"inprocess", BackendOptions{Workers: 4}, nil},
+		{"subprocess", BackendOptions{Workers: 2, Procs: 2, Chunk: 3}, nil},
+		{"inprocess", BackendOptions{Procs: 7}, []string{"-procs"}},
+		{"inprocess", BackendOptions{Chunk: 5}, []string{"-chunk"}},
+		{"inprocess", BackendOptions{Listen: listen}, []string{"-listen"}},
+		{"inprocess", BackendOptions{Lease: lease}, []string{"-lease"}},
+		{"inprocess", BackendOptions{Journal: journal}, []string{"-journal"}},
+		{"inprocess", BackendOptions{Workers: 2, Procs: 7, Chunk: 5, Journal: journal}, []string{"-procs", "-chunk", "-journal"}},
+		{"subprocess", BackendOptions{Procs: 2, Listen: listen}, []string{"-listen"}},
+		{"subprocess", BackendOptions{Procs: 2, Lease: lease}, []string{"-lease"}},
+		{"subprocess", BackendOptions{Procs: 2, Journal: journal}, []string{"-journal"}},
+		{"subprocess", BackendOptions{Procs: 2, Chunk: 1, Journal: journal, Lease: lease, Listen: listen}, []string{"-listen", "-lease", "-journal"}},
+	} {
+		b, err := NewBackendOptions(tc.backend, tc.o)
+		if len(tc.unread) == 0 {
+			if err != nil || b.Name() != tc.backend {
+				t.Errorf("NewBackendOptions(%s, %+v) = %v, %v; want the backend", tc.backend, tc.o, b, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("NewBackendOptions(%s, %+v) accepted flags it does not read: %v", tc.backend, tc.o, tc.unread)
+			continue
+		}
+		for _, flag := range []string{"-procs", "-chunk", "-listen", "-lease", "-journal"} {
+			if named, want := strings.Contains(err.Error(), flag), slices.Contains(tc.unread, flag); named != want {
+				t.Errorf("NewBackendOptions(%s, %+v): error names %s = %v, want %v: %v", tc.backend, tc.o, flag, named, want, err)
+			}
+		}
 	}
 }
 

@@ -657,13 +657,21 @@ func journalEntries(path string) int {
 	}
 }
 
+// slowWorkerEnv is the remote package's fault shim: a duration that
+// slows the first local worker of a run to that long per shard.
+const slowWorkerEnv = "SPECINTERFERENCE_REMOTE_SLOW_WORKER"
+
 // TestCoordinatorRestartResume is the crash/restart equivalence sweep:
 // a real coordinator process (this test binary in a helper role,
 // spawning its own local remote workers) is SIGKILLed once roughly half
 // the shards are journaled, then restarted against the same journal.
 // The restart must replay exactly the journaled shards, run only the
 // remainder, and produce a record whose canonical signature equals the
-// committed baseline — at several worker × chunk configurations.
+// committed baseline — at several worker × chunk configurations. An
+// unslowed first run can journal every shard before the kill lands,
+// which leaves only a full replay to check, so in the slow case its one
+// worker takes 25ms per shard and the restart must resume a partial
+// journal: 0 < replayed < n.
 func TestCoordinatorRestartResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns coordinator processes and SIGKILLs them mid-run")
@@ -675,10 +683,11 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	cases := []struct {
 		exp          string
 		procs, chunk int
+		slow         bool
 	}{
-		{results.ExpFigure7, 1, 1},
-		{results.ExpFigure7, 2, 2},
-		{results.ExpTable1, 2, 0}, // the default grant size, max(1, n/16)
+		{results.ExpFigure7, 1, 1, true},
+		{results.ExpFigure7, 2, 2, false},
+		{results.ExpTable1, 2, 0, false}, // the default grant size, max(1, n/16)
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -712,6 +721,9 @@ func TestCoordinatorRestartResume(t *testing.T) {
 			var firstErr bytes.Buffer
 			first := exec.Command(exe)
 			first.Env = env
+			if tc.slow {
+				first.Env = append(env[:len(env):len(env)], slowWorkerEnv+"=25ms")
+			}
 			first.Stderr = &firstErr
 			if err := first.Start(); err != nil {
 				t.Fatal(err)
@@ -763,8 +775,13 @@ func TestCoordinatorRestartResume(t *testing.T) {
 			if m == nil {
 				t.Fatalf("no journal-resume notice in restart stderr:\n%s", errBuf.String())
 			}
-			if replayed, _ := strconv.Atoi(m[1]); replayed != replayable {
+			replayed, _ := strconv.Atoi(m[1])
+			t.Logf("restart replayed %d of %d shards", replayed, n)
+			if replayed != replayable {
 				t.Errorf("restart replayed %d shards, journal held %d", replayed, replayable)
+			}
+			if tc.slow && (replayed <= 0 || replayed >= n) {
+				t.Errorf("slowed run: restart replayed %d of %d shards, want a partial journal (0 < replayed < %d)", replayed, n, n)
 			}
 			// ...and every shard was journaled exactly once across both runs.
 			if got := journalEntries(jpath); got != n {

@@ -185,8 +185,7 @@ func TestPipeBackupOvertakesStall(t *testing.T) {
 // at least one shard won by a backup lease. The fast worker drains the
 // queue in a few milliseconds, while the slow one needs 150ms for its
 // six-shard chunk, so a coordinator that never grants a backup, or whose
-// backups never land first, fails here. CI's "Subprocess
-// backup-execution gate" names this test.
+// backups never land first, fails here.
 func TestSubprocessBackupWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")

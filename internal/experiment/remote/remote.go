@@ -160,10 +160,11 @@ type localWorkers struct {
 // slowWorkerEnv is the spawn-side half of the shardDelayEnv fault shim:
 // when set to a time.Duration string, the FIRST local worker of either
 // kind (-remote-worker or -shard-worker) is started with that per-shard
-// delay while the rest run at full speed — a reproducible straggler, so
-// the CI backup-execution gates can drive speculative backup leases
-// through a stock `resultstore check` run on the remote or subprocess
-// backend. Never set in normal operation.
+// delay while the rest run at full speed — a reproducible straggler that
+// any stock run on the remote or subprocess backend can be given.
+// TestSubprocessBackupWins sets it to require a backup that wins, and
+// TestCoordinatorRestartResume (faulttest) to kill a coordinator before
+// its journal is complete. Never set in normal operation.
 const slowWorkerEnv = "SPECINTERFERENCE_REMOTE_SLOW_WORKER"
 
 // spawnWorkers is the one spawn path for local workers of both kinds: it

@@ -30,11 +30,11 @@ var workerSeq atomic.Int64
 // shardDelayEnv is a fault-injection shim: a time.Duration string that
 // makes this worker sleep that long before sending each shard result —
 // buffering it for /results, or writing it to a pipe worker's stdout —
-// turning it into an artificial straggler. The CI backup-execution gates
-// set it on one of two local workers (see slowWorkerEnv in remote.go) so
-// speculative backup leases are exercised on every push; never set in
-// normal operation. Scheduling only — a slowed worker's results are
-// byte-identical, just late.
+// turning it into an artificial straggler. slowWorkerEnv (remote.go)
+// sets it on the first local worker, which is how TestSubprocessBackupWins
+// forces backup leases and TestCoordinatorRestartResume a partial
+// journal; never set in normal operation. Scheduling only — a slowed
+// worker's results are byte-identical, just late.
 const shardDelayEnv = "SPECINTERFERENCE_REMOTE_SHARD_DELAY"
 
 // RunWorker serves one coordinator until its job completes: fetch the

@@ -289,7 +289,9 @@ func InProcessBackend(workers int) ExperimentBackend {
 // "inprocess" (worker goroutines), "subprocess" (re-exec'd copies of the
 // current binary over their pipes) or "remote" (an HTTP coordinator
 // leasing shard chunks to local or external workers, resumable from a
-// Journal directory). Every backend's results are bit-identical.
+// Journal directory). Every backend's results are bit-identical. An
+// option the named backend does not read (Journal on "subprocess",
+// Procs on "inprocess") is an error that names its flag.
 func NewExperimentBackendOptions(name string, o ExperimentBackendOptions) (ExperimentBackend, error) {
 	return experiment.NewBackendOptions(name, o)
 }
