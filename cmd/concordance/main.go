@@ -60,9 +60,6 @@ func main() {
 			fmt.Fprintf(w, "\n%d/%d cells concordant\n", matches, len(rec.Concordance.Cells))
 			return nil
 		},
-		JSON: func(rec *results.Record) (any, error) {
-			return rec.Concordance.Cells, nil
-		},
 	})
 }
 

@@ -24,15 +24,6 @@ import (
 	"specinterference/internal/results"
 )
 
-// jsonCurve is the machine-readable form of one PoC's Figure 11 curve:
-// the record's curve plus the measurement seed.
-type jsonCurve struct {
-	PoC    string           `json:"poc"`
-	Scheme string           `json:"scheme"`
-	Seed   uint64           `json:"seed"`
-	Points []channel.Result `json:"points"`
-}
-
 // displayName maps persisted PoC names to the Figure 11 captions.
 func displayName(poc string) string {
 	switch poc {
@@ -94,13 +85,6 @@ func main() {
 				fmt.Fprintln(w)
 			}
 			return nil
-		},
-		JSON: func(rec *results.Record) (any, error) {
-			curves := make([]jsonCurve, 0, len(rec.Figure11.Curves))
-			for _, c := range rec.Figure11.Curves {
-				curves = append(curves, jsonCurve{PoC: c.PoC, Scheme: c.Scheme, Seed: rec.Params.Seed, Points: c.Points})
-			}
-			return curves, nil
 		},
 	})
 }

@@ -1,12 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
 	"specinterference/internal/cmdtest"
+	"specinterference/internal/results"
 )
+
+func TestMain(m *testing.M) { cmdtest.Main(m) }
 
 func TestSmoke(t *testing.T) {
 	out := cmdtest.Run(t, "", "-poc", "dcache", "-bits", "2", "-reps", "1")
@@ -15,19 +17,9 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
+// TestSmokeJSON: at the baseline params -json prints a record identical
+// to the committed Figure 11 baseline record.
 func TestSmokeJSON(t *testing.T) {
-	out := cmdtest.Run(t, "", "-poc", "icache", "-bits", "2", "-reps", "1,3", "-json", "-parallel", "2")
-	var curves []struct {
-		PoC    string `json:"poc"`
-		Points []struct {
-			Reps int `json:"reps"`
-			Bits int `json:"bits"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal([]byte(out), &curves); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, out)
-	}
-	if len(curves) != 1 || curves[0].PoC != "icache" || len(curves[0].Points) != 2 {
-		t.Errorf("unexpected JSON payload: %+v", curves)
-	}
+	out := cmdtest.Run(t, "", "-poc", "both", "-bits", "4", "-reps", "1,3", "-seed", "1", "-json")
+	cmdtest.MatchBaseline(t, out, results.ExpFigure11)
 }

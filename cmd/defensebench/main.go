@@ -19,7 +19,6 @@ import (
 	"specinterference/internal/experiment"
 	_ "specinterference/internal/experiment/remote" // registers -backend=remote and the -remote-worker mode
 	"specinterference/internal/results"
-	"specinterference/internal/workload"
 )
 
 func main() {
@@ -42,12 +41,6 @@ func main() {
 			fmt.Fprint(w, rec.Figure12.Format(rec.Params.Schemes))
 			fmt.Fprintln(w, "\npaper (SPEC CPU2017 on gem5): 1.58x mean Spectre model, 5.38x mean Futuristic model")
 			return nil
-		},
-		JSON: func(rec *results.Record) (any, error) {
-			return struct {
-				Iters int `json:"iters"`
-				*workload.EvalResult
-			}{rec.Params.Iters, rec.Figure12}, nil
 		},
 	})
 }

@@ -1,12 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
 	"specinterference/internal/cmdtest"
+	"specinterference/internal/results"
 )
+
+func TestMain(m *testing.M) { cmdtest.Main(m) }
 
 func TestSmoke(t *testing.T) {
 	out := cmdtest.Run(t, "", "-iters", "50", "-schemes", "fence-spectre")
@@ -15,19 +17,8 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
+// TestSmokeJSON: at the baseline params, default schemes included, -json
+// prints a record identical to the committed Figure 12 baseline record.
 func TestSmokeJSON(t *testing.T) {
-	out := cmdtest.Run(t, "", "-iters", "50", "-schemes", "fence-spectre", "-json", "-parallel", "2")
-	var res struct {
-		Rows []struct {
-			Workload string             `json:"workload"`
-			Slowdown map[string]float64 `json:"slowdown"`
-		} `json:"rows"`
-		Geomean map[string]float64 `json:"geomean"`
-	}
-	if err := json.Unmarshal([]byte(out), &res); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, out)
-	}
-	if len(res.Rows) == 0 || res.Geomean["fence-spectre"] <= 0 {
-		t.Errorf("unexpected JSON payload: %+v", res)
-	}
+	cmdtest.MatchBaseline(t, cmdtest.Run(t, "", "-iters", "120", "-json"), results.ExpFigure12)
 }

@@ -35,7 +35,6 @@ func main() {
 			}
 		},
 		Text: renderText,
-		JSON: renderJSON,
 	})
 }
 
@@ -51,21 +50,4 @@ func renderText(w io.Writer, rec *results.Record) error {
 	fmt.Fprint(w, res.IntHist.Render(50))
 	fmt.Fprintln(w, "\npaper: ~80 rdtsc-cycle shift with clearly separated distributions")
 	return nil
-}
-
-// renderJSON emits the established machine-readable shape.
-func renderJSON(rec *results.Record) (any, error) {
-	return struct {
-		Trials       int       `json:"trials"`
-		Jitter       int       `json:"jitter"`
-		Seed         uint64    `json:"seed"`
-		Separation   float64   `json:"separation_cycles"`
-		Overlap      float64   `json:"overlap_coefficient"`
-		Baseline     []float64 `json:"baseline_latencies"`
-		Interference []float64 `json:"interference_latencies"`
-	}{
-		rec.Params.Trials, rec.Params.Jitter, rec.Params.Seed,
-		rec.Figure7.Separation, rec.Figure7.Overlap,
-		rec.Figure7.Baseline, rec.Figure7.Interference,
-	}, nil
 }

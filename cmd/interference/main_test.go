@@ -1,13 +1,15 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"strings"
 	"testing"
 
 	"specinterference/internal/cmdtest"
+	"specinterference/internal/results"
 )
+
+func TestMain(m *testing.M) { cmdtest.Main(m) }
 
 func TestSmoke(t *testing.T) {
 	out := cmdtest.Run(t, "", "-trials", "2", "-jitter", "5")
@@ -76,17 +78,30 @@ func TestProgressFlag(t *testing.T) {
 	}
 }
 
+// TestSmokeJSON: at the baseline params -json prints a record identical
+// to the committed Figure 7 baseline record.
 func TestSmokeJSON(t *testing.T) {
-	out := cmdtest.Run(t, "", "-trials", "2", "-jitter", "5", "-json", "-parallel", "2")
-	var res struct {
-		Trials       int       `json:"trials"`
-		Baseline     []float64 `json:"baseline_latencies"`
-		Interference []float64 `json:"interference_latencies"`
-	}
-	if err := json.Unmarshal([]byte(out), &res); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, out)
-	}
-	if res.Trials != 2 || len(res.Baseline) != 2 || len(res.Interference) != 2 {
-		t.Errorf("unexpected JSON payload: %+v", res)
+	out := cmdtest.Run(t, "", "-trials", "8", "-jitter", "10", "-seed", "1", "-json")
+	cmdtest.MatchBaseline(t, out, results.ExpFigure7)
+}
+
+// TestNegativeValues: a negative -jitter, or a negative backend count or
+// lease, exits non-zero naming the flag and its value instead of running
+// as if it were zero.
+func TestNegativeValues(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-jitter", "-5"}, "jitter must be >= 0, got -5"},
+		{[]string{"-parallel", "-1"}, "-parallel -1"},
+		{[]string{"-backend", "subprocess", "-procs", "-1"}, "-procs -1"},
+		{[]string{"-backend", "subprocess", "-chunk", "-1"}, "-chunk -1"},
+		{[]string{"-backend", "remote", "-procs", "1", "-lease", "-1s"}, "-lease -1s"},
+	} {
+		out := cmdtest.RunFail(t, "", append([]string{"-trials", "2"}, tc.args...)...)
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("%v: error does not name %q:\n%s", tc.args, tc.want, out)
+		}
 	}
 }

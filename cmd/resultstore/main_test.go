@@ -14,6 +14,8 @@ import (
 	"specinterference/internal/cmdtest"
 )
 
+func TestMain(m *testing.M) { cmdtest.Main(m) }
+
 // writeTestBaseline builds a small baseline store directly through the
 // facade (faster than shelling out to `resultstore baseline`, and it lets
 // tests tamper with records before sealing).

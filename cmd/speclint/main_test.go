@@ -9,6 +9,8 @@ import (
 	"specinterference/internal/cmdtest"
 )
 
+func TestMain(m *testing.M) { cmdtest.Main(m) }
+
 // TestSpeclintCleanTree runs the full suite over the repo the same way
 // CI does: the committed tree must lint clean (exit 0, no findings).
 func TestSpeclintCleanTree(t *testing.T) {

@@ -7,6 +7,8 @@ import (
 	"specinterference/internal/cmdtest"
 )
 
+func TestMain(m *testing.M) { cmdtest.Main(m) }
+
 func TestSmoke(t *testing.T) {
 	out := cmdtest.Run(t, "movi r1, 2\nhalt\n")
 	if !strings.Contains(out, "cycles") {

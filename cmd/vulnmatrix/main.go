@@ -42,15 +42,8 @@ func main() {
 			}
 		},
 		Text: func(w io.Writer, rec *results.Record) error {
-			cells, err := payloadCells(rec)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, core.FormatMatrix(cells))
-			return nil
-		},
-		JSON: func(rec *results.Record) (any, error) {
-			return rec.Table1.Cells, nil
+			_, err := io.WriteString(w, rec.Table1.Format())
+			return err
 		},
 		After: func(rec *results.Record, jsonMode bool) error {
 			if !*verify {
@@ -81,24 +74,4 @@ func main() {
 			return nil
 		},
 	})
-}
-
-// payloadCells rebuilds typed matrix cells from the persisted payload.
-func payloadCells(rec *results.Record) ([]core.MatrixCell, error) {
-	cells := make([]core.MatrixCell, 0, len(rec.Table1.Cells))
-	for _, c := range rec.Table1.Cells {
-		g, err := core.ParseGadget(c.Gadget)
-		if err != nil {
-			return nil, err
-		}
-		o, err := core.ParseOrdering(c.Ordering)
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, core.MatrixCell{
-			Scheme: c.Scheme, Gadget: g, Ordering: o,
-			Vulnerable: c.Vulnerable, RefCycle: c.RefCycle,
-		})
-	}
-	return cells, nil
 }

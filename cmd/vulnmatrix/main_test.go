@@ -1,12 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
 	"specinterference/internal/cmdtest"
+	"specinterference/internal/results"
 )
+
+func TestMain(m *testing.M) { cmdtest.Main(m) }
 
 func TestSmoke(t *testing.T) {
 	out := cmdtest.Run(t, "", "-schemes", "unsafe")
@@ -15,24 +17,20 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
-// TestSmokeJSON: at default params -json prints the committed Table 1
-// baseline record's cells byte for byte, and a scheme subset prints one
-// cell per gadget × ordering combination of each scheme.
+// TestSmokeJSON: at default params -json prints a record identical to
+// the committed Table 1 baseline record.
 func TestSmokeJSON(t *testing.T) {
-	cmdtest.MatchBaselineCells(t, cmdtest.Run(t, "", "-json"), "table1")
+	cmdtest.MatchBaseline(t, cmdtest.Run(t, "", "-json"), results.ExpTable1)
+}
 
-	out := cmdtest.Run(t, "", "-schemes", "unsafe,dom", "-json", "-parallel", "2")
-	var cells []struct {
-		Scheme     string `json:"scheme"`
-		Gadget     string `json:"gadget"`
-		Ordering   string `json:"ordering"`
-		Vulnerable bool   `json:"vulnerable"`
-	}
-	if err := json.Unmarshal([]byte(out), &cells); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, out)
-	}
-	// 7 gadget×ordering combos × 2 schemes.
-	if len(cells) != 14 {
-		t.Errorf("got %d cells, want 14", len(cells))
+// TestBadSchemes: an empty or unknown scheme name fails planning, naming
+// the name, before the remote backend starts its coordinator or any
+// worker.
+func TestBadSchemes(t *testing.T) {
+	for flag, name := range map[string]string{"unsafe,,dom": `""`, "bogus": `"bogus"`} {
+		out := cmdtest.RunFail(t, "", "-schemes", flag, "-backend", "remote", "-procs", "1")
+		if !strings.Contains(out, "unknown scheme "+name) || strings.Contains(out, "worker") {
+			t.Errorf("-schemes %s: want a planning error naming %s and no worker:\n%s", flag, name, out)
+		}
 	}
 }

@@ -113,13 +113,18 @@
 // Library callers use RunExperiment (experiment name, parameters,
 // backend), whose sealed record carries the full typed payload; the
 // domain packages keep only the per-shard primitives and aggregators the
-// specs call. The experiment CLIs sit on the engine's shared driver and
-// take common flags: -parallel, -backend, -procs, -listen, -lease,
-// -chunk, -journal, -json, -store and -progress (periodic
+// specs call. The five experiment CLIs (interference, vulnmatrix,
+// covertbench, defensebench, concordance) sit on the engine's shared
+// driver and take common flags: -parallel, -backend, -procs, -listen,
+// -lease, -chunk, -journal, -json, -store and -progress (periodic
 // shard-completion reporting to stderr, off by default); a backend flag
-// the chosen backend does not read is an error. Each experiment's own
-// flags size its sweep: -trials for Figure 7, -bits for Figure 11,
-// -iters for Figure 12.
+// the chosen backend does not read, or a negative count or lease, is an
+// error, and bad experiment parameters fail in planning, before any
+// worker starts. Each experiment's own flags size its sweep: -trials for
+// Figure 7, -bits for Figure 11, -iters for Figure 12. With -json a CLI
+// prints its sealed run record as one line, the same record its text
+// rendering reads (a library caller renders a Table 1 record with its
+// payload's Format).
 //
 // # Results store and regression tracking
 //
@@ -154,9 +159,10 @@
 // internal/results/testdata/baseline, the one committed copy of each
 // result and the one way to refresh it. The tests hold the same gate:
 // TestGolden<Exp> and TestBackendEquivalence (internal/experiment)
-// compare every experiment, on every backend, with those records. Which
-// test or CI step fails on which fault is indexed once, in the Gates
-// section of the verify skill (the repository's one SKILL.md).
+// compare every experiment, on every backend, with those records, and
+// each experiment CLI's TestSmokeJSON compares its -json record with
+// them. Which test or CI step fails on which fault is indexed once, in
+// the Gates section of the verify skill (the repository's one SKILL.md).
 //
 // See README.md for a tour. The root package is a facade over the
 // internal packages; the cmd/ tools and examples/ programs show it in

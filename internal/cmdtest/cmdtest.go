@@ -1,63 +1,110 @@
-// Package cmdtest builds and runs the cmd/ binaries for smoke tests: each
-// test compiles the main package in its own working directory and asserts
-// a zero exit with non-empty output on a tiny workload, or compares the
-// output with a committed baseline record.
+// Package cmdtest builds and runs a cmd/ binary for its package's smoke
+// tests: Main builds the package's main program at most once per test
+// process, Run, RunCapture and RunFail execute it, and MatchBaseline
+// checks an experiment CLI's -json output against the committed baseline
+// record.
 package cmdtest
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"specinterference/internal/results"
 )
 
-// MatchBaselineCells fails the test unless out, a cmd/<name> binary's
-// -json output at default params, is byte for byte the cell list of the
-// committed baseline record of exp ("table1" or "concordance"): the
-// record's cells value, compacted, plus the encoder's newline.
-func MatchBaselineCells(t *testing.T, out, exp string) {
+// built is the package's main program, built on first use into the
+// directory Main created.
+var built struct {
+	once sync.Once
+	dir  string // set by Main
+	bin  string
+	err  error
+}
+
+// Main runs a cmd package's tests; call it from the package's TestMain.
+// The first Run, RunCapture or RunFail builds the package's main program
+// into a temporary directory, every later call reuses that binary, and
+// Main removes the directory when the tests are done.
+func Main(m *testing.M) {
+	dir, err := os.MkdirTemp("", "cmdtest-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cmdtest:", err)
+		os.Exit(1)
+	}
+	built.dir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// binary returns the path of the package's main program, built from
+// the test's working directory on the first call.
+func binary(t *testing.T) string {
 	t.Helper()
+	if built.dir == "" {
+		t.Fatal("cmdtest: the package's TestMain must call cmdtest.Main")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not in PATH")
+	}
+	built.once.Do(func() {
+		bin := filepath.Join(built.dir, "cmd.bin")
+		if out, err := exec.Command(goBin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+			built.err = fmt.Errorf("go build: %v\n%s", err, out)
+			return
+		}
+		built.bin = bin
+	})
+	if built.err != nil {
+		t.Fatal(built.err)
+	}
+	return built.bin
+}
+
+// MatchBaseline fails the test unless out, an experiment CLI's -json
+// output, is one line holding a sealed record whose hash validates and
+// which results.Diff reads as identical to the committed baseline record
+// of exp. Run the CLI at results.BaselineParams(exp).
+func MatchBaseline(t *testing.T, out, exp string) {
+	t.Helper()
+	if strings.Count(out, "\n") != 1 || !strings.HasSuffix(out, "\n") {
+		t.Fatalf("-json output is not one line:\n%s", out)
+	}
+	var rec results.Record
+	if err := json.Unmarshal([]byte(out), &rec); err != nil {
+		t.Fatalf("-json output is not a record: %v\n%s", err, out)
+	}
+	if rec.Hash == "" {
+		t.Fatalf("-json record carries no hash:\n%s", out)
+	}
+	if err := rec.Validate(); err != nil {
+		t.Fatalf("-json record: %v", err)
+	}
 	path := filepath.Join("..", "..", "internal", "results", "testdata", "baseline", exp+".jsonl")
-	raw, err := os.ReadFile(path)
+	recs, err := results.ReadFile(path)
 	if err != nil {
 		t.Fatalf("committed baseline: %v", err)
 	}
-	// One record per baseline file: a second line fails the decode.
-	var rec map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		t.Fatalf("committed baseline %s: %v", path, err)
+	if len(recs) != 1 {
+		t.Fatalf("committed baseline %s holds %d records, want 1", path, len(recs))
 	}
-	var payload struct {
-		Cells json.RawMessage `json:"cells"`
+	if d := results.Diff(recs[0], &rec); d.Class != results.Identical {
+		t.Errorf("-json record differs from the committed baseline %s:\n%s", path, d.Format())
 	}
-	if err := json.Unmarshal(rec[exp], &payload); err != nil || payload.Cells == nil {
-		t.Fatalf("committed baseline %s has no %s.cells (%v)", path, exp, err)
-	}
-	var want bytes.Buffer
-	if err := json.Compact(&want, payload.Cells); err != nil {
-		t.Fatal(err)
-	}
-	want.WriteByte('\n')
-	w := want.String()
-	if out == w {
-		return
-	}
-	i := 0
-	for i < len(out) && i < len(w) && out[i] == w[i] {
-		i++
-	}
-	lo := max(0, i-80)
-	t.Errorf("-json output (%d bytes) differs from %s.cells of %s (%d bytes) at byte %d:\n got: …%s\nwant: …%s",
-		len(out), exp, path, len(w), i, out[lo:min(len(out), i+80)], w[lo:min(len(w), i+80)])
 }
 
-// Run builds the main package in the test's working directory, executes it
-// with args (feeding stdin when non-empty), and returns stdout. Any build
-// failure, non-zero exit or empty stdout fails the test.
+// Run executes the package's main program with args (feeding stdin when
+// non-empty) and returns stdout. A build failure, non-zero exit or empty
+// stdout fails the test.
 func Run(t *testing.T, stdin string, args ...string) string {
 	t.Helper()
 	stdout, stderr, err := run(t, stdin, args...)
@@ -99,28 +146,18 @@ func RunFail(t *testing.T, stdin string, args ...string) string {
 	return stdout + stderr
 }
 
-// run builds the main package in the test's working directory and executes
-// it, returning stdout, stderr and the exit error (nil on success).
+// run executes the package's main program, returning stdout, stderr and
+// the exit error (nil on success).
 func run(t *testing.T, stdin string, args ...string) (string, string, error) {
 	t.Helper()
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not in PATH")
-	}
-	bin := filepath.Join(t.TempDir(), "smoke.bin")
-	build := exec.Command(goBin, "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
-	cmd := exec.Command(bin, args...)
+	cmd := exec.Command(binary(t), args...)
 	if stdin != "" {
 		cmd.Stdin = strings.NewReader(stdin)
 	}
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
-	err = cmd.Run()
+	err := cmd.Run()
 	if err != nil {
 		err = &runError{args: args, err: err, stderr: stderr.String()}
 	}

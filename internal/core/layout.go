@@ -166,17 +166,6 @@ func (g Gadget) String() string {
 	}
 }
 
-// ParseGadget is the inverse of Gadget.String, for rebuilding typed
-// matrix cells from persisted run records.
-func ParseGadget(s string) (Gadget, error) {
-	for _, g := range []Gadget{GadgetNPEU, GadgetMSHR, GadgetRS} {
-		if g.String() == s {
-			return g, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown gadget %q", s)
-}
-
 // Ordering identifies which two unprotected accesses the secret reorders
 // (§3.3.1). The paper's VD-VI column behaves like VD-VD and is covered by
 // it in the matrix.
@@ -206,17 +195,6 @@ func (o Ordering) String() string {
 	default:
 		return fmt.Sprintf("ordering(%d)", int(o))
 	}
-}
-
-// ParseOrdering is the inverse of Ordering.String, for rebuilding typed
-// matrix cells from persisted run records.
-func ParseOrdering(s string) (Ordering, error) {
-	for _, o := range []Ordering{OrderVDVD, OrderVDAD, OrderVIAD} {
-		if o.String() == s {
-			return o, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown ordering %q", s)
 }
 
 // AttackConfig returns the two-core uarch configuration the attacks run

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"specinterference/internal/schemes"
 )
@@ -177,31 +176,3 @@ func ExpectedTable1() map[string]map[string]bool {
 
 // key renders a gadget/ordering pair as an ExpectedTable1 map key.
 func key(g Gadget, ord Ordering) string { return g.String() + "|" + ord.String() }
-
-// FormatMatrix renders cells as a Table 1-style text table.
-func FormatMatrix(cells []MatrixCell) string {
-	var b strings.Builder
-	byCombo := map[string][]MatrixCell{}
-	var order []string
-	for _, c := range cells {
-		k := key(c.Gadget, c.Ordering)
-		if _, seen := byCombo[k]; !seen {
-			order = append(order, k)
-		}
-		byCombo[k] = append(byCombo[k], c)
-	}
-	fmt.Fprintf(&b, "%-22s %s\n", "Gadget|Ordering", "Vulnerable schemes")
-	for _, k := range order {
-		var vuln []string
-		for _, c := range byCombo[k] {
-			if c.Vulnerable {
-				vuln = append(vuln, c.Scheme)
-			}
-		}
-		if len(vuln) == 0 {
-			vuln = []string{"-"}
-		}
-		fmt.Fprintf(&b, "%-22s %s\n", k, strings.Join(vuln, ", "))
-	}
-	return b.String()
-}

@@ -144,10 +144,6 @@ func TestVulnerabilityMatrixDriver(t *testing.T) {
 	if len(cells) != len(Combos())*3 {
 		t.Fatalf("cells = %d", len(cells))
 	}
-	out := FormatMatrix(cells)
-	if out == "" {
-		t.Error("empty matrix rendering")
-	}
 	for _, c := range cells {
 		if c.Scheme == "fence-spectre" && c.Vulnerable {
 			t.Errorf("fence defense reported vulnerable at %s/%s", c.Gadget, c.Ordering)

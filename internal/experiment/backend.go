@@ -51,8 +51,8 @@ func (b InProcess) Run(ctx context.Context, spec *Spec, p results.Params, n int,
 
 // BackendOptions carries every backend-construction knob the CLIs expose.
 // inprocess reads only Workers, subprocess also Procs and Chunk, and
-// remote every field; the inprocess and subprocess factories reject a
-// set field they do not read.
+// remote every field; NewBackendOptions rejects a set field the chosen
+// backend does not read.
 type BackendOptions struct {
 	// Procs is the worker-process count: subprocess workers, or local
 	// remote workers spawned next to the coordinator (remote: 0 = none,
@@ -80,36 +80,38 @@ type BackendFactory func(o BackendOptions) (Backend, error)
 
 var backendFactories = map[string]BackendFactory{
 	"inprocess": func(o BackendOptions) (Backend, error) {
-		if err := o.unreadBy("inprocess"); err != nil {
-			return nil, err
-		}
 		return InProcess{Workers: o.Workers}, nil
 	},
 	"subprocess": func(o BackendOptions) (Backend, error) {
-		if err := o.unreadBy("subprocess"); err != nil {
-			return nil, err
-		}
 		return Subprocess{Procs: o.Procs, Workers: o.Workers, Chunk: o.Chunk}, nil
 	},
 }
 
-// unreadBy fails when o sets an option that backend does not read,
-// naming each such flag and the backends that do read it, so a flag
-// meant for another backend (-journal on a subprocess run) stops the
-// run instead of being dropped. -parallel (Workers) is read by all.
-func (o BackendOptions) unreadBy(backend string) error {
+// check fails when o holds a negative count or lease, naming the flag
+// and its value: every backend would read it as its default, and the
+// remote backend reads -procs -1 as "no local workers" and waits for
+// external ones forever. It also fails when o sets an option backend
+// does not read, naming each such flag and the backends that do read
+// it, so a flag meant for another backend (-journal on a subprocess
+// run) stops the run instead of being dropped.
+func (o BackendOptions) check(backend string) error {
 	var unread []string
 	for _, f := range []struct {
-		flag    string
-		set     bool
-		readers []string
+		flag     string
+		val      any
+		set, neg bool
+		readers  []string
 	}{
-		{"-procs", o.Procs != 0, []string{"subprocess", "remote"}},
-		{"-chunk", o.Chunk != 0, []string{"subprocess", "remote"}},
-		{"-listen", o.Listen != "", []string{"remote"}},
-		{"-lease", o.Lease != 0, []string{"remote"}},
-		{"-journal", o.Journal != "", []string{"remote"}},
+		{"-parallel", o.Workers, o.Workers != 0, o.Workers < 0, []string{"inprocess", "subprocess", "remote"}},
+		{"-procs", o.Procs, o.Procs != 0, o.Procs < 0, []string{"subprocess", "remote"}},
+		{"-chunk", o.Chunk, o.Chunk != 0, o.Chunk < 0, []string{"subprocess", "remote"}},
+		{"-listen", o.Listen, o.Listen != "", false, []string{"remote"}},
+		{"-lease", o.Lease, o.Lease != 0, o.Lease < 0, []string{"remote"}},
+		{"-journal", o.Journal, o.Journal != "", false, []string{"remote"}},
 	} {
+		if f.neg {
+			return fmt.Errorf("experiment: %s %v is negative (want >= 0)", f.flag, f.val)
+		}
 		if f.set && !slices.Contains(f.readers, backend) {
 			unread = append(unread, fmt.Sprintf("%s (read by %s)", f.flag, strings.Join(f.readers, " and ")))
 		}
@@ -147,7 +149,9 @@ func BackendNames() []string {
 // NewBackendOptions constructs a backend from its CLI name and the full
 // option set: "inprocess" (worker goroutines), "subprocess" (worker
 // processes) or "remote" (network workers); the last two run on the
-// coordinator in internal/experiment/remote and need it linked in.
+// coordinator in internal/experiment/remote and need it linked in. A
+// negative count or lease, or a set option the backend does not read,
+// is an error.
 func NewBackendOptions(name string, o BackendOptions) (Backend, error) {
 	if name == "" {
 		name = "inprocess"
@@ -155,6 +159,9 @@ func NewBackendOptions(name string, o BackendOptions) (Backend, error) {
 	f, ok := backendFactories[name]
 	if !ok {
 		return nil, fmt.Errorf("experiment: unknown backend %q (want one of %v)", name, BackendNames())
+	}
+	if err := o.check(name); err != nil {
+		return nil, err
 	}
 	return f(o)
 }

@@ -17,8 +17,9 @@ import (
 // CLIConfig wires one experiment binary onto the shared driver: the
 // driver owns the common machinery — the -parallel/-backend/-procs/
 // -json/-store/-progress flags, hidden worker modes, backend
-// selection, store recording — while the config supplies what actually
-// differs per experiment: its flags, and how a finished record renders.
+// selection, store recording, and the -json output, which is the sealed
+// record itself — while the config supplies what actually differs per
+// experiment: its flags, and how a finished record renders as text.
 type CLIConfig struct {
 	// Name is the binary name, used for diagnostics and flag errors.
 	Name string
@@ -30,10 +31,6 @@ type CLIConfig struct {
 	Flags func(fs *flag.FlagSet) func() (results.Params, error)
 	// Text writes the human-readable rendering of a finished record to w.
 	Text func(w io.Writer, rec *results.Record) error
-	// JSON returns the -json document for a finished record. The driver
-	// encodes it as a single line on stdout, preserving each binary's
-	// established machine-readable shape.
-	JSON func(rec *results.Record) (any, error)
 	// After, when non-nil, runs post-output checks (vulnmatrix -verify);
 	// a non-nil error exits 1 after printing it to stderr, and the hook
 	// may exit directly for custom diagnostics.
@@ -168,12 +165,10 @@ func Main(cfg CLIConfig) {
 		fmt.Fprintf(os.Stderr, "recorded %s run %.12s to %s\n", rec.Experiment, rec.Hash, *storeDir)
 	}
 
+	// -json prints the record as one line: its params, its hash and its
+	// payload, with meta empty unless -store stamped it.
 	if *jsonOut {
-		doc, err := cfg.JSON(rec)
-		if err != nil {
-			die(err)
-		}
-		if err := json.NewEncoder(os.Stdout).Encode(doc); err != nil {
+		if err := json.NewEncoder(os.Stdout).Encode(rec); err != nil {
 			die(err)
 		}
 	} else if err := cfg.Text(os.Stdout, rec); err != nil {

@@ -105,13 +105,23 @@ func TestPlanValidation(t *testing.T) {
 		p   results.Params
 	}{
 		{"figure7", results.Params{Trials: 0}},
+		{"figure7", results.Params{Trials: 4, Jitter: -5}},
 		{"table1", results.Params{}},
+		{"table1", results.Params{Schemes: []string{"unsafe", "", "dom"}}},
+		{"table1", results.Params{Schemes: []string{"bogus"}}},
+		{"table1", results.Params{Schemes: []string{"dom", "unsafe", "dom"}}},
 		{"figure11", results.Params{PoCs: []string{"dcache"}, Bits: 0, Reps: []int{1}}},
 		{"figure11", results.Params{PoCs: []string{"dcache"}, Bits: 2, Reps: []int{0}}},
 		{"figure11", results.Params{PoCs: []string{"l4cache"}, Bits: 2, Reps: []int{1}}},
 		{"figure12", results.Params{Iters: 0, Schemes: []string{"fence-spectre"}}},
 		{"figure12", results.Params{Iters: 5}},
+		{"figure12", results.Params{Iters: 5, Schemes: []string{"fence-spectre", ""}}},
+		{"figure12", results.Params{Iters: 5, Schemes: []string{"fence-bogus"}}},
+		{"figure12", results.Params{Iters: 5, Schemes: []string{"fence-spectre", "fence-spectre"}}},
 		{"concordance", results.Params{}},
+		{"concordance", results.Params{Schemes: []string{"unsafe", "", "dom"}}},
+		{"concordance", results.Params{Schemes: []string{"bogus"}}},
+		{"concordance", results.Params{Schemes: []string{"dom", "dom"}}},
 	} {
 		spec, err := Lookup(tc.exp)
 		if err != nil {
@@ -169,9 +179,11 @@ func TestNewBackend(t *testing.T) {
 	}
 }
 
-// TestNewBackendUnreadFlags: a flag the chosen backend does not read
-// fails construction with an error naming that flag and no other, and
-// every flag a backend reads is accepted.
+// TestNewBackendUnreadFlags: a flag the chosen backend does not read, or
+// a negative count or lease on any backend, fails construction with an
+// error naming that flag and no other, and every flag a backend reads is
+// accepted. The remote backend resolves because the external test
+// package links internal/experiment/remote into this test binary.
 func TestNewBackendUnreadFlags(t *testing.T) {
 	const listen, lease, journal = "1.2.3.4:99", time.Millisecond, "journal-dir"
 	for _, tc := range []struct {
@@ -191,6 +203,12 @@ func TestNewBackendUnreadFlags(t *testing.T) {
 		{"subprocess", BackendOptions{Procs: 2, Lease: lease}, []string{"-lease"}},
 		{"subprocess", BackendOptions{Procs: 2, Journal: journal}, []string{"-journal"}},
 		{"subprocess", BackendOptions{Procs: 2, Chunk: 1, Journal: journal, Lease: lease, Listen: listen}, []string{"-listen", "-lease", "-journal"}},
+		{"remote", BackendOptions{Workers: 2, Procs: 2, Chunk: 1, Journal: journal, Lease: lease, Listen: listen}, nil},
+		{"inprocess", BackendOptions{Workers: -1}, []string{"-parallel"}},
+		{"subprocess", BackendOptions{Procs: -1}, []string{"-procs"}},
+		{"subprocess", BackendOptions{Procs: 2, Chunk: -1}, []string{"-chunk"}},
+		{"remote", BackendOptions{Procs: -1}, []string{"-procs"}},
+		{"remote", BackendOptions{Procs: 1, Lease: -time.Second}, []string{"-lease"}},
 	} {
 		b, err := NewBackendOptions(tc.backend, tc.o)
 		if len(tc.unread) == 0 {
@@ -200,10 +218,10 @@ func TestNewBackendUnreadFlags(t *testing.T) {
 			continue
 		}
 		if err == nil {
-			t.Errorf("NewBackendOptions(%s, %+v) accepted flags it does not read: %v", tc.backend, tc.o, tc.unread)
+			t.Errorf("NewBackendOptions(%s, %+v) succeeded, want an error naming %v", tc.backend, tc.o, tc.unread)
 			continue
 		}
-		for _, flag := range []string{"-procs", "-chunk", "-listen", "-lease", "-journal"} {
+		for _, flag := range []string{"-parallel", "-procs", "-chunk", "-listen", "-lease", "-journal"} {
 			if named, want := strings.Contains(err.Error(), flag), slices.Contains(tc.unread, flag); named != want {
 				t.Errorf("NewBackendOptions(%s, %+v): error names %s = %v, want %v: %v", tc.backend, tc.o, flag, named, want, err)
 			}

@@ -3,11 +3,13 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"specinterference/internal/channel"
 	"specinterference/internal/core"
 	"specinterference/internal/detect"
 	"specinterference/internal/results"
+	"specinterference/internal/schemes"
 	"specinterference/internal/workload"
 )
 
@@ -23,6 +25,25 @@ func init() {
 	Register(concordanceSpec())
 }
 
+// checkSchemes fails unless names holds at least one scheme and each is
+// a known one named once, so a bad -schemes value stops the run in
+// planning, before any backend starts a worker. A repeated name would
+// run its cells twice and list the scheme twice in the output.
+func checkSchemes(exp string, names []string) error {
+	if len(names) == 0 {
+		return fmt.Errorf("experiment: %s needs at least one scheme", exp)
+	}
+	for i, name := range names {
+		if _, err := schemes.ByName(name); err != nil {
+			return fmt.Errorf("experiment: %s: %w", exp, err)
+		}
+		if slices.Contains(names[:i], name) {
+			return fmt.Errorf("experiment: %s: scheme %q named twice", exp, name)
+		}
+	}
+	return nil
+}
+
 // figure7Spec shards the §4.2.1 contention histogram one trial per shard:
 // baseline arm in [0, trials), interference arm in [trials, 2*trials),
 // seed = seedBase + 2*trial + secret.
@@ -30,6 +51,11 @@ func figure7Spec() *Spec {
 	return &Spec{
 		Name: results.ExpFigure7,
 		Plan: func(p results.Params) (int, error) {
+			// The cache adds DRAM jitter only when it is positive, so a
+			// negative value would run as 0 under another signature.
+			if p.Jitter < 0 {
+				return 0, fmt.Errorf("experiment: figure7 jitter must be >= 0, got %d", p.Jitter)
+			}
 			return core.Figure7Shards(p.Trials)
 		},
 		Run: func(_ context.Context, _ any, p results.Params, i int) (any, error) {
@@ -53,8 +79,8 @@ func table1Spec() *Spec {
 	return &Spec{
 		Name: results.ExpTable1,
 		Plan: func(p results.Params) (int, error) {
-			if len(p.Schemes) == 0 {
-				return 0, fmt.Errorf("experiment: table1 needs at least one scheme")
+			if err := checkSchemes(results.ExpTable1, p.Schemes); err != nil {
+				return 0, err
 			}
 			return core.MatrixShards(p.Schemes), nil
 		},
@@ -79,8 +105,8 @@ func concordanceSpec() *Spec {
 	return &Spec{
 		Name: results.ExpConcordance,
 		Plan: func(p results.Params) (int, error) {
-			if len(p.Schemes) == 0 {
-				return 0, fmt.Errorf("experiment: concordance needs at least one scheme")
+			if err := checkSchemes(results.ExpConcordance, p.Schemes); err != nil {
+				return 0, err
 			}
 			return core.MatrixShards(p.Schemes), nil
 		},
@@ -221,8 +247,8 @@ func figure12Spec() *Spec {
 			if p.Iters < 1 {
 				return 0, fmt.Errorf("experiment: figure12 iters must be >= 1, got %d", p.Iters)
 			}
-			if len(p.Schemes) == 0 {
-				return 0, fmt.Errorf("experiment: figure12 needs at least one scheme")
+			if err := checkSchemes(results.ExpFigure12, p.Schemes); err != nil {
+				return 0, err
 			}
 			return workload.EvalShards(evalConfig(p)), nil
 		},

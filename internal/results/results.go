@@ -23,6 +23,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"time"
 
 	"specinterference/internal/channel"
@@ -139,6 +140,35 @@ type Table1Cell struct {
 // Table1Payload is the full vulnerability matrix.
 type Table1Payload struct {
 	Cells []Table1Cell `json:"cells"`
+}
+
+// Format renders the matrix as a Table 1-style text table: one line per
+// gadget|ordering combination, in the order the cells first name it,
+// listing the schemes whose cell is vulnerable ("-" when none is).
+func (p *Table1Payload) Format() string {
+	var order []string
+	vulnerable := map[string][]string{}
+	for _, c := range p.Cells {
+		k := c.Gadget + "|" + c.Ordering
+		names, seen := vulnerable[k]
+		if !seen {
+			order = append(order, k)
+		}
+		if c.Vulnerable {
+			names = append(names, c.Scheme)
+		}
+		vulnerable[k] = names
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-22s %s\n", "Gadget|Ordering", "Vulnerable schemes")
+	for _, k := range order {
+		names := vulnerable[k]
+		if len(names) == 0 {
+			names = []string{"-"}
+		}
+		fmt.Fprintf(&b, "%-22s %s\n", k, strings.Join(names, ", "))
+	}
+	return b.String()
 }
 
 // Figure11Curve is one PoC's Figure 11 curve.

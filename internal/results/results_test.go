@@ -69,6 +69,28 @@ func TestRecordValidate(t *testing.T) {
 	}
 }
 
+// TestTable1Format pins the Table 1 text rendering: one line per
+// gadget|ordering in first-seen order, listing the vulnerable schemes in
+// cell order, "-" for a combination no scheme leaks on.
+func TestTable1Format(t *testing.T) {
+	p := &Table1Payload{Cells: []Table1Cell{
+		{Scheme: "unsafe", Gadget: "G_NPEU", Ordering: "VD-AD", Vulnerable: true},
+		{Scheme: "dom", Gadget: "G_NPEU", Ordering: "VD-AD", Vulnerable: true},
+		{Scheme: "fence-spectre", Gadget: "G_NPEU", Ordering: "VD-AD"},
+		{Scheme: "unsafe", Gadget: "G_MSHR", Ordering: "VD-VD/VI"},
+		{Scheme: "dom", Gadget: "G_MSHR", Ordering: "VD-VD/VI"},
+		{Scheme: "fence-spectre", Gadget: "G_MSHR", Ordering: "VD-VD/VI"},
+		{Scheme: "unsafe", Gadget: "G_RS", Ordering: "VI-AD", Vulnerable: true},
+	}}
+	want := "Gadget|Ordering        Vulnerable schemes\n" +
+		"G_NPEU|VD-AD           unsafe, dom\n" +
+		"G_MSHR|VD-VD/VI        -\n" +
+		"G_RS|VI-AD             unsafe\n"
+	if got := p.Format(); got != want {
+		t.Errorf("Format:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	s, err := Open(dir)

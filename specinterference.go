@@ -66,8 +66,6 @@ type (
 	PoC = core.PoC
 	// BitOutcome is one PoC trial's decoded bit.
 	BitOutcome = core.BitOutcome
-	// MatrixCell is one Table 1 entry.
-	MatrixCell = core.MatrixCell
 	// ChannelResult is one Figure 11 curve point; the Figure 11 record
 	// stores its points as this type. It has no TotalCycles field: a
 	// point's cycle cost is CyclesPerBit.
@@ -157,9 +155,6 @@ func NewDCachePoC(scheme string, jitter int) *PoC { return core.NewDCachePoC(sch
 // NewICachePoC returns the §4.3 I-Cache attack (GIRS sender + Flush+Reload
 // receiver).
 func NewICachePoC(scheme string, jitter int) *PoC { return core.NewICachePoC(scheme, jitter) }
-
-// FormatMatrix renders matrix cells as a Table 1-style text table.
-func FormatMatrix(cells []MatrixCell) string { return core.FormatMatrix(cells) }
 
 // ExpectedTable1 returns the paper's Table 1 for comparison.
 func ExpectedTable1() map[string]map[string]bool { return core.ExpectedTable1() }

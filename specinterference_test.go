@@ -95,8 +95,7 @@ func TestFacadeTrialAndMatrix(t *testing.T) {
 			t.Errorf("%s/%s/%s vulnerable = %v, want %v", c.Scheme, c.Gadget, c.Ordering, c.Vulnerable, want)
 		}
 	}
-	out := si.FormatMatrix([]si.MatrixCell{{Scheme: "dom", Gadget: si.GadgetNPEU, Ordering: si.OrderVDAD, Vulnerable: true}})
-	if !strings.Contains(out, "G_NPEU") {
+	if out := rec.Table1.Format(); !strings.Contains(out, "\nG_NPEU|VD-AD           dom\n") {
 		t.Errorf("matrix rendering:\n%s", out)
 	}
 }
