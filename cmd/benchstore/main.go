@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	benchstore check [-dir DIR] [-pkg PKG] [-bench RE] [-from FILE] [-ns-band X] [-v]
+//	benchstore check [-dir DIR] [-pkg PKG] [-bench RE] [-from FILE] [-v]
 //	benchstore bless [-dir DIR] [-pkg PKG] [-bench RE] [-from FILE] -note STR
 //	benchstore run   [-pkg PKG] [-bench RE]
 //	benchstore list  [-dir DIR]
@@ -72,7 +72,7 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  benchstore check [-dir DIR] [-pkg PKG] [-bench RE] [-from FILE] [-ns-band X] [-v]
+  benchstore check [-dir DIR] [-pkg PKG] [-bench RE] [-from FILE] [-v]
   benchstore bless [-dir DIR] [-pkg PKG] [-bench RE] [-from FILE] -note STR
   benchstore run   [-pkg PKG] [-bench RE]
   benchstore list  [-dir DIR]
@@ -96,7 +96,6 @@ func runCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
 	dir := fs.String("dir", ".", "trajectory store directory (BENCH_*.json)")
 	load := suiteFlags(fs)
-	nsBand := fs.Float64("ns-band", 0, "override the ns/op ratio band (0 = default)")
 	verbose := fs.Bool("v", false, "print same/drift comparisons too")
 	fs.Parse(args)
 	store, err := bench.OpenStore(*dir)
@@ -110,11 +109,7 @@ func runCheck(args []string) error {
 	if len(results) == 0 {
 		return fmt.Errorf("no benchmark results to check")
 	}
-	tol := bench.DefaultTolerance()
-	if *nsBand > 0 {
-		tol.NsBand = *nsBand
-	}
-	rep, err := bench.Check(store, results, tol)
+	rep, err := bench.Check(store, results, bench.DefaultTolerance())
 	if err != nil {
 		return err
 	}

@@ -67,7 +67,7 @@ func main() {
 				var reps []int
 				for _, s := range strings.Split(*repsFlag, ",") {
 					v, err := strconv.Atoi(strings.TrimSpace(s))
-					if err != nil || v < 1 {
+					if err != nil {
 						return results.Params{}, fmt.Errorf("bad reps value %q", s)
 					}
 					reps = append(reps, v)

@@ -30,9 +30,6 @@ func main() {
 			schemesFlag := fs.String("schemes", "fence-spectre,fence-futuristic",
 				"comma-separated defense list")
 			return func() (results.Params, error) {
-				if *iters < 1 {
-					return results.Params{}, fmt.Errorf("-iters must be >= 1, got %d", *iters)
-				}
 				return results.Params{Iters: *iters, Schemes: strings.Split(*schemesFlag, ",")}, nil
 			}
 		},

@@ -22,3 +22,12 @@ func TestSmoke(t *testing.T) {
 func TestSmokeJSON(t *testing.T) {
 	cmdtest.MatchBaseline(t, cmdtest.Run(t, "", "-iters", "120", "-json"), results.ExpFigure12)
 }
+
+// TestBadIters: -iters 0 fails in figure12's planning, with its error,
+// before the remote backend starts its coordinator or any worker.
+func TestBadIters(t *testing.T) {
+	out := cmdtest.RunFail(t, "", "-iters", "0", "-backend", "remote", "-procs", "1")
+	if !strings.Contains(out, "defensebench: experiment: figure12 iters must be >= 1, got 0") || strings.Contains(out, "worker") {
+		t.Errorf("-iters 0: want figure12's planning error and no worker:\n%s", out)
+	}
+}

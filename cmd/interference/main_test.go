@@ -33,30 +33,35 @@ func TestSmokeSubprocess(t *testing.T) {
 // must reproduce the in-process output exactly.
 func TestSmokeRemote(t *testing.T) {
 	want := cmdtest.Run(t, "", "-trials", "2", "-jitter", "5")
-	got := cmdtest.Run(t, "", "-trials", "2", "-jitter", "5", "-backend", "remote", "-procs", "2", "-chunk", "1")
+	got := cmdtest.Run(t, "", "-trials", "2", "-jitter", "5", "-backend", "remote", "-procs", "2")
 	if got != want {
 		t.Errorf("remote output diverged from in-process:\n--- inprocess\n%s\n--- remote\n%s", want, got)
 	}
 }
 
 // TestUnreadBackendFlags: a backend flag the chosen backend does not
-// read exits non-zero naming the flag, and a subprocess run given
-// -journal writes no journal.
+// read exits non-zero naming the flag and the backends that read it, a
+// subprocess run given -journal writes no journal, and -chunk and -lease
+// are not flags at all.
 func TestUnreadBackendFlags(t *testing.T) {
 	journal := t.TempDir()
 	for _, tc := range []struct {
 		args   []string
 		unread []string
 	}{
-		{[]string{"-backend", "subprocess", "-procs", "2", "-journal", journal, "-lease", "1ms", "-listen", "1.2.3.4:99"},
-			[]string{"-journal", "-lease", "-listen"}},
-		{[]string{"-backend", "inprocess", "-procs", "7", "-chunk", "5", "-journal", journal},
-			[]string{"-procs", "-chunk", "-journal"}},
+		{[]string{"-backend", "subprocess", "-procs", "2", "-journal", journal, "-listen", "1.2.3.4:99"},
+			[]string{"-journal (read by remote)", "-listen (read by remote)"}},
+		{[]string{"-backend", "inprocess", "-procs", "7", "-journal", journal},
+			[]string{"-procs (read by subprocess and remote)", "-journal (read by remote)"}},
+		{[]string{"-backend", "subprocess", "-parallel", "2"}, []string{"-parallel (read by inprocess)"}},
+		{[]string{"-backend", "remote", "-parallel", "2"}, []string{"-parallel (read by inprocess)"}},
+		{[]string{"-backend", "remote", "-procs", "2", "-chunk", "1"}, []string{"flag provided but not defined: -chunk"}},
+		{[]string{"-backend", "remote", "-procs", "2", "-lease", "1s"}, []string{"flag provided but not defined: -lease"}},
 	} {
 		out := cmdtest.RunFail(t, "", append([]string{"-trials", "3", "-jitter", "5"}, tc.args...)...)
-		for _, flag := range tc.unread {
-			if !strings.Contains(out, flag+" (read by") {
-				t.Errorf("%v: error does not name %s:\n%s", tc.args, flag, out)
+		for _, unread := range tc.unread {
+			if !strings.Contains(out, unread) {
+				t.Errorf("%v: error does not name %s:\n%s", tc.args, unread, out)
 			}
 		}
 	}
@@ -85,9 +90,9 @@ func TestSmokeJSON(t *testing.T) {
 	cmdtest.MatchBaseline(t, out, results.ExpFigure7)
 }
 
-// TestNegativeValues: a negative -jitter, or a negative backend count or
-// lease, exits non-zero naming the flag and its value instead of running
-// as if it were zero.
+// TestNegativeValues: a negative -jitter, or a negative backend count,
+// exits non-zero naming the flag and its value instead of running as if
+// it were zero.
 func TestNegativeValues(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -96,8 +101,6 @@ func TestNegativeValues(t *testing.T) {
 		{[]string{"-jitter", "-5"}, "jitter must be >= 0, got -5"},
 		{[]string{"-parallel", "-1"}, "-parallel -1"},
 		{[]string{"-backend", "subprocess", "-procs", "-1"}, "-procs -1"},
-		{[]string{"-backend", "subprocess", "-chunk", "-1"}, "-chunk -1"},
-		{[]string{"-backend", "remote", "-procs", "1", "-lease", "-1s"}, "-lease -1s"},
 	} {
 		out := cmdtest.RunFail(t, "", append([]string{"-trials", "2"}, tc.args...)...)
 		if !strings.Contains(out, tc.want) {

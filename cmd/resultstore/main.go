@@ -10,8 +10,8 @@
 //	resultstore list     -store DIR
 //	resultstore show     [-store DIR] ref
 //	resultstore diff     [-store DIR] [-baseline DIR] refA [refB]
-//	resultstore check    -baseline DIR [-store DIR] [-parallel N] [-backend B] [-procs N] [-listen ADDR] [-lease TTL] [-chunk N] [-journal DIR]
-//	resultstore baseline -dir DIR [-parallel N] [-backend B] [-procs N] [-listen ADDR] [-lease TTL] [-chunk N] [-journal DIR]
+//	resultstore check    -baseline DIR [-store DIR] [-parallel N] [-backend B] [-procs N] [-listen ADDR] [-journal DIR]
+//	resultstore baseline -dir DIR [-parallel N] [-backend B] [-procs N] [-listen ADDR] [-journal DIR]
 //
 // A ref is "experiment" or "experiment@idx": figure7, table1, figure11,
 // figure12 or concordance, with an optional 0-based history index
@@ -32,11 +32,12 @@
 // (re)writes the committed baseline records at the standard small-trial
 // parameters; it is the one refresh command and the one baseline writer.
 // Both rerun through the experiment engine: -backend selects inprocess
-// (worker goroutines), subprocess (re-exec'd worker processes, the
-// -procs knob) or remote (an HTTP coordinator leasing shard chunks to
-// -procs local workers over loopback, or to external -remote-worker
-// processes when -procs is 0), with bit-identical records on every
-// backend. With -backend remote, -journal DIR makes the coordinator
+// (worker goroutines, the -parallel knob), subprocess (re-exec'd worker
+// processes, the -procs knob) or remote (an HTTP coordinator leasing
+// shard chunks to -procs local workers over loopback, or to external
+// -remote-worker processes when -procs is 0), with bit-identical
+// records on every backend; a flag the chosen backend does not read is
+// an error. With -backend remote, -journal DIR makes the coordinator
 // journal every accepted shard result to <DIR>/<experiment>.jsonl; a
 // check or baseline killed mid-run and re-invoked with the same
 // -journal replays the journal and reruns only the remaining shards.
@@ -94,8 +95,8 @@ func usage() {
   resultstore list     -store DIR
   resultstore show     [-store DIR] experiment[@idx]
   resultstore diff     [-store DIR] [-baseline DIR] refA [refB]
-  resultstore check    -baseline DIR [-store DIR] [-parallel N] [-backend inprocess|subprocess|remote] [-procs N] [-listen ADDR] [-lease TTL] [-chunk N] [-journal DIR]
-  resultstore baseline -dir DIR [-parallel N] [-backend inprocess|subprocess|remote] [-procs N] [-listen ADDR] [-lease TTL] [-chunk N] [-journal DIR]
+  resultstore check    -baseline DIR [-store DIR] [-parallel N] [-backend inprocess|subprocess|remote] [-procs N] [-listen ADDR] [-journal DIR]
+  resultstore baseline -dir DIR [-parallel N] [-backend inprocess|subprocess|remote] [-procs N] [-listen ADDR] [-journal DIR]
 `)
 }
 

@@ -37,6 +37,9 @@ func main() {
 }
 
 func run(file, schemeName string, showTrace, detectMode bool, maxCycles int64) error {
+	if maxCycles < 1 {
+		return fmt.Errorf("-max %d is below 1 (want a cycle budget >= 1)", maxCycles)
+	}
 	var src []byte
 	var err error
 	if file == "" || file == "-" {

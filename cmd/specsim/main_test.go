@@ -35,3 +35,15 @@ halt
 		t.Errorf("no window for the branch at pc 4:\n%s", out)
 	}
 }
+
+// TestBadMax: a cycle budget below 1 fails before the program is
+// assembled, naming the flag and its value, instead of simulating
+// nothing and reporting that the cores never halted.
+func TestBadMax(t *testing.T) {
+	for _, max := range []string{"0", "-5"} {
+		out := cmdtest.RunFail(t, "movi r1, 2\nhalt\n", "-max", max)
+		if !strings.Contains(out, "specsim: -max "+max+" is below 1") || strings.Contains(out, "cycles elapsed") {
+			t.Errorf("-max %s: want an error naming the flag and value:\n%s", max, out)
+		}
+	}
+}

@@ -51,31 +51,33 @@
 // internal/experiment, and experiment.Run is the only code that runs a
 // whole one. A spec declares a shard plan, a pure per-shard run function,
 // and a serial-order aggregator producing a sealed run record; the engine
-// executes specs over a Backend:
+// executes specs over a Backend, and each backend has one parallelism
+// knob:
 //
 //   - the in-process backend shards trials across the bounded worker
 //     pool of internal/runner (-parallel N goroutines, 0 = one per CPU);
 //   - the subprocess backend re-execs the binary as -procs N hidden
 //     -shard-worker processes and runs the remote backend's coordinator
 //     over their stdin/stdout pipes (no server, no journal): idle workers
-//     get the next grant (-chunk N shards, 0 = n/16), results are
-//     accepted like remote /results lines and collected by shard index,
-//     stragglers get speculative backups and a crashed worker's undone
-//     shards run elsewhere;
+//     get the next grant of n/16 shards (at least 1) and run its shards
+//     one at a time, results are accepted like remote /results lines
+//     and collected by shard index, stragglers get speculative backups
+//     and a crashed worker's undone shards run elsewhere;
 //   - the remote backend (internal/experiment/remote) runs an HTTP
 //     coordinator (-listen ADDR, default a loopback ephemeral port)
 //     that leases shard chunks to workers over the network: the
 //     binary re-exec'd in a hidden -remote-worker mode against -procs N
 //     local processes, or started by hand on any machine
-//     (vulnmatrix -remote-worker -connect http://host:port). Leases
-//     expire (-lease TTL, default 10s) unless renewed, and expired
-//     leases are re-issued to other workers, so a crashed or stalled
-//     worker costs wall-clock, never correctness; duplicate results are
-//     deduplicated by shard index with a byte-equality assertion that
-//     turns any determinism violation into a hard run failure, while a
-//     stale straggler's error line for a shard someone else already
-//     completed is ignored. Without a pinned -chunk, every grant is
-//     n/16 shards (at least 1). When the queue drains with grants
+//     (vulnmatrix -remote-worker -connect http://host:port), each
+//     running its grant's shards one at a time. Leases expire (a 10s
+//     TTL) unless renewed, and expired leases are re-issued to other
+//     workers, so a crashed or stalled worker costs wall-clock, never
+//     correctness; duplicate results are deduplicated by shard index
+//     with a byte-equality assertion that turns any determinism
+//     violation into a hard run failure, while a stale straggler's
+//     error line for a shard someone else already completed is
+//     ignored. Every grant is n/16 shards (at least 1); no flag sets
+//     the grant size or the TTL. When the queue drains with grants
 //     still in flight, idle workers are handed speculative backup
 //     copies of the oldest straggler's undone remainder (never to the
 //     span's own holder, at most one live backup per span) — the dedup
@@ -115,12 +117,13 @@
 // domain packages keep only the per-shard primitives and aggregators the
 // specs call. The five experiment CLIs (interference, vulnmatrix,
 // covertbench, defensebench, concordance) sit on the engine's shared
-// driver and take common flags: -parallel, -backend, -procs, -listen,
-// -lease, -chunk, -journal, -json, -store and -progress (periodic
+// driver and take common flags: -parallel (read by the in-process
+// backend), -procs (subprocess and remote), -listen and -journal
+// (remote), -backend, -json, -store and -progress (periodic
 // shard-completion reporting to stderr, off by default); a backend flag
-// the chosen backend does not read, or a negative count or lease, is an
-// error, and bad experiment parameters fail in planning, before any
-// worker starts. Each experiment's own flags size its sweep: -trials for
+// the chosen backend does not read, or a negative count, is an error,
+// and bad experiment parameters fail in planning, before any worker
+// starts. Each experiment's own flags size its sweep: -trials for
 // Figure 7, -bits for Figure 11, -iters for Figure 12. With -json a CLI
 // prints its sealed run record as one line, the same record its text
 // rendering reads (a library caller renders a Table 1 record with its
@@ -153,8 +156,8 @@
 // The resultstore CLI drives the store: list and show browse history,
 // diff compares two records (exit non-zero unless identical), check
 // reruns every experiment at the committed baseline's parameters —
-// through any backend, via -backend/-procs/-listen/-lease/-chunk/
-// -journal — and fails unless every experiment is identical, and
+// through any backend, via -backend/-parallel/-procs/-listen/-journal
+// — and fails unless every experiment is identical, and
 // baseline (re)writes the small-trial baseline records committed under
 // internal/results/testdata/baseline, the one committed copy of each
 // result and the one way to refresh it. The tests hold the same gate:

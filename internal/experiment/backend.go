@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"specinterference/internal/results"
 	"specinterference/internal/runner"
@@ -50,24 +49,20 @@ func (b InProcess) Run(ctx context.Context, spec *Spec, p results.Params, n int,
 }
 
 // BackendOptions carries every backend-construction knob the CLIs expose.
-// inprocess reads only Workers, subprocess also Procs and Chunk, and
-// remote every field; NewBackendOptions rejects a set field the chosen
-// backend does not read.
+// Each backend has one parallelism knob: inprocess reads Workers,
+// subprocess Procs, and remote Procs, Listen and Journal.
+// NewBackendOptions rejects a set field the chosen backend does not read.
 type BackendOptions struct {
 	// Procs is the worker-process count: subprocess workers, or local
 	// remote workers spawned next to the coordinator (remote: 0 = none,
-	// wait for external workers; subprocess: 0 = one per CPU).
+	// wait for external workers; subprocess: 0 = one per CPU). Each
+	// worker process runs its grant's shards one at a time.
 	Procs int
-	// Workers bounds shard-goroutine concurrency inside each worker.
+	// Workers bounds in-process shard goroutines (0 = one per CPU).
 	Workers int
-	// Chunk is the shards per lease of the coordinator the subprocess
-	// and remote backends share (0 = n/16 of the n shards, at least 1).
-	Chunk int
 	// Listen is the remote coordinator's listen address
 	// ("" = 127.0.0.1:0, a loopback ephemeral port).
 	Listen string
-	// Lease is the remote backend's lease time-to-live (0 = default).
-	Lease time.Duration
 	// Journal is the remote coordinator's shard-result journal
 	// directory ("" = journaling disabled): accepted results append to
 	// <dir>/<experiment>.jsonl, and a restarted coordinator replays a
@@ -83,17 +78,17 @@ var backendFactories = map[string]BackendFactory{
 		return InProcess{Workers: o.Workers}, nil
 	},
 	"subprocess": func(o BackendOptions) (Backend, error) {
-		return Subprocess{Procs: o.Procs, Workers: o.Workers, Chunk: o.Chunk}, nil
+		return Subprocess{Procs: o.Procs}, nil
 	},
 }
 
-// check fails when o holds a negative count or lease, naming the flag
-// and its value: every backend would read it as its default, and the
-// remote backend reads -procs -1 as "no local workers" and waits for
-// external ones forever. It also fails when o sets an option backend
-// does not read, naming each such flag and the backends that do read
-// it, so a flag meant for another backend (-journal on a subprocess
-// run) stops the run instead of being dropped.
+// check fails when o holds a negative count, naming the flag and its
+// value: every backend would read it as its default, and the remote
+// backend reads -procs -1 as "no local workers" and waits for external
+// ones forever. It also fails when o sets an option backend does not
+// read, naming each such flag and the backends that do read it, so a
+// flag meant for another backend (-journal on a subprocess run) stops
+// the run instead of being dropped.
 func (o BackendOptions) check(backend string) error {
 	var unread []string
 	for _, f := range []struct {
@@ -102,11 +97,9 @@ func (o BackendOptions) check(backend string) error {
 		set, neg bool
 		readers  []string
 	}{
-		{"-parallel", o.Workers, o.Workers != 0, o.Workers < 0, []string{"inprocess", "subprocess", "remote"}},
+		{"-parallel", o.Workers, o.Workers != 0, o.Workers < 0, []string{"inprocess"}},
 		{"-procs", o.Procs, o.Procs != 0, o.Procs < 0, []string{"subprocess", "remote"}},
-		{"-chunk", o.Chunk, o.Chunk != 0, o.Chunk < 0, []string{"subprocess", "remote"}},
 		{"-listen", o.Listen, o.Listen != "", false, []string{"remote"}},
-		{"-lease", o.Lease, o.Lease != 0, o.Lease < 0, []string{"remote"}},
 		{"-journal", o.Journal, o.Journal != "", false, []string{"remote"}},
 	} {
 		if f.neg {
@@ -150,8 +143,8 @@ func BackendNames() []string {
 // option set: "inprocess" (worker goroutines), "subprocess" (worker
 // processes) or "remote" (network workers); the last two run on the
 // coordinator in internal/experiment/remote and need it linked in. A
-// negative count or lease, or a set option the backend does not read,
-// is an error.
+// negative count, or a set option the backend does not read, is an
+// error.
 func NewBackendOptions(name string, o BackendOptions) (Backend, error) {
 	if name == "" {
 		name = "inprocess"

@@ -38,17 +38,15 @@ type CLIConfig struct {
 }
 
 // BackendFlags registers the execution-backend flags (-parallel -backend
-// -procs -listen -lease -chunk -journal) on fs and returns a constructor
-// to call after parsing. The constructor also returns the parsed options,
-// whose Workers and Procs callers stamp into run metadata.
+// -procs -listen -journal) on fs and returns a constructor to call after
+// parsing. The constructor also returns the parsed options, whose
+// Workers and Procs callers stamp into run metadata.
 func BackendFlags(fs *flag.FlagSet) func() (Backend, BackendOptions, error) {
 	var o BackendOptions
-	fs.IntVar(&o.Workers, "parallel", 0, "worker goroutines (0 = one per CPU in-process, serial inside each subprocess/remote worker); results identical at any value")
+	fs.IntVar(&o.Workers, "parallel", 0, "inprocess backend: worker goroutines (0 = one per CPU); results identical at any value")
 	name := fs.String("backend", "inprocess", "execution backend: inprocess (worker goroutines), subprocess (re-exec'd worker processes) or remote (HTTP coordinator leasing shard chunks to workers)")
 	fs.IntVar(&o.Procs, "procs", 0, "worker processes: subprocess workers (0 = one per CPU) or local remote workers spawned next to the coordinator (0 = none, wait for external -remote-worker processes)")
 	fs.StringVar(&o.Listen, "listen", "", "remote backend: coordinator listen address (default 127.0.0.1:0, a loopback ephemeral port)")
-	fs.DurationVar(&o.Lease, "lease", 0, "remote backend: shard-lease time-to-live before unfinished work is re-issued (0 = 10s)")
-	fs.IntVar(&o.Chunk, "chunk", 0, "shards per lease for the subprocess and remote backends, which share one scheduler (0 = n/16 of the n shards, at least 1)")
 	fs.StringVar(&o.Journal, "journal", "", "remote backend: shard-result journal directory for resumable coordinator restarts (accepted results append to <dir>/<experiment>.jsonl; a restarted run replays it and serves only the remainder)")
 	return func() (Backend, BackendOptions, error) {
 		b, err := NewBackendOptions(*name, o)

@@ -17,20 +17,20 @@ import (
 )
 
 // backendsUnderTest is the backend-configuration matrix the equivalence
-// sweep runs: goroutine workers, re-exec'd subprocess workers at several
-// process counts and chunk sizes, and the remote HTTP backend at 1/2/3
-// workers × varying lease chunk sizes. The determinism contract says
-// every entry produces the same canonical signature.
+// sweep runs: goroutine workers at 1 and 3, and re-exec'd subprocess
+// workers and remote HTTP workers at 1 to 3 processes each. The
+// determinism contract says every entry produces the same canonical
+// signature.
 func backendsUnderTest() []experiment.Backend {
 	return []experiment.Backend{
 		experiment.InProcess{Workers: 1},
 		experiment.InProcess{Workers: 3},
 		experiment.Subprocess{Procs: 1},
-		experiment.Subprocess{Procs: 2, Chunk: 1},
-		experiment.Subprocess{Procs: 3, Workers: 2, Chunk: 3},
-		remote.Remote{Procs: 1, Chunk: 2},
-		remote.Remote{Procs: 2, Chunk: 1},
-		remote.Remote{Procs: 3, Workers: 2, Chunk: 4, Lease: 5 * time.Second},
+		experiment.Subprocess{Procs: 2},
+		experiment.Subprocess{Procs: 3},
+		remote.Remote{Procs: 1},
+		remote.Remote{Procs: 2},
+		remote.Remote{Procs: 3},
 	}
 }
 
@@ -164,7 +164,7 @@ func TestSubprocessPayloadEquality(t *testing.T) {
 	}
 	for _, b := range []experiment.Backend{
 		experiment.Subprocess{Procs: 3},
-		remote.Remote{Procs: 2, Chunk: 3},
+		remote.Remote{Procs: 2},
 	} {
 		rec, err := experiment.Run(context.Background(), spec, p, quiet(t, b), nil)
 		if err != nil {
@@ -184,8 +184,9 @@ func TestSubprocessPayloadEquality(t *testing.T) {
 // chunk fails the run with its own error, long before the lease TTL. A
 // worker that never posted the failure line would leave the shard
 // leased, unstarted, to whoever re-polls for it, and the run would never
-// end. That the failure travels in the chunk's buffered second body, not
-// a later re-lease, is pinned by the remote package's
+// end. 64 shards make four-shard grants, so shard 3 ends the first
+// chunk's second body. That the failure travels in that body, not a
+// later re-lease, is pinned by the remote package's
 // TestResultsShardFailure.
 func TestShardErrorRemote(t *testing.T) {
 	if testing.Short() {
@@ -195,11 +196,11 @@ func TestShardErrorRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const lease = 30 * time.Second
+	const lease = remote.DefaultLease
 	ctx, cancel := context.WithTimeout(context.Background(), lease/2)
 	defer cancel()
 	start := time.Now()
-	_, err = experiment.Run(ctx, spec, results.Params{Trials: 16}, quiet(t, remote.Remote{Procs: 2, Chunk: 8, Lease: lease}), nil)
+	_, err = experiment.Run(ctx, spec, results.Params{Trials: 64}, quiet(t, remote.Remote{Procs: 2}), nil)
 	if err == nil || !strings.Contains(err.Error(), "shard 3 exploded") {
 		t.Fatalf("err = %v after %v, want shard 3's failure", err, time.Since(start))
 	}

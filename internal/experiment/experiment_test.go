@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"reflect"
@@ -10,7 +11,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"specinterference/internal/results"
 )
@@ -180,51 +180,89 @@ func TestNewBackend(t *testing.T) {
 }
 
 // TestNewBackendUnreadFlags: a flag the chosen backend does not read, or
-// a negative count or lease on any backend, fails construction with an
-// error naming that flag and no other, and every flag a backend reads is
-// accepted. The remote backend resolves because the external test
-// package links internal/experiment/remote into this test binary.
+// a negative count on any backend, fails construction with an error
+// naming that flag and no other, and every flag a backend reads is
+// accepted. Flags are set through BackendFlags' own FlagSet, and the
+// flags checked are the ones it registers, so a flag added there without
+// a row in BackendOptions.check fails the sweep at the end: each flag
+// belongs to some backends and not to others, so a flag check never
+// names is one it has no row for. The remote backend resolves because
+// the external test package links internal/experiment/remote into this
+// test binary.
 func TestNewBackendUnreadFlags(t *testing.T) {
-	const listen, lease, journal = "1.2.3.4:99", time.Millisecond, "journal-dir"
+	// build sets each flag of set through a fresh BackendFlags FlagSet
+	// and constructs the backend.
+	build := func(backend string, set map[string]string) (Backend, error) {
+		t.Helper()
+		fs := flag.NewFlagSet("backend-flags", flag.ContinueOnError)
+		mk := BackendFlags(fs)
+		if err := fs.Set("backend", backend); err != nil {
+			t.Fatal(err)
+		}
+		for name, v := range set {
+			if err := fs.Set(strings.TrimPrefix(name, "-"), v); err != nil {
+				t.Fatalf("set %s %s: %v", name, v, err)
+			}
+		}
+		b, _, err := mk()
+		return b, err
+	}
+	var flags []string // every flag BackendFlags registers but -backend
+	fs := flag.NewFlagSet("backend-flags", flag.ContinueOnError)
+	BackendFlags(fs)
+	fs.VisitAll(func(f *flag.Flag) {
+		if f.Name != "backend" {
+			flags = append(flags, "-"+f.Name)
+		}
+	})
+
+	const listen, journal = "1.2.3.4:99", "journal-dir"
 	for _, tc := range []struct {
 		backend string
-		o       BackendOptions
-		unread  []string // the flags the error must name; none = accepted
+		set     map[string]string
+		named   []string // the flags the error must name; none = accepted
 	}{
-		{"inprocess", BackendOptions{Workers: 4}, nil},
-		{"subprocess", BackendOptions{Workers: 2, Procs: 2, Chunk: 3}, nil},
-		{"inprocess", BackendOptions{Procs: 7}, []string{"-procs"}},
-		{"inprocess", BackendOptions{Chunk: 5}, []string{"-chunk"}},
-		{"inprocess", BackendOptions{Listen: listen}, []string{"-listen"}},
-		{"inprocess", BackendOptions{Lease: lease}, []string{"-lease"}},
-		{"inprocess", BackendOptions{Journal: journal}, []string{"-journal"}},
-		{"inprocess", BackendOptions{Workers: 2, Procs: 7, Chunk: 5, Journal: journal}, []string{"-procs", "-chunk", "-journal"}},
-		{"subprocess", BackendOptions{Procs: 2, Listen: listen}, []string{"-listen"}},
-		{"subprocess", BackendOptions{Procs: 2, Lease: lease}, []string{"-lease"}},
-		{"subprocess", BackendOptions{Procs: 2, Journal: journal}, []string{"-journal"}},
-		{"subprocess", BackendOptions{Procs: 2, Chunk: 1, Journal: journal, Lease: lease, Listen: listen}, []string{"-listen", "-lease", "-journal"}},
-		{"remote", BackendOptions{Workers: 2, Procs: 2, Chunk: 1, Journal: journal, Lease: lease, Listen: listen}, nil},
-		{"inprocess", BackendOptions{Workers: -1}, []string{"-parallel"}},
-		{"subprocess", BackendOptions{Procs: -1}, []string{"-procs"}},
-		{"subprocess", BackendOptions{Procs: 2, Chunk: -1}, []string{"-chunk"}},
-		{"remote", BackendOptions{Procs: -1}, []string{"-procs"}},
-		{"remote", BackendOptions{Procs: 1, Lease: -time.Second}, []string{"-lease"}},
+		{"inprocess", map[string]string{"-parallel": "4"}, nil},
+		{"subprocess", map[string]string{"-procs": "2"}, nil},
+		{"remote", map[string]string{"-procs": "2", "-journal": journal, "-listen": listen}, nil},
+		{"inprocess", map[string]string{"-procs": "7"}, []string{"-procs"}},
+		{"inprocess", map[string]string{"-listen": listen}, []string{"-listen"}},
+		{"inprocess", map[string]string{"-journal": journal}, []string{"-journal"}},
+		{"inprocess", map[string]string{"-parallel": "2", "-procs": "7", "-journal": journal}, []string{"-procs", "-journal"}},
+		{"subprocess", map[string]string{"-procs": "2", "-parallel": "2"}, []string{"-parallel"}},
+		{"subprocess", map[string]string{"-procs": "2", "-listen": listen}, []string{"-listen"}},
+		{"subprocess", map[string]string{"-procs": "2", "-journal": journal}, []string{"-journal"}},
+		{"subprocess", map[string]string{"-procs": "2", "-journal": journal, "-listen": listen}, []string{"-listen", "-journal"}},
+		{"remote", map[string]string{"-procs": "2", "-parallel": "2"}, []string{"-parallel"}},
+		{"inprocess", map[string]string{"-parallel": "-1"}, []string{"-parallel"}},
+		{"subprocess", map[string]string{"-procs": "-1"}, []string{"-procs"}},
+		{"remote", map[string]string{"-procs": "-1"}, []string{"-procs"}},
 	} {
-		b, err := NewBackendOptions(tc.backend, tc.o)
-		if len(tc.unread) == 0 {
+		b, err := build(tc.backend, tc.set)
+		if len(tc.named) == 0 {
 			if err != nil || b.Name() != tc.backend {
-				t.Errorf("NewBackendOptions(%s, %+v) = %v, %v; want the backend", tc.backend, tc.o, b, err)
+				t.Errorf("-backend %s %v = %v, %v; want the backend", tc.backend, tc.set, b, err)
 			}
 			continue
 		}
 		if err == nil {
-			t.Errorf("NewBackendOptions(%s, %+v) succeeded, want an error naming %v", tc.backend, tc.o, tc.unread)
+			t.Errorf("-backend %s %v succeeded, want an error naming %v", tc.backend, tc.set, tc.named)
 			continue
 		}
-		for _, flag := range []string{"-parallel", "-procs", "-chunk", "-listen", "-lease", "-journal"} {
-			if named, want := strings.Contains(err.Error(), flag), slices.Contains(tc.unread, flag); named != want {
-				t.Errorf("NewBackendOptions(%s, %+v): error names %s = %v, want %v: %v", tc.backend, tc.o, flag, named, want, err)
+		for _, name := range flags {
+			if named, want := strings.Contains(err.Error(), name+" "), slices.Contains(tc.named, name); named != want {
+				t.Errorf("-backend %s %v: error names %s = %v, want %v: %v", tc.backend, tc.set, name, named, want, err)
 			}
+		}
+	}
+	for _, name := range flags {
+		unread := false
+		for _, backend := range BackendNames() {
+			_, err := build(backend, map[string]string{name: "2"})
+			unread = unread || err != nil && strings.Contains(err.Error(), name+" (read by ")
+		}
+		if !unread {
+			t.Errorf("%s 2 is accepted by every backend (%v): BackendOptions.check has no row for it", name, BackendNames())
 		}
 	}
 }

@@ -94,7 +94,7 @@ func (h *harness) drainAndVerify(t *testing.T) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := remote.RunWorker(ctx, h.url, 0, io.Discard); err != nil {
+	if err := remote.RunWorker(ctx, h.url, io.Discard); err != nil {
 		t.Fatalf("healthy worker: %v", err)
 	}
 	select {
@@ -583,7 +583,6 @@ type restartConfig struct {
 	Experiment string `json:"experiment"`
 	Journal    string `json:"journal"`
 	Procs      int    `json:"procs"`
-	Chunk      int    `json:"chunk"`
 }
 
 // TestMain lets this test binary play three extra roles: a backend
@@ -617,10 +616,7 @@ func runRestartCoordinator(raw string) {
 	if err != nil {
 		fail(err)
 	}
-	backend := remote.Remote{
-		Procs: cfg.Procs, Chunk: cfg.Chunk, Journal: cfg.Journal,
-		Lease: 2 * time.Second,
-	}
+	backend := remote.Remote{Procs: cfg.Procs, Journal: cfg.Journal}
 	rec, err := experiment.Run(context.Background(), spec, params, backend, nil)
 	if err != nil {
 		fail(err)
@@ -667,11 +663,13 @@ const slowWorkerEnv = "SPECINTERFERENCE_REMOTE_SLOW_WORKER"
 // the shards are journaled, then restarted against the same journal.
 // The restart must replay exactly the journaled shards, run only the
 // remainder, and produce a record whose canonical signature equals the
-// committed baseline — at several worker × chunk configurations. An
-// unslowed first run can journal every shard before the kill lands,
-// which leaves only a full replay to check, so in the slow case its one
-// worker takes 25ms per shard and the restart must resume a partial
-// journal: 0 < replayed < n.
+// committed baseline — at several experiment × worker-count
+// configurations. Every case must resume a partial journal,
+// 0 < replayed < n: a first run that journals every shard before the
+// kill lands leaves only a full replay to check. Figure 7's 16 shards
+// finish too fast for that, so its first run is one worker slowed to
+// 25ms per shard, and the restart runs the case's worker count; Table
+// 1's 98 matrix cells take long enough unslowed.
 func TestCoordinatorRestartResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns coordinator processes and SIGKILLs them mid-run")
@@ -681,17 +679,17 @@ func TestCoordinatorRestartResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		exp          string
-		procs, chunk int
-		slow         bool
+		exp   string
+		procs int
+		slow  bool
 	}{
-		{results.ExpFigure7, 1, 1, true},
-		{results.ExpFigure7, 2, 2, false},
-		{results.ExpTable1, 2, 0, false}, // the default grant size, max(1, n/16)
+		{results.ExpFigure7, 1, true},
+		{results.ExpFigure7, 2, true},
+		{results.ExpTable1, 2, false},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(fmt.Sprintf("%s-procs%d-chunk%d", tc.exp, tc.procs, tc.chunk), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s-procs%d", tc.exp, tc.procs), func(t *testing.T) {
 			spec, err := experiment.Lookup(tc.exp)
 			if err != nil {
 				t.Fatal(err)
@@ -710,19 +708,22 @@ func TestCoordinatorRestartResume(t *testing.T) {
 			}
 			dir := t.TempDir()
 			jpath := filepath.Join(dir, tc.exp+".jsonl")
-			cfgJSON, err := json.Marshal(restartConfig{
-				Experiment: tc.exp, Journal: dir, Procs: tc.procs, Chunk: tc.chunk,
-			})
-			if err != nil {
-				t.Fatal(err)
+			// coordEnv is the environment of a child coordinator that runs
+			// procs local workers.
+			coordEnv := func(procs int) []string {
+				cfgJSON, err := json.Marshal(restartConfig{Experiment: tc.exp, Journal: dir, Procs: procs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return append(os.Environ(), restartCoordEnv+"="+string(cfgJSON))
 			}
-			env := append(os.Environ(), restartCoordEnv+"="+string(cfgJSON))
 
 			var firstErr bytes.Buffer
 			first := exec.Command(exe)
-			first.Env = env
 			if tc.slow {
-				first.Env = append(env[:len(env):len(env)], slowWorkerEnv+"=25ms")
+				first.Env = append(coordEnv(1), slowWorkerEnv+"=25ms")
+			} else {
+				first.Env = coordEnv(tc.procs)
 			}
 			first.Stderr = &firstErr
 			if err := first.Start(); err != nil {
@@ -761,7 +762,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 
 			var out, errBuf bytes.Buffer
 			second := exec.Command(exe)
-			second.Env = env
+			second.Env = coordEnv(tc.procs)
 			second.Stdout, second.Stderr = &out, &errBuf
 			if err := second.Run(); err != nil {
 				t.Fatalf("restarted run failed: %v\nstderr: %s", err, errBuf.String())
@@ -780,8 +781,8 @@ func TestCoordinatorRestartResume(t *testing.T) {
 			if replayed != replayable {
 				t.Errorf("restart replayed %d shards, journal held %d", replayed, replayable)
 			}
-			if tc.slow && (replayed <= 0 || replayed >= n) {
-				t.Errorf("slowed run: restart replayed %d of %d shards, want a partial journal (0 < replayed < %d)", replayed, n, n)
+			if replayed <= 0 || replayed >= n {
+				t.Errorf("restart replayed %d of %d shards, want a partial journal (0 < replayed < %d)", replayed, n, n)
 			}
 			// ...and every shard was journaled exactly once across both runs.
 			if got := journalEntries(jpath); got != n {

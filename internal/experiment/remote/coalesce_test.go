@@ -182,7 +182,7 @@ func TestResultsCoalesce(t *testing.T) {
 	}
 	tap := &resultTap{latency: 20 * time.Millisecond}
 	coord, url := startTappedCoordinator(t, spec, params, n, Config{Chunk: n / 2}, tap)
-	runGoroutineWorkers(t, url, 2, 2)
+	runGoroutineWorkers(t, url, 2)
 	shards, err := coord.Values()
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestResultsPostAlone(t *testing.T) {
 	// released tail forever; the deadline turns that into a failure.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := RunWorker(ctx, url, 0, io.Discard); err != nil {
+	if err := RunWorker(ctx, url, io.Discard); err != nil {
 		t.Fatalf("worker: %v", err)
 	}
 	if _, err := coord.Values(); err != nil {
@@ -276,7 +276,7 @@ func TestResultsShardFailure(t *testing.T) {
 	p := results.Params{Trials: 8}
 	tap := &resultTap{}
 	coord, url := startTappedCoordinator(t, spec, p, p.Trials, Config{Chunk: p.Trials}, tap)
-	runGoroutineWorkers(t, url, 1, 0)
+	runGoroutineWorkers(t, url, 1)
 	if _, err := coord.Values(); err == nil || !strings.Contains(err.Error(), "shard 3 exploded") {
 		t.Fatalf("Values() error = %v, want shard 3's failure", err)
 	}
@@ -303,7 +303,7 @@ func TestResultsGoneMidChunk(t *testing.T) {
 	p := results.Params{Trials: 16, Jitter: 5, Seed: 3}
 	tap := &resultTap{goneAt: 2}
 	coord, url := startTappedCoordinator(t, spec, p, p.Trials, Config{Chunk: 8}, tap)
-	runGoroutineWorkers(t, url, 1, 0)
+	runGoroutineWorkers(t, url, 1)
 	vals, err := coord.Values()
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,11 @@ import (
 // in the queue quickly.
 const DefaultLease = 10 * time.Second
 
-// Config tunes a Coordinator.
+// Config tunes a Coordinator. Chunk, Lease and Now are test seams: the
+// backends leave them zero, so every user run gets max(1, n/16) shards
+// per grant and DefaultLease on the real clock. The coordinator's own
+// tests and faulttest's harness set them to pin a grant size, shorten
+// the TTL or drive a fake clock.
 type Config struct {
 	// Chunk pins the shards per grant. 0 means n/16 (at least 1): one
 	// shard per grant for runs of fewer than 32 shards, such as Figure
@@ -43,17 +47,20 @@ type Config struct {
 	// (the engine's progress hook), replayed journal shards included.
 	// Duplicate results never re-fire it.
 	OnShardDone func()
-	// Now overrides the clock, for tests (nil = time.Now).
+	// Now overrides the clock (nil = time.Now).
 	Now func() time.Time
 }
+
+// span is a contiguous shard range [Start, End): the unit the
+// coordinator grants to workers of either framing.
+type span struct{ Start, End int }
 
 // leaseState is one outstanding grant.
 type leaseState struct {
 	id      string
-	seq     int // numeric id, for deterministic oldest-grant tie-breaks
+	seq     int // numeric id, in grant order: backup issue picks the lowest
 	worker  string
-	span    experiment.Span
-	granted time.Time // grant time; backup issue picks the oldest grant
+	span    span
 	expires time.Time // re-issue deadline: last grant, re-poll or renewal + TTL
 	// started is set once a result arrived under this lease; an
 	// unstarted grant is returned verbatim to a re-polling worker, so a
@@ -94,11 +101,11 @@ type Coordinator struct {
 	// enforces that annotated fields are only touched under the mutex or
 	// in functions marked //speclint:holds mu.
 	mu       sync.Mutex
-	pending  []experiment.Span          // unleased spans, FIFO; guarded by mu
-	leases   map[string]*leaseState     // outstanding grants; guarded by mu
-	issued   map[string]experiment.Span // guarded by mu
-	byWorker map[string]string          // worker name -> its latest lease id; guarded by mu
-	nextID   int                        // guarded by mu
+	pending  []span                 // unleased spans, FIFO; guarded by mu
+	leases   map[string]*leaseState // outstanding grants; guarded by mu
+	issued   map[string]span        // guarded by mu
+	byWorker map[string]string      // worker name -> its latest lease id; guarded by mu
+	nextID   int                    // guarded by mu
 	// Backup-execution counters, for the end-of-run summary and /stats:
 	// leases issued speculatively, shards whose first accepted result
 	// arrived under a backup lease, and byte-equal duplicates a backup
@@ -165,7 +172,7 @@ func NewCoordinator(spec *experiment.Spec, p results.Params, n int, cfg Config) 
 		chunk: chunk, lease: lease,
 		onDone: cfg.OnShardDone, now: now,
 		leases:    map[string]*leaseState{},
-		issued:    map[string]experiment.Span{},
+		issued:    map[string]span{},
 		byWorker:  map[string]string{},
 		done:      make([]bool, n),
 		values:    make([]any, n),
@@ -184,7 +191,7 @@ func NewCoordinator(spec *experiment.Spec, p results.Params, n int, cfg Config) 
 	// The queue holds only what is left to serve: the contiguous
 	// not-done sub-spans of [0, n) — all of it on a fresh run, the
 	// remainder after a journal replay.
-	c.requeueUndone(experiment.Span{Start: 0, End: n})
+	c.requeueUndone(span{Start: 0, End: n})
 	if c.remaining == 0 {
 		close(c.finished)
 	}
@@ -343,7 +350,7 @@ func (c *Coordinator) dropLease(l *leaseState) {
 // the pending queue. Callers hold mu.
 //
 //speclint:holds mu
-func (c *Coordinator) requeueUndone(sp experiment.Span) {
+func (c *Coordinator) requeueUndone(sp span) {
 	start := -1
 	for i := sp.Start; i <= sp.End; i++ {
 		if i < sp.End && !c.done[i] {
@@ -353,7 +360,7 @@ func (c *Coordinator) requeueUndone(sp experiment.Span) {
 			continue
 		}
 		if start >= 0 {
-			c.pending = append(c.pending, experiment.Span{Start: start, End: i})
+			c.pending = append(c.pending, span{Start: start, End: i})
 			start = -1
 		}
 	}
@@ -363,7 +370,7 @@ func (c *Coordinator) requeueUndone(sp experiment.Span) {
 // ok is false when every shard of sp is complete. Callers hold mu.
 //
 //speclint:holds mu
-func (c *Coordinator) undoneBounds(sp experiment.Span) (experiment.Span, bool) {
+func (c *Coordinator) undoneBounds(sp span) (span, bool) {
 	lo, hi := -1, -1
 	for i := sp.Start; i < sp.End; i++ {
 		if !c.done[i] {
@@ -374,20 +381,20 @@ func (c *Coordinator) undoneBounds(sp experiment.Span) (experiment.Span, bool) {
 		}
 	}
 	if lo < 0 {
-		return experiment.Span{}, false
+		return span{}, false
 	}
-	return experiment.Span{Start: lo, End: hi + 1}, true
+	return span{Start: lo, End: hi + 1}, true
 }
 
 // newLease mints and registers one grant. Callers hold mu.
 //
 //speclint:holds mu
-func (c *Coordinator) newLease(worker string, sp experiment.Span, now time.Time) *leaseState {
+func (c *Coordinator) newLease(worker string, sp span, now time.Time) *leaseState {
 	c.nextID++
 	l := &leaseState{
 		id:  fmt.Sprintf("L%d", c.nextID),
 		seq: c.nextID, worker: worker, span: sp,
-		granted: now, expires: now.Add(c.lease),
+		expires: now.Add(c.lease),
 	}
 	c.leases[l.id] = l
 	c.issued[l.id] = sp
@@ -401,9 +408,10 @@ func (c *Coordinator) newLease(worker string, sp experiment.Span, now time.Time)
 // the MapReduce playbook the byte-equality dedup already paid for: when
 // the pending queue is empty but grants are still in flight, an idle
 // worker is handed a second copy of the oldest in-flight grant's undone
-// remainder instead of a Wait. Whichever copy lands first wins through
-// the normal dedup (a mismatch is still the 409 determinism tripwire);
-// the loser's duplicates are acknowledged and counted as wasted. Fences:
+// remainder (the lowest seq: grants are numbered in grant order) instead
+// of a Wait. Whichever copy lands first wins through the normal dedup (a
+// mismatch is still the 409 determinism tripwire); the loser's
+// duplicates are acknowledged and counted as wasted. Fences:
 // never the span's current holder, at most one live backup per span
 // (neither a backed-up primary nor a live backup is a candidate), and an
 // anonymous requester gets nothing (the holder fence needs an identity).
@@ -415,7 +423,7 @@ func (c *Coordinator) grantBackup(worker string, now time.Time) *leaseState {
 		return nil
 	}
 	var oldest *leaseState
-	var span experiment.Span
+	var rest span
 	for _, l := range c.leases {
 		if l.worker == worker || l.backupID != "" || l.primaryID != "" {
 			continue
@@ -424,15 +432,14 @@ func (c *Coordinator) grantBackup(worker string, now time.Time) *leaseState {
 		if !ok {
 			continue // fully done, just not yet expired
 		}
-		if oldest == nil || l.granted.Before(oldest.granted) ||
-			(l.granted.Equal(oldest.granted) && l.seq < oldest.seq) {
-			oldest, span = l, sp
+		if oldest == nil || l.seq < oldest.seq {
+			oldest, rest = l, sp
 		}
 	}
 	if oldest == nil {
 		return nil
 	}
-	b := c.newLease(worker, span, now)
+	b := c.newLease(worker, rest, now)
 	b.backup = true
 	b.primaryID = oldest.id
 	oldest.backupID = b.id
@@ -577,7 +584,7 @@ func (c *Coordinator) grant(worker string) Lease {
 	sp := c.pending[0]
 	c.pending = c.pending[1:]
 	if sp.End-sp.Start > c.chunk {
-		c.pending = append([]experiment.Span{{Start: sp.Start + c.chunk, End: sp.End}}, c.pending...)
+		c.pending = append([]span{{Start: sp.Start + c.chunk, End: sp.End}}, c.pending...)
 		sp.End = sp.Start + c.chunk
 	}
 	return c.offer(c.newLease(worker, sp, now))
@@ -699,15 +706,15 @@ func (c *Coordinator) finishBody(accepted int) {
 func (c *Coordinator) accept(lease string, sl experiment.ShardLine) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	span, issued := c.issued[lease]
+	sp, issued := c.issued[lease]
 	if !issued {
 		return http.StatusGone, fmt.Errorf("result names lease %q this coordinator never issued", lease)
 	}
 	if sl.Shard < 0 || sl.Shard >= c.n {
 		return http.StatusBadRequest, fmt.Errorf("shard %d out of range [0,%d)", sl.Shard, c.n)
 	}
-	if sl.Shard < span.Start || sl.Shard >= span.End {
-		return http.StatusBadRequest, fmt.Errorf("shard %d outside lease %s's span [%d,%d)", sl.Shard, lease, span.Start, span.End)
+	if sl.Shard < sp.Start || sl.Shard >= sp.End {
+		return http.StatusBadRequest, fmt.Errorf("shard %d outside lease %s's span [%d,%d)", sl.Shard, lease, sp.Start, sp.End)
 	}
 	// Only shard results the coordinator actually accepts mark the grant
 	// started: rejected garbage must not defeat the unstarted re-poll

@@ -318,10 +318,10 @@ func TestOutOfSpanResult(t *testing.T) {
 	}
 }
 
-// TestGrantSize pins the grant rule: without a pinned -chunk every grant
-// is max(1, n/16) shards from the first grant on, whatever the shards
-// cost — instant completions and 5s completions (on the fake clock)
-// leave the next grant's size alone — and Config.Chunk pins it.
+// TestGrantSize pins the grant rule: unless a test pins Config.Chunk,
+// every grant is max(1, n/16) shards from the first grant on, whatever
+// the shards cost — instant completions and 5s completions (on the fake
+// clock) leave the next grant's size alone — and Config.Chunk pins it.
 func TestGrantSize(t *testing.T) {
 	for _, n := range []int{1, 15, 18, 32, 64, 3000} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {

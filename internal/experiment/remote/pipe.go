@@ -33,8 +33,6 @@ type workerRequest struct {
 	// Start and End bound the grant's shard range: [Start, End).
 	Start int `json:"start"`
 	End   int `json:"end"`
-	// Workers bounds shard concurrency inside the worker.
-	Workers int `json:"workers"`
 }
 
 // runSubprocess is experiment.Subprocess's Run: a coordinator with no
@@ -47,7 +45,7 @@ func runSubprocess(ctx context.Context, b experiment.Subprocess, spec *experimen
 	if n == 0 {
 		return nil, ctx.Err()
 	}
-	coord, err := NewCoordinator(spec, p, n, Config{Chunk: b.Chunk, OnShardDone: done})
+	coord, err := NewCoordinator(spec, p, n, Config{OnShardDone: done})
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +65,7 @@ func drivePipeWorkers(ctx context.Context, b experiment.Subprocess, coord *Coord
 	}
 	workers, err := spawnWorkers(ctx, runner.Workers(b.Procs, coord.n), "worker", []string{shardWorkerArg}, stderr,
 		func(id int, stdin io.WriteCloser, stdout io.Reader, kill func()) error {
-			return coord.drive(ctx, fmt.Sprintf("worker %d", id), b.Workers, stdin, stdout, kill)
+			return coord.drive(ctx, fmt.Sprintf("worker %d", id), stdin, stdout, kill)
 		})
 	if err != nil {
 		return err
@@ -81,7 +79,7 @@ func drivePipeWorkers(ctx context.Context, b experiment.Subprocess, coord *Coord
 // names a shard outside the grant or repeats one ends the worker like a
 // crash does: it is killed and its lease dropped, so the undone
 // remainder is requeued for the others.
-func (c *Coordinator) drive(ctx context.Context, worker string, workers int, stdin io.WriteCloser, stdout io.Reader, kill func()) error {
+func (c *Coordinator) drive(ctx context.Context, worker string, stdin io.WriteCloser, stdout io.Reader, kill func()) error {
 	enc := json.NewEncoder(stdin)
 	sc := bufio.NewScanner(stdout)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
@@ -107,7 +105,7 @@ func (c *Coordinator) drive(ctx context.Context, worker string, workers int, std
 		}
 		err := enc.Encode(workerRequest{
 			Experiment: c.spec.Name, Params: c.params,
-			Start: g.Start, End: g.End, Workers: workers,
+			Start: g.Start, End: g.End,
 		})
 		if err == nil {
 			err = c.collect(g, sc)
@@ -160,35 +158,19 @@ func (c *Coordinator) collect(g Lease, sc *bufio.Scanner) error {
 	return nil
 }
 
-// runShardWorkerIfRequested turns the process into a pipe worker when it
-// was started with shardWorkerArg as argv[1], and never returns then.
-// Registered with experiment.RegisterWorkerMode.
-func runShardWorkerIfRequested() {
-	if len(os.Args) > 1 && os.Args[1] == shardWorkerArg {
-		os.Exit(workerMain(os.Stdin, os.Stdout, os.Stderr))
-	}
-}
-
 // workerMain is the pipe-worker body: decode requests from stdin one at
-// a time, run each range through experiment.RunShardLines streaming a
-// line per shard as it completes, and exit cleanly at EOF (the parent
-// closed the pipe: no more work). Spec lookup and state preparation
-// happen once, on the first request — every request in a session names
-// the same experiment and params. shardDelayEnv delays each line, as it
-// does for an HTTP worker. Returns the process exit code.
+// a time, run each range through the shardRunner the HTTP worker shares,
+// streaming a line per shard as it completes, and exit cleanly at EOF
+// (the parent closed the pipe: no more work). Spec lookup and state
+// preparation happen once, on the first request — every request in a
+// session names the same experiment and params. Returns the process
+// exit code.
 func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 	dec := json.NewDecoder(stdin)
 	bw := bufio.NewWriter(stdout)
 	defer bw.Flush()
 	enc := json.NewEncoder(bw)
-	delay, _ := time.ParseDuration(os.Getenv(shardDelayEnv))
-	if delay > 0 {
-		fmt.Fprintf(stderr, "shard-worker: fault shim active: %v delay per shard\n", delay)
-	}
 	emit := func(sl experiment.ShardLine) error {
-		if delay > 0 {
-			time.Sleep(delay)
-		}
 		if err := enc.Encode(sl); err != nil {
 			return err
 		}
@@ -196,10 +178,7 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 		return bw.Flush()
 	}
 
-	var (
-		spec  *experiment.Spec
-		state any
-	)
+	var r *shardRunner
 	for {
 		var req workerRequest
 		if err := dec.Decode(&req); err == io.EOF {
@@ -212,22 +191,17 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "shard-worker: bad shard range [%d,%d)\n", req.Start, req.End)
 			return 2
 		}
-		if spec == nil {
-			s, err := experiment.Lookup(req.Experiment)
-			if err != nil {
-				fmt.Fprintln(stderr, "shard-worker:", err)
-				return 2
-			}
-			if state, err = s.PrepareState(req.Params); err != nil {
+		if r == nil {
+			var err error
+			if r, err = newShardRunner(req.Experiment, req.Params, "shard-worker", stderr); err != nil {
 				fmt.Fprintln(stderr, "shard-worker:", err)
 				return 1
 			}
-			spec = s
-		} else if req.Experiment != spec.Name {
-			fmt.Fprintf(stderr, "shard-worker: experiment changed mid-session: %s -> %s\n", spec.Name, req.Experiment)
+		} else if req.Experiment != r.spec.Name {
+			fmt.Fprintf(stderr, "shard-worker: experiment changed mid-session: %s -> %s\n", r.spec.Name, req.Experiment)
 			return 2
 		}
-		if err := experiment.RunShardLines(context.Background(), spec, state, req.Params, req.Start, req.End, req.Workers, emit); err != nil {
+		if err := r.run(context.Background(), span{Start: req.Start, End: req.End}, emit); err != nil {
 			fmt.Fprintln(stderr, "shard-worker:", err)
 			return 1
 		}

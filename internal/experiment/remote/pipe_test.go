@@ -49,7 +49,7 @@ func (w *pipeWorker) kill() {
 
 // drive runs c.drive against w as the named worker.
 func (w *pipeWorker) drive(c *Coordinator, name string) error {
-	return c.drive(context.Background(), name, 0, w.stdinW, w.stdoutR, w.kill)
+	return c.drive(context.Background(), name, w.stdinW, w.stdoutR, w.kill)
 }
 
 // serve runs the real pipe-worker body on w until drive closes its

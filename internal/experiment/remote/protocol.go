@@ -14,9 +14,9 @@
 //	GET  /stats    -> Stats        progress, backup counters, result traffic
 //
 // Workers are the same binary in a hidden -remote-worker mode; they fetch
-// the job once, then loop lease → run shards (the shared
-// experiment.RunShardLines path) → post results in two /results bodies
-// per chunk: the chunk's first result alone as soon as it exists, which
+// the job once, then loop lease → run the chunk's shards one at a time
+// (the shardRunner the pipe worker shares) → post results in two
+// /results bodies per chunk: the chunk's first result alone as soon as it exists, which
 // marks the lease started, and every later result together once the
 // chunk is over, a failing shard's error line included. The grant size
 // is therefore the one granularity of scheduling, progress, backup
@@ -48,13 +48,14 @@
 // granted; a lease id is not a license to post arbitrary in-range
 // shards.
 //
-// Every grant has one size, fixed when the coordinator is built (n/16
-// shards unless pinned; see Config), and a coordinator given a -journal
-// directory appends every accepted shard result to an on-disk journal it
-// replays after a restart, serving only the remainder. All of that moves
-// scheduling and wall-clock only: shard values stay a pure function of
-// (params, shard index), so record signatures are byte-identical with or
-// without faults, restarts, or a pinned grant size.
+// Every grant has one size, fixed when the coordinator is built
+// (max(1, n/16) shards; only tests pin another, see Config), and a
+// coordinator given a -journal directory appends every accepted shard
+// result to an on-disk journal it replays after a restart, serving only
+// the remainder. All of that moves scheduling and wall-clock only: shard
+// values stay a pure function of (params, shard index), so record
+// signatures are byte-identical with or without faults, restarts, or
+// another grant size.
 package remote
 
 import (
@@ -67,7 +68,7 @@ import (
 // WorkerArg is the hidden CLI argument (argv[1]) naming remote-worker
 // mode:
 //
-//	<binary> -remote-worker -connect http://host:port [-parallel N]
+//	<binary> -remote-worker -connect http://host:port
 const WorkerArg = "-remote-worker"
 
 // Job describes the one experiment a coordinator is serving; workers

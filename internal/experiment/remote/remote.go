@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -9,10 +10,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"specinterference/internal/experiment"
 	"specinterference/internal/results"
@@ -24,7 +23,9 @@ import (
 // re-exec'd in -remote-worker mode against the coordinator's loopback
 // address — the one-machine work-stealing configuration) or started by
 // hand on any machine that can reach Listen (Procs = 0: the two-terminal
-// quickstart; the coordinator prints the -connect line to use).
+// quickstart; the coordinator prints the -connect line to use). Each
+// worker runs its chunk's shards one at a time, so the worker count is
+// the one parallelism knob.
 //
 // Crash tolerance comes from the leases, correctness from the spec
 // purity contract: a worker that dies or stalls simply stops renewing,
@@ -38,13 +39,6 @@ type Remote struct {
 	// Procs is the local worker count (0 = spawn none, wait for external
 	// workers).
 	Procs int
-	// Workers bounds shard goroutines inside each worker (0 = serial).
-	Workers int
-	// Lease is the lease TTL (0 = DefaultLease).
-	Lease time.Duration
-	// Chunk is the shards per lease (0 = n/16, at least 1; see
-	// Config.Chunk).
-	Chunk int
 	// Journal, when non-empty, is a directory holding one append-only
 	// shard-result journal per experiment (<dir>/<experiment>.jsonl, the
 	// results-store idiom). Accepted results are appended as they
@@ -63,14 +57,10 @@ func (Remote) Name() string { return "remote" }
 
 func init() {
 	experiment.RegisterBackendFactory("remote", func(o experiment.BackendOptions) (experiment.Backend, error) {
-		return Remote{
-			Listen: o.Listen, Procs: o.Procs, Workers: o.Workers,
-			Lease: o.Lease, Chunk: o.Chunk, Journal: o.Journal,
-		}, nil
+		return Remote{Listen: o.Listen, Procs: o.Procs, Journal: o.Journal}, nil
 	})
 	experiment.RegisterSubprocessRunner(runSubprocess)
-	experiment.RegisterWorkerMode(RunWorkerIfRequested)
-	experiment.RegisterWorkerMode(runShardWorkerIfRequested)
+	experiment.RegisterWorkerMode(runWorkerIfRequested)
 }
 
 // Run implements experiment.Backend.
@@ -85,7 +75,7 @@ func (b Remote) Run(ctx context.Context, spec *experiment.Spec, p results.Params
 	if stderr == nil {
 		stderr = os.Stderr
 	}
-	cfg := Config{Chunk: b.Chunk, Lease: b.Lease, OnShardDone: done}
+	cfg := Config{OnShardDone: done}
 	if b.Journal != "" {
 		if err := os.MkdirAll(b.Journal, 0o755); err != nil {
 			return nil, fmt.Errorf("remote: journal directory %s: %w", b.Journal, err)
@@ -122,7 +112,7 @@ func (b Remote) Run(ctx context.Context, spec *experiment.Spec, p results.Params
 		fmt.Fprintf(stderr, "remote: waiting for workers — start each with: <binary> %s -connect %s\n", WorkerArg, url)
 	}
 
-	args := []string{WorkerArg, "-connect", url, "-parallel", strconv.Itoa(b.Workers)}
+	args := []string{WorkerArg, "-connect", url}
 	workers, err := spawnWorkers(ctx, b.Procs, "remote-worker", args, stderr, nil)
 	if err != nil {
 		return nil, err
@@ -215,7 +205,7 @@ func spawnWorkers(ctx context.Context, n int, label string, args []string, stder
 			copied := make(chan struct{})
 			go func() {
 				defer close(copied)
-				experiment.CopyPrefixedLines(stderr, &stderrMu, prefix, errPipe)
+				copyPrefixedLines(stderr, &stderrMu, prefix, errPipe)
 			}()
 			var err error
 			if serve != nil {
@@ -288,5 +278,31 @@ func (lw *localWorkers) kill() {
 	lw.stopping.Store(true)
 	for _, cmd := range lw.cmds {
 		cmd.Process.Kill()
+	}
+}
+
+// copyPrefixedLines copies src to dst one line at a time, prefixing each
+// line and holding mu across the write, so lines from concurrent workers
+// never interleave mid-line and every line is attributable. A final
+// unterminated line is still emitted (prefixed) — a crashing worker's
+// last words must not vanish.
+func copyPrefixedLines(dst io.Writer, mu *sync.Mutex, prefix string, src io.Reader) {
+	sc := bufio.NewScanner(src)
+	sc.Buffer(make([]byte, 0, 4096), 1<<20)
+	for sc.Scan() {
+		mu.Lock()
+		fmt.Fprintf(dst, "%s%s\n", prefix, sc.Bytes())
+		mu.Unlock()
+	}
+	// Scanner errors (a line beyond the buffer cap, a read failure) are
+	// diagnostics-of-diagnostics: report and move on rather than failing
+	// the run over stderr cosmetics. The rest of src is still read, and
+	// dropped: a worker whose stderr pipe fills blocks in write, holding
+	// its lease until the TTL, or for good when it is the only worker.
+	if err := sc.Err(); err != nil {
+		mu.Lock()
+		fmt.Fprintf(dst, "%s(stderr truncated: %v)\n", prefix, err)
+		mu.Unlock()
+		io.Copy(io.Discard, src)
 	}
 }

@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -75,7 +77,7 @@ func runToken(t *testing.T, url string) string {
 // runGoroutineWorkers drains a coordinator with n in-process RunWorker
 // goroutines — the httptest configuration: real HTTP over loopback, no
 // process spawning.
-func runGoroutineWorkers(t *testing.T, url string, n, shardWorkers int) {
+func runGoroutineWorkers(t *testing.T, url string, n int) {
 	t.Helper()
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -83,7 +85,7 @@ func runGoroutineWorkers(t *testing.T, url string, n, shardWorkers int) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = RunWorker(context.Background(), url, shardWorkers, io.Discard)
+			errs[i] = RunWorker(context.Background(), url, io.Discard)
 		}(i)
 	}
 	wg.Wait()
@@ -122,7 +124,7 @@ func TestHTTPWorkerEquivalence(t *testing.T) {
 				{1, 0}, {2, 1}, {3, 2}, {2, 5},
 			} {
 				coord, url := startCoordinator(t, spec, params, n, Config{Chunk: tc.chunk})
-				runGoroutineWorkers(t, url, tc.workers, 0)
+				runGoroutineWorkers(t, url, tc.workers)
 				shards, err := coord.Values()
 				if err != nil {
 					t.Fatalf("workers=%d chunk=%d: %v", tc.workers, tc.chunk, err)
@@ -687,7 +689,7 @@ func TestShardErrorFailsRun(t *testing.T) {
 // "remote" and a full engine run over the backend matches an in-process
 // run of the same spec.
 func TestRemoteBackendViaFactory(t *testing.T) {
-	b, err := experiment.NewBackendOptions("remote", experiment.BackendOptions{Procs: 2, Chunk: 1})
+	b, err := experiment.NewBackendOptions("remote", experiment.BackendOptions{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -705,6 +707,138 @@ func TestRemoteBackendViaFactory(t *testing.T) {
 	for i := range want {
 		if names[i] != want[i] {
 			t.Fatalf("BackendNames() = %v, want %v", names, want)
+		}
+	}
+}
+
+// TestCopyPrefixedLines pins the framing primitive: every line gets the
+// prefix, and a final unterminated line (a crashing worker's last words)
+// is still emitted.
+func TestCopyPrefixedLines(t *testing.T) {
+	var buf bytes.Buffer
+	var mu sync.Mutex
+	copyPrefixedLines(&buf, &mu, "[worker 3] ", strings.NewReader("alpha\nbeta\n\ngamma"))
+	want := "[worker 3] alpha\n[worker 3] beta\n[worker 3] \n[worker 3] gamma\n"
+	if buf.String() != want {
+		t.Errorf("framed output:\n%q\nwant:\n%q", buf.String(), want)
+	}
+}
+
+// TestCopyPrefixedLinesConcurrent: two sources sharing one mutex and
+// destination never interleave mid-line — the bug this framing fixes.
+func TestCopyPrefixedLinesConcurrent(t *testing.T) {
+	var buf bytes.Buffer
+	var mu sync.Mutex
+	const lines = 200
+	src := func(id int) string {
+		var sb strings.Builder
+		for i := 0; i < lines; i++ {
+			fmt.Fprintf(&sb, "worker %d line %d\n", id, i)
+		}
+		return sb.String()
+	}
+	var wg sync.WaitGroup
+	for id := 0; id < 2; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			copyPrefixedLines(&buf, &mu, fmt.Sprintf("[worker %d] ", id), strings.NewReader(src(id)))
+		}(id)
+	}
+	wg.Wait()
+
+	framed := regexp.MustCompile(`^\[worker ([01])\] worker ([01]) line \d+$`)
+	got := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	if len(got) != 2*lines {
+		t.Fatalf("%d framed lines, want %d", len(got), 2*lines)
+	}
+	for _, line := range got {
+		m := framed.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("malformed framed line %q", line)
+		}
+		if m[1] != m[2] {
+			t.Errorf("line %q framed under the wrong worker", line)
+		}
+	}
+}
+
+// TestCopyPrefixedLinesDrainsAfterLongLine: a line over the 1 MiB cap
+// ends the framing with one truncation notice, but src is still read to
+// EOF, so a worker that keeps writing stderr after such a line never
+// blocks on a full pipe.
+func TestCopyPrefixedLinesDrainsAfterLongLine(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close() // unblocks the writer if the copy stopped reading
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := w.Write(append(bytes.Repeat([]byte{'x'}, 2<<20), '\n'))
+		for n := 0; err == nil && n < 220<<10; {
+			var k int
+			k, err = fmt.Fprintf(w, "short line %d\n", n)
+			n += k
+		}
+		w.Close()
+		wrote <- err
+	}()
+	var buf bytes.Buffer
+	var mu sync.Mutex
+	copied := make(chan struct{})
+	go func() {
+		defer close(copied)
+		copyPrefixedLines(&buf, &mu, "[worker 0] ", r)
+	}()
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Fatalf("writer: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("writer still blocked 10s after its 2 MiB line: the pipe is no longer read")
+	}
+	<-copied
+	if n := strings.Count(buf.String(), "(stderr truncated: "); n != 1 {
+		t.Errorf("%d truncation notices, want 1:\n%.200s", n, buf.String())
+	}
+}
+
+// TestShardRunnerStops pins the worker's serial shard loop: it stops at
+// the first failing shard, after emitting that shard's error line, and
+// checks its context before each shard, so a chunk whose lease was lost
+// (its context cancelled) runs no further shard.
+func TestShardRunnerStops(t *testing.T) {
+	for _, tc := range []struct {
+		exp      string
+		cancelAt int // cancel the context once this shard's line is emitted (-1 = never)
+		lines    string
+		err      string
+	}{
+		{"remote-test-fail", -1, "0 1 2 3:shard 3 exploded", "shard 3 exploded"},
+		{"remote-test", 1, "0 1", context.Canceled.Error()},
+	} {
+		r, err := newShardRunner(tc.exp, results.Params{}, "test", io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var lines []string
+		err = r.run(ctx, span{Start: 0, End: 8}, func(sl experiment.ShardLine) error {
+			line := fmt.Sprint(sl.Shard)
+			if sl.Err != "" {
+				line += ":" + sl.Err
+			}
+			lines = append(lines, line)
+			if sl.Shard == tc.cancelAt {
+				cancel()
+			}
+			return nil
+		})
+		cancel()
+		if got := strings.Join(lines, " "); got != tc.lines || err == nil || err.Error() != tc.err {
+			t.Errorf("%s: lines %q, err %v; want lines %q, err %q", tc.exp, got, err, tc.lines, tc.err)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"specinterference/internal/experiment"
+	"specinterference/internal/results"
 )
 
 // jobFetchTimeout bounds how long a starting worker waits for the
@@ -39,20 +40,19 @@ const shardDelayEnv = "SPECINTERFERENCE_REMOTE_SHARD_DELAY"
 
 // RunWorker serves one coordinator until its job completes: fetch the
 // job, build per-process state once, then loop — lease a chunk, run
-// its shards through the shared experiment.RunShardLines path (workers
-// goroutines, 0 = serial), post the chunk's results to /results as two
-// bodies (its first result alone, the rest together once the chunk is
-// over; see serveChunk), and renew the lease at a third of its TTL while
-// the chunk is in flight. A lost lease (the coordinator re-issued it
-// after a stall) cancels the chunk and moves on; the coordinator's
-// byte-equality dedupe makes any straggler results it already posted
-// harmless. A 410 on the
-// lease poll means a different run token answers at this address — a
-// restarted coordinator (with -journal, the same run resumed under a
-// fresh token): the worker re-fetches the job and keeps serving when it
-// is the same experiment at the same params. Returns nil when the
+// its shards one at a time through the shardRunner the pipe worker
+// shares, post the chunk's results to /results as two bodies (its first
+// result alone, the rest together once the chunk is over; see
+// serveChunk), and renew the lease at a third of its TTL while the chunk
+// is in flight. A lost lease (the coordinator re-issued it after a
+// stall) cancels the chunk and moves on; the coordinator's byte-equality
+// dedupe makes any straggler results it already posted harmless. A 410
+// on the lease poll means a different run token answers at this address
+// — a restarted coordinator (with -journal, the same run resumed under
+// a fresh token): the worker re-fetches the job and keeps serving when
+// it is the same experiment at the same params. Returns nil when the
 // coordinator reports the job done.
-func RunWorker(ctx context.Context, connect string, workers int, logw io.Writer) error {
+func RunWorker(ctx context.Context, connect string, logw io.Writer) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -72,22 +72,14 @@ func RunWorker(ctx context.Context, connect string, workers int, logw io.Writer)
 	if err != nil {
 		return err
 	}
-	spec, err := experiment.Lookup(job.Experiment)
-	if err != nil {
-		return fmt.Errorf("remote: coordinator serves %w", err)
-	}
-	state, err := spec.PrepareState(job.Params)
-	if err != nil {
-		return err
-	}
 	lease := leaseTTL(job)
 	hostname, _ := os.Hostname()
 	worker := fmt.Sprintf("%s-%d-%d", hostname, os.Getpid(), workerSeq.Add(1))
-	fmt.Fprintf(logw, "remote-worker %s: serving %s (%d shards) from %s\n", worker, job.Experiment, job.Shards, base)
-	delay, _ := time.ParseDuration(os.Getenv(shardDelayEnv))
-	if delay > 0 {
-		fmt.Fprintf(logw, "remote-worker %s: fault shim active: %v delay per shard\n", worker, delay)
+	r, err := newShardRunner(job.Experiment, job.Params, "remote-worker "+worker, logw)
+	if err != nil {
+		return err
 	}
+	fmt.Fprintf(logw, "remote-worker %s: serving %s (%d shards) from %s\n", worker, job.Experiment, job.Shards, base)
 
 	resyncs := 0
 	for {
@@ -141,7 +133,7 @@ func RunWorker(ctx context.Context, connect string, workers int, logw io.Writer)
 				return ctx.Err()
 			}
 		default:
-			if err := serveChunk(ctx, client, base, spec, state, job, grant, workers, lease, delay); err != nil {
+			if err := serveChunk(ctx, client, base, r, job, grant, lease); err != nil {
 				return err
 			}
 		}
@@ -158,11 +150,9 @@ func RunWorker(ctx context.Context, connect string, workers int, logw io.Writer)
 // The chunk ends only when that body is acked: the next /lease poll
 // tells the coordinator this chunk is finished or abandoned, so
 // returning with lines still unsent would release finished shards for
-// re-execution. The lease is renewed until then. delay > 0 is the
-// shardDelayEnv fault shim: sleep before each result (the renew loop
-// keeps the lease alive regardless, so a slowed worker is a straggler,
-// not a crash).
-func serveChunk(ctx context.Context, client *http.Client, base string, spec *experiment.Spec, state any, job Job, grant Lease, workers int, lease, delay time.Duration) error {
+// re-execution. The lease is renewed until then, so a worker slowed by
+// the shardDelayEnv shim is a straggler, not a crash.
+func serveChunk(ctx context.Context, client *http.Client, base string, r *shardRunner, job Job, grant Lease, lease time.Duration) error {
 	chunkCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -209,22 +199,13 @@ func serveChunk(ctx context.Context, client *http.Client, base string, spec *exp
 		var ack ResultAck
 		return post(chunkCtx, client, base+"/results", body, &ack)
 	}
-	// RunShardLines serializes emit, so first, rest and postErr need no
-	// lock of their own.
 	var (
 		first   = true
 		rest    []byte
 		postErr error
 	)
-	runErr := experiment.RunShardLines(chunkCtx, spec, state, job.Params, grant.Start, grant.End, workers,
+	runErr := r.run(chunkCtx, span{Start: grant.Start, End: grant.End},
 		func(sl experiment.ShardLine) error {
-			if delay > 0 {
-				select {
-				case <-time.After(delay):
-				case <-chunkCtx.Done():
-					return chunkCtx.Err()
-				}
-			}
 			line := append(mustJSON(ResultLine{Run: job.Run, Lease: grant.ID, ShardLine: sl}), '\n')
 			if first {
 				first = false
@@ -400,27 +381,94 @@ func post(ctx context.Context, client *http.Client, url string, body []byte, out
 	return nil
 }
 
-// RunWorkerIfRequested turns the process into a remote HTTP worker when
-// it was started with WorkerArg as argv[1] and never returns in that
-// case; it returns without side effects otherwise. Registered with
+// runWorkerIfRequested is the one worker-mode hook, registered with
 // experiment.RegisterWorkerMode, so every binary calling
 // experiment.RunWorkerIfRequested (all experiment CLIs, resultstore,
-// test binaries) serves this mode too.
-func RunWorkerIfRequested() {
-	if len(os.Args) < 2 || os.Args[1] != WorkerArg {
+// test binaries) serves both modes: with shardWorkerArg as argv[1] the
+// process becomes a pipe worker, with WorkerArg a remote HTTP worker
+// (-connect URL is its one flag), and either way it never returns. It
+// returns without side effects otherwise.
+func runWorkerIfRequested() {
+	if len(os.Args) < 2 {
 		return
 	}
-	fs := flag.NewFlagSet("remote-worker", flag.ExitOnError)
-	connect := fs.String("connect", "", "coordinator base URL, e.g. http://host:8080 (required)")
-	parallel := fs.Int("parallel", 0, "shard goroutines inside this worker (0 = serial)")
-	fs.Parse(os.Args[2:])
-	if *connect == "" {
-		fmt.Fprintln(os.Stderr, "remote-worker: -connect URL is required")
-		os.Exit(2)
+	switch os.Args[1] {
+	case shardWorkerArg:
+		os.Exit(workerMain(os.Stdin, os.Stdout, os.Stderr))
+	case WorkerArg:
+		fs := flag.NewFlagSet("remote-worker", flag.ExitOnError)
+		connect := fs.String("connect", "", "coordinator base URL, e.g. http://host:8080 (required)")
+		fs.Parse(os.Args[2:])
+		if *connect == "" {
+			fmt.Fprintln(os.Stderr, "remote-worker: -connect URL is required")
+			os.Exit(2)
+		}
+		if err := RunWorker(context.Background(), *connect, os.Stderr); err != nil {
+			fmt.Fprintln(os.Stderr, "remote-worker:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
 	}
-	if err := RunWorker(context.Background(), *connect, *parallel, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "remote-worker:", err)
-		os.Exit(1)
+}
+
+// shardRunner is the worker body the pipe worker and the HTTP worker
+// share: the spec and prepared state of the one run a worker serves,
+// and the shardDelayEnv fault shim.
+type shardRunner struct {
+	spec   *experiment.Spec
+	state  any
+	params results.Params
+	delay  time.Duration
+}
+
+// newShardRunner looks up the experiment, builds its per-process state
+// once, and reads the shardDelayEnv shim, noting an active one on logw
+// under the worker's name.
+func newShardRunner(exp string, p results.Params, name string, logw io.Writer) (*shardRunner, error) {
+	spec, err := experiment.Lookup(exp)
+	if err != nil {
+		return nil, err
 	}
-	os.Exit(0)
+	state, err := spec.PrepareState(p)
+	if err != nil {
+		return nil, err
+	}
+	delay, _ := time.ParseDuration(os.Getenv(shardDelayEnv))
+	if delay > 0 {
+		fmt.Fprintf(logw, "%s: fault shim active: %v delay per shard\n", name, delay)
+	}
+	return &shardRunner{spec: spec, state: state, params: p, delay: delay}, nil
+}
+
+// run executes the shards of sp one at a time, in index order, passing
+// one line per shard to emit. It checks ctx before each shard (a lost
+// lease cancels it) and stops at the first failing shard, after
+// emitting that shard's error line, returning the failure; an emit
+// error stops it too. The delay shim sleeps before each line.
+func (r *shardRunner) run(ctx context.Context, sp span, emit func(experiment.ShardLine) error) error {
+	for i := sp.Start; i < sp.End; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		v, err := r.spec.Run(ctx, r.state, r.params, i)
+		var raw []byte
+		if err == nil {
+			raw, err = json.Marshal(v)
+		}
+		if r.delay > 0 {
+			select {
+			case <-time.After(r.delay):
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		if err != nil {
+			emit(experiment.ShardLine{Shard: i, Err: err.Error()})
+			return err
+		}
+		if err := emit(experiment.ShardLine{Shard: i, Value: raw}); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -9,9 +9,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"specinterference/internal/results"
 )
@@ -34,100 +32,6 @@ func init() {
 	})
 }
 
-// TestCopyPrefixedLines pins the framing primitive: every line gets the
-// prefix, and a final unterminated line (a crashing worker's last words)
-// is still emitted.
-func TestCopyPrefixedLines(t *testing.T) {
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	CopyPrefixedLines(&buf, &mu, "[worker 3] ", strings.NewReader("alpha\nbeta\n\ngamma"))
-	want := "[worker 3] alpha\n[worker 3] beta\n[worker 3] \n[worker 3] gamma\n"
-	if buf.String() != want {
-		t.Errorf("framed output:\n%q\nwant:\n%q", buf.String(), want)
-	}
-}
-
-// TestCopyPrefixedLinesConcurrent: two sources sharing one mutex and
-// destination never interleave mid-line — the bug this framing fixes.
-func TestCopyPrefixedLinesConcurrent(t *testing.T) {
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	const lines = 200
-	src := func(id int) string {
-		var sb strings.Builder
-		for i := 0; i < lines; i++ {
-			fmt.Fprintf(&sb, "worker %d line %d\n", id, i)
-		}
-		return sb.String()
-	}
-	var wg sync.WaitGroup
-	for id := 0; id < 2; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			CopyPrefixedLines(&buf, &mu, fmt.Sprintf("[worker %d] ", id), strings.NewReader(src(id)))
-		}(id)
-	}
-	wg.Wait()
-
-	framed := regexp.MustCompile(`^\[worker ([01])\] worker ([01]) line \d+$`)
-	got := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(got) != 2*lines {
-		t.Fatalf("%d framed lines, want %d", len(got), 2*lines)
-	}
-	for _, line := range got {
-		m := framed.FindStringSubmatch(line)
-		if m == nil {
-			t.Fatalf("malformed framed line %q", line)
-		}
-		if m[1] != m[2] {
-			t.Errorf("line %q framed under the wrong worker", line)
-		}
-	}
-}
-
-// TestCopyPrefixedLinesDrainsAfterLongLine: a line over the 1 MiB cap
-// ends the framing with one truncation notice, but src is still read to
-// EOF, so a worker that keeps writing stderr after such a line never
-// blocks on a full pipe.
-func TestCopyPrefixedLinesDrainsAfterLongLine(t *testing.T) {
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close() // unblocks the writer if the copy stopped reading
-	wrote := make(chan error, 1)
-	go func() {
-		_, err := w.Write(append(bytes.Repeat([]byte{'x'}, 2<<20), '\n'))
-		for n := 0; err == nil && n < 220<<10; {
-			var k int
-			k, err = fmt.Fprintf(w, "short line %d\n", n)
-			n += k
-		}
-		w.Close()
-		wrote <- err
-	}()
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	copied := make(chan struct{})
-	go func() {
-		defer close(copied)
-		CopyPrefixedLines(&buf, &mu, "[worker 0] ", r)
-	}()
-	select {
-	case err := <-wrote:
-		if err != nil {
-			t.Fatalf("writer: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("writer still blocked 10s after its 2 MiB line: the pipe is no longer read")
-	}
-	<-copied
-	if n := strings.Count(buf.String(), "(stderr truncated: "); n != 1 {
-		t.Errorf("%d truncation notices, want 1:\n%.200s", n, buf.String())
-	}
-}
-
 // TestSubprocessStderrFraming is the end-to-end pin: stderr from
 // concurrent worker processes arrives line-framed and attributed, and
 // every shard's diagnostic line survives. A speculative backup can run a
@@ -142,7 +46,7 @@ func TestSubprocessStderrFraming(t *testing.T) {
 	}
 	const n = 8
 	var buf bytes.Buffer
-	b := Subprocess{Procs: 2, Chunk: 2, Stderr: &buf}
+	b := Subprocess{Procs: 2, Stderr: &buf}
 	out, err := b.Run(context.Background(), spec, results.Params{Trials: n}, n, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +121,7 @@ func TestSubprocessWorkerCrash(t *testing.T) {
 	}
 	const n = 12
 	var buf bytes.Buffer
-	out, err := Subprocess{Procs: 2, Chunk: 2, Stderr: &buf}.Run(context.Background(), spec, results.Params{Trials: n}, n, nil)
+	out, err := Subprocess{Procs: 2, Stderr: &buf}.Run(context.Background(), spec, results.Params{Trials: n}, n, nil)
 	if err != nil {
 		t.Fatalf("%v\nstderr:\n%s", err, buf.String())
 	}
@@ -236,7 +140,8 @@ func TestSubprocessWorkerCrash(t *testing.T) {
 
 // TestSubprocessAllWorkersExit: when the only worker crashes, no worker
 // is left to take over its shards, and the run fails with an error
-// naming that worker's failure.
+// naming that worker's failure and its grant (12 shards make one-shard
+// grants, so the crash lands in [5,6)).
 func TestSubprocessAllWorkersExit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -248,8 +153,8 @@ func TestSubprocessAllWorkersExit(t *testing.T) {
 	}
 	const n = 12
 	var buf bytes.Buffer
-	_, err = Subprocess{Procs: 1, Chunk: 2, Stderr: &buf}.Run(context.Background(), spec, results.Params{Trials: n}, n, nil)
-	if err == nil || !strings.Contains(err.Error(), "[4,6)") || !strings.Contains(err.Error(), "exit status 3") {
+	_, err = Subprocess{Procs: 1, Stderr: &buf}.Run(context.Background(), spec, results.Params{Trials: n}, n, nil)
+	if err == nil || !strings.Contains(err.Error(), "[5,6)") || !strings.Contains(err.Error(), "exit status 3") {
 		t.Errorf("err = %v, want the crashed worker's failure\nstderr:\n%s", err, buf.String())
 	}
 }

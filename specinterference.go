@@ -267,9 +267,10 @@ type (
 	// coordinator leasing shard chunks to distributed workers.
 	ExperimentBackend = experiment.Backend
 	// ExperimentBackendOptions carries every backend-construction knob
-	// the CLIs expose (procs, workers, chunk, listen address, lease TTL,
-	// and the remote coordinator's resumable shard-result journal
-	// directory).
+	// the CLIs expose: one parallelism knob per backend (Workers for
+	// in-process goroutines, Procs for subprocess and remote worker
+	// processes), plus the remote coordinator's listen address and its
+	// resumable shard-result journal directory.
 	ExperimentBackendOptions = experiment.BackendOptions
 )
 
