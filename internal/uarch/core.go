@@ -18,7 +18,7 @@ import (
 const stalledBranch = -1
 
 // memState tracks a load's progress through the load/store unit.
-type memState int
+type memState uint8
 
 const (
 	memNone    memState = iota
@@ -59,7 +59,8 @@ func decodeInst(in isa.Inst) decoded {
 	return d
 }
 
-// entry is one in-flight dynamic instruction (a ROB entry).
+// entry is one in-flight dynamic instruction (a ROB entry). Its flags sit
+// next to each other, so an entry fills four cache lines, not five.
 type entry struct {
 	seq int64
 	pc  int
@@ -82,33 +83,29 @@ type entry struct {
 
 	fetchCycle    int64
 	dispCycle     int64
-	issued        bool
 	issueCycle    int64
 	execDoneAt    int64
-	completed     bool
 	completeCycle int64
 	destVal       int64
-	inRS          bool
 	port          int
+	issued        bool
+	completed     bool
+	inRS          bool
+	// invisibleFetch: see fetched.invisibleFetch.
+	invisibleFetch bool
 
 	// branches
 	predTaken  bool
 	predNext   int
 	actualNext int
 
-	// invisibleFetch: see fetched.invisibleFetch.
-	invisibleFetch bool
-
 	// memory
 	addrKnown bool
-	addr      int64
-	mstate    memState
-	memReady  int64
 	invisible bool
 	wasL1Hit  bool
 	exposed   bool
 	forwarded bool
-	level     cache.Level
+	mstate    memState
 	// fwdKnown is set at a load's first access attempt, when fwd records
 	// the store it forwards from, or nil for none. By then every older
 	// store's address is known and no older store can still be
@@ -119,6 +116,9 @@ type entry struct {
 	// takes the store takes the younger load too.
 	fwdKnown bool
 	fwd      *entry
+	addr     int64
+	memReady int64
+	level    cache.Level
 	// parkUntil and parkSetFills park a load whose last access attempt
 	// found the D-MSHR file full: parkUntil is the file's next fill then,
 	// and parkSetFills the fill count of the load's L1D set, plus its
@@ -165,15 +165,16 @@ type fetched struct {
 	invisibleFetch bool
 }
 
-// noSeq is the min() result of an empty seqSet: older than nothing.
+// noSeq is the seq limit when no in-flight entry satisfies a predicate:
+// older than nothing.
 const noSeq = int64(math.MaxInt64)
 
-// The ROB, memOrder, the LSU list, the fetch buffer and the seqSet
-// trackers are queues held as a window of a backing array twice their
-// structure's capacity, built once in newCore. A pop reslices the front;
-// a push that reaches the array's end first slides the window back to the
-// base. Each slot is copied about once per trip through the array instead
-// of once per pop, and nothing allocates.
+// The ROB, memOrder, the LSU list and the fetch buffer are queues held as
+// a window of a backing array twice their structure's capacity, built
+// once in newCore. A pop reslices the front; a push that reaches the
+// array's end first slides the window back to the base. Each slot is
+// copied about once per trip through the array instead of once per pop,
+// and nothing allocates.
 
 // newQueue returns the backing array for a queue of at most n elements,
 // and the empty queue.
@@ -212,72 +213,6 @@ func resetQueue[T any](arr, q []T) []T {
 	clear(q)
 	return arr[:0]
 }
-
-// seqSet tracks the seqs of in-flight entries satisfying one shadow/safety
-// predicate (unresolved branch, incomplete, fence, ...). Because dispatch
-// hands out strictly increasing seqs, add() is always an append and the
-// slice stays sorted; squash cuts a tail. The per-cycle prefix scan the
-// arrays replace asked "is any entry OLDER than e marked" — with sorted
-// seqs that is just min() < e.seq, so safety queries are O(1) and the
-// bookkeeping moves to the (much rarer) completion/retire/squash events.
-type seqSet struct {
-	seqs []int64 // a queue in arr
-	arr  []int64
-}
-
-// add records seq, which must exceed every seq already present.
-func (s *seqSet) add(seq int64) { s.seqs = pushQueue(s.arr, s.seqs, seq) }
-
-// remove drops seq if present. Most removals are at or near the oldest
-// seq, so it shifts whichever side of seq is shorter; dropping the oldest
-// is a pop.
-func (s *seqSet) remove(seq int64) {
-	lo, hi := 0, len(s.seqs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.seqs[mid] < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(s.seqs) || s.seqs[lo] != seq {
-		return
-	}
-	if lo < len(s.seqs)-1-lo {
-		copy(s.seqs[1:lo+1], s.seqs[:lo])
-		s.seqs = s.seqs[1:]
-	} else {
-		copy(s.seqs[lo:], s.seqs[lo+1:])
-		s.seqs = s.seqs[:len(s.seqs)-1]
-	}
-}
-
-// dropYoungerThan removes every seq greater than keep (squash).
-func (s *seqSet) dropYoungerThan(keep int64) {
-	lo, hi := 0, len(s.seqs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.seqs[mid] <= keep {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	s.seqs = s.seqs[:lo]
-}
-
-// min returns the oldest tracked seq, or noSeq when empty.
-func (s *seqSet) min() int64 {
-	if len(s.seqs) == 0 {
-		return noSeq
-	}
-	return s.seqs[0]
-}
-
-func (s *seqSet) empty() bool { return len(s.seqs) == 0 }
-
-func (s *seqSet) clear() { s.seqs = s.arr[:0] }
 
 // Core is one out-of-order core.
 type Core struct {
@@ -330,9 +265,11 @@ type Core struct {
 	// resolves, and again when preempt cancels its execution. It leaves
 	// when it issues, even if HoldRSUntilSafe keeps its RS slot, or at
 	// squash, which cuts the lists' tails. Readiness never reverts while
-	// an entry holds its slot, so the lists never need rescanning.
+	// an entry holds its slot, so the lists never need rescanning. Each is
+	// a queue in rsArr (see pushQueue), so taking its oldest is a pop.
 	// readyMask has bit cls set exactly when rsReady[cls] is non-empty.
 	rsReady   [isa.NumClasses][]*entry
+	rsArr     [isa.NumClasses][]*entry
 	readyMask uint32
 	// memOrder lists in-flight loads and stores in program order, for the
 	// store-forwarding search.
@@ -371,16 +308,20 @@ type Core struct {
 	redirectAt   int64
 	redirectPC   int
 
-	// Shadow/safety trackers: the seqs of in-flight entries that are an
-	// unresolved conditional branch / not yet complete / an incomplete load /
-	// a fence / a store with unknown address. Maintained incrementally at
-	// dispatch, completion, retire and squash; safe() and issue compare
-	// against their minimums instead of re-scanning the ROB.
-	unresolvedCB   seqSet
-	incomplete     seqSet
-	incompleteLoad seqSet
-	fenceSet       seqSet
-	storeAddrUnk   seqSet
+	// Shadow/safety cursors: each indexes the oldest in-flight entry that
+	// may satisfy one predicate, in the in-order queue holding such
+	// entries. cbCur, incCur and fenceCur index the ROB: an unresolved
+	// conditional branch, an incomplete instruction, a fence (every fence
+	// in the ROB is unretired). loadCur and storeCur index memOrder: an
+	// incomplete load, a store whose address is unknown. No entry before a
+	// cursor satisfies its predicate, and none ever will again: completion,
+	// address resolution and retirement are final, and dispatch only
+	// appends younger entries. So a query (oldestUnresolvedCB and the
+	// others) only moves its cursor forward, past entries that stopped
+	// matching; retire shifts a cursor down when it pops its queue's head,
+	// squash clamps it to the cut queue and clearPipeline zeroes it.
+	// safe() and issue compare against the seqs the queries return.
+	cbCur, incCur, fenceCur, loadCur, storeCur int
 	// fbCondBr/fbLoads count conditional branches and loads sitting in the
 	// fetch buffer — the fetch-buffer half of fetchShadowed.
 	fbCondBr int
@@ -388,7 +329,9 @@ type Core struct {
 
 	// portMask[p] has bit cls set for each class port p serves, so a port
 	// whose classes have nothing ready costs issue one AND with readyMask.
-	portMask []uint32
+	// classPorts[cls] counts the ports whose mask has bit cls.
+	portMask   []uint32
+	classPorts [isa.NumClasses]int64
 
 	// progressed records whether this core's last tick changed any machine
 	// state (beyond per-cycle stall counters). A cycle where no core
@@ -423,14 +366,17 @@ func newCore(id int, sys *System) *Core {
 		for _, cls := range sys.cfg.Ports[p].Classes {
 			c.portMask[p] |= 1 << cls
 		}
+		for m := c.portMask[p]; m != 0; m &= m - 1 {
+			c.classPorts[bits.TrailingZeros32(m)]++
+		}
 	}
 	n := sys.cfg.ROBSize
 	c.robArr, c.rob = newQueue[*entry](n)
 	c.memArr, c.memOrder = newQueue[*entry](n)
 	c.lsuArr, c.lsuLoads = newQueue[*entry](n)
 	c.fetchArr, c.fetchBuf = newQueue[fetched](sys.cfg.FetchBufSize)
-	for _, s := range []*seqSet{&c.unresolvedCB, &c.incomplete, &c.incompleteLoad, &c.fenceSet, &c.storeAddrUnk} {
-		s.arr, s.seqs = newQueue[int64](n)
+	for cls := range c.rsReady {
+		c.rsArr[cls], c.rsReady[cls] = newQueue[*entry](sys.cfg.RSSize)
 	}
 	return c
 }
@@ -449,21 +395,27 @@ func (c *Core) newEntry() *entry {
 // recycle zeroes e and returns it to the pool. Callers must have removed e
 // from every pipeline queue first; euBusy may legitimately still point at a
 // finished non-pipelined op (issue never consults it once euFreeAt passes),
-// so it is scrubbed here.
+// so it is scrubbed here. Only the port e last issued to can name it.
 func (c *Core) recycle(e *entry) {
-	for p, b := range c.euBusy {
-		if b == e {
-			c.euBusy[p] = nil
-		}
+	if c.euBusy[e.port] == e {
+		c.euBusy[e.port] = nil
 	}
 	*e = entry{}
 	c.freeEntries = append(c.freeEntries, e)
 }
 
 // seqCut returns how many entries of the seq-sorted s have a seq of at
-// most seq: the index where the entries younger than seq begin.
+// most seq: the index where the entries younger than seq begin. Most
+// cuts fall at an end of s (an append, a head removal, no fence), so the
+// ends are checked before the binary search.
 func seqCut(s []*entry, seq int64) int {
 	lo, hi := 0, len(s)
+	if hi == 0 || s[0].seq > seq {
+		return 0
+	}
+	if s[hi-1].seq <= seq {
+		return hi
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if s[mid].seq <= seq {
@@ -501,7 +453,7 @@ func (c *Core) clearPipeline() {
 	c.rob = resetQueue(c.robArr, c.rob)
 	c.rsUsed = 0
 	for cls := range c.rsReady {
-		c.rsReady[cls] = truncEntries(c.rsReady[cls])
+		c.rsReady[cls] = resetQueue(c.rsArr[cls], c.rsReady[cls])
 	}
 	c.readyMask = 0
 	c.memOrder = resetQueue(c.memArr, c.memOrder)
@@ -509,11 +461,7 @@ func (c *Core) clearPipeline() {
 	c.executing = truncEntries(c.executing)
 	c.wbQueue = truncEntries(c.wbQueue)
 	c.fetchBuf = resetQueue(c.fetchArr, c.fetchBuf)
-	c.unresolvedCB.clear()
-	c.incomplete.clear()
-	c.incompleteLoad.clear()
-	c.fenceSet.clear()
-	c.storeAddrUnk.clear()
+	c.cbCur, c.incCur, c.fenceCur, c.loadCur, c.storeCur = 0, 0, 0, 0, 0
 	c.fbCondBr, c.fbLoads = 0, 0
 	for i := range c.euFreeAt {
 		c.euFreeAt[i] = 0
@@ -523,7 +471,7 @@ func (c *Core) clearPipeline() {
 
 // reset restores the core to the state newCore returns: no program, no
 // policy, architectural state zeroed, predictor fresh. Storage (queues,
-// entry pool, tracker slices) is retained for reuse, and so is the decode
+// ready lists, entry pool) is retained for reuse, and so is the decode
 // table: it depends only on the instructions it was built from, which
 // LoadProgram compares before reusing it.
 func (c *Core) reset() {
@@ -656,6 +604,7 @@ func (s *System) LoadProgram(core int, prog *isa.Program, policy SpecPolicy) err
 // the victim while the attacker primes, and vice versa).
 func (c *Core) SetPaused(p bool) { c.paused = p }
 
+//speclint:allocfree
 func (c *Core) tick(cycle int64) {
 	c.progressed = false
 	if c.halted || c.paused {
@@ -671,28 +620,101 @@ func (c *Core) tick(cycle int64) {
 	c.fetch(cycle)
 }
 
-// safe reports whether e is non-speculative under model: no tracked entry
-// strictly older than e satisfies the model's shadow predicate. The
-// trackers are maintained at dispatch/completion/retire/squash time, so
-// this is a compare against a minimum, not a ROB scan. Within a tick the
-// trackers mutate only in writeback and later stages — after every safe()
-// consumer (releaseRS, lsuTick, issue) has run — so the values those
-// stages observe are exactly the cycle-start snapshot the old per-cycle
-// prefix scan produced.
+// seqAt returns the seq of q[i], or noSeq when i is q's length.
+func seqAt(q []*entry, i int) int64 {
+	if i == len(q) {
+		return noSeq
+	}
+	return q[i].seq
+}
+
+// oldestUnresolvedCB returns the seq of the oldest in-flight conditional
+// branch that has not resolved, or noSeq (see Core.cbCur).
+//
+//speclint:allocfree
+func (c *Core) oldestUnresolvedCB() int64 {
+	i := c.cbCur
+	for i < len(c.rob) && (!c.rob[i].dec.condBr || c.rob[i].completed) {
+		i++
+	}
+	c.cbCur = i
+	return seqAt(c.rob, i)
+}
+
+// oldestIncomplete returns the seq of the oldest in-flight entry that has
+// not completed, or noSeq.
+//
+//speclint:allocfree
+func (c *Core) oldestIncomplete() int64 {
+	i := c.incCur
+	for i < len(c.rob) && c.rob[i].completed {
+		i++
+	}
+	c.incCur = i
+	return seqAt(c.rob, i)
+}
+
+// oldestFence returns the seq of the oldest unretired fence, or noSeq.
+//
+//speclint:allocfree
+func (c *Core) oldestFence() int64 {
+	i := c.fenceCur
+	for i < len(c.rob) && c.rob[i].dec.inst.Op != isa.Fence {
+		i++
+	}
+	c.fenceCur = i
+	return seqAt(c.rob, i)
+}
+
+// oldestIncompleteLoad returns the seq of the oldest in-flight load that
+// has not completed, or noSeq.
+//
+//speclint:allocfree
+func (c *Core) oldestIncompleteLoad() int64 {
+	i := c.loadCur
+	for i < len(c.memOrder) && (!c.memOrder[i].isLoad() || c.memOrder[i].completed) {
+		i++
+	}
+	c.loadCur = i
+	return seqAt(c.memOrder, i)
+}
+
+// oldestUnknownStore returns the seq of the oldest in-flight store whose
+// address is unknown, or noSeq.
+//
+//speclint:allocfree
+func (c *Core) oldestUnknownStore() int64 {
+	i := c.storeCur
+	for i < len(c.memOrder) && (!c.memOrder[i].isStore() || c.memOrder[i].addrKnown) {
+		i++
+	}
+	c.storeCur = i
+	return seqAt(c.memOrder, i)
+}
+
+// safe reports whether e is non-speculative under model: no entry
+// strictly older than e satisfies the model's shadow predicate. That is a
+// compare against the seq of the oldest entry that does, which the
+// cursors give without a ROB scan. Within a tick, completion and address
+// resolution happen only in writeback and later stages, after every safe()
+// consumer (releaseRS, lsuTick, issue) has run, so those stages read the
+// cycle-start limits.
 func (c *Core) safe(e *entry, model ShadowModel) bool {
 	return e.seq <= c.safeLimit(model)
 }
 
 // safeLimit returns the seq at or below which every entry is safe under
-// model: the oldest entry the model's shadow trackers hold.
+// model: the oldest entry satisfying the model's shadow predicate.
+//
+//speclint:allocfree
 func (c *Core) safeLimit(model ShadowModel) int64 {
 	switch model {
 	case ShadowSpectre:
-		return c.unresolvedCB.min()
+		return c.oldestUnresolvedCB()
 	case ShadowSpectreTSO:
-		return min(c.unresolvedCB.min(), c.incompleteLoad.min())
+		return min(c.oldestUnresolvedCB(), c.oldestIncompleteLoad())
 	case ShadowFuturistic:
-		return c.incomplete.min()
+		return c.oldestIncomplete()
 	default:
 		panic(fmt.Sprintf("uarch: unknown shadow model %d", model))
 	}
@@ -700,15 +722,18 @@ func (c *Core) safeLimit(model ShadowModel) int64 {
 
 // releaseRS frees reservation stations. Normally an RS entry frees at
 // issue; under HoldRSUntilSafe (advanced defense rule 1) it frees only once
-// the instruction is safe. safe() compares a seq against a tracker minimum
-// that is fixed until writeback, and the ROB is seq-sorted, so the safe
-// entries are a prefix of the ROB: the walk stops at the first unsafe one.
+// the instruction is safe. The safe limit is fixed until writeback, and
+// the ROB is seq-sorted, so the safe entries are a prefix of the ROB: the
+// walk stops at the first unsafe one.
+//
+//speclint:allocfree
 func (c *Core) releaseRS() {
 	if !c.cfg.HoldRSUntilSafe {
 		return
 	}
+	lim := c.safeLimit(c.policy.Shadow)
 	for _, e := range c.rob {
-		if !c.safe(e, c.policy.Shadow) {
+		if e.seq > lim {
 			return
 		}
 		if e.inRS && e.issued {
@@ -724,8 +749,8 @@ func (c *Core) releaseRS() {
 // issue gives each port, in port order, the oldest entry (the youngest
 // under YoungestFirstIssue) on the ready lists of the classes it serves
 // that the gates let through. Every gate is a seq limit, fixed for the
-// whole stage because the trackers change only in writeback and later
-// (see safe):
+// whole stage because completion, address resolution and retirement
+// happen only in writeback and later (see safe):
 //
 //   - nothing younger than an unretired fence issues (lfence semantics);
 //   - under a policy that gates issue (the fence defenses), nothing
@@ -735,29 +760,46 @@ func (c *Core) releaseRS() {
 //     ordering). A flush shares the load class but not this gate.
 //
 // The ready lists are seq-sorted, so a pick is the first (or last) entry
-// under the limits. IssueGateStalls counts each entry the defense gates,
-// once per serving port per cycle: on a seq-sorted list these are the
-// entries between the safe limit and the fence limit, two binary searches.
-// An entry issued earlier in the stage was under the safe limit, so
-// taking it off its list changes no later port's count.
+// under the limits, and a port visits only the lists whose oldest entry
+// is under them. IssueGateStalls counts each entry the defense gates, once
+// per serving port per cycle: on a seq-sorted list these are the entries
+// between the safe limit and the fence limit. No limit ever falls below
+// an in-flight entry that was once under it, so neither an entry issued
+// earlier in the stage nor one that preemption puts back is gated: each
+// class's gated range is fixed for the stage, and is counted once and
+// added once per port serving the class.
+//
+//speclint:allocfree
 func (c *Core) issue(cycle int64) {
 	if c.readyMask == 0 {
 		return
 	}
-	fenceLim := c.fenceSet.min()
+	fenceLim := c.oldestFence()
 	lim, gateLim := fenceLim, noSeq
 	if !c.policy.CanIssue(false) {
 		gateLim = c.safeLimit(c.policy.Shadow)
 		lim = min(lim, gateLim)
 	}
-	storeLim := c.storeAddrUnk.min()
+	// open has a bit for each class whose list holds an entry under lim.
+	var open uint32
+	for m := c.readyMask; m != 0; m &= m - 1 {
+		cls := bits.TrailingZeros32(m)
+		l := c.rsReady[cls]
+		if l[0].seq <= lim {
+			open |= 1 << cls
+		}
+		if gateLim < fenceLim {
+			c.stats.IssueGateStalls += c.classPorts[cls] * int64(seqCut(l, fenceLim)-seqCut(l, gateLim))
+		}
+	}
+	if open == 0 {
+		return
+	}
+	storeLim := c.oldestUnknownStore()
 	for p := range c.cfg.Ports {
 		var best *entry
-		for m := c.readyMask & c.portMask[p]; m != 0; m &= m - 1 {
+		for m := c.readyMask & open & c.portMask[p]; m != 0; m &= m - 1 {
 			l := c.rsReady[bits.TrailingZeros32(m)]
-			if gateLim < fenceLim {
-				c.stats.IssueGateStalls += int64(seqCut(l, fenceLim) - seqCut(l, gateLim))
-			}
 			if e := c.pick(l, lim, storeLim); e != nil && (best == nil || c.before(e, best)) {
 				best = e
 			}
@@ -774,6 +816,7 @@ func (c *Core) issue(cycle int64) {
 			if c.cfg.AgePriorityArb && c.cfg.HoldRSUntilSafe && busy != nil &&
 				busy.inRS && busy.seq > best.seq && !busy.completed {
 				c.preempt(p, busy)
+				open |= 1 << busy.dec.class // busy issued under an earlier limit
 			} else {
 				continue
 			}
@@ -820,22 +863,23 @@ func (c *Core) before(a, b *entry) bool {
 func (c *Core) insertReady(e *entry) {
 	cls := e.dec.class
 	l := c.rsReady[cls]
-	i := seqCut(l, e.seq)
-	l = append(l, nil)
-	copy(l[i+1:], l[i:])
-	l[i] = e
-	c.rsReady[cls] = l
+	c.rsReady[cls] = insertQueue(c.rsArr[cls], l, seqCut(l, e.seq), e)
 	c.readyMask |= 1 << cls
 }
 
-// removeReady takes e, which is issuing, off its class's ready list.
+// removeReady takes e, which is issuing, off its class's ready list,
+// shifting whichever side of it is shorter: taking the oldest is a pop.
 func (c *Core) removeReady(e *entry) {
 	cls := e.dec.class
 	l := c.rsReady[cls]
-	i := seqCut(l, e.seq-1)
-	copy(l[i:], l[i+1:])
-	l[len(l)-1] = nil
-	l = l[:len(l)-1]
+	if i := seqCut(l, e.seq-1); i < len(l)-1-i {
+		copy(l[1:i+1], l[:i])
+		l = popQueue(l)
+	} else {
+		copy(l[i:], l[i+1:])
+		l[len(l)-1] = nil
+		l = l[:len(l)-1]
+	}
 	c.rsReady[cls] = l
 	if len(l) == 0 {
 		c.readyMask &^= 1 << cls
@@ -941,6 +985,7 @@ func (c *Core) compute(e *entry, cycle int64) int64 {
 // ---------------------------------------------------------------------------
 // writeback
 
+//speclint:allocfree
 func (c *Core) writeback(cycle int64) {
 	// Move finished executions into the CDB queue.
 	kept := c.executing[:0]
@@ -981,15 +1026,10 @@ func (c *Core) writeback(cycle int64) {
 	for _, e := range c.wbQueue[:n] {
 		e.completed = true
 		e.completeCycle = cycle
-		c.incomplete.remove(e.seq)
-		if e.isLoad() {
-			c.incompleteLoad.remove(e.seq)
-		}
 		if e.dec.hasDst {
 			c.broadcast(e)
 		}
 		if e.dec.condBr {
-			c.unresolvedCB.remove(e.seq)
 			if e.predNext == stalledBranch {
 				// Ideal-defense mode: fetch waited at this branch; resume
 				// it at the resolved target. Nothing younger exists, so no
@@ -1039,7 +1079,6 @@ func (c *Core) broadcast(e *entry) {
 				if o.isStore() && k == 0 && !o.addrKnown {
 					o.addr = o.srcVal[0] + o.dec.inst.Imm
 					o.addrKnown = true
-					c.storeAddrUnk.remove(o.seq)
 				}
 			} else if o.srcTag[k] != -1 {
 				pending = true
@@ -1102,11 +1141,7 @@ func (c *Core) squash(br *entry, cycle int64) {
 	cut := seqCut(c.rob, br.seq)
 	doomed := c.rob[cut:]
 	c.rob = c.rob[:cut]
-	c.unresolvedCB.dropYoungerThan(br.seq)
-	c.incomplete.dropYoungerThan(br.seq)
-	c.incompleteLoad.dropYoungerThan(br.seq)
-	c.fenceSet.dropYoungerThan(br.seq)
-	c.storeAddrUnk.dropYoungerThan(br.seq)
+	c.cbCur, c.incCur, c.fenceCur = min(c.cbCur, cut), min(c.incCur, cut), min(c.fenceCur, cut)
 	// Unlink the doomed consumers from the surviving producers' wakeup
 	// lists while their seqs are intact (recycle zeroes them). Completed
 	// producers have empty lists.
@@ -1137,6 +1172,7 @@ func (c *Core) squash(br *entry, cycle int64) {
 		}
 	}
 	c.memOrder = cutYoungerThan(c.memOrder, br.seq)
+	c.loadCur, c.storeCur = min(c.loadCur, len(c.memOrder)), min(c.storeCur, len(c.memOrder))
 	c.lsuLoads = cutYoungerThan(c.lsuLoads, br.seq)
 	isDoomed := func(e *entry) bool { return e.seq > br.seq }
 	c.executing = filterEntries(c.executing, isDoomed)
@@ -1191,6 +1227,7 @@ func filterEntries(s []*entry, drop func(*entry) bool) []*entry {
 // ---------------------------------------------------------------------------
 // retire
 
+//speclint:allocfree
 func (c *Core) retire(cycle int64) {
 	for n := 0; n < c.cfg.RetireWidth && len(c.rob) > 0; n++ {
 		e := c.rob[0]
@@ -1216,8 +1253,6 @@ func (c *Core) retire(cycle int64) {
 			c.sys.hier.AccessData(c.id, e.addr, cache.KindDataWrite, true, cycle)
 		case isa.Flush:
 			c.sys.hier.Flush(e.addr)
-		case isa.Fence:
-			c.fenceSet.remove(e.seq)
 		case isa.Halt:
 			c.halted = true
 		}
@@ -1232,13 +1267,16 @@ func (c *Core) retire(cycle int64) {
 		}
 		// Retirement is in order, so e is the front entry of the ROB, of
 		// memOrder if it is a memory op, and of the LSU list if it is on it.
+		// The cursors into a popped queue shift down with its entries.
 		if e.isLoad() || e.isStore() {
 			c.memOrder = popQueue(c.memOrder)
+			c.loadCur, c.storeCur = max(c.loadCur-1, 0), max(c.storeCur-1, 0)
 		}
 		if len(c.lsuLoads) > 0 && c.lsuLoads[0] == e {
 			c.lsuLoads = popQueue(c.lsuLoads)
 		}
 		c.rob = popQueue(c.rob)
+		c.cbCur, c.incCur, c.fenceCur = max(c.cbCur-1, 0), max(c.incCur-1, 0), max(c.fenceCur-1, 0)
 		c.progressed = true
 		c.stats.Retired++
 		if c.hook != nil {
@@ -1272,6 +1310,7 @@ func record(e *entry, squashed bool) InstRecord {
 // ---------------------------------------------------------------------------
 // dispatch
 
+//speclint:allocfree
 func (c *Core) dispatch(cycle int64) {
 	for n := 0; n < c.cfg.DispatchWidth && len(c.fetchBuf) > 0; n++ {
 		if len(c.rob) >= c.cfg.ROBSize {
@@ -1331,23 +1370,10 @@ func (c *Core) dispatch(cycle int64) {
 			if ready {
 				c.insertReady(e)
 			}
-			c.incomplete.add(e.seq)
-			if d.condBr {
-				c.unresolvedCB.add(e.seq)
-			}
-			if d.load {
-				c.incompleteLoad.add(e.seq)
-			}
-		}
-		if d.inst.Op == isa.Fence {
-			c.fenceSet.add(e.seq)
 		}
 		if d.store && e.srcTag[0] == -1 {
 			e.addr = e.srcVal[0] + d.inst.Imm
 			e.addrKnown = true
-		}
-		if d.store && !e.addrKnown {
-			c.storeAddrUnk.add(e.seq)
 		}
 		if d.load || d.store {
 			c.memOrder = pushQueue(c.memArr, c.memOrder, e)
@@ -1361,17 +1387,19 @@ func (c *Core) dispatch(cycle int64) {
 // fetch
 
 // fetchShadowed reports whether an unresolved squash source (per the
-// policy's shadow model) is in flight ahead of the fetch PC. Unlike the
-// issue-side safety queries, this is a live view: the trackers and
-// fetch-buffer counters are updated at the mutation site, so a branch that
-// resolved earlier this same cycle already reads as resolved here.
+// policy's shadow model) is in flight ahead of the fetch PC. Fetch runs
+// after writeback, so unlike the issue-side safety queries this is a live
+// view: a branch that resolved earlier this same cycle already reads as
+// resolved here.
+//
+//speclint:allocfree
 func (c *Core) fetchShadowed() bool {
 	switch c.policy.Shadow {
 	case ShadowSpectre, ShadowSpectreTSO:
-		return !c.unresolvedCB.empty() || c.fbCondBr > 0
+		return c.fbCondBr > 0 || c.oldestUnresolvedCB() != noSeq
 	default:
-		return !c.unresolvedCB.empty() || c.fbCondBr > 0 ||
-			!c.incompleteLoad.empty() || c.fbLoads > 0
+		return c.fbCondBr > 0 || c.fbLoads > 0 ||
+			c.oldestUnresolvedCB() != noSeq || c.oldestIncompleteLoad() != noSeq
 	}
 }
 
@@ -1387,6 +1415,7 @@ func (c *Core) pushFetched(f fetched) {
 	c.fetchBuf = pushQueue(c.fetchArr, c.fetchBuf, f)
 }
 
+//speclint:allocfree
 func (c *Core) fetch(cycle int64) {
 	if c.redirectPend && cycle >= c.redirectAt {
 		c.redirectPend = false

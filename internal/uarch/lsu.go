@@ -11,6 +11,8 @@ import (
 // exposes/touches for invisibly-completed loads. A load that leaves its
 // visit done and either visible or exposed has nothing left for the LSU
 // and drops off the list.
+//
+//speclint:allocfree
 func (c *Core) lsuTick(cycle int64) {
 	model := c.policy.Shadow
 	kept := c.lsuLoads[:0]

@@ -348,3 +348,58 @@ func TestPreemptionOnNonPipelinedUnit(t *testing.T) {
 		t.Errorf("older sqrt issued at %d, ready at %d: preemption failed", olderWait, loadDone)
 	}
 }
+
+// TestPreemptedEntryIssuesOnLaterPort has an older add preempt a younger
+// sqrt on a port serving both classes, while a later port serves only
+// sqrts and no other sqrt is ready: the sqrt class has nothing to issue
+// when the stage starts, and the preempted sqrt must still issue on the
+// later port in the cycle it was preempted.
+func TestPreemptedEntryIssuesOnLaterPort(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.HoldRSUntilSafe = true
+	cfg.AgePriorityArb = true
+	cfg.Ports = []PortConfig{
+		{Classes: []isa.Class{isa.ClassALU, isa.ClassSqrt}},
+		{Classes: []isa.Class{isa.ClassSqrt}},
+		{Classes: []isa.Class{isa.ClassMul}},
+		{Classes: []isa.Class{isa.ClassLoad}},
+		{Classes: []isa.Class{isa.ClassStore}},
+		{Classes: []isa.Class{isa.ClassBranch}},
+	}
+	b := asm.NewBuilder()
+	b.MovI(isa.R1, 16384)
+	b.Flush(isa.R1, 0)
+	b.Fence()
+	b.Load(isa.R2, isa.R1, 0) // slow producer for the add
+	b.Blt(isa.R0, isa.R2, "go")
+	b.Label("go")
+	b.Add(isa.R3, isa.R2, isa.R2) // older than every sqrt, ready late
+	b.MovI(isa.R5, 99)
+	for i := 0; i < 30; i++ {
+		b.Sqrt(isa.R5, isa.R5) // a chain: one sqrt at a time, on port 0
+	}
+	b.Halt()
+	p := b.MustBuild()
+	s := MustNewSystem(cfg, mem.New())
+	warmCode(s, 0, p)
+	rec := &captureHook{}
+	s.Core(0).SetTraceHook(rec)
+	if err := s.LoadProgram(0, p, SpecPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(500_000); err != nil {
+		t.Fatal(err)
+	}
+	addIssue := int64(-1)
+	for _, r := range rec.recs {
+		if r.Inst.Op == isa.Add {
+			addIssue = r.Issue
+		}
+	}
+	for _, r := range rec.recs {
+		if r.Inst.Op == isa.Sqrt && r.Issue == addIssue {
+			return
+		}
+	}
+	t.Errorf("no sqrt issued in cycle %d, when the add issued on port 0", addIssue)
+}

@@ -27,12 +27,18 @@
 // organized around three ideas. First, dispatch hands out strictly
 // increasing sequence numbers and never reuses them, so the ROB is always
 // seq-sorted (tail-cuttable for squash) and every "is any OLDER in-flight
-// instruction X?" safety question reduces to comparing against the
-// minimum of a sorted seq slice. The per-predicate seqSet trackers
-// (unresolved branches, incomplete instructions and loads, fences,
-// unknown store addresses) are maintained at the rare mutation events —
-// dispatch, completion, retire, squash — so safe(), the fence check and
-// load disambiguation are O(1) per query instead of a per-cycle ROB scan.
+// instruction X?" safety question reduces to comparing against the seq of
+// the oldest entry that is X. Each such predicate (an unresolved branch,
+// an incomplete instruction or load, a fence, a store with an unknown
+// address) holds a cursor into the in-order queue that holds its entries,
+// the ROB or memOrder. An entry that stops satisfying a predicate never
+// satisfies it again, so a query moves its cursor forward past such
+// entries and reads the seq there; retire shifts a cursor as it pops the
+// queue's head and squash clamps it to the cut queue. Dispatch,
+// completion and retire do no bookkeeping for them, and each entry is
+// passed about once per cursor, so safe(), the fence check and load
+// disambiguation cost O(1) amortized per query instead of a per-cycle ROB
+// scan.
 // Second, decoding happens once per static instruction, not once per
 // dynamic one: LoadProgram fills a per-core decode table indexed by PC
 // (class, sources, destination, and the conditional-branch, load and
@@ -50,10 +56,12 @@
 //     resolves, or when preemption cancels its execution, and leaves when
 //     it issues or at squash. Every issue gate (fence, fence defense, load
 //     disambiguation) is a seq limit fixed for the whole stage, so a port
-//     ANDs its class mask with the ready mask and takes the first entry
-//     under the limits. The candidates the defense gates, which
-//     IssueGateStalls counts, are one seq range of each list: two binary
-//     searches.
+//     ANDs its class mask with the mask of lists whose oldest entry is
+//     under the limits and takes the first entry under them; a stage
+//     with no such list visits no port. The candidates the defense gates,
+//     which IssueGateStalls counts once per serving port, are one seq
+//     range of each list, fixed for the stage: two binary searches per
+//     ready class per cycle, added once per port serving the class.
 //   - Rename and wakeup. The rename map holds each register's youngest
 //     in-flight producer as a pointer, so a source finds its producer
 //     without a search; retire clears a slot naming the retiring entry
@@ -74,8 +82,9 @@
 //     load re-parks until the next fill without walking; a fill elsewhere
 //     in the cache wakes nothing.
 //   - Queues. The ROB, memOrder, the LSU list, the fetch buffer and the
-//     seq trackers are windows into backing arrays twice their capacity:
-//     a pop reslices the front instead of shifting the rest.
+//     ready lists are windows into backing arrays twice their capacity: a
+//     pop reslices the front instead of shifting the rest, so issuing a
+//     list's oldest entry moves nothing.
 //
 // Between trials, System.Reset restores only the cache sets filled since
 // the last reset (see cache.Cache.Reset) and zeroes only the memory words
@@ -86,7 +95,9 @@
 // entirely: when a tick changes nothing (no core sets its progressed
 // flag), the run jumps to the earliest scheduled event — redirect,
 // I-fetch or execution completion, hierarchy walk, EU free, MSHR fill —
-// multiplying out the per-cycle stall counters for exact stats.
+// multiplying out the per-cycle stall counters for exact stats. It reads
+// those counters' deltas off one repeat of the idle tick, so a tick that
+// does not skip takes no snapshot.
 //
 // All of this is contractually timing-neutral: the optimizations change
 // how fast cycles are simulated, never what a cycle does. The committed

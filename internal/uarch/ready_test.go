@@ -28,9 +28,34 @@ var gateFuturisticPolicy = SpecPolicy{Name: "gate-futuristic", Shadow: ShadowFut
 // map must name, for each register, its youngest writer in the ROB, and
 // nil when no entry in the ROB writes it. A load's forwarding-store
 // pointer must name an older store in the ROB to the same word, the
-// youngest such. It returns how many entries the ready lists hold.
+// youngest such. Each safety limit the stages read must be the seq of the
+// oldest ROB entry satisfying its predicate, by a scan. It returns how
+// many entries the ready lists hold.
 func checkReadyLists(t *testing.T, c *Core, when string) int {
 	t.Helper()
+	oldest := func(match func(*entry) bool) int64 {
+		for _, e := range c.rob {
+			if match(e) {
+				return e.seq
+			}
+		}
+		return noSeq
+	}
+	for _, lim := range []struct {
+		what      string
+		got, want int64
+	}{
+		{"unresolved branch", c.oldestUnresolvedCB(), oldest(func(e *entry) bool { return e.dec.condBr && !e.completed })},
+		{"incomplete entry", c.oldestIncomplete(), oldest(func(e *entry) bool { return !e.completed })},
+		{"unretired fence", c.oldestFence(), oldest(func(e *entry) bool { return e.dec.inst.Op == isa.Fence })},
+		{"incomplete load", c.oldestIncompleteLoad(), oldest(func(e *entry) bool { return e.isLoad() && !e.completed })},
+		{"store with an unknown address", c.oldestUnknownStore(), oldest(func(e *entry) bool { return e.isStore() && !e.addrKnown })},
+	} {
+		if lim.got != lim.want {
+			t.Fatalf("%s: the oldest %s is seq %d by its cursor and seq %d by a scan (%d: none)",
+				when, lim.what, lim.got, lim.want, noSeq)
+		}
+	}
 	listed := map[*entry]isa.Class{}
 	for cls := isa.Class(0); cls < isa.NumClasses; cls++ {
 		for i, e := range c.rsReady[cls] {
@@ -159,6 +184,33 @@ func checkReadyLists(t *testing.T, c *Core, when string) int {
 	return len(listed)
 }
 
+// fenceLoopSrc runs a fence in every iteration of a loop, behind a load
+// miss and a multiply that retire in different cycles, and another on the
+// fall-through path of an alternating branch that waits on the miss, after
+// a sqrt. So older entries retire while a fence waits deeper in the ROB,
+// and a mispredicted branch squashes a fence fetched past a wrong-path
+// entry.
+const fenceLoopSrc = `
+    movi r1, 4096
+    movi r3, 0
+    movi r4, 12
+    movi r8, 1
+loop:
+    load r5, 0(r1)        ; a miss; r5 is 0
+    mul  r6, r5, r4
+    fence
+    addi r1, r1, 320
+    and  r7, r3, r8
+    add  r7, r7, r6
+    beq  r7, r0, skip     ; taken on even iterations
+    sqrt r9, r4
+    fence
+    sqrt r9, r9
+skip:
+    addi r3, r3, 1
+    blt  r3, r4, loop
+    halt`
+
 // TestReadyListInvariant steps programs cycle by cycle under every issue
 // configuration, a small machine, the issue-gating policies and policies
 // that delay, hide and expose loads, and after every tick checks that the
@@ -168,10 +220,11 @@ func checkReadyLists(t *testing.T, c *Core, when string) int {
 // LSU list holds exactly the loads lsuTick has work for, that each
 // producer's wakeup list holds exactly its waiting consumers, and that
 // the rename map and the loads' forwarding-store pointers name only the
-// in-flight entries they should. Those invariants are what let issue
-// select by seq limits, lsuTick skip loads with nothing to do, broadcast
-// visit only a producer's consumers and rename follow a pointer without
-// changing a single counter.
+// in-flight entries they should, and that the cursors give the oldest
+// entry of each safety predicate. Those invariants are what let issue
+// select by seq limits, the safety queries skip the ROB scan, lsuTick skip
+// loads with nothing to do, broadcast visit only a producer's consumers
+// and rename follow a pointer without changing a single counter.
 func TestReadyListInvariant(t *testing.T) {
 	configs := []struct {
 		name  string
@@ -191,6 +244,7 @@ func TestReadyListInvariant(t *testing.T) {
 	progs := []prog{
 		{"reset-probe", asm.MustAssemble(resetProbeSrc)},
 		{"preempt", preemptProgram()},
+		{"fence-loop", asm.MustAssemble(fenceLoopSrc)},
 	}
 	for seed := uint64(300); seed < 304; seed++ {
 		progs = append(progs, prog{fmt.Sprintf("random-%d", seed), genProgram(cache.NewRand(seed))})

@@ -162,8 +162,11 @@ type CoreStats struct {
 	LoadsInvisible int64
 	// Exposes counts visible re-accesses of invisibly completed loads.
 	Exposes int64
-	// IssueGateStalls counts issue attempts blocked by CanIssue (fence
-	// defenses).
+	// IssueGateStalls counts what a policy that gates issue (the fence
+	// defenses, see CanIssue) holds back: each cycle, every operand-ready
+	// unissued RS entry younger than the safe limit (the oldest entry
+	// its Shadow model waits on) and older than every unretired fence,
+	// once per port serving its class.
 	IssueGateStalls int64
 	// CDBConflicts counts writebacks delayed by CDB contention.
 	CDBConflicts int64
@@ -305,29 +308,24 @@ func (s *System) SetFastForward(on bool) { s.fastForward = on }
 // counters excepted), every subsequent cycle up to the earliest pending
 // event must repeat it exactly, so the loop jumps the cycle counter there
 // and multiplies out the idle tick's stat deltas instead of grinding one
-// Go iteration per simulated cycle. With no pending event at all (a
-// non-halting deadlock), the remaining budget is consumed the same way.
+// Go iteration per simulated cycle. The deltas are those of the first
+// repeat, run between a snapshot of the stall counters and the jump, so
+// only a tick that lets the loop skip pays for a snapshot. With no pending
+// event at all (a non-halting deadlock), the remaining budget is consumed
+// the same way.
+//
+//speclint:allocfree
 func (s *System) runUntil(budget int64, done func() bool) bool {
 	for budget > 0 {
 		if done() {
 			return true
 		}
-		idle := true
-		for i, c := range s.cores {
-			if !c.halted && !c.paused {
-				s.snaps[i] = c.snapIdleStats()
-			}
-			c.tick(s.cycle)
-			if c.progressed {
-				idle = false
-			}
-		}
-		now := s.cycle
-		s.cycle++
+		s.Step()
 		budget--
-		if !idle || !s.fastForward || budget == 0 {
+		if !s.fastForward || budget == 0 || s.progressed() {
 			continue
 		}
+		now := s.cycle - 1
 		next := noSeq
 		active := false
 		for _, c := range s.cores {
@@ -346,23 +344,37 @@ func (s *System) runUntil(budget int64, done func() bool) bool {
 		if next == noSeq {
 			skip = budget
 		} else if next > now+1 {
-			skip = next - now - 1
-			if skip > budget {
-				skip = budget
-			}
+			skip = min(next-now-1, budget)
 		}
 		if skip <= 0 {
 			continue
 		}
 		for i, c := range s.cores {
 			if !c.halted && !c.paused {
+				s.snaps[i] = c.snapIdleStats()
+			}
+		}
+		s.Step()
+		skip--
+		for i, c := range s.cores {
+			if !c.halted && !c.paused {
 				c.applyIdleCycles(skip, s.snaps[i])
 			}
 		}
 		s.cycle += skip
-		budget -= skip
+		budget -= 1 + skip
 	}
 	return done()
+}
+
+// progressed reports whether any core's last tick made progress.
+func (s *System) progressed() bool {
+	for _, c := range s.cores {
+		if c.progressed {
+			return true
+		}
+	}
+	return false
 }
 
 // Run steps until all cores halt or maxCycles elapse, returning an error in

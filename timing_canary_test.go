@@ -17,12 +17,12 @@ import (
 // The committed timing of the mixed kernel on the default one-core machine:
 // the sim-cycles/op and sim-insts/op metrics blessed into
 // BENCH_SimulatorThroughput.json. The CPU-time optimizations of the
-// simulator (tracker-based safety queries, per-class lists of operand-ready
-// RS entries for issue, paged memory, idle-cycle fast-forward, resets that
-// restore only the cache sets a trial filled) are contractually
-// timing-neutral — they change how fast the simulator runs, never what it
-// simulates — so these numbers must hold on every machine and at every
-// optimization level.
+// simulator (safety limits read through cursors into the ROB and the
+// memory-order queue, per-class lists of operand-ready RS entries for
+// issue, paged memory, idle-cycle fast-forward, resets that restore only
+// the cache sets a trial filled) are contractually timing-neutral — they
+// change how fast the simulator runs, never what it simulates — so these
+// numbers must hold on every machine and at every optimization level.
 const (
 	mixedKernelCycles = 12634
 	mixedKernelInsts  = 12004
