@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -25,6 +26,32 @@ func TestSmokeSubprocess(t *testing.T) {
 	got := cmdtest.Run(t, "", "-trials", "2", "-jitter", "5", "-backend", "subprocess", "-procs", "2")
 	if got != want {
 		t.Errorf("subprocess output diverged from in-process:\n--- inprocess\n%s\n--- subprocess\n%s", want, got)
+	}
+}
+
+// TestSubprocessSummary: a subprocess run at the baseline params prints
+// the committed record on stdout and ends its stderr with the backend's
+// run summary, which counts every shard and at least one accepted line
+// per shard, and which the remote summary's parsers (cmd/specbench reads
+// "remote: run complete: ") do not mistake for their own.
+func TestSubprocessSummary(t *testing.T) {
+	stdout, stderr := cmdtest.RunCapture(t, "", "-trials", "8", "-jitter", "10", "-seed", "1", "-json", "-backend", "subprocess", "-procs", "2")
+	cmdtest.MatchBaseline(t, stdout, results.ExpFigure7)
+	var shards, issued, won, wasted, lines int
+	i := strings.LastIndex(stderr, "subprocess: run complete: ")
+	if i < 0 {
+		t.Fatalf("stderr lacks the run summary:\n%s", stderr)
+	}
+	summary, _, _ := strings.Cut(stderr[i:], "\n")
+	if n, err := fmt.Sscanf(summary, "subprocess: run complete: %d shards; backups: %d issued, %d won, %d wasted; results: %d lines",
+		&shards, &issued, &won, &wasted, &lines); n != 5 || err != nil {
+		t.Fatalf("summary %q does not parse: %v", summary, err)
+	}
+	if shards != 16 || lines < shards {
+		t.Errorf("summary %q: want 16 shards and at least 16 lines", summary)
+	}
+	if strings.Contains(stderr, "remote: run complete: ") {
+		t.Errorf("stderr holds the remote summary's marker:\n%s", stderr)
 	}
 }
 

@@ -30,7 +30,13 @@ func main() {
 	maxCycles := flag.Int64("max", 10_000_000, "cycle budget")
 	flag.Parse()
 
-	if err := run(*file, *schemeName, *showTrace, *detect, *maxCycles); err != nil {
+	var err error
+	if flag.NArg() > 0 {
+		err = fmt.Errorf("unexpected arguments: %v", flag.Args())
+	} else {
+		err = run(*file, *schemeName, *showTrace, *detect, *maxCycles)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "specsim:", err)
 		os.Exit(1)
 	}

@@ -47,3 +47,12 @@ func TestBadMax(t *testing.T) {
 		}
 	}
 }
+
+// TestUnexpectedArguments: a positional argument exits 1 naming it,
+// before any program is read from stdin.
+func TestUnexpectedArguments(t *testing.T) {
+	out := cmdtest.RunFail(t, "", "examples")
+	if !strings.Contains(out, "specsim: unexpected arguments: [examples]") || strings.Contains(out, "empty program") {
+		t.Errorf("want an error naming the arguments:\n%s", out)
+	}
+}

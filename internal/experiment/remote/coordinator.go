@@ -684,8 +684,8 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, ack)
 }
 
-// finishBody closes one result body — a /results request, or one line
-// from a pipe worker — counting it and the lines accepted from it.
+// finishBody closes one result body — a /results request, or a grant's
+// lines from a pipe worker — counting it and the lines accepted from it.
 func (c *Coordinator) finishBody(accepted int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -17,8 +17,10 @@ import (
 
 // The coordinator's pipe framing, both ends: the subprocess backend
 // writes each grant to a -shard-worker process as one workerRequest
-// line, and the worker streams one experiment.ShardLine per shard back,
-// with no acks, renewals or lease ids of its own.
+// line, and the worker answers with one experiment.ShardLine per shard,
+// in the two bodies of shardRunner.run, with no acks, renewals or lease
+// ids of its own: the coordinator renews a pipe grant itself while the
+// worker runs it.
 
 // shardWorkerArg is the hidden CLI argument (argv[1]) naming pipe-worker
 // mode.
@@ -57,7 +59,7 @@ func runSubprocess(ctx context.Context, b experiment.Subprocess, spec *experimen
 
 // drivePipeWorkers spawns b.Procs -shard-worker processes (clamped by
 // runner.Workers) and drives them over their pipes until coord's run is
-// over.
+// over, then prints the run's summary line to b.Stderr.
 func drivePipeWorkers(ctx context.Context, b experiment.Subprocess, coord *Coordinator) error {
 	stderr := b.Stderr
 	if stderr == nil {
@@ -70,15 +72,24 @@ func drivePipeWorkers(ctx context.Context, b experiment.Subprocess, coord *Coord
 	if err != nil {
 		return err
 	}
-	return workers.wait(ctx, coord)
+	if err := workers.wait(ctx, coord); err != nil {
+		return err
+	}
+	fmt.Fprintln(stderr, "subprocess: "+completeSummary(coord.Stats()))
+	return nil
 }
 
 // drive serves one pipe worker, named worker in the coordinator's
 // grants, until the run is over: grant a span, write it as a request,
-// then read and accept a line per shard. A line that does not parse,
-// names a shard outside the grant or repeats one ends the worker like a
-// crash does: it is killed and its lease dropped, so the undone
-// remainder is requeued for the others.
+// then read and accept a line per shard, renewing the grant's lease
+// through keepAlive until the last line is in. The worker holds a
+// grant's lines after its first until the grant is over, so without the
+// renewals a live worker whose grant runs past the TTL would lose its
+// lease, and an idle worker would be handed the requeued remainder
+// instead of a backup of it. A line that does not parse, names a shard
+// outside the grant or repeats one ends the worker like a crash does:
+// it is killed and its lease dropped, so the undone remainder is
+// requeued for the others.
 func (c *Coordinator) drive(ctx context.Context, worker string, stdin io.WriteCloser, stdout io.Reader, kill func()) error {
 	enc := json.NewEncoder(stdin)
 	sc := bufio.NewScanner(stdout)
@@ -108,7 +119,12 @@ func (c *Coordinator) drive(ctx context.Context, worker string, stdin io.WriteCl
 			Start: g.Start, End: g.End,
 		})
 		if err == nil {
+			// A renewal that finds the lease gone (expired, or dropped
+			// with its remainder requeued) ends the keepalive; the
+			// worker's lines are still accepted.
+			stop := keepAlive(ctx, c.lease, func(context.Context) bool { return c.renew(g.ID) })
 			err = c.collect(g, sc)
+			stop()
 		}
 		if err != nil {
 			kill()
@@ -119,14 +135,14 @@ func (c *Coordinator) drive(ctx context.Context, worker string, stdin io.WriteCl
 }
 
 // collect reads the worker's lines for grant g until every shard of the
-// span has reported once, accepting each under g's lease as a one-line
-// result body and renewing the lease as they arrive. A renewal that
-// finds the lease expired (a shard slower than the TTL) is no error: the
-// remainder was requeued, and the worker's later lines are still
-// accepted, as an HTTP straggler's are.
+// span has reported once, accepting each under g's lease, and counts the
+// grant's lines as one result body. Lines that arrive after the lease
+// expired are still accepted, as an HTTP straggler's are.
 func (c *Coordinator) collect(g Lease, sc *bufio.Scanner) error {
 	seen := make([]bool, g.End-g.Start)
-	for got := 0; got < len(seen); {
+	got := 0
+	defer func() { c.finishBody(got) }()
+	for got < len(seen) {
 		if !sc.Scan() {
 			if err := sc.Err(); err != nil {
 				return fmt.Errorf("[%d,%d): %w", g.Start, g.End, err)
@@ -148,34 +164,29 @@ func (c *Coordinator) collect(g Lease, sc *bufio.Scanner) error {
 			return fmt.Errorf("[%d,%d): returned shard %d twice", g.Start, g.End, sl.Shard)
 		}
 		seen[sl.Shard-g.Start] = true
-		got++
 		if _, err := c.accept(g.ID, sl); err != nil {
 			return err
 		}
-		c.finishBody(1)
-		c.renew(g.ID)
+		got++
 	}
 	return nil
 }
 
 // workerMain is the pipe-worker body: decode requests from stdin one at
 // a time, run each range through the shardRunner the HTTP worker shares,
-// streaming a line per shard as it completes, and exit cleanly at EOF
-// (the parent closed the pipe: no more work). Spec lookup and state
-// preparation happen once, on the first request — every request in a
-// session names the same experiment and params. Returns the process
-// exit code.
+// writing each of its two bodies to stdout in one Write, and exit
+// cleanly at EOF (the parent closed the pipe: no more work). Spec lookup
+// and state preparation happen once, on the first request — every
+// request in a session names the same experiment and params. Returns the
+// process exit code.
 func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 	dec := json.NewDecoder(stdin)
-	bw := bufio.NewWriter(stdout)
-	defer bw.Flush()
-	enc := json.NewEncoder(bw)
-	emit := func(sl experiment.ShardLine) error {
-		if err := enc.Encode(sl); err != nil {
-			return err
-		}
-		// Flush per line so the parent sees progress as shards complete.
-		return bw.Flush()
+	line := func(dst []byte, sl experiment.ShardLine) []byte {
+		return append(append(dst, mustJSON(sl)...), '\n')
+	}
+	send := func(body []byte) error {
+		_, err := stdout.Write(body)
+		return err
 	}
 
 	var r *shardRunner
@@ -201,7 +212,7 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "shard-worker: experiment changed mid-session: %s -> %s\n", r.spec.Name, req.Experiment)
 			return 2
 		}
-		if err := r.run(context.Background(), span{Start: req.Start, End: req.End}, emit); err != nil {
+		if err := r.run(context.Background(), span{Start: req.Start, End: req.End}, line, send); err != nil {
 			fmt.Fprintln(stderr, "shard-worker:", err)
 			return 1
 		}

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"specinterference/internal/experiment"
 	"specinterference/internal/results"
@@ -211,5 +213,113 @@ func TestSubprocessBackupWins(t *testing.T) {
 	}
 	if st := coord.Stats(); st.BackupsWon < 1 {
 		t.Errorf("backups: %d issued, %d won; want at least one won. Worker stderr:\n%s", st.BackupsIssued, st.BackupsWon, stderr.String())
+	}
+}
+
+// countingWriter is a pipe worker's stdout that keeps each Write as one
+// body.
+type countingWriter struct{ bodies []string }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.bodies = append(w.bodies, string(p))
+	return len(p), nil
+}
+
+// pipeStdout is the countingWriter TestPipeWorkerWrites puts around
+// workerMain's stdout. remote-test-writes's shard value is its Write
+// count as the shard starts, so the lines say which writes came before
+// which shard.
+var pipeStdout atomic.Pointer[countingWriter]
+
+func init() {
+	experiment.Register(&experiment.Spec{
+		Name: "remote-test-writes",
+		Plan: func(p results.Params) (int, error) { return p.Trials, nil },
+		Run: func(context.Context, any, results.Params, int) (any, error) {
+			return float64(len(pipeStdout.Load().bodies)), nil
+		},
+		NewShard: func() any { return new(float64) },
+		Aggregate: func(p results.Params, shards []any) (*results.Record, error) {
+			return nil, fmt.Errorf("unit tests aggregate by hand")
+		},
+	})
+}
+
+// TestPipeWorkerWrites: a pipe worker sends a k-shard grant in exactly
+// two Writes to stdout: the first shard's line alone, before the second
+// shard starts, and the other k-1 lines together once the grant is over.
+func TestPipeWorkerWrites(t *testing.T) {
+	const start, k = 10, 5
+	out := &countingWriter{}
+	pipeStdout.Store(out)
+	defer pipeStdout.Store(nil)
+	req := mustJSON(workerRequest{Experiment: "remote-test-writes", Start: start, End: start + k})
+	if code := workerMain(bytes.NewReader(req), out, io.Discard); code != 0 {
+		t.Fatalf("workerMain exited %d", code)
+	}
+	if len(out.bodies) != 2 {
+		t.Fatalf("%d Writes for a %d-shard grant, want 2: %q", len(out.bodies), k, out.bodies)
+	}
+	var want []string
+	for i := start; i < start+k; i++ {
+		// Only the first shard starts before the first Write.
+		want = append(want, string(mustJSON(experiment.ShardLine{Shard: i, Value: mustJSON(float64(min(i-start, 1)))})))
+	}
+	if got := strings.Split(strings.TrimSuffix(out.bodies[0], "\n"), "\n"); !slices.Equal(got, want[:1]) {
+		t.Errorf("first Write %q, want shard %d's line alone, %q", got, start, want[:1])
+	}
+	if got := strings.Split(strings.TrimSuffix(out.bodies[1], "\n"), "\n"); !slices.Equal(got, want[1:]) {
+		t.Errorf("second Write %q, want the other %d lines, %q", got, k-1, want[1:])
+	}
+}
+
+// TestPipeKeepAlive: drive renews a pipe grant's lease while its worker
+// runs it. A live worker that holds its grant's body past the TTL keeps
+// its lease, so an idle worker is offered a backup of the grant's
+// remainder, not a fresh lease on a requeued span.
+func TestPipeKeepAlive(t *testing.T) {
+	const ttl = 300 * time.Millisecond
+	p := results.Params{Trials: 4, Seed: 5}
+	coord, err := NewCoordinator(testSpec(t), p, p.Trials, Config{Chunk: 4, Lease: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := newPipeWorker()
+	release := make(chan struct{})
+	go func() {
+		dec := json.NewDecoder(held.stdinR)
+		var req workerRequest
+		if err := dec.Decode(&req); err != nil {
+			return
+		}
+		io.WriteString(held.stdoutW, resultLine(p, req.Start))
+		<-release
+		var rest strings.Builder
+		for i := req.Start + 1; i < req.End; i++ {
+			rest.WriteString(resultLine(p, i))
+		}
+		io.WriteString(held.stdoutW, rest.String())
+		dec.Decode(&req) // EOF: drive closed stdin
+		held.stdoutW.Close()
+	}()
+	heldDone := make(chan error, 1)
+	go func() { heldDone <- held.drive(coord, "held") }()
+	for deadline := time.Now().Add(10 * time.Second); coord.Stats().Done == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the held worker's first line was never accepted")
+		}
+	}
+	time.Sleep(3 * ttl)
+	offer := coord.grant("idle")
+	close(release)
+	if err := <-heldDone; err != nil {
+		t.Fatalf("held worker: %v", err)
+	}
+	if _, err := coord.Values(); err != nil {
+		t.Fatal(err)
+	}
+	if st := coord.Stats(); st.BackupsIssued != 1 || !offer.Backup || offer.Start != 1 || offer.End != 4 {
+		t.Errorf("idle worker offered [%d,%d) backup=%v, backups issued %d; want a backup of [1,4), 1 issued: the held grant's lease expired",
+			offer.Start, offer.End, offer.Backup, st.BackupsIssued)
 	}
 }

@@ -187,10 +187,10 @@ type Stats struct {
 	BackupsWon    int `json:"backups_won"`
 	BackupsWasted int `json:"backups_wasted"`
 	// ResultPosts counts result bodies received — /results requests, or
-	// single lines from pipe workers — and ResultLines the result lines
-	// accepted from them. An HTTP worker posts at most two bodies per
-	// chunk (its first result, then the rest), so a run's posts are at most
-	// twice its grants; a pipe worker's are one per line.
+	// a grant's lines from a pipe worker — and ResultLines the result
+	// lines accepted from them. An HTTP worker posts at most two bodies
+	// per chunk (its first result, then the rest), so a run's posts are
+	// at most twice its grants; a pipe run counts one per grant.
 	ResultPosts int `json:"result_posts"`
 	ResultLines int `json:"result_lines"`
 }

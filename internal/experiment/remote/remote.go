@@ -124,14 +124,21 @@ func (b Remote) Run(ctx context.Context, spec *experiment.Spec, p results.Params
 	return coord.Values()
 }
 
-// runSummary renders the end-of-run scheduling summary: shard count, the
-// speculative-backup counters — the tail-latency machinery's effect made
-// visible — and how many /results posts carried the result lines. The
-// prefix up to "%d won" is parsed by tooling (cmd/specbench), so new
-// fields go at the end.
+// runSummary renders the remote backend's end-of-run summary: the
+// completeSummary both sharded backends print, and how many /results
+// posts carried the result lines. The prefix up to "%d won" is parsed by
+// tooling (cmd/specbench), so new fields go at the end.
 func runSummary(st Stats) string {
-	return fmt.Sprintf("remote: run complete: %d shards; backups: %d issued, %d won, %d wasted; results: %d lines in %d posts",
-		st.Shards, st.BackupsIssued, st.BackupsWon, st.BackupsWasted, st.ResultLines, st.ResultPosts)
+	return fmt.Sprintf("remote: %s in %d posts", completeSummary(st), st.ResultPosts)
+}
+
+// completeSummary renders the end-of-run scheduling counters: shard
+// count, the speculative-backup counters — the tail-latency machinery's
+// effect made visible, and the work a backup repeats — and the result
+// lines accepted.
+func completeSummary(st Stats) string {
+	return fmt.Sprintf("run complete: %d shards; backups: %d issued, %d won, %d wasted; results: %d lines",
+		st.Shards, st.BackupsIssued, st.BackupsWon, st.BackupsWasted, st.ResultLines)
 }
 
 // localWorkers tracks the worker processes a backend spawned beside its

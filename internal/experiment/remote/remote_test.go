@@ -805,40 +805,48 @@ func TestCopyPrefixedLinesDrainsAfterLongLine(t *testing.T) {
 	}
 }
 
-// TestShardRunnerStops pins the worker's serial shard loop: it stops at
-// the first failing shard, after emitting that shard's error line, and
-// checks its context before each shard, so a chunk whose lease was lost
-// (its context cancelled) runs no further shard.
+// TestShardRunnerStops pins the worker's serial shard loop and its
+// delivery rule: it sends the first line alone and the rest as one body
+// when the span is over; it stops at the first failing shard, whose
+// error line ends that body; and it checks its context before each shard
+// and each send, so a chunk whose lease was lost (its context cancelled)
+// runs no further shard and sends nothing more.
 func TestShardRunnerStops(t *testing.T) {
 	for _, tc := range []struct {
 		exp      string
-		cancelAt int // cancel the context once this shard's line is emitted (-1 = never)
-		lines    string
+		cancelAt int    // cancel the context once this shard's line is built (-1 = never)
+		lines    string // the lines built, one per shard run
+		bodies   string // the bodies sent, "|" between bodies
 		err      string
 	}{
-		{"remote-test-fail", -1, "0 1 2 3:shard 3 exploded", "shard 3 exploded"},
-		{"remote-test", 1, "0 1", context.Canceled.Error()},
+		{"remote-test-fail", -1, "0 1 2 3:shard 3 exploded", "0|1 2 3:shard 3 exploded", "shard 3 exploded"},
+		{"remote-test", 1, "0 1", "0", context.Canceled.Error()},
 	} {
 		r, err := newShardRunner(tc.exp, results.Params{}, "test", io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		var lines []string
-		err = r.run(ctx, span{Start: 0, End: 8}, func(sl experiment.ShardLine) error {
-			line := fmt.Sprint(sl.Shard)
-			if sl.Err != "" {
-				line += ":" + sl.Err
-			}
-			lines = append(lines, line)
-			if sl.Shard == tc.cancelAt {
-				cancel()
-			}
-			return nil
-		})
+		var lines, bodies []string
+		err = r.run(ctx, span{Start: 0, End: 8},
+			func(dst []byte, sl experiment.ShardLine) []byte {
+				if sl.Shard == tc.cancelAt {
+					cancel()
+				}
+				line := fmt.Sprint(sl.Shard)
+				if sl.Err != "" {
+					line += ":" + sl.Err
+				}
+				lines = append(lines, line)
+				return append(dst, line+" "...)
+			},
+			func(body []byte) error {
+				bodies = append(bodies, strings.TrimSpace(string(body)))
+				return nil
+			})
 		cancel()
-		if got := strings.Join(lines, " "); got != tc.lines || err == nil || err.Error() != tc.err {
-			t.Errorf("%s: lines %q, err %v; want lines %q, err %q", tc.exp, got, err, tc.lines, tc.err)
+		if got, sent := strings.Join(lines, " "), strings.Join(bodies, "|"); got != tc.lines || sent != tc.bodies || err == nil || err.Error() != tc.err {
+			t.Errorf("%s: lines %q, bodies %q, err %v; want lines %q, bodies %q, err %q", tc.exp, got, sent, err, tc.lines, tc.bodies, tc.err)
 		}
 	}
 }

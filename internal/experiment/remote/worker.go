@@ -140,13 +140,12 @@ func RunWorker(ctx context.Context, connect string, logw io.Writer) error {
 	}
 }
 
-// serveChunk runs one leased chunk and posts its results in two
-// bodies. The first result is posted alone, as soon as it exists: it
-// marks the lease started, which ends the coordinator's idempotent
-// re-poll of an unstarted grant. Every later result line is buffered and
-// posted as one body once the chunk is over — finished, or stopped by a
-// failing shard, whose failure line must reach the coordinator to fail
-// the run — unless the lease was lost or the worker stopped meanwhile.
+// serveChunk runs one leased chunk through shardRunner.run, posting
+// each of its two bodies as one /results request. The first result,
+// posted alone, marks the lease started, which ends the coordinator's
+// idempotent re-poll of an unstarted grant. The rest, a failing shard's
+// line included (it fails the run), follow together once the chunk is
+// over, unless the lease was lost or the worker stopped meanwhile.
 // The chunk ends only when that body is acked: the next /lease poll
 // tells the coordinator this chunk is finished or abandoned, so
 // returning with lines still unsent would release finished shards for
@@ -156,68 +155,45 @@ func serveChunk(ctx context.Context, client *http.Client, base string, r *shardR
 	chunkCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Renew at a third of the TTL. A renewal the coordinator refuses
-	// (410: expired, possibly re-issued) loses the lease immediately —
-	// someone else owns the chunk now. Transport blips are retried on the
-	// next tick: a single dropped packet must not throw away a chunk the
-	// coordinator still considers ours; two consecutive failures mean
-	// two-thirds of the TTL passed unrenewed, so the lease is as good as
-	// gone and the chunk is abandoned conservatively.
-	renewDone := make(chan struct{})
-	defer close(renewDone)
+	// A renewal the coordinator refuses (410: expired, possibly
+	// re-issued) loses the lease immediately — someone else owns the
+	// chunk now. Transport blips are retried on the next tick: a single
+	// dropped packet must not throw away a chunk the coordinator still
+	// considers ours; two consecutive failures mean two-thirds of the TTL
+	// passed unrenewed, so the lease is as good as gone and the chunk is
+	// abandoned conservatively.
 	var leaseLost atomic.Bool
-	go func() {
-		t := time.NewTicker(lease / 3)
-		defer t.Stop()
-		transportFails := 0
-		for {
-			select {
-			case <-t.C:
-				var renewed Renewal
-				err := postJSON(chunkCtx, client, base+"/renew", RenewRequest{ID: grant.ID, Run: job.Run}, &renewed)
-				switch {
-				case err == nil:
-					transportFails = 0
-					continue
-				case isTransportErr(err) && chunkCtx.Err() == nil:
-					if transportFails++; transportFails < 2 {
-						continue
-					}
-				}
-				leaseLost.Store(true)
-				cancel()
-				return
-			case <-renewDone:
-				return
-			case <-chunkCtx.Done():
-				return
+	transportFails := 0
+	stopRenewing := keepAlive(chunkCtx, lease, func(ctx context.Context) bool {
+		var renewed Renewal
+		err := postJSON(ctx, client, base+"/renew", RenewRequest{ID: grant.ID, Run: job.Run}, &renewed)
+		switch {
+		case err == nil:
+			transportFails = 0
+			return true
+		case ctx.Err() != nil:
+			return false // the chunk is over
+		case isTransportErr(err):
+			if transportFails++; transportFails < 2 {
+				return true
 			}
 		}
-	}()
+		leaseLost.Store(true)
+		cancel()
+		return false
+	})
+	defer stopRenewing()
 
-	postResults := func(body []byte) error {
-		var ack ResultAck
-		return post(chunkCtx, client, base+"/results", body, &ack)
-	}
-	var (
-		first   = true
-		rest    []byte
-		postErr error
-	)
+	var postErr error
 	runErr := r.run(chunkCtx, span{Start: grant.Start, End: grant.End},
-		func(sl experiment.ShardLine) error {
-			line := append(mustJSON(ResultLine{Run: job.Run, Lease: grant.ID, ShardLine: sl}), '\n')
-			if first {
-				first = false
-				postErr = postResults(line)
-				return postErr
-			}
-			rest = append(rest, line...)
-			return nil
+		func(dst []byte, sl experiment.ShardLine) []byte {
+			return append(append(dst, mustJSON(ResultLine{Run: job.Run, Lease: grant.ID, ShardLine: sl})...), '\n')
+		},
+		func(body []byte) error {
+			var ack ResultAck
+			postErr = post(chunkCtx, client, base+"/results", body, &ack)
+			return postErr
 		})
-	if postErr == nil && len(rest) > 0 && chunkCtx.Err() == nil {
-		postErr = postResults(rest)
-	}
 	switch {
 	case leaseLost.Load():
 		// The chunk belongs to another worker now. Both the run-shard
@@ -249,6 +225,35 @@ func serveChunk(ctx context.Context, client *http.Client, base string, r *shardR
 	// returns Done. Keep serving — the worker's job is transport, the
 	// coordinator owns the verdict.
 	return nil
+}
+
+// keepAlive renews a lease at a third of ttl, the one renewal cadence:
+// an HTTP worker's over /renew while it runs a chunk, and drive's for a
+// pipe worker while it runs a grant. It calls renew until renew reports
+// false or ctx is done; the returned stop cancels the context renew is
+// given and returns once the renewing goroutine has exited.
+func keepAlive(ctx context.Context, ttl time.Duration, renew func(context.Context) bool) (stop func()) {
+	ctx, cancel := context.WithCancel(ctx)
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		t := time.NewTicker(ttl / 3)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				if !renew(ctx) {
+					return
+				}
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return func() {
+		cancel()
+		<-exited
+	}
 }
 
 // pollLease asks for the next chunk, absorbing brief transport blips
@@ -440,13 +445,26 @@ func newShardRunner(exp string, p results.Params, name string, logw io.Writer) (
 	return &shardRunner{spec: spec, state: state, params: p, delay: delay}, nil
 }
 
-// run executes the shards of sp one at a time, in index order, passing
-// one line per shard to emit. It checks ctx before each shard (a lost
-// lease cancels it) and stops at the first failing shard, after
-// emitting that shard's error line, returning the failure; an emit
-// error stops it too. The delay shim sleeps before each line.
-func (r *shardRunner) run(ctx context.Context, sp span, emit func(experiment.ShardLine) error) error {
-	for i := sp.Start; i < sp.End; i++ {
+// run executes the shards of sp one at a time, in index order, and is
+// the one delivery rule of both worker transports: each shard's line is
+// appended by line, and send gets at most two bodies per span. The first
+// line goes alone, as soon as it exists: it marks the grant started and
+// is the run's first progress. Every later line is buffered and sent as
+// one body when the span is over — finished, or stopped by a failing
+// shard, whose error line is the body's last. run checks ctx before each
+// shard and each send (a lost lease cancels it), so nothing is sent once
+// ctx is done. It returns the failing shard's error, or ctx's or send's
+// when either stopped it. The delay shim sleeps before each line.
+func (r *shardRunner) run(ctx context.Context, sp span, line func([]byte, experiment.ShardLine) []byte, send func([]byte) error) error {
+	deliver := func(body []byte) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return send(body)
+	}
+	var rest []byte
+	var failed error
+	for i := sp.Start; i < sp.End && failed == nil; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -462,13 +480,20 @@ func (r *shardRunner) run(ctx context.Context, sp span, emit func(experiment.Sha
 				return ctx.Err()
 			}
 		}
+		sl := experiment.ShardLine{Shard: i, Value: raw}
 		if err != nil {
-			emit(experiment.ShardLine{Shard: i, Err: err.Error()})
-			return err
+			sl, failed = experiment.ShardLine{Shard: i, Err: err.Error()}, err
 		}
-		if err := emit(experiment.ShardLine{Shard: i, Value: raw}); err != nil {
+		if i > sp.Start {
+			rest = line(rest, sl)
+		} else if err := deliver(line(nil, sl)); err != nil {
 			return err
 		}
 	}
-	return nil
+	if len(rest) > 0 {
+		if err := deliver(rest); err != nil {
+			return err
+		}
+	}
+	return failed
 }

@@ -23,13 +23,15 @@ import (
 // determinism contract as InProcess, across process boundaries; a shard
 // run twice must produce identical bytes. Worker stderr passes through
 // line-by-line with a "[worker N]" prefix, so diagnostics from
-// concurrent workers stay attributable; the backend itself prints
-// nothing.
+// concurrent workers stay attributable; the backend itself prints one
+// line, "subprocess: run complete: …", with the run's shard, backup and
+// result-line counts.
 type Subprocess struct {
 	// Procs is the worker-process count (0 = one per CPU); clamped to the
 	// shard count.
 	Procs int
-	// Stderr receives the prefixed worker diagnostics (nil = os.Stderr).
+	// Stderr receives the prefixed worker diagnostics and the run summary
+	// (nil = os.Stderr).
 	Stderr io.Writer
 }
 

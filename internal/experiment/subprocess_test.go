@@ -35,7 +35,8 @@ func init() {
 // TestSubprocessStderrFraming is the end-to-end pin: stderr from
 // concurrent worker processes arrives line-framed and attributed, and
 // every shard's diagnostic line survives. A speculative backup can run a
-// shard twice, so a diagnostic may appear more than once.
+// shard twice, so a diagnostic may appear more than once. The backend's
+// own run summary is the last line.
 func TestSubprocessStderrFraming(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -57,9 +58,14 @@ func TestSubprocessStderrFraming(t *testing.T) {
 		}
 	}
 
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	summary := regexp.MustCompile(`^subprocess: run complete: 8 shards; backups: \d+ issued, \d+ won, \d+ wasted; results: \d+ lines$`)
+	if last := lines[len(lines)-1]; !summary.MatchString(last) {
+		t.Errorf("last stderr line %q is not the run summary", last)
+	}
 	framed := regexp.MustCompile(`^\[worker \d+\] shard (\d+) reporting$`)
 	seen := map[string]int{}
-	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
+	for _, line := range lines[:len(lines)-1] {
 		m := framed.FindStringSubmatch(line)
 		if m == nil {
 			t.Fatalf("stderr line %q is not worker-framed", line)
